@@ -22,6 +22,7 @@ import numpy as np
 from .detector import DetectorConfig
 from .errors import AlgorithmError, ConfigError, FormatError, MvLidarError
 from .formats import (
+    atomic_write,
     read_calibration,
     read_detections,
     read_frame,
@@ -113,6 +114,10 @@ def _eval_config(args) -> DetectionEvalConfig:
     return DetectionEvalConfig()
 
 
+def _write_json(path, payload) -> None:
+    atomic_write(path, json.dumps(payload, sort_keys=True, indent=2).encode())
+
+
 def cmd_calibrate(args) -> int:
     reference = read_frame(args.reference)
     hierarchy = _load_hierarchy(args.config)
@@ -168,8 +173,7 @@ def cmd_sync_sim(args) -> int:
                           "misaligned": s.misaligned} for s in report.stats],
             "errors_s": report.errors_s.tolist(),
         }
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
+        _write_json(args.out, payload)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -233,9 +237,8 @@ def cmd_eval_det(args) -> int:
             ap[label] = compute_ap(detections, ground_truth, label, cfg)
     print(format_ap_table({"detections": ap}))
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump({label.value: value for label, value in ap.items()},
-                      handle, sort_keys=True, indent=2)
+        _write_json(args.out, {label.value: value
+                               for label, value in ap.items()})
     return EXIT_OK
 
 
@@ -246,11 +249,10 @@ def cmd_eval_mot(args) -> int:
     report = compute_clear_mot(hypotheses, ground_truth, cfg)
     print(format_mot_table({"hypotheses": report}))
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump({"mota": report.mota, "motp": report.motp,
-                       "ids": report.ids, "frag": report.frag,
-                       "fn": report.fn, "fp": report.fp, "gt": report.gt},
-                      handle, sort_keys=True, indent=2)
+        _write_json(args.out, {"mota": report.mota, "motp": report.motp,
+                               "ids": report.ids, "frag": report.frag,
+                               "fn": report.fn, "fp": report.fp,
+                               "gt": report.gt})
     return EXIT_OK
 
 

@@ -55,7 +55,9 @@ FLAG_TIME_INDEX = 0x2
 FLAG_SOURCE_ID = 0x4
 
 
-def _atomic_write(path, data: bytes):
+def atomic_write(path, data: bytes):
+    """Write data to path through a temporary file in the same directory,
+    so readers see either the old file or the whole new one."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -101,7 +103,7 @@ def write_frame(path, cloud: PointCloud) -> None:
         record["time_index"] = cloud.time_index.astype("<u2")
     if flags & FLAG_SOURCE_ID:
         record["source"] = cloud.source_ids.astype("<u2")
-    _atomic_write(path, header + record.tobytes())
+    atomic_write(path, header + record.tobytes())
 
 
 def _record_dtype(flags: int) -> np.dtype:
@@ -156,7 +158,7 @@ def write_xyz(path, cloud: PointCloud) -> None:
             lines.append(f"{x!r} {y!r} {z!r} {float(cloud.intensity[i])!r}")
         else:
             lines.append(f"{x!r} {y!r} {z!r}")
-    _atomic_write(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
+    atomic_write(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
 
 
 def read_xyz(path) -> PointCloud:
@@ -248,7 +250,7 @@ def record_to_detection(record: dict, line_no: int = 0):
 
 def write_detections(path, detections) -> None:
     """``detections`` is an iterable of (frame, Box3D)."""
-    _atomic_write(path, _dump_lines(
+    atomic_write(path, _dump_lines(
         detection_to_record(frame, box) for frame, box in detections))
 
 
@@ -266,7 +268,7 @@ def write_trajectories(path, trajectories: TrajectorySet) -> None:
                             "center": [float(v) for v in box.center],
                             "size": [float(v) for v in box.size],
                             "yaw": float(box.yaw)})
-    _atomic_write(path, _dump_lines(records))
+    atomic_write(path, _dump_lines(records))
 
 
 def read_trajectories(path) -> TrajectorySet:
@@ -302,7 +304,7 @@ def write_calibration(path, extrinsics: dict) -> None:
                         "rotation": [float(v) for v in
                                      transform.rotation.reshape(9)],
                         "translation": [float(v) for v in transform.translation]})
-    _atomic_write(path, _dump_lines(records))
+    atomic_write(path, _dump_lines(records))
 
 
 def read_calibration(path) -> dict:

@@ -26,6 +26,7 @@ from .geometry import (
     iou_3d,
     iou_bev,
     wrap_angle,
+    wrap_half_angle,
 )
 
 DEFAULT_SYNC_WINDOW_S = 0.005
@@ -206,7 +207,7 @@ def average_fuse(clusters: list, score_weighted: bool = False) -> list:
         anchor = boxes[0].yaw
         heading = np.zeros(2)
         for w, box in zip(weights, boxes):
-            yaw = anchor + wrap_half_delta(box.yaw - anchor)
+            yaw = anchor + wrap_half_angle(box.yaw - anchor)
             heading += w * np.array([math.cos(yaw), math.sin(yaw)])
         if np.linalg.norm(heading) < 1e-9:
             raise DegenerateYawError("heading vectors cancel; yaw undefined")
@@ -216,11 +217,6 @@ def average_fuse(clusters: list, score_weighted: bool = False) -> list:
                            label=boxes[0].label,
                            score=max(box.score for box in boxes)))
     return fused
-
-
-def wrap_half_delta(delta: float) -> float:
-    """Wrap a yaw difference to (-pi/2, pi/2] (180-degree box symmetry)."""
-    return 0.5 * math.pi - (0.5 * math.pi - delta) % math.pi
 
 
 def late_fuse(views: list, overlap_threshold: float = 0.1,

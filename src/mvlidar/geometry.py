@@ -25,6 +25,9 @@ from .errors import BehindCameraError
 
 _ROTATION_ATOL = 1e-9
 _CLIP_EPS = 1e-12
+_INT64_MAX = np.iinfo(np.int64).max
+# voxel indices stay below 2**62 in magnitude, so per-axis spans fit in int64
+_MAX_VOXEL_INDEX = 2.0 ** 62
 
 
 class ObjectClass(str, Enum):
@@ -343,38 +346,74 @@ def project_pinhole(camera: PinholeCamera, point) -> tuple[float, float]:
             camera.fy * q[1] / q[2] + camera.cy)
 
 
+def _lexicographic_key(cells: np.ndarray) -> np.ndarray:
+    """One int64 per row of (N, D) int64 ``cells``, ordered as the rows are.
+
+    Each column is shifted to start at 0 and packed below the columns before
+    it, so the keys sort exactly as ``np.unique(cells, axis=0)`` sorts the
+    rows. When the packed prefix times the next column's span would not fit
+    in int64, the prefix is first replaced by its rank among the distinct
+    prefixes (there are at most N of them); a column whose span still does
+    not fit is ranked the same way. Ranking keeps the order, so the keys
+    never wrap and never change order.
+    """
+    key = np.zeros(len(cells), dtype=np.int64)
+    span = 1
+    for column in cells.T:
+        column = column - column.min()
+        column_span = int(column.max()) + 1
+        if span * column_span > _INT64_MAX:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        if span * column_span > _INT64_MAX:
+            distinct, column = np.unique(column, return_inverse=True)
+            column_span = len(distinct)
+        key = key * column_span + column
+        span *= column_span
+    return key
+
+
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """One output point per occupied voxel, at the centroid of its members.
 
     A point on a voxel boundary belongs to floor(coordinate / voxel_size).
-    Voxels are emitted in sorted key order, so the result does not depend on
-    the input point order. Intensity is averaged per voxel; the integer
-    time-index and source-id attributes keep the per-voxel minimum.
+    Voxels are emitted in sorted (x, y, z) index order, so the result does
+    not depend on the input point order. The three indices are packed into
+    one int64 key that sorts as the index rows do; when the product of the
+    per-axis spans would overflow int64, the (x, y) prefix is re-ranked
+    before z is packed (see ``_lexicographic_key``), so the key never wraps
+    and the voxel order stays the same. Member sums accumulate in input
+    order. Intensity is averaged per voxel; the integer time-index and
+    source-id attributes keep the per-voxel minimum. Raises ValueError when
+    a voxel index reaches 2**62 in magnitude.
     """
     if voxel_size <= 0.0:
         raise ValueError("voxel_size must be positive")
     if len(cloud) == 0:
         return cloud
-    keys = np.floor(cloud.points / voxel_size).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
-                                   return_counts=True)
+    scaled = np.floor(cloud.points / voxel_size)
+    if not np.abs(scaled).max() < _MAX_VOXEL_INDEX:
+        raise ValueError("voxel_size is too small for the cloud's extent")
+    key = _lexicographic_key(scaled.astype(np.int64))
+    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
     n_voxels = len(counts)
-    sums = np.zeros((n_voxels, 3))
-    np.add.at(sums, inverse, cloud.points)
-    centroids = sums / counts[:, None]
 
+    def voxel_sums(values):
+        # bincount adds each voxel's members in input order
+        return np.bincount(inverse, weights=values, minlength=n_voxels)
+
+    centroids = np.stack([voxel_sums(column) for column in cloud.points.T],
+                         axis=1) / counts[:, None]
     intensity = None
     if cloud.intensity is not None:
-        acc = np.zeros(n_voxels)
-        np.add.at(acc, inverse, cloud.intensity)
-        intensity = acc / counts
+        intensity = voxel_sums(cloud.intensity) / counts
 
     def int_min(values):
         if values is None:
             return None
-        out = np.full(n_voxels, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(out, inverse, values)
-        return out
+        # gather the members voxel by voxel, then reduce each run
+        return np.minimum.reduceat(values[np.argsort(inverse)],
+                                   np.cumsum(counts) - counts)
 
     return PointCloud(centroids, intensity=intensity,
                       timestamp_ns=cloud.timestamp_ns,

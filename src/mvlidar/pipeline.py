@@ -27,6 +27,7 @@ from dataclasses import replace as dc_replace
 from .detector import DetectorConfig, detect_frame, subtract_background
 from .errors import CalibrationFailedError, ConfigError
 from .formats import (
+    atomic_write,
     write_calibration,
     write_detections,
     write_frame,
@@ -362,9 +363,8 @@ def _json_ready(value):
 
 
 def _write_json(path, payload) -> None:
-    from .formats import _atomic_write
     data = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
-    _atomic_write(path, data.encode())
+    atomic_write(path, data.encode())
 
 
 def export_scene(scene: SyntheticScene, directory, seed: int = 0) -> None:
@@ -493,8 +493,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
                     "tracking (early fusion)",
                     format_mot_table({"early fusion": mot})]
     report = "\n".join(report_lines) + "\n"
-    from .formats import _atomic_write
-    _atomic_write(os.path.join(out, "report.txt"), report.encode())
+    atomic_write(os.path.join(out, "report.txt"), report.encode())
     stage("evaluate")
 
     manifest["outputs"] = sorted(name for name in os.listdir(out)

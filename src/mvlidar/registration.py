@@ -151,10 +151,17 @@ def estimate_normals(cloud: PointCloud, radius: float, min_neighbors: int = 5,
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
     delta = points[dst] - points[src]
     counts = np.bincount(src, minlength=n).astype(float) + 1.0
-    sums = np.zeros((n, 3))
-    np.add.at(sums, src, delta)
-    outer = np.zeros((n, 3, 3))
-    np.add.at(outer, src, delta[:, :, None] * delta[:, None, :])
+
+    def point_sums(values):
+        # bincount adds each point's pairs in pair order
+        return np.bincount(src, weights=values, minlength=n)
+
+    sums = np.stack([point_sums(delta[:, a]) for a in range(3)], axis=1)
+    outer = np.empty((n, 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            outer[:, a, b] = point_sums(delta[:, a] * delta[:, b])
+            outer[:, b, a] = outer[:, a, b]
 
     computable = counts >= min_neighbors
     if not computable.any():
@@ -236,16 +243,20 @@ def compute_fpfh(cloud: PointCloud, normals: np.ndarray,
     theta = np.arctan2(np.einsum("ij,ij->i", w, n_q),
                        np.einsum("ij,ij->i", u, n_q))
 
-    np.add.at(spfh, (src, _bin_index(alpha, -1.0, 1.0)), 1.0)
-    np.add.at(spfh, (src, FPFH_BINS_PER_FEATURE + _bin_index(phi, -1.0, 1.0)), 1.0)
-    np.add.at(spfh, (src, 2 * FPFH_BINS_PER_FEATURE
-                     + _bin_index(theta, -math.pi, math.pi)), 1.0)
-    spfh = _normalize_blocks(spfh)
+    bins = np.concatenate([
+        _bin_index(alpha, -1.0, 1.0),
+        FPFH_BINS_PER_FEATURE + _bin_index(phi, -1.0, 1.0),
+        2 * FPFH_BINS_PER_FEATURE + _bin_index(theta, -math.pi, math.pi)])
+    flat_bins = np.tile(src * FPFH_SIZE, 3) + bins
+    spfh = np.bincount(flat_bins, minlength=n * FPFH_SIZE)
+    spfh = _normalize_blocks(spfh.reshape(n, FPFH_SIZE).astype(float))
 
-    weighted = np.zeros_like(spfh)
-    counts = np.zeros(n)
-    np.add.at(weighted, src, spfh[dst] / dist[:, None])
-    np.add.at(counts, src, 1.0)
+    # one column at a time, so no (pairs, 33) temporary is built; bincount
+    # adds each point's neighbors in pair order
+    weighted = np.stack([np.bincount(src, weights=column[dst] / dist,
+                                     minlength=n)
+                         for column in spfh.T.copy()], axis=1)
+    counts = np.bincount(src, minlength=n)
     has_neighbors = counts > 0
     fpfh = spfh.copy()
     fpfh[has_neighbors] += weighted[has_neighbors] / counts[has_neighbors, None]

@@ -168,3 +168,47 @@ class TestSyncSimCli:
         payload = json.loads(out.read_text())
         assert len(payload["per_node"]) == 4
         assert len(payload["errors_s"]) == 20
+
+
+class TestJsonOutFiles:
+    """``sync-sim``, ``eval-det`` and ``eval-mot`` write --out atomically."""
+
+    @pytest.fixture
+    def argv_for(self, tmp_path):
+        boxes = [(f, Box3D((0.5 * f, 0.0, 0.8), (4.0, 2.0, 1.5), 0.0,
+                           ObjectClass.CAR, score=0.9, track_id=1))
+                 for f in range(4)]
+        write_detections(tmp_path / "det.jsonl", boxes)
+        write_trajectories(tmp_path / "traj.jsonl", TrajectorySet({1: boxes}))
+        commands = {
+            "sync-sim": ["sync-sim", "--nodes", "2", "--duration", "1.0"],
+            "eval-det": ["eval-det", "--detections", str(tmp_path / "det.jsonl"),
+                         "--ground-truth", str(tmp_path / "det.jsonl")],
+            "eval-mot": ["eval-mot", "--hypotheses", str(tmp_path / "traj.jsonl"),
+                         "--ground-truth", str(tmp_path / "traj.jsonl")],
+        }
+        return lambda command, out: commands[command] + ["--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["sync-sim", "eval-det", "eval-mot"])
+    def test_out_is_written_as_json(self, argv_for, tmp_path, command):
+        out = tmp_path / "out" / "result.json"
+        out.parent.mkdir()
+        assert main(argv_for(command, out)) == 0
+        assert isinstance(json.loads(out.read_text()), dict)
+        assert os.listdir(out.parent) == ["result.json"]
+
+    @pytest.mark.parametrize("command", ["sync-sim", "eval-det", "eval-mot"])
+    def test_failed_write_keeps_the_old_file(self, argv_for, tmp_path,
+                                             monkeypatch, command):
+        out = tmp_path / "out" / "result.json"
+        out.parent.mkdir()
+        out.write_text("previous")
+
+        def refuse(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            main(argv_for(command, out))
+        assert out.read_text() == "previous"
+        assert os.listdir(out.parent) == ["result.json"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import monte_carlo_iou_3d, random_box, random_transform
 from mvlidar.errors import BehindCameraError
@@ -224,6 +226,126 @@ class TestVoxelDownsample:
                            intensity=[10.0, 30.0])
         out = voxel_downsample(cloud, 1.0)
         np.testing.assert_allclose(out.intensity, [20.0])
+
+
+def voxel_downsample_oracle(cloud, voxel_size):
+    """The row-sorting, scatter-adding kernel ``voxel_downsample`` replaced."""
+    keys = np.floor(cloud.points / voxel_size).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
+                                   return_counts=True)
+    inverse = inverse.reshape(-1)
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, inverse, cloud.points)
+    intensity = None
+    if cloud.intensity is not None:
+        intensity = np.zeros(len(counts))
+        np.add.at(intensity, inverse, cloud.intensity)
+        intensity = intensity / counts
+
+    def int_min(values):
+        if values is None:
+            return None
+        out = np.full(len(counts), np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(out, inverse, values)
+        return out
+
+    return PointCloud(sums / counts[:, None], intensity=intensity,
+                      timestamp_ns=cloud.timestamp_ns,
+                      time_index=int_min(cloud.time_index),
+                      source_ids=int_min(cloud.source_ids),
+                      source_node=cloud.source_node)
+
+
+def assert_clouds_identical(a, b):
+    assert a.points.dtype == b.points.dtype
+    assert np.array_equal(a.points, b.points)
+    for name in ("intensity", "time_index", "source_ids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert (a.timestamp_ns, a.source_node) == (b.timestamp_ns, b.source_node)
+
+
+# quarter-voxel lattice coordinates land on voxel boundaries and repeat;
+# free floats fill everything in between
+_COORDINATE = st.one_of(st.integers(-64, 64).map(lambda k: 0.25 * k),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def attributed_clouds(draw):
+    points = draw(st.lists(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE),
+                           min_size=1, max_size=60))
+    repeats = draw(st.lists(st.integers(0, len(points) - 1), max_size=10))
+    points += [points[i] for i in repeats]
+    n = len(points)
+
+    def maybe(values):
+        return draw(st.one_of(st.none(),
+                              st.lists(values, min_size=n, max_size=n)))
+
+    return PointCloud(points,
+                      intensity=maybe(st.floats(0.0, 255.0)),
+                      timestamp_ns=draw(st.integers(0, 10**12)),
+                      time_index=maybe(st.integers(0, 9)),
+                      source_ids=maybe(st.integers(0, 3)),
+                      source_node=draw(st.one_of(st.none(), st.integers(0, 3))))
+
+
+class TestVoxelDownsampleOracle:
+    """Bit-for-bit agreement with the ``np.unique(axis=0)`` kernel."""
+
+    CASES = {
+        "negative": [[-0.1, -2.6, -7.9], [-0.2, -2.7, -7.95], [-3.0, 1.0, 2.0]],
+        "boundaries": [[1.0, 0.0, 0.0], [0.999, 0.0, 0.0], [-1.0, -1.0, 2.0],
+                       [-0.5, 0.5, 1.5], [0.0, 0.0, 0.0]],
+        "duplicates": [[0.3, 0.3, 0.3]] * 4 + [[0.7, 0.1, 0.2]] * 3,
+        "single point": [[12.5, -3.25, 0.75]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_named_case(self, case):
+        cloud = PointCloud(self.CASES[case])
+        for voxel_size in (0.1, 0.5, 1.0):
+            assert_clouds_identical(voxel_downsample(cloud, voxel_size),
+                                    voxel_downsample_oracle(cloud, voxel_size))
+
+    def test_all_attributes(self, rng):
+        n = 2000
+        cloud = PointCloud(rng.uniform(-6.0, 6.0, size=(n, 3)),
+                           intensity=rng.uniform(0.0, 100.0, n),
+                           timestamp_ns=7, time_index=rng.integers(0, 5, n),
+                           source_ids=rng.integers(0, 4, n), source_node=2)
+        assert_clouds_identical(voxel_downsample(cloud, 0.7),
+                                voxel_downsample_oracle(cloud, 0.7))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cloud=attributed_clouds(),
+           voxel_size=st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]))
+    def test_matches_oracle(self, cloud, voxel_size):
+        assert_clouds_identical(voxel_downsample(cloud, voxel_size),
+                                voxel_downsample_oracle(cloud, voxel_size))
+
+    @pytest.mark.parametrize("extent", [1e6, 1e15])
+    def test_overflowing_key_packs_in_stages(self, rng, extent):
+        # +-1000 km at 1 mm voxels needs 2e9 indices per axis, so the three
+        # spans multiply past int64; at +-1e15 m two spans already do. The
+        # 0.1 mm offsets mostly share a voxel (and vanish at 1e15 m)
+        voxel_size = 1e-3
+        centers = rng.uniform(-extent, extent, size=(300, 3))
+        points = np.concatenate([centers, centers + 1e-4])
+        cells = np.floor(points / voxel_size).astype(np.int64)
+        spans = [int(c.max()) - int(c.min()) + 1 for c in cells.T]
+        assert math.prod(spans) > np.iinfo(np.int64).max
+        cloud = PointCloud(points, intensity=rng.uniform(0.0, 1.0, 600))
+        out = voxel_downsample(cloud, voxel_size)
+        assert_clouds_identical(out, voxel_downsample_oracle(cloud, voxel_size))
+        assert len(out) < len(points)
+
+    def test_unrepresentable_voxel_index_rejected(self):
+        with pytest.raises(ValueError):
+            voxel_downsample(PointCloud([[1e17, 0.0, 0.0]]), 1e-3)
 
 
 class TestAngles:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from conftest import random_rotation, random_transform, structured_scene_points
 from mvlidar.errors import (
@@ -18,6 +21,8 @@ from mvlidar.geometry import (
     voxel_downsample,
 )
 from mvlidar.registration import (
+    FPFH_BINS_PER_FEATURE,
+    FPFH_SIZE,
     CornerPair,
     HierarchyConfig,
     HierarchyLevel,
@@ -32,6 +37,7 @@ from mvlidar.registration import (
     mutual_feature_matches,
     solve_rigid_arun,
 )
+from mvlidar.registration import _bin_index, _normalize_blocks
 
 FAST_CFG = HierarchyConfig(levels=(HierarchyLevel(1.5, 3.0, 40),
                                    HierarchyLevel(0.5, 1.0, 40),
@@ -73,6 +79,143 @@ class TestEstimateNormals:
         cosine = -np.einsum("ij,ij->i", normals[computed], direction[computed])
         angles = np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0)))
         assert angles.max() < 2.0
+
+
+def _directed_pairs(points, radius):
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    return (np.concatenate([pairs[:, 0], pairs[:, 1]]),
+            np.concatenate([pairs[:, 1], pairs[:, 0]]))
+
+
+def estimate_normals_oracle(cloud, radius, min_neighbors=5,
+                            viewpoint=(0.0, 0.0, 0.0)):
+    """The ``np.add.at`` moment sums ``estimate_normals`` replaced."""
+    points = cloud.points
+    n = len(points)
+    normals = np.zeros((n, 3))
+    src, dst = _directed_pairs(points, radius)
+    delta = points[dst] - points[src]
+    counts = np.bincount(src, minlength=n).astype(float) + 1.0
+    sums = np.zeros((n, 3))
+    np.add.at(sums, src, delta)
+    outer = np.zeros((n, 3, 3))
+    np.add.at(outer, src, delta[:, :, None] * delta[:, None, :])
+    computable = counts >= min_neighbors
+    if not computable.any():
+        return normals
+    mean = sums[computable] / counts[computable, None]
+    cov = (outer[computable] / counts[computable, None, None]
+           - mean[:, :, None] * mean[:, None, :])
+    candidate = np.linalg.eigh(cov)[1][:, :, 0]
+    toward = np.asarray(viewpoint, dtype=float) - points[computable]
+    flip = np.einsum("ij,ij->i", candidate, toward) < 0.0
+    candidate[flip] = -candidate[flip]
+    normals[computable] = candidate
+    return normals
+
+
+def compute_fpfh_oracle(cloud, normals, radius):
+    """The ``np.add.at`` histogram sums ``compute_fpfh`` replaced."""
+    points = cloud.points
+    n = len(points)
+    spfh = np.zeros((n, FPFH_SIZE))
+    valid = np.linalg.norm(normals, axis=1) > 0.5
+    src, dst = _directed_pairs(points, radius)
+    if len(src) == 0:
+        return spfh
+    keep = valid[src] & valid[dst]
+    src, dst = src[keep], dst[keep]
+    delta = points[dst] - points[src]
+    dist = np.linalg.norm(delta, axis=1)
+    keep = dist > 1e-12
+    src, dst, delta, dist = src[keep], dst[keep], delta[keep], dist[keep]
+    d_hat = delta / dist[:, None]
+    u, n_q = normals[src], normals[dst]
+    v = np.cross(d_hat, u)
+    v_norm = np.linalg.norm(v, axis=1)
+    keep = v_norm > 1e-12
+    src, dst, dist = src[keep], dst[keep], dist[keep]
+    d_hat, u, n_q = d_hat[keep], u[keep], n_q[keep]
+    v = v[keep] / v_norm[keep][:, None]
+    w = np.cross(u, v)
+    alpha = np.einsum("ij,ij->i", v, n_q)
+    phi = np.einsum("ij,ij->i", u, d_hat)
+    theta = np.arctan2(np.einsum("ij,ij->i", w, n_q),
+                       np.einsum("ij,ij->i", u, n_q))
+    np.add.at(spfh, (src, _bin_index(alpha, -1.0, 1.0)), 1.0)
+    np.add.at(spfh, (src, FPFH_BINS_PER_FEATURE + _bin_index(phi, -1.0, 1.0)),
+              1.0)
+    np.add.at(spfh, (src, 2 * FPFH_BINS_PER_FEATURE
+                     + _bin_index(theta, -math.pi, math.pi)), 1.0)
+    spfh = _normalize_blocks(spfh)
+    weighted = np.zeros_like(spfh)
+    counts = np.zeros(n)
+    np.add.at(weighted, src, spfh[dst] / dist[:, None])
+    np.add.at(counts, src, 1.0)
+    has_neighbors = counts > 0
+    fpfh = spfh.copy()
+    fpfh[has_neighbors] += weighted[has_neighbors] / counts[has_neighbors, None]
+    fpfh[~has_neighbors] = 0.0
+    fpfh[~valid] = 0.0
+    return _normalize_blocks(fpfh)
+
+
+@st.composite
+def sparse_scenes(draw):
+    """Small clusters around random centers, plus lone points.
+
+    With a neighbour radius of 1 the clusters range from isolated points to
+    neighbourhoods above ``min_neighbors``; some normals are zeroed to mark
+    them invalid.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    centers = rng.uniform(-20.0, 20.0, size=(len(sizes), 3))
+    points = np.concatenate([
+        center + rng.normal(scale=draw(st.sampled_from([0.05, 0.3, 0.8])),
+                            size=(size, 3))
+        for center, size in zip(centers, sizes)])
+    invalid = rng.random(len(points)) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    min_neighbors = draw(st.integers(3, 8))
+    return PointCloud(points), invalid, min_neighbors
+
+
+class TestKernelsMatchScatterOracle:
+    """Bit-for-bit agreement with the ``np.add.at`` normals and FPFH."""
+
+    def check(self, cloud, invalid, min_neighbors, radius=1.0,
+              viewpoint=(0.0, 0.0, 5.0)):
+        normals = estimate_normals(cloud, radius, min_neighbors, viewpoint)
+        assert np.array_equal(normals, estimate_normals_oracle(
+            cloud, radius, min_neighbors, viewpoint))
+        normals[invalid] = 0.0
+        fpfh = compute_fpfh(cloud, normals, 1.5 * radius)
+        assert np.array_equal(fpfh, compute_fpfh_oracle(cloud, normals,
+                                                        1.5 * radius))
+
+    def test_isolated_points_have_no_pairs(self):
+        cloud = PointCloud([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0],
+                            [0.0, 10.0, 0.0]])
+        self.check(cloud, np.zeros(3, dtype=bool), 1)
+
+    def test_mixed_scene(self, rng):
+        plane = plane_cloud(rng, spacing=0.3).points
+        few = np.array([[8.0, 8.0, 0.0], [8.2, 8.0, 0.1], [8.0, 8.3, 0.0]])
+        lone = np.array([[-9.0, 9.0, 3.0]])
+        cloud = PointCloud(np.concatenate([plane, few, lone]))
+        invalid = rng.random(len(cloud)) < 0.2
+        self.check(cloud, invalid, 5)
+
+    def test_structured_scene(self, rng):
+        cloud = voxel_downsample(PointCloud(structured_scene_points(rng, 3000)),
+                                 1.0)
+        self.check(cloud, np.zeros(len(cloud), dtype=bool), 5, radius=3.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=sparse_scenes())
+    def test_matches_oracle(self, scene):
+        cloud, invalid, min_neighbors = scene
+        self.check(cloud, invalid, min_neighbors)
 
 
 class TestComputeFpfh:
