@@ -26,7 +26,7 @@ class TruncatedPayloadError(FormatError):
 
 
 class RecordError(FormatError):
-    """Invalid JSON-lines record."""
+    """Invalid record: a JSON-lines record, an .xyz line or a frame point."""
 
 
 class ConfigError(MvLidarError):

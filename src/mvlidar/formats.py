@@ -13,7 +13,7 @@ Frame container (little-endian, 24-byte header):
 followed by point_count records of x, y, z (float32) plus, per flags,
 intensity (float32), time index (u16) and source id (u16). The declared
 count must match the payload size exactly; the magic and version are
-verified on read.
+verified on read, and every coordinate and intensity must be finite.
 
 JSON-lines records (one object per line, unknown keys ignored):
 
@@ -137,10 +137,17 @@ def read_frame(path) -> PointCloud:
             f"payload has {len(payload)} bytes")
     record = np.frombuffer(payload, dtype=dtype)
     points = np.column_stack([record["x"], record["y"], record["z"]]).astype(float)
+    intensity = record["intensity"].astype(float) \
+        if flags & FLAG_INTENSITY else None
+    finite = np.isfinite(points).all(axis=1)
+    if intensity is not None:
+        finite &= np.isfinite(intensity)
+    if not finite.all():
+        raise RecordError(f"point {int(np.argmin(finite))}: values must be "
+                          f"finite")
     return PointCloud(
         points,
-        intensity=record["intensity"].astype(float)
-        if flags & FLAG_INTENSITY else None,
+        intensity=intensity,
         timestamp_ns=int(timestamp_ns),
         time_index=record["time_index"].astype(np.int64)
         if flags & FLAG_TIME_INDEX else None,
@@ -171,7 +178,12 @@ def read_xyz(path) -> PointCloud:
             fields = line.split()
             if len(fields) not in (3, 4):
                 raise RecordError(f"line {line_no}: expected 3 or 4 columns")
-            values = [float(f) for f in fields]
+            try:
+                values = [float(f) for f in fields]
+            except ValueError:
+                raise RecordError(f"line {line_no}: non-numeric field")
+            if not all(math.isfinite(v) for v in values):
+                raise RecordError(f"line {line_no}: values must be finite")
             points.append(values[:3])
             if len(fields) == 4:
                 intensity.append(values[3])

@@ -24,7 +24,6 @@ from .geometry import (
     RigidTransform,
     apply_transform,
     iou_3d,
-    iou_bev,
     wrap_angle,
     wrap_half_angle,
 )
@@ -130,8 +129,7 @@ class BoxCluster:
             raise ValueError("cluster members must share a class")
 
 
-def cluster_boxes(views: list, overlap_threshold: float = 0.1,
-                  use_bev: bool = False) -> list:
+def cluster_boxes(views: list, overlap_threshold: float = 0.1) -> list:
     """Group per-view boxes into clusters by transitive overlap.
 
     ``views`` is a list of (view id, list of Box3D). Same-class boxes are
@@ -141,7 +139,6 @@ def cluster_boxes(views: list, overlap_threshold: float = 0.1,
     """
     if not 0.0 < overlap_threshold < 1.0:
         raise ValueError("overlap_threshold must lie in (0, 1)")
-    overlap = iou_bev if use_bev else iou_3d
     entries = [(box, view_id) for view_id, boxes in views for box in boxes]
     n = len(entries)
     parent = list(range(n))
@@ -160,7 +157,7 @@ def cluster_boxes(views: list, overlap_threshold: float = 0.1,
     for i in range(n):
         for j in range(i + 1, n):
             a, b = entries[i][0], entries[j][0]
-            if a.label is b.label and overlap(a, b) >= overlap_threshold:
+            if a.label is b.label and iou_3d(a, b) >= overlap_threshold:
                 union(i, j)
 
     groups: dict = {}
@@ -184,10 +181,10 @@ def nms_fuse(clusters: list) -> list:
     return fused
 
 
-def average_fuse(clusters: list, score_weighted: bool = False) -> list:
+def average_fuse(clusters: list) -> list:
     """One box per cluster with averaged geometry.
 
-    Center and size are arithmetic means (score-weighted when requested).
+    Center and size are arithmetic means.
     Yaw is the direction of the mean heading vector after canonicalizing
     every member's yaw to within 90 degrees of the first member (boxes are
     180-degree symmetric). The fused score is the cluster maximum.
@@ -195,11 +192,7 @@ def average_fuse(clusters: list, score_weighted: bool = False) -> list:
     fused = []
     for cluster in clusters:
         boxes = [box for box, _ in cluster.members]
-        weights = np.array([box.score for box in boxes]) if score_weighted \
-            else np.ones(len(boxes))
-        if weights.sum() <= 0.0:
-            weights = np.ones(len(boxes))
-        weights = weights / weights.sum()
+        weights = np.ones(len(boxes)) / len(boxes)
 
         center = np.sum([w * box.center for w, box in zip(weights, boxes)], axis=0)
         size = np.sum([w * box.size for w, box in zip(weights, boxes)], axis=0)
@@ -220,9 +213,9 @@ def average_fuse(clusters: list, score_weighted: bool = False) -> list:
 
 
 def late_fuse(views: list, overlap_threshold: float = 0.1,
-              method: str = "nms", use_bev: bool = False) -> list:
+              method: str = "nms") -> list:
     """Cluster per-view boxes and reduce with 'nms' or 'average' fusion."""
-    clusters = cluster_boxes(views, overlap_threshold, use_bev=use_bev)
+    clusters = cluster_boxes(views, overlap_threshold)
     if method == "nms":
         return nms_fuse(clusters)
     if method == "average":

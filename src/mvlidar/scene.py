@@ -245,50 +245,52 @@ def _surface_entry(origin, dirs, surface):
     return _ray_box_entry(origin, dirs, center, size, yaw)
 
 
+# Bounding spheres are padded by this much (metres), so rounding in the
+# sphere test never culls a ray that the exact test would count as a hit.
+_BOUND_MARGIN = 1e-6
+
+
+def _bounded(label, surface):
+    """(label, surface, centre, radius) with the surface's padded bounding
+    sphere: a box's centre and half diagonal, or the sphere itself."""
+    if isinstance(surface, SceneSphere):
+        center, radius = surface.center, surface.radius
+    else:
+        center, size, _ = surface
+        radius = 0.5 * math.hypot(*size)
+    return (label, surface, np.asarray(center, dtype=float),
+            float(radius) + _BOUND_MARGIN)
+
+
 def _cast_frame(origin, dirs_world, surfaces):
-    """First-hit distances and surface labels for one node at one frame."""
+    """First-hit distances and surface labels for one node at one frame.
+
+    ``surfaces`` is a sequence of ``_bounded`` entries. A surface is tested
+    exactly only on the rays that reach its bounding sphere in front of the
+    origin and before the closest hit so far; from inside the sphere every
+    ray is tested. Surfaces are visited in order, so the first of two
+    surfaces at the same distance keeps the ray. The exact tests treat
+    each ray on its own, so a culled cast equals the all-rays cast bit for
+    bit.
+    """
     best_t = np.full(len(dirs_world), np.inf)
     best_label = np.full(len(dirs_world), -1, dtype=np.int64)
-    for label, surface in surfaces:
-        t = _surface_entry(origin, dirs_world, surface)
-        closer = t < best_t
-        best_t[closer] = t[closer]
-        best_label[closer] = label
-    return best_t, best_label
-
-
-def _sample_box_surface(center, size, yaw, density, rng,
-                        faces="sides+top") -> np.ndarray:
-    l, w, h = size
-    specs = []
-    if "sides" in faces:
-        specs += [("x+", w * h), ("x-", w * h), ("y+", l * h), ("y-", l * h)]
-    if "top" in faces:
-        specs.append(("z+", l * w))
-    total_area = sum(a for _, a in specs)
-    n = max(int(total_area * density), 8)
-    areas = np.array([a for _, a in specs])
-    choice = rng.choice(len(specs), size=n, p=areas / areas.sum())
-    u = rng.uniform(-0.5, 0.5, n)
-    v = rng.uniform(-0.5, 0.5, n)
-    local = np.zeros((n, 3))
-    for idx, (face, _) in enumerate(specs):
-        mask = choice == idx
-        if face[0] == "x":
-            local[mask, 0] = 0.5 * l * (1.0 if face[1] == "+" else -1.0)
-            local[mask, 1] = u[mask] * w
-            local[mask, 2] = v[mask] * h
-        elif face[0] == "y":
-            local[mask, 1] = 0.5 * w * (1.0 if face[1] == "+" else -1.0)
-            local[mask, 0] = u[mask] * l
-            local[mask, 2] = v[mask] * h
+    for label, surface, center, radius in surfaces:
+        offset = origin - center
+        c = offset @ offset - radius * radius
+        if c > 0.0:
+            b = dirs_world @ offset
+            disc = b * b - c
+            cand = np.flatnonzero((disc >= 0.0) & (b < 0.0))
+            cand = cand[-b[cand] - np.sqrt(disc[cand]) < best_t[cand]]
         else:
-            local[mask, 2] = 0.5 * h
-            local[mask, 0] = u[mask] * l
-            local[mask, 1] = v[mask] * w
-    c, s = math.cos(yaw), math.sin(yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return local @ rot.T + np.asarray(center)
+            cand = np.arange(len(dirs_world))
+        t = _surface_entry(origin, dirs_world[cand], surface)
+        closer = t < best_t[cand]
+        hit = cand[closer]
+        best_t[hit] = t[closer]
+        best_label[hit] = label
+    return best_t, best_label
 
 
 def _reference_cloud(spec: SceneSpec, static_surfaces, rng) -> PointCloud:
@@ -328,14 +330,15 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
                       size=(4.0 * spec.extent, 4.0 * spec.extent, 1.0))
     static_surfaces = []
     if spec.include_ground:
-        static_surfaces.append((-1, (np.asarray(ground.center, dtype=float),
-                                     ground.size, ground.yaw)))
+        static_surfaces.append(_bounded(-1, (
+            np.asarray(ground.center, dtype=float), ground.size, ground.yaw)))
     for static in spec.statics:
         if isinstance(static, SceneSphere):
-            static_surfaces.append((-1, static))
+            static_surfaces.append(_bounded(-1, static))
         else:
-            static_surfaces.append((-1, (np.asarray(static.center, dtype=float),
-                                         static.size, static.yaw)))
+            static_surfaces.append(_bounded(-1, (
+                np.asarray(static.center, dtype=float), static.size,
+                static.yaw)))
 
     extrinsics = {i: node.extrinsic for i, node in enumerate(spec.nodes)}
 
@@ -351,7 +354,8 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
         gt_boxes.append(boxes)
         surfaces = list(static_surfaces)
         for obj_index, box in enumerate(boxes):
-            surfaces.append((obj_index, (box.center, tuple(box.size), box.yaw)))
+            surfaces.append(_bounded(obj_index, (box.center, tuple(box.size),
+                                                 box.yaw)))
 
         for node_index in range(n_nodes):
             extrinsic = extrinsics[node_index]

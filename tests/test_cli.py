@@ -134,6 +134,17 @@ class TestErrorsAndConversion:
         code = main(["convert", str(bad), str(tmp_path / "out.xyz")])
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["0 0 abc", "0 nan 0"])
+    def test_bad_xyz_value_exit_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.xyz"
+        bad.write_text(f"1 2 3\n{line}\n")
+        code = main(["convert", str(bad), str(tmp_path / "out.mvlc")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2: " + (
+            "non-numeric field\n" if "abc" in line
+            else "values must be finite\n")
+        assert not (tmp_path / "out.mvlc").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["detect", "--frames", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out.jsonl")])

@@ -110,6 +110,18 @@ class TestFrameFile:
         with pytest.raises(TruncatedPayloadError):
             read_frame(path)
 
+    @pytest.mark.parametrize("column", [2, 3])
+    def test_nonfinite_payload_names_the_point(self, rng, tmp_path, column):
+        path = tmp_path / "frame.mvlc"
+        cloud = f32_cloud(rng, n=5)
+        write_frame(path, PointCloud(cloud.points, intensity=np.ones(5)))
+        data = bytearray(path.read_bytes())
+        offset = _HEADER.size + 3 * 16 + 4 * column  # 16-byte records
+        data[offset:offset + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(RecordError, match="point 3"):
+            read_frame(path)
+
 
 class TestXyzInterop:
     def test_round_trip(self, rng, tmp_path):
@@ -125,6 +137,13 @@ class TestXyzInterop:
         path = tmp_path / "cloud.xyz"
         path.write_text("1.0 2.0\n")
         with pytest.raises(RecordError):
+            read_xyz(path)
+
+    @pytest.mark.parametrize("bad_line", ["0 0 abc", "0 nan 0", "0 0 0 inf"])
+    def test_bad_value_names_the_line(self, tmp_path, bad_line):
+        path = tmp_path / "cloud.xyz"
+        path.write_text(f"# header\n1 2 3\n{bad_line}\n")
+        with pytest.raises(RecordError, match="line 3"):
             read_xyz(path)
 
 

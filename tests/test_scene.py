@@ -1,8 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvlidar import scene as scene_module
 from mvlidar.errors import ConfigError
 from mvlidar.geometry import ObjectClass, apply_transform
 from mvlidar.scene import (
@@ -10,6 +14,11 @@ from mvlidar.scene import (
     SceneBox,
     SceneObject,
     SceneSpec,
+    SceneSphere,
+    _bounded,
+    _cast_frame,
+    _ray_grid,
+    _surface_entry,
     generate_synthetic_scene,
     look_at_orientation,
     standard_crossroad_spec,
@@ -172,3 +181,214 @@ class TestStandardCrossroad:
         labels = {obj.label for obj in spec.objects}
         assert labels == {ObjectClass.CAR, ObjectClass.CYCLIST,
                           ObjectClass.PEDESTRIAN}
+
+
+def cast_all_rays(origin, dirs, surfaces):
+    """Oracle caster: every surface's exact test on every ray, no culling.
+
+    Accepts (label, surface) pairs or ``_bounded`` entries.
+    """
+    best_t = np.full(len(dirs), np.inf)
+    best_label = np.full(len(dirs), -1, dtype=np.int64)
+    for label, surface, *_ in surfaces:
+        t = _surface_entry(origin, dirs, surface)
+        closer = t < best_t
+        best_t[closer] = t[closer]
+        best_label[closer] = label
+    return best_t, best_label
+
+
+def assert_cast_matches_oracle(origin, dirs, surfaces):
+    """Culled and all-rays casts agree bit for bit; returns the cast."""
+    origin = np.asarray(origin, dtype=float)
+    dirs = np.ascontiguousarray(dirs, dtype=float)
+    t, label = _cast_frame(origin, dirs,
+                           [_bounded(lab, surf) for lab, surf in surfaces])
+    want_t, want_label = cast_all_rays(origin, dirs, surfaces)
+    assert np.array_equal(t, want_t)
+    assert np.array_equal(label, want_label)
+    return t, label
+
+
+def box_surface_spec(center, size, yaw=0.0):
+    return (np.asarray(center, dtype=float), tuple(size), yaw)
+
+
+def box_corners(center, size, yaw):
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    signs = np.array([[i, j, k] for i in (-1, 1) for j in (-1, 1)
+                      for k in (-1, 1)], dtype=float)
+    return np.asarray(center) + (signs * np.asarray(size) / 2.0) @ rot.T
+
+
+def unit_rows(vectors):
+    vectors = np.asarray(vectors, dtype=float)
+    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
+def random_dirs(rng, n):
+    return unit_rows(rng.normal(size=(n, 3)))
+
+
+def tangent_dirs(origin, center, radius, n):
+    """n unit rays from origin grazing the sphere (center, radius)."""
+    axis = np.asarray(center, dtype=float) - origin
+    dist = np.linalg.norm(axis)
+    axis = axis / dist
+    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 \
+        else np.array([0.0, 1.0, 0.0])
+    u = np.cross(axis, helper)
+    u /= np.linalg.norm(u)
+    v = np.cross(axis, u)
+    half_angle = math.asin(min(radius / dist, 1.0))
+    phi = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    ring = np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v
+    return unit_rows(math.cos(half_angle) * axis
+                     + math.sin(half_angle) * ring)
+
+
+class TestCullingCasterOracle:
+    """``_cast_frame`` culls with bounding spheres; the result must equal the
+    all-rays caster's exactly, distances and labels."""
+
+    def test_origin_in_bounding_sphere_outside_box(self, rng):
+        # the half diagonal is 2.45; in the box frame the origin sits at
+        # (2.12, -0.90, 0), outside the 2 m half length
+        origin = np.array([2.3, 0.0, 0.0])
+        surfaces = [(0, box_surface_spec((0.0, 0.0, 0.0), (4.0, 2.0, 2.0),
+                                         0.4))]
+        t, _ = assert_cast_matches_oracle(origin, random_dirs(rng, 4000),
+                                          surfaces)
+        assert 0 < np.isfinite(t).sum() < len(t)
+
+    def test_origin_inside_scene_sphere(self, rng):
+        surfaces = [(0, SceneSphere(center=(0.0, 0.0, 0.0), radius=3.0)),
+                    (1, box_surface_spec((8.0, 0.0, 0.0), (1.0, 1.0, 1.0)))]
+        _, label = assert_cast_matches_oracle((1.0, 0.5, 0.0),
+                                              random_dirs(rng, 4000), surfaces)
+        assert set(np.unique(label)) == {-1, 1}
+
+    def test_surfaces_behind_origin(self, rng):
+        dirs = random_dirs(rng, 3000)
+        dirs[:, 0] = np.abs(dirs[:, 0])       # every ray points to +x
+        surfaces = [(0, box_surface_spec((-6.0, 0.0, 0.0), (2.0, 3.0, 1.0))),
+                    (1, SceneSphere(center=(-5.0, 4.0, 1.0), radius=1.5)),
+                    (2, box_surface_spec((6.0, 0.0, 0.0), (2.0, 3.0, 1.0)))]
+        _, label = assert_cast_matches_oracle((0.0, 0.0, 0.0), dirs, surfaces)
+        assert set(np.unique(label)) == {-1, 2}
+
+    def test_rays_tangent_to_bounding_spheres(self, rng):
+        # a ray in the tangent plane at a corner grazes the bounding sphere
+        # exactly there, and the box touches that plane only at the corner,
+        # so rounding decides both the slab test and the sphere test
+        grazing_hits = 0
+        for _ in range(40):
+            center = rng.uniform(-10.0, 10.0, 3)
+            size = tuple(rng.uniform(0.2, 6.0, 3))
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            surfaces = [(0, box_surface_spec(center, size, yaw))]
+            for corner in box_corners(center, size, yaw):
+                radial = corner - center
+                for _ in range(3):
+                    u = np.cross(radial, rng.normal(size=3))
+                    u /= np.linalg.norm(u)
+                    origin = corner + rng.uniform(1.0, 20.0) * u
+                    t, _ = assert_cast_matches_oracle(origin, -u[None],
+                                                      surfaces)
+                    grazing_hits += np.isfinite(t).sum()
+        assert grazing_hits > 0
+        sphere = SceneSphere(center=(3.0, -2.0, 1.0), radius=1.7)
+        origin = np.array([-9.0, 4.0, 2.5])
+        assert_cast_matches_oracle(
+            origin, tangent_dirs(origin, sphere.center, sphere.radius, 2000),
+            [(0, sphere)])
+
+    def test_axis_parallel_rays(self):
+        # the origin lies on the planes of the top face and a side face, so
+        # axis-parallel rays give 0/0 in the slab test
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        surfaces = [(0, box_surface_spec((0.0, 0.0, 0.5), (2.0, 2.0, 1.0))),
+                    (1, box_surface_spec((5.0, 1.0, 0.5), (2.0, 2.0, 1.0)))]
+        for origin in ((-5.0, 0.0, 1.0), (-5.0, 1.0, 0.5), (5.0, 2.0, 1.0),
+                       (0.0, -4.0, 0.0)):
+            assert_cast_matches_oracle(origin, axes, surfaces)
+
+    def test_coincident_surfaces_keep_the_first(self, rng):
+        box = box_surface_spec((6.0, 1.0, 0.0), (2.0, 2.0, 2.0), 0.7)
+        sphere = SceneSphere(center=(-6.0, 0.0, 0.0), radius=1.5)
+        surfaces = [(3, box), (4, box), (5, sphere), (6, sphere)]
+        _, label = assert_cast_matches_oracle((0.0, 0.0, 0.0),
+                                              random_dirs(rng, 6000), surfaces)
+        assert set(np.unique(label)) == {-1, 3, 5}
+
+    def test_ground(self):
+        spec = simple_spec()
+        ground = box_surface_spec((0.0, 0.0, -0.5), (88.0, 88.0, 1.0))
+        for node in spec.nodes:
+            dirs = _ray_grid(spec) @ node.orientation.T
+            t, _ = assert_cast_matches_oracle(node.position, dirs,
+                                              [(-1, ground)])
+            assert np.isfinite(t).any() and not np.isfinite(t).all()
+
+    def test_exact_test_skips_culled_rays(self, rng, monkeypatch):
+        # a wall hides a small box; a second box sits behind the origin
+        wall = box_surface_spec((5.0, 0.0, 0.0), (0.2, 20.0, 20.0))
+        hidden = box_surface_spec((10.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        behind = box_surface_spec((-10.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        surfaces = [(0, wall), (1, hidden), (2, behind)]
+        dirs = random_dirs(rng, 3000)
+        dirs[:, 0] = np.abs(dirs[:, 0])
+        tested = []
+
+        def recording_entry(origin, ray_dirs, surface):
+            tested.append(len(ray_dirs))
+            return _surface_entry(origin, ray_dirs, surface)
+
+        monkeypatch.setattr(scene_module, "_surface_entry", recording_entry)
+        _, label = assert_cast_matches_oracle((0.0, 0.0, 0.0), dirs,
+                                              surfaces)
+        assert set(np.unique(label)) == {-1, 0}
+        assert tested[0] > 0 and tested[1:] == [0, 0]
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_boxes=st.integers(0, 4), n_spheres=st.integers(0, 3),
+           origin=st.tuples(*[st.floats(-25.0, 25.0)] * 3))
+    @settings(max_examples=150, deadline=None)
+    def test_random_scenes(self, seed, n_boxes, n_spheres, origin):
+        rng = np.random.default_rng(seed)
+        origin = np.asarray(origin)
+        surfaces, bounds, dirs = [], [], [random_dirs(rng, 300)]
+        for label in range(n_boxes):
+            center = rng.uniform(-15.0, 15.0, 3)
+            size = tuple(rng.uniform(0.1, 10.0, 3))
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            surfaces.append((label, box_surface_spec(center, size, yaw)))
+            bounds.append((center, 0.5 * np.linalg.norm(size)))
+            dirs.append(unit_rows(box_corners(center, size, yaw) - origin))
+        for label in range(n_boxes, n_boxes + n_spheres):
+            sphere = SceneSphere(center=tuple(rng.uniform(-15.0, 15.0, 3)),
+                                 radius=float(rng.uniform(0.1, 4.0)))
+            surfaces.append((label, sphere))
+            bounds.append((sphere.center, sphere.radius))
+        for center, radius in bounds:
+            if np.linalg.norm(center - origin) > radius:
+                dirs.append(tangent_dirs(origin, center, radius, 40))
+        assert_cast_matches_oracle(origin, np.vstack(dirs), surfaces)
+
+
+def scene_digest(synthetic):
+    digest = hashlib.sha256()
+    digest.update(synthetic.reference_cloud.points.tobytes())
+    for node in sorted(synthetic.node_frames):
+        for frame in synthetic.node_frames[node]:
+            digest.update(frame.points.tobytes())
+    digest.update(synthetic.visible_counts.tobytes())
+    return digest.hexdigest()
+
+
+def test_crossroad_scene_matches_all_rays_caster(monkeypatch):
+    spec = standard_crossroad_spec(n_frames=2)
+    culled = scene_digest(generate_synthetic_scene(spec))
+    monkeypatch.setattr(scene_module, "_cast_frame", cast_all_rays)
+    assert culled == scene_digest(generate_synthetic_scene(spec))
