@@ -48,12 +48,12 @@ from .pipeline import (
     PipelineConfig,
     calibrate_node,
     config_digest,
-    crossroad_hierarchy,
     detect_per_frame,
     export_scene,
+    hierarchy_from_dict,
+    read_config_json,
     run_pipeline,
 )
-from .registration import HierarchyConfig, HierarchyLevel
 from .scene import generate_synthetic_scene, standard_crossroad_spec
 from .syncsim import (
     NetworkModel,
@@ -90,24 +90,6 @@ def _node_dirs(root):
     return nodes
 
 
-def _load_hierarchy(path) -> HierarchyConfig:
-    if path is None:
-        # scaled to the toolkit's crossroad-sized scenes; pass --config for
-        # other scales
-        return crossroad_hierarchy()
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load hierarchy config: {exc}")
-    if "levels" in raw:
-        raw["levels"] = tuple(HierarchyLevel(*level) for level in raw["levels"])
-    try:
-        return HierarchyConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-
-
 def _eval_config(args) -> DetectionEvalConfig:
     if args.iou_threshold is not None:
         return DetectionEvalConfig.with_threshold(args.iou_threshold)
@@ -120,7 +102,10 @@ def _write_json(path, payload) -> None:
 
 def cmd_calibrate(args) -> int:
     reference = read_frame(args.reference)
-    hierarchy = _load_hierarchy(args.config)
+    # scaled to the toolkit's crossroad-sized scenes; a --config file
+    # overrides the keys it names
+    hierarchy = hierarchy_from_dict(
+        read_config_json(args.config) if args.config else {})
     nodes = _node_dirs(args.node_root)
     extrinsics = {}
     failures = []
@@ -306,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory containing node_<id>/ frame directories")
     p.add_argument("--reference", required=True, help="reference .mvlc scan")
     p.add_argument("--out", required=True, help="output calibration .jsonl")
-    p.add_argument("--config", help="hierarchy config JSON")
+    p.add_argument("--config",
+                   help="hierarchy config JSON; its keys override the "
+                        "crossroad schedule")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--merge-duration", type=float, default=10.0,
                    help="seconds of frames to merge per node")

@@ -72,10 +72,16 @@ def subtract_background(cloud: PointCloud, background: PointCloud,
     The background is the reference scan of the empty scene; what survives
     is the dynamic content. Essential for geometric detection wherever the
     scene's static clutter is the same shape and size as the targets.
+
+    The mask depends only on whether each point has a background point
+    within ``distance``, which any exact nearest-neighbour search answers
+    alike; the tree is built unbalanced and uncompacted because that is
+    the cheapest exact tree to build for one query.
     """
     if len(cloud) == 0 or len(background) == 0:
         return cloud
-    tree = cKDTree(background.points)
+    tree = cKDTree(background.points, balanced_tree=False,
+                   compact_nodes=False)
     nearest, _ = tree.query(cloud.points, distance_upper_bound=distance)
     return cloud.select(~np.isfinite(nearest))
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,6 +63,10 @@ from .syncsim import (
 from .tracking import TrackerConfig, TrajectorySet, track_sequence
 
 FAILED_CALIBRATION_FITNESS = 0.2
+
+# padding (m) on the cropped background square, so that rounding in the
+# crop never drops a background point the exact distance test would find
+_BACKGROUND_MARGIN = 1e-6
 
 
 def thread_budget() -> int:
@@ -112,11 +116,19 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
     With a background cloud, static structure is subtracted per frame and
     the detector's own ground removal is skipped (the ground goes with the
     background). ``crop_half_extent`` restricts detection to the annotated
-    central area (|x| and |y| below the bound).
+    central area (|x| and |y| below the bound). With both, the background
+    is cropped once per call to the detection square widened by
+    ``background_distance``: no background point outside it lies within
+    ``background_distance`` of a point the crop keeps, so every frame keeps
+    the same points as against the full background.
     """
     if background is not None:
         # clouds are world-frame here and the scene ground is z=0
         cfg = dc_replace(cfg, ground_removal=False, ground_z=0.0)
+        if crop_half_extent is not None:
+            reach = crop_half_extent + background_distance + _BACKGROUND_MARGIN
+            background = background.select(
+                np.max(np.abs(background.points[:, :2]), axis=1) <= reach)
 
     def run(cloud):
         if background is not None:
@@ -241,11 +253,45 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
 _CLASS_BY_NAME = {c.value: c for c in ObjectClass}
 
 
-def _take(section: dict, context: str, allowed: set) -> dict:
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _field(section: dict, key: str, default, context: str, minimum=None):
+    """``section[key]``, or ``default`` if absent, when it fits its type.
+
+    A flag takes true or false, an int field an integer, a float field any
+    number; other fields are left to their constructors. Nothing is
+    rounded or cast, so ``1.9`` for an integer is refused, not truncated.
+    """
+    value = section.get(key, default)
+    kind = type(default)
+    if kind not in _JSON_KINDS:
+        return value
+    if kind is bool:
+        fits = isinstance(value, bool)
+    else:
+        fits = (not isinstance(value, bool)
+                and isinstance(value, int if kind is int else (int, float)))
+    if not fits or (minimum is not None and value < minimum):
+        name = f"{context}.{key}" if context else key
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be {_JSON_KINDS[kind]}{bound}, "
+                          f"got {value!r}")
+    return value
+
+
+def _take(section, context: str, allowed: set, defaults=None) -> dict:
+    """A copy of a JSON object with only ``allowed`` keys; with
+    ``defaults``, each value must fit the type of the same-named field."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-    return section
+    if defaults is not None:
+        for key in section:
+            _field(section, key, getattr(defaults, key), context)
+    return dict(section)
 
 
 def crossroad_hierarchy() -> HierarchyConfig:
@@ -256,6 +302,30 @@ def crossroad_hierarchy() -> HierarchyConfig:
                            ransac_iterations=25_000,
                            ransac_inlier_threshold=1.5,
                            arbitration_hypotheses=48)
+
+
+def hierarchy_from_dict(raw) -> HierarchyConfig:
+    """``crossroad_hierarchy()`` with the keys of a JSON section overlaid.
+
+    The one parser of hierarchy configs: the ``hierarchy`` section of a
+    pipeline config and the ``mvlidar calibrate --config`` file. Levels are
+    ``[voxel_size, max_correspondence_distance, max_iterations]`` triples.
+    Raises ConfigError for unknown keys and malformed values.
+    """
+    base = crossroad_hierarchy()
+    section = _take(raw, "hierarchy",
+                    {f.name for f in fields(HierarchyConfig)}, base)
+    try:
+        if "levels" in section:
+            section["levels"] = tuple(HierarchyLevel(*level)
+                                      for level in section["levels"])
+            for index, level in enumerate(section["levels"]):
+                for key in vars(level):
+                    _field(vars(level), key, getattr(base.levels[0], key),
+                           f"hierarchy.levels[{index}]")
+        return dc_replace(base, **section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"hierarchy: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -276,79 +346,100 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "PipelineConfig":
+        """Parse a JSON config; omitted keys keep their default values.
+
+        Raises ConfigError for unknown keys and for values of the wrong
+        type or out of range; ``seed`` also seeds the sync simulator.
+        """
+        try:
+            return PipelineConfig._parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid pipeline config: {exc}") from None
+
+    @staticmethod
+    def _parse(raw: dict) -> "PipelineConfig":
+        base = PipelineConfig()
         _take(raw, "config", {"seed", "output_dir", "scene", "hierarchy",
                               "detector", "tracker", "eval_det", "eval_mot",
                               "sync"})
         kwargs: dict = {}
-        kwargs["seed"] = int(raw.get("seed", 0))
-        kwargs["output_dir"] = str(raw.get("output_dir", "pipeline-out"))
+        kwargs["seed"] = _field(raw, "seed", base.seed, "", minimum=0)
+        kwargs["output_dir"] = str(raw.get("output_dir", base.output_dir))
 
-        scene = _take(dict(raw.get("scene", {})), "scene",
+        scene = _take(raw.get("scene", {}), "scene",
                       {"frames", "extent", "occluders", "export_frames"})
-        kwargs["scene_frames"] = int(scene.get("frames", 30))
-        kwargs["scene_extent"] = float(scene.get("extent", 22.0))
-        kwargs["scene_occluders"] = bool(scene.get("occluders", True))
-        kwargs["export_frames"] = bool(scene.get("export_frames", False))
+        kwargs["scene_frames"] = _field(scene, "frames", base.scene_frames,
+                                        "scene", minimum=1)
+        kwargs["scene_extent"] = float(_field(scene, "extent",
+                                              base.scene_extent, "scene"))
+        kwargs["scene_occluders"] = _field(scene, "occluders",
+                                           base.scene_occluders, "scene")
+        kwargs["export_frames"] = _field(scene, "export_frames",
+                                         base.export_frames, "scene")
 
-        hierarchy = _take(dict(raw.get("hierarchy", {})), "hierarchy",
-                          {"levels", "fpfh_radius", "normal_radius",
-                           "ransac_iterations", "ransac_inlier_threshold",
-                           "convergence_epsilon"})
-        if "levels" in hierarchy:
-            hierarchy["levels"] = tuple(HierarchyLevel(*level)
-                                        for level in hierarchy["levels"])
-        kwargs["hierarchy"] = HierarchyConfig(**hierarchy)
+        kwargs["hierarchy"] = hierarchy_from_dict(raw.get("hierarchy", {}))
 
-        detector = _take(dict(raw.get("detector", {})), "detector",
+        detector = _take(raw.get("detector", {}), "detector",
                          {"ground_distance_threshold",
                           "ransac_ground_iterations", "cluster_distance",
-                          "min_cluster_points", "score_points_scale", "seed"})
+                          "min_cluster_points", "score_points_scale", "seed"},
+                         base.detector)
         kwargs["detector"] = DetectorConfig(**detector)
 
-        tracker = _take(dict(raw.get("tracker", {})), "tracker",
+        tracker = _take(raw.get("tracker", {}), "tracker",
                         {"metric", "threshold", "min_hits", "max_age",
-                         "process_noise", "measurement_noise"})
+                         "process_noise", "measurement_noise"}, base.tracker)
         kwargs["tracker"] = TrackerConfig(**tracker)
 
-        eval_det = _take(dict(raw.get("eval_det", {})), "eval_det",
-                         {"iou_thresholds", "recall_points"})
+        eval_det = _take(raw.get("eval_det", {}), "eval_det",
+                         {"iou_thresholds", "recall_points"}, base.eval_det)
         if "iou_thresholds" in eval_det:
+            thresholds = _take(eval_det["iou_thresholds"],
+                               "eval_det.iou_thresholds", set(_CLASS_BY_NAME))
             eval_det["iou_thresholds"] = {
-                _CLASS_BY_NAME[name]: float(value)
-                for name, value in eval_det["iou_thresholds"].items()}
+                **base.eval_det.iou_thresholds,
+                **{_CLASS_BY_NAME[name]: float(value)
+                   for name, value in thresholds.items()}}
         kwargs["eval_det"] = DetectionEvalConfig(**eval_det)
 
-        eval_mot = _take(dict(raw.get("eval_mot", {})), "eval_mot",
-                         {"metric", "threshold", "prefer_previous_match"})
+        eval_mot = _take(raw.get("eval_mot", {}), "eval_mot",
+                         {"metric", "threshold", "prefer_previous_match"},
+                         base.eval_mot)
         kwargs["eval_mot"] = MotEvalConfig(**eval_mot)
 
-        sync = _take(dict(raw.get("sync", {})), "sync",
+        sync = _take(raw.get("sync", {}), "sync",
                      {"node_count", "duration_s", "frame_rate_hz",
                       "delay_min_s", "delay_max_s", "drop_probability"})
-        network = NetworkModel(
-            delay_min_s=float(sync.pop("delay_min_s", 0.001)),
-            delay_max_s=float(sync.pop("delay_max_s", 0.2)),
-            drop_probability=float(sync.pop("drop_probability", 0.0)))
-        kwargs["sync"] = SessionConfig(node_count=int(sync.get("node_count", 4)),
-                                       duration_s=float(sync.get("duration_s", 10.0)),
-                                       frame_rate_hz=float(sync.get("frame_rate_hz", 10.0)),
-                                       network=network,
-                                       seed=kwargs["seed"])
-        try:
-            return PipelineConfig(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc))
+        session, network = base.sync, base.sync.network
+
+        def number(key, default):
+            return float(_field(sync, key, default, "sync"))
+
+        kwargs["sync"] = SessionConfig(
+            node_count=_field(sync, "node_count", session.node_count, "sync",
+                              minimum=1),
+            duration_s=number("duration_s", session.duration_s),
+            frame_rate_hz=number("frame_rate_hz", session.frame_rate_hz),
+            network=NetworkModel(
+                delay_min_s=number("delay_min_s", network.delay_min_s),
+                delay_max_s=number("delay_max_s", network.delay_max_s),
+                drop_probability=number("drop_probability",
+                                        network.drop_probability)),
+            seed=kwargs["seed"])
+        return PipelineConfig(**kwargs)
 
     @staticmethod
     def from_json(path) -> "PipelineConfig":
-        try:
-            with open(path) as handle:
-                raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load pipeline config {path}: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("pipeline config must be a JSON object")
-        return PipelineConfig.from_dict(raw)
+        return PipelineConfig.from_dict(read_config_json(path))
+
+
+def read_config_json(path):
+    """The JSON value in a config file; ConfigError if it cannot be read."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load config {path}: {exc}")
 
 
 def _json_ready(value):

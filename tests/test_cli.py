@@ -157,6 +157,33 @@ class TestErrorsAndConversion:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 4
 
+    @pytest.mark.parametrize("raw", [
+        {"scene": {"frames": "many"}},
+        {"tracker": {"metric": "bogus"}},
+        {"detector": {"cluster_distance": -1}},
+        {"seed": 1.9},
+        {"scene": {"frames": -3}},
+    ])
+    def test_bad_config_value_exit_4(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code = main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_calibrate_config_exit_4(self, scene_dir, tmp_path, capsys):
+        cfg = tmp_path / "hierarchy.json"
+        cfg.write_text('{"levels": [[1.0, 2.0]]}')
+        code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(tmp_path / "none.jsonl"),
+                     "--config", str(cfg)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: hierarchy: ")
+
     def test_convert_round_trip(self, tmp_path, rng):
         cloud = PointCloud(rng.uniform(-5, 5, size=(50, 3)).astype(np.float32))
         frame = tmp_path / "a.mvlc"

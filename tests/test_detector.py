@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from conftest import box_surface, ground_grid
 from mvlidar.detector import (
@@ -11,6 +14,7 @@ from mvlidar.detector import (
     detect_frame,
     fit_oriented_box,
     remove_ground,
+    subtract_background,
 )
 from mvlidar.errors import DegenerateClusterError, NoGroundPlaneError
 from mvlidar.geometry import Box3D, ObjectClass, PointCloud
@@ -19,6 +23,61 @@ from mvlidar.geometry import Box3D, ObjectClass, PointCloud
 def yaw_error_mod_90(estimate, truth):
     delta = (estimate - truth) % (math.pi / 2)
     return min(delta, math.pi / 2 - delta)
+
+
+def balanced_tree_subtract(cloud, background, distance):
+    """Reference: the same query on scipy's default (balanced) tree."""
+    if len(cloud) == 0 or len(background) == 0:
+        return cloud
+    nearest, _ = cKDTree(background.points).query(
+        cloud.points, distance_upper_bound=distance)
+    return cloud.select(~np.isfinite(nearest))
+
+
+def assert_same_cloud(actual, expected):
+    np.testing.assert_array_equal(actual.points, expected.points)
+    if expected.intensity is None:
+        assert actual.intensity is None
+    else:
+        np.testing.assert_array_equal(actual.intensity, expected.intensity)
+
+
+# quarter-metre grid values put many pairs exactly at the query distance
+_COORDINATE = st.one_of(st.integers(-24, 24).map(lambda k: 0.25 * k),
+                        st.floats(-6.0, 6.0, allow_nan=False))
+_POINTS = st.lists(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE),
+                   max_size=80)
+
+
+class TestSubtractBackground:
+    def test_points_at_the_distance_are_kept(self):
+        background = PointCloud([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        cloud = PointCloud([[0.5, 0.0, 0.0],
+                            [np.nextafter(0.5, 0.0), 0.0, 0.0],
+                            [5.0, 0.3, 0.4],
+                            [5.0, 0.3, np.nextafter(0.4, 0.0)],
+                            [2.5, 0.0, 0.0]],
+                           intensity=[1.0, 2.0, 3.0, 4.0, 5.0])
+        kept = subtract_background(cloud, background, 0.5)
+        assert_same_cloud(kept, balanced_tree_subtract(cloud, background, 0.5))
+        assert kept.intensity.tolist() == [1.0, 3.0, 5.0]
+
+    def test_empty_inputs_pass_through(self):
+        cloud = PointCloud([[1.0, 2.0, 3.0]])
+        assert subtract_background(cloud, PointCloud.empty()) is cloud
+        empty = PointCloud.empty()
+        assert subtract_background(empty, cloud) is empty
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=_POINTS, background=_POINTS,
+           distance=st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
+                              st.floats(0.01, 3.0)))
+    def test_matches_the_balanced_tree(self, cloud, background, distance):
+        cloud = PointCloud(np.array(cloud).reshape(-1, 3),
+                           intensity=np.arange(len(cloud), dtype=float))
+        background = PointCloud(np.array(background).reshape(-1, 3))
+        assert_same_cloud(subtract_background(cloud, background, distance),
+                          balanced_tree_subtract(cloud, background, distance))
 
 
 class TestRemoveGround:

@@ -1,16 +1,24 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from mvlidar.detector import DetectorConfig
+from conftest import box_surface, ground_grid
+from mvlidar import pipeline
+from mvlidar.detector import DetectorConfig, detect_frame
 from mvlidar.errors import CalibrationFailedError, ConfigError
 from mvlidar.geometry import ObjectClass, PointCloud, transform_distance
 from mvlidar.metrics import DetectionEvalConfig
 from mvlidar.pipeline import (
     PipelineConfig,
+    _fused_cloud,
     calibrate_node,
+    crossroad_hierarchy,
+    detect_per_frame,
+    hierarchy_from_dict,
     run_fusion_comparison,
     run_pipeline,
     run_view_group_experiment,
@@ -98,11 +106,164 @@ class TestExperiments:
                 "average fusion", "early fusion"} == set(results)
 
 
+def full_background_pass(clouds, background, distance, crop):
+    """Reference detection pass: each frame against the whole background on
+    a balanced tree, then the crop. Returns the kept clouds and the boxes."""
+    cfg = replace(DetectorConfig(), ground_removal=False, ground_z=0.0)
+    kept = []
+    for cloud in clouds:
+        if len(cloud) and len(background):
+            nearest, _ = cKDTree(background.points).query(
+                cloud.points, distance_upper_bound=distance)
+            cloud = cloud.select(~np.isfinite(nearest))
+        if crop is not None and len(cloud):
+            cloud = cloud.select(
+                np.max(np.abs(cloud.points[:, :2]), axis=1) <= crop)
+        kept.append(cloud)
+    return kept, [detect_frame(cloud, cfg) for cloud in kept]
+
+
+def box_key(box):
+    return (box.center.tolist(), box.size.tolist(), box.yaw, box.label,
+            box.score)
+
+
+def assert_same_pass(monkeypatch, clouds, background, distance=0.5,
+                     crop=None):
+    seen = []
+
+    def recording_detect_frame(cloud, cfg):
+        seen.append(cloud)
+        return detect_frame(cloud, cfg)
+
+    monkeypatch.setattr(pipeline, "detect_frame", recording_detect_frame)
+    boxes = detect_per_frame(clouds, DetectorConfig(), workers=1,
+                             background=background,
+                             background_distance=distance,
+                             crop_half_extent=crop)
+    expected_clouds, expected_boxes = full_background_pass(
+        clouds, background, distance, crop)
+    assert len(seen) == len(expected_clouds)
+    for actual, expected in zip(seen, expected_clouds):
+        assert np.array_equal(actual.points, expected.points)
+    assert [[box_key(b) for b in frame] for frame in boxes] == \
+        [[box_key(b) for b in frame] for frame in expected_boxes]
+    return seen, boxes
+
+
+class TestBackgroundCrop:
+    """detect_per_frame crops the background once to the detection square
+    plus background_distance; every frame keeps the points and boxes it
+    keeps against the whole background."""
+
+    HALF = 10.0
+    DISTANCE = 0.5
+
+    def background(self):
+        reach = self.HALF + self.DISTANCE
+        beyond = np.nextafter(reach, np.inf)
+        edge = [[reach, 0.0, 1.0], [beyond, 2.0, 1.0],
+                [-reach, -2.0, 1.0], [-beyond, 4.0, 1.0],
+                [0.0, reach, 1.0], [2.0, beyond, 1.0],
+                [-2.0, -reach, 1.0], [4.0, -beyond, 1.0],
+                # inside the reach, outside the detection square
+                [self.HALF + 0.3, -3.0, 1.0], [-3.0, self.HALF + 0.3, 1.0]]
+        wall = np.column_stack([np.full(40, self.HALF + 0.2),
+                                np.linspace(5.0, 7.0, 40),
+                                np.full(40, 1.0)])
+        return PointCloud(np.vstack([ground_grid(extent=14.0, spacing=0.5),
+                                     edge, wall]))
+
+    def frame(self, rng):
+        car = box_surface((0.0, 0.0, 0.75), (4.2, 1.9, 1.5), 0.3, 300, rng)
+        # a block beside the wall at x = 10.2, outside the detection
+        # square: its points within 0.5 m of the wall are background
+        block = rng.uniform((self.HALF - 1.2, 5.2, 0.6),
+                            (self.HALF, 6.8, 1.8), size=(200, 3))
+        half = self.HALF
+        edge = [[half, 0.0, 1.0], [half, 2.0, 1.0], [-half, -2.0, 1.0],
+                [-half, 4.0, 1.0], [0.0, half, 1.0], [2.0, half, 1.0],
+                [-2.0, -half, 1.0], [4.0, -half, 1.0],
+                [half - 0.1, -3.0, 1.0], [-3.0, half - 0.1, 1.0],
+                [np.nextafter(half, np.inf), 8.0, 1.0]]
+        return PointCloud(np.vstack([car, block, edge]))
+
+    def test_background_at_the_reach_and_one_ulp_beyond(self, monkeypatch,
+                                                        rng):
+        seen, boxes = assert_same_pass(monkeypatch, [self.frame(rng)],
+                                       self.background(), self.DISTANCE,
+                                       self.HALF)
+        assert len(boxes[0]) == 2
+        kept = {tuple(p) for p in seen[0].points.tolist()}
+        # exactly 0.5 m from the background: kept; 0.4 m: subtracted
+        assert (self.HALF, 0.0, 1.0) in kept
+        assert (self.HALF, 2.0, 1.0) in kept
+        assert (self.HALF - 0.1, -3.0, 1.0) not in kept
+        assert (-3.0, self.HALF - 0.1, 1.0) not in kept
+
+    def test_frame_points_on_the_crop_boundary(self, monkeypatch):
+        half = self.HALF
+        corners = [[sx * half, sy * half, 1.0] for sx in (-1, 1)
+                   for sy in (-1, 1)]
+        outside = [[np.nextafter(half, np.inf), 0.0, 1.0],
+                   [0.0, -np.nextafter(half, np.inf), 1.0]]
+        seen, _ = assert_same_pass(monkeypatch,
+                                   [PointCloud(np.array(corners + outside))],
+                                   self.background(), self.DISTANCE, half)
+        np.testing.assert_array_equal(seen[0].points, corners)
+
+    def test_frame_empty_after_the_crop(self, monkeypatch, rng):
+        outside = rng.uniform((self.HALF + 1.0, -5.0, 0.5),
+                              (self.HALF + 3.0, 5.0, 2.0), size=(50, 3))
+        seen, boxes = assert_same_pass(
+            monkeypatch, [PointCloud(outside), PointCloud.empty(),
+                          self.frame(rng)],
+            self.background(), self.DISTANCE, self.HALF)
+        assert len(seen[0]) == len(seen[1]) == 0
+        assert boxes[0] == boxes[1] == []
+
+    def test_no_crop_uses_the_whole_background(self, monkeypatch, rng):
+        seen, _ = assert_same_pass(monkeypatch, [self.frame(rng)],
+                                   self.background(), self.DISTANCE, None)
+        # the point one ulp outside the square survives without a crop
+        assert np.any(seen[0].points[:, 0] > self.HALF)
+
+    def test_crossroad_frames(self, monkeypatch, busy_scene):
+        nodes = sorted(busy_scene.node_frames)
+        clouds = [_fused_cloud(busy_scene, busy_scene.extrinsics, nodes, frame)
+                  for frame in range(3)]
+        _, boxes = assert_same_pass(monkeypatch, clouds,
+                                    busy_scene.reference_cloud, 0.5,
+                                    0.6 * busy_scene.spec.extent)
+        assert any(boxes)
+
+
 class TestPipelineConfig:
     def test_defaults_round_trip(self):
-        cfg = PipelineConfig.from_dict({})
-        assert cfg.seed == 0
-        assert cfg.scene_frames == 30
+        assert PipelineConfig.from_dict({}) == PipelineConfig()
+
+    def test_partial_hierarchy_keeps_crossroad_values(self):
+        cfg = PipelineConfig.from_dict(
+            {"hierarchy": {"ransac_iterations": 8000,
+                           "arbitration_hypotheses": 16}})
+        assert cfg.hierarchy == replace(crossroad_hierarchy(),
+                                        ransac_iterations=8000,
+                                        arbitration_hypotheses=16)
+
+    def test_hierarchy_levels_parsed(self):
+        hierarchy = hierarchy_from_dict({"levels": [[2.0, 4.0, 10],
+                                                    [0.5, 1.0, 20]]})
+        assert hierarchy.levels == (HierarchyLevel(2.0, 4.0, 10),
+                                    HierarchyLevel(0.5, 1.0, 20))
+        assert hierarchy.fpfh_radius == crossroad_hierarchy().fpfh_radius
+
+    @pytest.mark.parametrize("raw", [{"levels": [[1.0, 2.0]]},
+                                     {"levels": [[1.0, 2.0, 40.5]]},
+                                     {"levels": [["1", 2.0, 40]]},
+                                     {"levels": 3}, {"ransac": 1}, []])
+    def test_bad_hierarchy_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            hierarchy_from_dict(raw)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -117,6 +278,24 @@ class TestPipelineConfig:
             {"eval_det": {"iou_thresholds": {"Car": 0.5, "Cyclist": 0.25,
                                              "Pedestrian": 0.25}}})
         assert cfg.eval_det.iou_thresholds[ObjectClass.CAR] == 0.5
+
+    def test_partial_thresholds_keep_the_defaults(self):
+        cfg = PipelineConfig.from_dict({"eval_det": {"iou_thresholds":
+                                                     {"Car": 0.5}}})
+        assert cfg.eval_det.iou_thresholds == {
+            **DetectionEvalConfig().iou_thresholds, ObjectClass.CAR: 0.5}
+
+    @pytest.mark.parametrize("raw", [
+        [], {"scene": []}, {"seed": True}, {"seed": -1},
+        {"scene": {"occluders": "no"}}, {"sync": {"node_count": 2.5}},
+        {"eval_det": {"iou_thresholds": {"Truck": 0.5}}},
+        {"scene": {"extent": "wide"}}, {"detector": {"seed": 0.5}},
+        {"tracker": {"min_hits": 1.5}}, {"eval_mot": {"threshold": True}},
+        {"hierarchy": {"ransac_iterations": "many"}},
+        {"sync": {"duration_s": "long"}}])
+    def test_bad_values_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(raw)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
