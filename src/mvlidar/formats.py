@@ -22,7 +22,8 @@ JSON-lines records (one object per line, unknown keys ignored):
     trajectory   {"frame", "track_id", "class", "center", "size", "yaw"}
     calibration  {"node_id", "rotation"[9 row-major], "translation"[3]}
 
-All writers are atomic (temp file + rename).
+"frame" and "track_id" must be non-negative JSON integers: 2.0, "2" and
+true are refused, not cast. All writers are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -203,6 +204,15 @@ def _require(record: dict, key: str, line_no: int):
     return record[key]
 
 
+def _index(record: dict, key: str, line_no: int) -> int:
+    """A frame or track index: a non-negative JSON integer, never cast."""
+    value = _require(record, key, line_no)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise RecordError(f"line {line_no}: {key} must be a non-negative "
+                          f"integer, got {value!r}")
+    return value
+
+
 def _finite_list(values, n, key, line_no):
     out = [float(v) for v in values]
     if len(out) != n or not all(math.isfinite(v) for v in out):
@@ -242,7 +252,9 @@ def detection_to_record(frame: int, box: Box3D) -> dict:
 
 
 def record_to_detection(record: dict, line_no: int = 0):
-    frame = int(_require(record, "frame", line_no))
+    frame = _index(record, "frame", line_no)
+    track_id = _index(record, "track_id", line_no) if "track_id" in record \
+        else None
     center = _finite_list(_require(record, "center", line_no), 3, "center", line_no)
     size = _finite_list(_require(record, "size", line_no), 3, "size", line_no)
     yaw = float(_require(record, "yaw", line_no))
@@ -252,9 +264,7 @@ def record_to_detection(record: dict, line_no: int = 0):
     try:
         box = Box3D(center=center, size=size, yaw=yaw,
                     label=ObjectClass(_require(record, "class", line_no)),
-                    score=score,
-                    track_id=int(record["track_id"]) if "track_id" in record
-                    else None)
+                    score=score, track_id=track_id)
     except ValueError as exc:
         raise RecordError(f"line {line_no}: {exc}")
     return frame, box
@@ -286,8 +296,8 @@ def write_trajectories(path, trajectories: TrajectorySet) -> None:
 def read_trajectories(path) -> TrajectorySet:
     tracks: dict = {}
     for line_no, record in _load_lines(path):
-        frame = int(_require(record, "frame", line_no))
-        track_id = int(_require(record, "track_id", line_no))
+        frame = _index(record, "frame", line_no)
+        track_id = _index(record, "track_id", line_no)
         center = _finite_list(_require(record, "center", line_no), 3,
                               "center", line_no)
         size = _finite_list(_require(record, "size", line_no), 3, "size", line_no)

@@ -111,24 +111,37 @@ def _interpolated_ap(tp_flags: np.ndarray, n_gt: int,
     return float(sampled.mean())
 
 
+def _match_class(detections, ground_truth, label, cfg: DetectionEvalConfig):
+    label = ObjectClass(label)
+    return match_detections(detections, ground_truth, label,
+                            cfg.iou_thresholds[label])
+
+
+def _recall(tp_flags: np.ndarray, n_gt: int) -> float:
+    if n_gt == 0:
+        raise NoGroundTruthError("no ground truth for the requested class")
+    return float(tp_flags.sum() / n_gt)
+
+
 def compute_ap(detections, ground_truth, label: ObjectClass,
                cfg: DetectionEvalConfig = DetectionEvalConfig()) -> float:
     """Average precision of one class over (frame, Box3D) lists."""
-    label = ObjectClass(label)
-    tp_flags, n_gt = match_detections(detections, ground_truth, label,
-                                      cfg.iou_thresholds[label])
+    tp_flags, n_gt = _match_class(detections, ground_truth, label, cfg)
     return _interpolated_ap(tp_flags, n_gt, cfg.recall_levels())
 
 
 def detection_recall(detections, ground_truth, label: ObjectClass,
                      cfg: DetectionEvalConfig = DetectionEvalConfig()) -> float:
     """Fraction of ground-truth boxes of a class matched by any detection."""
-    label = ObjectClass(label)
-    tp_flags, n_gt = match_detections(detections, ground_truth, label,
-                                      cfg.iou_thresholds[label])
-    if n_gt == 0:
-        raise NoGroundTruthError("no ground truth for the requested class")
-    return float(tp_flags.sum() / n_gt)
+    return _recall(*_match_class(detections, ground_truth, label, cfg))
+
+
+def recall_and_ap(detections, ground_truth, label: ObjectClass,
+                  cfg: DetectionEvalConfig = DetectionEvalConfig()) -> tuple:
+    """``(detection_recall, compute_ap)`` of one class from one matching."""
+    tp_flags, n_gt = _match_class(detections, ground_truth, label, cfg)
+    return (_recall(tp_flags, n_gt),
+            _interpolated_ap(tp_flags, n_gt, cfg.recall_levels()))
 
 
 class MotMatchMetric(str, Enum):

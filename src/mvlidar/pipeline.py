@@ -16,11 +16,13 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 
 from dataclasses import replace as dc_replace
 
@@ -40,9 +42,9 @@ from .metrics import (
     MotEvalConfig,
     compute_ap,
     compute_clear_mot,
-    detection_recall,
     format_ap_table,
     format_mot_table,
+    recall_and_ap,
 )
 from .registration import (
     HierarchyConfig,
@@ -69,6 +71,17 @@ FAILED_CALIBRATION_FITNESS = 0.2
 _BACKGROUND_MARGIN = 1e-6
 
 
+def detection_half_extent(spec: SceneSpec) -> float:
+    """Half side of the central square that detection is run and scored on."""
+    return 0.6 * spec.extent
+
+
+def in_square(points: np.ndarray, half_extent: float) -> np.ndarray:
+    """Mask of the points with |x| <= half_extent and |y| <= half_extent."""
+    return ((np.abs(points[:, 0]) <= half_extent)
+            & (np.abs(points[:, 1]) <= half_extent))
+
+
 def thread_budget() -> int:
     """Worker cap for per-frame stages; MVLK_THREADS overrides downward."""
     budget = os.cpu_count() or 1
@@ -79,6 +92,12 @@ def thread_budget() -> int:
         except ValueError:
             raise ConfigError(f"MVLK_THREADS={override!r} is not an integer")
     return budget
+
+
+def run_environment() -> dict:
+    """The thread budget and library versions a run's timings depend on."""
+    return {"threads": thread_budget(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def calibrate_node(frames: Sequence[PointCloud], reference: PointCloud,
@@ -127,15 +146,14 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
         cfg = dc_replace(cfg, ground_removal=False, ground_z=0.0)
         if crop_half_extent is not None:
             reach = crop_half_extent + background_distance + _BACKGROUND_MARGIN
-            background = background.select(
-                np.max(np.abs(background.points[:, :2]), axis=1) <= reach)
+            background = background.select(in_square(background.points,
+                                                     reach))
 
     def run(cloud):
         if background is not None:
             cloud = subtract_background(cloud, background, background_distance)
         if crop_half_extent is not None and len(cloud):
-            inside = np.max(np.abs(cloud.points[:, :2]), axis=1) <= crop_half_extent
-            cloud = cloud.select(inside)
+            cloud = cloud.select(in_square(cloud.points, crop_half_extent))
         return detect_frame(cloud, cfg)
 
     workers = workers or thread_budget()
@@ -178,15 +196,13 @@ def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
                   for frame in range(scene.spec.n_frames)]
         boxes_per_frame = detect_per_frame(
             clouds, detector_cfg, workers, background=scene.reference_cloud,
-            crop_half_extent=0.6 * scene.spec.extent)
+            crop_half_extent=detection_half_extent(scene.spec))
         detections = [(frame, box) for frame, boxes in enumerate(boxes_per_frame)
                       for box in boxes]
         per_class_recall, per_class_ap = {}, {}
         for label in ObjectClass:
-            per_class_recall[label] = detection_recall(detections, annotations,
-                                                       label, eval_cfg)
-            per_class_ap[label] = compute_ap(detections, annotations, label,
-                                             eval_cfg)
+            per_class_recall[label], per_class_ap[label] = recall_and_ap(
+                detections, annotations, label, eval_cfg)
         name = "views" + "+".join(str(n) for n in group)
         results[name] = {
             "nodes": list(group),
@@ -215,13 +231,13 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
                   for frame in range(scene.spec.n_frames)]
         per_view_boxes[node] = detect_per_frame(
             clouds, detector_cfg, workers, background=scene.reference_cloud,
-            crop_half_extent=0.6 * scene.spec.extent)
+            crop_half_extent=detection_half_extent(scene.spec))
 
     early_clouds = [_fused_cloud(scene, extrinsics, nodes, frame)
                     for frame in range(scene.spec.n_frames)]
     early_boxes = detect_per_frame(
         early_clouds, detector_cfg, workers, background=scene.reference_cloud,
-        crop_half_extent=0.6 * scene.spec.extent)
+        crop_half_extent=detection_half_extent(scene.spec))
 
     methods = {}
     for node in nodes:
@@ -494,7 +510,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
     out = output_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     manifest: dict = {"seed": cfg.seed, "config_sha256": config_sha256,
-                      "stages": []}
+                      "environment": run_environment(), "stages": []}
     last_mark = time.monotonic()
 
     def stage(name):
@@ -544,7 +560,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
              for frame in range(spec.n_frames)]
     boxes_per_frame = detect_per_frame(
         fused, cfg.detector, background=scene.reference_cloud,
-        crop_half_extent=0.6 * spec.extent)
+        crop_half_extent=detection_half_extent(spec))
     detections = [(frame, box) for frame, boxes in enumerate(boxes_per_frame)
                   for box in boxes]
     write_detections(os.path.join(out, "detections.jsonl"), detections)

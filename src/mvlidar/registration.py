@@ -45,6 +45,8 @@ FPFH_SIZE = 3 * FPFH_BINS_PER_FEATURE
 
 _RANK_TOL = 1e-12
 _SCORE_CHUNK = 512
+# pairs per block of the FPFH pair pass, which bounds its (block, 3) arrays
+_PAIR_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -215,33 +217,47 @@ def compute_fpfh(cloud: PointCloud, normals: np.ndarray,
 
     tree = cKDTree(points)
     pairs = tree.query_pairs(radius, output_type="ndarray")
-    if len(pairs) == 0:
+    pairs = pairs[valid[pairs[:, 0]] & valid[pairs[:, 1]]]
+    m = len(pairs)
+    if m == 0:
         return spfh
+    # each pair (p, q) gives the directed pairs p->q (row i) and q->p (row
+    # m + i); the histograms are summed in that order
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    keep = valid[src] & valid[dst]
-    src, dst = src[keep], dst[keep]
-
-    delta = points[dst] - points[src]
-    dist = np.linalg.norm(delta, axis=1)
-    keep = dist > 1e-12
-    src, dst, delta, dist = src[keep], dst[keep], delta[keep], dist[keep]
-    d_hat = delta / dist[:, None]
-
-    u = normals[src]
-    n_q = normals[dst]
-    v = np.cross(d_hat, u)
-    v_norm = np.linalg.norm(v, axis=1)
-    keep = v_norm > 1e-12
-    src, dst, dist = src[keep], dst[keep], dist[keep]
-    d_hat, u, n_q = d_hat[keep], u[keep], n_q[keep]
-    v = v[keep] / v_norm[keep][:, None]
-    w = np.cross(u, v)
-
-    alpha = np.einsum("ij,ij->i", v, n_q)
-    phi = np.einsum("ij,ij->i", u, d_hat)
-    theta = np.arctan2(np.einsum("ij,ij->i", w, n_q),
-                       np.einsum("ij,ij->i", u, n_q))
+    dist = np.empty(m)
+    keep = np.empty(2 * m, dtype=bool)
+    angles = np.empty((3, 2 * m))
+    # pairs closer than 1e-12 or with a normal along their direction are
+    # computed too (zero divisions give NaN) and then dropped by keep
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, m, _PAIR_CHUNK):
+            forward = slice(start, min(start + _PAIR_CHUNK, m))
+            at_p, at_q = points[pairs[forward, 0]], points[pairs[forward, 1]]
+            normal_p, normal_q = (normals[pairs[forward, 0]],
+                                  normals[pairs[forward, 1]])
+            # the reverse displacement is subtracted, not negated, so even
+            # the signs of its zero coordinates are those of a direction
+            # computed on its own; u . n_q is the same in both directions
+            delta = at_q - at_p
+            dist[forward] = length = np.linalg.norm(delta, axis=1)
+            normals_cos = np.einsum("ij,ij->i", normal_p, normal_q)
+            for offset, d_hat, u, n_q in (
+                    (0, delta / length[:, None], normal_p, normal_q),
+                    (m, (at_p - at_q) / length[:, None], normal_q, normal_p)):
+                rows = slice(forward.start + offset, forward.stop + offset)
+                v = np.cross(d_hat, u)
+                v_norm = np.linalg.norm(v, axis=1)
+                keep[rows] = v_norm > 1e-12
+                v = v / v_norm[:, None]
+                w = np.cross(u, v)
+                angles[0, rows] = np.einsum("ij,ij->i", v, n_q)
+                angles[1, rows] = np.einsum("ij,ij->i", u, d_hat)
+                angles[2, rows] = np.arctan2(np.einsum("ij,ij->i", w, n_q),
+                                             normals_cos)
+    keep &= np.tile(dist > 1e-12, 2)
+    src, dst, dist = src[keep], dst[keep], np.tile(dist, 2)[keep]
+    alpha, phi, theta = angles[:, keep]
 
     bins = np.concatenate([
         _bin_index(alpha, -1.0, 1.0),
@@ -342,8 +358,10 @@ def mutual_feature_matches(source_fpfh: np.ndarray,
     tgt_tree = cKDTree(target_fpfh[tgt_valid])
     src_tree = cKDTree(source_fpfh[src_valid])
     _, fwd = tgt_tree.query(source_fpfh[src_valid])
-    _, back = src_tree.query(target_fpfh[tgt_valid])
-    mutual = back[fwd] == np.arange(len(src_valid))
+    # only the targets some source picked can be mutual: query just those
+    picked, slot = np.unique(fwd, return_inverse=True)
+    _, back = src_tree.query(target_fpfh[tgt_valid[picked]])
+    mutual = back[slot] == np.arange(len(src_valid))
     return np.stack([src_valid[mutual], tgt_valid[fwd[mutual]]], axis=1)
 
 

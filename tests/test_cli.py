@@ -17,6 +17,14 @@ from mvlidar.geometry import Box3D, ObjectClass, PointCloud, transform_distance
 from mvlidar.tracking import TrajectorySet
 
 
+def write_detections_text(path, frame: str):
+    """A two-line detection file whose second record has ``frame``."""
+    line = ('{{"frame":{},"class":"Car","center":[0,0,0.8],'
+            '"size":[4,2,1.5],"yaw":0.0,"score":0.9}}\n')
+    path.write_text(line.format(0) + line.format(frame))
+    return path
+
+
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("scene")
@@ -144,6 +152,37 @@ class TestErrorsAndConversion:
             "non-numeric field\n" if "abc" in line
             else "values must be finite\n")
         assert not (tmp_path / "out.mvlc").exists()
+
+    @pytest.mark.parametrize("frame", ["-1", "2.7", '"x"'])
+    def test_bad_frame_index_exit_2(self, tmp_path, capsys, frame):
+        good = write_detections_text(tmp_path / "good.jsonl", "0")
+        bad = write_detections_text(tmp_path / "bad.jsonl", frame)
+        out = tmp_path / "out.json"
+        message = (f"error: line 2: frame must be a non-negative integer, "
+                   f"got {json.loads(frame)!r}\n")
+        for argv in (
+                ["track", "--detections", str(bad), "--out", str(out)],
+                ["eval-det", "--detections", str(bad),
+                 "--ground-truth", str(good), "--out", str(out)],
+                ["eval-det", "--detections", str(good),
+                 "--ground-truth", str(bad), "--out", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_bad_track_id_exit_2(self, tmp_path, capsys):
+        good = tmp_path / "good.jsonl"
+        write_trajectories(good, TrajectorySet({1: [(0, Box3D(
+            (0.0, 0.0, 0.8), (0.6, 0.6, 1.7), 0.0, ObjectClass.PEDESTRIAN,
+            track_id=1))]}))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(good.read_text().replace('"track_id":1',
+                                                '"track_id":-4'))
+        assert main(["eval-mot", "--hypotheses", str(bad),
+                     "--ground-truth", str(good)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: track_id must be a non-negative integer, "
+            "got -4\n")
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["detect", "--frames", str(tmp_path / "nowhere"),

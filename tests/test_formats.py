@@ -198,6 +198,56 @@ class TestDetectionRecords:
             read_detections(path)
 
 
+DETECTION_LINE = ('{{"frame":{frame},"class":"Car","center":[0,0,0],'
+                  '"size":[4,2,1.5],"yaw":0.0,"score":0.5{extra}}}\n')
+TRAJECTORY_LINE = ('{{"frame":{frame},"track_id":{track_id},"class":"Car",'
+                   '"center":[0,0,0],"size":[4,2,1.5],"yaw":0.0}}\n')
+BAD_INDICES = ["-1", "2.7", "2.0", '"x"', '"2"', "true", "null", "[1]"]
+
+
+class TestRecordIndices:
+    """frame and track_id are non-negative JSON integers, never cast."""
+
+    @pytest.mark.parametrize("value", BAD_INDICES)
+    def test_bad_detection_frame_names_the_line(self, tmp_path, value):
+        path = tmp_path / "det.jsonl"
+        path.write_text(DETECTION_LINE.format(frame=0, extra="")
+                        + DETECTION_LINE.format(frame=value, extra=""))
+        with pytest.raises(RecordError, match=r"^line 2: frame must be a "
+                           r"non-negative integer, got "):
+            read_detections(path)
+
+    @pytest.mark.parametrize("value", BAD_INDICES)
+    def test_bad_annotation_track_id(self, tmp_path, value):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(DETECTION_LINE.format(
+            frame=3, extra=f',"track_id":{value}'))
+        with pytest.raises(RecordError, match=r"^line 1: track_id must be"):
+            read_detections(path)
+
+    @pytest.mark.parametrize("key", ["frame", "track_id"])
+    @pytest.mark.parametrize("value", BAD_INDICES)
+    def test_bad_trajectory_index(self, tmp_path, key, value):
+        fields = {"frame": 0, "track_id": 1, key: value}
+        path = tmp_path / "traj.jsonl"
+        path.write_text(TRAJECTORY_LINE.format(frame=0, track_id=1)
+                        + TRAJECTORY_LINE.format(**fields))
+        with pytest.raises(RecordError, match=rf"^line 2: {key} must be"):
+            read_trajectories(path)
+
+    def test_zero_and_large_indices_kept_exactly(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(DETECTION_LINE.format(frame=0, extra=',"track_id":0')
+                        + DETECTION_LINE.format(frame=2**40, extra=""))
+        [(frame_a, box_a), (frame_b, box_b)] = read_detections(path)
+        assert (frame_a, box_a.track_id) == (0, 0)
+        assert (frame_b, box_b.track_id) == (2**40, None)
+        assert type(frame_b) is int
+        path = tmp_path / "traj.jsonl"
+        path.write_text(TRAJECTORY_LINE.format(frame=7, track_id=0))
+        assert [f for f, _ in read_trajectories(path).tracks[0]] == [7]
+
+
 class TestTrajectoryRecords:
     def test_round_trip(self, tmp_path):
         trajectories = TrajectorySet({

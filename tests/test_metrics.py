@@ -15,7 +15,10 @@ from mvlidar.metrics import (
     detection_recall,
     format_ap_table,
     format_mot_table,
+    match_detections,
+    recall_and_ap,
 )
+from mvlidar.metrics import _interpolated_ap
 from mvlidar.tracking import TrajectorySet
 
 
@@ -254,6 +257,57 @@ class TestComputeAp:
         gt = [(0, box(x=0.0)), (0, box(x=10.0))]
         dets = [(0, box(x=0.1, score=0.9))]
         assert detection_recall(dets, gt, ObjectClass.CAR) == 0.5
+
+
+def two_match_recall_and_ap(detections, ground_truth, label, cfg):
+    """The view-group experiment's former scoring: one matching for the
+    recall and a second, identical one for the AP."""
+    threshold = cfg.iou_thresholds[label]
+    tp_flags, n_gt = match_detections(detections, ground_truth, label,
+                                      threshold)
+    if n_gt == 0:
+        raise NoGroundTruthError("no ground truth for the requested class")
+    recall = float(tp_flags.sum() / n_gt)
+    tp_flags, n_gt = match_detections(detections, ground_truth, label,
+                                      threshold)
+    return recall, _interpolated_ap(tp_flags, n_gt, cfg.recall_levels())
+
+
+class TestRecallAndAp:
+    """One matching per class gives the recall and the AP of two."""
+
+    def random_instance(self, rng):
+        labels = list(ObjectClass)
+        gt = [(int(rng.integers(0, 3)),
+               box(x=float(rng.uniform(-20, 20)), y=float(rng.uniform(-5, 5)),
+                   label=labels[int(rng.integers(0, 2))]))
+              for _ in range(int(rng.integers(1, 8)))]
+        dets = []
+        for _ in range(int(rng.integers(0, 12))):
+            frame, target = gt[int(rng.integers(0, len(gt)))]
+            # near a GT box or not, sometimes with the wrong label, with
+            # tied scores now and then
+            dets.append((frame, box(
+                x=float(target.center[0] + rng.normal(scale=0.6)),
+                y=float(target.center[1] + rng.normal(scale=0.6)),
+                label=labels[int(rng.integers(0, 3))],
+                score=float(rng.choice([0.5, rng.uniform(0.05, 1.0)])))))
+        return dets, gt
+
+    @pytest.mark.parametrize("cfg", [DetectionEvalConfig(),
+                                     DetectionEvalConfig.with_threshold(0.25)])
+    def test_matches_two_matchings(self, rng, cfg):
+        for _ in range(60):
+            dets, gt = self.random_instance(rng)
+            for label in ObjectClass:
+                if not any(b.label is label for _, b in gt):
+                    with pytest.raises(NoGroundTruthError):
+                        recall_and_ap(dets, gt, label, cfg)
+                    continue
+                got = recall_and_ap(dets, gt, label, cfg)
+                assert got == two_match_recall_and_ap(dets, gt, label, cfg)
+                assert got == (detection_recall(dets, gt, label, cfg),
+                               compute_ap(dets, gt, label, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
+import platform
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 from scipy.spatial import cKDTree
 
 from conftest import box_surface, ground_grid
@@ -19,6 +22,8 @@ from mvlidar.pipeline import (
     crossroad_hierarchy,
     detect_per_frame,
     hierarchy_from_dict,
+    in_square,
+    run_environment,
     run_fusion_comparison,
     run_pipeline,
     run_view_group_experiment,
@@ -149,6 +154,44 @@ def assert_same_pass(monkeypatch, clouds, background, distance=0.5,
     assert [[box_key(b) for b in frame] for frame in boxes] == \
         [[box_key(b) for b in frame] for frame in expected_boxes]
     return seen, boxes
+
+
+class TestInSquare:
+    """The two-comparison square test equals the max-of-abs one it
+    replaced, on the boundary, one ulp either side, at signed zeros and at
+    large coordinates."""
+
+    @staticmethod
+    def oracle(points, half):
+        return np.max(np.abs(points[:, :2]), axis=1) <= half
+
+    @pytest.mark.parametrize("half", [0.0, 1e-300, 10.0, 0.6 * 22.0,
+                                      10.5 + 1e-6, 1e300])
+    def test_matches_the_max_of_abs_oracle(self, half):
+        up, down = np.nextafter(half, np.inf), np.nextafter(half, -np.inf)
+        coords = [0.0, -0.0, half, -half, up, -up, down, -down, 1.0, -7.5,
+                  1e300, -1e300, np.inf, -np.inf, np.nan]
+        xy = np.array(list(itertools.product(coords, coords)))
+        points = np.column_stack([xy, np.ones(len(xy))])
+        assert np.array_equal(in_square(points, half),
+                              self.oracle(points, half))
+
+    def test_random_and_large_coordinates(self, rng):
+        points = np.vstack([rng.uniform(-20.0, 20.0, size=(2000, 3)),
+                            rng.normal(scale=1e12, size=(500, 3))])
+        for half in (0.0, 13.2, 1e12):
+            mask = in_square(points, half)
+            assert np.array_equal(mask, self.oracle(points, half))
+        assert 0 < in_square(points, 13.2).sum() < len(points)
+
+    def test_boundary_is_inside(self):
+        half = 13.2
+        points = np.array([[half, -half, 0.0], [-half, half, 5.0],
+                           [-0.0, -half, 0.0],
+                           [np.nextafter(half, np.inf), 0.0, 0.0],
+                           [0.0, -np.nextafter(half, np.inf), 0.0]])
+        assert in_square(points, half).tolist() == [True, True, True,
+                                                    False, False]
 
 
 class TestBackgroundCrop:
@@ -335,6 +378,12 @@ MACHINE_OUTPUTS = ["calibration.jsonl", "detections.jsonl",
 
 
 class TestRunPipeline:
+    def test_run_environment(self, monkeypatch):
+        monkeypatch.setenv("MVLK_THREADS", "1")
+        assert run_environment() == {
+            "threads": 1, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__}
+
     def test_outputs_and_determinism(self, tmp_path):
         cfg = fast_pipeline_config()
         manifest_a = run_pipeline(cfg, output_dir=str(tmp_path / "a"))
@@ -344,6 +393,10 @@ class TestRunPipeline:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
         assert manifest_a["seed"] == manifest_b["seed"] == 3
+        assert manifest_a["environment"] == run_environment()
+        written = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert set(written["environment"]) == {"threads", "python", "numpy",
+                                               "scipy"}
         assert [s["name"] for s in manifest_a["stages"]] == \
             ["scene", "calibrate", "sync-sim", "detect", "track", "evaluate"]
 

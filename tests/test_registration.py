@@ -218,6 +218,166 @@ class TestKernelsMatchScatterOracle:
         self.check(cloud, invalid, min_neighbors)
 
 
+def previous_mutual_feature_matches(source_fpfh, target_fpfh):
+    """``mutual_feature_matches`` before it back-queried only the picked
+    targets: every valid target row is queried."""
+    src_valid = np.flatnonzero(source_fpfh.sum(axis=1) > 0.0)
+    tgt_valid = np.flatnonzero(target_fpfh.sum(axis=1) > 0.0)
+    if len(src_valid) == 0 or len(tgt_valid) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    tgt_tree = cKDTree(target_fpfh[tgt_valid])
+    src_tree = cKDTree(source_fpfh[src_valid])
+    _, fwd = tgt_tree.query(source_fpfh[src_valid])
+    _, back = src_tree.query(target_fpfh[tgt_valid])
+    mutual = back[fwd] == np.arange(len(src_valid))
+    return np.stack([src_valid[mutual], tgt_valid[fwd[mutual]]], axis=1)
+
+
+@st.composite
+def snapped_clouds(draw):
+    """Random clouds with random unit normals, optionally snapped to a grid.
+
+    Snapping makes exact duplicates (the zero-distance pairs), axis-aligned
+    displacements with signed zeros, and, with axis-snapped normals, exact
+    zeros in the Darboux frame; some normals are zeroed to mark them
+    invalid.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 160))
+    points = rng.uniform(-2.0, 2.0, size=(n, 3))
+    grid = draw(st.sampled_from([None, 0.25, 0.5, 1.0]))
+    if grid is not None:
+        points = np.round(points / grid) * grid
+    normals = rng.normal(size=(n, 3))
+    if draw(st.booleans()):
+        axis = np.argmax(np.abs(normals), axis=1)
+        sign = np.sign(normals[np.arange(n), axis])
+        normals = np.eye(3)[axis] * sign[:, None]
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
+    radius = draw(st.sampled_from([0.6, 1.0, 1.5]))
+    return PointCloud(points), normals, radius
+
+
+def assert_fpfh_matches_oracle(cloud, normals, radius):
+    assert np.array_equal(compute_fpfh(cloud, normals, radius),
+                          compute_fpfh_oracle(cloud, normals, radius))
+
+
+@pytest.fixture(scope="module")
+def crossroad_features():
+    """1 m FPFH of the crossroad reference scan and of node 0's pass, with
+    the pipeline's schedule and viewpoints."""
+    from mvlidar.pipeline import crossroad_hierarchy
+    from mvlidar.scene import (calibration_capture, generate_synthetic_scene,
+                               standard_crossroad_spec)
+    scene = generate_synthetic_scene(standard_crossroad_spec(n_frames=1), 0)
+    cfg = crossroad_hierarchy()
+    voxel = cfg.levels[0].voxel_size
+    reference = voxel_downsample(scene.reference_cloud, voxel)
+    node = voxel_downsample(
+        accumulate_frames(calibration_capture(scene, 0), 10.0), voxel)
+    clouds = {}
+    for name, cloud, viewpoint in (
+            ("reference", reference, scene.reference_viewpoint),
+            ("node", node, (0.0, 0.0, 0.0))):
+        normals = estimate_normals(cloud, cfg.normal_radius,
+                                   cfg.min_normal_neighbors, viewpoint)
+        clouds[name] = (cloud, normals, cfg.fpfh_radius)
+    return clouds
+
+
+class TestFpfhPairPassMatchesOracle:
+    """The chunked pass over undirected pairs is bit-identical to the
+    oracle's geometry, computed on its own for each directed pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scene=snapped_clouds())
+    def test_random_clouds(self, scene):
+        assert_fpfh_matches_oracle(*scene)
+
+    def test_duplicate_points(self, rng):
+        points = np.repeat(rng.uniform(-1.0, 1.0, size=(20, 3)), 3, axis=0)
+        normals = rng.normal(size=(60, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        assert_fpfh_matches_oracle(PointCloud(points), normals, 1.0)
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                           (0.3, -0.8, 0.2)])
+    def test_normals_along_the_pair_direction(self, rng, direction):
+        direction = np.asarray(direction) / np.linalg.norm(direction)
+        line = np.arange(12)[:, None] * 0.3 * direction
+        off = line + rng.normal(scale=0.2, size=line.shape)
+        points = np.vstack([line, off])
+        normals = np.vstack([np.tile(direction, (12, 1)),
+                             np.tile(-direction, (6, 1)),
+                             rng.normal(size=(6, 3))])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        assert_fpfh_matches_oracle(PointCloud(points), normals, 1.0)
+
+    def test_zero_normals(self, rng):
+        points = rng.uniform(-1.0, 1.0, size=(40, 3))
+        normals = np.zeros((40, 3))
+        assert not compute_fpfh(PointCloud(points), normals, 1.0).any()
+        assert_fpfh_matches_oracle(PointCloud(points), normals, 1.0)
+        normals[::3] = rng.normal(size=(14, 3))
+        normals /= np.maximum(np.linalg.norm(normals, axis=1,
+                                             keepdims=True), 1.0)
+        assert_fpfh_matches_oracle(PointCloud(points), normals, 1.0)
+
+    def test_empty_and_lone_points(self):
+        assert_fpfh_matches_oracle(PointCloud.empty(), np.zeros((0, 3)), 1.0)
+        assert_fpfh_matches_oracle(PointCloud([[0.0, 0.0, 0.0]]),
+                                   np.array([[0.0, 0.0, 1.0]]), 1.0)
+
+    def test_pairs_across_chunks(self, rng, monkeypatch):
+        import mvlidar.registration as registration
+        monkeypatch.setattr(registration, "_PAIR_CHUNK", 7)
+        cloud = PointCloud(rng.uniform(-1.0, 1.0, size=(50, 3)))
+        normals = estimate_normals(cloud, 0.8, 3)
+        assert_fpfh_matches_oracle(cloud, normals, 0.8)
+
+    def test_crossroad_reference(self, crossroad_features):
+        assert_fpfh_matches_oracle(*crossroad_features["reference"])
+
+
+class TestMutualMatchesMatchPreviousKernel:
+    """Back-querying only the picked targets finds the same matches."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 4),
+           sizes=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+           zero_share=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_tied_descriptors(self, seed, levels, sizes, zero_share):
+        # few distinct values: equal descriptors and tied distances abound
+        rng = np.random.default_rng(seed)
+        source, target = (rng.integers(0, levels + 1, size=(size, FPFH_SIZE))
+                          .astype(float) for size in sizes)
+        target[: len(target) // 2] = source[rng.integers(0, len(source),
+                                                         len(target) // 2)]
+        for descriptors in (source, target):
+            descriptors[rng.random(len(descriptors)) < zero_share] = 0.0
+        assert np.array_equal(mutual_feature_matches(source, target),
+                              previous_mutual_feature_matches(source, target))
+
+    def test_all_zero_rows(self, rng):
+        zeros = np.zeros((5, FPFH_SIZE))
+        some = rng.random((5, FPFH_SIZE))
+        for source, target in ((zeros, some), (some, zeros), (zeros, zeros)):
+            matches = mutual_feature_matches(source, target)
+            assert matches.shape == (0, 2)
+            assert np.array_equal(matches, previous_mutual_feature_matches(
+                source, target))
+
+    def test_crossroad_node_against_reference(self, crossroad_features):
+        source = compute_fpfh(*crossroad_features["node"])
+        target = compute_fpfh(*crossroad_features["reference"])
+        matches = mutual_feature_matches(source, target)
+        assert len(matches) > 100
+        assert np.array_equal(matches, previous_mutual_feature_matches(
+            source, target))
+
+
 class TestComputeFpfh:
     def test_deterministic(self, rng):
         points = structured_scene_points(rng, 3000)
