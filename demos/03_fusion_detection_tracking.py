@@ -52,7 +52,7 @@ print(format_ap_table({name: data["ap"] for name, data in fusion.items()}))
 # track the early-fusion detections and score them against ground truth
 # ---------------------------------------------------------------------------
 nodes = sorted(scene.node_frames)
-fused = [_fused_cloud(scene, scene.extrinsics, nodes, frame)
+fused = [_fused_cloud(scene.node_frames, scene.extrinsics, nodes, frame)
          for frame in range(spec.n_frames)]
 boxes_per_frame = detect_per_frame(fused, detector,
                                    background=scene.reference_cloud,

@@ -1,8 +1,13 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages: calibrate, sync-sim, fuse, detect,
-track, eval-det, eval-mot, pipeline, plus make-scene (synthetic data
-export) and convert (binary frame <-> ASCII xyz).
+The stage subcommands (calibrate, sync-sim, fuse, detect, track, eval-det,
+eval-mot) read their files, make the call ``run_pipeline`` makes with the
+arguments it passes, and write through the same writers; their defaults are
+read from ``PipelineConfig()``, ``calibrate_node`` and the fusion module.
+Frames on disk are float32, so the chain reproduces the pipeline's calls on
+the clouds it reads back, not the pipeline's bytes. ``pipeline`` runs the
+whole chain, ``make-scene`` exports a synthetic scene and prints the inputs
+the pipeline gives it, and ``convert`` turns .mvlc into .xyz and back.
 
 Exit codes: 0 success, 2 bad input data or file format, 3 algorithmic
 failure (for example calibration fitness below threshold), 4 bad
@@ -13,60 +18,39 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
+import inspect
+import math
 import os
 import sys
+from dataclasses import asdict
+from dataclasses import replace as dc_replace
 
-import numpy as np
-
-from .detector import DetectorConfig
-from .errors import AlgorithmError, ConfigError, FormatError, MvLidarError
-from .formats import (
-    atomic_write,
-    read_calibration,
-    read_detections,
-    read_frame,
-    read_trajectories,
-    read_xyz,
-    write_calibration,
-    write_detections,
-    write_frame,
-    write_trajectories,
-    write_xyz,
-)
-from .fusion import ViewFrameSet, early_fuse
+from .errors import AlgorithmError, ConfigError, FormatError
+from .formats import flatten_frames, group_by_frame, read_calibration, \
+    read_detections, read_frame, read_trajectories, read_xyz, \
+    write_calibration, write_detections, write_frame, write_json, \
+    write_trajectories, write_xyz
+from .fusion import DEFAULT_SYNC_WINDOW_S
 from .geometry import ObjectClass
-from .metrics import (
-    DetectionEvalConfig,
-    MotEvalConfig,
-    compute_ap,
-    compute_clear_mot,
-    format_ap_table,
-    format_mot_table,
-)
-from .pipeline import (
-    PipelineConfig,
-    calibrate_node,
-    config_digest,
-    detect_per_frame,
-    export_scene,
-    hierarchy_from_dict,
-    read_config_json,
-    run_pipeline,
-)
-from .scene import generate_synthetic_scene, standard_crossroad_spec
-from .syncsim import (
-    NetworkModel,
-    SessionConfig,
-    compute_time_error_report,
-    simulate_session,
-)
-from .tracking import TrackerConfig, track_sequence
+from .metrics import DetectionEvalConfig, compute_ap, compute_clear_mot, \
+    format_ap_table, format_mot_table
+from .pipeline import PipelineConfig, _fused_cloud, calibrate_node, \
+    config_digest, detect_per_frame, detection_half_extent, export_scene, \
+    hierarchy_from_dict, read_config_json, run_pipeline
+from .scene import DEFAULT_FRAME_RATE_HZ, generate_synthetic_scene, \
+    standard_crossroad_spec
+from .syncsim import NetworkModel, compute_time_error_report, simulate_session
+from .tracking import track_sequence
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
 EXIT_ALGORITHM = 3
 EXIT_CONFIG = 4
+
+# the definitions every default below is read from
+_PIPELINE = PipelineConfig()
+_CALIBRATE = {name: p.default for name, p in
+              inspect.signature(calibrate_node).parameters.items()}
 
 
 def _frames_in(directory):
@@ -90,14 +74,15 @@ def _node_dirs(root):
     return nodes
 
 
-def _eval_config(args) -> DetectionEvalConfig:
-    if args.iou_threshold is not None:
-        return DetectionEvalConfig.with_threshold(args.iou_threshold)
-    return DetectionEvalConfig()
-
-
-def _write_json(path, payload) -> None:
-    atomic_write(path, json.dumps(payload, sort_keys=True, indent=2).encode())
+def _point(text: str) -> tuple:
+    """An ``X,Y,Z`` option value as three finite floats."""
+    try:
+        point = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        point = ()
+    if len(point) != 3 or not all(math.isfinite(v) for v in point):
+        raise argparse.ArgumentTypeError(f"expected X,Y,Z, got {text!r}")
+    return point
 
 
 def cmd_calibrate(args) -> int:
@@ -106,15 +91,15 @@ def cmd_calibrate(args) -> int:
     # overrides the keys it names
     hierarchy = hierarchy_from_dict(
         read_config_json(args.config) if args.config else {})
-    nodes = _node_dirs(args.node_root)
     extrinsics = {}
     failures = []
-    for node, directory in sorted(nodes.items()):
+    for node, directory in sorted(_node_dirs(args.node_root).items()):
         frames = _frames_in(directory)
         try:
-            result = calibrate_node(frames, reference, hierarchy,
-                                    seed=args.seed + node,
-                                    merge_duration_s=args.merge_duration)
+            result = calibrate_node(
+                frames, reference, hierarchy, seed=args.seed + node,
+                merge_duration_s=args.merge_duration,
+                reference_viewpoint=args.reference_viewpoint)
         except AlgorithmError as exc:
             print(f"node {node}: FAILED ({exc})")
             failures.append(node)
@@ -132,14 +117,13 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sync_sim(args) -> int:
-    cfg = SessionConfig(node_count=args.nodes, duration_s=args.duration,
-                        frame_rate_hz=args.frame_rate,
-                        network=NetworkModel(delay_min_s=args.delay_min,
-                                             delay_max_s=args.delay_max,
-                                             drop_probability=args.drop),
-                        seed=args.seed)
-    trace = simulate_session(cfg)
-    report = compute_time_error_report(trace)
+    session = dc_replace(
+        PipelineConfig(seed=args.seed).sync, node_count=args.nodes,
+        duration_s=args.duration, frame_rate_hz=args.frame_rate,
+        network=NetworkModel(delay_min_s=args.delay_min,
+                             delay_max_s=args.delay_max,
+                             drop_probability=args.drop))
+    report = compute_time_error_report(simulate_session(session))
     print(f"{'frame':>6}" + "".join(f"{f'node {n}':>12}" for n in report.nodes))
     step = max(1, len(report.errors_s) // args.max_rows)
     for frame in range(0, len(report.errors_s), step):
@@ -152,46 +136,39 @@ def cmd_sync_sim(args) -> int:
               f"mean |e| {stats.mean_abs_s * 1e3:.4f}  "
               f"std {stats.std_s * 1e3:.4f}{flag}")
     if args.out:
-        payload = {
-            "per_node": [{"node": s.node, "max_abs_s": s.max_abs_s,
-                          "mean_abs_s": s.mean_abs_s, "std_s": s.std_s,
-                          "misaligned": s.misaligned} for s in report.stats],
-            "errors_s": report.errors_s.tolist(),
-        }
-        _write_json(args.out, payload)
+        write_json(args.out, {**report.summary(),
+                              "errors_s": report.errors_s.tolist()})
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_fuse(args) -> int:
     extrinsics = read_calibration(args.calib)
-    nodes = _node_dirs(args.frames)
-    missing = sorted(set(nodes) - set(extrinsics))
+    per_node = {node: _frames_in(directory)
+                for node, directory in _node_dirs(args.frames).items()}
+    missing = sorted(set(per_node) - set(extrinsics))
     if missing:
         raise ConfigError(f"calibration missing for nodes {missing}")
-    per_node = {node: _frames_in(directory)
-                for node, directory in nodes.items()}
     counts = {len(frames) for frames in per_node.values()}
     if len(counts) != 1:
         raise FormatError(f"unequal frame counts per node: {sorted(counts)}")
     os.makedirs(args.out, exist_ok=True)
+    nodes = sorted(per_node)
     n_frames = counts.pop()
     for frame in range(n_frames):
-        fused = early_fuse(ViewFrameSet(
-            frames={node: per_node[node][frame] for node in per_node},
-            extrinsics=extrinsics,
-            sync_window_s=args.sync_window))
-        write_frame(os.path.join(args.out, f"frame_{frame:05d}.mvlc"), fused)
+        write_frame(os.path.join(args.out, f"frame_{frame:05d}.mvlc"),
+                    _fused_cloud(per_node, extrinsics, nodes, frame,
+                                 sync_window_s=args.sync_window))
     print(f"fused {n_frames} frames into {args.out}")
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
     clouds = _frames_in(args.frames)
-    cfg = DetectorConfig(seed=args.seed)
-    boxes_per_frame = detect_per_frame(clouds, cfg)
-    detections = [(frame, box) for frame, boxes in enumerate(boxes_per_frame)
-                  for box in boxes]
+    background = read_frame(args.background) if args.background else None
+    detections = flatten_frames(detect_per_frame(
+        clouds, dc_replace(_PIPELINE.detector, seed=args.seed),
+        background=background, crop_half_extent=args.crop))
     write_detections(args.out, detections)
     print(f"wrote {len(detections)} detections over {len(clouds)} frames "
           f"to {args.out}")
@@ -199,13 +176,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_track(args) -> int:
-    detections = read_detections(args.detections)
-    n_frames = max((frame for frame, _ in detections), default=-1) + 1
-    per_frame = [[] for _ in range(n_frames)]
-    for frame, box in detections:
-        per_frame[frame].append(box)
-    cfg = TrackerConfig(threshold=args.threshold, min_hits=args.min_hits,
-                        max_age=args.max_age)
+    per_frame = group_by_frame(read_detections(args.detections))
+    cfg = dc_replace(_PIPELINE.tracker, threshold=args.threshold,
+                     min_hits=args.min_hits, max_age=args.max_age)
     trajectories = track_sequence(per_frame, cfg, frame_dt=args.frame_dt)
     write_trajectories(args.out, trajectories)
     print(f"wrote {len(trajectories)} tracks to {args.out}")
@@ -215,29 +188,26 @@ def cmd_track(args) -> int:
 def cmd_eval_det(args) -> int:
     detections = read_detections(args.detections)
     ground_truth = read_detections(args.ground_truth)
-    cfg = _eval_config(args)
-    ap = {}
-    for label in ObjectClass:
-        if any(b.label is label for _, b in ground_truth):
-            ap[label] = compute_ap(detections, ground_truth, label, cfg)
+    cfg = _PIPELINE.eval_det if args.iou_threshold is None \
+        else DetectionEvalConfig.with_threshold(args.iou_threshold)
+    ap = {label: compute_ap(detections, ground_truth, label, cfg)
+          for label in ObjectClass
+          if any(box.label is label for _, box in ground_truth)}
     print(format_ap_table({"detections": ap}))
     if args.out:
-        _write_json(args.out, {label.value: value
-                               for label, value in ap.items()})
+        write_json(args.out, ap)
     return EXIT_OK
 
 
 def cmd_eval_mot(args) -> int:
     hypotheses = read_trajectories(args.hypotheses)
     ground_truth = read_trajectories(args.ground_truth)
-    cfg = MotEvalConfig(threshold=args.threshold)
-    report = compute_clear_mot(hypotheses, ground_truth, cfg)
+    report = compute_clear_mot(hypotheses, ground_truth,
+                               dc_replace(_PIPELINE.eval_mot,
+                                          threshold=args.threshold))
     print(format_mot_table({"hypotheses": report}))
     if args.out:
-        _write_json(args.out, {"mota": report.mota, "motp": report.motp,
-                               "ids": report.ids, "frag": report.frag,
-                               "fn": report.fn, "fp": report.fp,
-                               "gt": report.gt})
+        write_json(args.out, asdict(report))
     return EXIT_OK
 
 
@@ -258,12 +228,16 @@ def cmd_pipeline(args) -> int:
 
 def cmd_make_scene(args) -> int:
     spec = standard_crossroad_spec(n_frames=args.frames, seed=args.seed,
+                                   extent=_PIPELINE.scene_extent,
                                    with_occluders=not args.no_occluders)
     scene = generate_synthetic_scene(spec, seed=args.seed)
-    export_scene(scene, args.out)
+    export_scene(scene, args.out, args.seed)
     total = sum(len(f) for frames in scene.node_frames.values() for f in frames)
     print(f"wrote {len(scene.node_frames)} nodes x {args.frames} frames "
           f"({total} points) to {args.out}")
+    viewpoint = ",".join(repr(float(v)) for v in scene.reference_viewpoint)
+    print(f"pipeline inputs: calibrate --reference-viewpoint={viewpoint} "
+          f"--seed {args.seed}; detect --crop={detection_half_extent(spec)!r}")
     return EXIT_OK
 
 
@@ -284,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="multi-view LiDAR calibration, fusion, tracking, and "
                     "evaluation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    sync, network = _PIPELINE.sync, _PIPELINE.sync.network
 
     p = sub.add_parser("calibrate",
                        help="register every node against a reference scan")
@@ -294,20 +269,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config",
                    help="hierarchy config JSON; its keys override the "
                         "crossroad schedule")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--merge-duration", type=float, default=10.0,
+    p.add_argument("--seed", type=int, default=_PIPELINE.seed,
+                   help="node i registers with seed + i")
+    p.add_argument("--merge-duration", type=float,
+                   default=_CALIBRATE["merge_duration_s"],
                    help="seconds of frames to merge per node")
+    p.add_argument("--reference-viewpoint", type=_point,
+                   default=_CALIBRATE["reference_viewpoint"],
+                   metavar="X,Y,Z",
+                   help="point the reference normals face (make-scene "
+                        "prints its scene's)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("sync-sim",
                        help="simulate a trigger/PPS synchronization session")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--frame-rate", type=float, default=10.0)
-    p.add_argument("--delay-min", type=float, default=0.001)
-    p.add_argument("--delay-max", type=float, default=0.2)
-    p.add_argument("--drop", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", type=int, default=sync.node_count)
+    p.add_argument("--duration", type=float, default=sync.duration_s)
+    p.add_argument("--frame-rate", type=float, default=sync.frame_rate_hz)
+    p.add_argument("--delay-min", type=float, default=network.delay_min_s)
+    p.add_argument("--delay-max", type=float, default=network.delay_max_s)
+    p.add_argument("--drop", type=float, default=network.drop_probability)
+    p.add_argument("--seed", type=int, default=_PIPELINE.seed)
     p.add_argument("--max-rows", type=int, default=20,
                    help="cap on printed per-frame rows")
     p.add_argument("--out", help="write the full error table as JSON")
@@ -318,22 +300,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True,
                    help="directory containing node_<id>/ frame directories")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--sync-window", type=float, default=0.005)
+    p.add_argument("--sync-window", type=float, default=DEFAULT_SYNC_WINDOW_S)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("detect", help="run the geometric detector per frame")
     p.add_argument("--frames", required=True, help="directory of .mvlc frames")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_PIPELINE.detector.seed)
+    p.add_argument("--background",
+                   help="reference .mvlc scan subtracted as static background "
+                        "(replaces the detector's ground removal)")
+    p.add_argument("--crop", type=float,
+                   help="detect only where |x| and |y| are at most this "
+                        "(make-scene prints its scene's)")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("track", help="track detections across frames")
     p.add_argument("--detections", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.01)
-    p.add_argument("--min-hits", type=int, default=3)
-    p.add_argument("--max-age", type=int, default=2)
-    p.add_argument("--frame-dt", type=float, default=0.1)
+    p.add_argument("--threshold", type=float,
+                   default=_PIPELINE.tracker.threshold)
+    p.add_argument("--min-hits", type=int, default=_PIPELINE.tracker.min_hits)
+    p.add_argument("--max-age", type=int, default=_PIPELINE.tracker.max_age)
+    p.add_argument("--frame-dt", type=float,
+                   default=1.0 / DEFAULT_FRAME_RATE_HZ)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval-det", help="average precision per class")
@@ -348,22 +338,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-mot", help="CLEAR tracking metrics")
     p.add_argument("--hypotheses", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--threshold", type=float, default=0.25)
+    p.add_argument("--threshold", type=float,
+                   default=_PIPELINE.eval_mot.threshold)
     p.add_argument("--out", help="write the report as JSON")
     p.set_defaults(func=cmd_eval_mot)
 
     p = sub.add_parser("pipeline", help="full chain with a run manifest")
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out-dir", help="override the config output directory")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=_PIPELINE.seed,
                    help="seed when no config file is given")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("make-scene",
                        help="export a synthetic crossroad scene to disk")
     p.add_argument("--out", required=True)
-    p.add_argument("--frames", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--frames", type=int, default=_PIPELINE.scene_frames)
+    p.add_argument("--seed", type=int, default=_PIPELINE.seed)
     p.add_argument("--no-occluders", action="store_true")
     p.set_defaults(func=cmd_make_scene)
 
@@ -380,7 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ConfigError as exc:
@@ -389,9 +380,6 @@ def main(argv=None) -> int:
     except AlgorithmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
 
 
 if __name__ == "__main__":

@@ -22,8 +22,10 @@ JSON-lines records (one object per line, unknown keys ignored):
     trajectory   {"frame", "track_id", "class", "center", "size", "yaw"}
     calibration  {"node_id", "rotation"[9 row-major], "translation"[3]}
 
-"frame" and "track_id" must be non-negative JSON integers: 2.0, "2" and
-true are refused, not cast. All writers are atomic (temp file + rename).
+"frame", "track_id" and "node_id" must be non-negative JSON integers, and
+the other numbers finite JSON numbers: 2.0 for an index, "2" and true are
+refused, not cast. All writers are atomic (temp file + rename); JSON
+documents go through ``write_json``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 import os
 import struct
 import tempfile
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -69,6 +71,14 @@ def atomic_write(path, data: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload) -> None:
+    """One JSON document with sorted keys; class keys are written by name
+    and numpy scalars as numbers."""
+    data = json.dumps(payload, sort_keys=True, indent=2,
+                      default=lambda value: value.item())
+    atomic_write(path, (data + "\n").encode())
 
 
 def write_frame(path, cloud: PointCloud) -> None:
@@ -137,9 +147,9 @@ def read_frame(path) -> PointCloud:
             f"declared {count} points ({count * dtype.itemsize} bytes), "
             f"payload has {len(payload)} bytes")
     record = np.frombuffer(payload, dtype=dtype)
-    points = np.column_stack([record["x"], record["y"], record["z"]]).astype(float)
-    intensity = record["intensity"].astype(float) \
-        if flags & FLAG_INTENSITY else None
+    # checked before widening, which warns on a signalling NaN
+    points = np.column_stack([record["x"], record["y"], record["z"]])
+    intensity = record["intensity"] if flags & FLAG_INTENSITY else None
     finite = np.isfinite(points).all(axis=1)
     if intensity is not None:
         finite &= np.isfinite(intensity)
@@ -147,8 +157,8 @@ def read_frame(path) -> PointCloud:
         raise RecordError(f"point {int(np.argmin(finite))}: values must be "
                           f"finite")
     return PointCloud(
-        points,
-        intensity=intensity,
+        points.astype(float),
+        intensity=None if intensity is None else intensity.astype(float),
         timestamp_ns=int(timestamp_ns),
         time_index=record["time_index"].astype(np.int64)
         if flags & FLAG_TIME_INDEX else None,
@@ -205,7 +215,8 @@ def _require(record: dict, key: str, line_no: int):
 
 
 def _index(record: dict, key: str, line_no: int) -> int:
-    """A frame or track index: a non-negative JSON integer, never cast."""
+    """A frame, track or node index: a non-negative JSON integer, never
+    cast."""
     value = _require(record, key, line_no)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise RecordError(f"line {line_no}: {key} must be a non-negative "
@@ -213,11 +224,24 @@ def _index(record: dict, key: str, line_no: int) -> int:
     return value
 
 
-def _finite_list(values, n, key, line_no):
-    out = [float(v) for v in values]
-    if len(out) != n or not all(math.isfinite(v) for v in out):
+def _number(value, key: str, line_no: int) -> float:
+    """A finite JSON number: a bool, a string or an overflowing integer is
+    refused, not cast."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise RecordError(f"line {line_no}: {key} must be a finite number, "
+                      f"got {value!r}")
+
+
+def _numbers(record: dict, key: str, n: int, line_no: int) -> list:
+    values = _require(record, key, line_no)
+    if not isinstance(values, list) or len(values) != n:
         raise RecordError(f"line {line_no}: {key} must be {n} finite numbers")
-    return out
+    return [_number(v, key, line_no) for v in values]
 
 
 def _dump_lines(records: Iterable[dict]) -> bytes:
@@ -241,26 +265,30 @@ def _load_lines(path):
             yield line_no, record
 
 
-def detection_to_record(frame: int, box: Box3D) -> dict:
+def _box_record(frame: int, box: Box3D, track_id=None,
+                with_score: bool = True) -> dict:
+    """The record of one box: a detection or annotation with its score, a
+    trajectory entry without."""
     record = {"frame": int(frame), "class": box.label.value,
               "center": [float(v) for v in box.center],
-              "size": [float(v) for v in box.size],
-              "yaw": float(box.yaw), "score": float(box.score)}
-    if box.track_id is not None:
-        record["track_id"] = int(box.track_id)
+              "size": [float(v) for v in box.size], "yaw": float(box.yaw)}
+    if with_score:
+        record["score"] = float(box.score)
+    if track_id is not None:
+        record["track_id"] = int(track_id)
     return record
 
 
-def record_to_detection(record: dict, line_no: int = 0):
+def _record_box(record: dict, line_no: int, with_track: bool = False):
+    """(frame, Box3D) of a box record; ``with_track`` requires a track_id."""
     frame = _index(record, "frame", line_no)
-    track_id = _index(record, "track_id", line_no) if "track_id" in record \
-        else None
-    center = _finite_list(_require(record, "center", line_no), 3, "center", line_no)
-    size = _finite_list(_require(record, "size", line_no), 3, "size", line_no)
-    yaw = float(_require(record, "yaw", line_no))
-    score = float(record.get("score", 1.0))
-    if not (math.isfinite(yaw) and math.isfinite(score)):
-        raise RecordError(f"line {line_no}: yaw and score must be finite")
+    track_id = _index(record, "track_id", line_no) \
+        if with_track or "track_id" in record else None
+    center = _numbers(record, "center", 3, line_no)
+    size = _numbers(record, "size", 3, line_no)
+    yaw = _number(_require(record, "yaw", line_no), "yaw", line_no)
+    score = _number(record["score"], "score", line_no) \
+        if "score" in record else 1.0
     try:
         box = Box3D(center=center, size=size, yaw=yaw,
                     label=ObjectClass(_require(record, "class", line_no)),
@@ -270,76 +298,71 @@ def record_to_detection(record: dict, line_no: int = 0):
     return frame, box
 
 
+def flatten_frames(boxes_per_frame) -> list:
+    """(frame, Box3D) pairs, frame by frame, of per-frame box lists."""
+    return [(frame, box) for frame, boxes in enumerate(boxes_per_frame)
+            for box in boxes]
+
+
+def group_by_frame(detections) -> list:
+    """Per-frame box lists of (frame, Box3D) pairs, up to the last frame
+    that has a box: the inverse of ``flatten_frames``."""
+    per_frame = [[] for _ in range(max((f for f, _ in detections),
+                                       default=-1) + 1)]
+    for frame, box in detections:
+        per_frame[frame].append(box)
+    return per_frame
+
+
 def write_detections(path, detections) -> None:
     """``detections`` is an iterable of (frame, Box3D)."""
-    atomic_write(path, _dump_lines(
-        detection_to_record(frame, box) for frame, box in detections))
+    atomic_write(path, _dump_lines(_box_record(frame, box, box.track_id)
+                                   for frame, box in detections))
 
 
 def read_detections(path) -> list:
-    return [record_to_detection(record, line_no)
+    return [_record_box(record, line_no)
             for line_no, record in _load_lines(path)]
 
 
 def write_trajectories(path, trajectories: TrajectorySet) -> None:
-    records = []
-    for track_id in sorted(trajectories.tracks):
-        for frame, box in trajectories.tracks[track_id]:
-            records.append({"frame": int(frame), "track_id": int(track_id),
-                            "class": box.label.value,
-                            "center": [float(v) for v in box.center],
-                            "size": [float(v) for v in box.size],
-                            "yaw": float(box.yaw)})
-    atomic_write(path, _dump_lines(records))
+    atomic_write(path, _dump_lines(
+        _box_record(frame, box, track_id, with_score=False)
+        for track_id in sorted(trajectories.tracks)
+        for frame, box in trajectories.tracks[track_id]))
 
 
 def read_trajectories(path) -> TrajectorySet:
     tracks: dict = {}
     for line_no, record in _load_lines(path):
-        frame = _index(record, "frame", line_no)
-        track_id = _index(record, "track_id", line_no)
-        center = _finite_list(_require(record, "center", line_no), 3,
-                              "center", line_no)
-        size = _finite_list(_require(record, "size", line_no), 3, "size", line_no)
-        yaw = float(_require(record, "yaw", line_no))
-        if not math.isfinite(yaw):
-            raise RecordError(f"line {line_no}: yaw must be finite")
-        try:
-            box = Box3D(center=center, size=size, yaw=yaw,
-                        label=ObjectClass(_require(record, "class", line_no)),
-                        score=float(record.get("score", 1.0)),
-                        track_id=track_id)
-        except ValueError as exc:
-            raise RecordError(f"line {line_no}: {exc}")
-        tracks.setdefault(track_id, []).append((frame, box))
+        frame, box = _record_box(record, line_no, with_track=True)
+        tracks.setdefault(box.track_id, []).append((frame, box))
     for entries in tracks.values():
         entries.sort(key=lambda e: e[0])
-    return TrajectorySet(tracks=tracks)
+    try:
+        return TrajectorySet(tracks=tracks)
+    except ValueError as exc:
+        raise RecordError(str(exc))
 
 
 def write_calibration(path, extrinsics: dict) -> None:
     """``extrinsics`` maps node id -> RigidTransform (node to world)."""
-    records = []
-    for node_id in sorted(extrinsics):
-        transform = extrinsics[node_id]
-        records.append({"node_id": int(node_id),
-                        "rotation": [float(v) for v in
-                                     transform.rotation.reshape(9)],
-                        "translation": [float(v) for v in transform.translation]})
-    atomic_write(path, _dump_lines(records))
+    atomic_write(path, _dump_lines(
+        {"node_id": int(node_id),
+         "rotation": [float(v) for v in transform.rotation.reshape(9)],
+         "translation": [float(v) for v in transform.translation]}
+        for node_id, transform in sorted(extrinsics.items())))
 
 
 def read_calibration(path) -> dict:
     extrinsics = {}
     for line_no, record in _load_lines(path):
-        node_id = int(_require(record, "node_id", line_no))
-        rotation = _finite_list(_require(record, "rotation", line_no), 9,
-                                "rotation", line_no)
-        translation = _finite_list(_require(record, "translation", line_no), 3,
-                                   "translation", line_no)
+        node_id = _index(record, "node_id", line_no)
+        rotation = _numbers(record, "rotation", 9, line_no)
         try:
             extrinsics[node_id] = RigidTransform(
-                np.array(rotation).reshape(3, 3), translation)
+                np.array(rotation).reshape(3, 3),
+                _numbers(record, "translation", 3, line_no))
         except ValueError as exc:
             raise RecordError(f"line {line_no}: {exc}")
     return extrinsics

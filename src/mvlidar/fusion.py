@@ -12,8 +12,7 @@ tagging every point with the index of the frame it came from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +20,8 @@ from .errors import DegenerateYawError, TimestampSkewError
 from .geometry import (
     Box3D,
     PointCloud,
-    RigidTransform,
     apply_transform,
     iou_3d,
-    wrap_angle,
     wrap_half_angle,
 )
 

@@ -18,7 +18,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,13 +30,16 @@ from .detector import DetectorConfig, detect_frame, subtract_background
 from .errors import CalibrationFailedError, ConfigError
 from .formats import (
     atomic_write,
+    flatten_frames,
     write_calibration,
     write_detections,
     write_frame,
+    write_json,
     write_trajectories,
 )
-from .fusion import ViewFrameSet, early_fuse, late_fuse, temporal_integrate
-from .geometry import ObjectClass, PointCloud, RigidTransform, apply_transform
+from .fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet, early_fuse, \
+    late_fuse, temporal_integrate
+from .geometry import ObjectClass, PointCloud, apply_transform
 from .metrics import (
     DetectionEvalConfig,
     MotEvalConfig,
@@ -57,12 +60,11 @@ from .scene import SceneSpec, SyntheticScene, calibration_capture, \
     generate_synthetic_scene, standard_crossroad_spec
 from .syncsim import (
     NetworkModel,
-    NodeClockModel,
     SessionConfig,
     compute_time_error_report,
     simulate_session,
 )
-from .tracking import TrackerConfig, TrajectorySet, track_sequence
+from .tracking import TrackerConfig, track_sequence
 
 FAILED_CALIBRATION_FITNESS = 0.2
 
@@ -163,15 +165,19 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
         return list(pool.map(run, clouds))
 
 
-def _fused_cloud(scene: SyntheticScene, extrinsics: dict, nodes, frame: int,
-                 integrate: int = 1) -> PointCloud:
+def _fused_cloud(node_frames: dict, extrinsics: dict, nodes, frame: int,
+                 integrate: int = 1,
+                 sync_window_s: float = DEFAULT_SYNC_WINDOW_S) -> PointCloud:
+    """Early fusion of ``nodes`` at ``frame`` from node id -> frame lists,
+    each view integrated over its last ``integrate`` frames."""
     start = max(0, frame - integrate + 1)
     frames = {}
     for node in nodes:
-        stack = scene.node_frames[node][start:frame + 1]
+        stack = node_frames[node][start:frame + 1]
         frames[node] = temporal_integrate(stack) if len(stack) > 1 else stack[0]
     return early_fuse(ViewFrameSet(frames=frames,
-                                   extrinsics={n: extrinsics[n] for n in nodes}))
+                                   extrinsics={n: extrinsics[n] for n in nodes},
+                                   sync_window_s=sync_window_s))
 
 
 def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
@@ -192,13 +198,12 @@ def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
     results = {}
     for group in groups:
         integrate = max(1, max_views // len(group))
-        clouds = [_fused_cloud(scene, extrinsics, group, frame, integrate)
+        clouds = [_fused_cloud(scene.node_frames, extrinsics, group, frame,
+                               integrate)
                   for frame in range(scene.spec.n_frames)]
-        boxes_per_frame = detect_per_frame(
+        detections = flatten_frames(detect_per_frame(
             clouds, detector_cfg, workers, background=scene.reference_cloud,
-            crop_half_extent=detection_half_extent(scene.spec))
-        detections = [(frame, box) for frame, boxes in enumerate(boxes_per_frame)
-                      for box in boxes]
+            crop_half_extent=detection_half_extent(scene.spec)))
         per_class_recall, per_class_ap = {}, {}
         for label in ObjectClass:
             per_class_recall[label], per_class_ap[label] = recall_and_ap(
@@ -233,17 +238,14 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
             clouds, detector_cfg, workers, background=scene.reference_cloud,
             crop_half_extent=detection_half_extent(scene.spec))
 
-    early_clouds = [_fused_cloud(scene, extrinsics, nodes, frame)
+    early_clouds = [_fused_cloud(scene.node_frames, extrinsics, nodes, frame)
                     for frame in range(scene.spec.n_frames)]
     early_boxes = detect_per_frame(
         early_clouds, detector_cfg, workers, background=scene.reference_cloud,
         crop_half_extent=detection_half_extent(scene.spec))
 
-    methods = {}
-    for node in nodes:
-        methods[f"view {node}"] = [(f, b) for f, boxes in
-                                   enumerate(per_view_boxes[node])
-                                   for b in boxes]
+    methods = {f"view {node}": flatten_frames(per_view_boxes[node])
+               for node in nodes}
     for method in ("nms", "average"):
         fused = []
         for frame in range(scene.spec.n_frames):
@@ -251,8 +253,7 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
             fused.extend((frame, box) for box in
                          late_fuse(views, overlap_threshold, method=method))
         methods[f"{method} fusion"] = fused
-    methods["early fusion"] = [(f, b) for f, boxes in enumerate(early_boxes)
-                               for b in boxes]
+    methods["early fusion"] = flatten_frames(early_boxes)
 
     results = {}
     for name, detections in methods.items():
@@ -266,28 +267,28 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
 # pipeline config and runner
 # ---------------------------------------------------------------------------
 
-_CLASS_BY_NAME = {c.value: c for c in ObjectClass}
-
-
-_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number"}
+_JSON_KINDS = {bool: "true or false", int: "an integer",
+               float: "a finite number", str: "a string"}
 
 
 def _field(section: dict, key: str, default, context: str, minimum=None):
     """``section[key]``, or ``default`` if absent, when it fits its type.
 
-    A flag takes true or false, an int field an integer, a float field any
-    number; other fields are left to their constructors. Nothing is
-    rounded or cast, so ``1.9`` for an integer is refused, not truncated.
+    A flag takes true or false, an int field an integer, a float field a
+    finite number and a string field a string; other fields are left to
+    their constructors. Nothing is rounded or cast, so ``1.9`` for an
+    integer is refused, not truncated.
     """
     value = section.get(key, default)
     kind = type(default)
     if kind not in _JSON_KINDS:
         return value
-    if kind is bool:
-        fits = isinstance(value, bool)
+    if kind in (bool, str):
+        fits = isinstance(value, kind)
     else:
         fits = (not isinstance(value, bool)
-                and isinstance(value, int if kind is int else (int, float)))
+                and isinstance(value, int if kind is int else (int, float))
+                and (isinstance(value, int) or np.isfinite(value)))
     if not fits or (minimum is not None and value < minimum):
         name = f"{context}.{key}" if context else key
         bound = "" if minimum is None else f" >= {minimum}"
@@ -346,6 +347,9 @@ def hierarchy_from_dict(raw) -> HierarchyConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The run's settings, one section per stage. ``seed`` seeds the scene,
+    the calibration and the sync simulator: ``sync.seed`` always equals it."""
+
     seed: int = 0
     output_dir: str = "pipeline-out"
     scene_frames: int = 30
@@ -360,12 +364,17 @@ class PipelineConfig:
     sync: SessionConfig = field(default_factory=lambda: SessionConfig(
         node_count=4, duration_s=10.0))
 
+    def __post_init__(self):
+        if self.sync.seed != self.seed:
+            object.__setattr__(self, "sync", dc_replace(self.sync,
+                                                        seed=self.seed))
+
     @staticmethod
     def from_dict(raw: dict) -> "PipelineConfig":
         """Parse a JSON config; omitted keys keep their default values.
 
         Raises ConfigError for unknown keys and for values of the wrong
-        type or out of range; ``seed`` also seeds the sync simulator.
+        type or out of range.
         """
         try:
             return PipelineConfig._parse(raw)
@@ -380,7 +389,7 @@ class PipelineConfig:
                               "sync"})
         kwargs: dict = {}
         kwargs["seed"] = _field(raw, "seed", base.seed, "", minimum=0)
-        kwargs["output_dir"] = str(raw.get("output_dir", base.output_dir))
+        kwargs["output_dir"] = _field(raw, "output_dir", base.output_dir, "")
 
         scene = _take(raw.get("scene", {}), "scene",
                       {"frames", "extent", "occluders", "export_frames"})
@@ -395,33 +404,30 @@ class PipelineConfig:
 
         kwargs["hierarchy"] = hierarchy_from_dict(raw.get("hierarchy", {}))
 
-        detector = _take(raw.get("detector", {}), "detector",
-                         {"ground_distance_threshold",
-                          "ransac_ground_iterations", "cluster_distance",
-                          "min_cluster_points", "score_points_scale", "seed"},
-                         base.detector)
-        kwargs["detector"] = DetectorConfig(**detector)
-
-        tracker = _take(raw.get("tracker", {}), "tracker",
-                        {"metric", "threshold", "min_hits", "max_age",
-                         "process_noise", "measurement_noise"}, base.tracker)
-        kwargs["tracker"] = TrackerConfig(**tracker)
+        for name, keys in (
+                ("detector", {"ground_distance_threshold",
+                              "ransac_ground_iterations", "cluster_distance",
+                              "min_cluster_points", "score_points_scale",
+                              "seed"}),
+                ("tracker", {"metric", "threshold", "min_hits", "max_age",
+                             "process_noise", "measurement_noise"}),
+                ("eval_mot", {"metric", "threshold",
+                              "prefer_previous_match"})):
+            default = getattr(base, name)
+            kwargs[name] = type(default)(**_take(raw.get(name, {}), name,
+                                                 keys, default))
 
         eval_det = _take(raw.get("eval_det", {}), "eval_det",
                          {"iou_thresholds", "recall_points"}, base.eval_det)
         if "iou_thresholds" in eval_det:
             thresholds = _take(eval_det["iou_thresholds"],
-                               "eval_det.iou_thresholds", set(_CLASS_BY_NAME))
+                               "eval_det.iou_thresholds",
+                               {c.value for c in ObjectClass})
             eval_det["iou_thresholds"] = {
                 **base.eval_det.iou_thresholds,
-                **{_CLASS_BY_NAME[name]: float(value)
+                **{ObjectClass(name): float(value)
                    for name, value in thresholds.items()}}
         kwargs["eval_det"] = DetectionEvalConfig(**eval_det)
-
-        eval_mot = _take(raw.get("eval_mot", {}), "eval_mot",
-                         {"metric", "threshold", "prefer_previous_match"},
-                         base.eval_mot)
-        kwargs["eval_mot"] = MotEvalConfig(**eval_mot)
 
         sync = _take(raw.get("sync", {}), "sync",
                      {"node_count", "duration_s", "frame_rate_hz",
@@ -440,8 +446,7 @@ class PipelineConfig:
                 delay_min_s=number("delay_min_s", network.delay_min_s),
                 delay_max_s=number("delay_max_s", network.delay_max_s),
                 drop_probability=number("drop_probability",
-                                        network.drop_probability)),
-            seed=kwargs["seed"])
+                                        network.drop_probability)))
         return PipelineConfig(**kwargs)
 
     @staticmethod
@@ -458,27 +463,12 @@ def read_config_json(path):
         raise ConfigError(f"cannot load config {path}: {exc}")
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {(k.value if isinstance(k, ObjectClass) else str(k)):
-                _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
-def _write_json(path, payload) -> None:
-    data = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
-    atomic_write(path, data.encode())
-
-
-def export_scene(scene: SyntheticScene, directory, seed: int = 0) -> None:
+def export_scene(scene: SyntheticScene, directory, seed: int) -> None:
     """Write a scene to disk in the CLI's on-disk layout.
 
     node_<i>/frame_<k>.mvlc per view (the capture), calib/node_<i>/ with
-    each node's calibration pass, reference.mvlc, annotations.jsonl
+    each node's calibration pass made with ``seed`` (the scene's seed, as
+    in ``run_pipeline``), reference.mvlc, annotations.jsonl
     (detection records with track ids), gt_trajectories.jsonl, and the true
     extrinsics as calibration records in gt_calibration.jsonl.
     """
@@ -525,7 +515,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
                                    with_occluders=cfg.scene_occluders)
     scene = generate_synthetic_scene(spec, seed=cfg.seed)
     if cfg.export_frames:
-        export_scene(scene, os.path.join(out, "scene"))
+        export_scene(scene, os.path.join(out, "scene"), cfg.seed)
     stage("scene")
 
     # spatial calibration against the reference scan, on each node's
@@ -544,25 +534,19 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
     stage("calibrate")
 
     # trigger/PPS synchronization report for the session
-    trace = simulate_session(cfg.sync)
-    sync_report = compute_time_error_report(trace)
-    _write_json(os.path.join(out, "sync_report.json"), {
-        "per_node": [{"node": s.node, "max_abs_s": s.max_abs_s,
-                      "mean_abs_s": s.mean_abs_s, "std_s": s.std_s,
-                      "misaligned": s.misaligned} for s in sync_report.stats],
-        "max_abs_s": sync_report.max_abs_s})
+    sync_report = compute_time_error_report(simulate_session(cfg.sync))
+    write_json(os.path.join(out, "sync_report.json"), sync_report.summary())
     stage("sync-sim")
 
     # early fusion + detection on every frame, with recovered extrinsics and
     # the reference scan as the static background
     nodes = sorted(scene.node_frames)
-    fused = [_fused_cloud(scene, calibration, nodes, frame)
+    fused = [_fused_cloud(scene.node_frames, calibration, nodes, frame)
              for frame in range(spec.n_frames)]
     boxes_per_frame = detect_per_frame(
         fused, cfg.detector, background=scene.reference_cloud,
         crop_half_extent=detection_half_extent(spec))
-    detections = [(frame, box) for frame, boxes in enumerate(boxes_per_frame)
-                  for box in boxes]
+    detections = flatten_frames(boxes_per_frame)
     write_detections(os.path.join(out, "detections.jsonl"), detections)
     stage("detect")
 
@@ -579,11 +563,9 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
                                             cfg.eval_det)
     fusion_methods = run_fusion_comparison(scene, calibration, cfg.detector,
                                            cfg.eval_det)
-    _write_json(os.path.join(out, "metrics.json"), {
+    write_json(os.path.join(out, "metrics.json"), {
         "detection_ap": ap,
-        "tracking": {"mota": mot.mota, "motp": mot.motp, "ids": mot.ids,
-                     "frag": mot.frag, "fn": mot.fn, "fp": mot.fp,
-                     "gt": mot.gt},
+        "tracking": asdict(mot),
         "view_groups": view_groups,
         "fusion_methods": fusion_methods,
         "calibration_fitness": fitness_report,
@@ -605,7 +587,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
 
     manifest["outputs"] = sorted(name for name in os.listdir(out)
                                  if name != "manifest.json")
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(out, "manifest.json"), manifest)
     return manifest
 
 

@@ -19,8 +19,8 @@ over annotated corner pairs and mean pixel reprojection error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree

@@ -14,13 +14,13 @@ Deterministic given (spec, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Box3D, ObjectClass, PointCloud, RigidTransform, wrap_angle
+from .geometry import Box3D, ObjectClass, PointCloud, RigidTransform
 from .tracking import TrajectorySet
 
 # field of view of the scanning unit: 100 x 40 degrees, 10 frames/s

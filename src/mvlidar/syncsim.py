@@ -243,6 +243,13 @@ class TimeErrorReport:
     def max_abs_s(self) -> float:
         return float(np.max(np.abs(self.errors_s))) if self.errors_s.size else 0.0
 
+    def summary(self) -> dict:
+        """Per-node error statistics and the overall maximum, as JSON."""
+        return {"per_node": [{"node": s.node, "max_abs_s": s.max_abs_s,
+                              "mean_abs_s": s.mean_abs_s, "std_s": s.std_s,
+                              "misaligned": s.misaligned} for s in self.stats],
+                "max_abs_s": self.max_abs_s}
+
 
 # a node whose mean error exceeds this started on a different PPS second
 _MISALIGNED_MEAN_S = 0.1

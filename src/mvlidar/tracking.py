@@ -9,16 +9,14 @@ distinguish heading from anti-heading.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError
-from .geometry import Box3D, ObjectClass, iou_3d, iou_bev, wrap_angle, wrap_half_angle
+from .geometry import Box3D, iou_3d, iou_bev, wrap_angle, wrap_half_angle
 
 STATE_DIM = 10
 MEAS_DIM = 7

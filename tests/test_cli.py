@@ -1,20 +1,41 @@
+import contextlib
+import inspect
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mvlidar.cli import main
+from mvlidar.cli import build_parser, main
 from mvlidar.formats import (
+    flatten_frames,
     read_calibration,
     read_detections,
     read_frame,
+    write_calibration,
     write_detections,
     write_frame,
     write_trajectories,
 )
+from mvlidar.fusion import DEFAULT_SYNC_WINDOW_S
 from mvlidar.geometry import Box3D, ObjectClass, PointCloud, transform_distance
-from mvlidar.tracking import TrajectorySet
+from mvlidar.pipeline import (
+    PipelineConfig,
+    _fused_cloud,
+    calibrate_node,
+    detect_per_frame,
+    detection_half_extent,
+)
+from mvlidar.scene import (
+    calibration_capture,
+    generate_synthetic_scene,
+    standard_crossroad_spec,
+)
+from mvlidar.syncsim import compute_time_error_report, simulate_session
+from mvlidar.tracking import TrajectorySet, track_sequence
+
+SCENE_SEED = 13
 
 
 def write_detections_text(path, frame: str):
@@ -26,12 +47,38 @@ def write_detections_text(path, frame: str):
 
 
 @pytest.fixture(scope="module")
-def scene_dir(tmp_path_factory):
+def exported(tmp_path_factory):
+    """(directory, printed output) of ``make-scene`` at a non-zero seed."""
     root = tmp_path_factory.mktemp("scene")
-    code = main(["make-scene", "--out", str(root), "--frames", "3",
-                 "--seed", "13"])
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(["make-scene", "--out", str(root), "--frames", "3",
+                     "--seed", str(SCENE_SEED)])
     assert code == 0
-    return root
+    return root, printed.getvalue()
+
+
+@pytest.fixture(scope="module")
+def scene_dir(exported):
+    return exported[0]
+
+
+@pytest.fixture(scope="module")
+def scene():
+    """The scene ``make-scene`` exported, made again in memory."""
+    spec = standard_crossroad_spec(n_frames=3, seed=SCENE_SEED)
+    return generate_synthetic_scene(spec, seed=SCENE_SEED)
+
+
+def printed_option(printed: str, name: str) -> str:
+    """The ``--name=value`` token that ``make-scene`` printed."""
+    [token] = [t.rstrip(";") for t in printed.split()
+               if t.startswith(f"--{name}=")]
+    return token
+
+
+def frames_of(directory) -> list:
+    return [read_frame(path) for path in sorted(directory.glob("*.mvlc"))]
 
 
 class TestMakeSceneAndCalibrate:
@@ -66,6 +113,156 @@ class TestMakeSceneAndCalibrate:
                      "--reference", str(bogus),
                      "--out", str(tmp_path / "none.jsonl")])
         assert code == 3
+
+
+class TestChainReproducesPipelineCalls:
+    """Each stage subcommand writes what the call ``run_pipeline`` makes
+    writes, run on the clouds the subcommand reads back from disk."""
+
+    def test_make_scene_prints_the_pipeline_inputs(self, exported, scene):
+        printed = exported[1]
+        viewpoint = printed_option(printed, "reference-viewpoint")
+        assert tuple(float(v) for v in viewpoint.split("=")[1].split(",")) \
+            == tuple(float(v) for v in scene.reference_viewpoint)
+        crop = printed_option(printed, "crop")
+        assert float(crop.split("=")[1]) == detection_half_extent(scene.spec)
+
+    def test_calibration_captures_use_the_scene_seed(self, scene_dir, scene):
+        for node in sorted(scene.node_frames):
+            exported = frames_of(scene_dir / "calib" / f"node_{node}")
+            expected = calibration_capture(scene, node, seed=SCENE_SEED)
+            assert len(exported) == len(expected)
+            for got, want in zip(exported, expected):
+                np.testing.assert_array_equal(
+                    got.points, want.points.astype(np.float32).astype(float))
+
+    def test_calibrate(self, exported, scene, tmp_path):
+        root, printed = exported
+        out = tmp_path / "calibration.jsonl"
+        assert main(["calibrate", "--node-root", str(root / "calib"),
+                     "--reference", str(root / "reference.mvlc"),
+                     "--out", str(out), "--seed", str(SCENE_SEED),
+                     printed_option(printed, "reference-viewpoint")]) == 0
+        cfg = PipelineConfig(seed=SCENE_SEED)
+        reference = read_frame(root / "reference.mvlc")
+        expected = {node: calibrate_node(
+            frames_of(root / "calib" / f"node_{node}"), reference,
+            cfg.hierarchy, seed=cfg.seed + node,
+            reference_viewpoint=scene.reference_viewpoint).transform
+            for node in sorted(scene.node_frames)}
+        write_calibration(tmp_path / "expected.jsonl", expected)
+        assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+    def test_fuse_detect_track(self, exported, scene, tmp_path):
+        root, printed = exported
+        fused_dir = tmp_path / "fused"
+        assert main(["fuse", "--calib", str(root / "gt_calibration.jsonl"),
+                     "--frames", str(root), "--out", str(fused_dir)]) == 0
+        assert main(["detect", "--frames", str(fused_dir),
+                     "--out", str(tmp_path / "det.jsonl"),
+                     "--background", str(root / "reference.mvlc"),
+                     printed_option(printed, "crop")]) == 0
+        assert main(["track", "--detections", str(tmp_path / "det.jsonl"),
+                     "--out", str(tmp_path / "traj.jsonl")]) == 0
+
+        cfg, spec = PipelineConfig(), scene.spec
+        extrinsics = read_calibration(root / "gt_calibration.jsonl")
+        per_node = {node: frames_of(root / f"node_{node}") for node in range(4)}
+        for frame, path in enumerate(sorted(fused_dir.glob("*.mvlc"))):
+            write_frame(tmp_path / "expected.mvlc", _fused_cloud(
+                per_node, extrinsics, sorted(per_node), frame))
+            assert path.read_bytes() == \
+                (tmp_path / "expected.mvlc").read_bytes()
+        boxes_per_frame = detect_per_frame(
+            frames_of(fused_dir), cfg.detector,
+            background=read_frame(root / "reference.mvlc"),
+            crop_half_extent=detection_half_extent(spec))
+        assert any(boxes_per_frame)
+        write_detections(tmp_path / "expected_det.jsonl",
+                         flatten_frames(boxes_per_frame))
+        assert (tmp_path / "det.jsonl").read_bytes() == \
+            (tmp_path / "expected_det.jsonl").read_bytes()
+        write_trajectories(tmp_path / "expected_traj.jsonl", track_sequence(
+            boxes_per_frame, cfg.tracker, frame_dt=1.0 / spec.frame_rate_hz))
+        assert (tmp_path / "traj.jsonl").read_bytes() == \
+            (tmp_path / "expected_traj.jsonl").read_bytes()
+
+    def test_sync_sim(self, tmp_path):
+        out = tmp_path / "sync.json"
+        assert main(["sync-sim", "--seed", "5", "--out", str(out)]) == 0
+        report = compute_time_error_report(
+            simulate_session(PipelineConfig(seed=5).sync))
+        payload = json.loads(out.read_text())
+        assert payload.pop("errors_s") == report.errors_s.tolist()
+        assert payload == report.summary()
+
+    def test_pipeline_seed_option_equals_config_seed(self, tmp_path,
+                                                     monkeypatch):
+        configs = []
+
+        def record(cfg, output_dir, config_sha256):
+            configs.append(cfg)
+            (tmp_path / "report.txt").write_text("")
+            return {"outputs": []}
+
+        monkeypatch.setattr("mvlidar.cli.run_pipeline", record)
+        (tmp_path / "cfg.json").write_text('{"seed": 5}')
+        for argv in (["--seed", "5"], ["--config", str(tmp_path / "cfg.json")]):
+            assert main(["pipeline", "--out-dir", str(tmp_path)] + argv) == 0
+        assert configs[0] == configs[1]
+        assert configs[0].sync.seed == 5
+
+
+class TestStageDefaults:
+    """Every stage option defaults to the definition the pipeline uses."""
+
+    def parse(self, *argv):
+        return vars(build_parser().parse_args(list(argv)))
+
+    def test_calibrate(self):
+        args = self.parse("calibrate", "--node-root", "n", "--reference", "r",
+                          "--out", "o")
+        signature = inspect.signature(calibrate_node).parameters
+        assert args["seed"] == PipelineConfig().seed
+        assert args["merge_duration"] == signature["merge_duration_s"].default
+        assert args["reference_viewpoint"] == \
+            signature["reference_viewpoint"].default
+        assert args["config"] is None
+
+    def test_sync_sim(self):
+        args = self.parse("sync-sim")
+        sync = PipelineConfig().sync
+        assert (args["nodes"], args["duration"], args["frame_rate"],
+                args["delay_min"], args["delay_max"], args["drop"],
+                args["seed"]) == (sync.node_count, sync.duration_s,
+                                  sync.frame_rate_hz, sync.network.delay_min_s,
+                                  sync.network.delay_max_s,
+                                  sync.network.drop_probability, sync.seed)
+
+    def test_fuse(self):
+        args = self.parse("fuse", "--calib", "c", "--frames", "f", "--out", "o")
+        assert args["sync_window"] == DEFAULT_SYNC_WINDOW_S
+
+    def test_detect(self):
+        args = self.parse("detect", "--frames", "f", "--out", "o")
+        assert args["seed"] == PipelineConfig().detector.seed
+        assert args["background"] is None and args["crop"] is None
+
+    def test_track(self):
+        args = self.parse("track", "--detections", "d", "--out", "o")
+        tracker = PipelineConfig().tracker
+        assert (args["threshold"], args["min_hits"], args["max_age"]) == \
+            (tracker.threshold, tracker.min_hits, tracker.max_age)
+        spec = standard_crossroad_spec(n_frames=1)
+        assert args["frame_dt"] == 1.0 / spec.frame_rate_hz
+
+    def test_eval(self):
+        args = self.parse("eval-det", "--detections", "d",
+                          "--ground-truth", "g")
+        assert args["iou_threshold"] is None
+        args = self.parse("eval-mot", "--hypotheses", "h",
+                          "--ground-truth", "g")
+        assert args["threshold"] == PipelineConfig().eval_mot.threshold
 
 
 class TestFuseDetectTrack:
@@ -169,6 +366,39 @@ class TestErrorsAndConversion:
             assert main(argv) == 2
             assert capsys.readouterr().err == message
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("yaw", "1.5"), ("yaw", "abc"), ("yaw", True), ("score", "0.5"),
+        ("center", [0, "0", 0.8]), ("size", [4, None, 1.5])])
+    def test_bad_box_number_exit_2(self, tmp_path, capsys, key, value):
+        record = {"frame": 0, "class": "Car", "center": [0, 0, 0.8],
+                  "size": [4, 2, 1.5], "yaw": 0.0, "score": 0.9}
+        good = tmp_path / "good.jsonl"
+        good.write_text(json.dumps(record) + "\n")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(good.read_text()
+                       + json.dumps({**record, key: value}) + "\n")
+        shown = value[1] if isinstance(value, list) else value
+        message = (f"error: line 2: {key} must be a finite number, "
+                   f"got {shown!r}\n")
+        for argv in (
+                ["track", "--detections", str(bad), "--out", str(tmp_path / "t")],
+                ["eval-det", "--detections", str(good),
+                 "--ground-truth", str(bad)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("node_id", ["1.9", '"x"', "-1", "true"])
+    def test_bad_node_id_exit_2(self, scene_dir, tmp_path, capsys, node_id):
+        calib = tmp_path / "calib.jsonl"
+        calib.write_text(f'{{"node_id":{node_id},"rotation":[1,0,0,0,1,0,0,0,1],'
+                         f'"translation":[0,0,0]}}\n')
+        assert main(["fuse", "--calib", str(calib), "--frames", str(scene_dir),
+                     "--out", str(tmp_path / "fused")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 1: node_id must be a non-negative integer, "
+            f"got {json.loads(node_id)!r}\n")
+        assert not (tmp_path / "fused").exists()
 
     def test_bad_track_id_exit_2(self, tmp_path, capsys):
         good = tmp_path / "good.jsonl"

@@ -287,3 +287,70 @@ class TestCalibrationRecords:
                         '"translation":[0,0,0]}\n')
         with pytest.raises(RecordError):
             read_calibration(path)
+
+
+BAD_NUMBERS = ['"1.5"', '"abc"', "true", "null", "[1]", "1e999"]
+
+
+class TestRecordNumbers:
+    """Box and calibration numbers are finite JSON numbers, never cast."""
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    @pytest.mark.parametrize("key", ["yaw", "score"])
+    def test_bad_detection_number(self, tmp_path, key, value):
+        line = DETECTION_LINE.format(frame=0, extra="")
+        path = tmp_path / "det.jsonl"
+        path.write_text(line + line.replace(f'"{key}":', f'"{key}":{value},'
+                                            f'"old_{key}":'))
+        with pytest.raises(RecordError, match=rf"^line 2: {key} must be a "
+                           r"finite number, got "):
+            read_detections(path)
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    @pytest.mark.parametrize("key", ["center", "size", "yaw"])
+    def test_bad_trajectory_number(self, tmp_path, key, value):
+        bad = {"center": f'"center":[0,{value},0]',
+               "size": f'"size":[4,{value},1.5]',
+               "yaw": f'"yaw":{value}'}[key]
+        line = TRAJECTORY_LINE.format(frame=0, track_id=1)
+        good = {"center": '"center":[0,0,0]', "size": '"size":[4,2,1.5]',
+                "yaw": '"yaw":0.0'}[key]
+        path = tmp_path / "traj.jsonl"
+        path.write_text(line.replace(good, bad))
+        with pytest.raises(RecordError, match=rf"^line 1: {key} must be a "
+                           r"finite number, got "):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("value", ['"abc"', "[0,0]", "[0,0,0,0]", "3"])
+    def test_wrong_length_or_type_of_list(self, tmp_path, value):
+        path = tmp_path / "det.jsonl"
+        path.write_text(DETECTION_LINE.format(frame=0, extra="").replace(
+            '"center":[0,0,0]', f'"center":{value}'))
+        with pytest.raises(RecordError,
+                           match=r"^line 1: center must be 3 finite numbers"):
+            read_detections(path)
+
+    @pytest.mark.parametrize("node_id", BAD_INDICES)
+    def test_bad_node_id(self, tmp_path, node_id):
+        path = tmp_path / "calib.jsonl"
+        path.write_text(f'{{"node_id":{node_id},"rotation":[1,0,0,0,1,0,0,0,1],'
+                        f'"translation":[0,0,0]}}\n')
+        with pytest.raises(RecordError, match=r"^line 1: node_id must be a "
+                           r"non-negative integer, got "):
+            read_calibration(path)
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    def test_bad_translation(self, tmp_path, value):
+        path = tmp_path / "calib.jsonl"
+        path.write_text(f'{{"node_id":0,"rotation":[1,0,0,0,1,0,0,0,1],'
+                        f'"translation":[0,{value},0]}}\n')
+        with pytest.raises(RecordError, match=r"^line 1: translation must be "
+                           r"a finite number, got "):
+            read_calibration(path)
+
+    def test_repeated_trajectory_frame(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        path.write_text(TRAJECTORY_LINE.format(frame=4, track_id=2) * 2)
+        with pytest.raises(RecordError, match="^track 2 frames are not "
+                           "strictly increasing"):
+            read_trajectories(path)

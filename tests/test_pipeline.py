@@ -273,7 +273,8 @@ class TestBackgroundCrop:
 
     def test_crossroad_frames(self, monkeypatch, busy_scene):
         nodes = sorted(busy_scene.node_frames)
-        clouds = [_fused_cloud(busy_scene, busy_scene.extrinsics, nodes, frame)
+        clouds = [_fused_cloud(busy_scene.node_frames, busy_scene.extrinsics,
+                               nodes, frame)
                   for frame in range(3)]
         _, boxes = assert_same_pass(monkeypatch, clouds,
                                     busy_scene.reference_cloud, 0.5,
@@ -284,6 +285,13 @@ class TestBackgroundCrop:
 class TestPipelineConfig:
     def test_defaults_round_trip(self):
         assert PipelineConfig.from_dict({}) == PipelineConfig()
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_seed_seeds_the_sync_simulator(self, seed):
+        direct = PipelineConfig(seed=seed)
+        assert direct == PipelineConfig.from_dict({"seed": seed})
+        assert direct.sync.seed == seed
+        assert replace(direct, seed=7).sync.seed == 7
 
     def test_partial_hierarchy_keeps_crossroad_values(self):
         cfg = PipelineConfig.from_dict(
@@ -335,7 +343,10 @@ class TestPipelineConfig:
         {"scene": {"extent": "wide"}}, {"detector": {"seed": 0.5}},
         {"tracker": {"min_hits": 1.5}}, {"eval_mot": {"threshold": True}},
         {"hierarchy": {"ransac_iterations": "many"}},
-        {"sync": {"duration_s": "long"}}])
+        {"sync": {"duration_s": "long"}}, {"sync": {"duration_s": math.nan}},
+        {"scene": {"extent": math.inf}}, {"detector": {"cluster_distance":
+                                                       -math.inf}},
+        {"hierarchy": {"levels": [[1.0, math.nan, 30]]}}, {"output_dir": 5}])
     def test_bad_values_rejected(self, raw):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(raw)
