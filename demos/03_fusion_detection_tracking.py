@@ -6,8 +6,6 @@ afterwards and reduces each cluster by highest score (NMS) or by averaging.
 The fused detections then feed the Kalman tracker and the CLEAR metrics.
 """
 
-import numpy as np
-
 from mvlidar.detector import DetectorConfig
 from mvlidar.metrics import (
     DetectionEvalConfig,
@@ -17,8 +15,7 @@ from mvlidar.metrics import (
     format_mot_table,
 )
 from mvlidar.pipeline import (
-    _fused_cloud,
-    detect_per_frame,
+    detect_views,
     run_fusion_comparison,
     run_view_group_experiment,
 )
@@ -51,12 +48,8 @@ print(format_ap_table({name: data["ap"] for name, data in fusion.items()}))
 # ---------------------------------------------------------------------------
 # track the early-fusion detections and score them against ground truth
 # ---------------------------------------------------------------------------
-nodes = sorted(scene.node_frames)
-fused = [_fused_cloud(scene.node_frames, scene.extrinsics, nodes, frame)
-         for frame in range(spec.n_frames)]
-boxes_per_frame = detect_per_frame(fused, detector,
-                                   background=scene.reference_cloud,
-                                   crop_half_extent=0.6 * spec.extent)
+boxes_per_frame = detect_views(scene, scene.extrinsics,
+                               sorted(scene.node_frames), detector)
 trajectories = track_sequence(boxes_per_frame, TrackerConfig(), frame_dt=0.1)
 report = compute_clear_mot(trajectories, scene.trajectories, MotEvalConfig())
 print(f"\ntracking over {spec.n_frames} frames "

@@ -26,21 +26,20 @@ from dataclasses import asdict
 from dataclasses import replace as dc_replace
 
 from .errors import AlgorithmError, ConfigError, FormatError
-from .formats import flatten_frames, group_by_frame, read_calibration, \
-    read_detections, read_frame, read_trajectories, read_xyz, \
-    write_calibration, write_detections, write_frame, write_json, \
-    write_trajectories, write_xyz
+from .formats import flatten_frames, read_calibration, read_detections, \
+    read_frame, read_trajectories, read_xyz, write_calibration, \
+    write_detections, write_frame, write_json, write_trajectories, write_xyz
 from .fusion import DEFAULT_SYNC_WINDOW_S
 from .geometry import ObjectClass
 from .metrics import DetectionEvalConfig, compute_ap, compute_clear_mot, \
     format_ap_table, format_mot_table
-from .pipeline import PipelineConfig, _fused_cloud, calibrate_node, \
-    config_digest, detect_per_frame, detection_half_extent, export_scene, \
+from .pipeline import PipelineConfig, calibrate_node, config_digest, \
+    detect_per_frame, detection_half_extent, export_scene, fused_cloud, \
     hierarchy_from_dict, read_config_json, run_pipeline
 from .scene import DEFAULT_FRAME_RATE_HZ, generate_synthetic_scene, \
     standard_crossroad_spec
 from .syncsim import NetworkModel, compute_time_error_report, simulate_session
-from .tracking import track_sequence
+from .tracking import track_detections
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -157,8 +156,8 @@ def cmd_fuse(args) -> int:
     n_frames = counts.pop()
     for frame in range(n_frames):
         write_frame(os.path.join(args.out, f"frame_{frame:05d}.mvlc"),
-                    _fused_cloud(per_node, extrinsics, nodes, frame,
-                                 sync_window_s=args.sync_window))
+                    fused_cloud(per_node, extrinsics, nodes, frame,
+                                sync_window_s=args.sync_window))
     print(f"fused {n_frames} frames into {args.out}")
     return EXIT_OK
 
@@ -176,10 +175,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_track(args) -> int:
-    per_frame = group_by_frame(read_detections(args.detections))
     cfg = dc_replace(_PIPELINE.tracker, threshold=args.threshold,
                      min_hits=args.min_hits, max_age=args.max_age)
-    trajectories = track_sequence(per_frame, cfg, frame_dt=args.frame_dt)
+    trajectories = track_detections(read_detections(args.detections), cfg,
+                                    frame_dt=args.frame_dt)
     write_trajectories(args.out, trajectories)
     print(f"wrote {len(trajectories)} tracks to {args.out}")
     return EXIT_OK

@@ -304,16 +304,6 @@ def flatten_frames(boxes_per_frame) -> list:
             for box in boxes]
 
 
-def group_by_frame(detections) -> list:
-    """Per-frame box lists of (frame, Box3D) pairs, up to the last frame
-    that has a box: the inverse of ``flatten_frames``."""
-    per_frame = [[] for _ in range(max((f for f, _ in detections),
-                                       default=-1) + 1)]
-    for frame, box in detections:
-        per_frame[frame].append(box)
-    return per_frame
-
-
 def write_detections(path, detections) -> None:
     """``detections`` is an iterable of (frame, Box3D)."""
     atomic_write(path, _dump_lines(_box_record(frame, box, box.track_id)

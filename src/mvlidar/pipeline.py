@@ -19,12 +19,11 @@ import os
 import platform
 import time
 from dataclasses import asdict, dataclass, field, fields
+from dataclasses import replace as dc_replace
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy
-
-from dataclasses import replace as dc_replace
 
 from .detector import DetectorConfig, detect_frame, subtract_background
 from .errors import CalibrationFailedError, ConfigError
@@ -39,7 +38,7 @@ from .formats import (
 )
 from .fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet, early_fuse, \
     late_fuse, temporal_integrate
-from .geometry import ObjectClass, PointCloud, apply_transform
+from .geometry import ObjectClass, PointCloud
 from .metrics import (
     DetectionEvalConfig,
     MotEvalConfig,
@@ -165,9 +164,9 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
         return list(pool.map(run, clouds))
 
 
-def _fused_cloud(node_frames: dict, extrinsics: dict, nodes, frame: int,
-                 integrate: int = 1,
-                 sync_window_s: float = DEFAULT_SYNC_WINDOW_S) -> PointCloud:
+def fused_cloud(node_frames: dict, extrinsics: dict, nodes, frame: int,
+                integrate: int = 1,
+                sync_window_s: float = DEFAULT_SYNC_WINDOW_S) -> PointCloud:
     """Early fusion of ``nodes`` at ``frame`` from node id -> frame lists,
     each view integrated over its last ``integrate`` frames."""
     start = max(0, frame - integrate + 1)
@@ -180,12 +179,30 @@ def _fused_cloud(node_frames: dict, extrinsics: dict, nodes, frame: int,
                                    sync_window_s=sync_window_s))
 
 
+def detect_views(scene: SyntheticScene, extrinsics: dict, nodes,
+                 detector_cfg: DetectorConfig, integrate: int = 1) -> list:
+    """Per-frame boxes of one detection pass over the views of ``nodes``:
+    each frame's ``fused_cloud``, less the reference scan as background,
+    within the scene's detection square."""
+    clouds = [fused_cloud(scene.node_frames, extrinsics, nodes, frame,
+                          integrate)
+              for frame in range(scene.spec.n_frames)]
+    return detect_per_frame(clouds, detector_cfg,
+                            background=scene.reference_cloud,
+                            crop_half_extent=detection_half_extent(scene.spec))
+
+
+def _ap_by_class(detections, annotations, eval_cfg) -> dict:
+    return {label: compute_ap(detections, annotations, label, eval_cfg)
+            for label in ObjectClass}
+
+
+VIEW_GROUPS = ((0,), (0, 2), (0, 1, 2, 3))  # one, opposite pair, all four
+
+
 def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
                               detector_cfg: DetectorConfig,
-                              eval_cfg: DetectionEvalConfig,
-                              groups: Sequence[tuple] = ((0,), (0, 2),
-                                                         (0, 1, 2, 3)),
-                              workers: Optional[int] = None) -> dict:
+                              eval_cfg: DetectionEvalConfig) -> dict:
     """Detection quality per view group (the more-views-help experiment).
 
     Single- and double-view groups integrate enough consecutive frames to
@@ -194,22 +211,16 @@ def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
     means, keyed by a "viewsA+B" group name.
     """
     annotations = scene.annotations()
-    max_views = max(len(g) for g in groups)
     results = {}
-    for group in groups:
-        integrate = max(1, max_views // len(group))
-        clouds = [_fused_cloud(scene.node_frames, extrinsics, group, frame,
-                               integrate)
-                  for frame in range(scene.spec.n_frames)]
-        detections = flatten_frames(detect_per_frame(
-            clouds, detector_cfg, workers, background=scene.reference_cloud,
-            crop_half_extent=detection_half_extent(scene.spec)))
+    for group in VIEW_GROUPS:
+        integrate = max(map(len, VIEW_GROUPS)) // len(group)
+        detections = flatten_frames(detect_views(scene, extrinsics, group,
+                                                 detector_cfg, integrate))
         per_class_recall, per_class_ap = {}, {}
         for label in ObjectClass:
             per_class_recall[label], per_class_ap[label] = recall_and_ap(
                 detections, annotations, label, eval_cfg)
-        name = "views" + "+".join(str(n) for n in group)
-        results[name] = {
+        results["views" + "+".join(str(n) for n in group)] = {
             "nodes": list(group),
             "frames_integrated": integrate,
             "recall": per_class_recall,
@@ -222,43 +233,25 @@ def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
 
 def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
                           detector_cfg: DetectorConfig,
-                          eval_cfg: DetectionEvalConfig,
-                          overlap_threshold: float = 0.1,
-                          workers: Optional[int] = None) -> dict:
+                          eval_cfg: DetectionEvalConfig) -> dict:
     """Early fusion vs NMS/average late fusion vs single views, by AP."""
     nodes = sorted(scene.node_frames)
     annotations = scene.annotations()
-
-    per_view_boxes = {}
-    for node in nodes:
-        clouds = [apply_transform(extrinsics[node],
-                                  scene.node_frames[node][frame])
-                  for frame in range(scene.spec.n_frames)]
-        per_view_boxes[node] = detect_per_frame(
-            clouds, detector_cfg, workers, background=scene.reference_cloud,
-            crop_half_extent=detection_half_extent(scene.spec))
-
-    early_clouds = [_fused_cloud(scene.node_frames, extrinsics, nodes, frame)
-                    for frame in range(scene.spec.n_frames)]
-    early_boxes = detect_per_frame(
-        early_clouds, detector_cfg, workers, background=scene.reference_cloud,
-        crop_half_extent=detection_half_extent(scene.spec))
-
-    methods = {f"view {node}": flatten_frames(per_view_boxes[node])
-               for node in nodes}
+    per_view = {node: detect_views(scene, extrinsics, (node,), detector_cfg)
+                for node in nodes}
+    methods = {f"view {node}": flatten_frames(boxes)
+               for node, boxes in per_view.items()}
     for method in ("nms", "average"):
-        fused = []
-        for frame in range(scene.spec.n_frames):
-            views = [(node, per_view_boxes[node][frame]) for node in nodes]
-            fused.extend((frame, box) for box in
-                         late_fuse(views, overlap_threshold, method=method))
-        methods[f"{method} fusion"] = fused
-    methods["early fusion"] = flatten_frames(early_boxes)
+        methods[f"{method} fusion"] = flatten_frames(
+            late_fuse([(node, per_view[node][frame]) for node in nodes],
+                      method=method)
+            for frame in range(scene.spec.n_frames))
+    methods["early fusion"] = flatten_frames(
+        detect_views(scene, extrinsics, nodes, detector_cfg))
 
     results = {}
     for name, detections in methods.items():
-        ap = {label: compute_ap(detections, annotations, label, eval_cfg)
-              for label in ObjectClass}
+        ap = _ap_by_class(detections, annotations, eval_cfg)
         results[name] = {"ap": ap, "overall_ap": float(np.mean(list(ap.values())))}
     return results
 
@@ -405,10 +398,9 @@ class PipelineConfig:
         kwargs["hierarchy"] = hierarchy_from_dict(raw.get("hierarchy", {}))
 
         for name, keys in (
-                ("detector", {"ground_distance_threshold",
-                              "ransac_ground_iterations", "cluster_distance",
-                              "min_cluster_points", "score_points_scale",
-                              "seed"}),
+                # no ground-removal keys: background subtraction turns it off
+                ("detector", {"cluster_distance", "min_cluster_points",
+                              "score_points_scale"}),
                 ("tracker", {"metric", "threshold", "min_hits", "max_age",
                              "process_noise", "measurement_noise"}),
                 ("eval_mot", {"metric", "threshold",
@@ -540,12 +532,8 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
 
     # early fusion + detection on every frame, with recovered extrinsics and
     # the reference scan as the static background
-    nodes = sorted(scene.node_frames)
-    fused = [_fused_cloud(scene.node_frames, calibration, nodes, frame)
-             for frame in range(spec.n_frames)]
-    boxes_per_frame = detect_per_frame(
-        fused, cfg.detector, background=scene.reference_cloud,
-        crop_half_extent=detection_half_extent(spec))
+    boxes_per_frame = detect_views(scene, calibration,
+                                   sorted(scene.node_frames), cfg.detector)
     detections = flatten_frames(boxes_per_frame)
     write_detections(os.path.join(out, "detections.jsonl"), detections)
     stage("detect")
@@ -555,9 +543,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
     write_trajectories(os.path.join(out, "trajectories.jsonl"), trajectories)
     stage("track")
 
-    annotations = scene.annotations()
-    ap = {label: compute_ap(detections, annotations, label, cfg.eval_det)
-          for label in ObjectClass}
+    ap = _ap_by_class(detections, scene.annotations(), cfg.eval_det)
     mot = compute_clear_mot(trajectories, scene.trajectories, cfg.eval_mot)
     view_groups = run_view_group_experiment(scene, calibration, cfg.detector,
                                             cfg.eval_det)

@@ -259,3 +259,26 @@ def track_sequence(detections_per_frame: list, cfg: TrackerConfig = TrackerConfi
         live = survivors
 
     return TrajectorySet(tracks=output)
+
+
+def track_detections(detections, cfg: TrackerConfig = TrackerConfig(),
+                     frame_dt: float = 0.1) -> TrajectorySet:
+    """``track_sequence`` over (frame, Box3D) pairs with any frame numbers.
+
+    Frames before the first box are dropped and longer gaps between frames
+    with boxes are cut to max_age + 2 frames, by which every track has died,
+    so the tracker's state is the same and a huge frame number costs no
+    memory. The output keeps the real frame numbers.
+    """
+    frames = sorted({frame for frame, _ in detections})
+    position = dict.fromkeys(frames[:1], 0)
+    for previous, frame in zip(frames, frames[1:]):
+        position[frame] = position[previous] + min(frame - previous,
+                                                   cfg.max_age + 2)
+    per_frame = [[] for _ in range(max(position.values(), default=-1) + 1)]
+    for frame, box in detections:
+        per_frame[position[frame]].append(box)
+    real = {index: frame for frame, index in position.items()}
+    tracks = track_sequence(per_frame, cfg, frame_dt).tracks
+    return TrajectorySet({track_id: [(real[index], box) for index, box in entries]
+                          for track_id, entries in tracks.items()})

@@ -3,6 +3,10 @@ import inspect
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from mvlidar.formats import (
     read_calibration,
     read_detections,
     read_frame,
+    read_trajectories,
     write_calibration,
     write_detections,
     write_frame,
@@ -22,10 +27,10 @@ from mvlidar.fusion import DEFAULT_SYNC_WINDOW_S
 from mvlidar.geometry import Box3D, ObjectClass, PointCloud, transform_distance
 from mvlidar.pipeline import (
     PipelineConfig,
-    _fused_cloud,
     calibrate_node,
     detect_per_frame,
     detection_half_extent,
+    fused_cloud,
 )
 from mvlidar.scene import (
     calibration_capture,
@@ -36,6 +41,7 @@ from mvlidar.syncsim import compute_time_error_report, simulate_session
 from mvlidar.tracking import TrajectorySet, track_sequence
 
 SCENE_SEED = 13
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_detections_text(path, frame: str):
@@ -169,7 +175,7 @@ class TestChainReproducesPipelineCalls:
         extrinsics = read_calibration(root / "gt_calibration.jsonl")
         per_node = {node: frames_of(root / f"node_{node}") for node in range(4)}
         for frame, path in enumerate(sorted(fused_dir.glob("*.mvlc"))):
-            write_frame(tmp_path / "expected.mvlc", _fused_cloud(
+            write_frame(tmp_path / "expected.mvlc", fused_cloud(
                 per_node, extrinsics, sorted(per_node), frame))
             assert path.read_bytes() == \
                 (tmp_path / "expected.mvlc").read_bytes()
@@ -294,6 +300,73 @@ class TestFuseDetectTrack:
                      "--out", str(trajectories), "--min-hits", "1"])
         assert code == 0
         assert trajectories.exists()
+
+
+def dense_by_frame(detections) -> list:
+    """One box list per frame up to the last frame with a box."""
+    per_frame = [[] for _ in range(max(f for f, _ in detections) + 1)]
+    for frame, box in detections:
+        per_frame[frame].append(box)
+    return per_frame
+
+
+class TestTrackFrameGaps:
+    """``track`` shortens every run of empty frames in which all tracks die
+    and keeps the real frame numbers."""
+
+    MAX_AGE = PipelineConfig().tracker.max_age
+
+    @staticmethod
+    def walkers(first_frames) -> list:
+        """Two pedestrians seen for 5 frames from each of ``first_frames``."""
+        detections = []
+        for first in first_frames:
+            for frame in range(first, first + 5):
+                for x0, y, speed in ((-2.0, 0.0, 0.1), (2.0, 3.0, -0.08)):
+                    detections.append((frame, Box3D(
+                        (x0 + speed * frame, y, 0.85), (0.6, 0.6, 1.7), 0.0,
+                        ObjectClass.PEDESTRIAN, score=0.9)))
+        return detections
+
+    @pytest.mark.parametrize("extra", [1, 2, 3, 5])
+    def test_equals_the_dense_run(self, tmp_path, extra):
+        # from each segment's last frame to the next one's first
+        step = self.MAX_AGE + extra
+        detections = self.walkers([3, 7 + step, 11 + 2 * step])
+        write_detections(tmp_path / "det.jsonl", detections)
+        out = tmp_path / "traj.jsonl"
+        assert main(["track", "--detections", str(tmp_path / "det.jsonl"),
+                     "--out", str(out), "--frame-dt", "0.1"]) == 0
+        dense = track_sequence(dense_by_frame(detections),
+                               PipelineConfig().tracker, frame_dt=0.1)
+        write_trajectories(tmp_path / "dense.jsonl", dense)
+        assert out.read_bytes() == (tmp_path / "dense.jsonl").read_bytes()
+        # tracks outlive a gap they can bridge and die in a longer one
+        assert len(dense) == (2 if step <= self.MAX_AGE + 1 else 6)
+
+    def test_huge_frame_index(self, tmp_path):
+        """Frames 0, 1 and 10**12 track at once; a dense per-frame list
+        would exhaust the subprocess's 1 GiB address space instead."""
+        box = Box3D((0.0, 0.0, 0.85), (0.6, 0.6, 1.7), 0.0,
+                    ObjectClass.PEDESTRIAN, score=0.9)
+        write_detections(tmp_path / "det.jsonl",
+                         [(0, box), (1, box), (10**12, box)])
+        out = tmp_path / "traj.jsonl"
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvlidar.cli", "track", "--detections",
+             str(tmp_path / "det.jsonl"), "--out", str(out),
+             "--min-hits", "1"],
+            env={**os.environ, "PYTHONPATH": str(SRC),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        tracks = read_trajectories(out)
+        assert sorted(tracks.frames()) == [0, 1, 10**12]
+        assert [[f for f, _ in entries] for entries in tracks.tracks.values()] \
+            == [[0, 1], [10**12]]
 
 
 class TestEval:
@@ -441,6 +514,21 @@ class TestErrorsAndConversion:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("ground_distance_threshold", 0.15), ("ransac_ground_iterations", 200),
+        ("seed", 0)])
+    def test_ground_removal_key_exit_4(self, tmp_path, capsys, key, value):
+        """Every pipeline pass subtracts the background, which turns ground
+        removal off, so a key that steers it would change nothing."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"detector": {key: value}}))
+        code = main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == \
+            f"error: unknown keys in detector: ['{key}']\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_calibrate_config_exit_4(self, scene_dir, tmp_path, capsys):

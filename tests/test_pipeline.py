@@ -13,14 +13,18 @@ from conftest import box_surface, ground_grid
 from mvlidar import pipeline
 from mvlidar.detector import DetectorConfig, detect_frame
 from mvlidar.errors import CalibrationFailedError, ConfigError
-from mvlidar.geometry import ObjectClass, PointCloud, transform_distance
+from mvlidar.geometry import ObjectClass, PointCloud, apply_transform, \
+    transform_distance
 from mvlidar.metrics import DetectionEvalConfig
 from mvlidar.pipeline import (
     PipelineConfig,
-    _fused_cloud,
+    VIEW_GROUPS,
     calibrate_node,
     crossroad_hierarchy,
     detect_per_frame,
+    detect_views,
+    detection_half_extent,
+    fused_cloud,
     hierarchy_from_dict,
     in_square,
     run_environment,
@@ -84,31 +88,64 @@ class TestCalibrateNode:
         assert isinstance(info.value, AlgorithmError)
 
 
+@pytest.fixture(scope="module")
+def view_groups(busy_scene):
+    return run_view_group_experiment(
+        busy_scene, busy_scene.extrinsics, DetectorConfig(),
+        DetectionEvalConfig.with_threshold(0.25))
+
+
+@pytest.fixture(scope="module")
+def fusion_methods(busy_scene):
+    return run_fusion_comparison(
+        busy_scene, busy_scene.extrinsics, DetectorConfig(),
+        DetectionEvalConfig.with_threshold(0.25))
+
+
 class TestExperiments:
-    def test_view_groups_report_all_groups(self, busy_scene):
-        results = run_view_group_experiment(
-            busy_scene, busy_scene.extrinsics, DetectorConfig(),
-            DetectionEvalConfig.with_threshold(0.25))
-        assert set(results) == {"views0", "views0+2", "views0+1+2+3"}
-        assert results["views0"]["frames_integrated"] == 4
-        assert results["views0+1+2+3"]["frames_integrated"] == 1
-        for data in results.values():
+    def test_view_groups_report_all_groups(self, view_groups):
+        assert list(view_groups) == ["views" + "+".join(map(str, group))
+                                     for group in VIEW_GROUPS]
+        assert set(view_groups) == {"views0", "views0+2", "views0+1+2+3"}
+        assert view_groups["views0"]["frames_integrated"] == 4
+        assert view_groups["views0+1+2+3"]["frames_integrated"] == 1
+        for data in view_groups.values():
             assert 0.0 <= data["overall_recall"] <= 1.0
 
-    def test_more_views_never_hurt_recall(self, busy_scene):
-        results = run_view_group_experiment(
-            busy_scene, busy_scene.extrinsics, DetectorConfig(),
-            DetectionEvalConfig.with_threshold(0.25))
-        assert results["views0"]["overall_recall"] <= \
-            results["views0+2"]["overall_recall"] <= \
-            results["views0+1+2+3"]["overall_recall"]
+    def test_more_views_never_hurt_recall(self, view_groups):
+        assert view_groups["views0"]["overall_recall"] <= \
+            view_groups["views0+2"]["overall_recall"] <= \
+            view_groups["views0+1+2+3"]["overall_recall"]
 
-    def test_fusion_comparison_reports_all_methods(self, busy_scene):
-        results = run_fusion_comparison(
-            busy_scene, busy_scene.extrinsics, DetectorConfig(),
-            DetectionEvalConfig.with_threshold(0.25))
+    def test_fusion_comparison_reports_all_methods(self, fusion_methods):
         assert {"view 0", "view 1", "view 2", "view 3", "nms fusion",
-                "average fusion", "early fusion"} == set(results)
+                "average fusion", "early fusion"} == set(fusion_methods)
+
+    def test_four_views_and_early_fusion_detect_alike(self, view_groups,
+                                                      fusion_methods):
+        """Both rows are one detection pass over the same fused frames."""
+        assert view_groups["views0+1+2+3"]["ap"] == \
+            fusion_methods["early fusion"]["ap"]
+        assert any(fusion_methods["early fusion"]["ap"].values())
+
+
+class TestDetectViews:
+    def test_single_view_equals_the_transformed_view(self, busy_scene):
+        """One node through ``detect_views`` gives, box for box, the pass
+        over its frames mapped to the world frame."""
+        scene, cfg = busy_scene, DetectorConfig()
+        found = 0
+        for node in sorted(scene.node_frames):
+            clouds = [apply_transform(scene.extrinsics[node], frame)
+                      for frame in scene.node_frames[node]]
+            expected = detect_per_frame(
+                clouds, cfg, background=scene.reference_cloud,
+                crop_half_extent=detection_half_extent(scene.spec))
+            actual = detect_views(scene, scene.extrinsics, (node,), cfg)
+            assert [[box_key(b) for b in frame] for frame in actual] == \
+                [[box_key(b) for b in frame] for frame in expected]
+            found += sum(map(len, actual))
+        assert found > 0
 
 
 def full_background_pass(clouds, background, distance, crop):
@@ -273,7 +310,7 @@ class TestBackgroundCrop:
 
     def test_crossroad_frames(self, monkeypatch, busy_scene):
         nodes = sorted(busy_scene.node_frames)
-        clouds = [_fused_cloud(busy_scene.node_frames, busy_scene.extrinsics,
+        clouds = [fused_cloud(busy_scene.node_frames, busy_scene.extrinsics,
                                nodes, frame)
                   for frame in range(3)]
         _, boxes = assert_same_pass(monkeypatch, clouds,
