@@ -177,8 +177,12 @@ def cmd_detect(args) -> int:
 def cmd_track(args) -> int:
     cfg = dc_replace(_PIPELINE.tracker, threshold=args.threshold,
                      min_hits=args.min_hits, max_age=args.max_age)
-    trajectories = track_detections(read_detections(args.detections), cfg,
-                                    frame_dt=args.frame_dt)
+    detections = read_detections(args.detections)
+    try:
+        trajectories = track_detections(detections, cfg,
+                                        frame_dt=args.frame_dt)
+    except ConfigError as exc:
+        raise ConfigError(f"--max-age {args.max_age}: {exc}") from exc
     write_trajectories(args.out, trajectories)
     print(f"wrote {len(trajectories)} tracks to {args.out}")
     return EXIT_OK

@@ -84,14 +84,19 @@ def in_square(points: np.ndarray, half_extent: float) -> np.ndarray:
 
 
 def thread_budget() -> int:
-    """Worker cap for per-frame stages; MVLK_THREADS overrides downward."""
+    """Worker cap for per-frame stages; MVLK_THREADS, a positive integer,
+    overrides downward."""
     budget = os.cpu_count() or 1
     override = os.environ.get("MVLK_THREADS")
     if override:
         try:
-            budget = max(1, min(budget, int(override)))
+            threads = int(override)
         except ValueError:
-            raise ConfigError(f"MVLK_THREADS={override!r} is not an integer")
+            threads = 0
+        if threads < 1:
+            raise ConfigError(
+                f"MVLK_THREADS={override!r} is not a positive integer")
+        budget = min(budget, threads)
     return budget
 
 
@@ -490,9 +495,10 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
                  config_sha256: Optional[str] = None) -> dict:
     """Full chain on the standard crossroad scene; returns the manifest."""
     out = output_dir or cfg.output_dir
+    environment = run_environment()
     os.makedirs(out, exist_ok=True)
     manifest: dict = {"seed": cfg.seed, "config_sha256": config_sha256,
-                      "environment": run_environment(), "stages": []}
+                      "environment": environment, "stages": []}
     last_mark = time.monotonic()
 
     def stage(name):
@@ -544,9 +550,12 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
     stage("track")
 
     ap = _ap_by_class(detections, scene.annotations(), cfg.eval_det)
+    stage("ap")
     mot = compute_clear_mot(trajectories, scene.trajectories, cfg.eval_mot)
+    stage("mot")
     view_groups = run_view_group_experiment(scene, calibration, cfg.detector,
                                             cfg.eval_det)
+    stage("view-groups")
     fusion_methods = run_fusion_comparison(scene, calibration, cfg.detector,
                                            cfg.eval_det)
     write_json(os.path.join(out, "metrics.json"), {
@@ -569,7 +578,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
                     format_mot_table({"early fusion": mot})]
     report = "\n".join(report_lines) + "\n"
     atomic_write(os.path.join(out, "report.txt"), report.encode())
-    stage("evaluate")
+    stage("fusion-comparison")  # includes writing metrics.json, report.txt
 
     manifest["outputs"] = sorted(name for name in os.listdir(out)
                                  if name != "manifest.json")

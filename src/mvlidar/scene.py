@@ -189,6 +189,15 @@ class SyntheticScene:
         return tuple(stations.mean(axis=0))
 
 
+def _direction_grid(az: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """(len(el) * len(az), 3) unit directions, azimuth varying fastest."""
+    az_grid, el_grid = np.meshgrid(az, el)
+    cos_el = np.cos(el_grid)
+    dirs = np.stack([cos_el * np.cos(az_grid), cos_el * np.sin(az_grid),
+                     np.sin(el_grid)], axis=-1)
+    return dirs.reshape(-1, 3)
+
+
 def _ray_grid(spec: SceneSpec) -> np.ndarray:
     """(K, 3) unit directions in the node frame, +x boresight."""
     az = np.radians(np.linspace(-spec.azimuth_fov_deg / 2,
@@ -196,11 +205,16 @@ def _ray_grid(spec: SceneSpec) -> np.ndarray:
     el = np.radians(np.linspace(-spec.elevation_fov_deg / 2,
                                 spec.elevation_fov_deg / 2,
                                 spec.elevation_steps))
-    az_grid, el_grid = np.meshgrid(az, el)
-    cos_el = np.cos(el_grid)
-    dirs = np.stack([cos_el * np.cos(az_grid), cos_el * np.sin(az_grid),
-                     np.sin(el_grid)], axis=-1)
-    return dirs.reshape(-1, 3)
+    return _direction_grid(az, el)
+
+
+def _reference_ray_grid(spec: SceneSpec) -> np.ndarray:
+    """(K, 3) world directions of a reference station's 360-degree sweep."""
+    el_lo, el_hi = spec.reference_elevation_range_deg
+    az = np.radians(np.linspace(-180.0, 180.0, spec.reference_azimuth_steps,
+                                endpoint=False))
+    el = np.radians(np.linspace(el_lo, el_hi, spec.reference_elevation_steps))
+    return _direction_grid(az, el)
 
 
 def _ray_box_entry(origin: np.ndarray, dirs: np.ndarray, center, size,
@@ -211,16 +225,20 @@ def _ray_box_entry(origin: np.ndarray, dirs: np.ndarray, center, size,
     local_origin = (origin - np.asarray(center, dtype=float)) @ rot
     local_dirs = dirs @ rot
     half = np.asarray(size, dtype=float) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # in place where the operands allow: on large ray sets the time goes
+    # mostly to allocating fresh (rays, 3) temporaries
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t1 = (-half - local_origin) / local_dirs
-        t2 = (half - local_origin) / local_dirs
-        lo = np.minimum(t1, t2)
-        hi = np.maximum(t1, t2)
+        t2 = np.divide(half - local_origin, local_dirs, out=local_dirs)
+    lo = np.minimum(t1, t2)
+    hi = np.maximum(t1, t2, out=t1)
     # rays parallel to a slab they sit exactly on produce NaN: treat as inside
-    lo = np.where(np.isnan(lo), -np.inf, lo)
-    hi = np.where(np.isnan(hi), np.inf, hi)
-    t_enter = lo.max(axis=1)
-    t_exit = hi.min(axis=1)
+    lo[np.isnan(lo)] = -np.inf
+    hi[np.isnan(hi)] = np.inf
+    # one column per slab: element-wise max/min of the columns, not a
+    # reduction over the length-3 axis, which costs far more
+    t_enter = np.maximum(np.maximum(lo[:, 0], lo[:, 1]), lo[:, 2])
+    t_exit = np.minimum(np.minimum(hi[:, 0], hi[:, 1]), hi[:, 2])
     hit = (t_exit >= t_enter) & (t_enter > 1e-9)
     return np.where(hit, t_enter, np.inf)
 
@@ -262,30 +280,110 @@ def _bounded(label, surface):
             float(radius) + _BOUND_MARGIN)
 
 
-def _cast_frame(origin, dirs_world, surfaces):
+# Width (radians) of the elevation and azimuth bins of a ray index, rounded
+# so that whole bins span 180 and 360 degrees. The crossroad scenes render
+# equally fast with 1, 2 and 4 degree bins.
+_BIN_WIDTH = math.radians(2.0)
+# Caps are widened by this angle (radians) plus one whole bin before their
+# bins are looked up, so rounding in the angles never drops a ray.
+_ANGLE_MARGIN = 1e-6
+
+
+class _RayIndex:
+    """Ray directions binned by elevation and azimuth.
+
+    ``order`` lists the rays bin by bin, and bin k (row-major, elevation
+    rows of azimuth columns) holds ``order[starts[k]:starts[k + 1]]``.
+    Built once per ray set and shared by every origin that casts it.
+    """
+
+    def __init__(self, dirs: np.ndarray):
+        self.dirs = dirs
+        self.n_el = max(1, round(math.pi / _BIN_WIDTH))
+        self.n_az = 2 * self.n_el
+        self.width = math.pi / self.n_el
+        elevation = np.arctan2(dirs[:, 2], np.hypot(dirs[:, 0], dirs[:, 1]))
+        azimuth = np.arctan2(dirs[:, 1], dirs[:, 0])
+        rows = np.floor((elevation + 0.5 * math.pi) / self.width)
+        columns = np.floor((azimuth + math.pi) / self.width)
+        keys = (np.clip(rows.astype(np.int64), 0, self.n_el - 1) * self.n_az
+                + columns.astype(np.int64) % self.n_az)
+        self.order = np.argsort(keys, kind="stable")
+        self.starts = np.concatenate([[0], np.cumsum(
+            np.bincount(keys, minlength=self.n_el * self.n_az))])
+
+    def toward_sphere(self, to_center: np.ndarray,
+                      radius: float) -> np.ndarray:
+        """Ascending indices of every ray that can reach a sphere of
+        ``radius`` whose centre lies ``to_center`` from the origin, which
+        lies outside it: the rays in every bin that the sphere's cap of
+        directions (half-angle asin(radius / distance)) overlaps once it is
+        padded by ``_ANGLE_MARGIN`` and one bin on every side."""
+        distance = math.sqrt(to_center @ to_center)
+        reach = math.asin(min(1.0, radius / distance)) + _ANGLE_MARGIN
+        el = math.atan2(to_center[2], math.hypot(to_center[0], to_center[1]))
+        row_lo = max(math.floor((el - reach + 0.5 * math.pi) / self.width) - 1,
+                     0)
+        row_hi = min(math.floor((el + reach + 0.5 * math.pi) / self.width) + 1,
+                     self.n_el - 1)
+        spans = [(0, self.n_az - 1)]            # every azimuth
+        if abs(el) + reach < 0.5 * math.pi:     # the cap misses both poles
+            # the cap's azimuth half-width, widest at its central elevation
+            half = math.asin(min(1.0, math.sin(reach) / math.cos(el)))
+            az = math.atan2(to_center[1], to_center[0]) + math.pi
+            first = math.floor((az - half - _ANGLE_MARGIN) / self.width) - 1
+            last = math.floor((az + half + _ANGLE_MARGIN) / self.width) + 1
+            if last - first + 1 < self.n_az:
+                if first < 0:                   # wraps at -180 degrees
+                    spans = [(0, last), (first + self.n_az, self.n_az - 1)]
+                elif last >= self.n_az:         # wraps at +180 degrees
+                    spans = [(0, last - self.n_az), (first, self.n_az - 1)]
+                else:
+                    spans = [(first, last)]
+        picked = []
+        for lo, hi in spans:
+            # bins lo..hi of every row from row_lo to row_hi
+            begins = self.starts[row_lo * self.n_az + lo:
+                                 row_hi * self.n_az + lo + 1:self.n_az]
+            ends = self.starts[row_lo * self.n_az + hi + 1:
+                               row_hi * self.n_az + hi + 2:self.n_az]
+            picked += [self.order[b:e]
+                       for b, e in zip(begins.tolist(), ends.tolist())]
+        return np.sort(np.concatenate(picked))
+
+
+def _cast_frame(origin, rays: _RayIndex, surfaces):
     """First-hit distances and surface labels for one node at one frame.
 
     ``surfaces`` is a sequence of ``_bounded`` entries. A surface is tested
     exactly only on the rays that reach its bounding sphere in front of the
     origin and before the closest hit so far; from inside the sphere every
-    ray is tested. Surfaces are visited in order, so the first of two
-    surfaces at the same distance keeps the ray. The exact tests treat
-    each ray on its own, so a culled cast equals the all-rays cast bit for
-    bit.
+    ray is tested. The sphere test itself runs only on the rays that
+    ``rays.toward_sphere`` gathers from the bins the sphere's padded angular
+    cap overlaps. They are a superset of the rays that pass it and the test
+    is unchanged, so exactly the rays pass that would pass it on every ray.
+    Surfaces are visited in order, so the first of two surfaces at the same
+    distance keeps the ray. The exact tests treat each ray on its own, so a
+    culled cast equals the all-rays cast bit for bit.
     """
-    best_t = np.full(len(dirs_world), np.inf)
-    best_label = np.full(len(dirs_world), -1, dtype=np.int64)
+    dirs = rays.dirs
+    best_t = np.full(len(dirs), np.inf)
+    best_label = np.full(len(dirs), -1, dtype=np.int64)
     for label, surface, center, radius in surfaces:
         offset = origin - center
         c = offset @ offset - radius * radius
         if c > 0.0:
-            b = dirs_world @ offset
+            cand = rays.toward_sphere(-offset, radius)
+            b = dirs[cand] @ offset
             disc = b * b - c
-            cand = np.flatnonzero((disc >= 0.0) & (b < 0.0))
-            cand = cand[-b[cand] - np.sqrt(disc[cand]) < best_t[cand]]
+            keep = (disc >= 0.0) & (b < 0.0)
+            cand, b, disc = cand[keep], b[keep], disc[keep]
+            cand = cand[-b - np.sqrt(disc) < best_t[cand]]
+            if not len(cand):
+                continue
         else:
-            cand = np.arange(len(dirs_world))
-        t = _surface_entry(origin, dirs_world[cand], surface)
+            cand = np.arange(len(dirs))
+        t = _surface_entry(origin, dirs[cand], surface)
         closer = t < best_t[cand]
         hit = cand[closer]
         best_t[hit] = t[closer]
@@ -299,20 +397,13 @@ def _reference_cloud(spec: SceneSpec, static_surfaces, rng) -> PointCloud:
     Each station does a full 360-degree azimuth sweep; dynamic objects are
     excluded (the scan happens before capture).
     """
-    el_lo, el_hi = spec.reference_elevation_range_deg
-    az = np.radians(np.linspace(-180.0, 180.0, spec.reference_azimuth_steps,
-                                endpoint=False))
-    el = np.radians(np.linspace(el_lo, el_hi, spec.reference_elevation_steps))
-    az_grid, el_grid = np.meshgrid(az, el)
-    cos_el = np.cos(el_grid)
-    dirs = np.stack([cos_el * np.cos(az_grid), cos_el * np.sin(az_grid),
-                     np.sin(el_grid)], axis=-1).reshape(-1, 3)
+    rays = _RayIndex(_reference_ray_grid(spec))
     parts = []
     for station in spec.reference_scanner_positions:
         origin = np.asarray(station, dtype=float)
-        t, _ = _cast_frame(origin, dirs, static_surfaces)
+        t, _ = _cast_frame(origin, rays, static_surfaces)
         hit = np.isfinite(t)
-        parts.append(origin + dirs[hit] * t[hit, None])
+        parts.append(origin + rays.dirs[hit] * t[hit, None])
     points = np.vstack(parts) if parts else np.zeros((0, 3))
     if spec.reference_noise_sigma > 0.0 and len(points):
         points = points + rng.normal(scale=spec.reference_noise_sigma,
@@ -341,6 +432,8 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
                 static.yaw)))
 
     extrinsics = {i: node.extrinsic for i, node in enumerate(spec.nodes)}
+    node_rays = {i: _RayIndex(dirs_local @ extrinsic.rotation.T)
+                 for i, extrinsic in extrinsics.items()}
 
     n_nodes = len(spec.nodes)
     n_objects = len(spec.objects)
@@ -360,10 +453,10 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
         for node_index in range(n_nodes):
             extrinsic = extrinsics[node_index]
             origin = extrinsic.translation
-            dirs_world = dirs_local @ extrinsic.rotation.T
-            t, labels = _cast_frame(origin, dirs_world, surfaces)
+            rays = node_rays[node_index]
+            t, labels = _cast_frame(origin, rays, surfaces)
             hit = np.isfinite(t)
-            world_pts = origin + dirs_world[hit] * t[hit, None]
+            world_pts = origin + rays.dirs[hit] * t[hit, None]
             if spec.noise_sigma > 0.0 and len(world_pts):
                 world_pts = world_pts + rng.normal(scale=spec.noise_sigma,
                                                    size=world_pts.shape)

@@ -23,6 +23,10 @@ MEAS_DIM = 7
 
 _CROSS_CLASS_COST = 1e9
 
+# Most frames ``track_detections`` steps through, gaps included: a day at
+# 10 frames/s is 864,000 frames.
+MAX_TIMELINE_FRAMES = 1_000_000
+
 
 class AssociationMetric(str, Enum):
     IOU_3D = "iou_3d"
@@ -268,14 +272,22 @@ def track_detections(detections, cfg: TrackerConfig = TrackerConfig(),
     Frames before the first box are dropped and longer gaps between frames
     with boxes are cut to max_age + 2 frames, by which every track has died,
     so the tracker's state is the same and a huge frame number costs no
-    memory. The output keeps the real frame numbers.
+    memory. The output keeps the real frame numbers. Raises ConfigError
+    when the shortened timeline would exceed MAX_TIMELINE_FRAMES, as a huge
+    max_age makes it.
     """
     frames = sorted({frame for frame, _ in detections})
     position = dict.fromkeys(frames[:1], 0)
     for previous, frame in zip(frames, frames[1:]):
         position[frame] = position[previous] + min(frame - previous,
                                                    cfg.max_age + 2)
-    per_frame = [[] for _ in range(max(position.values(), default=-1) + 1)]
+    length = max(position.values(), default=-1) + 1
+    if length > MAX_TIMELINE_FRAMES:
+        raise ConfigError(
+            f"tracking would step through {length} frames, more than "
+            f"{MAX_TIMELINE_FRAMES}: gaps between frames with boxes are kept "
+            f"up to max_age + 2 = {cfg.max_age + 2} frames")
+    per_frame = [[] for _ in range(length)]
     for frame, box in detections:
         per_frame[position[frame]].append(box)
     real = {index: frame for frame, index in position.items()}

@@ -369,6 +369,28 @@ class TestTrackFrameGaps:
             == [[0, 1], [10**12]]
 
 
+    def test_huge_max_age_exit_4(self, tmp_path):
+        """A max age that keeps a 10**12-frame gap is refused before the
+        tracker allocates its timeline, which would exhaust the
+        subprocess's 1 GiB address space."""
+        detections = write_detections_text(tmp_path / "det.jsonl",
+                                           str(10**12))
+        out = tmp_path / "traj.jsonl"
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvlidar.cli", "track", "--detections",
+             str(detections), "--out", str(out), "--max-age", str(10**12)],
+            env={**os.environ, "PYTHONPATH": str(SRC),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith(f"error: --max-age {10**12}: ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+
 class TestEval:
     def test_eval_mot_identity_prints_perfect_score(self, tmp_path, capsys):
         boxes = [(f, Box3D((0.5 * f, 0.0, 0.8), (0.6, 0.6, 1.7), 0.0,
@@ -529,6 +551,16 @@ class TestErrorsAndConversion:
         assert code == 4
         assert capsys.readouterr().err == \
             f"error: unknown keys in detector: ['{key}']\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_bad_thread_budget_exit_4(self, tmp_path, capsys, monkeypatch,
+                                      threads):
+        monkeypatch.setenv("MVLK_THREADS", threads)
+        code = main(["pipeline", "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == \
+            f"error: MVLK_THREADS='{threads}' is not a positive integer\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_calibrate_config_exit_4(self, scene_dir, tmp_path, capsys):

@@ -405,6 +405,12 @@ class TestThreadBudget:
         with pytest.raises(ConfigError):
             thread_budget()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("MVLK_THREADS", value)
+        with pytest.raises(ConfigError, match="positive integer"):
+            thread_budget()
+
 
 def fast_pipeline_config(seed=3):
     return PipelineConfig.from_dict({
@@ -446,7 +452,8 @@ class TestRunPipeline:
         assert set(written["environment"]) == {"threads", "python", "numpy",
                                                "scipy"}
         assert [s["name"] for s in manifest_a["stages"]] == \
-            ["scene", "calibrate", "sync-sim", "detect", "track", "evaluate"]
+            ["scene", "calibrate", "sync-sim", "detect", "track", "ap", "mot",
+             "view-groups", "fusion-comparison"]
 
     def test_metrics_content(self, tmp_path):
         cfg = fast_pipeline_config(seed=4)

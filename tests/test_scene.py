@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvlidar import scene as scene_module
@@ -17,7 +17,10 @@ from mvlidar.scene import (
     SceneSphere,
     _bounded,
     _cast_frame,
+    _ray_box_entry,
     _ray_grid,
+    _RayIndex,
+    _reference_ray_grid,
     _surface_entry,
     generate_synthetic_scene,
     look_at_orientation,
@@ -202,7 +205,7 @@ def assert_cast_matches_oracle(origin, dirs, surfaces):
     """Culled and all-rays casts agree bit for bit; returns the cast."""
     origin = np.asarray(origin, dtype=float)
     dirs = np.ascontiguousarray(dirs, dtype=float)
-    t, label = _cast_frame(origin, dirs,
+    t, label = _cast_frame(origin, _RayIndex(dirs),
                            [_bounded(lab, surf) for lab, surf in surfaces])
     want_t, want_label = cast_all_rays(origin, dirs, surfaces)
     assert np.array_equal(t, want_t)
@@ -249,8 +252,9 @@ def tangent_dirs(origin, center, radius, n):
 
 
 class TestCullingCasterOracle:
-    """``_cast_frame`` culls with bounding spheres; the result must equal the
-    all-rays caster's exactly, distances and labels."""
+    """``_cast_frame`` culls with an angular ray index and bounding spheres;
+    the result must equal the all-rays caster's exactly, distances and
+    labels."""
 
     def test_origin_in_bounding_sphere_outside_box(self, rng):
         # the half diagonal is 2.45; in the box frame the origin sits at
@@ -349,7 +353,8 @@ class TestCullingCasterOracle:
         _, label = assert_cast_matches_oracle((0.0, 0.0, 0.0), dirs,
                                               surfaces)
         assert set(np.unique(label)) == {-1, 0}
-        assert tested[0] > 0 and tested[1:] == [0, 0]
+        # only the wall is tested exactly, and the others on no ray at all
+        assert len(tested) == 1 and tested[0] > 0
 
     @given(seed=st.integers(0, 2**32 - 1),
            n_boxes=st.integers(0, 4), n_spheres=st.integers(0, 3),
@@ -377,6 +382,170 @@ class TestCullingCasterOracle:
         assert_cast_matches_oracle(origin, np.vstack(dirs), surfaces)
 
 
+def reduction_ray_box_entry(origin, dirs, center, size, yaw):
+    """The slab test with reductions over the length-3 axis, as the scene
+    module first computed it: the oracle for the column-wise version."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    local_origin = (origin - np.asarray(center, dtype=float)) @ rot
+    local_dirs = dirs @ rot
+    half = np.asarray(size, dtype=float) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1 = (-half - local_origin) / local_dirs
+        t2 = (half - local_origin) / local_dirs
+        lo = np.minimum(t1, t2)
+        hi = np.maximum(t1, t2)
+    lo = np.where(np.isnan(lo), -np.inf, lo)
+    hi = np.where(np.isnan(hi), np.inf, hi)
+    t_enter = lo.max(axis=1)
+    t_exit = hi.min(axis=1)
+    hit = (t_exit >= t_enter) & (t_enter > 1e-9)
+    return np.where(hit, t_enter, np.inf)
+
+
+# multiples of 1/4: the origin can sit exactly on a face plane, where an
+# axis-parallel ray gives 0/0 in the slab test
+quarters = st.integers(-40, 40).map(lambda k: k / 4.0)
+
+
+class TestSlabTest:
+    @given(seed=st.integers(0, 2**32 - 1),
+           center=st.tuples(quarters, quarters, quarters),
+           size=st.tuples(*[st.integers(1, 40).map(lambda k: k / 4.0)] * 3),
+           yaw=st.sampled_from([0.0, math.pi / 2, math.pi])
+           | st.floats(-math.pi, math.pi),
+           origin=st.tuples(quarters, quarters, quarters),
+           face=st.sampled_from([None, 0, 1, 2]), side=st.sampled_from([-1, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_reductions(self, seed, center, size, yaw, origin,
+                                   face, side):
+        rng = np.random.default_rng(seed)
+        origin = np.array(origin)
+        if face is not None:
+            # on a face plane: exactly so for z, and for x and y at yaw 0
+            origin[face] = center[face] + side * size[face] / 2.0
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        flat = random_dirs(rng, 100)
+        flat[:, rng.integers(0, 3)] = 0.0       # parallel to one slab
+        dirs = np.vstack([random_dirs(rng, 200), axes, unit_rows(flat),
+                          unit_rows(box_corners(center, size, yaw) - origin)])
+        before = dirs.copy()
+        got = _ray_box_entry(origin, dirs, center, size, yaw)
+        assert np.array_equal(got, reduction_ray_box_entry(
+            origin, dirs, center, size, yaw))
+        assert np.array_equal(dirs, before)
+
+    def test_parallel_rays_on_a_face_plane(self):
+        # the +y and -y rays from a point on the top plane give 0/0 in z
+        origin = np.array([-5.0, 0.0, 1.0])
+        dirs = np.vstack([np.eye(3), -np.eye(3)])
+        got = _ray_box_entry(origin, dirs, (0.0, 0.0, 0.5), (2.0, 2.0, 1.0),
+                             0.0)
+        assert np.array_equal(got, reduction_ray_box_entry(
+            origin, dirs, (0.0, 0.0, 0.5), (2.0, 2.0, 1.0), 0.0))
+        assert got[0] == 4.0 and np.isinf(got[1:]).all()
+
+
+def cap_dirs(rng, axis, half_angle, n):
+    """n unit rays at most ``half_angle`` from the unit ``axis``, plus n on
+    the rim of that cap."""
+    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 \
+        else np.array([0.0, 1.0, 0.0])
+    u = np.cross(axis, helper)
+    u /= np.linalg.norm(u)
+    v = np.cross(axis, u)
+    angle = half_angle * np.concatenate([np.sqrt(rng.uniform(size=n)),
+                                         np.ones(n)])
+    phi = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+    ring = np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v
+    return unit_rows(np.cos(angle)[:, None] * axis
+                     + np.sin(angle)[:, None] * ring)
+
+
+def check_index_holds_sphere_rays(origin, dirs, center, radius):
+    """Every ray that passes the culling sphere test is a candidate of the
+    ray index, and the candidates ascend; returns the passing rays."""
+    _, _, center, radius = _bounded(0, SceneSphere(tuple(center), radius))
+    offset = np.asarray(origin, dtype=float) - center
+    c = offset @ offset - radius * radius
+    assert c > 0.0
+    b = dirs @ offset
+    disc = b * b - c
+    passing = np.flatnonzero((disc >= 0.0) & (b < 0.0))
+    cand = _RayIndex(dirs).toward_sphere(-offset, radius)
+    assert np.all(np.diff(cand) > 0)
+    assert np.isin(passing, cand).all()
+    return passing
+
+
+def polar_dir(elevation, azimuth):
+    return np.array([math.cos(elevation) * math.cos(azimuth),
+                     math.cos(elevation) * math.sin(azimuth),
+                     math.sin(elevation)])
+
+
+class TestRayIndex:
+    """The index gathers a superset of the rays the sphere test passes."""
+
+    @pytest.mark.parametrize("elevation, azimuth, distance, radius", [
+        (math.pi / 2, 0.0, 10.0, 2.0),              # centred on a pole
+        (-1.45, 0.7, 10.0, 2.0),                    # reaching over a pole
+        (0.2, math.pi, 10.0, 3.0),                  # straddling +-180 deg
+        (-0.4, -math.pi + 0.01, 10.0, 1.0),
+        (1.2, 0.5, 10.0, 2.0),                      # wide in azimuth
+        (0.3, 1.0, 200.0, 0.01),                    # smaller than a bin
+        (0.0, 2.0, 5.0 + 2e-6, 5.0),                # origin just outside
+    ])
+    def test_caps(self, rng, elevation, azimuth, distance, radius):
+        origin = np.array([1.0, -2.0, 0.5])
+        axis = polar_dir(elevation, azimuth)
+        half_angle = math.asin(min(1.0, radius / distance))
+        dirs = np.vstack([random_dirs(rng, 2000),
+                          cap_dirs(rng, axis, 1.001 * half_angle, 500)])
+        passing = check_index_holds_sphere_rays(origin, dirs,
+                                                origin + distance * axis,
+                                                radius)
+        assert len(passing) > 0
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           elevation=st.sampled_from([-math.pi / 2, math.pi / 2, 1.5, -1.5])
+           | st.floats(-math.pi / 2, math.pi / 2),
+           azimuth=st.sampled_from([-math.pi, math.pi, math.pi - 1e-9])
+           | st.floats(-math.pi, math.pi),
+           distance=st.floats(0.5, 300.0),
+           ratio=st.sampled_from([1e-5, 1e-3, 0.999999, 1.0 - 1e-12])
+           | st.floats(1e-6, 0.999999))
+    @settings(max_examples=300, deadline=None)
+    def test_superset_of_the_sphere_test(self, seed, elevation, azimuth,
+                                         distance, ratio):
+        rng = np.random.default_rng(seed)
+        origin = rng.uniform(-20.0, 20.0, 3)
+        axis = polar_dir(elevation, azimuth)
+        # the padded radius stays below the distance: the origin is outside
+        radius = ratio * distance - 2e-6
+        assume(radius > 0.0)
+        half_angle = math.asin(min(1.0, ratio))
+        dirs = np.vstack([random_dirs(rng, 300),
+                          cap_dirs(rng, axis, half_angle, 150),
+                          cap_dirs(rng, axis, 1.0001 * half_angle, 50)])
+        check_index_holds_sphere_rays(origin, dirs, origin + distance * axis,
+                                      radius)
+
+    def test_reference_grid_matches_all_rays_caster(self):
+        spec = standard_crossroad_spec(n_frames=1)
+        extent = spec.extent
+        surfaces = [(0, box_surface_spec((0.0, 0.0, -0.5),
+                                         (4.0 * extent, 4.0 * extent, 1.0)))]
+        for label, static in enumerate(spec.statics, start=1):
+            surfaces.append((label, static if isinstance(static, SceneSphere)
+                             else box_surface_spec(static.center, static.size,
+                                                   static.yaw)))
+        dirs = _reference_ray_grid(spec)
+        for station in spec.reference_scanner_positions:
+            t, label = assert_cast_matches_oracle(station, dirs, surfaces)
+            assert np.isfinite(t).mean() > 0.5 and len(np.unique(label)) > 5
+
+
 def scene_digest(synthetic):
     digest = hashlib.sha256()
     digest.update(synthetic.reference_cloud.points.tobytes())
@@ -390,5 +559,8 @@ def scene_digest(synthetic):
 def test_crossroad_scene_matches_all_rays_caster(monkeypatch):
     spec = standard_crossroad_spec(n_frames=2)
     culled = scene_digest(generate_synthetic_scene(spec))
-    monkeypatch.setattr(scene_module, "_cast_frame", cast_all_rays)
+    monkeypatch.setattr(
+        scene_module, "_cast_frame",
+        lambda origin, rays, surfaces: cast_all_rays(origin, rays.dirs,
+                                                     surfaces))
     assert culled == scene_digest(generate_synthetic_scene(spec))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mvlidar import tracking
+from mvlidar.errors import ConfigError
 from mvlidar.geometry import Box3D, ObjectClass
 from mvlidar.tracking import (
     AssociationMetric,
@@ -12,6 +14,7 @@ from mvlidar.tracking import (
     associate,
     kalman_predict,
     kalman_update,
+    track_detections,
     track_sequence,
 )
 
@@ -195,3 +198,23 @@ class TestTrackSequence:
     def test_trajectory_set_rejects_unsorted_frames(self):
         with pytest.raises(ValueError):
             TrajectorySet({1: [(3, box()), (2, box())]})
+
+
+class TestTrackDetectionsTimeline:
+    """The shortened timeline may hold MAX_TIMELINE_FRAMES frames, no more."""
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(tracking, "MAX_TIMELINE_FRAMES", 10)
+        cfg = TrackerConfig(min_hits=1, max_age=7)
+        # frames 0 and 1000: the gap is cut to max_age + 2 = 9 frames, so
+        # the timeline holds frames 0..9
+        tracks = track_detections([(0, box()), (1000, box())], cfg)
+        assert sorted(tracks.frames()) == [0, 1000]
+        with pytest.raises(ConfigError, match="11 frames, more than 10"):
+            track_detections([(0, box()), (1000, box())],
+                             TrackerConfig(min_hits=1, max_age=8))
+
+    def test_huge_max_age_refused(self):
+        with pytest.raises(ConfigError, match="max_age"):
+            track_detections([(0, box()), (10**12, box())],
+                             TrackerConfig(max_age=10**12))
