@@ -85,6 +85,9 @@ def _point(text: str) -> tuple:
 
 
 def cmd_calibrate(args) -> int:
+    if not (math.isfinite(args.merge_duration) and args.merge_duration >= 0.0):
+        raise ConfigError(f"--merge-duration must be a finite number >= 0, "
+                          f"got {args.merge_duration}")
     reference = read_frame(args.reference)
     # scaled to the toolkit's crossroad-sized scenes; a --config file
     # overrides the keys it names
@@ -276,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node i registers with seed + i")
     p.add_argument("--merge-duration", type=float,
                    default=_CALIBRATE["merge_duration_s"],
-                   help="seconds of frames to merge per node")
+                   help="seconds of frames to merge per node (finite, "
+                        ">= 0)")
     p.add_argument("--reference-viewpoint", type=_point,
                    default=_CALIBRATE["reference_viewpoint"],
                    metavar="X,Y,Z",

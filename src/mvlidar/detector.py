@@ -63,6 +63,10 @@ class DetectorConfig:
             raise ValueError("distance thresholds must be positive")
         if self.min_cluster_points < 1:
             raise ValueError("min_cluster_points must be >= 1")
+        # the box score divides the cluster size by it
+        if not self.score_points_scale > 0.0:
+            raise ValueError(f"score_points_scale must be > 0, "
+                             f"got {self.score_points_scale!r}")
 
 
 def subtract_background(cloud: PointCloud, background: PointCloud,

@@ -391,10 +391,15 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
         raise ValueError("voxel_size must be positive")
     if len(cloud) == 0:
         return cloud
-    scaled = np.floor(cloud.points / voxel_size)
+    scaled = cloud.points / voxel_size
+    np.floor(scaled, out=scaled)
     if not np.abs(scaled).max() < _MAX_VOXEL_INDEX:
         raise ValueError("voxel_size is too small for the cloud's extent")
-    key = _lexicographic_key(scaled.astype(np.int64))
+    # each copy of the cells is freed before the next step allocates
+    cells = scaled.astype(np.int64)
+    del scaled
+    key = _lexicographic_key(cells)
+    del cells
     _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
     n_voxels = len(counts)
 

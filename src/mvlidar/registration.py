@@ -104,6 +104,28 @@ class HierarchyConfig:
         if min(self.fpfh_radius, self.normal_radius,
                self.ransac_inlier_threshold) <= 0.0:
             raise ConfigError("radii and thresholds must be positive")
+        # registration cannot run with any value refused below, or runs
+        # as if it were another value
+        counts = {"ransac_iterations": self.ransac_iterations,
+                  "arbitration_hypotheses": self.arbitration_hypotheses,
+                  "min_normal_neighbors": self.min_normal_neighbors}
+        for index, level in enumerate(levels):
+            distance = level.max_correspondence_distance
+            if not distance > 0.0:
+                raise ConfigError(f"hierarchy.levels[{index}].max_"
+                                  f"correspondence_distance must be > 0, "
+                                  f"got {distance!r}")
+            counts[f"levels[{index}].max_iterations"] = level.max_iterations
+        for key, value in counts.items():
+            if not value >= 1:
+                raise ConfigError(f"hierarchy.{key} must be >= 1, "
+                                  f"got {value!r}")
+        if not 0.0 <= self.edge_length_ratio < 1.0:
+            raise ConfigError(f"hierarchy.edge_length_ratio must be in "
+                              f"[0, 1), got {self.edge_length_ratio!r}")
+        if not self.convergence_epsilon >= 0.0:
+            raise ConfigError(f"hierarchy.convergence_epsilon must be >= 0, "
+                              f"got {self.convergence_epsilon!r}")
         object.__setattr__(self, "levels", levels)
 
 
@@ -196,38 +218,26 @@ def _normalize_blocks(histogram: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_fpfh(cloud: PointCloud, normals: np.ndarray,
-                 radius: float) -> np.ndarray:
-    """(N, 33) fast point feature histograms.
+def _spfh_pass(points: np.ndarray, normals: np.ndarray, valid: np.ndarray,
+               radius: float):
+    """The pair pass of ``compute_fpfh``: (spfh, src, dst, dist).
 
-    Per neighbor pair the three Darboux-frame angles (alpha, phi, theta)
-    are histogrammed into 11 bins each; the final descriptor is the point's
-    own histogram plus the distance-weighted mean of its neighbors',
-    renormalized so each 11-bin block sums to 100. Points without a valid
-    normal or without neighbors keep an all-zero descriptor.
+    ``spfh`` is the normalized (N, 33) histogram of each point's directed
+    pairs. The pairs are taken in blocks of ``_PAIR_CHUNK``, and each block
+    adds the bins of its kept directed pairs to integer (N * 33) counts,
+    so no array over all directed pairs holds angles or bins. src, dst and
+    dist list the kept directed pairs in row order, for the neighbor sum.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    points = cloud.points
     n = len(points)
-    spfh = np.zeros((n, FPFH_SIZE))
-    if n == 0:
-        return spfh
-    valid = np.linalg.norm(normals, axis=1) > 0.5
-
     tree = cKDTree(points)
     pairs = tree.query_pairs(radius, output_type="ndarray")
     pairs = pairs[valid[pairs[:, 0]] & valid[pairs[:, 1]]]
     m = len(pairs)
-    if m == 0:
-        return spfh
     # each pair (p, q) gives the directed pairs p->q (row i) and q->p (row
-    # m + i); the histograms are summed in that order
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    # m + i); integer counts sum to the same histogram in any order
     dist = np.empty(m)
     keep = np.empty(2 * m, dtype=bool)
-    angles = np.empty((3, 2 * m))
+    histogram = np.zeros(n * FPFH_SIZE, dtype=np.int64)
     # pairs closer than 1e-12 or with a normal along their direction are
     # computed too (zero divisions give NaN) and then dropped by keep
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -242,30 +252,58 @@ def compute_fpfh(cloud: PointCloud, normals: np.ndarray,
             delta = at_q - at_p
             dist[forward] = length = np.linalg.norm(delta, axis=1)
             normals_cos = np.einsum("ij,ij->i", normal_p, normal_q)
-            for offset, d_hat, u, n_q in (
-                    (0, delta / length[:, None], normal_p, normal_q),
-                    (m, (at_p - at_q) / length[:, None], normal_q, normal_p)):
+            flat_bins = []
+            for offset, source, d_hat, u, n_q in (
+                    (0, pairs[forward, 0], delta / length[:, None],
+                     normal_p, normal_q),
+                    (m, pairs[forward, 1], (at_p - at_q) / length[:, None],
+                     normal_q, normal_p)):
                 rows = slice(forward.start + offset, forward.stop + offset)
                 v = np.cross(d_hat, u)
                 v_norm = np.linalg.norm(v, axis=1)
-                keep[rows] = v_norm > 1e-12
+                keep[rows] = kept = (v_norm > 1e-12) & (length > 1e-12)
                 v = v / v_norm[:, None]
                 w = np.cross(u, v)
-                angles[0, rows] = np.einsum("ij,ij->i", v, n_q)
-                angles[1, rows] = np.einsum("ij,ij->i", u, d_hat)
-                angles[2, rows] = np.arctan2(np.einsum("ij,ij->i", w, n_q),
-                                             normals_cos)
-    keep &= np.tile(dist > 1e-12, 2)
-    src, dst, dist = src[keep], dst[keep], np.tile(dist, 2)[keep]
-    alpha, phi, theta = angles[:, keep]
+                alpha = np.einsum("ij,ij->i", v, n_q)
+                phi = np.einsum("ij,ij->i", u, d_hat)
+                theta = np.arctan2(np.einsum("ij,ij->i", w, n_q), normals_cos)
+                first_bin = source[kept] * FPFH_SIZE
+                flat_bins += [
+                    first_bin + _bin_index(alpha[kept], -1.0, 1.0),
+                    first_bin + (FPFH_BINS_PER_FEATURE
+                                 + _bin_index(phi[kept], -1.0, 1.0)),
+                    first_bin + (2 * FPFH_BINS_PER_FEATURE
+                                 + _bin_index(theta[kept], -math.pi,
+                                              math.pi))]
+            block = np.bincount(np.concatenate(flat_bins))
+            histogram[:len(block)] += block
+    spfh = _normalize_blocks(histogram.reshape(n, FPFH_SIZE).astype(float))
 
-    bins = np.concatenate([
-        _bin_index(alpha, -1.0, 1.0),
-        FPFH_BINS_PER_FEATURE + _bin_index(phi, -1.0, 1.0),
-        2 * FPFH_BINS_PER_FEATURE + _bin_index(theta, -math.pi, math.pi)])
-    flat_bins = np.tile(src * FPFH_SIZE, 3) + bins
-    spfh = np.bincount(flat_bins, minlength=n * FPFH_SIZE)
-    spfh = _normalize_blocks(spfh.reshape(n, FPFH_SIZE).astype(float))
+    kept_forward, kept_reverse = keep[:m], keep[m:]
+    src = np.concatenate([pairs[kept_forward, 0], pairs[kept_reverse, 1]])
+    dst = np.concatenate([pairs[kept_forward, 1], pairs[kept_reverse, 0]])
+    dist = np.concatenate([dist[kept_forward], dist[kept_reverse]])
+    return spfh, src, dst, dist
+
+
+def compute_fpfh(cloud: PointCloud, normals: np.ndarray,
+                 radius: float) -> np.ndarray:
+    """(N, 33) fast point feature histograms.
+
+    Per neighbor pair the three Darboux-frame angles (alpha, phi, theta)
+    are histogrammed into 11 bins each; the final descriptor is the point's
+    own histogram plus the distance-weighted mean of its neighbors',
+    renormalized so each 11-bin block sums to 100. Points without a valid
+    normal or without neighbors keep an all-zero descriptor.
+    """
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    points = cloud.points
+    n = len(points)
+    if n == 0:
+        return np.zeros((0, FPFH_SIZE))
+    valid = np.linalg.norm(normals, axis=1) > 0.5
+    spfh, src, dst, dist = _spfh_pass(points, normals, valid, radius)
 
     # one column at a time, so no (pairs, 33) temporary is built; bincount
     # adds each point's neighbors in pair order
@@ -567,14 +605,21 @@ def hierarchical_register(source: PointCloud, target: PointCloud,
 
 def accumulate_frames(frames: Sequence[PointCloud],
                       duration_s: float) -> PointCloud:
-    """Concatenate time-ordered frames within duration_s of the first."""
+    """Concatenate time-ordered frames within duration_s of the first.
+
+    The first frame is always kept. A duration too long to count in
+    integer nanoseconds, infinity included, keeps every frame.
+    """
     if not frames:
         raise EmptyInputError("no frames to accumulate")
+    if not duration_s >= 0.0:
+        raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
     stamps = [f.timestamp_ns for f in frames]
     if any(b < a for a, b in zip(stamps, stamps[1:])):
         raise ValueError("frames must be in time order")
-    cutoff = stamps[0] + int(duration_s * 1e9)
-    kept = [f for f in frames if f.timestamp_ns <= cutoff]
+    # integer offsets against the float window compare exactly
+    kept = [f for f in frames
+            if f.timestamp_ns - stamps[0] <= duration_s * 1e9]
     points = np.concatenate([f.points for f in kept])
     intensity = None
     if all(f.intensity is not None for f in kept if len(f)):

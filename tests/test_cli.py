@@ -111,6 +111,13 @@ class TestMakeSceneAndCalibrate:
             assert rot_err < 1.0
             assert tra_err < 0.05
 
+    def test_zero_merge_duration_is_valid(self, scene_dir, tmp_path):
+        code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(tmp_path / "calibration.jsonl"),
+                     "--merge-duration=0"])
+        assert code == 0
+
     def test_calibrate_failure_exit_code(self, scene_dir, tmp_path, rng):
         bogus = tmp_path / "bogus.mvlc"
         write_frame(bogus, PointCloud(
@@ -527,6 +534,8 @@ class TestErrorsAndConversion:
         {"detector": {"cluster_distance": -1}},
         {"seed": 1.9},
         {"scene": {"frames": -3}},
+        {"detector": {"score_points_scale": 0}},
+        {"detector": {"score_points_scale": -50.0}},
     ])
     def test_bad_config_value_exit_4(self, tmp_path, capsys, raw):
         cfg = tmp_path / "cfg.json"
@@ -572,6 +581,52 @@ class TestErrorsAndConversion:
                      "--config", str(cfg)])
         assert code == 4
         assert capsys.readouterr().err.startswith("error: hierarchy: ")
+
+    @pytest.mark.parametrize("raw", [
+        {"ransac_iterations": -5},
+        {"ransac_iterations": 0},
+        {"arbitration_hypotheses": 0},
+        {"levels": [[1.0, 0.0, 40]]},
+        {"levels": [[1.0, 2.0, 40], [0.4, 0.8, 0]]},
+        {"edge_length_ratio": 1.0},
+        {"edge_length_ratio": -0.5},
+        {"min_normal_neighbors": 0},
+        {"convergence_epsilon": -1e-6},
+    ])
+    def test_unusable_hierarchy_value_exit_4(self, scene_dir, tmp_path,
+                                             capsys, raw):
+        """Registration cannot run with these, or would run as if they
+        were another value; both entry points refuse them in one line."""
+        cfg = tmp_path / "hierarchy.json"
+        cfg.write_text(json.dumps(raw))
+        code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(tmp_path / "none.jsonl"),
+                     "--config", str(cfg)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: hierarchy.") and err.count("\n") == 1
+        assert not (tmp_path / "none.jsonl").exists()
+
+        cfg.write_text(json.dumps({"hierarchy": raw}))
+        code = main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("duration", ["-1", "nan", "inf"])
+    def test_bad_merge_duration_exit_4(self, scene_dir, tmp_path, capsys,
+                                       duration):
+        code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(tmp_path / "none.jsonl"),
+                     f"--merge-duration={duration}"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"error: --merge-duration must be a finite number >= 0, "
+            f"got {float(duration)}\n")
+        assert not (tmp_path / "none.jsonl").exists()
 
     def test_convert_round_trip(self, tmp_path, rng):
         cloud = PointCloud(rng.uniform(-5, 5, size=(50, 3)).astype(np.float32))

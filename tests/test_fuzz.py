@@ -110,15 +110,43 @@ def test_pipeline_config_raises_only_config_errors(raw):
         pass
 
 
+# numbers around the bounds of the hierarchy's ranges
+near_bounds = (st.integers(-3, 3) | st.sampled_from([-1e-9, 0.0, 1e-9, 0.5,
+                                                     1.0 - 1e-9, 1.0, 2.5])
+               | st.floats(-2.0, 2.0))
+hierarchy_sections = st.dictionaries(
+    st.sampled_from(["fpfh_radius", "normal_radius", "ransac_iterations",
+                     "ransac_inlier_threshold", "convergence_epsilon",
+                     "min_normal_neighbors", "edge_length_ratio",
+                     "arbitration_hypotheses"]),
+    near_bounds | json_values, max_size=4)
+hierarchy_levels = st.fixed_dictionaries({"levels": st.lists(
+    st.tuples(st.sampled_from([2.0, 1.0, 0.4]), near_bounds,
+              near_bounds).map(list), min_size=1, max_size=3)})
+
+
 @FUZZ
 @given(st.one_of(json_values, sections({"levels", "fpfh_radius",
                                         "ransac_iterations",
-                                        "arbitration_hypotheses"})))
+                                        "arbitration_hypotheses"}),
+                 hierarchy_sections, hierarchy_levels))
 def test_hierarchy_raises_only_config_errors(raw):
+    """Every accepted config lies in the ranges registration can run with."""
     try:
-        hierarchy_from_dict(raw)
+        cfg = hierarchy_from_dict(raw)
     except ConfigError:
-        pass
+        return
+    for level in cfg.levels:
+        assert level.voxel_size > 0.0
+        assert level.max_correspondence_distance > 0.0
+        assert level.max_iterations >= 1
+    assert min(cfg.fpfh_radius, cfg.normal_radius,
+               cfg.ransac_inlier_threshold) > 0.0
+    assert cfg.ransac_iterations >= 1
+    assert cfg.arbitration_hypotheses >= 1
+    assert cfg.min_normal_neighbors >= 1
+    assert 0.0 <= cfg.edge_length_ratio < 1.0
+    assert cfg.convergence_epsilon >= 0.0
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)

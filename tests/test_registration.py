@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,13 +266,18 @@ def assert_fpfh_matches_oracle(cloud, normals, radius):
 
 
 @pytest.fixture(scope="module")
-def crossroad_features():
+def crossroad_scene():
+    from mvlidar.scene import generate_synthetic_scene, standard_crossroad_spec
+    return generate_synthetic_scene(standard_crossroad_spec(n_frames=1), 0)
+
+
+@pytest.fixture(scope="module")
+def crossroad_features(crossroad_scene):
     """1 m FPFH of the crossroad reference scan and of node 0's pass, with
     the pipeline's schedule and viewpoints."""
     from mvlidar.pipeline import crossroad_hierarchy
-    from mvlidar.scene import (calibration_capture, generate_synthetic_scene,
-                               standard_crossroad_spec)
-    scene = generate_synthetic_scene(standard_crossroad_spec(n_frames=1), 0)
+    from mvlidar.scene import calibration_capture
+    scene = crossroad_scene
     cfg = crossroad_hierarchy()
     voxel = cfg.levels[0].voxel_size
     reference = voxel_downsample(scene.reference_cloud, voxel)
@@ -339,6 +345,39 @@ class TestFpfhPairPassMatchesOracle:
 
     def test_crossroad_reference(self, crossroad_features):
         assert_fpfh_matches_oracle(*crossroad_features["reference"])
+
+
+def traced_peak_bytes(call, *args):
+    """Peak bytes ``tracemalloc`` traces while ``call(*args)`` runs, above
+    what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """The registration kernels on the crossroad reference stay within a
+    per-element budget of traced memory: the FPFH pair pass sums its
+    histograms block by block, and the voxel grid frees each copy of the
+    cells before the next step allocates."""
+
+    def test_fpfh_per_pair(self, crossroad_features):
+        cloud, normals, radius = crossroad_features["reference"]
+        pairs = len(cKDTree(cloud.points).query_pairs(radius,
+                                                      output_type="ndarray"))
+        peak = traced_peak_bytes(compute_fpfh, cloud, normals, radius)
+        assert peak <= 200 * pairs
+
+    def test_voxel_grid_per_point(self, crossroad_scene):
+        from mvlidar.pipeline import crossroad_hierarchy
+        scan = crossroad_scene.reference_cloud
+        peak = traced_peak_bytes(voxel_downsample, scan,
+                                 crossroad_hierarchy().levels[0].voxel_size)
+        assert peak <= 60 * len(scan)
 
 
 class TestMutualMatchesMatchPreviousKernel:
@@ -632,6 +671,21 @@ class TestAccumulateFrames:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             accumulate_frames([], 1.0)
+
+    @pytest.mark.parametrize("duration", [1e300, math.inf])
+    def test_window_beyond_integer_nanoseconds_keeps_all(self, rng,
+                                                         duration):
+        frames = [self.frame(rng, 10**18 + k, n=10) for k in range(3)]
+        assert len(accumulate_frames(frames, duration)) == 30
+
+    def test_zero_window_keeps_the_first_stamp(self, rng):
+        frames = [self.frame(rng, t, n=10) for t in (5, 5, 6)]
+        assert len(accumulate_frames(frames, 0.0)) == 20
+
+    @pytest.mark.parametrize("duration", [-1.0, -1e-10, math.nan])
+    def test_negative_or_nan_window_rejected(self, rng, duration):
+        with pytest.raises(ValueError, match="duration_s"):
+            accumulate_frames([self.frame(rng, 0)], duration)
 
 
 class TestCalibrationQuality:
