@@ -119,6 +119,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sync_sim(args) -> int:
+    if args.max_rows < 1:
+        raise ConfigError(f"--max-rows must be >= 1, got {args.max_rows}")
     session = dc_replace(
         PipelineConfig(seed=args.seed).sync, node_count=args.nodes,
         duration_s=args.duration, frame_rate_hz=args.frame_rate,
@@ -166,6 +168,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.crop is not None and not args.crop > 0.0:
+        raise ConfigError(f"--crop must be a number > 0, got {args.crop}")
     clouds = _frames_in(args.frames)
     background = read_frame(args.background) if args.background else None
     detections = flatten_frames(detect_per_frame(
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop", type=float, default=network.drop_probability)
     p.add_argument("--seed", type=int, default=_PIPELINE.seed)
     p.add_argument("--max-rows", type=int, default=20,
-                   help="cap on printed per-frame rows")
+                   help="cap on printed per-frame rows (>= 1)")
     p.add_argument("--out", help="write the full error table as JSON")
     p.set_defaults(func=cmd_sync_sim)
 
@@ -318,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference .mvlc scan subtracted as static background "
                         "(replaces the detector's ground removal)")
     p.add_argument("--crop", type=float,
-                   help="detect only where |x| and |y| are at most this "
-                        "(make-scene prints its scene's)")
+                   help="detect only where |x| and |y| are at most this, "
+                        "a number > 0 (make-scene prints its scene's)")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("track", help="track detections across frames")
@@ -377,6 +381,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand with a --seed option seeds numpy generators
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

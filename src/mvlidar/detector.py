@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,12 @@ DEFAULT_SIZE_PRIORS = {
 }
 
 _MAX_GROUND_TILT_DEG = 15.0
+_GROUND_ITERATIONS = 200    # RANSAC plane samples
+_GROUND_DISTANCE = 0.15     # plane inlier distance (m)
+# thinner fits are sheet fragments (wall slivers at occlusion borders)
+_MIN_BOX_WIDTH = 0.15
+# a point within this distance (m) of the background scan is static
+BACKGROUND_DISTANCE = 0.5
 
 
 class NoGroundPlaneWarning(UserWarning):
@@ -40,27 +46,14 @@ class NoGroundPlaneWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    ground_distance_threshold: float = 0.15
-    ransac_ground_iterations: int = 200
     cluster_distance: float = 0.5
     min_cluster_points: int = 15
-    size_priors: dict = field(default_factory=lambda: dict(DEFAULT_SIZE_PRIORS))
     score_points_scale: float = 200.0
-    # off when the caller already removed static structure (background
-    # subtraction strips the ground along with everything else static)
-    ground_removal: bool = True
-    # when set, boxes whose lowest point is within 1 m of this ground height
-    # are extended down to it (objects stand on the ground; subtraction and
-    # grazing rays erode their lower parts)
-    ground_z: Optional[float] = None
-    # thinner fits are sheet fragments (wall slivers at occlusion borders),
-    # not objects
-    min_box_width: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.ground_distance_threshold, self.cluster_distance) <= 0.0:
-            raise ValueError("distance thresholds must be positive")
+        if self.cluster_distance <= 0.0:
+            raise ValueError("cluster_distance must be positive")
         if self.min_cluster_points < 1:
             raise ValueError("min_cluster_points must be >= 1")
         # the box score divides the cluster size by it
@@ -70,7 +63,7 @@ class DetectorConfig:
 
 
 def subtract_background(cloud: PointCloud, background: PointCloud,
-                        distance: float = 0.5) -> PointCloud:
+                        distance: float = BACKGROUND_DISTANCE) -> PointCloud:
     """Drop points within ``distance`` of a static background cloud.
 
     The background is the reference scan of the empty scene; what survives
@@ -109,7 +102,7 @@ def remove_ground(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
     best_count = 0
     best_mask = None
     if n >= 3:
-        samples = rng.integers(0, n, size=(cfg.ransac_ground_iterations, 3))
+        samples = rng.integers(0, n, size=(_GROUND_ITERATIONS, 3))
         for i, j, k in samples:
             if i == j or j == k or i == k:
                 continue
@@ -121,7 +114,7 @@ def remove_ground(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
             if abs(normal[2]) < cos_tilt:
                 continue
             distances = np.abs((points - points[i]) @ normal)
-            mask = distances <= cfg.ground_distance_threshold
+            mask = distances <= _GROUND_DISTANCE
             count = int(mask.sum())
             if count > best_count:
                 best_count, best_mask = count, mask
@@ -136,7 +129,7 @@ def remove_ground(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
     normal = vt[2]
     if abs(normal[2]) >= cos_tilt:
         distances = np.abs((points - centroid) @ normal)
-        refined = distances <= cfg.ground_distance_threshold
+        refined = distances <= _GROUND_DISTANCE
         if refined.sum() >= best_count:
             best_mask = refined
 
@@ -204,8 +197,8 @@ def _min_area_rectangle(bev: np.ndarray):
     return wrap_angle(angle + 0.5 * math.pi), ey, ex, center
 
 
-def _classify_by_size(length, width, height, footprint_priors) -> ObjectClass:
-    for label, (l_range, w_range, h_range) in footprint_priors.items():
+def _classify_by_size(length, width, height) -> ObjectClass:
+    for label, (l_range, w_range, h_range) in DEFAULT_SIZE_PRIORS.items():
         if (l_range[0] <= length <= l_range[1]
                 and w_range[0] <= width <= w_range[1]
                 and h_range[0] <= height <= h_range[1]):
@@ -214,43 +207,48 @@ def _classify_by_size(length, width, height, footprint_priors) -> ObjectClass:
 
 
 def fit_oriented_box(cluster: PointCloud,
-                     cfg: DetectorConfig = DetectorConfig()) -> Box3D:
+                     cfg: DetectorConfig = DetectorConfig(),
+                     ground_z: Optional[float] = None) -> Box3D:
     """Fit a yaw-oriented box around a cluster.
 
     Yaw and footprint come from the minimum-area rectangle of the BEV
-    convex hull, the vertical extent from the z range. Raises
-    DegenerateClusterError for clusters collinear in BEV.
+    convex hull, the vertical extent from the z range, extended down to
+    ``ground_z`` when the lowest point is within 1 m above it (subtraction
+    and grazing rays erode the lower parts of objects). Raises
+    DegenerateClusterError for clusters collinear in BEV or sheet-thin.
     """
     if len(cluster) < 3:
         raise DegenerateClusterError("need at least 3 points to fit a box")
     yaw, length, width, center_xy = _min_area_rectangle(cluster.points[:, :2])
-    if width < cfg.min_box_width:
+    if width < _MIN_BOX_WIDTH:
         raise DegenerateClusterError(
             f"cluster is a {width:.2f} m sheet, not an object")
     z_min = float(cluster.points[:, 2].min())
     z_max = float(cluster.points[:, 2].max())
-    if cfg.ground_z is not None and 0.0 < z_min - cfg.ground_z < 1.0:
-        z_min = cfg.ground_z
+    if ground_z is not None and 0.0 < z_min - ground_z < 1.0:
+        z_min = ground_z
     height = max(z_max - z_min, 1e-3)
     width = max(width, 1e-3)
-    label = _classify_by_size(length, width, height, cfg.size_priors)
+    label = _classify_by_size(length, width, height)
     score = min(1.0, max(0.05, len(cluster) / cfg.score_points_scale))
     return Box3D(center=(center_xy[0], center_xy[1], 0.5 * (z_min + z_max)),
                  size=(length, width, height), yaw=yaw, label=label,
                  score=score)
 
 
-def detect_frame(cloud: PointCloud,
-                 cfg: DetectorConfig = DetectorConfig()) -> list:
+def detect_frame(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig(),
+                 ground_z: Optional[float] = None) -> list:
     """Ground removal, clustering, and box fitting for one frame.
 
-    Returns the fitted boxes. When no ground plane is found the frame
-    yields no detections and a NoGroundPlaneWarning is emitted instead of
-    an error. Deterministic given cfg.seed.
+    A ``ground_z`` says the ground at that height is already gone
+    (background subtraction strips it): RANSAC ground removal is skipped
+    and boxes reach down to it. Without it, a frame with no ground plane
+    yields no detections and a NoGroundPlaneWarning, not an error.
+    Deterministic given cfg.seed.
     """
     if len(cloud) == 0:
         return []
-    if cfg.ground_removal:
+    if ground_z is None:
         try:
             _, non_ground = remove_ground(cloud, cfg)
         except NoGroundPlaneError as exc:
@@ -261,7 +259,7 @@ def detect_frame(cloud: PointCloud,
     boxes = []
     for cluster in cluster_euclidean(non_ground, cfg):
         try:
-            boxes.append(fit_oriented_box(cluster, cfg))
+            boxes.append(fit_oriented_box(cluster, cfg, ground_z))
         except DegenerateClusterError:
             continue
     return boxes

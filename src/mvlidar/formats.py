@@ -84,22 +84,18 @@ def write_json(path, payload) -> None:
 def write_frame(path, cloud: PointCloud) -> None:
     """Serialize a cloud. Coordinates are stored as float32."""
     flags = 0
-    parts = [cloud.points.astype("<f4")]
     if cloud.intensity is not None:
         flags |= FLAG_INTENSITY
-        parts.append(cloud.intensity.astype("<f4").reshape(-1, 1))
     if cloud.time_index is not None:
         flags |= FLAG_TIME_INDEX
         if cloud.time_index.min(initial=0) < 0 or \
                 cloud.time_index.max(initial=0) > 0xFFFF:
             raise ValueError("time_index values must fit in u16")
-        parts.append(cloud.time_index.astype("<u2").reshape(-1, 1))
     if cloud.source_ids is not None:
         flags |= FLAG_SOURCE_ID
         if cloud.source_ids.min(initial=0) < 0 or \
                 cloud.source_ids.max(initial=0) > 0xFFFF:
             raise ValueError("source_ids values must fit in u16")
-        parts.append(cloud.source_ids.astype("<u2").reshape(-1, 1))
 
     node_id = _NO_NODE if cloud.source_node is None else int(cloud.source_node)
     if not 0 <= node_id <= 0xFFFF:

@@ -26,6 +26,9 @@ from .geometry import (
 )
 
 DEFAULT_SYNC_WINDOW_S = 0.005
+# same-class boxes from different views overlapping at least this IoU are
+# one object
+_OVERLAP_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -126,16 +129,14 @@ class BoxCluster:
             raise ValueError("cluster members must share a class")
 
 
-def cluster_boxes(views: list, overlap_threshold: float = 0.1) -> list:
+def cluster_boxes(views: list) -> list:
     """Group per-view boxes into clusters by transitive overlap.
 
     ``views`` is a list of (view id, list of Box3D). Same-class boxes are
-    connected when their IoU reaches overlap_threshold; clusters are the
+    connected when their IoU reaches _OVERLAP_THRESHOLD; clusters are the
     connected components, so the grouping does not depend on input order.
     Every input box lands in exactly one cluster.
     """
-    if not 0.0 < overlap_threshold < 1.0:
-        raise ValueError("overlap_threshold must lie in (0, 1)")
     entries = [(box, view_id) for view_id, boxes in views for box in boxes]
     n = len(entries)
     parent = list(range(n))
@@ -154,7 +155,7 @@ def cluster_boxes(views: list, overlap_threshold: float = 0.1) -> list:
     for i in range(n):
         for j in range(i + 1, n):
             a, b = entries[i][0], entries[j][0]
-            if a.label is b.label and iou_3d(a, b) >= overlap_threshold:
+            if a.label is b.label and iou_3d(a, b) >= _OVERLAP_THRESHOLD:
                 union(i, j)
 
     groups: dict = {}
@@ -209,10 +210,9 @@ def average_fuse(clusters: list) -> list:
     return fused
 
 
-def late_fuse(views: list, overlap_threshold: float = 0.1,
-              method: str = "nms") -> list:
+def late_fuse(views: list, method: str = "nms") -> list:
     """Cluster per-view boxes and reduce with 'nms' or 'average' fusion."""
-    clusters = cluster_boxes(views, overlap_threshold)
+    clusters = cluster_boxes(views)
     if method == "nms":
         return nms_fuse(clusters)
     if method == "average":

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import BehindCameraError
 
-_ROTATION_ATOL = 1e-9
 _CLIP_EPS = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
 # voxel indices stay below 2**62 in magnitude, so per-axis spans fit in int64

@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy
 
-from .detector import DetectorConfig, detect_frame, subtract_background
+from .detector import BACKGROUND_DISTANCE, DetectorConfig, detect_frame, \
+    subtract_background
 from .errors import CalibrationFailedError, ConfigError
 from .formats import (
     atomic_write,
@@ -132,37 +133,34 @@ def calibrate_node(frames: Sequence[PointCloud], reference: PointCloud,
 # ---------------------------------------------------------------------------
 
 def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
-                     workers: Optional[int] = None,
                      background: Optional[PointCloud] = None,
-                     background_distance: float = 0.5,
                      crop_half_extent: Optional[float] = None) -> list:
     """Run the detector over frames, in parallel, preserving frame order.
 
-    With a background cloud, static structure is subtracted per frame and
-    the detector's own ground removal is skipped (the ground goes with the
-    background). ``crop_half_extent`` restricts detection to the annotated
-    central area (|x| and |y| below the bound). With both, the background
-    is cropped once per call to the detection square widened by
-    ``background_distance``: no background point outside it lies within
-    ``background_distance`` of a point the crop keeps, so every frame keeps
-    the same points as against the full background.
+    With a background cloud, static structure within BACKGROUND_DISTANCE
+    is subtracted per frame and the detector's own ground removal is
+    skipped (the ground goes with the background). ``crop_half_extent``
+    restricts detection to the annotated central area (|x| and |y| below
+    the bound). With both, the background is cropped once per call to the
+    detection square widened by BACKGROUND_DISTANCE: no background point
+    outside it lies within that distance of a point the crop keeps, so
+    every frame keeps the same points as against the full background.
+    ``MVLK_THREADS=1`` runs the frames serially.
     """
-    if background is not None:
-        # clouds are world-frame here and the scene ground is z=0
-        cfg = dc_replace(cfg, ground_removal=False, ground_z=0.0)
-        if crop_half_extent is not None:
-            reach = crop_half_extent + background_distance + _BACKGROUND_MARGIN
-            background = background.select(in_square(background.points,
-                                                     reach))
+    # clouds are world-frame here and the scene ground is z=0
+    ground_z = None if background is None else 0.0
+    if background is not None and crop_half_extent is not None:
+        reach = crop_half_extent + BACKGROUND_DISTANCE + _BACKGROUND_MARGIN
+        background = background.select(in_square(background.points, reach))
 
     def run(cloud):
         if background is not None:
-            cloud = subtract_background(cloud, background, background_distance)
+            cloud = subtract_background(cloud, background)
         if crop_half_extent is not None and len(cloud):
             cloud = cloud.select(in_square(cloud.points, crop_half_extent))
-        return detect_frame(cloud, cfg)
+        return detect_frame(cloud, cfg, ground_z)
 
-    workers = workers or thread_budget()
+    workers = thread_budget()
     if workers <= 1 or len(clouds) <= 1:
         return [run(cloud) for cloud in clouds]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

@@ -568,7 +568,6 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidTransform,
 def hierarchical_register(source: PointCloud, target: PointCloud,
                           cfg: HierarchyConfig = HierarchyConfig(),
                           seed: int = 0,
-                          source_viewpoint=(0.0, 0.0, 0.0),
                           target_viewpoint=(0.0, 0.0, 0.0)
                           ) -> RegistrationResult:
     """Full coarse-to-fine registration of source onto target.
@@ -576,15 +575,15 @@ def hierarchical_register(source: PointCloud, target: PointCloud,
     Feature RANSAC initializes the pose at the coarsest scale (plain ICP is
     local, and a fresh deployment has no prior); ICP then refines through
     every level, each warm-started from the last. The finest level's result
-    is returned. The viewpoints orient normals consistently and default to
-    the respective sensor origins.
+    is returned. Normals are oriented consistently: the source's toward its
+    sensor origin, the target's toward ``target_viewpoint``.
     """
     coarsest = cfg.levels[0]
     src_coarse = voxel_downsample(source, coarsest.voxel_size)
     tgt_coarse = voxel_downsample(target, coarsest.voxel_size)
 
     src_normals = estimate_normals(src_coarse, cfg.normal_radius,
-                                   cfg.min_normal_neighbors, source_viewpoint)
+                                   cfg.min_normal_neighbors)
     tgt_normals = estimate_normals(tgt_coarse, cfg.normal_radius,
                                    cfg.min_normal_neighbors, target_viewpoint)
     src_fpfh = compute_fpfh(src_coarse, src_normals, cfg.fpfh_radius)

@@ -28,6 +28,16 @@ DEFAULT_AZIMUTH_FOV_DEG = 100.0
 DEFAULT_ELEVATION_FOV_DEG = 40.0
 DEFAULT_FRAME_RATE_HZ = 10.0
 
+# reference scanner: vertical sweep (degrees) and range noise (m)
+_REFERENCE_ELEVATION_RANGE_DEG = (-35.0, 30.0)
+_REFERENCE_NOISE_SIGMA = 0.005
+# a node's calibration pass: frames, range noise (m), maximum range (m)
+_CALIBRATION_FRAMES = 10
+_CALIBRATION_NOISE_SIGMA = 0.02
+_CALIBRATION_MAX_RANGE = 200.0
+# street-clutter boxes around the rim (and half as many trees, at least 4)
+_CLUTTER_COUNT = 24
+
 DEFAULT_OBJECT_SIZES = {
     ObjectClass.CAR: (4.2, 1.9, 1.5),
     ObjectClass.CYCLIST: (1.8, 0.8, 1.6),
@@ -140,11 +150,8 @@ class SceneSpec:
     n_frames: int = 1
     frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
     noise_sigma: float = 0.02
-    azimuth_fov_deg: float = DEFAULT_AZIMUTH_FOV_DEG
-    elevation_fov_deg: float = DEFAULT_ELEVATION_FOV_DEG
     azimuth_steps: int = 240
     elevation_steps: int = 60
-    include_ground: bool = True
     # the reference scan is itself a ray-cast acquisition: a tripod scanner
     # moved through several stations inside the scene and merged, so the
     # reference covers the surfaces each node can see (single-station scans
@@ -152,8 +159,6 @@ class SceneSpec:
     reference_scanner_positions: tuple = ((0.6, -0.9, 2.2),)
     reference_azimuth_steps: int = 720
     reference_elevation_steps: int = 110
-    reference_elevation_range_deg: tuple = (-35.0, 30.0)
-    reference_noise_sigma: float = 0.005
 
     def __post_init__(self):
         if not self.nodes:
@@ -200,17 +205,18 @@ def _direction_grid(az: np.ndarray, el: np.ndarray) -> np.ndarray:
 
 def _ray_grid(spec: SceneSpec) -> np.ndarray:
     """(K, 3) unit directions in the node frame, +x boresight."""
-    az = np.radians(np.linspace(-spec.azimuth_fov_deg / 2,
-                                spec.azimuth_fov_deg / 2, spec.azimuth_steps))
-    el = np.radians(np.linspace(-spec.elevation_fov_deg / 2,
-                                spec.elevation_fov_deg / 2,
+    az = np.radians(np.linspace(-DEFAULT_AZIMUTH_FOV_DEG / 2,
+                                DEFAULT_AZIMUTH_FOV_DEG / 2,
+                                spec.azimuth_steps))
+    el = np.radians(np.linspace(-DEFAULT_ELEVATION_FOV_DEG / 2,
+                                DEFAULT_ELEVATION_FOV_DEG / 2,
                                 spec.elevation_steps))
     return _direction_grid(az, el)
 
 
 def _reference_ray_grid(spec: SceneSpec) -> np.ndarray:
     """(K, 3) world directions of a reference station's 360-degree sweep."""
-    el_lo, el_hi = spec.reference_elevation_range_deg
+    el_lo, el_hi = _REFERENCE_ELEVATION_RANGE_DEG
     az = np.radians(np.linspace(-180.0, 180.0, spec.reference_azimuth_steps,
                                 endpoint=False))
     el = np.radians(np.linspace(el_lo, el_hi, spec.reference_elevation_steps))
@@ -405,8 +411,8 @@ def _reference_cloud(spec: SceneSpec, static_surfaces, rng) -> PointCloud:
         hit = np.isfinite(t)
         parts.append(origin + rays.dirs[hit] * t[hit, None])
     points = np.vstack(parts) if parts else np.zeros((0, 3))
-    if spec.reference_noise_sigma > 0.0 and len(points):
-        points = points + rng.normal(scale=spec.reference_noise_sigma,
+    if len(points):
+        points = points + rng.normal(scale=_REFERENCE_NOISE_SIGMA,
                                      size=points.shape)
     return PointCloud(points)
 
@@ -419,10 +425,8 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
 
     ground = SceneBox(center=(0.0, 0.0, -0.5),
                       size=(4.0 * spec.extent, 4.0 * spec.extent, 1.0))
-    static_surfaces = []
-    if spec.include_ground:
-        static_surfaces.append(_bounded(-1, (
-            np.asarray(ground.center, dtype=float), ground.size, ground.yaw)))
+    static_surfaces = [_bounded(-1, (
+        np.asarray(ground.center, dtype=float), ground.size, ground.yaw))]
     for static in spec.statics:
         if isinstance(static, SceneSphere):
             static_surfaces.append(_bounded(-1, static))
@@ -483,16 +487,14 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
                           visible_counts=visible)
 
 
-def calibration_capture(scene: SyntheticScene, node: int, n_frames: int = 10,
-                        noise_sigma: float = 0.02, seed: int = 0,
-                        max_range: float = 200.0,
+def calibration_capture(scene: SyntheticScene, node: int, seed: int = 0,
                         max_points: int = 60_000) -> list:
     """A node's pre-capture calibration pass over the static scene.
 
     The node records the same static surfaces the reference scanner just
     scanned: the reference points inside the node's field-of-view cone,
     expressed in the node frame, re-measured with the node's own noise and
-    split over n_frames. Merging these frames reproduces the full-overlap
+    split over 10 frames. Merging these frames reproduces the full-overlap
     registration setting the recovery guarantees are stated for; ray-cast
     resampling of ideal boxes is strictly harder than any real scan pair
     because perfect planes are featureless.
@@ -503,26 +505,27 @@ def calibration_capture(scene: SyntheticScene, node: int, n_frames: int = 10,
     planar = np.hypot(local[:, 0], local[:, 1])
     azimuth = np.degrees(np.arctan2(local[:, 1], local[:, 0]))
     elevation = np.degrees(np.arctan2(local[:, 2], planar))
-    visible = ((np.abs(azimuth) <= spec.azimuth_fov_deg / 2.0)
-               & (np.abs(elevation) <= spec.elevation_fov_deg / 2.0)
-               & (np.linalg.norm(local, axis=1) <= max_range))
+    visible = ((np.abs(azimuth) <= DEFAULT_AZIMUTH_FOV_DEG / 2.0)
+               & (np.abs(elevation) <= DEFAULT_ELEVATION_FOV_DEG / 2.0)
+               & (np.linalg.norm(local, axis=1) <= _CALIBRATION_MAX_RANGE))
     points = local[visible]
 
     rng = np.random.default_rng([seed, node, 0xCA11B])
     if len(points) > max_points:
         points = points[rng.choice(len(points), max_points, replace=False)]
-    if noise_sigma > 0.0 and len(points):
-        points = points + rng.normal(scale=noise_sigma, size=points.shape)
+    if len(points):
+        points = points + rng.normal(scale=_CALIBRATION_NOISE_SIGMA,
+                                     size=points.shape)
     order = rng.permutation(len(points))
     period_ns = int(round(1e9 / spec.frame_rate_hz))
     frames = []
-    for index, chunk in enumerate(np.array_split(order, n_frames)):
+    for index, chunk in enumerate(np.array_split(order, _CALIBRATION_FRAMES)):
         frames.append(PointCloud(points[chunk], timestamp_ns=index * period_ns,
                                  source_node=node))
     return frames
 
 
-def corner_building_layout(rng, extent: float, clutter: int = 24,
+def corner_building_layout(rng, extent: float,
                            keep_clear: tuple = ()) -> tuple:
     """Corner buildings, poles, trees, and varied street clutter.
 
@@ -569,7 +572,7 @@ def corner_building_layout(rng, extent: float, clutter: int = 24,
                                 yaw=float(rng.uniform(-math.pi, math.pi))))
     # clutter hugs the rim so the central crossing stays observable from
     # every corner node
-    for _ in range(clutter):
+    for _ in range(_CLUTTER_COUNT):
         size = rng.uniform([0.5, 0.5, 0.5], [3.8, 2.0, 2.4])
         spot = place((0.55, 0.9), 0.5 * math.hypot(size[0], size[1]))
         if spot is None:
@@ -578,7 +581,7 @@ def corner_building_layout(rng, extent: float, clutter: int = 24,
                                 size=tuple(size),
                                 yaw=float(rng.uniform(-math.pi, math.pi))))
     # trees: trunk plus canopy sphere
-    for _ in range(max(4, clutter // 2)):
+    for _ in range(max(4, _CLUTTER_COUNT // 2)):
         canopy = float(rng.uniform(1.2, 2.6))
         height = float(rng.uniform(2.6, 4.2))
         spot = place((0.55, 0.9), canopy)

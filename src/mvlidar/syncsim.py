@@ -33,6 +33,13 @@ NS = 1_000_000_000
 _PPS_CLIP_SIGMA = 1.95
 _FRAME_CLIP_SIGMA = 1.5
 
+# the trigger leaves the master at this fraction of a second, so the maximum
+# network delay (0.2 s default) cannot straddle a second boundary
+TRIGGER_PHASE_S = 0.4
+# a dropped trigger is resent every RETRY_TIMEOUT_S, at most MAX_RETRIES times
+RETRY_TIMEOUT_S = 0.05
+MAX_RETRIES = 20
+
 
 @dataclass(frozen=True)
 class NodeClockModel:
@@ -46,10 +53,6 @@ class NodeClockModel:
     def __post_init__(self):
         if self.pps_jitter_s < 0.0 or self.frame_jitter_s < 0.0:
             raise ConfigError("jitter standard deviations must be >= 0")
-
-    @staticmethod
-    def lidar(**kwargs) -> "NodeClockModel":
-        return NodeClockModel(frame_jitter_s=1e-4, **kwargs)
 
     @staticmethod
     def camera(**kwargs) -> "NodeClockModel":
@@ -80,13 +83,8 @@ class SessionConfig:
     clocks: Optional[Sequence[NodeClockModel]] = None
     network: NetworkModel = field(default_factory=NetworkModel)
     seed: int = 0
-    # trigger leaves the master at this fraction of a second, so the maximum
-    # network delay (0.2 s default) cannot straddle a second boundary; set
-    # align_trigger_phase=False to draw a random phase instead
-    trigger_phase_s: float = 0.4
+    # False draws a random trigger phase in place of TRIGGER_PHASE_S
     align_trigger_phase: bool = True
-    retry_timeout_s: float = 0.05
-    max_retries: int = 20
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -95,8 +93,6 @@ class SessionConfig:
             raise ConfigError("frame_rate_hz and duration_s must be positive")
         if self.clocks is not None and len(self.clocks) != self.node_count:
             raise ConfigError("clocks must have one model per node")
-        if not 0.0 <= self.trigger_phase_s < 1.0:
-            raise ConfigError("trigger_phase_s must lie in [0, 1)")
 
     def clock_for(self, node: int) -> NodeClockModel:
         return self.clocks[node] if self.clocks is not None else NodeClockModel()
@@ -139,13 +135,13 @@ def simulate_session(cfg: SessionConfig) -> SessionTrace:
     """Run one capture session and return the per-node event trace.
 
     Per node: trigger arrives after a random network delay (resent every
-    retry_timeout_s while dropped, up to max_retries resends), the node arms,
+    RETRY_TIMEOUT_S while dropped, up to MAX_RETRIES resends), the node arms,
     starts on the next PPS edge, then captures frame_count frames at the
     configured rate of GPS-disciplined time.
     """
     master_rng = np.random.default_rng([cfg.seed, 0xABCD])
     if cfg.align_trigger_phase:
-        phase = cfg.trigger_phase_s
+        phase = TRIGGER_PHASE_S
     else:
         phase = float(master_rng.uniform(0.0, 1.0))
     emit_ns = NS + int(round(phase * NS))
@@ -159,17 +155,17 @@ def simulate_session(cfg: SessionConfig) -> SessionTrace:
 
         arrival_ns = None
         resends = 0
-        for attempt in range(cfg.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             delay = rng.uniform(cfg.network.delay_min_s, cfg.network.delay_max_s)
             dropped = rng.random() < cfg.network.drop_probability
             if not dropped:
-                send_ns = emit_ns + int(round(attempt * cfg.retry_timeout_s * NS))
+                send_ns = emit_ns + int(round(attempt * RETRY_TIMEOUT_S * NS))
                 arrival_ns = send_ns + int(round(delay * NS))
                 resends = attempt
                 break
         if arrival_ns is None:
             nodes.append(NodeTrace(node=node, armed=False,
-                                   retransmissions=cfg.max_retries,
+                                   retransmissions=MAX_RETRIES,
                                    trigger_arrival_true_ns=None,
                                    start_pps_index=None, start_true_ns=None,
                                    true_capture_ns=np.zeros(0, dtype=np.int64),

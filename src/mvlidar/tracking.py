@@ -23,6 +23,9 @@ MEAS_DIM = 7
 
 _CROSS_CLASS_COST = 1e9
 
+# a new track's velocity variance: the one box it is born from has no motion
+_INITIAL_VELOCITY_VARIANCE = 10.0
+
 # Most frames ``track_detections`` steps through, gaps included: a day at
 # 10 frames/s is 864,000 frames.
 MAX_TIMELINE_FRAMES = 1_000_000
@@ -44,7 +47,6 @@ class TrackerConfig:
     max_age: int = 2
     process_noise: float = 0.2
     measurement_noise: float = 0.01
-    initial_velocity_variance: float = 10.0
 
     def __post_init__(self):
         if self.min_hits < 1:
@@ -68,7 +70,7 @@ class TrackState:
         self.mean[3] = box.yaw
         self.mean[4:7] = box.size
         cov = np.eye(STATE_DIM) * cfg.measurement_noise
-        cov[7:, 7:] = np.eye(3) * cfg.initial_velocity_variance
+        cov[7:, 7:] = np.eye(3) * _INITIAL_VELOCITY_VARIANCE
         self.covariance = cov
 
     def to_box(self) -> Box3D:

@@ -6,12 +6,16 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvlidar.cli import build_parser, main
+from mvlidar.detector import DetectorConfig
+from mvlidar.errors import ConfigError
 from mvlidar.formats import (
     flatten_frames,
     read_calibration,
@@ -38,7 +42,7 @@ from mvlidar.scene import (
     standard_crossroad_spec,
 )
 from mvlidar.syncsim import compute_time_error_report, simulate_session
-from mvlidar.tracking import TrajectorySet, track_sequence
+from mvlidar.tracking import TrackerConfig, TrajectorySet, track_sequence
 
 SCENE_SEED = 13
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -276,6 +280,38 @@ class TestStageDefaults:
         args = self.parse("eval-mot", "--hypotheses", "h",
                           "--ground-truth", "g")
         assert args["threshold"] == PipelineConfig().eval_mot.threshold
+
+
+def changed(value):
+    """A valid JSON value other than a setting's default ``value``."""
+    if isinstance(value, Enum):
+        return next(m.value for m in type(value) if m is not value)
+    return value + 1 if isinstance(value, int) else 2.0 * value
+
+
+def test_every_detector_and_tracker_setting_is_reachable():
+    """Each field is a key of its pipeline-config section, or a mvlidar
+    option sets it; a setting that nothing sets is a constant instead."""
+    options = {("detector", "seed"): ("detect", "--frames", "f", "--out",
+                                      "o", "--seed")}
+    unreachable = []
+    for section, config in (("detector", DetectorConfig),
+                            ("tracker", TrackerConfig)):
+        for name in (f.name for f in fields(config)):
+            value = changed(getattr(getattr(PipelineConfig(), section), name))
+            if (section, name) in options:
+                argv = [*options[section, name], str(value)]
+                reached = vars(build_parser().parse_args(argv))[name]
+            else:
+                try:
+                    parsed = PipelineConfig.from_dict({section: {name: value}})
+                except ConfigError:
+                    unreachable.append(f"{section}.{name}")
+                    continue
+                reached = getattr(getattr(parsed, section), name)
+            if reached != value:
+                unreachable.append(f"{section}.{name}")
+    assert not unreachable
 
 
 class TestFuseDetectTrack:
@@ -627,6 +663,43 @@ class TestErrorsAndConversion:
             f"error: --merge-duration must be a finite number >= 0, "
             f"got {float(duration)}\n")
         assert not (tmp_path / "none.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect", "sync-sim",
+                                         "pipeline", "make-scene"])
+    def test_negative_seed_exit_4(self, scene_dir, tmp_path, capsys,
+                                  command):
+        out = tmp_path / "out"
+        argv = {"calibrate": ["--node-root", str(scene_dir / "calib"),
+                              "--reference", str(scene_dir / "reference.mvlc"),
+                              "--out", str(out)],
+                "detect": ["--frames", str(scene_dir / "node_0"),
+                           "--out", str(out)],
+                "sync-sim": ["--out", str(out)],
+                "pipeline": ["--out-dir", str(out)],
+                "make-scene": ["--frames", "1", "--out", str(out)]}[command]
+        assert main([command, *argv, "--seed", "-1"]) == 4
+        assert capsys.readouterr().err == \
+            "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", ["0", "-3"])
+    def test_bad_max_rows_exit_4(self, tmp_path, capsys, rows):
+        out = tmp_path / "sync.json"
+        assert main(["sync-sim", "--duration", "1.0", "--out", str(out),
+                     "--max-rows", rows]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --max-rows must be >= 1, got {rows}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("crop", ["nan", "0", "-1"])
+    def test_bad_crop_exit_4(self, scene_dir, tmp_path, capsys, crop):
+        out = tmp_path / "det.jsonl"
+        assert main(["detect", "--frames", str(scene_dir / "node_0"),
+                     "--out", str(out), f"--crop={crop}"]) == 4
+        assert capsys.readouterr().err == (
+            f"error: --crop must be a number > 0, got {float(crop)}\n")
+        assert not out.exists()
 
     def test_convert_round_trip(self, tmp_path, rng):
         cloud = PointCloud(rng.uniform(-5, 5, size=(50, 3)).astype(np.float32))

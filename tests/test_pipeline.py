@@ -11,7 +11,8 @@ from scipy.spatial import cKDTree
 
 from conftest import box_surface, ground_grid
 from mvlidar import pipeline
-from mvlidar.detector import DetectorConfig, detect_frame
+from mvlidar.detector import BACKGROUND_DISTANCE, DetectorConfig, \
+    detect_frame
 from mvlidar.errors import CalibrationFailedError, ConfigError
 from mvlidar.geometry import ObjectClass, PointCloud, apply_transform, \
     transform_distance
@@ -151,7 +152,6 @@ class TestDetectViews:
 def full_background_pass(clouds, background, distance, crop):
     """Reference detection pass: each frame against the whole background on
     a balanced tree, then the crop. Returns the kept clouds and the boxes."""
-    cfg = replace(DetectorConfig(), ground_removal=False, ground_z=0.0)
     kept = []
     for cloud in clouds:
         if len(cloud) and len(background):
@@ -162,7 +162,8 @@ def full_background_pass(clouds, background, distance, crop):
             cloud = cloud.select(
                 np.max(np.abs(cloud.points[:, :2]), axis=1) <= crop)
         kept.append(cloud)
-    return kept, [detect_frame(cloud, cfg) for cloud in kept]
+    return kept, [detect_frame(cloud, DetectorConfig(), 0.0)
+                  for cloud in kept]
 
 
 def box_key(box):
@@ -170,21 +171,19 @@ def box_key(box):
             box.score)
 
 
-def assert_same_pass(monkeypatch, clouds, background, distance=0.5,
-                     crop=None):
+def assert_same_pass(monkeypatch, clouds, background, crop=None):
     seen = []
 
-    def recording_detect_frame(cloud, cfg):
+    def recording_detect_frame(cloud, cfg, ground_z=None):
         seen.append(cloud)
-        return detect_frame(cloud, cfg)
+        return detect_frame(cloud, cfg, ground_z)
 
     monkeypatch.setattr(pipeline, "detect_frame", recording_detect_frame)
-    boxes = detect_per_frame(clouds, DetectorConfig(), workers=1,
-                             background=background,
-                             background_distance=distance,
+    monkeypatch.setenv("MVLK_THREADS", "1")
+    boxes = detect_per_frame(clouds, DetectorConfig(), background=background,
                              crop_half_extent=crop)
     expected_clouds, expected_boxes = full_background_pass(
-        clouds, background, distance, crop)
+        clouds, background, BACKGROUND_DISTANCE, crop)
     assert len(seen) == len(expected_clouds)
     for actual, expected in zip(seen, expected_clouds):
         assert np.array_equal(actual.points, expected.points)
@@ -233,7 +232,7 @@ class TestInSquare:
 
 class TestBackgroundCrop:
     """detect_per_frame crops the background once to the detection square
-    plus background_distance; every frame keeps the points and boxes it
+    plus BACKGROUND_DISTANCE; every frame keeps the points and boxes it
     keeps against the whole background."""
 
     HALF = 10.0
@@ -271,8 +270,7 @@ class TestBackgroundCrop:
     def test_background_at_the_reach_and_one_ulp_beyond(self, monkeypatch,
                                                         rng):
         seen, boxes = assert_same_pass(monkeypatch, [self.frame(rng)],
-                                       self.background(), self.DISTANCE,
-                                       self.HALF)
+                                       self.background(), self.HALF)
         assert len(boxes[0]) == 2
         kept = {tuple(p) for p in seen[0].points.tolist()}
         # exactly 0.5 m from the background: kept; 0.4 m: subtracted
@@ -289,7 +287,7 @@ class TestBackgroundCrop:
                    [0.0, -np.nextafter(half, np.inf), 1.0]]
         seen, _ = assert_same_pass(monkeypatch,
                                    [PointCloud(np.array(corners + outside))],
-                                   self.background(), self.DISTANCE, half)
+                                   self.background(), half)
         np.testing.assert_array_equal(seen[0].points, corners)
 
     def test_frame_empty_after_the_crop(self, monkeypatch, rng):
@@ -298,13 +296,13 @@ class TestBackgroundCrop:
         seen, boxes = assert_same_pass(
             monkeypatch, [PointCloud(outside), PointCloud.empty(),
                           self.frame(rng)],
-            self.background(), self.DISTANCE, self.HALF)
+            self.background(), self.HALF)
         assert len(seen[0]) == len(seen[1]) == 0
         assert boxes[0] == boxes[1] == []
 
     def test_no_crop_uses_the_whole_background(self, monkeypatch, rng):
         seen, _ = assert_same_pass(monkeypatch, [self.frame(rng)],
-                                   self.background(), self.DISTANCE, None)
+                                   self.background(), None)
         # the point one ulp outside the square survives without a crop
         assert np.any(seen[0].points[:, 0] > self.HALF)
 
@@ -314,7 +312,7 @@ class TestBackgroundCrop:
                                nodes, frame)
                   for frame in range(3)]
         _, boxes = assert_same_pass(monkeypatch, clouds,
-                                    busy_scene.reference_cloud, 0.5,
+                                    busy_scene.reference_cloud,
                                     0.6 * busy_scene.spec.extent)
         assert any(boxes)
 

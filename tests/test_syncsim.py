@@ -3,6 +3,7 @@ import pytest
 
 from mvlidar.errors import ConfigError, InsufficientNodesError
 from mvlidar.syncsim import (
+    MAX_RETRIES,
     NS,
     NetworkModel,
     NodeClockModel,
@@ -55,7 +56,7 @@ class TestSimulateSession:
         trace = simulate_session(cfg)
         node = trace.nodes[0]
         assert not node.armed
-        assert node.retransmissions == cfg.max_retries
+        assert node.retransmissions == MAX_RETRIES
         assert len(node.reported_ns) == 0
 
     def test_drops_cause_retransmissions(self):
