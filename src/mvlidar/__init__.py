@@ -9,7 +9,6 @@ Kalman multi-object tracking, and AP / CLEAR tracking metrics.
 
 from .errors import (
     AlgorithmError,
-    BehindCameraError,
     CalibrationFailedError,
     ConfigError,
     DegenerateConfigurationError,
@@ -21,14 +20,12 @@ from .errors import (
 from .geometry import (
     Box3D,
     ObjectClass,
-    PinholeCamera,
     PointCloud,
     RigidTransform,
     apply_transform,
     compose,
     iou_3d,
     iou_bev,
-    project_pinhole,
     voxel_downsample,
 )
 
@@ -36,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmError",
-    "BehindCameraError",
     "Box3D",
     "CalibrationFailedError",
     "ConfigError",
@@ -46,13 +42,11 @@ __all__ = [
     "NoConsensusError",
     "NoCorrespondencesError",
     "ObjectClass",
-    "PinholeCamera",
     "PointCloud",
     "RigidTransform",
     "apply_transform",
     "compose",
     "iou_3d",
     "iou_bev",
-    "project_pinhole",
     "voxel_downsample",
 ]

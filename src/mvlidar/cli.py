@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict
 from dataclasses import replace as dc_replace
 
-from .errors import AlgorithmError, ConfigError, FormatError
+from .errors import AlgorithmError, ConfigError, FormatError, check_number
 from .formats import flatten_frames, read_calibration, read_detections, \
     read_frame, read_trajectories, read_xyz, write_calibration, \
     write_detections, write_frame, write_json, write_trajectories, write_xyz
@@ -84,10 +84,21 @@ def _point(text: str) -> tuple:
     return point
 
 
+def _checked(convert, option: str, *bounds, **rule):
+    """Argparse type of an option that sets no config field: ``convert``,
+    then ``check_number``, whose ConfigError argparse lets through."""
+    def parse(text):
+        value = convert(text)
+        check_number(option, value, *bounds, **rule)
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in usage errors
+    return parse
+
+
+_SEED = _checked(int, "--seed", 0, integer=True)
+
+
 def cmd_calibrate(args) -> int:
-    if not (math.isfinite(args.merge_duration) and args.merge_duration >= 0.0):
-        raise ConfigError(f"--merge-duration must be a finite number >= 0, "
-                          f"got {args.merge_duration}")
     reference = read_frame(args.reference)
     # scaled to the toolkit's crossroad-sized scenes; a --config file
     # overrides the keys it names
@@ -119,8 +130,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sync_sim(args) -> int:
-    if args.max_rows < 1:
-        raise ConfigError(f"--max-rows must be >= 1, got {args.max_rows}")
     session = dc_replace(
         PipelineConfig(seed=args.seed).sync, node_count=args.nodes,
         duration_s=args.duration, frame_rate_hz=args.frame_rate,
@@ -168,8 +177,6 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if args.crop is not None and not args.crop > 0.0:
-        raise ConfigError(f"--crop must be a number > 0, got {args.crop}")
     clouds = _frames_in(args.frames)
     background = read_frame(args.background) if args.background else None
     detections = flatten_frames(detect_per_frame(
@@ -184,12 +191,8 @@ def cmd_detect(args) -> int:
 def cmd_track(args) -> int:
     cfg = dc_replace(_PIPELINE.tracker, threshold=args.threshold,
                      min_hits=args.min_hits, max_age=args.max_age)
-    detections = read_detections(args.detections)
-    try:
-        trajectories = track_detections(detections, cfg,
-                                        frame_dt=args.frame_dt)
-    except ConfigError as exc:
-        raise ConfigError(f"--max-age {args.max_age}: {exc}") from exc
+    trajectories = track_detections(read_detections(args.detections), cfg,
+                                    frame_dt=args.frame_dt)
     write_trajectories(args.out, trajectories)
     print(f"wrote {len(trajectories)} tracks to {args.out}")
     return EXIT_OK
@@ -279,9 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config",
                    help="hierarchy config JSON; its keys override the "
                         "crossroad schedule")
-    p.add_argument("--seed", type=int, default=_PIPELINE.seed,
+    p.add_argument("--seed", type=_SEED, default=_PIPELINE.seed,
                    help="node i registers with seed + i")
-    p.add_argument("--merge-duration", type=float,
+    p.add_argument("--merge-duration",
+                   type=_checked(float, "--merge-duration", 0),
                    default=_CALIBRATE["merge_duration_s"],
                    help="seconds of frames to merge per node (finite, "
                         ">= 0)")
@@ -300,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delay-min", type=float, default=network.delay_min_s)
     p.add_argument("--delay-max", type=float, default=network.delay_max_s)
     p.add_argument("--drop", type=float, default=network.drop_probability)
-    p.add_argument("--seed", type=int, default=_PIPELINE.seed)
-    p.add_argument("--max-rows", type=int, default=20,
+    p.add_argument("--seed", type=_SEED, default=_PIPELINE.seed)
+    p.add_argument("--max-rows", type=_checked(int, "--max-rows", 1,
+                                               integer=True), default=20,
                    help="cap on printed per-frame rows (>= 1)")
     p.add_argument("--out", help="write the full error table as JSON")
     p.set_defaults(func=cmd_sync_sim)
@@ -317,13 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run the geometric detector per frame")
     p.add_argument("--frames", required=True, help="directory of .mvlc frames")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=_PIPELINE.detector.seed)
+    p.add_argument("--seed", type=_SEED, default=_PIPELINE.detector.seed)
     p.add_argument("--background",
                    help="reference .mvlc scan subtracted as static background "
                         "(replaces the detector's ground removal)")
-    p.add_argument("--crop", type=float,
-                   help="detect only where |x| and |y| are at most this, "
-                        "a number > 0 (make-scene prints its scene's)")
+    p.add_argument("--crop", type=_checked(float, "--crop", 0, low_open=True),
+                   help="detect only where |x| and |y| are at most this "
+                        "(make-scene prints its scene's)")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("track", help="track detections across frames")
@@ -357,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full chain with a run manifest")
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out-dir", help="override the config output directory")
-    p.add_argument("--seed", type=int, default=_PIPELINE.seed,
+    p.add_argument("--seed", type=_SEED, default=_PIPELINE.seed,
                    help="seed when no config file is given")
     p.set_defaults(func=cmd_pipeline)
 
@@ -365,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="export a synthetic crossroad scene to disk")
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=_PIPELINE.scene_frames)
-    p.add_argument("--seed", type=int, default=_PIPELINE.seed)
+    p.add_argument("--seed", type=_SEED, default=_PIPELINE.seed)
     p.add_argument("--no-occluders", action="store_true")
     p.set_defaults(func=cmd_make_scene)
 
@@ -378,22 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        # every subcommand with a --seed option seeds numpy generators
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        # inside the try: an option's own range check raises ConfigError
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, FileNotFoundError, ConfigError,
+            AlgorithmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AlgorithmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALGORITHM
+        return (EXIT_CONFIG if isinstance(exc, ConfigError) else
+                EXIT_ALGORITHM if isinstance(exc, AlgorithmError) else
+                EXIT_FORMAT)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .errors import DegenerateClusterError, NoGroundPlaneError
+from .errors import DegenerateClusterError, NoGroundPlaneError, \
+    check_number
 from .geometry import Box3D, ObjectClass, PointCloud, wrap_angle
 
 # (length range, width range, height range) per class; footprint areas are
@@ -52,14 +53,14 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cluster_distance <= 0.0:
-            raise ValueError("cluster_distance must be positive")
-        if self.min_cluster_points < 1:
-            raise ValueError("min_cluster_points must be >= 1")
+        check_number("cluster_distance", self.cluster_distance, 0,
+                     low_open=True)
+        check_number("min_cluster_points", self.min_cluster_points, 1,
+                     integer=True)
         # the box score divides the cluster size by it
-        if not self.score_points_scale > 0.0:
-            raise ValueError(f"score_points_scale must be > 0, "
-                             f"got {self.score_points_scale!r}")
+        check_number("score_points_scale", self.score_points_scale, 0,
+                     low_open=True)
+        check_number("seed", self.seed, 0, integer=True)
 
 
 def subtract_background(cloud: PointCloud, background: PointCloud,

@@ -4,6 +4,9 @@ Three families map onto the CLI exit codes: file/format problems (exit 2),
 configuration problems (exit 4), and algorithmic failures (exit 3).
 """
 
+import math
+from numbers import Integral, Real
+
 
 class MvLidarError(Exception):
     """Base class for all toolkit errors."""
@@ -33,12 +36,43 @@ class ConfigError(MvLidarError):
     """Invalid or unresolvable configuration (CLI exit code 4)."""
 
 
+def check_number(setting: str, value, low=None, high=None, *,
+                 low_open: bool = False, high_open: bool = False,
+                 integer: bool = False) -> None:
+    """Raise ConfigError unless ``value`` is a finite number (an integer
+    with ``integer``) within ``low`` and ``high`` (given with ``low``), each
+    bound inclusive unless open. The one range check of every setting: the
+    message reads ``<setting> must be <rule>, got <value>``."""
+    fits = (not isinstance(value, bool)
+            and isinstance(value, Integral if integer else Real)
+            and (isinstance(value, Integral) or math.isfinite(value))
+            and (low is None or (value > low if low_open else value >= low))
+            and (high is None
+                 or (value < high if high_open else value <= high)))
+    if fits:
+        return
+    rule = "an integer" if integer else "a finite number"
+    if high is not None:
+        rule += (f" in {'(' if low_open else '['}{low}, "
+                 f"{high}{')' if high_open else ']'}")
+    elif low is not None:
+        rule += f" {'>' if low_open else '>='} {low}"
+    raise ConfigError(f"{setting} must be {rule}, got {value!r}")
+
+
+def check_choice(setting: str, value, choices):
+    """The member of the Enum ``choices`` that ``value`` names; ConfigError
+    in the same form as ``check_number`` when it names none."""
+    try:
+        return choices(value)
+    except ValueError:
+        names = ", ".join(member.value for member in choices)
+        raise ConfigError(f"{setting} must be one of {names}, "
+                          f"got {value!r}") from None
+
+
 class AlgorithmError(MvLidarError):
     """An operation could not produce a valid result (CLI exit code 3)."""
-
-
-class BehindCameraError(AlgorithmError):
-    """Point is behind the image plane and cannot be projected."""
 
 
 class DegenerateConfigurationError(AlgorithmError):

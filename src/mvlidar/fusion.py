@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateYawError, TimestampSkewError
+from .errors import DegenerateYawError, TimestampSkewError, check_number
 from .geometry import (
     Box3D,
     PointCloud,
@@ -40,6 +40,7 @@ class ViewFrameSet:
     sync_window_s: float = DEFAULT_SYNC_WINDOW_S
 
     def __post_init__(self):
+        check_number("sync_window_s", self.sync_window_s, 0)
         missing = [n for n in self.frames if n not in self.extrinsics]
         if missing:
             raise ValueError(f"nodes without extrinsics: {missing}")

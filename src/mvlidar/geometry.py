@@ -21,8 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BehindCameraError
-
 _CLIP_EPS = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
 # voxel indices stay below 2**62 in magnitude, so per-axis spans fit in int64
@@ -316,33 +314,6 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, inter / union))
-
-
-@dataclass(frozen=True)
-class PinholeCamera:
-    """Pinhole intrinsics plus a world-to-camera extrinsic pose."""
-
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    extrinsic: RigidTransform
-
-    def __post_init__(self):
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError("focal lengths must be positive")
-
-
-def project_pinhole(camera: PinholeCamera, point) -> tuple[float, float]:
-    """Project a world point to pixel coordinates.
-
-    Raises BehindCameraError when the camera-frame depth is <= 1e-9.
-    """
-    q = camera.extrinsic.apply(np.asarray(point, dtype=float))
-    if q[2] <= 1e-9:
-        raise BehindCameraError(f"point depth {q[2]:.3g} m is not in front of the camera")
-    return (camera.fx * q[0] / q[2] + camera.cx,
-            camera.fy * q[1] / q[2] + camera.cy)
 
 
 def _lexicographic_key(cells: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigError, NoGroundTruthError
+from .errors import NoGroundTruthError, check_choice, check_number
 from .geometry import Box3D, ObjectClass, iou_3d
 from .tracking import TrajectorySet
 
@@ -40,10 +40,9 @@ class DetectionEvalConfig:
 
     def __post_init__(self):
         for label, threshold in self.iou_thresholds.items():
-            if not 0.0 < threshold <= 1.0:
-                raise ConfigError(f"IoU threshold for {label} must lie in (0, 1]")
-        if self.recall_points < 1:
-            raise ConfigError("recall_points must be >= 1")
+            check_number(f"iou_thresholds.{label.value}", threshold, 0, 1,
+                         low_open=True)
+        check_number("recall_points", self.recall_points, 1, integer=True)
 
     @staticmethod
     def with_threshold(value: float, **kwargs) -> "DetectionEvalConfig":
@@ -155,11 +154,11 @@ class MotEvalConfig:
     prefer_previous_match: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "metric", MotMatchMetric(self.metric))
-        if self.metric is MotMatchMetric.IOU_3D and not 0.0 < self.threshold <= 1.0:
-            raise ConfigError("IoU threshold must lie in (0, 1]")
-        if self.metric is MotMatchMetric.CENTER_DISTANCE and self.threshold <= 0.0:
-            raise ConfigError("distance threshold must be positive")
+        object.__setattr__(self, "metric", check_choice(
+            "metric", self.metric, MotMatchMetric))
+        check_number("threshold", self.threshold, 0,
+                     1 if self.metric is MotMatchMetric.IOU_3D else None,
+                     low_open=True)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import scipy
 
 from .detector import BACKGROUND_DISTANCE, DetectorConfig, detect_frame, \
     subtract_background
-from .errors import CalibrationFailedError, ConfigError
+from .errors import CalibrationFailedError, ConfigError, check_number
 from .formats import (
     atomic_write,
     flatten_frames,
@@ -263,17 +263,17 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
 # pipeline config and runner
 # ---------------------------------------------------------------------------
 
-_JSON_KINDS = {bool: "true or false", int: "an integer",
-               float: "a finite number", str: "a string"}
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
 
 
-def _field(section: dict, key: str, default, context: str, minimum=None):
-    """``section[key]``, or ``default`` if absent, when it fits its type.
+def _field(section: dict, key: str, default, context: str):
+    """``section[key]``, or ``default`` if absent, when it has its JSON type.
 
     A flag takes true or false, an int field an integer, a float field a
-    finite number and a string field a string; other fields are left to
-    their constructors. Nothing is rounded or cast, so ``1.9`` for an
-    integer is refused, not truncated.
+    number and a string field a string; other fields, and every range, are
+    left to their constructors. Nothing is rounded or cast, so ``1.9`` for
+    an integer is refused, not truncated.
     """
     value = section.get(key, default)
     kind = type(default)
@@ -283,12 +283,10 @@ def _field(section: dict, key: str, default, context: str, minimum=None):
         fits = isinstance(value, kind)
     else:
         fits = (not isinstance(value, bool)
-                and isinstance(value, int if kind is int else (int, float))
-                and (isinstance(value, int) or np.isfinite(value)))
-    if not fits or (minimum is not None and value < minimum):
+                and isinstance(value, int if kind is int else (int, float)))
+    if not fits:
         name = f"{context}.{key}" if context else key
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{name} must be {_JSON_KINDS[kind]}{bound}, "
+        raise ConfigError(f"{name} must be {_JSON_KINDS[kind]}, "
                           f"got {value!r}")
     return value
 
@@ -332,10 +330,6 @@ def hierarchy_from_dict(raw) -> HierarchyConfig:
         if "levels" in section:
             section["levels"] = tuple(HierarchyLevel(*level)
                                       for level in section["levels"])
-            for index, level in enumerate(section["levels"]):
-                for key in vars(level):
-                    _field(vars(level), key, getattr(base.levels[0], key),
-                           f"hierarchy.levels[{index}]")
         return dc_replace(base, **section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"hierarchy: {exc}") from None
@@ -361,6 +355,9 @@ class PipelineConfig:
         node_count=4, duration_s=10.0))
 
     def __post_init__(self):
+        check_number("seed", self.seed, 0, integer=True)
+        check_number("scene_frames", self.scene_frames, 1, integer=True)
+        check_number("scene_extent", self.scene_extent, 0, low_open=True)
         if self.sync.seed != self.seed:
             object.__setattr__(self, "sync", dc_replace(self.sync,
                                                         seed=self.seed))
@@ -374,7 +371,7 @@ class PipelineConfig:
         """
         try:
             return PipelineConfig._parse(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid pipeline config: {exc}") from None
 
     @staticmethod
@@ -384,13 +381,13 @@ class PipelineConfig:
                               "detector", "tracker", "eval_det", "eval_mot",
                               "sync"})
         kwargs: dict = {}
-        kwargs["seed"] = _field(raw, "seed", base.seed, "", minimum=0)
+        kwargs["seed"] = _field(raw, "seed", base.seed, "")
         kwargs["output_dir"] = _field(raw, "output_dir", base.output_dir, "")
 
         scene = _take(raw.get("scene", {}), "scene",
                       {"frames", "extent", "occluders", "export_frames"})
         kwargs["scene_frames"] = _field(scene, "frames", base.scene_frames,
-                                        "scene", minimum=1)
+                                        "scene")
         kwargs["scene_extent"] = float(_field(scene, "extent",
                                               base.scene_extent, "scene"))
         kwargs["scene_occluders"] = _field(scene, "occluders",
@@ -420,7 +417,7 @@ class PipelineConfig:
                                {c.value for c in ObjectClass})
             eval_det["iou_thresholds"] = {
                 **base.eval_det.iou_thresholds,
-                **{ObjectClass(name): float(value)
+                **{ObjectClass(name): value
                    for name, value in thresholds.items()}}
         kwargs["eval_det"] = DetectionEvalConfig(**eval_det)
 
@@ -433,8 +430,7 @@ class PipelineConfig:
             return float(_field(sync, key, default, "sync"))
 
         kwargs["sync"] = SessionConfig(
-            node_count=_field(sync, "node_count", session.node_count, "sync",
-                              minimum=1),
+            node_count=_field(sync, "node_count", session.node_count, "sync"),
             duration_s=number("duration_s", session.duration_s),
             frame_rate_hz=number("frame_rate_hz", session.frame_rate_hz),
             network=NetworkModel(

@@ -12,8 +12,8 @@ The pipeline a fresh outdoor deployment needs, with no pose prior:
 
 Every stochastic step takes an explicit seed and is deterministic given it;
 RANSAC ties break toward the lowest trial index. The module also provides
-the calibration-quality evaluators: mean point-to-point projection error
-over annotated corner pairs and mean pixel reprojection error.
+the calibration-quality evaluator: mean point-to-point projection error
+over annotated corner pairs.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from .errors import (
     EmptyInputError,
     NoConsensusError,
     NoCorrespondencesError,
+    check_number,
 )
 from .geometry import (
     PointCloud,
     RigidTransform,
-    project_pinhole,
     rotation_angle_deg,
     voxel_downsample,
 )
@@ -96,36 +96,29 @@ class HierarchyConfig:
                        else HierarchyLevel(*level) for level in self.levels)
         if not levels:
             raise ConfigError("need at least one hierarchy level")
-        voxels = [level.voxel_size for level in levels]
-        if any(b >= a for a, b in zip(voxels, voxels[1:])):
-            raise ConfigError("voxel sizes must decrease strictly")
-        if min(voxels) <= 0.0:
-            raise ConfigError("voxel sizes must be positive")
-        if min(self.fpfh_radius, self.normal_radius,
-               self.ransac_inlier_threshold) <= 0.0:
-            raise ConfigError("radii and thresholds must be positive")
-        # registration cannot run with any value refused below, or runs
-        # as if it were another value
-        counts = {"ransac_iterations": self.ransac_iterations,
-                  "arbitration_hypotheses": self.arbitration_hypotheses,
-                  "min_normal_neighbors": self.min_normal_neighbors}
+        # registration cannot run with any value refused here, or runs as
+        # if it were another value; voxel sizes decrease strictly
+        coarser = None
         for index, level in enumerate(levels):
-            distance = level.max_correspondence_distance
-            if not distance > 0.0:
-                raise ConfigError(f"hierarchy.levels[{index}].max_"
-                                  f"correspondence_distance must be > 0, "
-                                  f"got {distance!r}")
-            counts[f"levels[{index}].max_iterations"] = level.max_iterations
-        for key, value in counts.items():
-            if not value >= 1:
-                raise ConfigError(f"hierarchy.{key} must be >= 1, "
-                                  f"got {value!r}")
-        if not 0.0 <= self.edge_length_ratio < 1.0:
-            raise ConfigError(f"hierarchy.edge_length_ratio must be in "
-                              f"[0, 1), got {self.edge_length_ratio!r}")
-        if not self.convergence_epsilon >= 0.0:
-            raise ConfigError(f"hierarchy.convergence_epsilon must be >= 0, "
-                              f"got {self.convergence_epsilon!r}")
+            name = f"hierarchy.levels[{index}]."
+            check_number(name + "voxel_size", level.voxel_size, 0, coarser,
+                         low_open=True, high_open=True)
+            check_number(name + "max_correspondence_distance",
+                         level.max_correspondence_distance, 0, low_open=True)
+            check_number(name + "max_iterations", level.max_iterations, 1,
+                         integer=True)
+            coarser = level.voxel_size
+        for key in ("fpfh_radius", "normal_radius", "ransac_inlier_threshold"):
+            check_number(f"hierarchy.{key}", getattr(self, key), 0,
+                         low_open=True)
+        for key in ("ransac_iterations", "arbitration_hypotheses",
+                    "min_normal_neighbors"):
+            check_number(f"hierarchy.{key}", getattr(self, key), 1,
+                         integer=True)
+        check_number("hierarchy.edge_length_ratio", self.edge_length_ratio,
+                     0, 1, high_open=True)
+        check_number("hierarchy.convergence_epsilon",
+                     self.convergence_epsilon, 0)
         object.__setattr__(self, "levels", levels)
 
 
@@ -642,18 +635,3 @@ def evaluate_point_projection_error(pairs: Sequence[CornerPair],
     reference = np.stack([p.reference for p in pairs])
     moved = annotated @ transform.rotation.T + transform.translation
     return float(np.mean(np.linalg.norm(moved - reference, axis=1)))
-
-
-def evaluate_reprojection_error(camera, pairs) -> float:
-    """Mean pixel distance between projected points and annotated pixels.
-
-    ``pairs`` is a sequence of (world point, (u, v) pixel). Points behind
-    the camera raise BehindCameraError.
-    """
-    if not pairs:
-        raise EmptyInputError("need at least one projection pair")
-    errors = []
-    for point, pixel in pairs:
-        u, v = project_pinhole(camera, point)
-        errors.append(math.hypot(u - pixel[0], v - pixel[1]))
-    return float(np.mean(errors))

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .geometry import Box3D, ObjectClass, PointCloud, RigidTransform
 from .tracking import TrajectorySet
 
@@ -163,10 +163,14 @@ class SceneSpec:
     def __post_init__(self):
         if not self.nodes:
             raise ConfigError("scene needs at least one node")
-        if self.extent <= 0.0 or self.n_frames < 1 or self.frame_rate_hz <= 0.0:
-            raise ConfigError("extent, n_frames, and frame_rate_hz must be positive")
-        if self.azimuth_steps < 2 or self.elevation_steps < 2:
-            raise ConfigError("need at least a 2x2 ray grid")
+        check_number("extent", self.extent, 0, low_open=True)
+        check_number("n_frames", self.n_frames, 1, integer=True)
+        check_number("frame_rate_hz", self.frame_rate_hz, 0, low_open=True)
+        check_number("noise_sigma", self.noise_sigma, 0)
+        # ray grids of at least 2 x 2
+        for name in ("azimuth_steps", "elevation_steps",
+                     "reference_azimuth_steps", "reference_elevation_steps"):
+            check_number(name, getattr(self, name), 2, integer=True)
         ids = [obj.track_id for obj in self.objects]
         if len(set(ids)) != len(ids):
             raise ConfigError("object track ids must be unique")

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientNodesError
+from .errors import ConfigError, InsufficientNodesError, check_number
 
 NS = 1_000_000_000
 
@@ -39,6 +39,13 @@ TRIGGER_PHASE_S = 0.4
 # a dropped trigger is resent every RETRY_TIMEOUT_S, at most MAX_RETRIES times
 RETRY_TIMEOUT_S = 0.05
 MAX_RETRIES = 20
+# Simulated time is int64 nanoseconds, and each node holds one PPS jitter per
+# second and one timestamp per frame. Capping sessions and trigger delays at
+# MAX_SESSION_S (11.6 days) and sessions at MAX_SESSION_FRAMES frames keeps
+# a node's arrays to tens of MB and its timestamps far inside int64's range
+# (292 years).
+MAX_SESSION_S = 1_000_000.0
+MAX_SESSION_FRAMES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,10 @@ class NodeClockModel:
     frame_jitter_s: float = 1e-4
 
     def __post_init__(self):
-        if self.pps_jitter_s < 0.0 or self.frame_jitter_s < 0.0:
-            raise ConfigError("jitter standard deviations must be >= 0")
+        check_number("initial_offset_s", self.initial_offset_s)
+        check_number("drift_ppm", self.drift_ppm)
+        check_number("pps_jitter_s", self.pps_jitter_s, 0)
+        check_number("frame_jitter_s", self.frame_jitter_s, 0)
 
     @staticmethod
     def camera(**kwargs) -> "NodeClockModel":
@@ -69,10 +78,11 @@ class NetworkModel:
     drop_probability: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.delay_min_s <= self.delay_max_s:
-            raise ConfigError("need 0 <= delay_min_s <= delay_max_s")
-        if not 0.0 <= self.drop_probability < 1.0 + 1e-12:
-            raise ConfigError("drop_probability must lie in [0, 1]")
+        check_number("delay_min_s", self.delay_min_s, 0, MAX_SESSION_S)
+        check_number("delay_max_s", self.delay_max_s, 0, MAX_SESSION_S)
+        check_number("delay_max_s - delay_min_s",
+                     self.delay_max_s - self.delay_min_s, 0)
+        check_number("drop_probability", self.drop_probability, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -87,10 +97,14 @@ class SessionConfig:
     align_trigger_phase: bool = True
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ConfigError("node_count must be >= 1")
-        if self.frame_rate_hz <= 0.0 or self.duration_s <= 0.0:
-            raise ConfigError("frame_rate_hz and duration_s must be positive")
+        check_number("node_count", self.node_count, 1, integer=True)
+        check_number("duration_s", self.duration_s, 0, MAX_SESSION_S,
+                     low_open=True)
+        check_number("frame_rate_hz", self.frame_rate_hz, 0, low_open=True)
+        check_number("duration_s * frame_rate_hz",
+                     self.duration_s * self.frame_rate_hz, 1,
+                     MAX_SESSION_FRAMES)
+        check_number("seed", self.seed, 0, integer=True)
         if self.clocks is not None and len(self.clocks) != self.node_count:
             raise ConfigError("clocks must have one model per node")
 
@@ -297,8 +311,7 @@ def estimate_bandwidth(cfg: SessionConfig, points_per_s: int,
     Slave nodes store raw data locally and stream only the preview to the
     master, so the master ingress is node_count * raw_rate * preview_ratio.
     """
-    if not 0.0 < preview_ratio <= 1.0:
-        raise ConfigError("preview_ratio must lie in (0, 1]")
+    check_number("preview_ratio", preview_ratio, 0, 1, low_open=True)
     raw = float(points_per_s * bytes_per_point)
     preview = raw * preview_ratio
     aggregate = preview * cfg.node_count

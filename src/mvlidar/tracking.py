@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigError
+from .errors import ConfigError, check_choice, check_number
 from .geometry import Box3D, iou_3d, iou_bev, wrap_angle, wrap_half_angle
 
 STATE_DIM = 10
@@ -29,6 +29,10 @@ _INITIAL_VELOCITY_VARIANCE = 10.0
 # Most frames ``track_detections`` steps through, gaps included: a day at
 # 10 frames/s is 864,000 frames.
 MAX_TIMELINE_FRAMES = 1_000_000
+# Longest step (s) between two frames: the constant-velocity prediction
+# grows the covariance with dt**2, which overflows to infinity long before
+# 1e308 s, and frames an hour apart are no longer one motion anyway.
+MAX_FRAME_DT_S = 3600.0
 
 
 class AssociationMetric(str, Enum):
@@ -49,11 +53,17 @@ class TrackerConfig:
     measurement_noise: float = 0.01
 
     def __post_init__(self):
-        if self.min_hits < 1:
-            raise ConfigError("min_hits must be >= 1")
-        if self.max_age < 0:
-            raise ConfigError("max_age must be >= 0")
-        object.__setattr__(self, "metric", AssociationMetric(self.metric))
+        object.__setattr__(self, "metric",
+                           check_choice("metric", self.metric,
+                                        AssociationMetric))
+        check_number("threshold", self.threshold, 0,
+                     None if self.metric is AssociationMetric.CENTER_DISTANCE
+                     else 1, low_open=True)
+        check_number("min_hits", self.min_hits, 1, integer=True)
+        check_number("max_age", self.max_age, 0, integer=True)
+        check_number("process_noise", self.process_noise, 0, low_open=True)
+        check_number("measurement_noise", self.measurement_noise, 0,
+                     low_open=True)
 
 
 class TrackState:
@@ -222,8 +232,7 @@ def track_sequence(detections_per_frame: list, cfg: TrackerConfig = TrackerConfi
     has min_hits updates; its earlier tentative frames are then included
     retroactively. Track ids increase monotonically and are never reused.
     """
-    if frame_dt <= 0.0:
-        raise ConfigError("frame_dt must be positive")
+    check_number("frame_dt", frame_dt, 0, MAX_FRAME_DT_S, low_open=True)
     live: list[TrackState] = []
     history: dict[int, list] = {}
     confirmed: set[int] = set()

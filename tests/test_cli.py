@@ -429,7 +429,8 @@ class TestTrackFrameGaps:
                                                   (limit, limit)),
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 4, proc.stderr
-        assert proc.stderr.startswith(f"error: --max-age {10**12}: ")
+        assert proc.stderr.startswith("error: tracking would step through ")
+        assert f"max_age + 2 = {10**12 + 2} frames" in proc.stderr
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
@@ -572,6 +573,7 @@ class TestErrorsAndConversion:
         {"scene": {"frames": -3}},
         {"detector": {"score_points_scale": 0}},
         {"detector": {"score_points_scale": -50.0}},
+        {"scene": {"extent": -1.0}},
     ])
     def test_bad_config_value_exit_4(self, tmp_path, capsys, raw):
         cfg = tmp_path / "cfg.json"
@@ -679,7 +681,7 @@ class TestErrorsAndConversion:
                 "make-scene": ["--frames", "1", "--out", str(out)]}[command]
         assert main([command, *argv, "--seed", "-1"]) == 4
         assert capsys.readouterr().err == \
-            "error: --seed must be >= 0, got -1\n"
+            "error: --seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("rows", ["0", "-3"])
@@ -688,7 +690,8 @@ class TestErrorsAndConversion:
         assert main(["sync-sim", "--duration", "1.0", "--out", str(out),
                      "--max-rows", rows]) == 4
         captured = capsys.readouterr()
-        assert captured.err == f"error: --max-rows must be >= 1, got {rows}\n"
+        assert captured.err == \
+            f"error: --max-rows must be an integer >= 1, got {rows}\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -698,8 +701,59 @@ class TestErrorsAndConversion:
         assert main(["detect", "--frames", str(scene_dir / "node_0"),
                      "--out", str(out), f"--crop={crop}"]) == 4
         assert capsys.readouterr().err == (
-            f"error: --crop must be a number > 0, got {float(crop)}\n")
+            f"error: --crop must be a finite number > 0, got {float(crop)}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sync-sim", "--frame-rate", "nan"],
+         "frame_rate_hz must be a finite number > 0, got nan"),
+        (["sync-sim", "--frame-rate", "1e-300"],
+         "duration_s * frame_rate_hz must be a finite number in "
+         "[1, 1000000], got 1e-299"),
+        (["sync-sim", "--duration", "inf"],
+         "duration_s must be a finite number in (0, 1000000.0], got inf"),
+        (["sync-sim", "--duration", "1e308"],
+         "duration_s must be a finite number in (0, 1000000.0], "
+         "got 1e+308"),
+        (["sync-sim", "--delay-max", "1e308"],
+         "delay_max_s must be a finite number in [0, 1000000.0], "
+         "got 1e+308"),
+        (["track", "--frame-dt", "nan"],
+         "frame_dt must be a finite number in (0, 3600.0], got nan"),
+        (["track", "--frame-dt", "0"],
+         "frame_dt must be a finite number in (0, 3600.0], got 0.0"),
+        (["track", "--frame-dt", "1e308"],
+         "frame_dt must be a finite number in (0, 3600.0], got 1e+308"),
+        (["track", "--threshold", "nan"],
+         "threshold must be a finite number in (0, 1], got nan"),
+    ])
+    def test_bad_setting_exit_4(self, tmp_path, capsys, argv, message):
+        """A non-finite or huge value is refused by the class that owns
+        the setting, in one line that names it, before any output."""
+        out = tmp_path / "out.json"
+        if argv[0] == "track":
+            argv = argv + ["--detections", str(write_detections_text(
+                tmp_path / "det.jsonl", "1"))]
+        assert main(argv + ["--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["nan", "-1"])
+    def test_bad_sync_window_exit_4(self, scene_dir, tmp_path, capsys,
+                                    window):
+        """NaN would switch the skew check off, and a negative window
+        is a setting, not a skew."""
+        code = main(["fuse",
+                     "--calib", str(scene_dir / "gt_calibration.jsonl"),
+                     "--frames", str(scene_dir), "--out",
+                     str(tmp_path / "fused"), f"--sync-window={window}"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"error: sync_window_s must be a finite number >= 0, "
+            f"got {float(window)}\n")
+        assert not list(tmp_path.rglob("*.mvlc"))
 
     def test_convert_round_trip(self, tmp_path, rng):
         cloud = PointCloud(rng.uniform(-5, 5, size=(50, 3)).astype(np.float32))

@@ -16,7 +16,8 @@ from mvlidar.detector import (
     remove_ground,
     subtract_background,
 )
-from mvlidar.errors import DegenerateClusterError, NoGroundPlaneError
+from mvlidar.errors import ConfigError, DegenerateClusterError, \
+    NoGroundPlaneError
 from mvlidar.geometry import Box3D, ObjectClass, PointCloud
 
 
@@ -78,6 +79,12 @@ class TestSubtractBackground:
         background = PointCloud(np.array(background).reshape(-1, 3))
         assert_same_cloud(subtract_background(cloud, background, distance),
                           balanced_tree_subtract(cloud, background, distance))
+
+
+def test_non_finite_cluster_distance_rejected():
+    with pytest.raises(ConfigError, match=r"^cluster_distance must be a "
+                                          r"finite number > 0, got nan$"):
+        DetectorConfig(cluster_distance=math.nan)
 
 
 class TestRemoveGround:

@@ -6,18 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import monte_carlo_iou_3d, random_box, random_transform
-from mvlidar.errors import BehindCameraError
 from mvlidar.geometry import (
     Box3D,
     ObjectClass,
-    PinholeCamera,
     PointCloud,
     RigidTransform,
     apply_transform,
     compose,
     iou_3d,
     iou_bev,
-    project_pinhole,
     voxel_downsample,
     wrap_angle,
     wrap_half_angle,
@@ -168,27 +165,6 @@ class TestIouBev:
         b = unit_cube(yaw=math.pi / 4)
         inter = 2.0 * (math.sqrt(2.0) - 1.0)
         assert iou_bev(a, b) == pytest.approx(inter / (2.0 - inter), abs=1e-9)
-
-
-class TestProjection:
-    def make_camera(self, extrinsic=None):
-        return PinholeCamera(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0,
-                             extrinsic=extrinsic or RigidTransform.identity())
-
-    def test_optical_axis(self):
-        assert project_pinhole(self.make_camera(), (0.0, 0.0, 2.0)) == (500.0, 500.0)
-
-    def test_off_axis(self):
-        u, v = project_pinhole(self.make_camera(), (1.0, 0.0, 2.0))
-        assert (u, v) == (1000.0, 500.0)
-
-    def test_behind_camera(self):
-        with pytest.raises(BehindCameraError):
-            project_pinhole(self.make_camera(), (0.0, 0.0, -1.0))
-
-    def test_extrinsic_applied_before_projection(self):
-        cam = self.make_camera(RigidTransform(np.eye(3), (0.0, 0.0, 2.0)))
-        assert project_pinhole(cam, (0.0, 0.0, 0.0)) == (500.0, 500.0)
 
 
 class TestVoxelDownsample:

@@ -381,7 +381,10 @@ class TestPipelineConfig:
         {"sync": {"duration_s": "long"}}, {"sync": {"duration_s": math.nan}},
         {"scene": {"extent": math.inf}}, {"detector": {"cluster_distance":
                                                        -math.inf}},
-        {"hierarchy": {"levels": [[1.0, math.nan, 30]]}}, {"output_dir": 5}])
+        {"hierarchy": {"levels": [[1.0, math.nan, 30]]}}, {"output_dir": 5},
+        {"tracker": {"process_noise": -1.0}},
+        {"tracker": {"measurement_noise": 0.0}},
+        {"tracker": {"threshold": -5.0}}, {"sync": {"delay_max_s": 1e308}}])
     def test_bad_values_rejected(self, raw):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(raw)

@@ -15,7 +15,6 @@ from mvlidar.errors import (
     NoCorrespondencesError,
 )
 from mvlidar.geometry import (
-    PinholeCamera,
     PointCloud,
     RigidTransform,
     transform_distance,
@@ -32,7 +31,6 @@ from mvlidar.registration import (
     compute_fpfh,
     estimate_normals,
     evaluate_point_projection_error,
-    evaluate_reprojection_error,
     hierarchical_register,
     icp_refine,
     mutual_feature_matches,
@@ -732,35 +730,3 @@ class TestCalibrationQuality:
     def test_empty_pairs_rejected(self, rng):
         with pytest.raises(EmptyInputError):
             evaluate_point_projection_error([], random_transform(rng))
-
-
-class TestReprojectionError:
-    def camera(self):
-        return PinholeCamera(fx=1200.0, fy=1200.0, cx=640.0, cy=360.0,
-                             extrinsic=RigidTransform.from_yaw(0.2, (0, 0, 5)))
-
-    def test_exact_pixels_zero_error(self, rng):
-        cam = self.camera()
-        from mvlidar.geometry import project_pinhole
-        points = rng.uniform([-3, -3, 2], [3, 3, 10], size=(20, 3))
-        pairs = [(p, project_pinhole(cam, p)) for p in points]
-        assert evaluate_reprojection_error(cam, pairs) == 0.0
-
-    def test_three_four_five_offset(self, rng):
-        cam = self.camera()
-        from mvlidar.geometry import project_pinhole
-        points = rng.uniform([-3, -3, 2], [3, 3, 10], size=(10, 3))
-        pairs = [(p, np.asarray(project_pinhole(cam, p)) + (3.0, 4.0))
-                 for p in points]
-        assert evaluate_reprojection_error(cam, pairs) == pytest.approx(5.0)
-
-    def test_gaussian_pixel_noise_matches_rayleigh_mean(self, rng):
-        cam = self.camera()
-        from mvlidar.geometry import project_pinhole
-        sigma = 2.0
-        expected = sigma * math.sqrt(math.pi / 2.0)  # Rayleigh mean
-        points = rng.uniform([-3, -3, 2], [3, 3, 10], size=(400, 3))
-        pairs = [(p, np.asarray(project_pinhole(cam, p))
-                  + rng.normal(scale=sigma, size=2)) for p in points]
-        measured = evaluate_reprojection_error(cam, pairs)
-        assert measured == pytest.approx(expected, rel=0.30)

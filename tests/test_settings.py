@@ -1,0 +1,332 @@
+"""Every numeric config field is range-checked once, by the class that owns
+it, and every entry point gives the same verdict.
+
+For each field a value drawn from the non-finite and extreme numbers and
+from around the field's own bounds is given to the class's constructor, to
+``PipelineConfig.from_dict`` where a JSON key sets the field, and to
+``mvlidar`` where an option sets it. All of them accept it or all refuse
+it, and a refusal is a ConfigError (exit 4, one line) naming the field.
+Nothing here runs a session, a scene or a tracker: each command is stopped
+at its first call after its configs are made.
+"""
+
+import contextlib
+import io
+import math
+from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
+from dataclasses import replace as dc_replace
+from numbers import Integral, Real
+from typing import Callable, Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvlidar import cli
+from mvlidar.detector import DetectorConfig
+from mvlidar.errors import ConfigError
+from mvlidar.fusion import ViewFrameSet
+from mvlidar.geometry import ObjectClass, PointCloud, RigidTransform
+from mvlidar.metrics import DetectionEvalConfig, MotEvalConfig
+from mvlidar.pipeline import PipelineConfig, crossroad_hierarchy
+from mvlidar.registration import HierarchyLevel
+from mvlidar.scene import NodePose, SceneSpec
+from mvlidar.syncsim import MAX_SESSION_S, NetworkModel, NodeClockModel
+from mvlidar.tracking import TrackerConfig
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0, -1, 1e308]
+
+
+class Reached(Exception):
+    """A command got past its configs to the work this test never runs."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+# per command: the calls after the configs are made, stopped or stubbed
+STOPS = {
+    "sync-sim": {"simulate_session": reached},
+    "track": {"read_detections": reached},
+    "eval-det": {"read_detections": lambda path: [],
+                 "format_ap_table": reached},
+    "eval-mot": {"read_trajectories": lambda path: None,
+                 "compute_clear_mot": reached},
+    "pipeline": {"run_pipeline": reached},
+    "make-scene": {"generate_synthetic_scene": reached},
+    "detect": {"_frames_in": lambda path: [], "write_detections": reached},
+    "fuse": {"read_calibration": lambda path: {0: RigidTransform.identity()},
+             "_node_dirs": lambda path: {0: path},
+             "_frames_in": lambda path: [PointCloud([[1.0, 2.0, 3.0]])],
+             "write_frame": reached},
+}
+REQUIRED = {"sync-sim": [], "track": ["--detections", "d", "--out", "o"],
+            "eval-det": ["--detections", "d", "--ground-truth", "g"],
+            "eval-mot": ["--hypotheses", "h", "--ground-truth", "g"],
+            "pipeline": [], "make-scene": ["--out", "o"],
+            "detect": ["--frames", "f", "--out", "o"],
+            "fuse": ["--calib", "c", "--frames", "f"]}  # and --out
+
+
+@pytest.fixture(scope="module")
+def fuse_out(tmp_path_factory):
+    """The directory ``fuse`` makes before its first fused frame."""
+    return str(tmp_path_factory.mktemp("fused"))
+
+
+@dataclass(frozen=True)
+class Field:
+    """A numeric field of the config class ``owner``: the constructor call
+    that sets it, the interval it must lie in (with the other fields at
+    their defaults), and the JSON and the option that set it where there
+    are such. Every refusal names the field; one from the JSON names the
+    field or its JSON key."""
+
+    owner: type
+    name: str
+    build: Callable
+    interval: str                       # "(0, 1]", "[1, inf)", ...
+    integer: bool = False
+    json: Optional[Callable] = None
+    option: Optional[tuple] = None      # (command, option)
+    json_key: Optional[str] = None      # where it differs from the name
+
+    def __str__(self):
+        return f"{self.owner.__name__}.{self.name}"
+
+    @property
+    def bounds(self) -> tuple:
+        return tuple(float(v) for v in self.interval[1:-1].split(","))
+
+    def accepts(self, value) -> bool:
+        """The verdict the interval gives: a number of the field's type,
+        finite and within the bounds."""
+        low, high = self.bounds
+        return (not isinstance(value, bool)
+                and isinstance(value, Integral if self.integer else Real)
+                and (value > low if self.interval[0] == "(" else value >= low)
+                and (value < high if self.interval[-1] == ")"
+                     else value <= high))
+
+
+SYNC = PipelineConfig().sync
+HIERARCHY = crossroad_hierarchy()
+POSE = NodePose.looking_at((10.0, 0.0, 3.0), (0.0, 0.0, 0.0))
+# the frame count, duration_s * frame_rate_hz, lies in [1, 1e6]: at the
+# default 10 s and 10 Hz each of the two lies in this interval
+FRAME_COUNT = "[0.1, 100000]"
+
+
+def section(name, key):
+    return lambda v: {name: {key: v}}
+
+
+def levels_with(index, position):
+    """The crossroad levels as JSON, with one entry set to the value."""
+    def levels(v):
+        levels = [[1.0, 2.0, 40], [0.4, 0.8, 60]]
+        levels[index][position] = v
+        return levels
+    return levels
+
+
+def fields():
+    out = []
+    for key, interval, integer in (("cluster_distance", "(0, inf)", False),
+                                   ("min_cluster_points", "[1, inf)", True),
+                                   ("score_points_scale", "(0, inf)", False)):
+        out.append(Field(DetectorConfig, key,
+                         lambda v, k=key: DetectorConfig(**{k: v}),
+                         interval, integer, section("detector", key)))
+    out.append(Field(DetectorConfig, "seed", lambda v: DetectorConfig(seed=v),
+                     "[0, inf)", True, option=("detect", "--seed")))
+    for key, interval, integer, option in (
+            ("threshold", "(0, 1]", False, "--threshold"),
+            ("min_hits", "[1, inf)", True, "--min-hits"),
+            ("max_age", "[0, inf)", True, "--max-age"),
+            ("process_noise", "(0, inf)", False, None),
+            ("measurement_noise", "(0, inf)", False, None)):
+        out.append(Field(TrackerConfig, key,
+                         lambda v, k=key: TrackerConfig(**{k: v}),
+                         interval, integer, section("tracker", key),
+                         option and ("track", option)))
+    for key, interval, integer, option in (
+            ("node_count", "[1, inf)", True, "--nodes"),
+            ("duration_s", FRAME_COUNT, False, "--duration"),
+            ("frame_rate_hz", FRAME_COUNT, False, "--frame-rate")):
+        out.append(Field(type(SYNC), key,
+                         lambda v, k=key: dc_replace(SYNC, **{k: v}),
+                         interval, integer, section("sync", key),
+                         ("sync-sim", option)))
+    out.append(Field(type(SYNC), "seed", lambda v: dc_replace(SYNC, seed=v),
+                     "[0, inf)", True))
+    for key, interval, option in (
+            ("delay_min_s", "[0, 0.2]", "--delay-min"),
+            ("delay_max_s", f"[0.001, {MAX_SESSION_S}]", "--delay-max"),
+            ("drop_probability", "[0, 1]", "--drop")):
+        out.append(Field(NetworkModel, key,
+                         lambda v, k=key: NetworkModel(**{k: v}), interval,
+                         json=section("sync", key),
+                         option=("sync-sim", option)))
+    for key, interval in (("initial_offset_s", "(-inf, inf)"),
+                          ("drift_ppm", "(-inf, inf)"),
+                          ("pps_jitter_s", "[0, inf)"),
+                          ("frame_jitter_s", "[0, inf)")):
+        out.append(Field(NodeClockModel, key,
+                         lambda v, k=key: NodeClockModel(**{k: v}), interval))
+    out.append(Field(
+        DetectionEvalConfig, "iou_thresholds",
+        lambda v: DetectionEvalConfig(iou_thresholds={ObjectClass.CAR: v}),
+        "(0, 1]", json=lambda v: {"eval_det": {"iou_thresholds": {"Car": v}}},
+        option=("eval-det", "--iou-threshold")))
+    out.append(Field(DetectionEvalConfig, "recall_points",
+                     lambda v: DetectionEvalConfig(recall_points=v),
+                     "[1, inf)", True, section("eval_det", "recall_points")))
+    out.append(Field(MotEvalConfig, "threshold",
+                     lambda v: MotEvalConfig(threshold=v), "(0, 1]",
+                     json=section("eval_mot", "threshold"),
+                     option=("eval-mot", "--threshold")))
+    for index, position, name, interval, integer in (
+            (1, 0, "voxel_size", "(0, 1)", False),   # below level 0's
+            (0, 1, "max_correspondence_distance", "(0, inf)", False),
+            (0, 2, "max_iterations", "[1, inf)", True)):
+        levels = levels_with(index, position)
+        out.append(Field(
+            HierarchyLevel, name,
+            lambda v, f=levels: dc_replace(HIERARCHY, levels=f(v)),
+            interval, integer, lambda v, f=levels: {"hierarchy": {"levels":
+                                                                  f(v)}}))
+    for key, interval, integer in (
+            ("fpfh_radius", "(0, inf)", False),
+            ("normal_radius", "(0, inf)", False),
+            ("ransac_inlier_threshold", "(0, inf)", False),
+            ("ransac_iterations", "[1, inf)", True),
+            ("arbitration_hypotheses", "[1, inf)", True),
+            ("min_normal_neighbors", "[1, inf)", True),
+            ("edge_length_ratio", "[0, 1)", False),
+            ("convergence_epsilon", "[0, inf)", False)):
+        out.append(Field(type(HIERARCHY), key,
+                         lambda v, k=key: dc_replace(HIERARCHY, **{k: v}),
+                         interval, integer, section("hierarchy", key)))
+    for key, interval, integer in (
+            ("extent", "(0, inf)", False), ("n_frames", "[1, inf)", True),
+            ("frame_rate_hz", "(0, inf)", False),
+            ("noise_sigma", "[0, inf)", False),
+            ("azimuth_steps", "[2, inf)", True),
+            ("elevation_steps", "[2, inf)", True),
+            ("reference_azimuth_steps", "[2, inf)", True),
+            ("reference_elevation_steps", "[2, inf)", True)):
+        out.append(Field(SceneSpec, key,
+                         lambda v, k=key: SceneSpec(nodes=(POSE,), **{k: v}),
+                         interval, integer,
+                         option=("make-scene", "--frames")
+                         if key == "n_frames" else None))
+    out.append(Field(ViewFrameSet, "sync_window_s",
+                     lambda v: ViewFrameSet({}, {}, sync_window_s=v),
+                     "[0, inf)", option=("fuse", "--sync-window")))
+    out.append(Field(PipelineConfig, "seed", lambda v: PipelineConfig(seed=v),
+                     "[0, inf)", True, lambda v: {"seed": v},
+                     ("pipeline", "--seed")))
+    out.append(Field(PipelineConfig, "scene_frames",
+                     lambda v: PipelineConfig(scene_frames=v), "[1, inf)",
+                     True, section("scene", "frames"),
+                     json_key="scene.frames"))
+    out.append(Field(PipelineConfig, "scene_extent",
+                     lambda v: PipelineConfig(scene_extent=v), "(0, inf)",
+                     False, section("scene", "extent"),
+                     json_key="scene.extent"))
+    return out
+
+
+FIELDS = fields()
+
+
+def drawn(field: Field):
+    """The special values, the finite bounds and the floats next to them,
+    small integers, and floats around the bounds."""
+    edges = [b for b in field.bounds if math.isfinite(b)]
+    near = [math.nextafter(b, d) for b in edges
+            for d in (-math.inf, math.inf)]
+    low, high = min(edges, default=0.0), max(edges, default=0.0)
+    return (st.sampled_from(SPECIAL + edges + near)
+            | st.integers(int(low) - 3, int(high) + 3)
+            | st.floats(low - 2.0, high + 2.0))
+
+
+def verdict(make, names) -> bool:
+    """True if ``make()`` accepts; a refusal must be a ConfigError whose
+    message holds one of ``names``."""
+    try:
+        make()
+    except ConfigError as exc:
+        assert any(name in str(exc) for name in names), str(exc)
+        return False
+    return True
+
+
+def cli_verdict(field: Field, value, fuse_out) -> bool:
+    command, option = field.option
+    argv = [command, *REQUIRED[command], f"{option}={value!r}"]
+    if command == "fuse":
+        argv += ["--out", fuse_out]
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        for name, stub in STOPS[command].items():
+            patch.setattr(cli, name, stub)
+        try:
+            code = cli.main(argv)
+        except Reached:
+            return True
+        except SystemExit as exc:
+            # argparse refuses a non-integer for an integer option
+            assert field.integer and exc.code == 2
+            return False
+    assert code == 4, stderr.getvalue()
+    message = stderr.getvalue()
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert field.name in message, message
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_every_entry_point_gives_the_same_verdict(field, data, fuse_out):
+    value = data.draw(drawn(field), label=field.name)
+    accepted = verdict(lambda: field.build(value), [field.name])
+    assert accepted == field.accepts(value)
+    if field.json is not None:
+        assert verdict(lambda: PipelineConfig.from_dict(field.json(value)),
+                       [field.name, field.json_key or field.name]) \
+            == accepted
+    if field.option is not None:
+        assert cli_verdict(field, value, fuse_out) == accepted
+
+
+# the cases of the other tracker and MOT metric: a distance threshold
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SPECIAL) | st.floats(-2.0, 2.0))
+@pytest.mark.parametrize("section_name, cls", [("tracker", TrackerConfig),
+                                               ("eval_mot", MotEvalConfig)])
+def test_distance_thresholds_agree(section_name, cls, value):
+    raw = {section_name: {"metric": "center_distance", "threshold": value}}
+    accepted = verdict(lambda: cls(metric="center_distance",
+                                   threshold=value), ["threshold"])
+    assert verdict(lambda: PipelineConfig.from_dict(raw),
+                   ["threshold"]) == accepted
+    assert accepted == (math.isfinite(value) and value > 0)
+
+
+def test_every_numeric_field_is_drawn():
+    """The table covers every int and float field of the config classes,
+    so a field added later cannot miss its check."""
+    numeric = {(cls.__name__, f.name) for cls in {f.owner for f in FIELDS}
+               for f in dataclass_fields(cls) if f.type in ("int", "float")}
+    drawn_fields = {(f.owner.__name__, f.name) for f in FIELDS}
+    # a dict of one number per class
+    assert numeric == drawn_fields - {("DetectionEvalConfig",
+                                       "iou_thresholds")}

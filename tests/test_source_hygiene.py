@@ -1,9 +1,10 @@
 """Static checks on the package source, read with ``ast``.
 
-The repository has no linter configured, so these two checks stand in for
-the ones that keep dead code from piling up: every name a module imports is
-used in that module, and every private module-level name is referenced
-somewhere in the package.
+The repository has no linter configured, so these checks stand in for the
+ones that keep dead code from piling up: every name a module imports is used
+in that module, every private module-level name is referenced somewhere in
+the package, and every public one is used by the package, the demos or the
+benchmark harness.
 """
 
 import ast
@@ -11,10 +12,20 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mvlidar"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mvlidar"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in MODULES}
+CALLERS = {path.name: ast.parse(path.read_text(), filename=str(path))
+           for directory in ("demos", "perfbench")
+           for path in sorted((ROOT / directory).glob("*.py"))}
+
+# public names that only the tests use, each kept for the reason given
+UNUSED_PUBLIC_NAMES = {
+    "geometry.compose": "the package exports it with RigidTransform: "
+                        "transforms chain by composition",
+}
 
 
 def imported_names(tree):
@@ -39,9 +50,33 @@ def loaded_names(tree):
     return names
 
 
+def referenced_names(trees):
+    """Every name the trees read, or import from another module."""
+    referenced = set()
+    for tree in trees:
+        referenced |= loaded_names(tree)
+        referenced.update(alias.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom)
+                          for alias in node.names)
+    return referenced
+
+
 def private_definitions(tree):
     """Module-level functions, classes and constants whose name starts
     with a single underscore."""
+    return [(name, line) for name, line in definitions(tree)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def public_definitions(tree):
+    """Module-level functions, classes and constants not named with an
+    underscore."""
+    return [(name, line) for name, line in definitions(tree)
+            if not name.startswith("_")]
+
+
+def definitions(tree):
+    """(name, line) of every module-level function, class and constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -53,8 +88,7 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+            yield name, node.lineno
 
 
 @pytest.mark.parametrize("module", [name for name in TREES
@@ -68,18 +102,27 @@ def test_every_import_is_used(module):
 
 
 def test_every_private_name_is_referenced():
-    referenced = set()
-    for tree in TREES.values():
-        referenced |= loaded_names(tree)
-        # a name another module imports is referenced there
-        referenced.update(alias.name for node in ast.walk(tree)
-                          if isinstance(node, ast.ImportFrom)
-                          for alias in node.names)
+    referenced = referenced_names(TREES.values())
     unreferenced = [f"{module}:{line} {name}"
                     for module, tree in TREES.items()
                     for name, line in private_definitions(tree)
                     if name not in referenced]
     assert not unreferenced, f"private names nothing uses: {unreferenced}"
+
+
+def test_every_public_name_is_used():
+    """A public name is used by code other than its definition: in the
+    package (its re-exports in ``__init__.py`` aside), a demo or the
+    benchmark harness; else it is allowed above with a reason."""
+    referenced = referenced_names(
+        [tree for module, tree in TREES.items() if module != "__init__.py"]
+        + list(CALLERS.values()))
+    unused = [f"{module[:-3]}.{name}"
+              for module, tree in TREES.items() if module != "__init__.py"
+              for name, _ in public_definitions(tree)
+              if name not in referenced]
+    assert sorted(unused) == sorted(UNUSED_PUBLIC_NAMES), \
+        f"public names only the tests use: {unused}"
 
 
 def test_the_checks_see_an_unused_import_and_an_unused_private_name():

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from mvlidar.errors import ConfigError, InsufficientNodesError
 from mvlidar.syncsim import (
     MAX_RETRIES,
+    MAX_SESSION_FRAMES,
+    MAX_SESSION_S,
     NS,
     NetworkModel,
     NodeClockModel,
@@ -121,6 +125,25 @@ class TestSimulateSession:
             SessionConfig(node_count=2, duration_s=1.0, clocks=[quiet_clock()])
         with pytest.raises(ConfigError):
             NetworkModel(delay_min_s=0.5, delay_max_s=0.1)
+
+    def test_non_finite_jitter_rejected(self):
+        with pytest.raises(ConfigError, match=r"^pps_jitter_s must be a "
+                                              r"finite number >= 0, got nan$"):
+            NodeClockModel(pps_jitter_s=math.nan)
+
+    def test_session_outside_int64_nanoseconds_rejected(self):
+        """A session no longer than MAX_SESSION_S and MAX_SESSION_FRAMES
+        frames is accepted; one step beyond either is refused."""
+        SessionConfig(node_count=2, duration_s=MAX_SESSION_S,
+                      frame_rate_hz=MAX_SESSION_FRAMES / MAX_SESSION_S)
+        with pytest.raises(ConfigError, match="^duration_s must be"):
+            SessionConfig(node_count=2, duration_s=2 * MAX_SESSION_S)
+        with pytest.raises(ConfigError,
+                           match=r"^duration_s \* frame_rate_hz must be"):
+            SessionConfig(node_count=2, duration_s=1.0,
+                          frame_rate_hz=2 * MAX_SESSION_FRAMES)
+        with pytest.raises(ConfigError, match="^delay_max_s must be"):
+            NetworkModel(delay_max_s=2 * MAX_SESSION_S)
 
 
 class TestTimeErrorReport:

@@ -195,6 +195,17 @@ class TestTrackSequence:
         result = track_sequence(frames, CFG, frame_dt=0.1)
         assert len(result) == 0
 
+    def test_longest_frame_step_keeps_tracks_finite(self):
+        """Walkers with gaps, stepped MAX_FRAME_DT_S apart, track without
+        an overflow; a longer step is refused."""
+        drop = {(3, 0), (4, 0), (5, 1)}
+        frames = self.make_walkers(10, drop=drop)
+        result = track_sequence(frames, CFG, frame_dt=tracking.MAX_FRAME_DT_S)
+        assert len(result) >= 2
+        with pytest.raises(ConfigError, match="^frame_dt must be"):
+            track_sequence(frames, CFG,
+                           frame_dt=2 * tracking.MAX_FRAME_DT_S)
+
     def test_trajectory_set_rejects_unsorted_frames(self):
         with pytest.raises(ValueError):
             TrajectorySet({1: [(3, box()), (2, box())]})
