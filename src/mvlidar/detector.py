@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegenerateClusterError, NoGroundPlaneError, \
     check_number
-from .geometry import Box3D, ObjectClass, PointCloud, wrap_angle
+from .geometry import Box3D, ObjectClass, PointCloud, linked_groups, \
+    wrap_angle
 
 # (length range, width range, height range) per class; footprint areas are
 # disjoint so at most one prior can match
@@ -146,22 +145,14 @@ def cluster_euclidean(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
     index), so the output is invariant to input permutation up to that
     canonical order.
     """
-    n = len(cloud)
-    if n == 0:
+    if len(cloud) == 0:
         return []
     tree = cKDTree(cloud.points)
     pairs = tree.query_pairs(cfg.cluster_distance, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8),
-                        (pairs[:, 0].astype(np.int32),
-                         pairs[:, 1].astype(np.int32))),
-                       shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-
-    order = np.argsort(labels, kind="stable")
-    boundaries = np.flatnonzero(np.diff(labels[order])) + 1
-    members = [idx for idx in np.split(order, boundaries)
+    members = [idx for idx in linked_groups(len(cloud), pairs)
                if len(idx) >= cfg.min_cluster_points]
-    members.sort(key=lambda idx: (-len(idx), int(idx.min())))
+    # stable: equal sizes keep the order of their smallest index
+    members.sort(key=len, reverse=True)
     return [cloud.select(idx) for idx in members]
 
 

@@ -22,6 +22,7 @@ from .geometry import (
     PointCloud,
     apply_transform,
     iou_3d,
+    linked_groups,
     wrap_half_angle,
 )
 
@@ -61,39 +62,23 @@ def early_fuse(view_set: ViewFrameSet) -> PointCloud:
 
     Points are ordered by (node id, index within node) so the result does
     not depend on dict insertion order. Every point is tagged with its
-    source node.
+    source node; other attributes follow ``PointCloud.concatenate``.
     """
     view_set.check_synchronized()
-    points, intensities, sources, time_indices = [], [], [], []
-    has_intensity = all(f.intensity is not None
-                        for f in view_set.frames.values() if len(f))
-    has_time = all(f.time_index is not None
-                   for f in view_set.frames.values() if len(f))
-    newest = 0
-    for node in sorted(view_set.frames):
-        frame = view_set.frames[node]
-        world = apply_transform(view_set.extrinsics[node], frame)
-        points.append(world.points)
-        newest = max(newest, frame.timestamp_ns)
-        sources.append(np.full(len(world), node, dtype=np.int64))
-        if has_intensity and world.intensity is not None:
-            intensities.append(world.intensity)
-        if has_time and world.time_index is not None:
-            time_indices.append(world.time_index)
-    if not points:
-        return PointCloud.empty()
-    return PointCloud(
-        np.concatenate(points),
-        intensity=np.concatenate(intensities) if has_intensity and intensities else None,
-        timestamp_ns=newest,
-        time_index=np.concatenate(time_indices) if has_time and time_indices else None,
-        source_ids=np.concatenate(sources))
+    nodes = sorted(view_set.frames)
+    return PointCloud.concatenate(
+        [apply_transform(view_set.extrinsics[node], view_set.frames[node])
+         for node in nodes],
+        timestamp_ns=max((frame.timestamp_ns
+                          for frame in view_set.frames.values()), default=0),
+        source_ids=nodes)
 
 
 def temporal_integrate(frames: list) -> PointCloud:
     """Concatenate time-ordered frames, tagging points with the frame index.
 
-    Index 0 is the oldest frame. Used to give a single view the same point
+    Index 0 is the oldest frame; other attributes follow
+    ``PointCloud.concatenate``. Used to give a single view the same point
     budget per frame as a multi-view merge.
     """
     if not frames:
@@ -101,19 +86,9 @@ def temporal_integrate(frames: list) -> PointCloud:
     stamps = [f.timestamp_ns for f in frames]
     if any(b < a for a, b in zip(stamps, stamps[1:])):
         raise ValueError("frames must be in time order")
-    points, indices, intensities = [], [], []
-    has_intensity = all(f.intensity is not None for f in frames if len(f))
-    for position, frame in enumerate(frames):
-        points.append(frame.points)
-        indices.append(np.full(len(frame), position, dtype=np.int64))
-        if has_intensity and frame.intensity is not None:
-            intensities.append(frame.intensity)
-    return PointCloud(
-        np.concatenate(points),
-        intensity=np.concatenate(intensities) if has_intensity and intensities else None,
-        timestamp_ns=frames[-1].timestamp_ns,
-        time_index=np.concatenate(indices),
-        source_node=frames[-1].source_node)
+    return PointCloud.concatenate(frames, timestamp_ns=stamps[-1],
+                                  source_node=frames[-1].source_node,
+                                  time_index=range(len(frames)))
 
 
 @dataclass(frozen=True)
@@ -139,30 +114,11 @@ def cluster_boxes(views: list) -> list:
     Every input box lands in exactly one cluster.
     """
     entries = [(box, view_id) for view_id, boxes in views for box in boxes]
-    n = len(entries)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = entries[i][0], entries[j][0]
-            if a.label is b.label and iou_3d(a, b) >= _OVERLAP_THRESHOLD:
-                union(i, j)
-
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(entries[i])
-    return [BoxCluster(members=tuple(groups[root])) for root in sorted(groups)]
+    pairs = [(i, j) for i, (a, _) in enumerate(entries)
+             for j, (b, _) in enumerate(entries[i + 1:], i + 1)
+             if a.label is b.label and iou_3d(a, b) >= _OVERLAP_THRESHOLD]
+    return [BoxCluster(members=tuple(entries[i] for i in group))
+            for group in linked_groups(len(entries), pairs)]
 
 
 def nms_fuse(clusters: list) -> list:
@@ -171,13 +127,9 @@ def nms_fuse(clusters: list) -> list:
     Ties go to the lower view id, then to input order; geometry and class
     are copied verbatim (selection, not synthesis).
     """
-    fused = []
-    for cluster in clusters:
-        best_index = min(
-            range(len(cluster.members)),
-            key=lambda i: (-cluster.members[i][0].score, cluster.members[i][1], i))
-        fused.append(cluster.members[best_index][0])
-    return fused
+    # min keeps the first of equal keys, which is the input order
+    return [min(cluster.members, key=lambda m: (-m[0].score, m[1]))[0]
+            for cluster in clusters]
 
 
 def average_fuse(clusters: list) -> list:

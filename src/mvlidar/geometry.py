@@ -20,6 +20,8 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 _CLIP_EPS = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
@@ -174,6 +176,34 @@ class PointCloud:
     def empty() -> "PointCloud":
         return PointCloud(np.zeros((0, 3)))
 
+    @staticmethod
+    def concatenate(clouds, timestamp_ns: int = 0, source_node=None,
+                    **tags) -> "PointCloud":
+        """The points of ``clouds`` in order: the one merge of clouds.
+
+        A per-point attribute survives when every non-empty part carries
+        it. A tag, such as ``source_ids=[2, 0]``, instead gives every point
+        of part k the integer ``tags[name][k]``.
+        """
+        parts = list(clouds)
+
+        def merged(name):
+            if name in tags:
+                return np.repeat(np.asarray(tags[name], dtype=np.int64),
+                                 [len(part) for part in parts])
+            arrays = [getattr(part, name) for part in parts if len(part)]
+            if arrays and all(array is not None for array in arrays):
+                return np.concatenate(arrays)
+            return None
+
+        # an unknown tag name fails as an unknown PointCloud argument
+        attributes = {name: merged(name) for name in
+                      {"intensity", "time_index", "source_ids", *tags}}
+        return PointCloud(np.concatenate([part.points for part in parts]
+                                         or [np.zeros((0, 3))]),
+                          timestamp_ns=timestamp_ns, source_node=source_node,
+                          **attributes)
+
     def select(self, mask_or_index) -> "PointCloud":
         """Sub-cloud keeping per-point attributes aligned."""
         pick = lambda a: None if a is None else a[mask_or_index]
@@ -314,6 +344,21 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, inter / union))
+
+
+def linked_groups(n: int, pairs) -> list:
+    """The groups of items 0..n-1 that (i, j) ``pairs`` link, transitively:
+    ascending index arrays in the order of their smallest index, whatever
+    the order of the pairs. No items give no groups."""
+    if n == 0:
+        return []
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs), dtype=bool),
+                        (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    # components are labelled in the order of their smallest member
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def _lexicographic_key(cells: np.ndarray) -> np.ndarray:

@@ -56,8 +56,8 @@ from .registration import (
     accumulate_frames,
     hierarchical_register,
 )
-from .scene import SceneSpec, SyntheticScene, calibration_capture, \
-    generate_synthetic_scene, standard_crossroad_spec
+from .scene import MAX_SCENE_FRAMES, SceneSpec, SyntheticScene, \
+    calibration_capture, generate_synthetic_scene, standard_crossroad_spec
 from .syncsim import (
     NetworkModel,
     SessionConfig,
@@ -356,7 +356,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_number("seed", self.seed, 0, integer=True)
-        check_number("scene_frames", self.scene_frames, 1, integer=True)
+        check_number("scene_frames", self.scene_frames, 1, MAX_SCENE_FRAMES,
+                     integer=True)
         check_number("scene_extent", self.scene_extent, 0, low_open=True)
         if self.sync.seed != self.seed:
             object.__setattr__(self, "sync", dc_replace(self.sync,

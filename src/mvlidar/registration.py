@@ -599,7 +599,8 @@ def accumulate_frames(frames: Sequence[PointCloud],
                       duration_s: float) -> PointCloud:
     """Concatenate time-ordered frames within duration_s of the first.
 
-    The first frame is always kept. A duration too long to count in
+    The first frame is always kept; attributes follow
+    ``PointCloud.concatenate``. A duration too long to count in
     integer nanoseconds, infinity included, keeps every frame.
     """
     if not frames:
@@ -612,14 +613,8 @@ def accumulate_frames(frames: Sequence[PointCloud],
     # integer offsets against the float window compare exactly
     kept = [f for f in frames
             if f.timestamp_ns - stamps[0] <= duration_s * 1e9]
-    points = np.concatenate([f.points for f in kept])
-    intensity = None
-    if all(f.intensity is not None for f in kept if len(f)):
-        blocks = [f.intensity for f in kept if f.intensity is not None]
-        intensity = np.concatenate(blocks) if blocks else None
-    return PointCloud(points, intensity=intensity,
-                      timestamp_ns=kept[0].timestamp_ns,
-                      source_node=kept[0].source_node)
+    return PointCloud.concatenate(kept, timestamp_ns=stamps[0],
+                                  source_node=kept[0].source_node)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ from .tracking import TrajectorySet
 DEFAULT_AZIMUTH_FOV_DEG = 100.0
 DEFAULT_ELEVATION_FOV_DEG = 40.0
 DEFAULT_FRAME_RATE_HZ = 10.0
+# a scene holds every node frame in memory, up to one 24-byte point per ray:
+# 0.35 MB at the crossroad's 240 x 60 grid, so 1,000 frames (100 s at
+# 10 Hz) of its 4 nodes stay under 1.4 GB
+MAX_SCENE_FRAMES = 1_000
 
 # reference scanner: vertical sweep (degrees) and range noise (m)
 _REFERENCE_ELEVATION_RANGE_DEG = (-35.0, 30.0)
@@ -164,7 +168,8 @@ class SceneSpec:
         if not self.nodes:
             raise ConfigError("scene needs at least one node")
         check_number("extent", self.extent, 0, low_open=True)
-        check_number("n_frames", self.n_frames, 1, integer=True)
+        check_number("n_frames", self.n_frames, 1, MAX_SCENE_FRAMES,
+                     integer=True)
         check_number("frame_rate_hz", self.frame_rate_hz, 0, low_open=True)
         check_number("noise_sigma", self.noise_sigma, 0)
         # ray grids of at least 2 x 2

@@ -50,15 +50,13 @@ MAX_SESSION_FRAMES = 1_000_000
 
 @dataclass(frozen=True)
 class NodeClockModel:
-    """Clock offset/drift plus the noise sources of one slave node."""
+    """Clock drift plus the noise sources of one slave node."""
 
-    initial_offset_s: float = 0.0
     drift_ppm: float = 0.0
     pps_jitter_s: float = 5e-7
     frame_jitter_s: float = 1e-4
 
     def __post_init__(self):
-        check_number("initial_offset_s", self.initial_offset_s)
         check_number("drift_ppm", self.drift_ppm)
         check_number("pps_jitter_s", self.pps_jitter_s, 0)
         check_number("frame_jitter_s", self.frame_jitter_s, 0)
@@ -93,8 +91,6 @@ class SessionConfig:
     clocks: Optional[Sequence[NodeClockModel]] = None
     network: NetworkModel = field(default_factory=NetworkModel)
     seed: int = 0
-    # False draws a random trigger phase in place of TRIGGER_PHASE_S
-    align_trigger_phase: bool = True
 
     def __post_init__(self):
         check_number("node_count", self.node_count, 1, integer=True)
@@ -153,12 +149,7 @@ def simulate_session(cfg: SessionConfig) -> SessionTrace:
     starts on the next PPS edge, then captures frame_count frames at the
     configured rate of GPS-disciplined time.
     """
-    master_rng = np.random.default_rng([cfg.seed, 0xABCD])
-    if cfg.align_trigger_phase:
-        phase = TRIGGER_PHASE_S
-    else:
-        phase = float(master_rng.uniform(0.0, 1.0))
-    emit_ns = NS + int(round(phase * NS))
+    emit_ns = NS + int(round(TRIGGER_PHASE_S * NS))
 
     period_ns = int(round(NS / cfg.frame_rate_hz))
     n_frames = cfg.frame_count

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mvlidar import cli, pipeline
 from mvlidar.cli import build_parser, main
 from mvlidar.detector import DetectorConfig
 from mvlidar.errors import ConfigError
@@ -37,6 +38,7 @@ from mvlidar.pipeline import (
     fused_cloud,
 )
 from mvlidar.scene import (
+    MAX_SCENE_FRAMES,
     calibration_capture,
     generate_synthetic_scene,
     standard_crossroad_spec,
@@ -682,6 +684,29 @@ class TestErrorsAndConversion:
         assert main([command, *argv, "--seed", "-1"]) == 4
         assert capsys.readouterr().err == \
             "error: --seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["make-scene", "pipeline"])
+    def test_scene_longer_than_the_bound_exit_4(self, tmp_path, capsys,
+                                                monkeypatch, command):
+        def render(*args, **kwargs):
+            raise AssertionError("the scene was rendered")
+
+        monkeypatch.setattr(cli, "generate_synthetic_scene", render)
+        monkeypatch.setattr(pipeline, "generate_synthetic_scene", render)
+        frames = MAX_SCENE_FRAMES + 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": {"frames": frames}}))
+        out = tmp_path / "out"
+        argv, setting = {
+            "make-scene": (["--frames", str(frames), "--out", str(out)],
+                           "n_frames"),
+            "pipeline": (["--config", str(cfg), "--out-dir", str(out)],
+                         "scene_frames")}[command]
+        assert main([command, *argv]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {setting} must be an integer in "
+            f"[1, {MAX_SCENE_FRAMES}], got {frames}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("rows", ["0", "-3"])

@@ -105,6 +105,17 @@ class TestTemporalIntegrate:
         out = temporal_integrate(frames)
         assert abs(len(out) - four_view_count) < per_frame + 1
 
+    def test_fused_frames_keep_their_source_ids(self, rng):
+        extr = {0: RigidTransform.identity(), 1: RigidTransform.identity()}
+        fused = [early_fuse(ViewFrameSet(
+            frames={node: cloud(rng.normal(size=(5 + node, 3)), t_ns=t)
+                    for node in (0, 1)}, extrinsics=extr))
+            for t in (0, 100_000_000)]
+        out = temporal_integrate(fused)
+        np.testing.assert_array_equal(out.source_ids,
+                                      [0] * 5 + [1] * 6 + [0] * 5 + [1] * 6)
+        np.testing.assert_array_equal(out.time_index, [0] * 11 + [1] * 11)
+
     def test_unordered_frames_rejected(self):
         frames = [cloud(np.zeros((1, 3)), t_ns=100), cloud(np.zeros((1, 3)), t_ns=0)]
         with pytest.raises(ValueError):
@@ -277,6 +288,11 @@ class TestLateFuse:
         for method in ("nms", "average"):
             fused = late_fuse(views, method=method)
             assert len(fused) <= total
+
+    @pytest.mark.parametrize("method", ["nms", "average"])
+    @pytest.mark.parametrize("views", [[], [(0, []), (1, [])]])
+    def test_no_boxes_fuse_to_none(self, views, method):
+        assert late_fuse(views, method=method) == []
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import monte_carlo_iou_3d, random_box, random_transform
@@ -15,6 +15,7 @@ from mvlidar.geometry import (
     compose,
     iou_3d,
     iou_bev,
+    linked_groups,
     voxel_downsample,
     wrap_angle,
     wrap_half_angle,
@@ -100,6 +101,85 @@ class TestPointCloud:
     def test_nonfinite_point_rejected(self):
         with pytest.raises(ValueError):
             PointCloud([[0.0, np.nan, 0.0]])
+
+
+class TestConcatenate:
+    def part(self, rng, n, **attributes):
+        return PointCloud(rng.normal(size=(n, 3)), **{
+            name: rng.integers(0, 5, n) for name in attributes})
+
+    def test_attribute_kept_only_when_every_non_empty_part_has_it(self, rng):
+        a = self.part(rng, 4, intensity=1, time_index=1)
+        b = self.part(rng, 3, intensity=1)
+        merged = PointCloud.concatenate([a, PointCloud.empty(), b])
+        np.testing.assert_array_equal(merged.points,
+                                      np.concatenate([a.points, b.points]))
+        np.testing.assert_array_equal(
+            merged.intensity, np.concatenate([a.intensity, b.intensity]))
+        assert merged.time_index is None and merged.source_ids is None
+
+    def test_tag_overrides_the_parts_attribute(self, rng):
+        a = self.part(rng, 2, source_ids=1)
+        b = self.part(rng, 3, source_ids=1)
+        merged = PointCloud.concatenate([a, PointCloud.empty(), b],
+                                        timestamp_ns=9, source_node=1,
+                                        source_ids=[5, 6, 7])
+        np.testing.assert_array_equal(merged.source_ids, [5, 5, 7, 7, 7])
+        assert (merged.timestamp_ns, merged.source_node) == (9, 1)
+
+    @pytest.mark.parametrize("parts", [0, 1, 3])
+    def test_empty_parts_give_an_empty_cloud(self, parts):
+        merged = PointCloud.concatenate([PointCloud.empty()] * parts,
+                                        timestamp_ns=4,
+                                        time_index=range(parts))
+        assert merged.points.shape == (0, 3) and merged.timestamp_ns == 4
+        assert merged.intensity is merged.time_index is None
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(TypeError):
+            PointCloud.concatenate([PointCloud.empty()], node=[0])
+
+
+def linked_groups_oracle(n, pairs):
+    """Union-find whose root is always the smallest member."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[root] for root in sorted(groups)]
+
+
+@st.composite
+def linked_items(draw):
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, []
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=60))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=5)) \
+        if pairs else []
+    return n, pairs + repeats
+
+
+@settings(max_examples=200, deadline=None)
+@given(linked_items())
+@example((0, []))
+@example((5, []))
+@example((4, [(3, 1), (1, 3), (3, 1), (2, 2)]))
+def test_linked_groups_match_union_find(items):
+    n, pairs = items
+    groups = linked_groups(n, pairs)
+    assert [group.tolist() for group in groups] == \
+        linked_groups_oracle(n, pairs)
 
 
 class TestIou3d:

@@ -31,7 +31,7 @@ from mvlidar.geometry import ObjectClass, PointCloud, RigidTransform
 from mvlidar.metrics import DetectionEvalConfig, MotEvalConfig
 from mvlidar.pipeline import PipelineConfig, crossroad_hierarchy
 from mvlidar.registration import HierarchyLevel
-from mvlidar.scene import NodePose, SceneSpec
+from mvlidar.scene import MAX_SCENE_FRAMES, NodePose, SceneSpec
 from mvlidar.syncsim import MAX_SESSION_S, NetworkModel, NodeClockModel
 from mvlidar.tracking import TrackerConfig
 
@@ -170,8 +170,7 @@ def fields():
                          lambda v, k=key: NetworkModel(**{k: v}), interval,
                          json=section("sync", key),
                          option=("sync-sim", option)))
-    for key, interval in (("initial_offset_s", "(-inf, inf)"),
-                          ("drift_ppm", "(-inf, inf)"),
+    for key, interval in (("drift_ppm", "(-inf, inf)"),
                           ("pps_jitter_s", "[0, inf)"),
                           ("frame_jitter_s", "[0, inf)")):
         out.append(Field(NodeClockModel, key,
@@ -211,7 +210,8 @@ def fields():
                          lambda v, k=key: dc_replace(HIERARCHY, **{k: v}),
                          interval, integer, section("hierarchy", key)))
     for key, interval, integer in (
-            ("extent", "(0, inf)", False), ("n_frames", "[1, inf)", True),
+            ("extent", "(0, inf)", False),
+            ("n_frames", f"[1, {MAX_SCENE_FRAMES}]", True),
             ("frame_rate_hz", "(0, inf)", False),
             ("noise_sigma", "[0, inf)", False),
             ("azimuth_steps", "[2, inf)", True),
@@ -230,7 +230,8 @@ def fields():
                      "[0, inf)", True, lambda v: {"seed": v},
                      ("pipeline", "--seed")))
     out.append(Field(PipelineConfig, "scene_frames",
-                     lambda v: PipelineConfig(scene_frames=v), "[1, inf)",
+                     lambda v: PipelineConfig(scene_frames=v),
+                     f"[1, {MAX_SCENE_FRAMES}]",
                      True, section("scene", "frames"),
                      json_key="scene.frames"))
     out.append(Field(PipelineConfig, "scene_extent",

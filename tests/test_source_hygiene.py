@@ -3,8 +3,9 @@
 The repository has no linter configured, so these checks stand in for the
 ones that keep dead code from piling up: every name a module imports is used
 in that module, every private module-level name is referenced somewhere in
-the package, and every public one is used by the package, the demos or the
-benchmark harness.
+the package, every public one is used by the package, the demos or the
+benchmark harness, and every field of a config dataclass is read by the
+package.
 """
 
 import ast
@@ -26,6 +27,10 @@ UNUSED_PUBLIC_NAMES = {
     "geometry.compose": "the package exports it with RigidTransform: "
                         "transforms chain by composition",
 }
+
+# config fields that no code outside the class's own checks reads, each kept
+# for the reason given
+UNREAD_CONFIG_FIELDS = {}
 
 
 def imported_names(tree):
@@ -91,6 +96,32 @@ def definitions(tree):
             yield name, node.lineno
 
 
+def config_fields(tree):
+    """(class, field) of every field of a config dataclass: a class whose
+    ``__post_init__`` calls ``check_number``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(method, ast.FunctionDef)
+                and method.name == "__post_init__"
+                and "check_number" in loaded_names(method)
+                for method in node.body):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign):
+                    yield node.name, item.target.id
+
+
+def attributes_read(node):
+    """Every attribute read by name under ``node``, outside the bodies of
+    ``__post_init__``."""
+    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+        return set()
+    names = ({node.attr} if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load) else set())
+    for child in ast.iter_child_nodes(node):
+        names |= attributes_read(child)
+    return names
+
+
 @pytest.mark.parametrize("module", [name for name in TREES
                                     if name != "__init__.py"])
 def test_every_import_is_used(module):
@@ -125,6 +156,15 @@ def test_every_public_name_is_used():
         f"public names only the tests use: {unused}"
 
 
+def test_every_config_field_is_read():
+    """A config field that only its own range check reads sets nothing."""
+    read = set().union(*map(attributes_read, TREES.values()))
+    unread = [f"{cls}.{name}" for tree in TREES.values()
+              for cls, name in config_fields(tree) if name not in read]
+    assert sorted(unread) == sorted(UNREAD_CONFIG_FIELDS), \
+        f"config fields only their checks read: {unread}"
+
+
 def test_the_checks_see_an_unused_import_and_an_unused_private_name():
     tree = ast.parse("from dataclasses import dataclass, field\n"
                      "_USED = 1\n_UNUSED = 2\n"
@@ -134,3 +174,12 @@ def test_the_checks_see_an_unused_import_and_an_unused_private_name():
             if name not in used] == ["field"]
     assert [name for name, _ in private_definitions(tree)
             if name not in used] == ["_UNUSED"]
+
+
+def test_the_check_sees_a_config_field_only_its_check_reads():
+    tree = ast.parse("class Config:\n    used: int = 0\n    unread: int = 0\n"
+                     "    def __post_init__(self):\n"
+                     "        check_number('unread', self.unread)\n"
+                     "def run(cfg):\n    return cfg.used\n")
+    assert [name for _, name in config_fields(tree)
+            if name not in attributes_read(tree)] == ["unread"]

@@ -95,20 +95,9 @@ class TestSimulateSession:
             tolerance = 3.0 * NodeClockModel.camera().frame_jitter_s * NS + 5_000
             assert np.all(np.abs(diffs - period) <= tolerance)
 
-    def test_misaligned_phase_can_split_start_seconds(self):
-        # with a random phase, some seed yields arrivals straddling a second
-        split = False
-        for seed in range(60):
-            cfg = make_config(seed=seed, align_trigger_phase=False)
-            trace = simulate_session(cfg)
-            if len({n.start_pps_index for n in trace.armed_nodes()}) > 1:
-                split = True
-                break
-        assert split
-
-    def test_drift_and_offset_absorbed_by_discipline(self):
-        clocks = [NodeClockModel(initial_offset_s=0.5, drift_ppm=10.0,
-                                 pps_jitter_s=0.0, frame_jitter_s=0.0)] * 2
+    def test_drift_absorbed_by_discipline(self):
+        clocks = [NodeClockModel(drift_ppm=10.0, pps_jitter_s=0.0,
+                                 frame_jitter_s=0.0)] * 2
         cfg = make_config(node_count=2, clocks=clocks,
                           network=NetworkModel(delay_min_s=0.0, delay_max_s=0.0))
         trace = simulate_session(cfg)
