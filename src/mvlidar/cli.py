@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import glob
 import inspect
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -74,13 +73,16 @@ def _node_dirs(root):
 
 
 def _point(text: str) -> tuple:
-    """An ``X,Y,Z`` option value as three finite floats."""
+    """The ``--reference-viewpoint`` value ``X,Y,Z`` as three floats, each
+    then checked to be finite by ``check_number``, as ``_checked`` does."""
     try:
         point = tuple(float(v) for v in text.split(","))
     except ValueError:
         point = ()
-    if len(point) != 3 or not all(math.isfinite(v) for v in point):
+    if len(point) != 3:
         raise argparse.ArgumentTypeError(f"expected X,Y,Z, got {text!r}")
+    for value in point:
+        check_number("--reference-viewpoint", value)
     return point
 
 

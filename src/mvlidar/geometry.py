@@ -27,6 +27,8 @@ _CLIP_EPS = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
 # voxel indices stay below 2**62 in magnitude, so per-axis spans fit in int64
 _MAX_VOXEL_INDEX = 2.0 ** 62
+# the voxel grid counts keys directly up to this many possible keys per point
+_COUNTING_SPAN_PER_POINT = 4
 
 
 class ObjectClass(str, Enum):
@@ -388,6 +390,27 @@ def _lexicographic_key(cells: np.ndarray) -> np.ndarray:
     return key
 
 
+def _voxel_grid(key: np.ndarray):
+    """Each key's rank among the distinct keys, and the count of each
+    distinct key in ascending order: ``np.unique``'s inverse and counts.
+
+    Keys are >= 0. When they span at most 4 values per point, ``bincount``
+    counts every possible key and a running total of the occupied ones
+    ranks them, with no sort; wider spans fall back to ``np.unique``.
+    """
+    span = int(key.max()) + 1
+    if span > _COUNTING_SPAN_PER_POINT * len(key):
+        _, inverse, counts = np.unique(key, return_inverse=True,
+                                       return_counts=True)
+        return inverse, counts
+    counts = np.bincount(key, minlength=span)
+    occupied = counts > 0
+    counts = counts[occupied]
+    rank = np.cumsum(occupied)
+    rank -= 1
+    return rank[key], counts
+
+
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """One output point per occupied voxel, at the centroid of its members.
 
@@ -397,10 +420,13 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     one int64 key that sorts as the index rows do; when the product of the
     per-axis spans would overflow int64, the (x, y) prefix is re-ranked
     before z is packed (see ``_lexicographic_key``), so the key never wraps
-    and the voxel order stays the same. Member sums accumulate in input
-    order. Intensity is averaged per voxel; the integer time-index and
-    source-id attributes keep the per-voxel minimum. Raises ValueError when
-    a voxel index reaches 2**62 in magnitude.
+    and the voxel order stays the same. When the keys span at most 4 values
+    per point, the voxels are found by counting each possible key; wider
+    spans fall back to sorting the keys with ``np.unique``. Both give the
+    same order, membership and counts (see ``_voxel_grid``). Member sums
+    accumulate in input order. Intensity is averaged per voxel; the integer
+    time-index and source-id attributes keep the per-voxel minimum. Raises
+    ValueError when a voxel index reaches 2**62 in magnitude.
     """
     if voxel_size <= 0.0:
         raise ValueError("voxel_size must be positive")
@@ -415,7 +441,8 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     del scaled
     key = _lexicographic_key(cells)
     del cells
-    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    inverse, counts = _voxel_grid(key)
+    del key
     n_voxels = len(counts)
 
     def voxel_sums(values):

@@ -47,6 +47,10 @@ _RANK_TOL = 1e-12
 _SCORE_CHUNK = 512
 # pairs per block of the FPFH pair pass, which bounds its (block, 3) arrays
 _PAIR_CHUNK = 16384
+# RANSAC draws all its trials at once: their triples, points and poses
+# peak at 0.7 kB per trial when every triple is consistent, so a million
+# trials stay near 0.7 GB
+MAX_RANSAC_ITERATIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,9 @@ class HierarchyConfig:
         for key in ("fpfh_radius", "normal_radius", "ransac_inlier_threshold"):
             check_number(f"hierarchy.{key}", getattr(self, key), 0,
                          low_open=True)
-        for key in ("ransac_iterations", "arbitration_hypotheses",
-                    "min_normal_neighbors"):
+        check_number("hierarchy.ransac_iterations", self.ransac_iterations,
+                     1, MAX_RANSAC_ITERATIONS, integer=True)
+        for key in ("arbitration_hypotheses", "min_normal_neighbors"):
             check_number(f"hierarchy.{key}", getattr(self, key), 1,
                          integer=True)
         check_number("hierarchy.edge_length_ratio", self.edge_length_ratio,
@@ -379,6 +384,41 @@ def _match_fitness(source_points: np.ndarray, target_tree: cKDTree,
     return fitness, rmse
 
 
+def _arbitrate(candidates, rotations, translations, corr_src, corr_tgt,
+               source_points, target_tree, threshold):
+    """(fitness, rmse, transform) of the first candidate pose with the
+    highest whole-cloud fitness after refitting, or None if none refits."""
+    threshold_sq = threshold ** 2
+    best = None
+    for index in candidates:
+        rotation, translation = rotations[index], translations[index]
+        # three noisy pairs give a crude pose; grow each candidate's
+        # consensus by refitting on its inliers before judging it
+        refit = None
+        for _ in range(3):
+            moved = corr_src @ rotation.T + translation
+            inliers = np.sum((moved - corr_tgt) ** 2, axis=1) <= threshold_sq
+            if inliers.sum() < 3:
+                break
+            try:
+                refit = solve_rigid_arun(corr_src[inliers], corr_tgt[inliers])
+            except DegenerateConfigurationError:
+                refit = None
+                break
+            rotation, translation = refit.rotation, refit.translation
+        if refit is None:
+            continue
+        fitness, rmse = _match_fitness(source_points, target_tree,
+                                       refit.rotation, refit.translation,
+                                       threshold)
+        if best is None or fitness > best[0]:
+            best = (fitness, rmse, refit)
+            if fitness == 1.0:
+                # a fitness is a matched share: no later candidate beats it
+                break
+    return best
+
+
 def mutual_feature_matches(source_fpfh: np.ndarray,
                            target_fpfh: np.ndarray) -> np.ndarray:
     """(M, 2) array of mutually-nearest descriptor pairs (src idx, tgt idx)."""
@@ -405,8 +445,12 @@ def coarse_align_ransac(source: PointCloud, target: PointCloud,
     Each trial samples three correspondences, rejects triples whose edge
     lengths disagree between the clouds (ratio <= edge_length_ratio), fits
     the rigid transform in closed form, and counts correspondences within
-    ransac_inlier_threshold. The winning hypothesis (most inliers, ties to
-    the lowest trial index) is refit on all its inliers.
+    ransac_inlier_threshold. Up to arbitration_hypotheses distinct poses,
+    in order of inlier count (ties to the lowest trial index), are each
+    refit on their inliers and judged by whole-cloud fitness; the first
+    with the highest fitness wins. Arbitration stops at the first candidate
+    with fitness 1.0: a fitness is the share of source points matched, so
+    no later candidate can exceed it, and ties keep the earlier one.
     """
     matches = mutual_feature_matches(source_fpfh, target_fpfh)
     if len(matches) < 3:
@@ -477,31 +521,9 @@ def coarse_align_ransac(source: PointCloud, target: PointCloud,
             candidates.append(int(i))
             if len(candidates) >= cfg.arbitration_hypotheses:
                 break
-    # three noisy pairs give a crude pose; grow each candidate's consensus
-    # by refitting on its inliers before judging it
-    target_tree = cKDTree(target.points)
-    best = None
-    for index in candidates:
-        rotation, translation = rotations[index], translations[index]
-        refit = None
-        for _ in range(3):
-            moved = corr_src @ rotation.T + translation
-            inliers = np.sum((moved - corr_tgt) ** 2, axis=1) <= threshold_sq
-            if inliers.sum() < 3:
-                break
-            try:
-                refit = solve_rigid_arun(corr_src[inliers], corr_tgt[inliers])
-            except DegenerateConfigurationError:
-                refit = None
-                break
-            rotation, translation = refit.rotation, refit.translation
-        if refit is None:
-            continue
-        fitness, rmse = _match_fitness(source.points, target_tree,
-                                       refit.rotation, refit.translation,
-                                       cfg.ransac_inlier_threshold)
-        if best is None or fitness > best[0]:
-            best = (fitness, rmse, refit)
+    best = _arbitrate(candidates, rotations, translations, corr_src,
+                      corr_tgt, source.points, cKDTree(target.points),
+                      cfg.ransac_inlier_threshold)
     if best is None:
         raise NoConsensusError("no hypothesis produced a valid refit")
     fitness, rmse, transform = best

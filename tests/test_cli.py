@@ -37,6 +37,7 @@ from mvlidar.pipeline import (
     detection_half_extent,
     fused_cloud,
 )
+from mvlidar.registration import MAX_RANSAC_ITERATIONS
 from mvlidar.scene import (
     MAX_SCENE_FRAMES,
     calibration_capture,
@@ -667,6 +668,54 @@ class TestErrorsAndConversion:
             f"error: --merge-duration must be a finite number >= 0, "
             f"got {float(duration)}\n")
         assert not (tmp_path / "none.jsonl").exists()
+
+    def test_too_many_ransac_iterations_exit_4(self, scene_dir, tmp_path,
+                                               capsys):
+        """RANSAC draws every trial at once: a billion would need 22 GiB."""
+        iterations = MAX_RANSAC_ITERATIONS * 1000
+        message = (f"error: hierarchy.ransac_iterations must be an integer "
+                   f"in [1, {MAX_RANSAC_ITERATIONS}], got {iterations}\n")
+        cfg = tmp_path / "hierarchy.json"
+        cfg.write_text(json.dumps({"ransac_iterations": iterations}))
+        assert main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(tmp_path / "none.jsonl"),
+                     "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "none.jsonl").exists()
+
+        cfg.write_text(json.dumps(
+            {"hierarchy": {"ransac_iterations": iterations}}))
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("viewpoint", ["nan,0,0", "inf,0,2", "0,0,-inf"])
+    def test_non_finite_reference_viewpoint_exit_4(self, scene_dir, tmp_path,
+                                                   capsys, viewpoint):
+        out = tmp_path / "none.jsonl"
+        assert main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(out),
+                     f"--reference-viewpoint={viewpoint}"]) == 4
+        bad = next(v for v in viewpoint.split(",") if v not in ("0", "2"))
+        assert capsys.readouterr().err == (
+            f"error: --reference-viewpoint must be a finite number, "
+            f"got {float(bad)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("viewpoint", ["1,2", "1,2,3,4", "a,b,c", ""])
+    def test_reference_viewpoint_not_three_numbers_exit_2(
+            self, scene_dir, tmp_path, capsys, viewpoint):
+        out = tmp_path / "none.jsonl"
+        with pytest.raises(SystemExit) as exited:
+            main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                  "--reference", str(scene_dir / "reference.mvlc"),
+                  "--out", str(out), f"--reference-viewpoint={viewpoint}"])
+        assert exited.value.code == 2
+        assert f"expected X,Y,Z, got {viewpoint!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "detect", "sync-sim",
                                          "pipeline", "make-scene"])

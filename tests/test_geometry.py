@@ -20,6 +20,7 @@ from mvlidar.geometry import (
     wrap_angle,
     wrap_half_angle,
 )
+from mvlidar.geometry import _COUNTING_SPAN_PER_POINT, _lexicographic_key
 
 
 def unit_cube(x=0.0, y=0.0, z=0.0, yaw=0.0, label=ObjectClass.CAR):
@@ -349,6 +350,45 @@ def attributed_clouds(draw):
                       source_node=draw(st.one_of(st.none(), st.integers(0, 3))))
 
 
+@st.composite
+def clouds_by_key_span(draw):
+    """A cloud, a voxel size and the span ``key.max() + 1`` of the cloud's
+    voxel keys, drawn below, at and above the counting limit of 4 per
+    point. Drawn keys decode to cells over (x, y, z) spans (any, sy, sz);
+    the cells of keys 0 and sy * sz - 1 fix each column's minimum and the
+    y and z spans, so the packed key of every cell is its drawn key.
+    Dyadic offsets and voxel sizes keep every floor exact."""
+    n = draw(st.integers(1, 40))
+    limit = _COUNTING_SPAN_PER_POINT * n
+    span = 1 if n == 1 else draw(st.sampled_from([limit - 1, limit, limit + 1])
+                                 | st.integers(2, 3 * limit))
+    sy, sz = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if n < 3 or span < sy * sz:
+        sy = sz = 1
+    forced = sorted({0, sy * sz - 1, span - 1})
+    keys = np.array(forced + draw(st.lists(st.integers(0, span - 1),
+                                           min_size=n - len(forced),
+                                           max_size=n - len(forced))))
+    cells = np.stack([keys // (sy * sz), keys // sz % sy, keys % sz], axis=1)
+    origin = np.array(draw(st.tuples(*[st.integers(-60, 60)] * 3)))
+    offsets = np.array(draw(st.lists(st.tuples(*[st.integers(0, 7)] * 3),
+                                     min_size=n, max_size=n))) / 8.0
+    voxel_size = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+
+    def maybe(values):
+        return draw(st.one_of(st.none(),
+                              st.lists(values, min_size=n, max_size=n)))
+
+    cloud = PointCloud((cells + origin + offsets) * voxel_size,
+                       intensity=maybe(st.floats(0.0, 255.0)),
+                       timestamp_ns=draw(st.integers(0, 10**12)),
+                       time_index=maybe(st.integers(0, 9)),
+                       source_ids=maybe(st.integers(0, 3)),
+                       source_node=draw(st.one_of(st.none(),
+                                                  st.integers(0, 3))))
+    return cloud, voxel_size, span
+
+
 class TestVoxelDownsampleOracle:
     """Bit-for-bit agreement with the ``np.unique(axis=0)`` kernel."""
 
@@ -380,6 +420,15 @@ class TestVoxelDownsampleOracle:
     @given(cloud=attributed_clouds(),
            voxel_size=st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]))
     def test_matches_oracle(self, cloud, voxel_size):
+        assert_clouds_identical(voxel_downsample(cloud, voxel_size),
+                                voxel_downsample_oracle(cloud, voxel_size))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=clouds_by_key_span())
+    def test_counted_and_sorted_grids_match_oracle(self, case):
+        cloud, voxel_size, span = case
+        cells = np.floor(cloud.points / voxel_size).astype(np.int64)
+        assert int(_lexicographic_key(cells).max()) + 1 == span
         assert_clouds_identical(voxel_downsample(cloud, voxel_size),
                                 voxel_downsample_oracle(cloud, voxel_size))
 

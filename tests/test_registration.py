@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import random_rotation, random_transform, structured_scene_points
+from mvlidar import registration
 from mvlidar.errors import (
     DegenerateConfigurationError,
     EmptyInputError,
@@ -371,11 +372,145 @@ class TestKernelMemory:
         assert peak <= 200 * pairs
 
     def test_voxel_grid_per_point(self, crossroad_scene):
+        # 1.0 m keys span 0.16 and 0.4 m keys 2.2 per point: both count
         from mvlidar.pipeline import crossroad_hierarchy
         scan = crossroad_scene.reference_cloud
-        peak = traced_peak_bytes(voxel_downsample, scan,
-                                 crossroad_hierarchy().levels[0].voxel_size)
-        assert peak <= 60 * len(scan)
+        for level in crossroad_hierarchy().levels:
+            peak = traced_peak_bytes(voxel_downsample, scan, level.voxel_size)
+            assert peak <= 60 * len(scan), level.voxel_size
+
+
+def previous_arbitrate(candidates, rotations, translations, corr_src,
+                       corr_tgt, source_points, target_tree, threshold):
+    """``registration._arbitrate`` before it stopped at fitness 1.0: every
+    candidate is refit and scored."""
+    threshold_sq = threshold ** 2
+    best = None
+    for index in candidates:
+        rotation, translation = rotations[index], translations[index]
+        refit = None
+        for _ in range(3):
+            moved = corr_src @ rotation.T + translation
+            inliers = np.sum((moved - corr_tgt) ** 2, axis=1) <= threshold_sq
+            if inliers.sum() < 3:
+                break
+            try:
+                refit = solve_rigid_arun(corr_src[inliers], corr_tgt[inliers])
+            except DegenerateConfigurationError:
+                refit = None
+                break
+            rotation, translation = refit.rotation, refit.translation
+        if refit is None:
+            continue
+        fitness, rmse = registration._match_fitness(
+            source_points, target_tree, refit.rotation, refit.translation,
+            threshold)
+        if best is None or fitness > best[0]:
+            best = (fitness, rmse, refit)
+    return best
+
+
+def fitness_calls(monkeypatch):
+    """The fitness of every ``_match_fitness`` call from now on."""
+    seen = []
+    score = registration._match_fitness
+
+    def recorded(*args):
+        fitness, rmse = score(*args)
+        seen.append(fitness)
+        return fitness, rmse
+    monkeypatch.setattr(registration, "_match_fitness", recorded)
+    return seen
+
+
+def assert_same_registration(a, b):
+    assert a.transform.matrix().tobytes() == b.transform.matrix().tobytes()
+    assert (a.fitness, a.inlier_rmse, a.iterations_used, a.rmse_history) \
+        == (b.fitness, b.inlier_rmse, b.iterations_used, b.rmse_history)
+
+
+class TestArbitrationStopsAtPerfectFitness:
+    """Arbitration ends at the first candidate with fitness 1.0 and picks
+    what scoring every candidate picked."""
+
+    def test_earlier_perfect_candidate_wins(self, rng, monkeypatch):
+        # the source matches the target as is and shifted by d; candidate 0
+        # (shift e) matches only a quarter of it, candidates 1 (identity)
+        # and 2 (shift d) all of it. Source points lie 1.6 m apart or more
+        lattice = np.stack(np.meshgrid(range(4), range(5), range(2)), axis=-1)
+        source = 2.0 * lattice.reshape(-1, 3) + rng.uniform(-0.1, 0.1,
+                                                            (40, 3))
+        part = source[:10]
+        d, e = np.array([100.0, 0.0, 0.0]), np.array([0.0, 100.0, 0.0])
+        corr_src = np.concatenate([source, source, part])
+        corr_tgt = np.concatenate([source, source + d, part + e])
+        rotations = np.repeat(np.eye(3)[None], 3, axis=0)
+        translations = np.stack([e, np.full(3, 0.1), d])
+        args = ([0, 1, 2], rotations, translations, corr_src, corr_tgt,
+                source, cKDTree(corr_tgt), 0.5)
+        seen = fitness_calls(monkeypatch)
+        old = previous_arbitrate(*args)
+        assert seen == [0.25, 1.0, 1.0]
+        seen.clear()
+        new = registration._arbitrate(*args)
+        assert seen == [0.25, 1.0]
+        assert new[:2] == old[:2]
+        assert np.abs(new[2].translation).max() < 1e-9
+        assert new[2].matrix().tobytes() == old[2].matrix().tobytes()
+
+    def test_crossroad_seeds(self, crossroad_features, monkeypatch):
+        from mvlidar.pipeline import crossroad_hierarchy
+        cfg = crossroad_hierarchy()
+        source, source_normals, radius = crossroad_features["node"]
+        target, target_normals, _ = crossroad_features["reference"]
+        features = (compute_fpfh(source, source_normals, radius),
+                    compute_fpfh(target, target_normals, radius))
+        seen = fitness_calls(monkeypatch)
+        stopped_early = False
+        for seed in (0, 1, 2, 101):
+            new = coarse_align_ransac(source, target, *features, cfg, seed)
+            scored = list(seen)
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(registration, "_arbitrate", previous_arbitrate)
+                old = coarse_align_ransac(source, target, *features, cfg,
+                                          seed)
+            assert_same_registration(new, old)
+            # no candidate is scored after a perfect one
+            assert 1.0 not in scored[:-1]
+            stopped_early |= len(scored) < len(seen)
+            seen.clear()
+        assert stopped_early
+
+
+def test_calibrate_node_is_bit_identical_to_the_previous_kernels(
+        crossroad_scene, monkeypatch):
+    """Crossroad node 0 calibrates to the same bytes with the arbitration
+    stop and the counting voxel grid as with the kernels they replaced."""
+    from mvlidar import geometry
+    from mvlidar.pipeline import calibrate_node, crossroad_hierarchy
+    from mvlidar.scene import calibration_capture
+    scene = crossroad_scene
+    frames = calibration_capture(scene, 0, seed=0)
+
+    def calibrate():
+        return calibrate_node(frames, scene.reference_cloud,
+                              crossroad_hierarchy(), seed=0,
+                              reference_viewpoint=scene.reference_viewpoint)
+    new = calibrate()
+    used = []
+
+    def previous_voxel_grid(key):
+        used.append("grid")
+        return np.unique(key, return_inverse=True, return_counts=True)[1:]
+
+    def previous(*args):
+        used.append("arbitration")
+        return previous_arbitrate(*args)
+    monkeypatch.setattr(registration, "_arbitrate", previous)
+    monkeypatch.setattr(geometry, "_voxel_grid", previous_voxel_grid)
+    assert_same_registration(new, calibrate())
+    assert set(used) == {"grid", "arbitration"}
 
 
 class TestMutualMatchesMatchPreviousKernel:

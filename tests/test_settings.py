@@ -30,7 +30,7 @@ from mvlidar.fusion import ViewFrameSet
 from mvlidar.geometry import ObjectClass, PointCloud, RigidTransform
 from mvlidar.metrics import DetectionEvalConfig, MotEvalConfig
 from mvlidar.pipeline import PipelineConfig, crossroad_hierarchy
-from mvlidar.registration import HierarchyLevel
+from mvlidar.registration import MAX_RANSAC_ITERATIONS, HierarchyLevel
 from mvlidar.scene import MAX_SCENE_FRAMES, NodePose, SceneSpec
 from mvlidar.syncsim import MAX_SESSION_S, NetworkModel, NodeClockModel
 from mvlidar.tracking import TrackerConfig
@@ -201,7 +201,7 @@ def fields():
             ("fpfh_radius", "(0, inf)", False),
             ("normal_radius", "(0, inf)", False),
             ("ransac_inlier_threshold", "(0, inf)", False),
-            ("ransac_iterations", "[1, inf)", True),
+            ("ransac_iterations", f"[1, {MAX_RANSAC_ITERATIONS}]", True),
             ("arbitration_hypotheses", "[1, inf)", True),
             ("min_normal_neighbors", "[1, inf)", True),
             ("edge_length_ratio", "[0, 1)", False),
