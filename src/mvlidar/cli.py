@@ -181,6 +181,9 @@ def cmd_fuse(args) -> int:
 def cmd_detect(args) -> int:
     clouds = _frames_in(args.frames)
     background = read_frame(args.background) if args.background else None
+    # an empty scan would subtract nothing, yet still turn ground removal off
+    if background is not None and len(background) == 0:
+        raise FormatError(f"background scan {args.background} holds no points")
     detections = flatten_frames(detect_per_frame(
         clouds, dc_replace(_PIPELINE.detector, seed=args.seed),
         background=background, crop_half_extent=args.crop))

@@ -107,6 +107,10 @@ class DegenerateClusterError(AlgorithmError):
     """Cluster is collinear in bird's-eye view; no oriented box fits it."""
 
 
+class TooManyPairsError(AlgorithmError):
+    """A cloud too dense to cluster within the pair bound."""
+
+
 class InsufficientNodesError(AlgorithmError):
     """Fewer than two armed nodes; no reference time can be formed."""
 

@@ -24,6 +24,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 _CLIP_EPS = 1e-12
+# footprints whose circumscribed circles are more than _CULL_MARGIN (m),
+# plus _CULL_RELATIVE times the coordinates' magnitude, apart are not
+# clipped; past _CULL_MAX_SCALE (m) the clip may overflow, so it always runs
+_CULL_MARGIN = 1e-6
+_CULL_RELATIVE = 2.0 ** -40
+_CULL_MAX_SCALE = 1e100
 _INT64_MAX = np.iinfo(np.int64).max
 # voxel indices stay below 2**62 in magnitude, so per-axis spans fit in int64
 _MAX_VOXEL_INDEX = 2.0 ** 62
@@ -317,12 +323,53 @@ def clip_convex_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
             if inside[j] != inside[(j + 1) % len(current)]:
                 denom = ex * (qy - py) - ey * (qx - px)
                 if abs(denom) > _CLIP_EPS:
-                    t = (ex * (ay - py) - ey * (ax - px)) / denom
+                    # clamped: with p and q both within rounding of the
+                    # edge line, t can land anywhere, and the crossing
+                    # must stay on the segment from p to q
+                    t = min(1.0, max(0.0, (ex * (ay - py) - ey * (ax - px))
+                                     / denom))
                     output.append((px + t * (qx - px), py + t * (qy - py)))
     return np.asarray(output, dtype=float).reshape(-1, 2)
 
 
+def _footprints_apart(a: Box3D, b: Box3D) -> bool:
+    """True when the circumscribed circles of the two footprints are more
+    than ``_CULL_MARGIN`` plus a rounding and a tolerance bound apart, so
+    that clipping ``a`` by ``b`` is certain to leave nothing."""
+    ax, ay, _ = a.center.tolist()
+    bx, by, _ = b.center.tolist()
+    al, aw, _ = a.size.tolist()
+    bl, bw, _ = b.size.tolist()
+    ra, rb = 0.5 * math.hypot(al, aw), 0.5 * math.hypot(bl, bw)
+    scale = max(abs(ax), abs(ay), abs(bx), abs(by)) + ra + rb
+    # bounds how far rounding moves a corner or a crossing point
+    rounding = _CULL_RELATIVE * scale
+    # b's computed edges are at least this long
+    shortest = min(bl, bw) - 2.0 * rounding
+    if not (scale < _CULL_MAX_SCALE and shortest > 0.0):
+        return False
+    gap = math.hypot(ax - bx, ay - by) - ra - rb
+    return gap > _CULL_MARGIN + 2.0 * rounding + _CLIP_EPS / shortest
+
+
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
+    """Area of the BEV footprint of ``a`` clipped by that of ``b``.
+
+    Pairs whose footprints cannot touch return 0.0 without clipping: each
+    footprint lies within its circumscribed circle (centre, half-diagonal),
+    so when the circles are farther apart than the margin no point of ``a``
+    is within reach of ``b``. The cull is exact. Every clipped point lies
+    on a's footprint (crossings stay on their segment) and inside each edge
+    of ``b``, each up to rounding and the clip's tolerance: the clip keeps
+    a point up to ``_CLIP_EPS`` / (edge length) outside an edge of ``b``,
+    and rounding in ``bev_corners`` and the clip moves a corner or crossing
+    by far less than ``_CULL_RELATIVE`` times the coordinates' magnitude.
+    The margin covers both with 1e-6 m to spare. A footprint of ``b`` too
+    small for its corners to stay apart, or coordinates near overflow, are
+    always clipped.
+    """
+    if _footprints_apart(a, b):
+        return 0.0
     clipped = clip_convex_polygon(a.bev_corners(), b.bev_corners())
     return polygon_area(clipped)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvlidar import cli, pipeline
+from mvlidar import cli, detector, pipeline
 from mvlidar.cli import build_parser, main
 from mvlidar.detector import DetectorConfig
 from mvlidar.errors import ConfigError
@@ -560,6 +560,40 @@ class TestErrorsAndConversion:
         code = main(["detect", "--frames", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out.jsonl")])
         assert code == 2
+
+    @pytest.fixture
+    def one_frame(self, scene_dir, tmp_path):
+        """A frames directory holding node 0's first frame."""
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        write_frame(frames / "frame_00000.mvlc",
+                    read_frame(scene_dir / "node_0" / "frame_00000.mvlc"))
+        return frames
+
+    def test_empty_background_exit_2(self, one_frame, tmp_path, capsys):
+        # subtracting nothing, it once let ground-sized boxes through
+        empty = tmp_path / "empty.mvlc"
+        write_frame(empty, PointCloud.empty())
+        out = tmp_path / "det.jsonl"
+        assert main(["detect", "--frames", str(one_frame), "--out", str(out),
+                     "--background", str(empty), "--crop", "13.2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: background scan {empty} holds no points\n")
+        assert not out.exists()
+
+    def test_too_many_cluster_pairs_exit_3(self, one_frame, tmp_path, capsys,
+                                           monkeypatch):
+        # a background far off subtracts nothing and turns ground removal off
+        far = tmp_path / "far.mvlc"
+        write_frame(far, PointCloud([[1e4, 1e4, 0.0]]))
+        monkeypatch.setattr(detector, "MAX_CLUSTER_PAIRS", 1000)
+        out = tmp_path / "det.jsonl"
+        assert main(["detect", "--frames", str(one_frame), "--out", str(out),
+                     "--background", str(far)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: clustering ")
+        assert err.endswith("(detect --crop)\n") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_config_exit_4(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import box_surface, ground_grid
+from mvlidar import detector
 from mvlidar.detector import (
     DetectorConfig,
     NoGroundPlaneWarning,
@@ -17,7 +18,7 @@ from mvlidar.detector import (
     subtract_background,
 )
 from mvlidar.errors import ConfigError, DegenerateClusterError, \
-    NoGroundPlaneError
+    NoGroundPlaneError, TooManyPairsError
 from mvlidar.geometry import Box3D, ObjectClass, PointCloud
 
 
@@ -79,6 +80,75 @@ class TestSubtractBackground:
         background = PointCloud(np.array(background).reshape(-1, 3))
         assert_same_cloud(subtract_background(cloud, background, distance),
                           balanced_tree_subtract(cloud, background, distance))
+
+
+class TestBackgroundBoxCull:
+    """Only points inside the background's box widened by the distance are
+    queried; the rest are kept, exactly as the query would keep them."""
+
+    @pytest.mark.parametrize("base", [0.0, 1e9, -1e9])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_points_one_ulp_either_side_of_the_box(self, base, axis):
+        background = PointCloud(base + np.array(
+            [[0.0, 0.0, 0.0], [3.0, 2.0, 1.0], [1.0, 0.5, 0.25]]))
+        lo, hi = background.points.min(axis=0), background.points.max(axis=0)
+        points = []
+        for side, bound in ((-1.0, lo), (1.0, hi)):
+            # the background point on this face of the box, moved out
+            start = background.points[np.argmin(background.points[:, axis])
+                                      if side < 0 else
+                                      np.argmax(background.points[:, axis])]
+            edge = bound[axis] + side * 0.5
+            for ulps in range(-4, 5):
+                value = edge
+                for _ in range(abs(ulps)):
+                    value = np.nextafter(value, side * ulps * np.inf)
+                point = start.copy()
+                point[axis] = value
+                points.append(point)
+        cloud = PointCloud(np.array(points),
+                           intensity=np.arange(len(points), dtype=float))
+        kept = subtract_background(cloud, background, 0.5)
+        assert_same_cloud(kept, balanced_tree_subtract(cloud, background, 0.5))
+        assert 0 < len(kept) < len(cloud)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=_POINTS, background=_POINTS,
+           base=st.sampled_from([1e9, -1e9]),
+           distance=st.sampled_from([0.25, 0.5, 1.0]))
+    def test_matches_the_balanced_tree_far_from_the_origin(
+            self, cloud, background, base, distance):
+        cloud = PointCloud(base + np.array(cloud).reshape(-1, 3),
+                           intensity=np.arange(len(cloud), dtype=float))
+        background = PointCloud(base + np.array(background).reshape(-1, 3))
+        assert_same_cloud(subtract_background(cloud, background, distance),
+                          balanced_tree_subtract(cloud, background, distance))
+
+    def test_cloud_wholly_outside_is_kept(self, rng):
+        background = PointCloud(rng.uniform(-5.0, 5.0, size=(200, 3)))
+        cloud = PointCloud(rng.uniform(6.0, 9.0, size=(50, 3)))
+        kept = subtract_background(cloud, background, 0.5)
+        np.testing.assert_array_equal(kept.points, cloud.points)
+
+    def test_only_points_inside_the_box_are_queried(self, monkeypatch, rng):
+        queried = []
+
+        class RecordingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(detector, "cKDTree", RecordingTree)
+        # the box is [-5, 5] on every axis, [-5.5, 5.5] once widened
+        background = PointCloud(np.vstack([
+            rng.uniform(-5.0, 5.0, size=(200, 3)), [[-5.0] * 3, [5.0] * 3]]))
+        inside = rng.uniform(-5.4, 5.4, size=(30, 3))
+        outside = rng.uniform(-5.0, 5.0, size=(20, 3))
+        outside[:, 0] = rng.choice([-1.0, 1.0], 20) * rng.uniform(5.6, 9.0, 20)
+        cloud = PointCloud(np.vstack([inside, outside]))
+        kept = subtract_background(cloud, background, 0.5)
+        assert queried == [30]
+        assert_same_cloud(kept, balanced_tree_subtract(cloud, background, 0.5))
 
 
 def test_non_finite_cluster_distance_rejected():
@@ -172,6 +242,44 @@ class TestClusterEuclidean:
             sa = np.array(sorted(map(tuple, np.round(ca.points, 9))))
             sb = np.array(sorted(map(tuple, np.round(cb.points, 9))))
             np.testing.assert_array_equal(sa, sb)
+
+
+class TestClusterPairBound:
+    """A cloud whose linked pairs would pass MAX_CLUSTER_PAIRS is refused;
+    the pairs are counted only when the cloud is large enough to pass it."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = []
+
+        class CountingTree(cKDTree):
+            def count_neighbors(self, *args, **kwargs):
+                counts.append(1)
+                return super().count_neighbors(*args, **kwargs)
+
+        monkeypatch.setattr(detector, "cKDTree", CountingTree)
+        return counts
+
+    def test_dense_blob_over_the_bound_raises(self, monkeypatch, counted, rng):
+        blob = PointCloud(rng.uniform(0.0, 0.2, size=(100, 3)))
+        monkeypatch.setattr(detector, "MAX_CLUSTER_PAIRS", 4949)
+        with pytest.raises(TooManyPairsError, match=r"4950 pairs .*--crop"):
+            cluster_euclidean(blob)
+        assert counted == [1]
+
+    def test_at_the_bound_nothing_is_counted(self, monkeypatch, counted, rng):
+        blob = PointCloud(rng.uniform(0.0, 0.2, size=(100, 3)))
+        monkeypatch.setattr(detector, "MAX_CLUSTER_PAIRS", 4950)
+        [cluster] = cluster_euclidean(blob)
+        assert len(cluster) == 100
+        assert counted == []
+
+    def test_sparse_cloud_over_the_size_passes(self, monkeypatch, counted):
+        # 100 points 1 m apart: 4950 possible pairs, none linked
+        line = np.column_stack([np.arange(100.0), np.zeros(100), np.zeros(100)])
+        monkeypatch.setattr(detector, "MAX_CLUSTER_PAIRS", 10)
+        assert cluster_euclidean(PointCloud(line)) == []
+        assert counted == [1]
 
 
 class TestFitOrientedBox:

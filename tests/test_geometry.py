@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import monte_carlo_iou_3d, random_box, random_transform
+from mvlidar import geometry
 from mvlidar.geometry import (
     Box3D,
     ObjectClass,
     PointCloud,
     RigidTransform,
     apply_transform,
+    bev_intersection_area,
+    clip_convex_polygon,
     compose,
     iou_3d,
     iou_bev,
     linked_groups,
+    polygon_area,
     voxel_downsample,
     wrap_angle,
     wrap_half_angle,
@@ -246,6 +250,143 @@ class TestIouBev:
         b = unit_cube(yaw=math.pi / 4)
         inter = 2.0 * (math.sqrt(2.0) - 1.0)
         assert iou_bev(a, b) == pytest.approx(inter / (2.0 - inter), abs=1e-9)
+
+
+def clipped_area(a, b):
+    """Oracle: the footprint of ``a`` clipped by that of ``b``, always."""
+    return polygon_area(clip_convex_polygon(a.bev_corners(), b.bev_corners()))
+
+
+def clipped_iou_bev(a, b):
+    inter = clipped_area(a, b)
+    union = a.length * a.width + b.length * b.width - inter
+    return 0.0 if union <= 0.0 else min(1.0, max(0.0, inter / union))
+
+
+def clipped_iou_3d(a, b):
+    z_overlap = min(a.z_max, b.z_max) - max(a.z_min, b.z_min)
+    if z_overlap <= 0.0:
+        return 0.0
+    inter = clipped_area(a, b) * z_overlap
+    union = a.volume + b.volume - inter
+    return 0.0 if union <= 0.0 else min(1.0, max(0.0, inter / union))
+
+
+_CENTRE = st.one_of(st.floats(-100.0, 100.0), st.floats(-1e12, 1e12))
+_SIDE = st.floats(1e-3, 1e4)
+_YAW = st.floats(-math.pi, math.pi)
+
+
+def nudged(value, ulps):
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, ulps)))
+    return value
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes: drawn apart, edge to edge, with circumscribed circles
+    tangent to within a few ulps, nested, identical or far apart."""
+    x, y, yaw = draw(_CENTRE), draw(_CENTRE), draw(_YAW)
+    length, width = draw(_SIDE), draw(_SIDE)
+    z, height = draw(st.floats(-2.0, 2.0)), draw(_SIDE)
+    a = Box3D((x, y, z), (length, width, height), yaw, ObjectClass.CAR)
+    kind = draw(st.sampled_from(
+        ["apart", "touching", "tangent", "nested", "identical", "far"]))
+    b_length, b_width = draw(_SIDE), draw(_SIDE)
+    b_yaw = draw(_YAW)
+    c, s = math.cos(yaw), math.sin(yaw)
+    if kind == "apart":
+        bx, by = draw(_CENTRE), draw(_CENTRE)
+    elif kind == "touching":
+        # same heading up to quarter turns, one edge of b on one edge of a
+        quarter_turns = draw(st.integers(0, 3))
+        b_yaw = yaw + quarter_turns * 0.5 * math.pi
+        along = 0.5 * (length + (b_width if quarter_turns % 2 else b_length))
+        # edges flush, or b pushed a little into a
+        along -= draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-3)))
+        slide = draw(st.floats(-1.0, 1.0)) * (width + b_width)
+        along *= draw(st.sampled_from([1.0, -1.0]))
+        bx, by = x + c * along - s * slide, y + s * along + c * slide
+    elif kind == "tangent":
+        reach = 0.5 * (math.hypot(length, width) + math.hypot(b_length, b_width))
+        reach += draw(st.one_of(st.sampled_from([0.0, 1e-6, 2e-6, 1e-5]),
+                                st.floats(-1e-3, 1e-3), st.floats(0.0, 10.0)))
+        angle = draw(_YAW)
+        if draw(st.booleans()):
+            # a corner of each on the line between the centres
+            angle = yaw + math.atan2(width, length)
+            b_yaw = angle + math.pi - math.atan2(b_width, b_length)
+        bx, by = x + reach * math.cos(angle), y + reach * math.sin(angle)
+    elif kind == "nested":
+        b_length = length * draw(st.floats(0.01, 1.0))
+        b_width = width * draw(st.floats(0.01, 1.0))
+        b_yaw = yaw
+        bx, by = x, y
+    elif kind == "identical":
+        return a, a
+    else:
+        distance = draw(st.floats(1e3, 1e12))
+        angle = draw(_YAW)
+        bx, by = x + distance * math.cos(angle), y + distance * math.sin(angle)
+    bx = nudged(bx, draw(st.integers(-3, 3)))
+    by = nudged(by, draw(st.integers(-3, 3)))
+    b = Box3D((bx, by, draw(st.floats(-2.0, 2.0))),
+              (b_length, b_width, draw(_SIDE)), b_yaw, ObjectClass.CAR)
+    return a, b
+
+
+def same_float(actual, expected):
+    return actual.hex() == float(expected).hex()
+
+
+class TestFootprintCull:
+    """Pairs whose footprints cannot touch skip the clip; every result is
+    bit-equal to clipping them anyway."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(pair=box_pairs())
+    def test_matches_the_clip(self, pair):
+        for a, b in (pair, pair[::-1]):
+            event("culled" if geometry._footprints_apart(a, b) else "clipped")
+            assert same_float(bev_intersection_area(a, b), clipped_area(a, b))
+            assert same_float(iou_bev(a, b), clipped_iou_bev(a, b))
+            assert same_float(iou_3d(a, b), clipped_iou_3d(a, b))
+
+    def test_far_pair_is_not_clipped(self, monkeypatch):
+        calls = []
+
+        def counted(subject, clip):
+            calls.append(1)
+            return clip_convex_polygon(subject, clip)
+
+        monkeypatch.setattr(geometry, "clip_convex_polygon", counted)
+        assert iou_3d(unit_cube(), unit_cube(x=10.0, yaw=0.3)) == 0.0
+        assert iou_bev(unit_cube(), unit_cube(y=5.0)) == 0.0
+        assert calls == []
+        assert iou_bev(unit_cube(), unit_cube(x=0.5)) > 0.0
+        assert len(calls) == 1
+
+    def test_crossings_stay_on_their_segment(self):
+        # a's long edges lie on the lines of b's, 1 km beyond b; rounding
+        # once put a crossing 11 km away and left a 5.6e-9 m^2 sliver
+        a = Box3D((6607.633166090767, 2500.002278757627, 0.0),
+                  (1.0, 5493.0, 1.0), 2.0, ObjectClass.CAR)
+        b = Box3D((0.0, 0.0, 0.0), (952.0, 7396.0, 1.0), 2.0, ObjectClass.CAR)
+        corners = a.bev_corners()
+        clipped = clip_convex_polygon(corners, b.bev_corners())
+        assert np.all(clipped >= corners.min(axis=0))
+        assert np.all(clipped <= corners.max(axis=0))
+        assert clipped_area(a, b) == 0.0
+
+    @pytest.mark.parametrize("size", [1e-300, 1e-5])
+    def test_footprint_too_small_for_its_corners_is_clipped(self, size):
+        # at 1e12 m the corners of a 1e-5 m footprint round onto each other
+        b = Box3D((1e12, 0.0, 0.0), (size, size, 1.0), 0.0, ObjectClass.CAR)
+        a = Box3D((1e12 - 50.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.3,
+                  ObjectClass.CAR)
+        assert not geometry._footprints_apart(a, b)
+        assert same_float(bev_intersection_area(a, b), clipped_area(a, b))
 
 
 class TestVoxelDownsample:
