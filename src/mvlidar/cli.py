@@ -32,9 +32,9 @@ from .fusion import DEFAULT_SYNC_WINDOW_S
 from .geometry import ObjectClass
 from .metrics import DetectionEvalConfig, compute_ap, compute_clear_mot, \
     format_ap_table, format_mot_table
-from .pipeline import PipelineConfig, calibrate_node, config_digest, \
-    detect_per_frame, detection_half_extent, export_scene, fused_cloud, \
-    hierarchy_from_dict, read_config_json, run_pipeline
+from .pipeline import PipelineConfig, calibrate_node, detect_per_frame, \
+    detection_half_extent, export_scene, fused_cloud, hierarchy_from_dict, \
+    read_config_json, run_pipeline
 from .scene import DEFAULT_FRAME_RATE_HZ, generate_synthetic_scene, \
     standard_crossroad_spec
 from .syncsim import NetworkModel, compute_time_error_report, simulate_session
@@ -105,7 +105,7 @@ def cmd_calibrate(args) -> int:
     # scaled to the toolkit's crossroad-sized scenes; a --config file
     # overrides the keys it names
     hierarchy = hierarchy_from_dict(
-        read_config_json(args.config) if args.config else {})
+        read_config_json(args.config)[0] if args.config else {})
     extrinsics = {}
     failures = []
     for node, directory in sorted(_node_dirs(args.node_root).items()):
@@ -181,9 +181,6 @@ def cmd_fuse(args) -> int:
 def cmd_detect(args) -> int:
     clouds = _frames_in(args.frames)
     background = read_frame(args.background) if args.background else None
-    # an empty scan would subtract nothing, yet still turn ground removal off
-    if background is not None and len(background) == 0:
-        raise FormatError(f"background scan {args.background} holds no points")
     detections = flatten_frames(detect_per_frame(
         clouds, dc_replace(_PIPELINE.detector, seed=args.seed),
         background=background, crop_half_extent=args.crop))
@@ -231,8 +228,8 @@ def cmd_eval_mot(args) -> int:
 
 def cmd_pipeline(args) -> int:
     if args.config:
-        cfg = PipelineConfig.from_json(args.config)
-        digest = config_digest(args.config)
+        raw, digest = read_config_json(args.config)
+        cfg = PipelineConfig.from_dict(raw)
     else:
         cfg = PipelineConfig(seed=args.seed)
         digest = None

@@ -39,17 +39,15 @@ _MIN_BOX_WIDTH = 0.15
 # a point within this distance (m) of the background scan is static
 BACKGROUND_DISTANCE = 0.5
 # background tree leaf size. The 48 background subtractions of one
-# `experiments` benchmark pass (seed 0), tree builds and queries, took in
-# sum, single-threaded on a 2-core x86-64 host (median of 8 rounds, every
-# mask identical): 2.13 s without the box cull at scipy's default 16; with
-# it, 1.92 s at 16, 1.77 s at 32, 1.72 s at 64 and 1.75 s at 128
+# `experiments` benchmark pass (seed 0), on frames cropped to the detection
+# square, tree builds and queries, took in sum, single-threaded on a 2-core
+# x86-64 host (median of 12 rounds, every mask identical): 1.29 s at
+# scipy's default 16, 1.05 s at 32, 1.00 s at 64 and 1.04 s at 128; the
+# rounds' interquartile range, 0.09 to 0.29 s, exceeds every gap past 32
 BACKGROUND_LEAF_SIZE = 64
 # clustering refuses a cloud with more linked pairs than this: at 16 bytes
 # a pair, the pair array alone would pass 320 MB
 MAX_CLUSTER_PAIRS = 20_000_000
-# the background box is widened by this many times the coordinates'
-# magnitude on top of the distance: at least 16 units in the last place
-_REACH_RELATIVE = 2.0 ** -48
 
 
 class NoGroundPlaneWarning(UserWarning):
@@ -85,27 +83,19 @@ def subtract_background(cloud: PointCloud, background: PointCloud,
     The mask depends only on whether each point has a background point
     within ``distance``, which any exact nearest-neighbour search answers
     alike; the tree is built unbalanced and uncompacted because that is
-    the cheapest exact tree to build for one query. Only the points inside
-    the background's bounding box widened by ``distance`` are queried: a
-    point outside it is farther than ``distance`` from every background
-    point along one axis alone, so it is kept. The box is widened further
-    by ``_REACH_RELATIVE`` times the coordinates' magnitude, far more than
-    rounding in the box or in the tree's distances can move a point, so
-    the cull keeps exactly the points the query would.
+    the cheapest exact tree to build for one query. Every point given is
+    queried: ``pipeline.detect_per_frame`` crops each frame to the detection
+    square first and subtracts second, so the points the crop drops never
+    reach the query. A cloud that loses no point, an empty one included,
+    comes back as it is.
     """
-    if len(cloud) == 0 or len(background) == 0:
+    if len(background) == 0:
         return cloud
     tree = cKDTree(background.points, leafsize=BACKGROUND_LEAF_SIZE,
                    balanced_tree=False, compact_nodes=False)
-    reach = distance + _REACH_RELATIVE * (
-        np.maximum(np.abs(tree.mins), np.abs(tree.maxes)) + distance)
-    points = cloud.points
-    near = np.all((points >= tree.mins - reach)
-                  & (points <= tree.maxes + reach), axis=1)
-    keep = ~near
-    nearest, _ = tree.query(points[near], distance_upper_bound=distance)
-    keep[near] = ~np.isfinite(nearest)
-    return cloud.select(keep)
+    nearest, _ = tree.query(cloud.points, distance_upper_bound=distance)
+    keep = ~np.isfinite(nearest)
+    return cloud if keep.all() else cloud.select(keep)
 
 
 def remove_ground(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()

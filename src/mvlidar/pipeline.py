@@ -27,7 +27,8 @@ import scipy
 
 from .detector import BACKGROUND_DISTANCE, DetectorConfig, detect_frame, \
     subtract_background
-from .errors import CalibrationFailedError, ConfigError, check_number
+from .errors import CalibrationFailedError, ConfigError, FormatError, \
+    check_number
 from .formats import (
     atomic_write,
     flatten_frames,
@@ -137,27 +138,37 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
                      crop_half_extent: Optional[float] = None) -> list:
     """Run the detector over frames, in parallel, preserving frame order.
 
-    With a background cloud, static structure within BACKGROUND_DISTANCE
-    is subtracted per frame and the detector's own ground removal is
-    skipped (the ground goes with the background). ``crop_half_extent``
-    restricts detection to the annotated central area (|x| and |y| below
-    the bound). With both, the background is cropped once per call to the
-    detection square widened by BACKGROUND_DISTANCE: no background point
-    outside it lies within that distance of a point the crop keeps, so
-    every frame keeps the same points as against the full background.
-    ``MVLK_THREADS=1`` runs the frames serially.
+    ``crop_half_extent`` restricts detection to the annotated central area
+    (|x| and |y| up to the bound). With a background cloud, static
+    structure within BACKGROUND_DISTANCE is subtracted per frame and the
+    detector's own ground removal is skipped (the ground goes with the
+    background). Each frame is cropped first and the background subtracted
+    from what the crop keeps: a point's mask depends only on that point,
+    so the order changes no output. With both, the background is cropped
+    once per call to the detection square widened by BACKGROUND_DISTANCE:
+    no background point outside it lies within that distance of a point
+    the crop keeps. Raises FormatError when the background, so cropped,
+    holds no points: it would subtract nothing while ground removal stays
+    off. ``MVLK_THREADS=1`` runs the frames serially.
     """
     # clouds are world-frame here and the scene ground is z=0
     ground_z = None if background is None else 0.0
-    if background is not None and crop_half_extent is not None:
-        reach = crop_half_extent + BACKGROUND_DISTANCE + _BACKGROUND_MARGIN
-        background = background.select(in_square(background.points, reach))
+    if background is not None:
+        where = ""
+        if crop_half_extent is not None:
+            reach = crop_half_extent + BACKGROUND_DISTANCE + _BACKGROUND_MARGIN
+            background = background.select(in_square(background.points,
+                                                     reach))
+            where = (f" within {BACKGROUND_DISTANCE} m of the detection "
+                     f"square |x|, |y| <= {crop_half_extent!r}")
+        if len(background) == 0:
+            raise FormatError(f"background scan holds no points{where}")
 
     def run(cloud):
+        if crop_half_extent is not None:
+            cloud = cloud.select(in_square(cloud.points, crop_half_extent))
         if background is not None:
             cloud = subtract_background(cloud, background)
-        if crop_half_extent is not None and len(cloud):
-            cloud = cloud.select(in_square(cloud.points, crop_half_extent))
         return detect_frame(cloud, cfg, ground_z)
 
     workers = thread_budget()
@@ -441,17 +452,15 @@ class PipelineConfig:
                                         network.drop_probability)))
         return PipelineConfig(**kwargs)
 
-    @staticmethod
-    def from_json(path) -> "PipelineConfig":
-        return PipelineConfig.from_dict(read_config_json(path))
 
-
-def read_config_json(path):
-    """The JSON value in a config file; ConfigError if it cannot be read."""
+def read_config_json(path) -> tuple:
+    """The JSON value in a config file and the sha256 of the bytes it was
+    parsed from, read once; ConfigError if it cannot be read."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return json.loads(data), hashlib.sha256(data).hexdigest()
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}")
 
 
@@ -579,8 +588,3 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
                                  if name != "manifest.json")
     write_json(os.path.join(out, "manifest.json"), manifest)
     return manifest
-
-
-def config_digest(path) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()

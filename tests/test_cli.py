@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -218,10 +219,11 @@ class TestChainReproducesPipelineCalls:
 
     def test_pipeline_seed_option_equals_config_seed(self, tmp_path,
                                                      monkeypatch):
-        configs = []
+        configs, digests = [], []
 
         def record(cfg, output_dir, config_sha256):
             configs.append(cfg)
+            digests.append(config_sha256)
             (tmp_path / "report.txt").write_text("")
             return {"outputs": []}
 
@@ -231,6 +233,7 @@ class TestChainReproducesPipelineCalls:
             assert main(["pipeline", "--out-dir", str(tmp_path)] + argv) == 0
         assert configs[0] == configs[1]
         assert configs[0].sync.seed == 5
+        assert digests == [None, hashlib.sha256(b'{"seed": 5}').hexdigest()]
 
 
 class TestStageDefaults:
@@ -578,7 +581,21 @@ class TestErrorsAndConversion:
         assert main(["detect", "--frames", str(one_frame), "--out", str(out),
                      "--background", str(empty), "--crop", "13.2"]) == 2
         assert capsys.readouterr().err == (
-            f"error: background scan {empty} holds no points\n")
+            "error: background scan holds no points within 0.5 m of the "
+            "detection square |x|, |y| <= 13.2\n")
+        assert not out.exists()
+
+    def test_background_empty_after_its_crop_exit_2(self, one_frame,
+                                                    tmp_path, capsys):
+        # it holds a point, but none the crop keeps
+        far = tmp_path / "far.mvlc"
+        write_frame(far, PointCloud([[100.0, 100.0, 0.0]]))
+        out = tmp_path / "det.jsonl"
+        assert main(["detect", "--frames", str(one_frame), "--out", str(out),
+                     "--background", str(far), "--crop", "13.2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: background scan holds no points within 0.5 m of the "
+            "detection square |x|, |y| <= 13.2\n")
         assert not out.exists()
 
     def test_too_many_cluster_pairs_exit_3(self, one_frame, tmp_path, capsys,

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -12,8 +13,8 @@ from scipy.spatial import cKDTree
 from conftest import box_surface, ground_grid
 from mvlidar import pipeline
 from mvlidar.detector import BACKGROUND_DISTANCE, DetectorConfig, \
-    detect_frame
-from mvlidar.errors import CalibrationFailedError, ConfigError
+    detect_frame, subtract_background
+from mvlidar.errors import CalibrationFailedError, ConfigError, FormatError
 from mvlidar.geometry import ObjectClass, PointCloud, apply_transform, \
     transform_distance
 from mvlidar.metrics import DetectionEvalConfig
@@ -28,6 +29,7 @@ from mvlidar.pipeline import (
     fused_cloud,
     hierarchy_from_dict,
     in_square,
+    read_config_json,
     run_environment,
     run_fusion_comparison,
     run_pipeline,
@@ -172,19 +174,27 @@ def box_key(box):
 
 
 def assert_same_pass(monkeypatch, clouds, background, crop=None):
-    seen = []
+    seen, subtracted = [], []
 
     def recording_detect_frame(cloud, cfg, ground_z=None):
         seen.append(cloud)
         return detect_frame(cloud, cfg, ground_z)
 
+    def recording_subtract(cloud, background):
+        subtracted.append(len(cloud))
+        # the crop comes first: no point outside the square is queried
+        if crop is not None:
+            assert in_square(cloud.points, crop).all()
+        return subtract_background(cloud, background)
+
     monkeypatch.setattr(pipeline, "detect_frame", recording_detect_frame)
+    monkeypatch.setattr(pipeline, "subtract_background", recording_subtract)
     monkeypatch.setenv("MVLK_THREADS", "1")
     boxes = detect_per_frame(clouds, DetectorConfig(), background=background,
                              crop_half_extent=crop)
     expected_clouds, expected_boxes = full_background_pass(
         clouds, background, BACKGROUND_DISTANCE, crop)
-    assert len(seen) == len(expected_clouds)
+    assert len(subtracted) == len(seen) == len(expected_clouds)
     for actual, expected in zip(seen, expected_clouds):
         assert np.array_equal(actual.points, expected.points)
     assert [[box_key(b) for b in frame] for frame in boxes] == \
@@ -231,9 +241,10 @@ class TestInSquare:
 
 
 class TestBackgroundCrop:
-    """detect_per_frame crops the background once to the detection square
-    plus BACKGROUND_DISTANCE; every frame keeps the points and boxes it
-    keeps against the whole background."""
+    """detect_per_frame crops each frame to the detection square before it
+    subtracts the background, and the background once to the square plus
+    BACKGROUND_DISTANCE; every frame keeps the points and boxes that
+    subtracting the whole background and then cropping keeps."""
 
     HALF = 10.0
     DISTANCE = 0.5
@@ -299,6 +310,20 @@ class TestBackgroundCrop:
             self.background(), self.HALF)
         assert len(seen[0]) == len(seen[1]) == 0
         assert boxes[0] == boxes[1] == []
+
+    def test_background_empty_after_its_crop_rejected(self, rng):
+        frames, cfg = [self.frame(rng)], DetectorConfig()
+        far = PointCloud([[100.0, 100.0, 0.0]])
+        with pytest.raises(FormatError, match=(
+                r"^background scan holds no points within 0\.5 m of the "
+                r"detection square \|x\|, \|y\| <= 10\.0$")):
+            detect_per_frame(frames, cfg, background=far,
+                             crop_half_extent=self.HALF)
+        with pytest.raises(FormatError,
+                           match="^background scan holds no points$"):
+            detect_per_frame(frames, cfg, background=PointCloud.empty())
+        # uncropped, the far point is a background like any other
+        assert detect_per_frame(frames, cfg, background=far)
 
     def test_no_crop_uses_the_whole_background(self, monkeypatch, rng):
         seen, _ = assert_same_pass(monkeypatch, [self.frame(rng)],
@@ -393,7 +418,22 @@ class TestPipelineConfig:
         path = tmp_path / "cfg.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError):
-            PipelineConfig.from_json(path)
+            read_config_json(path)
+
+    def test_config_digest_is_of_the_parsed_bytes(self, tmp_path):
+        data = b'{"seed": 5, "scene": {"frames": 4}}'
+        (tmp_path / "cfg.json").write_bytes(data)
+        raw, digest = read_config_json(tmp_path / "cfg.json")
+        assert raw == json.loads(data)
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    def test_unreadable_config_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="^cannot load config "):
+            read_config_json(tmp_path)
+        # bytes that are no JSON text encoding
+        (tmp_path / "cfg.json").write_bytes(b'{"seed": \xff}')
+        with pytest.raises(ConfigError, match="^cannot load config "):
+            read_config_json(tmp_path / "cfg.json")
 
 
 class TestThreadBudget:
@@ -439,17 +479,25 @@ class TestRunPipeline:
             "threads": 1, "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__}
 
-    def test_outputs_and_determinism(self, tmp_path):
+    def test_outputs_and_determinism(self, tmp_path, monkeypatch):
+        """Two runs, with 2 detection workers and with 1, write the same
+        six outputs."""
         cfg = fast_pipeline_config()
-        manifest_a = run_pipeline(cfg, output_dir=str(tmp_path / "a"))
-        manifest_b = run_pipeline(cfg, output_dir=str(tmp_path / "b"))
+        manifests, environments = [], []
+        for threads in ("2", "1"):
+            monkeypatch.setenv("MVLK_THREADS", threads)
+            environments.append(run_environment())
+            manifests.append(run_pipeline(
+                cfg, output_dir=str(tmp_path / threads)))
+        manifest_a, manifest_b = manifests
         for name in MACHINE_OUTPUTS:
-            assert (tmp_path / "a" / name).exists(), name
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes(), name
+            assert (tmp_path / "2" / name).exists(), name
+            assert (tmp_path / "2" / name).read_bytes() == \
+                (tmp_path / "1" / name).read_bytes(), name
         assert manifest_a["seed"] == manifest_b["seed"] == 3
-        assert manifest_a["environment"] == run_environment()
-        written = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert [m["environment"] for m in manifests] == environments
+        assert environments[1]["threads"] == 1
+        written = json.loads((tmp_path / "2" / "manifest.json").read_text())
         assert set(written["environment"]) == {"threads", "python", "numpy",
                                                "scipy"}
         assert [s["name"] for s in manifest_a["stages"]] == \
