@@ -258,11 +258,23 @@ def _ray_box_entry(origin: np.ndarray, dirs: np.ndarray, center, size,
     return np.where(hit, t_enter, np.inf)
 
 
+def _row_dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``rows @ vector``, each row's product rounded the same whatever
+    rows come with it.
+
+    numpy multiplies a lone row on another path than a batch of rows, and
+    the two can differ in the last bit, so a lone row is multiplied as two.
+    """
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ vector)[:1]
+    return rows @ vector
+
+
 def _ray_sphere_entry(origin: np.ndarray, dirs: np.ndarray, center,
                       radius: float) -> np.ndarray:
     """Entry parameter t of each ray into a sphere (inf for a miss)."""
     offset = origin - np.asarray(center, dtype=float)
-    b = dirs @ offset
+    b = _row_dots(dirs, offset)
     c = offset @ offset - radius * radius
     disc = b * b - c
     root = np.sqrt(np.maximum(disc, 0.0))
@@ -378,8 +390,11 @@ def _cast_frame(origin, rays: _RayIndex, surfaces):
     cap overlaps. They are a superset of the rays that pass it and the test
     is unchanged, so exactly the rays pass that would pass it on every ray.
     Surfaces are visited in order, so the first of two surfaces at the same
-    distance keeps the ray. The exact tests treat each ray on its own, so a
-    culled cast equals the all-rays cast bit for bit.
+    distance keeps the ray. The exact tests and the sphere test treat each
+    ray on its own, with no product of a lone row (``_row_dots``), so a ray's
+    result does not depend on which rays are cast with it: a culled cast
+    equals the all-rays cast bit for bit, and a node's statics and a frame's
+    objects can be cast apart and merged.
     """
     dirs = rays.dirs
     best_t = np.full(len(dirs), np.inf)
@@ -389,7 +404,7 @@ def _cast_frame(origin, rays: _RayIndex, surfaces):
         c = offset @ offset - radius * radius
         if c > 0.0:
             cand = rays.toward_sphere(-offset, radius)
-            b = dirs[cand] @ offset
+            b = _row_dots(dirs[cand], offset)
             disc = b * b - c
             keep = (disc >= 0.0) & (b < 0.0)
             cand, b, disc = cand[keep], b[keep], disc[keep]
@@ -427,7 +442,14 @@ def _reference_cloud(spec: SceneSpec, static_surfaces, rng) -> PointCloud:
 
 
 def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
-    """Render all node frames plus exact ground truth for one scene."""
+    """Render all node frames plus exact ground truth for one scene.
+
+    Neither the nodes nor the statics move, so each node casts the statics
+    once; each frame then casts only its objects, and an object keeps a ray
+    only when it is strictly closer than the statics' first hit. That equals
+    one cast over the statics followed by the objects, bit for bit, because
+    ``_cast_frame`` treats each ray on its own.
+    """
     rng = np.random.default_rng([seed, 0x5CE17E])
     dirs_local = _ray_grid(spec)
     period_ns = int(round(1e9 / spec.frame_rate_hz))
@@ -445,8 +467,12 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
                 static.yaw)))
 
     extrinsics = {i: node.extrinsic for i, node in enumerate(spec.nodes)}
+    inverses = {i: extrinsic.inverse() for i, extrinsic in extrinsics.items()}
     node_rays = {i: _RayIndex(dirs_local @ extrinsic.rotation.T)
                  for i, extrinsic in extrinsics.items()}
+    static_t = {i: _cast_frame(extrinsics[i].translation, rays,
+                               static_surfaces)[0]
+                for i, rays in node_rays.items()}
 
     n_nodes = len(spec.nodes)
     n_objects = len(spec.objects)
@@ -458,29 +484,29 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
         time_s = frame / spec.frame_rate_hz
         boxes = [obj.box_at(time_s) for obj in spec.objects]
         gt_boxes.append(boxes)
-        surfaces = list(static_surfaces)
-        for obj_index, box in enumerate(boxes):
-            surfaces.append(_bounded(obj_index, (box.center, tuple(box.size),
-                                                 box.yaw)))
+        objects = [_bounded(obj_index, (box.center, tuple(box.size), box.yaw))
+                   for obj_index, box in enumerate(boxes)]
 
         for node_index in range(n_nodes):
-            extrinsic = extrinsics[node_index]
-            origin = extrinsic.translation
+            origin = extrinsics[node_index].translation
             rays = node_rays[node_index]
-            t, labels = _cast_frame(origin, rays, surfaces)
+            t, labels = _cast_frame(origin, rays, objects)
+            # the statics come first, so they keep a ray on a tie
+            behind = t >= static_t[node_index]
+            t[behind] = static_t[node_index][behind]
+            labels[behind] = -1
             hit = np.isfinite(t)
             world_pts = origin + rays.dirs[hit] * t[hit, None]
             if spec.noise_sigma > 0.0 and len(world_pts):
                 world_pts = world_pts + rng.normal(scale=spec.noise_sigma,
                                                    size=world_pts.shape)
-            local_pts = extrinsic.inverse().apply(world_pts)
+            local_pts = inverses[node_index].apply(world_pts)
             node_frames[node_index].append(PointCloud(
                 local_pts, timestamp_ns=frame * period_ns,
                 source_node=node_index))
-            hit_objects = labels[hit]
-            for obj_index in range(n_objects):
-                visible[frame, node_index, obj_index] = int(
-                    (hit_objects == obj_index).sum())
+            visible[frame, node_index] = np.bincount(
+                labels[hit] + 1, minlength=n_objects + 1)[1:]
+    del static_t    # before the reference scan sets the memory high-water
 
     tracks: dict = {}
     for frame, boxes in enumerate(gt_boxes):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvlidar import scene as scene_module
@@ -20,6 +20,7 @@ from mvlidar.scene import (
     _ray_box_entry,
     _ray_grid,
     _RayIndex,
+    _reference_cloud,
     _reference_ray_grid,
     _surface_entry,
     generate_synthetic_scene,
@@ -360,6 +361,10 @@ class TestCullingCasterOracle:
            n_boxes=st.integers(0, 4), n_spheres=st.integers(0, 3),
            origin=st.tuples(*[st.floats(-25.0, 25.0)] * 3))
     @settings(max_examples=150, deadline=None)
+    # one sphere-test candidate alone: numpy rounds a lone row's product
+    # differently from a batch's
+    @example(seed=318, n_boxes=2, n_spheres=2,
+             origin=(20.58850753507214, -10.328125, 2.0))
     def test_random_scenes(self, seed, n_boxes, n_spheres, origin):
         rng = np.random.default_rng(seed)
         origin = np.asarray(origin)
@@ -556,11 +561,173 @@ def scene_digest(synthetic):
     return digest.hexdigest()
 
 
-def test_crossroad_scene_matches_all_rays_caster(monkeypatch):
-    spec = standard_crossroad_spec(n_frames=2)
+@pytest.mark.parametrize("layout", [0, 3, 9])
+def test_crossroad_scene_matches_all_rays_caster(monkeypatch, layout):
+    spec = standard_crossroad_spec(n_frames=2, seed=layout)
     culled = scene_digest(generate_synthetic_scene(spec))
     monkeypatch.setattr(
         scene_module, "_cast_frame",
         lambda origin, rays, surfaces: cast_all_rays(origin, rays.dirs,
                                                      surfaces))
     assert culled == scene_digest(generate_synthetic_scene(spec))
+
+
+def render_one_cast_per_frame(spec, seed):
+    """Oracle: each node frame cast once over the statics followed by that
+    frame's objects, the way scenes were rendered before the statics were
+    cast once per node. Returns node frames, reference and visible counts."""
+    rng = np.random.default_rng([seed, 0x5CE17E])
+    ground = box_surface_spec((0.0, 0.0, -0.5),
+                              (4.0 * spec.extent, 4.0 * spec.extent, 1.0))
+    statics = [_bounded(-1, ground)] + [
+        _bounded(-1, static if isinstance(static, SceneSphere)
+                 else box_surface_spec(static.center, static.size, static.yaw))
+        for static in spec.statics]
+    frames = {node: [] for node in range(len(spec.nodes))}
+    visible = np.zeros((spec.n_frames, len(spec.nodes), len(spec.objects)),
+                       dtype=np.int64)
+    for frame in range(spec.n_frames):
+        boxes = [obj.box_at(frame / spec.frame_rate_hz) for obj in spec.objects]
+        surfaces = statics + [_bounded(k, (box.center, tuple(box.size), box.yaw))
+                              for k, box in enumerate(boxes)]
+        for node, pose in enumerate(spec.nodes):
+            extrinsic = pose.extrinsic
+            rays = _RayIndex(_ray_grid(spec) @ extrinsic.rotation.T)
+            t, labels = _cast_frame(extrinsic.translation, rays, surfaces)
+            hit = np.isfinite(t)
+            points = extrinsic.translation + rays.dirs[hit] * t[hit, None]
+            if spec.noise_sigma > 0.0 and len(points):
+                points = points + rng.normal(scale=spec.noise_sigma,
+                                             size=points.shape)
+            frames[node].append(extrinsic.inverse().apply(points))
+            for k in range(len(boxes)):
+                visible[frame, node, k] = (labels[hit] == k).sum()
+    reference = _reference_cloud(spec, statics, rng)
+    return frames, reference.points, visible
+
+
+def assert_scene_matches_one_cast_per_frame(spec, seed=0):
+    synthetic = generate_synthetic_scene(spec, seed=seed)
+    frames, reference, visible = render_one_cast_per_frame(spec, seed)
+    for node, clouds in synthetic.node_frames.items():
+        assert len(clouds) == len(frames[node])
+        for cloud, want in zip(clouds, frames[node]):
+            assert np.array_equal(cloud.points, want)
+    assert np.array_equal(synthetic.reference_cloud.points, reference)
+    assert np.array_equal(synthetic.visible_counts, visible)
+    return synthetic
+
+
+def tiny_spec(**kwargs):
+    defaults = dict(extent=12.0, noise_sigma=0.0, azimuth_steps=40,
+                    elevation_steps=16, reference_azimuth_steps=60,
+                    reference_elevation_steps=12)
+    defaults.update(kwargs)
+    return SceneSpec(**defaults)
+
+
+class TestStaticsCastOncePerNode:
+    """Each node casts the statics once and each frame only its objects;
+    the scene must equal one cast per node frame over both, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 3),
+           n_frames=st.integers(1, 4), n_boxes=st.integers(0, 3),
+           n_spheres=st.integers(0, 2), n_objects=st.integers(0, 4),
+           noise=st.sampled_from([0.0, 0.02]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_one_cast_per_frame(self, seed, n_nodes, n_frames, n_boxes,
+                                       n_spheres, n_objects, noise):
+        rng = np.random.default_rng(seed)
+        # quarter-metre positions and yaw 0 keep the slab arithmetic exact,
+        # so a face that an object shares with a box ties exactly
+        def quarter(low, high, n=None):
+            return rng.integers(4 * low, 4 * high + 1, n) / 4.0
+
+        nodes = []
+        for _ in range(n_nodes):
+            angle = rng.uniform(-math.pi, math.pi)
+            position = (round(10.0 * math.cos(angle) * 4) / 4,
+                        round(10.0 * math.sin(angle) * 4) / 4,
+                        float(quarter(1, 4)))
+            nodes.append(NodePose.looking_at(position, (0.0, 0.0, 0.5)))
+        boxes = []
+        for _ in range(n_boxes):
+            size = quarter(0.5, 4.0, 3)
+            boxes.append(SceneBox(center=(*quarter(-6, 6, 2), size[2] / 2.0),
+                                  size=tuple(size),
+                                  yaw=0.0 if rng.uniform() < 0.7
+                                  else float(rng.uniform(-math.pi, math.pi))))
+        spheres = [SceneSphere(center=tuple(rng.uniform(-6.0, 6.0, 3)),
+                               radius=float(rng.uniform(0.3, 2.0)))
+                   for _ in range(n_spheres)]
+        objects = []
+        for track_id in range(n_objects):
+            size = tuple(quarter(0.5, 3.0, 3))
+            if boxes and rng.uniform() < 0.5:
+                # against a box face: flush with it inside, or touching it
+                # from outside
+                box = boxes[rng.integers(len(boxes))]
+                axis, side = rng.integers(2), rng.choice([-1.0, 1.0])
+                face = box.center[axis] + side * box.size[axis] / 2.0
+                start = list(box.center[:2])
+                start[axis] = face + rng.choice([-1.0, 1.0]) * side \
+                    * size[axis] / 2.0
+                objects.append(SceneObject(
+                    label=ObjectClass.CAR, start_xy=tuple(start), size=size,
+                    yaw=box.yaw, track_id=track_id))
+            else:
+                objects.append(SceneObject(
+                    label=ObjectClass.PEDESTRIAN,
+                    start_xy=tuple(quarter(-8, 8, 2)),
+                    velocity_xy=tuple(rng.uniform(-4.0, 4.0, 2)), size=size,
+                    track_id=track_id))
+        spec = tiny_spec(nodes=tuple(nodes), statics=tuple(boxes + spheres),
+                         objects=tuple(objects), n_frames=n_frames,
+                         noise_sigma=noise)
+        assert_scene_matches_one_cast_per_frame(spec, seed=seed % 1000)
+
+    def test_object_flush_with_a_wall_face_gets_no_ray(self):
+        # the car fills the front half of the wall: its front face is the
+        # wall's, so every ray that reaches the car ties with the wall
+        wall = SceneBox(center=(5.0, 0.0, 1.0), size=(2.0, 4.0, 2.0))
+        car = SceneObject(label=ObjectClass.CAR, start_xy=(4.5, 0.0),
+                          size=(1.0, 2.0, 1.5), track_id=1)
+        node = NodePose.looking_at((-5.0, 0.0, 1.0), (5.0, 0.0, 0.75))
+        spec = tiny_spec(nodes=(node,), statics=(wall,), objects=(car,),
+                         azimuth_steps=120, elevation_steps=60)
+        synthetic = assert_scene_matches_one_cast_per_frame(spec)
+        assert synthetic.visible_counts[0, 0, 0] == 0
+        # alone, the car would take rays, at the same distance as the wall
+        origin = np.asarray(node.position)
+        dirs = _ray_grid(spec) @ node.orientation.T
+        box = car.box_at(0.0)
+        car_t, _ = cast_all_rays(origin, dirs, [(0, box_surface_spec(
+            box.center, box.size, box.yaw))])
+        wall_t, _ = cast_all_rays(origin, dirs, [(0, box_surface_spec(
+            wall.center, wall.size, wall.yaw))])
+        hits = np.isfinite(car_t)
+        assert hits.sum() > 50
+        assert np.array_equal(car_t[hits], wall_t[hits])
+
+    def test_statics_are_cast_once_per_node(self, monkeypatch):
+        spec = tiny_spec(nodes=four_corner_nodes(radius=10.0), n_frames=3,
+                         statics=(SceneBox(center=(3.0, 3.0, 1.0),
+                                           size=(1.0, 1.0, 2.0)),),
+                         objects=(SceneObject(label=ObjectClass.CAR,
+                                              start_xy=(0.0, 0.0),
+                                              velocity_xy=(1.0, 0.0),
+                                              track_id=1),))
+        casts = []
+
+        def recording_cast(origin, rays, surfaces):
+            casts.append(sorted({label for label, *_ in surfaces}))
+            return _cast_frame(origin, rays, surfaces)
+
+        monkeypatch.setattr(scene_module, "_cast_frame", recording_cast)
+        generate_synthetic_scene(spec)
+        stations = len(spec.reference_scanner_positions)
+        # one static cast per node and per reference station, and one cast
+        # of the objects per node frame
+        assert casts.count([-1]) == len(spec.nodes) + stations
+        assert casts.count([0]) == len(spec.nodes) * spec.n_frames
+        assert len(casts) == len(spec.nodes) * (1 + spec.n_frames) + stations
