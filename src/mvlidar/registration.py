@@ -8,7 +8,12 @@ The pipeline a fresh outdoor deployment needs, with no pose prior:
    correspondences, each hypothesis solved in closed form from three pairs
    (SVD least-squares rigid fit),
 4. iterative closest point refinement through progressively finer scales,
-   warm-started from the previous level.
+   warm-started from the previous level. Between iterations a source point
+   keeps its nearest target until it has moved half the gap to its second
+   nearest (less a rounding slack); within that radius the old neighbor is
+   provably still the unique nearest one, so the correspondences, and
+   every result, equal a full query's. Ties fall back to the tree's own
+   single-neighbor choice, and unmatched points are queried every time.
 
 Every stochastic step takes an explicit seed and is deterministic given it;
 RANSAC ties break toward the lowest trial index. The module also provides
@@ -47,6 +52,11 @@ _RANK_TOL = 1e-12
 _SCORE_CHUNK = 512
 # pairs per block of the FPFH pair pass, which bounds its (block, 3) arrays
 _PAIR_CHUNK = 16384
+# ICP keeps a point's nearest target while the point moves less than its
+# safe radius less this slack (meters), which covers rounding in the
+# distances: a floor plus a share of the largest coordinate
+_REUSE_SLACK = 1e-9
+_REUSE_SLACK_PER_METER = 1e-12
 # RANSAC draws all its trials at once: their triples, points and poses
 # peak at 0.7 kB per trial when every triple is consistent, so a million
 # trials stay near 0.7 GB
@@ -421,7 +431,13 @@ def _arbitrate(candidates, rotations, translations, corr_src, corr_tgt,
 
 def mutual_feature_matches(source_fpfh: np.ndarray,
                            target_fpfh: np.ndarray) -> np.ndarray:
-    """(M, 2) array of mutually-nearest descriptor pairs (src idx, tgt idx)."""
+    """(M, 2) array of mutually-nearest descriptor pairs (src idx, tgt idx).
+
+    A descriptor with two or more exactly equidistant nearest ones gets the
+    one the kd-tree's traversal reaches first, which depends on the tree's
+    layout, not on the indices. Such ties are common: a voxel grid holds
+    many identical descriptors.
+    """
     src_valid = np.flatnonzero(source_fpfh.sum(axis=1) > 0.0)
     tgt_valid = np.flatnonzero(target_fpfh.sum(axis=1) > 0.0)
     if len(src_valid) == 0 or len(tgt_valid) == 0:
@@ -542,30 +558,68 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidTransform,
     max_iter is reached. A step that would increase the RMSE is rejected
     and treated as converged, so the recorded RMSE trace is non-increasing.
     Raises NoCorrespondencesError when no pairs exist at the initial pose.
+
+    A source point is queried again only when it has moved, since its last
+    query, by at least its safe radius: half the gap between its first and
+    second nearest target distances (the second capped at max_dist), less
+    a slack for rounding. Moving by less than that changes every target
+    distance by less than half the gap, so the old neighbor stays the
+    unique nearest one and stays within max_dist, and the correspondences
+    are the ones a full query would find. The slack has a floor and a
+    share of the largest coordinate. Each query asks for two neighbors
+    within max_dist; a row whose two distances tie within twice the slack
+    gets no radius and is queried again for one neighbor, so the tree's
+    own choice among equidistant targets is kept. Unmatched points get no
+    radius either and are queried on every iteration.
     """
     if max_dist <= 0.0:
         raise ValueError("max_dist must be positive")
     target_tree = cKDTree(target.points)
+    points = source.points
+    n = len(points)
+    largest = max(target.points.max(initial=0.0),
+                  -target.points.min(initial=0.0))
+    slack = _REUSE_SLACK + _REUSE_SLACK_PER_METER * (largest + max_dist)
+    queried_at = np.zeros((n, 3))
+    safe_radius = np.full(n, -np.inf)
+    idx = np.zeros(n, dtype=np.int64)
+    matched = np.zeros(n, dtype=bool)
     pose = init
     rmse_history: list = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        moved = source.points @ pose.rotation.T + pose.translation
-        dist, idx = target_tree.query(moved, distance_upper_bound=max_dist)
-        matched = np.isfinite(dist)
+        moved = points @ pose.rotation.T + pose.translation
+        # written "not below", so a NaN distance is queried too
+        stale = np.flatnonzero(~(np.linalg.norm(moved - queried_at, axis=1)
+                                 < safe_radius))
+        if len(stale):
+            at = moved[stale]
+            dist, near = target_tree.query(at, k=2,
+                                           distance_upper_bound=max_dist)
+            first, second = dist[:, 0], np.minimum(dist[:, 1], max_dist)
+            # an unmatched row gets max_dist - inf = -inf
+            radius = 0.5 * (second - first) - slack
+            idx[stale] = near[:, 0]
+            matched[stale] = found = np.isfinite(first)
+            tied = np.flatnonzero(found & (radius <= 0.0))
+            if len(tied):
+                _, idx[stale[tied]] = target_tree.query(
+                    at[tied], distance_upper_bound=max_dist)
+            queried_at[stale] = at
+            safe_radius[stale] = radius
         if not matched.any():
             if iterations == 1:
                 raise NoCorrespondencesError(
                     "no point pairs within max_dist at the initial pose")
             break
+        pairs_src, pairs_tgt = points[matched], target.points[idx[matched]]
         try:
-            candidate = solve_rigid_arun(source.points[matched],
-                                         target.points[idx[matched]])
+            candidate = solve_rigid_arun(pairs_src, pairs_tgt)
         except DegenerateConfigurationError:
             break
-        moved = source.points[matched] @ candidate.rotation.T + candidate.translation
-        rmse = float(np.sqrt(np.mean(
-            np.sum((moved - target.points[idx[matched]]) ** 2, axis=1))))
+        moved = pairs_src @ candidate.rotation.T + candidate.translation
+        rmse = float(np.sqrt(np.mean(np.sum((moved - pairs_tgt) ** 2,
+                                            axis=1))))
         if rmse_history and rmse > rmse_history[-1]:
             break  # worsening step rejected; keep the previous pose
         pose = candidate
@@ -573,7 +627,8 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidTransform,
         rmse_history.append(rmse)
         if previous is not None and abs(previous - rmse) <= eps * max(rmse, 1e-12):
             break
-    fitness, rmse = _match_fitness(source.points, target_tree, pose.rotation,
+    # the fitness needs the tree's own distances: one full query
+    fitness, rmse = _match_fitness(points, target_tree, pose.rotation,
                                    pose.translation, max_dist)
     return RegistrationResult(transform=pose, fitness=fitness,
                               inlier_rmse=rmse, iterations_used=iterations,

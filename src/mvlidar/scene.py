@@ -379,10 +379,13 @@ class _RayIndex:
         return np.sort(np.concatenate(picked))
 
 
-def _cast_frame(origin, rays: _RayIndex, surfaces):
+def _cast_frame(origin, rays: _RayIndex, surfaces, best_t=None):
     """First-hit distances and surface labels for one node at one frame.
 
-    ``surfaces`` is a sequence of ``_bounded`` entries. A surface is tested
+    ``surfaces`` is a sequence of ``_bounded`` entries. ``best_t``, if
+    given, holds each ray's distance to a hit cast before (labelled -1); a
+    surface takes a ray only when strictly closer, so earlier hits keep
+    their ties and rays they block are culled. A surface is tested
     exactly only on the rays that reach its bounding sphere in front of the
     origin and before the closest hit so far; from inside the sphere every
     ray is tested. The sphere test itself runs only on the rays that
@@ -397,7 +400,8 @@ def _cast_frame(origin, rays: _RayIndex, surfaces):
     objects can be cast apart and merged.
     """
     dirs = rays.dirs
-    best_t = np.full(len(dirs), np.inf)
+    best_t = (np.full(len(dirs), np.inf) if best_t is None
+              else np.array(best_t, dtype=float))
     best_label = np.full(len(dirs), -1, dtype=np.int64)
     for label, surface, center, radius in surfaces:
         offset = origin - center
@@ -445,8 +449,8 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
     """Render all node frames plus exact ground truth for one scene.
 
     Neither the nodes nor the statics move, so each node casts the statics
-    once; each frame then casts only its objects, and an object keeps a ray
-    only when it is strictly closer than the statics' first hit. That equals
+    once; each frame then casts only its objects from the statics' first
+    hits, so an object keeps a ray only when strictly closer. That equals
     one cast over the statics followed by the objects, bit for bit, because
     ``_cast_frame`` treats each ray on its own.
     """
@@ -490,11 +494,9 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
         for node_index in range(n_nodes):
             origin = extrinsics[node_index].translation
             rays = node_rays[node_index]
-            t, labels = _cast_frame(origin, rays, objects)
             # the statics come first, so they keep a ray on a tie
-            behind = t >= static_t[node_index]
-            t[behind] = static_t[node_index][behind]
-            labels[behind] = -1
+            t, labels = _cast_frame(origin, rays, objects,
+                                    static_t[node_index])
             hit = np.isfinite(t)
             world_pts = origin + rays.dirs[hit] * t[hit, None]
             if spec.noise_sigma > 0.0 and len(world_pts):

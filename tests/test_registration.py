@@ -27,6 +27,7 @@ from mvlidar.registration import (
     CornerPair,
     HierarchyConfig,
     HierarchyLevel,
+    RegistrationResult,
     accumulate_frames,
     coarse_align_ransac,
     compute_fpfh,
@@ -750,6 +751,206 @@ class TestIcpRefine:
                                 max_dist=1.0, max_iter=50)
             history = np.array(result.rmse_history)
             assert np.all(np.diff(history) <= 1e-15)
+
+
+def previous_icp_refine(source, target, init, max_dist, max_iter=50,
+                        eps=1e-6, trace=None):
+    """``icp_refine`` as it was before it reused neighbors: every source
+    point is queried on every iteration. Returns the result and why the
+    loop stopped; ``trace``, if given, gets each iteration's matched mask."""
+    target_tree = cKDTree(target.points)
+    pose = init
+    rmse_history: list = []
+    iterations = 0
+    stop = "max_iter"
+    for iterations in range(1, max_iter + 1):
+        moved = source.points @ pose.rotation.T + pose.translation
+        dist, idx = target_tree.query(moved, distance_upper_bound=max_dist)
+        matched = np.isfinite(dist)
+        if trace is not None:
+            trace.append(matched)
+        if not matched.any():
+            if iterations == 1:
+                raise NoCorrespondencesError(
+                    "no point pairs within max_dist at the initial pose")
+            stop = "lost"
+            break
+        try:
+            candidate = solve_rigid_arun(source.points[matched],
+                                         target.points[idx[matched]])
+        except DegenerateConfigurationError:
+            stop = "degenerate"
+            break
+        moved = source.points[matched] @ candidate.rotation.T + candidate.translation
+        rmse = float(np.sqrt(np.mean(
+            np.sum((moved - target.points[idx[matched]]) ** 2, axis=1))))
+        if rmse_history and rmse > rmse_history[-1]:
+            stop = "worse"
+            break
+        pose = candidate
+        previous = rmse_history[-1] if rmse_history else None
+        rmse_history.append(rmse)
+        if previous is not None and abs(previous - rmse) <= eps * max(rmse, 1e-12):
+            stop = "converged"
+            break
+    fitness, rmse = registration._match_fitness(
+        source.points, target_tree, pose.rotation, pose.translation, max_dist)
+    return RegistrationResult(transform=pose, fitness=fitness,
+                              inlier_rmse=rmse, iterations_used=iterations,
+                              rmse_history=tuple(rmse_history)), stop
+
+
+def icp_pair(seed, kind, n=60, offset=0.0, max_dist=1.0):
+    """(source, target, init) for ICP, both clouds shifted by ``offset``.
+
+    ``lattice``: eighth-metre coordinates, a third of the targets
+    duplicated and sources between lattice points, so many nearest
+    distances tie exactly. ``cloud``: a yawed, shifted copy of a random
+    cloud with residuals spread up to 2 max_dist, so points cross max_dist
+    both ways as the pose moves. ``line``: the same on the x axis, so the
+    rigid fit is degenerate.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        grid = rng.integers(-6, 7, size=(n, 3)) / 4.0
+        target = np.concatenate([grid, grid[: n // 3]])
+        source = (grid[rng.integers(0, n, n)]
+                  + rng.integers(-1, 2, size=(n, 3)) / 8.0)
+    else:
+        target = rng.normal(scale=2.0, size=(n, 3))
+        truth = RigidTransform.from_yaw(rng.uniform(-0.2, 0.2),
+                                        rng.uniform(-0.3, 0.3, 3))
+        jitter = rng.normal(size=(n, 3))
+        jitter *= (rng.uniform(0.0, 2.0 * max_dist, n)
+                   / np.linalg.norm(jitter, axis=1))[:, None]
+        jitter[rng.uniform(size=n) < 0.7] *= 0.05
+        source = truth.apply(target) + jitter
+        if kind == "line":
+            target[:, 1:] = source[:, 1:] = 0.0
+    return (PointCloud(source + offset), PointCloud(target + offset),
+            RigidTransform.identity())
+
+
+def assert_icp_matches_full_queries(source, target, init, max_dist, max_iter,
+                                    trace=None):
+    """``icp_refine`` equals the full-query oracle bit for bit, raises
+    included; returns the oracle's stop reason."""
+    try:
+        want, stop = previous_icp_refine(source, target, init, max_dist,
+                                         max_iter, trace=trace)
+    except NoCorrespondencesError:
+        with pytest.raises(NoCorrespondencesError):
+            icp_refine(source, target, init, max_dist, max_iter)
+        return "no correspondences"
+    assert_same_registration(icp_refine(source, target, init, max_dist,
+                                        max_iter), want)
+    return stop
+
+
+class TestIcpReusesNeighborsExactly:
+    """Re-querying only the points that moved past their safe radius gives
+    the results of querying every point on every iteration, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["lattice", "cloud", "line"]),
+           n=st.integers(1, 80), offset=st.sampled_from([0.0, 1e6, 1e9]),
+           max_dist=st.sampled_from([0.3, 1.0]),
+           max_iter=st.sampled_from([1, 3, 50]))
+    def test_property(self, seed, kind, n, offset, max_dist, max_iter):
+        assert_icp_matches_full_queries(
+            *icp_pair(seed, kind, n, offset, max_dist), max_dist, max_iter)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+    @pytest.mark.parametrize("case, kind, seed, max_dist, max_iter", [
+        ("converged", "lattice", 0, 1.0, 50),
+        ("converged", "cloud", 0, 1.0, 50),
+        ("max_iter", "cloud", 0, 1.0, 1),
+        ("max_iter", "cloud", 0, 1.0, 3),
+        ("worse", "cloud", 0, 0.3, 50),
+        ("degenerate", "line", 0, 1.0, 50),
+    ])
+    def test_each_way_out(self, case, kind, seed, max_dist, max_iter, offset):
+        pair = icp_pair(seed, kind, offset=offset, max_dist=max_dist)
+        assert assert_icp_matches_full_queries(*pair, max_dist,
+                                               max_iter) == case
+
+    def test_exact_ties(self):
+        source, target, init = icp_pair(0, "lattice")
+        dist, _ = cKDTree(target.points).query(source.points, k=2,
+                                               distance_upper_bound=1.0)
+        assert np.sum(np.isfinite(dist[:, 0]) & (dist[:, 0] == dist[:, 1])) \
+            > 10
+        assert_icp_matches_full_queries(source, target, init, 1.0, 50)
+
+    def test_points_cross_max_dist_both_ways(self):
+        trace = []
+        assert_icp_matches_full_queries(*icp_pair(0, "cloud", n=200), 1.0,
+                                        50, trace)
+        steps = list(zip(trace, trace[1:]))
+        assert any(np.any(a & ~b) for a, b in steps)
+        assert any(np.any(~a & b) for a, b in steps)
+
+    def test_no_correspondences(self):
+        source, target, init = icp_pair(0, "cloud")
+        far = PointCloud(target.points + 1000.0)
+        assert assert_icp_matches_full_queries(source, far, init, 1.0,
+                                               50) == "no correspondences"
+
+    def test_later_iterations_query_fewer_rows(self, rng, monkeypatch):
+        # a guard on the work: a silent fallback to full queries fails it
+        source, target, truth = make_scene_pair(rng, n=9000)
+        offset = RigidTransform.from_yaw(math.radians(5.0), (0.3, 0.0, 0.0))
+        init = RigidTransform(truth.rotation @ offset.rotation,
+                              truth.rotation @ offset.translation
+                              + truth.translation)
+        src = voxel_downsample(source, 0.3)
+        tgt = voxel_downsample(target, 0.3)
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queried.append((k, len(x)))
+                return super().query(x, k=k, **kwargs)
+        monkeypatch.setattr(registration, "cKDTree", CountingTree)
+        result = icp_refine(src, tgt, init, max_dist=1.0, max_iter=60)
+        n = len(src)
+        iteration_rows = [rows for k, rows in queried if k == 2]
+        assert result.iterations_used >= 5
+        assert iteration_rows[0] == n
+        # the last query is the fitness pass over every point
+        assert queried[-1] == (1, n)
+        assert all(rows < n for rows in iteration_rows[1:])
+        assert sum(iteration_rows[1:]) < 0.5 * n * (result.iterations_used
+                                                     - 1)
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+def test_calibrate_node_matches_full_query_icp(seed, crossroad_scene,
+                                               monkeypatch):
+    """Crossroad node 0 calibrates to the same bytes as with ICP querying
+    every point on every iteration."""
+    from mvlidar.pipeline import calibrate_node, crossroad_hierarchy
+    from mvlidar.scene import (calibration_capture, generate_synthetic_scene,
+                               standard_crossroad_spec)
+    scene = (crossroad_scene if seed == 0 else generate_synthetic_scene(
+        standard_crossroad_spec(n_frames=1), seed))
+    frames = calibration_capture(scene, 0, seed=seed)
+
+    def calibrate():
+        return calibrate_node(frames, scene.reference_cloud,
+                              crossroad_hierarchy(), seed=seed,
+                              reference_viewpoint=scene.reference_viewpoint)
+    new = calibrate()
+    stops = []
+
+    def previous(*args):
+        result, stop = previous_icp_refine(*args)
+        stops.append(stop)
+        return result
+    monkeypatch.setattr(registration, "icp_refine", previous)
+    assert_same_registration(new, calibrate())
+    assert len(stops) == len(crossroad_hierarchy().levels)
 
 
 class TestHierarchicalRegister:

@@ -187,12 +187,14 @@ class TestStandardCrossroad:
                           ObjectClass.PEDESTRIAN}
 
 
-def cast_all_rays(origin, dirs, surfaces):
+def cast_all_rays(origin, dirs, surfaces, best_t=None):
     """Oracle caster: every surface's exact test on every ray, no culling.
 
-    Accepts (label, surface) pairs or ``_bounded`` entries.
+    Accepts (label, surface) pairs or ``_bounded`` entries, and starts from
+    ``best_t`` like ``_cast_frame``.
     """
-    best_t = np.full(len(dirs), np.inf)
+    best_t = (np.full(len(dirs), np.inf) if best_t is None
+              else np.array(best_t, dtype=float))
     best_label = np.full(len(dirs), -1, dtype=np.int64)
     for label, surface, *_ in surfaces:
         t = _surface_entry(origin, dirs, surface)
@@ -421,6 +423,9 @@ class TestSlabTest:
            | st.floats(-math.pi, math.pi),
            origin=st.tuples(quarters, quarters, quarters),
            face=st.sampled_from([None, 0, 1, 2]), side=st.sampled_from([-1, 1]))
+    # the origin on a box corner: that corner's direction is 0/0, all NaN
+    @example(seed=0, center=(0.0, 0.0, 0.0), size=(0.25, 7.5, 7.5), yaw=0.0,
+             origin=(0.0, 3.75, 3.75), face=0, side=-1)
     @settings(max_examples=200, deadline=None)
     def test_equals_the_reductions(self, seed, center, size, yaw, origin,
                                    face, side):
@@ -438,7 +443,8 @@ class TestSlabTest:
         got = _ray_box_entry(origin, dirs, center, size, yaw)
         assert np.array_equal(got, reduction_ray_box_entry(
             origin, dirs, center, size, yaw))
-        assert np.array_equal(dirs, before)
+        # bytes, so a NaN direction compares equal to itself
+        assert dirs.tobytes() == before.tobytes()
 
     def test_parallel_rays_on_a_face_plane(self):
         # the +y and -y rays from a point on the top plane give 0/0 in z
@@ -567,8 +573,8 @@ def test_crossroad_scene_matches_all_rays_caster(monkeypatch, layout):
     culled = scene_digest(generate_synthetic_scene(spec))
     monkeypatch.setattr(
         scene_module, "_cast_frame",
-        lambda origin, rays, surfaces: cast_all_rays(origin, rays.dirs,
-                                                     surfaces))
+        lambda origin, rays, surfaces, best_t=None: cast_all_rays(
+            origin, rays.dirs, surfaces, best_t))
     assert culled == scene_digest(generate_synthetic_scene(spec))
 
 
@@ -709,6 +715,33 @@ class TestStaticsCastOncePerNode:
         assert hits.sum() > 50
         assert np.array_equal(car_t[hits], wall_t[hits])
 
+    def test_objects_behind_the_statics_are_not_tested(self, monkeypatch):
+        # every ray toward the car's bounding sphere meets the wall or the
+        # ground first, so the car's exact test gets no ray
+        wall = SceneBox(center=(5.0, 0.0, 1.0), size=(2.0, 4.0, 2.0))
+        car = SceneObject(label=ObjectClass.CAR, start_xy=(8.0, 0.0),
+                          size=(1.0, 2.0, 1.5), track_id=1)
+        node = NodePose.looking_at((-5.0, 0.0, 1.0), (5.0, 0.0, 0.75))
+        spec = tiny_spec(nodes=(node,), statics=(wall,), objects=(car,),
+                         azimuth_steps=120, elevation_steps=60)
+        box = car.box_at(0.0)
+        car_surface = box_surface_spec(box.center, box.size, box.yaw)
+        alone, _ = cast_all_rays(np.asarray(node.position),
+                                 _ray_grid(spec) @ node.orientation.T,
+                                 [(0, car_surface)])
+        assert np.isfinite(alone).sum() > 50
+        tested = []
+        entry = scene_module._surface_entry
+
+        def recording_entry(origin, dirs, surface):
+            if isinstance(surface, tuple) and surface[1] == car_surface[1]:
+                tested.append(len(dirs))
+            return entry(origin, dirs, surface)
+        monkeypatch.setattr(scene_module, "_surface_entry", recording_entry)
+        synthetic = generate_synthetic_scene(spec)
+        assert synthetic.visible_counts[0, 0, 0] == 0
+        assert sum(tested) == 0
+
     def test_statics_are_cast_once_per_node(self, monkeypatch):
         spec = tiny_spec(nodes=four_corner_nodes(radius=10.0), n_frames=3,
                          statics=(SceneBox(center=(3.0, 3.0, 1.0),
@@ -719,9 +752,9 @@ class TestStaticsCastOncePerNode:
                                               track_id=1),))
         casts = []
 
-        def recording_cast(origin, rays, surfaces):
+        def recording_cast(origin, rays, surfaces, best_t=None):
             casts.append(sorted({label for label, *_ in surfaces}))
-            return _cast_frame(origin, rays, surfaces)
+            return _cast_frame(origin, rays, surfaces, best_t)
 
         monkeypatch.setattr(scene_module, "_cast_frame", recording_cast)
         generate_synthetic_scene(spec)
