@@ -25,7 +25,6 @@ from .geometry import (
     apply_transform,
     compose,
     iou_3d,
-    iou_bev,
     voxel_downsample,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "apply_transform",
     "compose",
     "iou_3d",
-    "iou_bev",
     "voxel_downsample",
 ]

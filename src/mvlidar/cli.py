@@ -24,7 +24,8 @@ import sys
 from dataclasses import asdict
 from dataclasses import replace as dc_replace
 
-from .errors import AlgorithmError, ConfigError, FormatError, check_number
+from .errors import AlgorithmError, ConfigError, FormatError, \
+    NoGroundTruthError, check_number
 from .formats import flatten_frames, read_calibration, read_detections, \
     read_frame, read_trajectories, read_xyz, write_calibration, \
     write_detections, write_frame, write_json, write_trajectories, write_xyz
@@ -205,6 +206,8 @@ def cmd_eval_det(args) -> int:
     ground_truth = read_detections(args.ground_truth)
     cfg = _PIPELINE.eval_det if args.iou_threshold is None \
         else DetectionEvalConfig.with_threshold(args.iou_threshold)
+    if not ground_truth:
+        raise NoGroundTruthError("ground truth is empty")
     ap = {label: compute_ap(detections, ground_truth, label, cfg)
           for label in ObjectClass
           if any(box.label is label for _, box in ground_truth)}

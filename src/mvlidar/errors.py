@@ -60,17 +60,6 @@ def check_number(setting: str, value, low=None, high=None, *,
     raise ConfigError(f"{setting} must be {rule}, got {value!r}")
 
 
-def check_choice(setting: str, value, choices):
-    """The member of the Enum ``choices`` that ``value`` names; ConfigError
-    in the same form as ``check_number`` when it names none."""
-    try:
-        return choices(value)
-    except ValueError:
-        names = ", ".join(member.value for member in choices)
-        raise ConfigError(f"{setting} must be one of {names}, "
-                          f"got {value!r}") from None
-
-
 class AlgorithmError(MvLidarError):
     """An operation could not produce a valid result (CLI exit code 3)."""
 

@@ -374,15 +374,6 @@ def bev_intersection_area(a: Box3D, b: Box3D) -> float:
     return polygon_area(clipped)
 
 
-def iou_bev(a: Box3D, b: Box3D) -> float:
-    """Intersection over union of the two BEV footprints."""
-    inter = bev_intersection_area(a, b)
-    union = a.length * a.width + b.length * b.width - inter
-    if union <= 0.0:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
-
-
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """3D intersection over union: BEV polygon overlap x vertical extent overlap."""
     z_overlap = min(a.z_max, b.z_max) - max(a.z_min, b.z_min)

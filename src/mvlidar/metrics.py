@@ -15,12 +15,11 @@ MOTA = 1 - (FN + FP + IDS) / GT.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import NoGroundTruthError, check_choice, check_number
+from .errors import NoGroundTruthError, check_number
 from .geometry import Box3D, ObjectClass, iou_3d
 from .tracking import TrajectorySet
 
@@ -45,10 +44,10 @@ class DetectionEvalConfig:
         check_number("recall_points", self.recall_points, 1, integer=True)
 
     @staticmethod
-    def with_threshold(value: float, **kwargs) -> "DetectionEvalConfig":
+    def with_threshold(value: float) -> "DetectionEvalConfig":
         """Same threshold for every class (the AP_25 / AP_50 / AP_70 variants)."""
         thresholds = {label: value for label in ObjectClass}
-        return DetectionEvalConfig(iou_thresholds=thresholds, **kwargs)
+        return DetectionEvalConfig(iou_thresholds=thresholds)
 
     def recall_levels(self) -> np.ndarray:
         if self.include_zero_recall_point:
@@ -142,23 +141,12 @@ def recall_and_ap(detections, ground_truth, label: ObjectClass,
             _interpolated_ap(tp_flags, n_gt, cfg.recall_levels()))
 
 
-class MotMatchMetric(str, Enum):
-    IOU_3D = "iou_3d"
-    CENTER_DISTANCE = "center_distance"
-
-
 @dataclass(frozen=True)
 class MotEvalConfig:
-    metric: MotMatchMetric = MotMatchMetric.IOU_3D
-    threshold: float = 0.25
-    prefer_previous_match: bool = True
+    threshold: float = 0.25     # a hypothesis and a truth match at this 3D IoU
 
     def __post_init__(self):
-        object.__setattr__(self, "metric", check_choice(
-            "metric", self.metric, MotMatchMetric))
-        check_number("threshold", self.threshold, 0,
-                     1 if self.metric is MotMatchMetric.IOU_3D else None,
-                     low_open=True)
+        check_number("threshold", self.threshold, 0, 1, low_open=True)
 
 
 @dataclass(frozen=True)
@@ -178,20 +166,17 @@ class MotReport:
 
 
 def _pair_score(gt_box: Box3D, hyp_box: Box3D, cfg: MotEvalConfig):
-    """(matched?, similarity used for MOTP) under the configured metric."""
+    """(matched?, 3D IoU): the IoU is the similarity MOTP averages."""
     if gt_box.label is not hyp_box.label:
         return False, 0.0
-    if cfg.metric is MotMatchMetric.IOU_3D:
-        overlap = iou_3d(gt_box, hyp_box)
-        return overlap >= cfg.threshold, overlap
-    distance = float(np.linalg.norm(gt_box.center - hyp_box.center))
-    return distance <= cfg.threshold, iou_3d(gt_box, hyp_box)
+    overlap = iou_3d(gt_box, hyp_box)
+    return overlap >= cfg.threshold, overlap
 
 
 def compute_clear_mot(hypotheses: TrajectorySet, ground_truth: TrajectorySet,
                       cfg: MotEvalConfig = MotEvalConfig()) -> MotReport:
     """CLEAR multiple-object-tracking metrics over two trajectory sets."""
-    if not ground_truth.tracks:
+    if not any(ground_truth.tracks.values()):
         raise NoGroundTruthError("ground truth is empty")
 
     frames = sorted(set(ground_truth.frames()) | set(hypotheses.frames()))
@@ -206,29 +191,24 @@ def compute_clear_mot(hypotheses: TrajectorySet, ground_truth: TrajectorySet,
         gt_total += len(gt_here)
 
         matches = {}
-        if cfg.prefer_previous_match:
-            for gt_id, hyp_id in list(current_match.items()):
-                if gt_id in gt_here and hyp_id in hyp_here:
-                    ok, similarity = _pair_score(gt_here[gt_id], hyp_here[hyp_id], cfg)
-                    if ok:
-                        matches[gt_id] = (hyp_id, similarity)
+        for gt_id, hyp_id in list(current_match.items()):
+            if gt_id in gt_here and hyp_id in hyp_here:
+                ok, similarity = _pair_score(gt_here[gt_id], hyp_here[hyp_id], cfg)
+                if ok:
+                    matches[gt_id] = (hyp_id, similarity)
 
         free_gt = [g for g in gt_here if g not in matches]
         free_hyp = [h for h in hyp_here
                     if h not in {hyp for hyp, _ in matches.values()}]
         if free_gt and free_hyp:
             valid = np.zeros((len(free_gt), len(free_hyp)), dtype=bool)
-            benefit = np.zeros(valid.shape)
             similarity = np.zeros(valid.shape)
             for i, g in enumerate(free_gt):
                 for j, h in enumerate(free_hyp):
                     ok, sim = _pair_score(gt_here[g], hyp_here[h], cfg)
                     valid[i, j] = ok
                     similarity[i, j] = sim
-                    benefit[i, j] = sim if cfg.metric is MotMatchMetric.IOU_3D \
-                        else -np.linalg.norm(gt_here[g].center
-                                             - hyp_here[h].center)
-            cost = np.where(valid, -benefit, 1e9)
+            cost = np.where(valid, -similarity, 1e9)
             rows, cols = linear_sum_assignment(cost)
             for r, c in zip(rows, cols):
                 if valid[r, c]:

@@ -317,24 +317,20 @@ def _take(section, context: str, allowed: set, defaults=None) -> dict:
 
 
 def crossroad_hierarchy() -> HierarchyConfig:
-    """Registration schedule scaled to the ~44 m crossroad scenes."""
-    return HierarchyConfig(levels=(HierarchyLevel(1.0, 2.0, 40),
-                                   HierarchyLevel(0.4, 0.8, 60)),
-                           fpfh_radius=3.0, normal_radius=2.5,
-                           ransac_iterations=25_000,
-                           ransac_inlier_threshold=1.5,
-                           arbitration_hypotheses=48)
+    """The registration schedule of the ~44 m crossroad scenes, which is
+    the ``HierarchyConfig`` defaults."""
+    return HierarchyConfig()
 
 
 def hierarchy_from_dict(raw) -> HierarchyConfig:
-    """``crossroad_hierarchy()`` with the keys of a JSON section overlaid.
+    """``HierarchyConfig()`` with the keys of a JSON section overlaid.
 
     The one parser of hierarchy configs: the ``hierarchy`` section of a
     pipeline config and the ``mvlidar calibrate --config`` file. Levels are
     ``[voxel_size, max_correspondence_distance, max_iterations]`` triples.
     Raises ConfigError for unknown keys and malformed values.
     """
-    base = crossroad_hierarchy()
+    base = HierarchyConfig()
     section = _take(raw, "hierarchy",
                     {f.name for f in fields(HierarchyConfig)}, base)
     try:
@@ -357,7 +353,7 @@ class PipelineConfig:
     scene_extent: float = 22.0
     scene_occluders: bool = True
     export_frames: bool = False
-    hierarchy: HierarchyConfig = field(default_factory=crossroad_hierarchy)
+    hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     eval_det: DetectionEvalConfig = field(default_factory=DetectionEvalConfig)
@@ -413,10 +409,9 @@ class PipelineConfig:
                 # no ground-removal keys: background subtraction turns it off
                 ("detector", {"cluster_distance", "min_cluster_points",
                               "score_points_scale"}),
-                ("tracker", {"metric", "threshold", "min_hits", "max_age",
+                ("tracker", {"threshold", "min_hits", "max_age",
                              "process_noise", "measurement_noise"}),
-                ("eval_mot", {"metric", "threshold",
-                              "prefer_previous_match"})):
+                ("eval_mot", {"threshold"})):
             default = getattr(base, name)
             kwargs[name] = type(default)(**_take(raw.get(name, {}), name,
                                                  keys, default))

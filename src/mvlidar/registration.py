@@ -87,23 +87,22 @@ class HierarchyLevel:
 class HierarchyConfig:
     """Scale schedule and search parameters of the registration pipeline.
 
-    Defaults target outdoor scenes tens of meters across: three levels from
-    2 m down to 0.1 m voxels, feature radius 5x and normal radius 2.5x the
+    Defaults are the schedule of the ~44 m crossroad scenes: two levels,
+    1 m then 0.4 m voxels, feature radius 3x and normal radius 2.5x the
     coarsest voxel, and a RANSAC inlier threshold of 1.5x the coarsest
     voxel. All of it is configuration, not a claim about optimality.
     """
 
-    levels: tuple = (HierarchyLevel(2.0, 4.0, 50),
-                     HierarchyLevel(0.5, 1.0, 50),
-                     HierarchyLevel(0.1, 0.3, 100))
-    fpfh_radius: float = 10.0
-    normal_radius: float = 5.0
-    ransac_iterations: int = 100_000
-    ransac_inlier_threshold: float = 3.0
+    levels: tuple = (HierarchyLevel(1.0, 2.0, 40),
+                     HierarchyLevel(0.4, 0.8, 60))
+    fpfh_radius: float = 3.0
+    normal_radius: float = 2.5
+    ransac_iterations: int = 25_000
+    ransac_inlier_threshold: float = 1.5
     convergence_epsilon: float = 1e-6
     min_normal_neighbors: int = 5
     edge_length_ratio: float = 0.9
-    arbitration_hypotheses: int = 32
+    arbitration_hypotheses: int = 48
 
     def __post_init__(self):
         levels = tuple(level if isinstance(level, HierarchyLevel)

@@ -1,5 +1,5 @@
 """3D multi-object tracking: constant-velocity Kalman filter per track,
-IoU-based Hungarian association, and birth/death lifecycle management.
+3D-IoU Hungarian association, and birth/death lifecycle management.
 
 State vector per track: (x, y, z, yaw, l, w, h, vx, vy, vz). Measurements
 are detection boxes (x, y, z, yaw, l, w, h). A yaw innovation is wrapped to
@@ -10,13 +10,12 @@ distinguish heading from anti-heading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigError, check_choice, check_number
-from .geometry import Box3D, iou_3d, iou_bev, wrap_angle, wrap_half_angle
+from .errors import ConfigError, check_number
+from .geometry import Box3D, iou_3d, wrap_angle, wrap_half_angle
 
 STATE_DIM = 10
 MEAS_DIM = 7
@@ -35,30 +34,16 @@ MAX_TIMELINE_FRAMES = 1_000_000
 MAX_FRAME_DT_S = 3600.0
 
 
-class AssociationMetric(str, Enum):
-    IOU_3D = "iou_3d"
-    IOU_BEV = "iou_bev"
-    CENTER_DISTANCE = "center_distance"
-
-
 @dataclass(frozen=True)
 class TrackerConfig:
-    metric: AssociationMetric = AssociationMetric.IOU_3D
-    # IoU metrics: match if affinity >= threshold; center distance: match if
-    # distance <= threshold (meters)
-    threshold: float = 0.01
+    threshold: float = 0.01     # a track and a detection match at this 3D IoU
     min_hits: int = 3
     max_age: int = 2
     process_noise: float = 0.2
     measurement_noise: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "metric",
-                           check_choice("metric", self.metric,
-                                        AssociationMetric))
-        check_number("threshold", self.threshold, 0,
-                     None if self.metric is AssociationMetric.CENTER_DISTANCE
-                     else 1, low_open=True)
+        check_number("threshold", self.threshold, 0, 1, low_open=True)
         check_number("min_hits", self.min_hits, 1, integer=True)
         check_number("max_age", self.max_age, 0, integer=True)
         check_number("process_noise", self.process_noise, 0, low_open=True)
@@ -90,10 +75,6 @@ class TrackState:
                      label=self.label,
                      score=self.score,
                      track_id=self.track_id)
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.mean[7:10].copy()
 
 
 def _transition_matrix(dt: float) -> np.ndarray:
@@ -147,41 +128,29 @@ def kalman_update(track: TrackState, detection: Box3D,
     return track
 
 
-def _affinity(track_box: Box3D, detection: Box3D, metric: AssociationMetric) -> float:
+def _affinity(track_box: Box3D, detection: Box3D) -> float:
     if track_box.label is not detection.label:
         return -_CROSS_CLASS_COST
-    if metric is AssociationMetric.IOU_3D:
-        return iou_3d(track_box, detection)
-    if metric is AssociationMetric.IOU_BEV:
-        return iou_bev(track_box, detection)
-    return -float(np.linalg.norm(track_box.center - detection.center))
-
-
-def _passes_threshold(affinity: float, cfg: TrackerConfig) -> bool:
-    if cfg.metric is AssociationMetric.CENTER_DISTANCE:
-        return -affinity <= cfg.threshold
-    return affinity >= cfg.threshold
+    return iou_3d(track_box, detection)
 
 
 def associate(tracks: list, detections: list, cfg: TrackerConfig):
-    """Optimal one-to-one matching between track boxes and detections.
+    """Optimal one-to-one matching between tracks and detections by 3D IoU.
 
     Returns (matches, unmatched_track_indices, unmatched_detection_indices)
-    where matches is a list of (track_index, detection_index). Pairs whose
-    affinity fails the threshold (or crosses classes) are unmatched.
+    where matches is a list of (track_index, detection_index). Pairs below
+    the IoU threshold (or across classes) are unmatched.
     """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
-    boxes = [t.to_box() if isinstance(t, TrackState) else t for t in tracks]
-    affinity = np.array([[_affinity(tb, det, cfg.metric) for det in detections]
+    boxes = [t.to_box() for t in tracks]
+    affinity = np.array([[_affinity(tb, det) for det in detections]
                          for tb in boxes])
     rows, cols = linear_sum_assignment(-affinity)
     matches = []
     matched_tracks, matched_dets = set(), set()
     for r, c in zip(rows, cols):
-        if affinity[r, c] <= -_CROSS_CLASS_COST:
-            continue
-        if _passes_threshold(affinity[r, c], cfg):
+        if affinity[r, c] >= cfg.threshold:
             matches.append((int(r), int(c)))
             matched_tracks.add(int(r))
             matched_dets.add(int(c))

@@ -476,6 +476,19 @@ class TestEval:
         assert code == 0
         assert json.loads(out.read_text())["Car"] == 1.0
 
+    def test_eval_det_empty_ground_truth_exit_3(self, tmp_path, capsys):
+        det = tmp_path / "det.jsonl"
+        write_detections(det, [(0, Box3D((0, 0, 0.8), (4.0, 2.0, 1.5), 0.0,
+                                         ObjectClass.CAR, score=0.9))])
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text("")
+        out = tmp_path / "ap.json"
+        code = main(["eval-det", "--detections", str(det),
+                     "--ground-truth", str(gt), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr() == ("", "error: ground truth is empty\n")
+        assert not out.exists()
+
 
 class TestErrorsAndConversion:
     def test_bad_frame_file_exit_2(self, tmp_path):
@@ -652,6 +665,22 @@ class TestErrorsAndConversion:
         assert code == 4
         assert capsys.readouterr().err == \
             f"error: unknown keys in detector: ['{key}']\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("tracker", "metric", "iou_3d"), ("eval_mot", "metric", "iou_3d"),
+        ("eval_mot", "prefer_previous_match", True)])
+    def test_removed_matching_key_exit_4(self, tmp_path, capsys, section,
+                                         key, value):
+        """Tracking and CLEAR both match by 3D IoU alone, and CLEAR always
+        keeps the previous frame's matches: no key chooses otherwise."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code = main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == \
+            f"error: unknown keys in {section}: ['{key}']\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -91,9 +91,9 @@ config_keys = {"seed": json_values, "output_dir": json_values,
                                       "ransac_iterations", "normal_radius"}),
                "detector": sections({"cluster_distance", "min_cluster_points",
                                      "seed"}),
-               "tracker": sections({"metric", "threshold", "min_hits"}),
+               "tracker": sections({"threshold", "min_hits"}),
                "eval_det": sections({"iou_thresholds", "recall_points"}),
-               "eval_mot": sections({"metric", "threshold"}),
+               "eval_mot": sections({"threshold"}),
                "sync": sections({"node_count", "duration_s",
                                  "delay_min_s", "drop_probability"})}
 configs = st.one_of(

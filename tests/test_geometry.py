@@ -17,7 +17,6 @@ from mvlidar.geometry import (
     clip_convex_polygon,
     compose,
     iou_3d,
-    iou_bev,
     linked_groups,
     polygon_area,
     voxel_downsample,
@@ -232,35 +231,40 @@ class TestIou3d:
         assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+def footprint_iou(a, b):
+    """BEV IoU of two footprints from ``bev_intersection_area``."""
+    inter = bev_intersection_area(a, b)
+    union = a.length * a.width + b.length * b.width - inter
+    return 0.0 if union <= 0.0 else min(1.0, max(0.0, inter / union))
+
+
 class TestIouBev:
+    """``bev_intersection_area`` against hand-computed footprint IoUs."""
+
     def test_identical(self):
-        assert iou_bev(unit_cube(), unit_cube(z=100.0)) == pytest.approx(1.0)
+        assert footprint_iou(unit_cube(), unit_cube(z=100.0)) == \
+            pytest.approx(1.0)
 
     def test_disjoint(self):
-        assert iou_bev(unit_cube(), unit_cube(y=5.0)) == 0.0
+        assert footprint_iou(unit_cube(), unit_cube(y=5.0)) == 0.0
 
     def test_offset_squares(self):
         # oracle: shoelace on hand-clipped vertices -> 0.5 / 1.5
-        assert iou_bev(unit_cube(), unit_cube(x=0.5)) == pytest.approx(1.0 / 3.0,
-                                                                       abs=1e-6)
+        assert footprint_iou(unit_cube(), unit_cube(x=0.5)) == \
+            pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_rotated_square_cross(self):
         # 45deg-rotated unit square over unit square: octagon, area 2(sqrt2 - 1)
         a = unit_cube()
         b = unit_cube(yaw=math.pi / 4)
         inter = 2.0 * (math.sqrt(2.0) - 1.0)
-        assert iou_bev(a, b) == pytest.approx(inter / (2.0 - inter), abs=1e-9)
+        assert footprint_iou(a, b) == pytest.approx(inter / (2.0 - inter),
+                                                    abs=1e-9)
 
 
 def clipped_area(a, b):
     """Oracle: the footprint of ``a`` clipped by that of ``b``, always."""
     return polygon_area(clip_convex_polygon(a.bev_corners(), b.bev_corners()))
-
-
-def clipped_iou_bev(a, b):
-    inter = clipped_area(a, b)
-    union = a.length * a.width + b.length * b.width - inter
-    return 0.0 if union <= 0.0 else min(1.0, max(0.0, inter / union))
 
 
 def clipped_iou_3d(a, b):
@@ -350,7 +354,6 @@ class TestFootprintCull:
         for a, b in (pair, pair[::-1]):
             event("culled" if geometry._footprints_apart(a, b) else "clipped")
             assert same_float(bev_intersection_area(a, b), clipped_area(a, b))
-            assert same_float(iou_bev(a, b), clipped_iou_bev(a, b))
             assert same_float(iou_3d(a, b), clipped_iou_3d(a, b))
 
     def test_far_pair_is_not_clipped(self, monkeypatch):
@@ -362,9 +365,9 @@ class TestFootprintCull:
 
         monkeypatch.setattr(geometry, "clip_convex_polygon", counted)
         assert iou_3d(unit_cube(), unit_cube(x=10.0, yaw=0.3)) == 0.0
-        assert iou_bev(unit_cube(), unit_cube(y=5.0)) == 0.0
+        assert bev_intersection_area(unit_cube(), unit_cube(y=5.0)) == 0.0
         assert calls == []
-        assert iou_bev(unit_cube(), unit_cube(x=0.5)) > 0.0
+        assert bev_intersection_area(unit_cube(), unit_cube(x=0.5)) > 0.0
         assert len(calls) == 1
 
     def test_crossings_stay_on_their_segment(self):

@@ -378,6 +378,11 @@ class TestClearMot:
         with pytest.raises(NoGroundTruthError):
             compute_clear_mot(hyp, TrajectorySet({}))
 
+    def test_ground_truth_without_frames_raises(self):
+        hyp = TrajectorySet({1: walker_trajectory((0, 0), (0, 0), 3)})
+        with pytest.raises(NoGroundTruthError, match="ground truth is empty"):
+            compute_clear_mot(hyp, TrajectorySet({1: []}))
+
     def test_mota_identity_enforced(self):
         with pytest.raises(ValueError):
             MotReport(mota=0.5, motp=0.5, ids=1, frag=0, fn=1, fp=1, gt=10)

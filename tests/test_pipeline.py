@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -36,7 +37,8 @@ from mvlidar.pipeline import (
     run_view_group_experiment,
     thread_budget,
 )
-from mvlidar.registration import HierarchyConfig, HierarchyLevel
+from mvlidar.registration import HierarchyConfig, HierarchyLevel, \
+    hierarchical_register
 from mvlidar.scene import (
     SceneObject,
     SceneSpec,
@@ -50,7 +52,8 @@ FAST_HIERARCHY = HierarchyConfig(levels=(HierarchyLevel(1.0, 2.0, 30),
                                          HierarchyLevel(0.4, 0.8, 40)),
                                  fpfh_radius=3.0, normal_radius=2.5,
                                  ransac_iterations=8000,
-                                 ransac_inlier_threshold=1.5)
+                                 ransac_inlier_threshold=1.5,
+                                 arbitration_hypotheses=32)
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +370,15 @@ class TestPipelineConfig:
         assert hierarchy.levels == (HierarchyLevel(2.0, 4.0, 10),
                                     HierarchyLevel(0.5, 1.0, 20))
         assert hierarchy.fpfh_radius == crossroad_hierarchy().fpfh_radius
+
+    def test_one_set_of_registration_defaults(self):
+        """A caller that passes no schedule registers with the one that
+        ``run_pipeline`` and ``mvlidar calibrate`` use."""
+        schedule = PipelineConfig().hierarchy
+        for function in (calibrate_node, hierarchical_register):
+            default = inspect.signature(function).parameters["cfg"].default
+            assert default == schedule, function.__name__
+        assert hierarchy_from_dict({}) == schedule == crossroad_hierarchy()
 
     @pytest.mark.parametrize("raw", [{"levels": [[1.0, 2.0]]},
                                      {"levels": [[1.0, 2.0, 40.5]]},

@@ -45,7 +45,8 @@ FAST_CFG = HierarchyConfig(levels=(HierarchyLevel(1.5, 3.0, 40),
                                    HierarchyLevel(0.2, 0.5, 60)),
                            fpfh_radius=7.5, normal_radius=3.75,
                            ransac_iterations=3000,
-                           ransac_inlier_threshold=2.25)
+                           ransac_inlier_threshold=2.25,
+                           arbitration_hypotheses=32)
 
 
 def plane_cloud(rng, z=-2.0, extent=3.0, spacing=0.25):

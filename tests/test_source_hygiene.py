@@ -4,8 +4,8 @@ The repository has no linter configured, so these checks stand in for the
 ones that keep dead code from piling up: every name a module imports is used
 in that module, every private module-level name is referenced somewhere in
 the package, every public one is used by the package, the demos or the
-benchmark harness, and every field of a config dataclass is read by the
-package.
+benchmark harness, and so is every public method and property of a class,
+and every field of a config dataclass is read by the package.
 """
 
 import ast
@@ -26,6 +26,13 @@ CALLERS = {path.name: ast.parse(path.read_text(), filename=str(path))
 UNUSED_PUBLIC_NAMES = {
     "geometry.compose": "the package exports it with RigidTransform: "
                         "transforms chain by composition",
+}
+
+# public methods and properties that only the tests read, each kept for the
+# reason given
+UNREAD_PUBLIC_MEMBERS = {
+    "geometry.RigidTransform.from_yaw": "the tests build poses with it",
+    "geometry.RigidTransform.matrix": "the tests byte-compare poses with it",
 }
 
 # config fields that no code outside the class's own checks reads, each kept
@@ -96,6 +103,17 @@ def definitions(tree):
             yield name, node.lineno
 
 
+def public_members(tree):
+    """(class, name) of every public method and property of the module's
+    classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
 def config_fields(tree):
     """(class, field) of every field of a config dataclass: a class whose
     ``__post_init__`` calls ``check_number``."""
@@ -156,6 +174,17 @@ def test_every_public_name_is_used():
         f"public names only the tests use: {unused}"
 
 
+def test_every_public_member_is_read():
+    """A public method or property is read by name in the package, a demo
+    or the benchmark harness; else it is allowed above with a reason."""
+    read = referenced_names(list(TREES.values()) + list(CALLERS.values()))
+    unread = [f"{module[:-3]}.{cls}.{name}"
+              for module, tree in TREES.items()
+              for cls, name in public_members(tree) if name not in read]
+    assert sorted(unread) == sorted(UNREAD_PUBLIC_MEMBERS), \
+        f"public methods and properties only the tests read: {unread}"
+
+
 def test_every_config_field_is_read():
     """A config field that only its own range check reads sets nothing."""
     read = set().union(*map(attributes_read, TREES.values()))
@@ -174,6 +203,18 @@ def test_the_checks_see_an_unused_import_and_an_unused_private_name():
             if name not in used] == ["field"]
     assert [name for name, _ in private_definitions(tree)
             if name not in used] == ["_UNUSED"]
+
+
+def test_the_check_sees_an_unread_method_and_an_unread_property():
+    tree = ast.parse("class Track:\n"
+                     "    def to_box(self):\n        return self.mean\n"
+                     "    def unused(self):\n        return 0\n"
+                     "    @property\n    def velocity(self):\n"
+                     "        return self.mean\n"
+                     "    def _private(self):\n        return 1\n"
+                     "def run(track):\n    return track.to_box()\n")
+    assert [name for _, name in public_members(tree)
+            if name not in loaded_names(tree)] == ["unused", "velocity"]
 
 
 def test_the_check_sees_a_config_field_only_its_check_reads():

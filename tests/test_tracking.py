@@ -5,9 +5,8 @@ import pytest
 
 from mvlidar import tracking
 from mvlidar.errors import ConfigError
-from mvlidar.geometry import Box3D, ObjectClass
+from mvlidar.geometry import Box3D, ObjectClass, iou_3d
 from mvlidar.tracking import (
-    AssociationMetric,
     TrackerConfig,
     TrackState,
     TrajectorySet,
@@ -109,21 +108,18 @@ class TestAssociate:
         assert matches == [] and ut == [0] and ud == [0]
 
     def test_optimal_beats_greedy_on_constructed_trap(self):
-        # center-distance affinities with a greedy trap: greedy pairs
-        # (t0, d0) first and ends worse than the optimal assignment
-        cfg = TrackerConfig(metric=AssociationMetric.CENTER_DISTANCE,
-                            threshold=100.0)
-        tracks = [TrackState(box(x=0.0, y=0.0), 1, cfg),
-                  TrackState(box(x=4.0, y=0.0), 2, cfg)]
-        detections = [box(x=1.0, y=0.0), box(x=0.0, y=2.0)]
-        matches, _, _ = associate(tracks, detections, cfg)
-        total = 0.0
-        for t, d in matches:
-            total += np.linalg.norm(tracks[t].to_box().center
-                                    - detections[d].center)
-        # brute force over both permutations
-        best = min(1.0 + math.hypot(4.0, 2.0), 2.0 + 3.0)
-        assert total == pytest.approx(best)
+        # 4 m boxes in a row, so a pair dx apart has IoU (4 - dx) / (4 + dx):
+        # greedy takes the best pair (t0, d0) first and ends with a lower
+        # total than the optimal assignment
+        tracks = [TrackState(box(x=0.0), 1, CFG),
+                  TrackState(box(x=2.5), 2, CFG)]
+        detections = [box(x=0.5), box(x=-1.0)]
+        matches, _, _ = associate(tracks, detections, CFG)
+        total = sum(iou_3d(tracks[t].to_box(), detections[d])
+                    for t, d in matches)
+        greedy = 3.5 / 4.5 + 0.5 / 7.5
+        best = 3.0 / 5.0 + 2.0 / 6.0
+        assert total == pytest.approx(best) and best > greedy
         assert sorted(matches) == [(0, 1), (1, 0)]
 
     def test_matches_brute_force_on_random_instances(self, rng):
@@ -137,7 +133,6 @@ class TestAssociate:
                               y=float(rng.uniform(-5, 5))) for _ in range(n)]
             matches, _, _ = associate(tracks, detections, cfg)
             from itertools import permutations
-            from mvlidar.geometry import iou_3d
             affinity = np.array([[iou_3d(t.to_box(), d) for d in detections]
                                  for t in tracks])
             best = max(sum(affinity[i, p[i]] for i in range(n))
