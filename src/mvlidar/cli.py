@@ -202,10 +202,10 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval_det(args) -> int:
-    detections = read_detections(args.detections)
-    ground_truth = read_detections(args.ground_truth)
     cfg = _PIPELINE.eval_det if args.iou_threshold is None \
         else DetectionEvalConfig.with_threshold(args.iou_threshold)
+    detections = read_detections(args.detections)
+    ground_truth = read_detections(args.ground_truth)
     if not ground_truth:
         raise NoGroundTruthError("ground truth is empty")
     ap = {label: compute_ap(detections, ground_truth, label, cfg)
@@ -218,11 +218,10 @@ def cmd_eval_det(args) -> int:
 
 
 def cmd_eval_mot(args) -> int:
+    cfg = dc_replace(_PIPELINE.eval_mot, threshold=args.threshold)
     hypotheses = read_trajectories(args.hypotheses)
     ground_truth = read_trajectories(args.ground_truth)
-    report = compute_clear_mot(hypotheses, ground_truth,
-                               dc_replace(_PIPELINE.eval_mot,
-                                          threshold=args.threshold))
+    report = compute_clear_mot(hypotheses, ground_truth, cfg)
     print(format_mot_table({"hypotheses": report}))
     if args.out:
         write_json(args.out, asdict(report))

@@ -21,7 +21,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 from .errors import DegenerateClusterError, NoGroundPlaneError, \
     TooManyPairsError, check_number
 from .geometry import Box3D, ObjectClass, PointCloud, linked_groups, \
-    wrap_angle
+    wrap_angle, xyz_cross
 
 # (length range, width range, height range) per class; footprint areas are
 # disjoint so at most one prior can match
@@ -121,7 +121,8 @@ def remove_ground(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
         for i, j, k in samples:
             if i == j or j == k or i == k:
                 continue
-            normal = np.cross(points[j] - points[i], points[k] - points[i])
+            normal = np.array(xyz_cross(points[j] - points[i],
+                                        points[k] - points[i]))
             norm = np.linalg.norm(normal)
             if norm < 1e-12:
                 continue

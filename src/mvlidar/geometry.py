@@ -130,6 +130,40 @@ def transform_distance(a: RigidTransform, b: RigidTransform):
     return rotation_angle_deg(rot), float(np.linalg.norm(a.translation - b.translation))
 
 
+# Row kernels on vectors given as their three (x, y, z) columns: 1-D arrays,
+# fastest when contiguous, or scalars. Each repeats numpy's own operation
+# order on (N, 3) rows, so the bits are the same; the tests check each one
+# against numpy. A NaN result is NaN, but which NaN numpy returns depends on
+# where a row falls in its vector loops, so NaN bits are not matched. The
+# kernels skip numpy's (N, 3) temporaries and its short reductions along
+# rows.
+
+def xyz_norms(v):
+    """``np.linalg.norm(rows, axis=1)``: ``sqrt((x*x + y*y) + z*z)``."""
+    x, y, z = v
+    return np.sqrt((x * x + y * y) + z * z)
+
+
+def xyz_dots(a, b):
+    """``np.einsum("ij,ij->i", a_rows, b_rows)`` on rows whose three entries
+    are adjacent in memory: ``((a0*b0 + a2*b2) + a1*b1) + 0.0``.
+
+    The ``+ 0.0`` turns a -0.0 sum into +0.0, as einsum does. On rows with
+    strided entries einsum adds in the order (0, 1, 2) instead, which is
+    ``xyz_dots((a0, a2, a1), (b0, b2, b1))``.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return ((a0 * b0 + a2 * b2) + a1 * b1) + 0.0
+
+
+def xyz_cross(a, b):
+    """``np.cross(a_rows, b_rows)`` as three columns: the component formula."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """One frame of 3D points plus optional per-point attributes.
@@ -263,10 +297,6 @@ class Box3D:
     @property
     def width(self) -> float:
         return float(self.size[1])
-
-    @property
-    def height(self) -> float:
-        return float(self.size[2])
 
     @property
     def volume(self) -> float:

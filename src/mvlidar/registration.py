@@ -19,6 +19,23 @@ Every stochastic step takes an explicit seed and is deterministic given it;
 RANSAC ties break toward the lowest trial index. The module also provides
 the calibration-quality evaluator: mean point-to-point projection error
 over annotated corner pairs.
+
+Exact kernels: a faster kernel replaces a slower one only when it gives the
+same bits, so the calibration output never depends on which one ran. The
+row norms, dot and cross products of normals, FPFH and RANSAC run on
+contiguous (x, y, z) columns through ``geometry.xyz_norms``, ``xyz_dots``
+and ``xyz_cross``, which repeat numpy's operation order on (N, 3) rows, as
+measured on numpy 2.4:
+
+- ``np.linalg.norm(v, axis=1)`` is ``sqrt((x*x + y*y) + z*z)``;
+- ``np.einsum("ij,ij->i", a, b)`` is ``((a0*b0 + a2*b2) + a1*b1) + 0.0``
+  when each row's entries are adjacent in memory, and adds in the order
+  (0, 1, 2) when they are strided. The ``+ 0.0`` matters: it makes a -0.0
+  sum +0.0, and ``arctan2(+-0, cos < 0)`` is +-pi, a different theta bin;
+- ``np.cross`` is the component formula.
+
+Sums whose order matters keep it: ``bincount`` adds each point's pairs in
+pair order.
 """
 
 from __future__ import annotations
@@ -43,6 +60,9 @@ from .geometry import (
     RigidTransform,
     rotation_angle_deg,
     voxel_downsample,
+    xyz_cross,
+    xyz_dots,
+    xyz_norms,
 )
 
 FPFH_BINS_PER_FEATURE = 11
@@ -50,7 +70,7 @@ FPFH_SIZE = 3 * FPFH_BINS_PER_FEATURE
 
 _RANK_TOL = 1e-12
 _SCORE_CHUNK = 512
-# pairs per block of the FPFH pair pass, which bounds its (block, 3) arrays
+# pairs per block of the FPFH pair pass, which bounds its (3, block) arrays
 _PAIR_CHUNK = 16384
 # ICP keeps a point's nearest target while the point moves less than its
 # safe radius less this slack (meters), which covers rounding in the
@@ -176,23 +196,28 @@ def estimate_normals(cloud: PointCloud, radius: float, min_neighbors: int = 5,
     tree = cKDTree(points)
     pairs = tree.query_pairs(radius, output_type="ndarray")
 
-    # accumulate neighborhood moments about each point (self included),
-    # then diagonalize all covariances at once
+    # accumulate neighborhood moments about each point (self included) over
+    # the directed pairs p->q (row i) and q->p (row m + i), one coordinate
+    # column at a time, then diagonalize all covariances at once
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    delta = points[dst] - points[src]
+    columns = points.T.copy()
+    at_p = columns.take(pairs[:, 0], axis=1)
+    at_q = columns.take(pairs[:, 1], axis=1)
+    delta = np.concatenate([at_q - at_p, at_p - at_q], axis=1)
+    del at_p, at_q
     counts = np.bincount(src, minlength=n).astype(float) + 1.0
 
     def point_sums(values):
         # bincount adds each point's pairs in pair order
         return np.bincount(src, weights=values, minlength=n)
 
-    sums = np.stack([point_sums(delta[:, a]) for a in range(3)], axis=1)
+    sums = np.stack([point_sums(column) for column in delta], axis=1)
     outer = np.empty((n, 3, 3))
     for a in range(3):
         for b in range(a, 3):
-            outer[:, a, b] = point_sums(delta[:, a] * delta[:, b])
+            outer[:, a, b] = point_sums(delta[a] * delta[b])
             outer[:, b, a] = outer[:, a, b]
+    del delta
 
     computable = counts >= min_neighbors
     if not computable.any():
@@ -202,8 +227,10 @@ def estimate_normals(cloud: PointCloud, radius: float, min_neighbors: int = 5,
            - mean[:, :, None] * mean[:, None, :])
     _, eigenvectors = np.linalg.eigh(cov)
     candidate = eigenvectors[:, :, 0]
-    toward = viewpoint - points[computable]
-    flip = np.einsum("ij,ij->i", candidate, toward) < 0.0
+    toward = viewpoint[:, None] - columns[:, computable]
+    # einsum over these strided eigenvector rows added in the order
+    # (0, 1, 2), which the swapped columns keep (see xyz_dots)
+    flip = xyz_dots(candidate.T[[0, 2, 1]], toward[[0, 2, 1]]) < 0.0
     candidate[flip] = -candidate[flip]
     normals[computable] = candidate
     return normals
@@ -245,36 +272,42 @@ def _spfh_pass(points: np.ndarray, normals: np.ndarray, valid: np.ndarray,
     dist = np.empty(m)
     keep = np.empty(2 * m, dtype=bool)
     histogram = np.zeros(n * FPFH_SIZE, dtype=np.int64)
+    # contiguous coordinate and normal columns: each block gathers (3, k)
+    # arrays whose rows feed the row kernels
+    point_columns, normal_columns = points.T.copy(), normals.T.copy()
     # pairs closer than 1e-12 or with a normal along their direction are
     # computed too (zero divisions give NaN) and then dropped by keep
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, m, _PAIR_CHUNK):
             forward = slice(start, min(start + _PAIR_CHUNK, m))
-            at_p, at_q = points[pairs[forward, 0]], points[pairs[forward, 1]]
-            normal_p, normal_q = (normals[pairs[forward, 0]],
-                                  normals[pairs[forward, 1]])
+            p, q = pairs[forward, 0], pairs[forward, 1]
+            at_p, at_q = (point_columns.take(p, axis=1),
+                          point_columns.take(q, axis=1))
+            normal_p, normal_q = (normal_columns.take(p, axis=1),
+                                  normal_columns.take(q, axis=1))
             # the reverse displacement is subtracted, not negated, so even
             # the signs of its zero coordinates are those of a direction
             # computed on its own; u . n_q is the same in both directions
             delta = at_q - at_p
-            dist[forward] = length = np.linalg.norm(delta, axis=1)
-            normals_cos = np.einsum("ij,ij->i", normal_p, normal_q)
+            dist[forward] = length = xyz_norms(delta)
+            normals_cos = xyz_dots(normal_p, normal_q)
+            # the block counts bins from its lowest point on, as its pairs
+            # lie near each other in the tree
+            low = min(p.min(), q.min())
             flat_bins = []
             for offset, source, d_hat, u, n_q in (
-                    (0, pairs[forward, 0], delta / length[:, None],
-                     normal_p, normal_q),
-                    (m, pairs[forward, 1], (at_p - at_q) / length[:, None],
-                     normal_q, normal_p)):
+                    (0, p, delta / length, normal_p, normal_q),
+                    (m, q, (at_p - at_q) / length, normal_q, normal_p)):
                 rows = slice(forward.start + offset, forward.stop + offset)
-                v = np.cross(d_hat, u)
-                v_norm = np.linalg.norm(v, axis=1)
+                v = xyz_cross(d_hat, u)
+                v_norm = xyz_norms(v)
                 keep[rows] = kept = (v_norm > 1e-12) & (length > 1e-12)
-                v = v / v_norm[:, None]
-                w = np.cross(u, v)
-                alpha = np.einsum("ij,ij->i", v, n_q)
-                phi = np.einsum("ij,ij->i", u, d_hat)
-                theta = np.arctan2(np.einsum("ij,ij->i", w, n_q), normals_cos)
-                first_bin = source[kept] * FPFH_SIZE
+                v = [column / v_norm for column in v]
+                alpha = xyz_dots(v, n_q)
+                phi = xyz_dots(u, d_hat)
+                theta = np.arctan2(xyz_dots(xyz_cross(u, v), n_q),
+                                   normals_cos)
+                first_bin = (source[kept] - low) * FPFH_SIZE
                 flat_bins += [
                     first_bin + _bin_index(alpha[kept], -1.0, 1.0),
                     first_bin + (FPFH_BINS_PER_FEATURE
@@ -283,7 +316,7 @@ def _spfh_pass(points: np.ndarray, normals: np.ndarray, valid: np.ndarray,
                                  + _bin_index(theta[kept], -math.pi,
                                               math.pi))]
             block = np.bincount(np.concatenate(flat_bins))
-            histogram[:len(block)] += block
+            histogram[low * FPFH_SIZE:low * FPFH_SIZE + len(block)] += block
     spfh = _normalize_blocks(histogram.reshape(n, FPFH_SIZE).astype(float))
 
     kept_forward, kept_reverse = keep[:m], keep[m:]
@@ -309,12 +342,12 @@ def compute_fpfh(cloud: PointCloud, normals: np.ndarray,
     n = len(points)
     if n == 0:
         return np.zeros((0, FPFH_SIZE))
-    valid = np.linalg.norm(normals, axis=1) > 0.5
+    valid = xyz_norms(normals.T) > 0.5
     spfh, src, dst, dist = _spfh_pass(points, normals, valid, radius)
 
     # one column at a time, so no (pairs, 33) temporary is built; bincount
     # adds each point's neighbors in pair order
-    weighted = np.stack([np.bincount(src, weights=column[dst] / dist,
+    weighted = np.stack([np.bincount(src, weights=column.take(dst) / dist,
                                      minlength=n)
                          for column in spfh.T.copy()], axis=1)
     counts = np.bincount(src, minlength=n)
@@ -451,6 +484,30 @@ def mutual_feature_matches(source_fpfh: np.ndarray,
     return np.stack([src_valid[mutual], tgt_valid[fwd[mutual]]], axis=1)
 
 
+def _consistent_triples(corr_src: np.ndarray, corr_tgt: np.ndarray,
+                        triples: np.ndarray, cfg: HierarchyConfig
+                        ) -> np.ndarray:
+    """Mask of the (T, 3) correspondence triples whose three edges are each
+    at least twice the inlier threshold long in both clouds and agree in
+    length by a ratio above ``edge_length_ratio``."""
+    # each corner's coordinates as (3, T) rows, for the row kernels
+    corners_src = [corr_src.T.take(corner, axis=1) for corner in triples.T]
+    corners_tgt = [corr_tgt.T.take(corner, axis=1) for corner in triples.T]
+    consistent = np.ones(len(triples), dtype=bool)
+    # triangles shorter than twice the inlier threshold are noise-dominated:
+    # their edge ratios and poses are meaningless
+    min_edge = 2.0 * cfg.ransac_inlier_threshold
+    for a, b in [(0, 1), (1, 2), (0, 2)]:
+        d_src = xyz_norms(corners_src[a] - corners_src[b])
+        d_tgt = xyz_norms(corners_tgt[a] - corners_tgt[b])
+        longer = np.maximum(d_src, d_tgt)
+        shorter = np.minimum(d_src, d_tgt)
+        consistent &= shorter >= min_edge
+        ratio = np.divide(shorter, np.maximum(longer, 1e-12))
+        consistent &= ratio > cfg.edge_length_ratio
+    return consistent
+
+
 def coarse_align_ransac(source: PointCloud, target: PointCloud,
                         source_fpfh: np.ndarray, target_fpfh: np.ndarray,
                         cfg: HierarchyConfig, seed: int = 0
@@ -480,23 +537,8 @@ def coarse_align_ransac(source: PointCloud, target: PointCloud,
                 & (triples[:, 1] != triples[:, 2])
                 & (triples[:, 0] != triples[:, 2]))
     triples = triples[distinct]
-
-    tri_src = corr_src[triples]
-    tri_tgt = corr_tgt[triples]
-    edges = [(0, 1), (1, 2), (0, 2)]
-    consistent = np.ones(len(triples), dtype=bool)
-    # triangles shorter than twice the inlier threshold are noise-dominated:
-    # their edge ratios and poses are meaningless
-    min_edge = 2.0 * cfg.ransac_inlier_threshold
-    for a, b in edges:
-        d_src = np.linalg.norm(tri_src[:, a] - tri_src[:, b], axis=1)
-        d_tgt = np.linalg.norm(tri_tgt[:, a] - tri_tgt[:, b], axis=1)
-        longer = np.maximum(d_src, d_tgt)
-        shorter = np.minimum(d_src, d_tgt)
-        consistent &= shorter >= min_edge
-        ratio = np.divide(shorter, np.maximum(longer, 1e-12))
-        consistent &= ratio > cfg.edge_length_ratio
-    tri_src, tri_tgt = tri_src[consistent], tri_tgt[consistent]
+    triples = triples[_consistent_triples(corr_src, corr_tgt, triples, cfg)]
+    tri_src, tri_tgt = corr_src[triples], corr_tgt[triples]
     if len(tri_src) == 0:
         raise NoConsensusError("no geometrically consistent correspondence triples")
 
@@ -589,7 +631,7 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidTransform,
     for iterations in range(1, max_iter + 1):
         moved = points @ pose.rotation.T + pose.translation
         # written "not below", so a NaN distance is queried too
-        stale = np.flatnonzero(~(np.linalg.norm(moved - queried_at, axis=1)
+        stale = np.flatnonzero(~(xyz_norms((moved - queried_at).T)
                                  < safe_radius))
         if len(stale):
             at = moved[stale]
@@ -705,4 +747,4 @@ def evaluate_point_projection_error(pairs: Sequence[CornerPair],
     annotated = np.stack([p.annotated for p in pairs])
     reference = np.stack([p.reference for p in pairs])
     moved = annotated @ transform.rotation.T + transform.translation
-    return float(np.mean(np.linalg.norm(moved - reference, axis=1)))
+    return float(np.mean(xyz_norms((moved - reference).T)))

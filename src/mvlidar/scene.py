@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, check_number
-from .geometry import Box3D, ObjectClass, PointCloud, RigidTransform
+from .geometry import Box3D, ObjectClass, PointCloud, RigidTransform, \
+    xyz_cross, xyz_norms
 from .tracking import TrajectorySet
 
 # field of view of the scanning unit: 100 x 40 degrees, 10 frames/s
@@ -117,9 +118,9 @@ def look_at_orientation(position, target, roll: float = 0.0) -> np.ndarray:
     up = np.array([0.0, 0.0, 1.0])
     if abs(forward @ up) > 0.999:
         up = np.array([1.0, 0.0, 0.0])
-    left = np.cross(up, forward)
+    left = np.array(xyz_cross(up, forward))
     left /= np.linalg.norm(left)
-    up = np.cross(forward, left)
+    up = np.array(xyz_cross(forward, left))
     orientation = np.column_stack([forward, left, up])
     if roll:
         c, s = math.cos(roll), math.sin(roll)
@@ -544,7 +545,7 @@ def calibration_capture(scene: SyntheticScene, node: int, seed: int = 0,
     elevation = np.degrees(np.arctan2(local[:, 2], planar))
     visible = ((np.abs(azimuth) <= DEFAULT_AZIMUTH_FOV_DEG / 2.0)
                & (np.abs(elevation) <= DEFAULT_ELEVATION_FOV_DEG / 2.0)
-               & (np.linalg.norm(local, axis=1) <= _CALIBRATION_MAX_RANGE))
+               & (xyz_norms(local.T) <= _CALIBRATION_MAX_RANGE))
     points = local[visible]
 
     rng = np.random.default_rng([seed, node, 0xCA11B])

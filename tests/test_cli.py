@@ -683,6 +683,24 @@ class TestErrorsAndConversion:
             f"error: unknown keys in {section}: ['{key}']\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["eval-det", "--detections", "missing.jsonl", "--ground-truth",
+         "missing.jsonl", "--iou-threshold", "2"],
+        ["eval-mot", "--hypotheses", "missing.jsonl", "--ground-truth",
+         "missing.jsonl", "--threshold", "2"],
+        ["track", "--detections", "missing.jsonl", "--out", "out.jsonl",
+         "--threshold", "2"]])
+    def test_bad_threshold_exit_4_before_reading(self, tmp_path, capsys,
+                                                 argv):
+        """Each command builds its config before it reads its inputs, so a
+        bad setting exits 4 even when an input file is missing."""
+        code = main([str(tmp_path / arg) if arg.endswith(".jsonl") else arg
+                     for arg in argv])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "threshold" in err
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_bad_thread_budget_exit_4(self, tmp_path, capsys, monkeypatch,
                                       threads):

@@ -630,3 +630,106 @@ class TestBoxValidation:
 
     def test_label_coerced_from_string(self):
         assert unit_cube(label="Pedestrian").label is ObjectClass.PEDESTRIAN
+
+
+# ---------------------------------------------------------------------------
+# row kernels on (x, y, z) columns
+# ---------------------------------------------------------------------------
+
+# every kind of float64: signed zeros, subnormals, infinities, NaNs, and
+# magnitudes out to 1e+-300 next to ordinary ones
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300,
+                     -1e-300]),
+    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def row_pairs(draw):
+    """Two (N, 3) float64 arrays; half the time their rows repeat each
+    other's entries up to sign, so dot and cross products cancel exactly."""
+    n = draw(st.integers(0, 16))
+    entries = st.lists(ANY_FLOAT, min_size=3 * n, max_size=3 * n)
+    a = np.array(draw(entries), dtype=float).reshape(n, 3)
+    b = np.array(draw(entries), dtype=float).reshape(n, 3)
+    if n and draw(st.booleans()):
+        b = a[:, draw(st.permutations([0, 1, 2]))] * draw(
+            st.sampled_from([1.0, -1.0]))
+    # einsum's order depends on the layout: rows of adjacent entries
+    return np.ascontiguousarray(a), np.ascontiguousarray(b)
+
+
+def same_bits(actual, expected) -> bool:
+    """Equal int64 views where numpy's result is a number, and NaN where it
+    is NaN: which NaN numpy returns depends on where a row falls in its
+    vector loops."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    nan = np.isnan(expected)
+    return (actual.shape == expected.shape
+            and np.array_equal(np.isnan(actual), nan)
+            and np.array_equal(actual[~nan].view(np.int64),
+                               expected[~nan].view(np.int64)))
+
+
+class TestRowKernels:
+    """Each column kernel gives numpy's own bits on (N, 3) rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=row_pairs())
+    def test_norms(self, rows):
+        a, _ = rows
+        with np.errstate(all="ignore"):
+            assert same_bits(geometry.xyz_norms(a.T.copy()),
+                             np.linalg.norm(a, axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=row_pairs())
+    def test_dots_of_adjacent_entries(self, rows):
+        a, b = rows
+        with np.errstate(all="ignore"):
+            assert same_bits(geometry.xyz_dots(a.T.copy(), b.T.copy()),
+                             np.einsum("ij,ij->i", a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=row_pairs())
+    def test_dots_of_strided_entries(self, rows):
+        """einsum adds strided rows in the order (0, 1, 2), which swapped
+        columns give (the flip test of ``estimate_normals``)."""
+        a, b = rows
+        strided = np.repeat(a, 3, axis=1)[:, ::3]
+        assert strided.strides[1] != strided.itemsize
+        with np.errstate(all="ignore"):
+            assert same_bits(
+                geometry.xyz_dots(a.T[[0, 2, 1]], b.T[[0, 2, 1]]),
+                np.einsum("ij,ij->i", strided, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=row_pairs())
+    def test_cross(self, rows):
+        a, b = rows
+        with np.errstate(all="ignore"):
+            assert same_bits(np.stack(geometry.xyz_cross(a.T.copy(),
+                                                         b.T.copy()), axis=1)
+                             .reshape(-1, 3), np.cross(a, b).reshape(-1, 3))
+
+    def test_negative_zero_dot_is_positive(self):
+        """einsum turns a -0.0 sum into +0.0, which decides the sign of
+        FPFH's ``arctan2`` at a cosine below 0."""
+        a, b = np.array([[-0.0, -0.0, -0.0]]), np.array([[1.0, 1.0, 1.0]])
+        dot = geometry.xyz_dots(a.T, b.T)
+        assert same_bits(dot, np.einsum("ij,ij->i", a, b))
+        assert same_bits(dot, np.array([0.0]))
+        assert np.arctan2(dot, -1.0)[0] == math.pi
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=row_pairs())
+    def test_single_vectors(self, rows):
+        """On lone (3,) vectors the kernels give numpy scalars of the same
+        bits, as ``look_at_orientation`` and the ground fit use them."""
+        a, b = rows
+        with np.errstate(all="ignore"):
+            for u, v in zip(a, b):
+                assert same_bits(np.array(geometry.xyz_cross(u, v)),
+                                 np.cross(u, v))

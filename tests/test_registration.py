@@ -515,6 +515,197 @@ def test_calibrate_node_is_bit_identical_to_the_previous_kernels(
     assert set(used) == {"grid", "arbitration"}
 
 
+def previous_estimate_normals(cloud, radius, min_neighbors=5,
+                              viewpoint=(0.0, 0.0, 0.0)):
+    """``estimate_normals`` on (N, 3) rows, before the column kernels."""
+    points = cloud.points
+    n = len(points)
+    normals = np.zeros((n, 3))
+    if n == 0:
+        return normals
+    viewpoint = np.asarray(viewpoint, dtype=float)
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    delta = points[dst] - points[src]
+    counts = np.bincount(src, minlength=n).astype(float) + 1.0
+
+    def point_sums(values):
+        return np.bincount(src, weights=values, minlength=n)
+
+    sums = np.stack([point_sums(delta[:, a]) for a in range(3)], axis=1)
+    outer = np.empty((n, 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            outer[:, a, b] = point_sums(delta[:, a] * delta[:, b])
+            outer[:, b, a] = outer[:, a, b]
+    computable = counts >= min_neighbors
+    if not computable.any():
+        return normals
+    mean = sums[computable] / counts[computable, None]
+    cov = (outer[computable] / counts[computable, None, None]
+           - mean[:, :, None] * mean[:, None, :])
+    _, eigenvectors = np.linalg.eigh(cov)
+    candidate = eigenvectors[:, :, 0]
+    toward = viewpoint - points[computable]
+    flip = np.einsum("ij,ij->i", candidate, toward) < 0.0
+    candidate[flip] = -candidate[flip]
+    normals[computable] = candidate
+    return normals
+
+
+def previous_spfh_pass(points, normals, valid, radius):
+    """``_spfh_pass`` on (N, 3) rows with numpy's norm, einsum and cross,
+    before the column kernels."""
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    pairs = pairs[valid[pairs[:, 0]] & valid[pairs[:, 1]]]
+    m = len(pairs)
+    dist = np.empty(m)
+    keep = np.empty(2 * m, dtype=bool)
+    histogram = np.zeros(n * FPFH_SIZE, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, m, registration._PAIR_CHUNK):
+            forward = slice(start, min(start + registration._PAIR_CHUNK, m))
+            at_p, at_q = points[pairs[forward, 0]], points[pairs[forward, 1]]
+            normal_p, normal_q = (normals[pairs[forward, 0]],
+                                  normals[pairs[forward, 1]])
+            delta = at_q - at_p
+            dist[forward] = length = np.linalg.norm(delta, axis=1)
+            normals_cos = np.einsum("ij,ij->i", normal_p, normal_q)
+            flat_bins = []
+            for offset, source, d_hat, u, n_q in (
+                    (0, pairs[forward, 0], delta / length[:, None],
+                     normal_p, normal_q),
+                    (m, pairs[forward, 1], (at_p - at_q) / length[:, None],
+                     normal_q, normal_p)):
+                rows = slice(forward.start + offset, forward.stop + offset)
+                v = np.cross(d_hat, u)
+                v_norm = np.linalg.norm(v, axis=1)
+                keep[rows] = kept = (v_norm > 1e-12) & (length > 1e-12)
+                v = v / v_norm[:, None]
+                w = np.cross(u, v)
+                alpha = np.einsum("ij,ij->i", v, n_q)
+                phi = np.einsum("ij,ij->i", u, d_hat)
+                theta = np.arctan2(np.einsum("ij,ij->i", w, n_q),
+                                   normals_cos)
+                first_bin = source[kept] * FPFH_SIZE
+                flat_bins += [
+                    first_bin + _bin_index(alpha[kept], -1.0, 1.0),
+                    first_bin + (FPFH_BINS_PER_FEATURE
+                                 + _bin_index(phi[kept], -1.0, 1.0)),
+                    first_bin + (2 * FPFH_BINS_PER_FEATURE
+                                 + _bin_index(theta[kept], -math.pi,
+                                              math.pi))]
+            block = np.bincount(np.concatenate(flat_bins))
+            histogram[:len(block)] += block
+    spfh = _normalize_blocks(histogram.reshape(n, FPFH_SIZE).astype(float))
+    kept_forward, kept_reverse = keep[:m], keep[m:]
+    src = np.concatenate([pairs[kept_forward, 0], pairs[kept_reverse, 1]])
+    dst = np.concatenate([pairs[kept_forward, 1], pairs[kept_reverse, 0]])
+    dist = np.concatenate([dist[kept_forward], dist[kept_reverse]])
+    return spfh, src, dst, dist
+
+
+def previous_consistent_triples(corr_src, corr_tgt, triples, cfg):
+    """The RANSAC edge test on (T, 3, 3) triangles, before the column
+    kernels."""
+    tri_src, tri_tgt = corr_src[triples], corr_tgt[triples]
+    consistent = np.ones(len(triples), dtype=bool)
+    min_edge = 2.0 * cfg.ransac_inlier_threshold
+    for a, b in [(0, 1), (1, 2), (0, 2)]:
+        d_src = np.linalg.norm(tri_src[:, a] - tri_src[:, b], axis=1)
+        d_tgt = np.linalg.norm(tri_tgt[:, a] - tri_tgt[:, b], axis=1)
+        longer = np.maximum(d_src, d_tgt)
+        shorter = np.minimum(d_src, d_tgt)
+        consistent &= shorter >= min_edge
+        ratio = np.divide(shorter, np.maximum(longer, 1e-12))
+        consistent &= ratio > cfg.edge_length_ratio
+    return consistent
+
+
+@pytest.fixture(scope="module", params=[0, 101])
+def crossroad_grids(request):
+    """The 1 m grids of the crossroad reference scan and of node 0's pass
+    rendered at seed 0 and 101 (the benchmark's seeds), with their
+    viewpoints, the capture, the scene and the seed."""
+    from mvlidar.pipeline import crossroad_hierarchy
+    from mvlidar.scene import (
+        calibration_capture,
+        generate_synthetic_scene,
+        standard_crossroad_spec,
+    )
+    seed = request.param
+    scene = generate_synthetic_scene(standard_crossroad_spec(n_frames=1),
+                                     seed)
+    frames = calibration_capture(scene, 0, seed=seed)
+    voxel = crossroad_hierarchy().levels[0].voxel_size
+    grids = {"reference": (voxel_downsample(scene.reference_cloud, voxel),
+                           scene.reference_viewpoint),
+             "node": (voxel_downsample(accumulate_frames(frames, 10.0),
+                                       voxel), (0.0, 0.0, 0.0))}
+    return grids, frames, scene, seed
+
+
+class TestColumnKernelsMatchRowKernels:
+    """Normals, the FPFH pair pass and the RANSAC edge test on contiguous
+    columns are bit-identical to their (N, 3) row versions on the crossroad
+    grids, and so is the calibration they feed."""
+
+    def test_normals_and_pair_pass(self, crossroad_grids):
+        cfg = registration.HierarchyConfig()
+        for cloud, viewpoint in crossroad_grids[0].values():
+            normals = estimate_normals(cloud, cfg.normal_radius,
+                                       cfg.min_normal_neighbors, viewpoint)
+            assert np.array_equal(normals, previous_estimate_normals(
+                cloud, cfg.normal_radius, cfg.min_normal_neighbors,
+                viewpoint))
+            valid = np.linalg.norm(normals, axis=1) > 0.5
+            for new, old in zip(
+                    registration._spfh_pass(cloud.points, normals, valid,
+                                            cfg.fpfh_radius),
+                    previous_spfh_pass(cloud.points, normals, valid,
+                                       cfg.fpfh_radius)):
+                assert np.array_equal(new, old)
+
+    def test_ransac_edge_test(self, crossroad_grids):
+        from mvlidar.pipeline import crossroad_hierarchy
+        cfg = crossroad_hierarchy()
+        grids, _, _, seed = crossroad_grids
+        features = {}
+        for name, (cloud, viewpoint) in grids.items():
+            normals = estimate_normals(cloud, cfg.normal_radius,
+                                       cfg.min_normal_neighbors, viewpoint)
+            features[name] = compute_fpfh(cloud, normals, cfg.fpfh_radius)
+        matches = mutual_feature_matches(features["node"],
+                                         features["reference"])
+        corr_src = grids["node"][0].points[matches[:, 0]]
+        corr_tgt = grids["reference"][0].points[matches[:, 1]]
+        triples = np.random.default_rng(seed).integers(
+            0, len(matches), size=(cfg.ransac_iterations, 3))
+        consistent = registration._consistent_triples(corr_src, corr_tgt,
+                                                      triples, cfg)
+        assert 0 < consistent.sum() < len(triples)
+        assert np.array_equal(consistent, previous_consistent_triples(
+            corr_src, corr_tgt, triples, cfg))
+
+    def test_calibrate_node(self, crossroad_grids, monkeypatch):
+        from mvlidar.pipeline import calibrate_node, crossroad_hierarchy
+        _, frames, scene, seed = crossroad_grids
+
+        def calibrate():
+            return calibrate_node(frames, scene.reference_cloud,
+                                  crossroad_hierarchy(), seed=seed,
+                                  reference_viewpoint=scene.reference_viewpoint)
+        new = calibrate()
+        monkeypatch.setattr(registration, "estimate_normals",
+                            previous_estimate_normals)
+        monkeypatch.setattr(registration, "_spfh_pass", previous_spfh_pass)
+        monkeypatch.setattr(registration, "_consistent_triples",
+                            previous_consistent_triples)
+        assert_same_registration(new, calibrate())
+
+
 class TestMutualMatchesMatchPreviousKernel:
     """Back-querying only the picked targets finds the same matches."""
 

@@ -27,7 +27,7 @@ from mvlidar import cli
 from mvlidar.detector import DetectorConfig
 from mvlidar.errors import ConfigError
 from mvlidar.fusion import ViewFrameSet
-from mvlidar.geometry import Box3D, ObjectClass, PointCloud, RigidTransform
+from mvlidar.geometry import ObjectClass, PointCloud, RigidTransform
 from mvlidar.metrics import DetectionEvalConfig, MotEvalConfig
 from mvlidar.pipeline import PipelineConfig, crossroad_hierarchy
 from mvlidar.registration import MAX_RANSAC_ITERATIONS, HierarchyLevel
@@ -50,12 +50,8 @@ def reached(*args, **kwargs):
 STOPS = {
     "sync-sim": {"simulate_session": reached},
     "track": {"read_detections": reached},
-    # one box, as empty ground truth is refused
-    "eval-det": {"read_detections": lambda path: [(0, Box3D(
-                     (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, ObjectClass.CAR))],
-                 "format_ap_table": reached},
-    "eval-mot": {"read_trajectories": lambda path: None,
-                 "compute_clear_mot": reached},
+    "eval-det": {"read_detections": reached},
+    "eval-mot": {"read_trajectories": reached},
     "pipeline": {"run_pipeline": reached},
     "make-scene": {"generate_synthetic_scene": reached},
     "detect": {"_frames_in": lambda path: [], "write_detections": reached},

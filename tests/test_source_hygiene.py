@@ -5,7 +5,8 @@ ones that keep dead code from piling up: every name a module imports is used
 in that module, every private module-level name is referenced somewhere in
 the package, every public one is used by the package, the demos or the
 benchmark harness, and so is every public method and property of a class,
-and every field of a config dataclass is read by the package.
+and every field of a config dataclass is read by the package. Norms, dot and
+cross products of point rows have one definition each.
 """
 
 import ast
@@ -31,7 +32,10 @@ UNUSED_PUBLIC_NAMES = {
 # public methods and properties that only the tests read, each kept for the
 # reason given
 UNREAD_PUBLIC_MEMBERS = {
+    "geometry.Box3D.length": "the tests measure boxes along their heading "
+                             "with it, next to the width the package reads",
     "geometry.RigidTransform.from_yaw": "the tests build poses with it",
+    "geometry.RigidTransform.identity": "the tests start poses from it",
     "geometry.RigidTransform.matrix": "the tests byte-compare poses with it",
 }
 
@@ -175,9 +179,12 @@ def test_every_public_name_is_used():
 
 
 def test_every_public_member_is_read():
-    """A public method or property is read by name in the package, a demo
-    or the benchmark harness; else it is allowed above with a reason."""
-    read = referenced_names(list(TREES.values()) + list(CALLERS.values()))
+    """A public method or property is read as an attribute (a local name
+    of the same spelling is not a read) in the package, a demo or the
+    benchmark harness, outside ``__post_init__``; else it is allowed above
+    with a reason."""
+    read = set().union(*map(attributes_read,
+                            list(TREES.values()) + list(CALLERS.values())))
     unread = [f"{module[:-3]}.{cls}.{name}"
               for module, tree in TREES.items()
               for cls, name in public_members(tree) if name not in read]
@@ -192,6 +199,62 @@ def test_every_config_field_is_read():
               for cls, name in config_fields(tree) if name not in read]
     assert sorted(unread) == sorted(UNREAD_CONFIG_FIELDS), \
         f"config fields only their checks read: {unread}"
+
+
+def dotted(node) -> str:
+    """``np.linalg.norm`` for the expression ``np.linalg.norm``, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    return ".".join([node.id, *reversed(parts)])
+
+
+def numpy_row_kernels(tree):
+    """(line, call) of every numpy call that ``geometry.xyz_norms``,
+    ``xyz_dots`` or ``xyz_cross`` replaces: a norm along axis 1, a row-wise
+    ``einsum`` dot and any ``cross``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = dotted(node.func)
+        axes = [constant(keyword.value) for keyword in node.keywords
+                if keyword.arg == "axis"]
+        subscripts = constant(node.args[0]) if node.args else None
+        if (name == "np.linalg.norm" and (1 in axes or -1 in axes)
+                or name == "np.einsum" and isinstance(subscripts, str)
+                and subscripts.replace(" ", "") == "ij,ij->i"
+                or name == "np.cross"):
+            yield node.lineno, name
+
+
+def constant(node):
+    """The value of a literal expression such as ``-1``, else None."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_row_kernels_have_one_definition():
+    """Norms, dot and cross products of 3-vector rows go through the
+    exact column kernels in ``geometry``, never numpy's own."""
+    found = [f"{module}:{line} {name}" for module, tree in TREES.items()
+             for line, name in numpy_row_kernels(tree)]
+    assert not found, f"numpy row kernels outside geometry.xyz_*: {found}"
+
+
+def test_the_check_sees_each_numpy_row_kernel():
+    tree = ast.parse("a = np.linalg.norm(v, axis=1)\n"
+                     "b = np.linalg.norm(v, axis=-1)\n"
+                     "c = np.einsum('ij,ij->i', u, v)\n"
+                     "d = np.cross(u, v)\n"
+                     "e = np.linalg.norm(v)\n"
+                     "f = np.linalg.norm(v, axis=0)\n"
+                     "g = np.einsum('tij,tj->ti', r, v)\n")
+    assert [line for line, _ in numpy_row_kernels(tree)] == [1, 2, 3, 4]
 
 
 def test_the_checks_see_an_unused_import_and_an_unused_private_name():
@@ -214,7 +277,16 @@ def test_the_check_sees_an_unread_method_and_an_unread_property():
                      "    def _private(self):\n        return 1\n"
                      "def run(track):\n    return track.to_box()\n")
     assert [name for _, name in public_members(tree)
-            if name not in loaded_names(tree)] == ["unused", "velocity"]
+            if name not in attributes_read(tree)] == ["unused", "velocity"]
+
+
+def test_a_local_name_does_not_read_a_member():
+    tree = ast.parse("class Box:\n"
+                     "    @property\n    def height(self):\n"
+                     "        return 1.0\n"
+                     "def run(box):\n    height = 2.0\n    return height\n")
+    assert [name for _, name in public_members(tree)
+            if name not in attributes_read(tree)] == ["height"]
 
 
 def test_the_check_sees_a_config_field_only_its_check_reads():
