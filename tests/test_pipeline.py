@@ -483,6 +483,26 @@ MACHINE_OUTPUTS = ["calibration.jsonl", "detections.jsonl",
                    "trajectories.jsonl", "metrics.json", "report.txt",
                    "sync_report.json"]
 
+# The byte-identity contract: the sha256 of each output of
+# fast_pipeline_config(), and the versions they were recorded with. A
+# change to these bytes, a library upgrade's rounding included, is a
+# contract event: only a fix of a bug in the outputs updates them.
+PINNED_ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+PINNED_DIGESTS = {
+    "calibration.jsonl":
+        "0015da7583ecde1499fa3c7d25ea7593b7a41cce20c53473ce4eef42369f95a9",
+    "detections.jsonl":
+        "77cddf39e2ecee5a6781f44f78bde5c28efb7810cb03d48f9010bf7e00fb543e",
+    "trajectories.jsonl":
+        "631e643eaebf157d24c4c3bc91a45cd3e9acc1f85694e8620bc5f915a8752053",
+    "metrics.json":
+        "bc945c7ed9e4982f05bb15502edf35996f224d4c05d09c8550f18b8aaa5493f6",
+    "report.txt":
+        "8f66bff2b4f2271f2a628b092d5beb7120c140b6efe66fdc9976242de30612d0",
+    "sync_report.json":
+        "e4e2e1f6d0a0344e9e09e5f5bf73130a13690b64f71257a27a64a0bedbd744f5",
+}
+
 
 class TestRunPipeline:
     def test_run_environment(self, monkeypatch):
@@ -493,7 +513,7 @@ class TestRunPipeline:
 
     def test_outputs_and_determinism(self, tmp_path, monkeypatch):
         """Two runs, with 2 detection workers and with 1, write the same
-        six outputs."""
+        six outputs, and those are the pinned bytes."""
         cfg = fast_pipeline_config()
         manifests, environments = [], []
         for threads in ("2", "1"):
@@ -502,10 +522,15 @@ class TestRunPipeline:
             manifests.append(run_pipeline(
                 cfg, output_dir=str(tmp_path / threads)))
         manifest_a, manifest_b = manifests
+        here = {key: environments[0][key] for key in PINNED_ENVIRONMENT}
         for name in MACHINE_OUTPUTS:
             assert (tmp_path / "2" / name).exists(), name
-            assert (tmp_path / "2" / name).read_bytes() == \
-                (tmp_path / "1" / name).read_bytes(), name
+            data = (tmp_path / "2" / name).read_bytes()
+            assert data == (tmp_path / "1" / name).read_bytes(), name
+            digest = hashlib.sha256(data).hexdigest()
+            assert digest == PINNED_DIGESTS[name], (
+                f"{name}: sha256 {digest} under {here}, pinned "
+                f"{PINNED_DIGESTS[name]} under {PINNED_ENVIRONMENT}")
         assert manifest_a["seed"] == manifest_b["seed"] == 3
         assert [m["environment"] for m in manifests] == environments
         assert environments[1]["threads"] == 1
