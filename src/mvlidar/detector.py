@@ -48,6 +48,11 @@ BACKGROUND_LEAF_SIZE = 64
 # clustering refuses a cloud with more linked pairs than this: at 16 bytes
 # a pair, the pair array alone would pass 320 MB
 MAX_CLUSTER_PAIRS = 20_000_000
+# connected components with fewer points than this are dropped as noise
+MIN_CLUSTER_POINTS = 15
+# a box's score is its cluster's point count over this, clipped to
+# [0.05, 1]: a cluster this size or larger scores 1
+SCORE_POINTS_SCALE = 200.0
 
 
 class NoGroundPlaneWarning(UserWarning):
@@ -57,17 +62,10 @@ class NoGroundPlaneWarning(UserWarning):
 @dataclass(frozen=True)
 class DetectorConfig:
     cluster_distance: float = 0.5
-    min_cluster_points: int = 15
-    score_points_scale: float = 200.0
     seed: int = 0
 
     def __post_init__(self):
         check_number("cluster_distance", self.cluster_distance, 0,
-                     low_open=True)
-        check_number("min_cluster_points", self.min_cluster_points, 1,
-                     integer=True)
-        # the box score divides the cluster size by it
-        check_number("score_points_scale", self.score_points_scale, 0,
                      low_open=True)
         check_number("seed", self.seed, 0, integer=True)
 
@@ -156,7 +154,7 @@ def cluster_euclidean(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
                       ) -> list:
     """Connected components under inter-point distance <= cluster_distance.
 
-    Components with fewer than min_cluster_points points are discarded.
+    Components with fewer than MIN_CLUSTER_POINTS points are discarded.
     Clusters come back largest first (ties broken by their smallest point
     index), so the output is invariant to input permutation up to that
     canonical order. Raises TooManyPairsError rather than hold more than
@@ -177,7 +175,7 @@ def cluster_euclidean(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
                 f"restrict the frames to the detection area (detect --crop)")
     pairs = tree.query_pairs(cfg.cluster_distance, output_type="ndarray")
     members = [idx for idx in linked_groups(n, pairs)
-               if len(idx) >= cfg.min_cluster_points]
+               if len(idx) >= MIN_CLUSTER_POINTS]
     # stable: equal sizes keep the order of their smallest index
     members.sort(key=len, reverse=True)
     return [cloud.select(idx) for idx in members]
@@ -226,7 +224,6 @@ def _classify_by_size(length, width, height) -> ObjectClass:
 
 
 def fit_oriented_box(cluster: PointCloud,
-                     cfg: DetectorConfig = DetectorConfig(),
                      ground_z: Optional[float] = None) -> Box3D:
     """Fit a yaw-oriented box around a cluster.
 
@@ -249,7 +246,7 @@ def fit_oriented_box(cluster: PointCloud,
     height = max(z_max - z_min, 1e-3)
     width = max(width, 1e-3)
     label = _classify_by_size(length, width, height)
-    score = min(1.0, max(0.05, len(cluster) / cfg.score_points_scale))
+    score = min(1.0, max(0.05, len(cluster) / SCORE_POINTS_SCALE))
     return Box3D(center=(center_xy[0], center_xy[1], 0.5 * (z_min + z_max)),
                  size=(length, width, height), yaw=yaw, label=label,
                  score=score)
@@ -278,7 +275,7 @@ def detect_frame(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig(),
     boxes = []
     for cluster in cluster_euclidean(non_ground, cfg):
         try:
-            boxes.append(fit_oriented_box(cluster, cfg, ground_z))
+            boxes.append(fit_oriented_box(cluster, ground_z))
         except DegenerateClusterError:
             continue
     return boxes

@@ -407,10 +407,8 @@ class PipelineConfig:
 
         for name, keys in (
                 # no ground-removal keys: background subtraction turns it off
-                ("detector", {"cluster_distance", "min_cluster_points",
-                              "score_points_scale"}),
-                ("tracker", {"threshold", "min_hits", "max_age",
-                             "process_noise", "measurement_noise"}),
+                ("detector", {"cluster_distance"}),
+                ("tracker", {"threshold", "min_hits", "max_age"}),
                 ("eval_mot", {"threshold"})):
             default = getattr(base, name)
             kwargs[name] = type(default)(**_take(raw.get(name, {}), name,

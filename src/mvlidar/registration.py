@@ -81,6 +81,12 @@ _REUSE_SLACK_PER_METER = 1e-12
 # peak at 0.7 kB per trial when every triple is consistent, so a million
 # trials stay near 0.7 GB
 MAX_RANSAC_ITERATIONS = 1_000_000
+# ICP stops once an iteration changes the inlier RMSE by this share or less
+ICP_CONVERGENCE_EPSILON = 1e-6
+# a normal needs this many neighbors, self included: fewer fit no plane
+MIN_NORMAL_NEIGHBORS = 5
+# a RANSAC triple's edges must agree in length by a ratio above this
+EDGE_LENGTH_RATIO = 0.9
 
 
 @dataclass(frozen=True)
@@ -119,9 +125,6 @@ class HierarchyConfig:
     normal_radius: float = 2.5
     ransac_iterations: int = 25_000
     ransac_inlier_threshold: float = 1.5
-    convergence_epsilon: float = 1e-6
-    min_normal_neighbors: int = 5
-    edge_length_ratio: float = 0.9
     arbitration_hypotheses: int = 48
 
     def __post_init__(self):
@@ -146,13 +149,8 @@ class HierarchyConfig:
                          low_open=True)
         check_number("hierarchy.ransac_iterations", self.ransac_iterations,
                      1, MAX_RANSAC_ITERATIONS, integer=True)
-        for key in ("arbitration_hypotheses", "min_normal_neighbors"):
-            check_number(f"hierarchy.{key}", getattr(self, key), 1,
-                         integer=True)
-        check_number("hierarchy.edge_length_ratio", self.edge_length_ratio,
-                     0, 1, high_open=True)
-        check_number("hierarchy.convergence_epsilon",
-                     self.convergence_epsilon, 0)
+        check_number("hierarchy.arbitration_hypotheses",
+                     self.arbitration_hypotheses, 1, integer=True)
         object.__setattr__(self, "levels", levels)
 
 
@@ -176,7 +174,8 @@ class CornerPair:
 # normals and descriptors
 # ---------------------------------------------------------------------------
 
-def estimate_normals(cloud: PointCloud, radius: float, min_neighbors: int = 5,
+def estimate_normals(cloud: PointCloud, radius: float,
+                     min_neighbors: int = MIN_NORMAL_NEIGHBORS,
                      viewpoint=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Per-point unit normals from the neighborhood covariance.
 
@@ -489,7 +488,7 @@ def _consistent_triples(corr_src: np.ndarray, corr_tgt: np.ndarray,
                         ) -> np.ndarray:
     """Mask of the (T, 3) correspondence triples whose three edges are each
     at least twice the inlier threshold long in both clouds and agree in
-    length by a ratio above ``edge_length_ratio``."""
+    length by a ratio above ``EDGE_LENGTH_RATIO``."""
     # each corner's coordinates as (3, T) rows, for the row kernels
     corners_src = [corr_src.T.take(corner, axis=1) for corner in triples.T]
     corners_tgt = [corr_tgt.T.take(corner, axis=1) for corner in triples.T]
@@ -504,7 +503,7 @@ def _consistent_triples(corr_src: np.ndarray, corr_tgt: np.ndarray,
         shorter = np.minimum(d_src, d_tgt)
         consistent &= shorter >= min_edge
         ratio = np.divide(shorter, np.maximum(longer, 1e-12))
-        consistent &= ratio > cfg.edge_length_ratio
+        consistent &= ratio > EDGE_LENGTH_RATIO
     return consistent
 
 
@@ -515,7 +514,7 @@ def coarse_align_ransac(source: PointCloud, target: PointCloud,
     """Global alignment by RANSAC over mutual-nearest FPFH correspondences.
 
     Each trial samples three correspondences, rejects triples whose edge
-    lengths disagree between the clouds (ratio <= edge_length_ratio), fits
+    lengths disagree between the clouds (ratio <= EDGE_LENGTH_RATIO), fits
     the rigid transform in closed form, and counts correspondences within
     ransac_inlier_threshold. Up to arbitration_hypotheses distinct poses,
     in order of inlier count (ties to the lowest trial index), are each
@@ -590,14 +589,14 @@ def coarse_align_ransac(source: PointCloud, target: PointCloud,
 
 
 def icp_refine(source: PointCloud, target: PointCloud, init: RigidTransform,
-               max_dist: float, max_iter: int = 50,
-               eps: float = 1e-6) -> RegistrationResult:
+               max_dist: float, max_iter: int = 50) -> RegistrationResult:
     """Iterative closest point refinement from an initial pose.
 
     Alternates nearest-neighbor correspondences within max_dist and the
-    closed-form rigid fit until the relative RMSE change drops below eps or
-    max_iter is reached. A step that would increase the RMSE is rejected
-    and treated as converged, so the recorded RMSE trace is non-increasing.
+    closed-form rigid fit until the relative RMSE change is at most
+    ICP_CONVERGENCE_EPSILON or max_iter is reached. A step that would
+    increase the RMSE is rejected and treated as converged, so the recorded
+    RMSE trace is non-increasing.
     Raises NoCorrespondencesError when no pairs exist at the initial pose.
 
     A source point is queried again only when it has moved, since its last
@@ -666,7 +665,8 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidTransform,
         pose = candidate
         previous = rmse_history[-1] if rmse_history else None
         rmse_history.append(rmse)
-        if previous is not None and abs(previous - rmse) <= eps * max(rmse, 1e-12):
+        if (previous is not None and abs(previous - rmse)
+                <= ICP_CONVERGENCE_EPSILON * max(rmse, 1e-12)):
             break
     # the fitness needs the tree's own distances: one full query
     fitness, rmse = _match_fitness(points, target_tree, pose.rotation,
@@ -678,8 +678,7 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidTransform,
 
 def hierarchical_register(source: PointCloud, target: PointCloud,
                           cfg: HierarchyConfig = HierarchyConfig(),
-                          seed: int = 0,
-                          target_viewpoint=(0.0, 0.0, 0.0)
+                          seed: int = 0, *, target_viewpoint
                           ) -> RegistrationResult:
     """Full coarse-to-fine registration of source onto target.
 
@@ -693,10 +692,9 @@ def hierarchical_register(source: PointCloud, target: PointCloud,
     src_coarse = voxel_downsample(source, coarsest.voxel_size)
     tgt_coarse = voxel_downsample(target, coarsest.voxel_size)
 
-    src_normals = estimate_normals(src_coarse, cfg.normal_radius,
-                                   cfg.min_normal_neighbors)
+    src_normals = estimate_normals(src_coarse, cfg.normal_radius)
     tgt_normals = estimate_normals(tgt_coarse, cfg.normal_radius,
-                                   cfg.min_normal_neighbors, target_viewpoint)
+                                   viewpoint=target_viewpoint)
     src_fpfh = compute_fpfh(src_coarse, src_normals, cfg.fpfh_radius)
     tgt_fpfh = compute_fpfh(tgt_coarse, tgt_normals, cfg.fpfh_radius)
 
@@ -708,7 +706,7 @@ def hierarchical_register(source: PointCloud, target: PointCloud,
         tgt_level = voxel_downsample(target, level.voxel_size)
         result = icp_refine(src_level, tgt_level, pose,
                             level.max_correspondence_distance,
-                            level.max_iterations, cfg.convergence_epsilon)
+                            level.max_iterations)
         pose = result.transform
     return result
 

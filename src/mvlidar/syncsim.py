@@ -226,7 +226,6 @@ def simulate_session(cfg: SessionConfig) -> SessionTrace:
 class NodeErrorStats:
     node: int
     max_abs_s: float
-    mean_s: float
     mean_abs_s: float
     std_s: float
     misaligned: bool
@@ -276,7 +275,6 @@ def compute_time_error_report(trace: SessionTrace) -> TimeErrorReport:
         mean = float(err.mean())
         stats.append(NodeErrorStats(node=node.node,
                                     max_abs_s=float(np.max(np.abs(err))),
-                                    mean_s=mean,
                                     mean_abs_s=float(np.mean(np.abs(err))),
                                     std_s=float(err.std()),
                                     misaligned=abs(mean) > _MISALIGNED_MEAN_S))

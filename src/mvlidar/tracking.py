@@ -32,6 +32,11 @@ MAX_TIMELINE_FRAMES = 1_000_000
 # grows the covariance with dt**2, which overflows to infinity long before
 # 1e308 s, and frames an hour apart are no longer one motion anyway.
 MAX_FRAME_DT_S = 3600.0
+# process noise variance the constant-velocity model adds per second
+# (ten times this on the velocity), and a box measurement's noise variance,
+# which is also a new track's initial variance
+PROCESS_NOISE = 0.2
+MEASUREMENT_NOISE = 0.01
 
 
 @dataclass(frozen=True)
@@ -39,22 +44,17 @@ class TrackerConfig:
     threshold: float = 0.01     # a track and a detection match at this 3D IoU
     min_hits: int = 3
     max_age: int = 2
-    process_noise: float = 0.2
-    measurement_noise: float = 0.01
 
     def __post_init__(self):
         check_number("threshold", self.threshold, 0, 1, low_open=True)
         check_number("min_hits", self.min_hits, 1, integer=True)
         check_number("max_age", self.max_age, 0, integer=True)
-        check_number("process_noise", self.process_noise, 0, low_open=True)
-        check_number("measurement_noise", self.measurement_noise, 0,
-                     low_open=True)
 
 
 class TrackState:
     """Mutable Kalman state of one track. Single-owner: not thread-safe."""
 
-    def __init__(self, box: Box3D, track_id: int, cfg: TrackerConfig):
+    def __init__(self, box: Box3D, track_id: int):
         self.track_id = track_id
         self.label = box.label
         self.hits = 1
@@ -64,7 +64,7 @@ class TrackState:
         self.mean[0:3] = box.center
         self.mean[3] = box.yaw
         self.mean[4:7] = box.size
-        cov = np.eye(STATE_DIM) * cfg.measurement_noise
+        cov = np.eye(STATE_DIM) * MEASUREMENT_NOISE
         cov[7:, 7:] = np.eye(3) * _INITIAL_VELOCITY_VARIANCE
         self.covariance = cov
 
@@ -83,9 +83,9 @@ def _transition_matrix(dt: float) -> np.ndarray:
     return f
 
 
-def _process_noise(cfg: TrackerConfig, dt: float) -> np.ndarray:
-    q = np.eye(STATE_DIM) * cfg.process_noise * dt
-    q[7:, 7:] = np.eye(3) * cfg.process_noise * dt * 10.0
+def _process_noise(dt: float) -> np.ndarray:
+    q = np.eye(STATE_DIM) * PROCESS_NOISE * dt
+    q[7:, 7:] = np.eye(3) * PROCESS_NOISE * dt * 10.0
     return q
 
 
@@ -93,20 +93,19 @@ _MEASUREMENT_MATRIX = np.zeros((MEAS_DIM, STATE_DIM))
 _MEASUREMENT_MATRIX[:MEAS_DIM, :MEAS_DIM] = np.eye(MEAS_DIM)
 
 
-def kalman_predict(track: TrackState, dt: float, cfg: TrackerConfig) -> TrackState:
+def kalman_predict(track: TrackState, dt: float) -> TrackState:
     """Advance the track by dt seconds under the constant-velocity model."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     f = _transition_matrix(dt)
     track.mean = f @ track.mean
-    track.covariance = f @ track.covariance @ f.T + _process_noise(cfg, dt)
+    track.covariance = f @ track.covariance @ f.T + _process_noise(dt)
     track.covariance = 0.5 * (track.covariance + track.covariance.T)
     track.age_since_update += 1
     return track
 
 
-def kalman_update(track: TrackState, detection: Box3D,
-                  cfg: TrackerConfig) -> TrackState:
+def kalman_update(track: TrackState, detection: Box3D) -> TrackState:
     """Fold a matched detection into the track (Joseph-form update)."""
     if detection.label is not track.label:
         raise ValueError("detection class does not match track class")
@@ -114,7 +113,7 @@ def kalman_update(track: TrackState, detection: Box3D,
     h = _MEASUREMENT_MATRIX
     innovation = z - h @ track.mean
     innovation[3] = wrap_half_angle(innovation[3])
-    r = np.eye(MEAS_DIM) * cfg.measurement_noise
+    r = np.eye(MEAS_DIM) * MEASUREMENT_NOISE
     s = h @ track.covariance @ h.T + r
     gain = track.covariance @ h.T @ np.linalg.inv(s)
     track.mean = track.mean + gain @ innovation
@@ -210,12 +209,12 @@ def track_sequence(detections_per_frame: list, cfg: TrackerConfig = TrackerConfi
 
     for frame, detections in enumerate(detections_per_frame):
         for track in live:
-            kalman_predict(track, frame_dt, cfg)
+            kalman_predict(track, frame_dt)
         matches, unmatched_tracks, unmatched_dets = associate(live, detections, cfg)
 
         for track_idx, det_idx in matches:
             track = live[track_idx]
-            kalman_update(track, detections[det_idx], cfg)
+            kalman_update(track, detections[det_idx])
             entry = (frame, track.to_box())
             history[track.track_id].append(entry)
             if track.hits >= cfg.min_hits:
@@ -226,7 +225,7 @@ def track_sequence(detections_per_frame: list, cfg: TrackerConfig = TrackerConfi
                     output[track.track_id].append(entry)
 
         for det_idx in unmatched_dets:
-            track = TrackState(detections[det_idx], next_id, cfg)
+            track = TrackState(detections[det_idx], next_id)
             next_id += 1
             live.append(track)
             history[track.track_id] = [(frame, track.to_box())]

@@ -409,16 +409,15 @@ def test_criterion_7_numerical_kernels(rng):
         assert np.all(np.diff(result.rmse_history) <= 1e-15)
 
     # Kalman covariance stays positive definite
-    cfg = TrackerConfig()
     track = TrackState(Box3D((0, 0, 0.8), (4.0, 2.0, 1.5), 0.0,
-                             ObjectClass.CAR), 1, cfg)
+                             ObjectClass.CAR), 1)
     for step in range(10_000):
-        kalman_predict(track, 0.1, cfg)
+        kalman_predict(track, 0.1)
         if rng.random() < 0.7:
             center = track.mean[0:3] + rng.normal(scale=0.5, size=3)
             kalman_update(track, Box3D(center, (4.0, 2.0, 1.5),
                                        float(rng.uniform(-3, 3)),
-                                       ObjectClass.CAR), cfg)
+                                       ObjectClass.CAR))
         if step % 100 == 0 or step > 9_900:
             assert np.linalg.eigvalsh(track.covariance).min() > 0.0
     assert np.linalg.eigvalsh(track.covariance).min() > 0.0

@@ -638,8 +638,8 @@ class TestErrorsAndConversion:
         {"detector": {"cluster_distance": -1}},
         {"seed": 1.9},
         {"scene": {"frames": -3}},
-        {"detector": {"score_points_scale": 0}},
-        {"detector": {"score_points_scale": -50.0}},
+        {"detector": {"cluster_distance": 0}},
+        {"tracker": {"max_age": -1}},
         {"scene": {"extent": -1.0}},
     ])
     def test_bad_config_value_exit_4(self, tmp_path, capsys, raw):
@@ -674,6 +674,27 @@ class TestErrorsAndConversion:
                                          key, value):
         """Tracking and CLEAR both match by 3D IoU alone, and CLEAR always
         keeps the previous frame's matches: no key chooses otherwise."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code = main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == \
+            f"error: unknown keys in {section}: ['{key}']\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("detector", "min_cluster_points", 15),
+        ("detector", "score_points_scale", 200.0),
+        ("tracker", "process_noise", 0.2),
+        ("tracker", "measurement_noise", 0.01),
+        ("hierarchy", "convergence_epsilon", 1e-6),
+        ("hierarchy", "min_normal_neighbors", 5),
+        ("hierarchy", "edge_length_ratio", 0.9)])
+    def test_removed_tuning_key_exit_4(self, tmp_path, capsys, section, key,
+                                       value):
+        """These values are module constants that no caller set, so a
+        key that sets one, even to its value, is refused."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({section: {key: value}}))
         code = main(["pipeline", "--config", str(cfg),
@@ -721,16 +742,32 @@ class TestErrorsAndConversion:
         assert code == 4
         assert capsys.readouterr().err.startswith("error: hierarchy: ")
 
+    @pytest.mark.parametrize("key, value", [
+        ("convergence_epsilon", 1e-6), ("min_normal_neighbors", 5),
+        ("edge_length_ratio", 0.9)])
+    def test_removed_hierarchy_key_exit_4(self, scene_dir, tmp_path, capsys,
+                                          key, value):
+        cfg = tmp_path / "hierarchy.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(tmp_path / "none.jsonl"),
+                     "--config", str(cfg)])
+        assert code == 4
+        assert capsys.readouterr().err == \
+            f"error: unknown keys in hierarchy: ['{key}']\n"
+        assert not (tmp_path / "none.jsonl").exists()
+
     @pytest.mark.parametrize("raw", [
         {"ransac_iterations": -5},
         {"ransac_iterations": 0},
         {"arbitration_hypotheses": 0},
         {"levels": [[1.0, 0.0, 40]]},
         {"levels": [[1.0, 2.0, 40], [0.4, 0.8, 0]]},
-        {"edge_length_ratio": 1.0},
-        {"edge_length_ratio": -0.5},
-        {"min_normal_neighbors": 0},
-        {"convergence_epsilon": -1e-6},
+        {"fpfh_radius": 0.0},
+        {"normal_radius": -1.0},
+        {"ransac_inlier_threshold": 0.0},
+        {"ransac_iterations": 1_000_001},
     ])
     def test_unusable_hierarchy_value_exit_4(self, scene_dir, tmp_path,
                                              capsys, raw):

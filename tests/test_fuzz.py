@@ -89,8 +89,7 @@ config_keys = {"seed": json_values, "output_dir": json_values,
                                   "export_frames"}),
                "hierarchy": sections({"levels", "fpfh_radius",
                                       "ransac_iterations", "normal_radius"}),
-               "detector": sections({"cluster_distance", "min_cluster_points",
-                                     "seed"}),
+               "detector": sections({"cluster_distance", "seed"}),
                "tracker": sections({"threshold", "min_hits"}),
                "eval_det": sections({"iou_thresholds", "recall_points"}),
                "eval_mot": sections({"threshold"}),
@@ -116,9 +115,7 @@ near_bounds = (st.integers(-3, 3) | st.sampled_from([-1e-9, 0.0, 1e-9, 0.5,
                | st.floats(-2.0, 2.0))
 hierarchy_sections = st.dictionaries(
     st.sampled_from(["fpfh_radius", "normal_radius", "ransac_iterations",
-                     "ransac_inlier_threshold", "convergence_epsilon",
-                     "min_normal_neighbors", "edge_length_ratio",
-                     "arbitration_hypotheses"]),
+                     "ransac_inlier_threshold", "arbitration_hypotheses"]),
     near_bounds | json_values, max_size=4)
 hierarchy_levels = st.fixed_dictionaries({"levels": st.lists(
     st.tuples(st.sampled_from([2.0, 1.0, 0.4]), near_bounds,
@@ -144,9 +141,6 @@ def test_hierarchy_raises_only_config_errors(raw):
                cfg.ransac_inlier_threshold) > 0.0
     assert cfg.ransac_iterations >= 1
     assert cfg.arbitration_hypotheses >= 1
-    assert cfg.min_normal_neighbors >= 1
-    assert 0.0 <= cfg.edge_length_ratio < 1.0
-    assert cfg.convergence_epsilon >= 0.0
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)

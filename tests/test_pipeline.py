@@ -419,8 +419,8 @@ class TestPipelineConfig:
         {"scene": {"extent": math.inf}}, {"detector": {"cluster_distance":
                                                        -math.inf}},
         {"hierarchy": {"levels": [[1.0, math.nan, 30]]}}, {"output_dir": 5},
-        {"tracker": {"process_noise": -1.0}},
-        {"tracker": {"measurement_noise": 0.0}},
+        {"tracker": {"max_age": -1}},
+        {"tracker": {"min_hits": 0}},
         {"tracker": {"threshold": -5.0}}, {"sync": {"delay_max_s": 1e308}}])
     def test_bad_values_rejected(self, raw):
         with pytest.raises(ConfigError):

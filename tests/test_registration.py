@@ -289,7 +289,7 @@ def crossroad_features(crossroad_scene):
             ("reference", reference, scene.reference_viewpoint),
             ("node", node, (0.0, 0.0, 0.0))):
         normals = estimate_normals(cloud, cfg.normal_radius,
-                                   cfg.min_normal_neighbors, viewpoint)
+                                   viewpoint=viewpoint)
         clouds[name] = (cloud, normals, cfg.fpfh_radius)
     return clouds
 
@@ -620,7 +620,7 @@ def previous_consistent_triples(corr_src, corr_tgt, triples, cfg):
         shorter = np.minimum(d_src, d_tgt)
         consistent &= shorter >= min_edge
         ratio = np.divide(shorter, np.maximum(longer, 1e-12))
-        consistent &= ratio > cfg.edge_length_ratio
+        consistent &= ratio > registration.EDGE_LENGTH_RATIO
     return consistent
 
 
@@ -656,10 +656,9 @@ class TestColumnKernelsMatchRowKernels:
         cfg = registration.HierarchyConfig()
         for cloud, viewpoint in crossroad_grids[0].values():
             normals = estimate_normals(cloud, cfg.normal_radius,
-                                       cfg.min_normal_neighbors, viewpoint)
+                                       viewpoint=viewpoint)
             assert np.array_equal(normals, previous_estimate_normals(
-                cloud, cfg.normal_radius, cfg.min_normal_neighbors,
-                viewpoint))
+                cloud, cfg.normal_radius, viewpoint=viewpoint))
             valid = np.linalg.norm(normals, axis=1) > 0.5
             for new, old in zip(
                     registration._spfh_pass(cloud.points, normals, valid,
@@ -675,7 +674,7 @@ class TestColumnKernelsMatchRowKernels:
         features = {}
         for name, (cloud, viewpoint) in grids.items():
             normals = estimate_normals(cloud, cfg.normal_radius,
-                                       cfg.min_normal_neighbors, viewpoint)
+                                       viewpoint=viewpoint)
             features[name] = compute_fpfh(cloud, normals, cfg.fpfh_radius)
         matches = mutual_feature_matches(features["node"],
                                          features["reference"])
@@ -1148,7 +1147,8 @@ def test_calibrate_node_matches_full_query_icp(seed, crossroad_scene,
 class TestHierarchicalRegister:
     def test_identical_clouds(self, rng):
         cloud = PointCloud(structured_scene_points(rng, 8000))
-        result = hierarchical_register(cloud, cloud, FAST_CFG, seed=5)
+        result = hierarchical_register(cloud, cloud, FAST_CFG, seed=5,
+                                       target_viewpoint=(0.0, 0.0, 0.0))
         assert result.fitness >= 0.99
         rot_err, tra_err = transform_distance(result.transform,
                                               RigidTransform.identity())
@@ -1156,7 +1156,8 @@ class TestHierarchicalRegister:
 
     def test_recovers_pose_with_noise(self, rng):
         source, target, truth = make_scene_pair(rng, n=20_000, noise=0.02)
-        result = hierarchical_register(source, target, FAST_CFG, seed=6)
+        result = hierarchical_register(source, target, FAST_CFG, seed=6,
+                                       target_viewpoint=(0.0, 0.0, 0.0))
         rot_err, tra_err = transform_distance(result.transform, truth)
         assert rot_err < 1.0 and tra_err < 0.05
 
@@ -1164,7 +1165,8 @@ class TestHierarchicalRegister:
         a = PointCloud(structured_scene_points(rng, 6000))
         b = PointCloud(rng.uniform(-20, 20, size=(6000, 3)))
         try:
-            result = hierarchical_register(a, b, FAST_CFG, seed=8)
+            result = hierarchical_register(a, b, FAST_CFG, seed=8,
+                                           target_viewpoint=(0.0, 0.0, 0.0))
             assert result.fitness < 0.2
         except (NoConsensusError, NoCorrespondencesError):
             pass

@@ -132,24 +132,19 @@ def levels_with(index, position):
 
 def fields():
     out = []
-    for key, interval, integer in (("cluster_distance", "(0, inf)", False),
-                                   ("min_cluster_points", "[1, inf)", True),
-                                   ("score_points_scale", "(0, inf)", False)):
-        out.append(Field(DetectorConfig, key,
-                         lambda v, k=key: DetectorConfig(**{k: v}),
-                         interval, integer, section("detector", key)))
+    out.append(Field(DetectorConfig, "cluster_distance",
+                     lambda v: DetectorConfig(cluster_distance=v),
+                     "(0, inf)", json=section("detector", "cluster_distance")))
     out.append(Field(DetectorConfig, "seed", lambda v: DetectorConfig(seed=v),
                      "[0, inf)", True, option=("detect", "--seed")))
     for key, interval, integer, option in (
             ("threshold", "(0, 1]", False, "--threshold"),
             ("min_hits", "[1, inf)", True, "--min-hits"),
-            ("max_age", "[0, inf)", True, "--max-age"),
-            ("process_noise", "(0, inf)", False, None),
-            ("measurement_noise", "(0, inf)", False, None)):
+            ("max_age", "[0, inf)", True, "--max-age")):
         out.append(Field(TrackerConfig, key,
                          lambda v, k=key: TrackerConfig(**{k: v}),
                          interval, integer, section("tracker", key),
-                         option and ("track", option)))
+                         ("track", option)))
     for key, interval, integer, option in (
             ("node_count", "[1, inf)", True, "--nodes"),
             ("duration_s", FRAME_COUNT, False, "--duration"),
@@ -200,10 +195,7 @@ def fields():
             ("normal_radius", "(0, inf)", False),
             ("ransac_inlier_threshold", "(0, inf)", False),
             ("ransac_iterations", f"[1, {MAX_RANSAC_ITERATIONS}]", True),
-            ("arbitration_hypotheses", "[1, inf)", True),
-            ("min_normal_neighbors", "[1, inf)", True),
-            ("edge_length_ratio", "[0, 1)", False),
-            ("convergence_epsilon", "[0, inf)", False)):
+            ("arbitration_hypotheses", "[1, inf)", True)):
         out.append(Field(type(HIERARCHY), key,
                          lambda v, k=key: dc_replace(HIERARCHY, **{k: v}),
                          interval, integer, section("hierarchy", key)))

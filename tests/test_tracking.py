@@ -28,66 +28,66 @@ CFG = TrackerConfig()
 
 class TestKalman:
     def test_zero_velocity_prediction_keeps_position(self):
-        track = TrackState(box(), 1, CFG)
+        track = TrackState(box(), 1)
         trace_before = np.trace(track.covariance)
-        kalman_predict(track, 0.1, CFG)
+        kalman_predict(track, 0.1)
         np.testing.assert_allclose(track.mean[0:3], [0.0, 0.0, 0.0])
         assert np.trace(track.covariance) > trace_before
 
     def test_velocity_moves_position(self):
-        track = TrackState(box(), 1, CFG)
+        track = TrackState(box(), 1)
         track.mean[7] = 1.0
-        kalman_predict(track, 0.1, CFG)
+        kalman_predict(track, 0.1)
         assert track.mean[0] == pytest.approx(0.1)
 
     def test_predict_ages_track_to_death(self):
-        track = TrackState(box(), 1, CFG)
+        track = TrackState(box(), 1)
         for _ in range(CFG.max_age + 1):
-            kalman_predict(track, 0.1, CFG)
+            kalman_predict(track, 0.1)
         assert track.age_since_update > CFG.max_age
 
     def test_update_at_predicted_mean_shrinks_covariance(self):
-        track = TrackState(box(), 1, CFG)
-        kalman_predict(track, 0.1, CFG)
+        track = TrackState(box(), 1)
+        kalman_predict(track, 0.1)
         predicted_mean = track.mean.copy()
         trace_before = np.trace(track.covariance)
         detection = box()  # identical to predicted pose (zero velocity)
-        kalman_update(track, detection, CFG)
+        kalman_update(track, detection)
         np.testing.assert_allclose(track.mean[:7], predicted_mean[:7], atol=1e-12)
         assert np.trace(track.covariance) < trace_before
         assert track.age_since_update == 0
 
     def test_yaw_innovation_of_pi_wraps_to_zero(self):
-        track = TrackState(box(yaw=0.0), 1, CFG)
+        track = TrackState(box(yaw=0.0), 1)
         flipped = box(yaw=math.pi)
-        kalman_update(track, flipped, CFG)
+        kalman_update(track, flipped)
         assert track.mean[3] == pytest.approx(0.0, abs=1e-9)
 
     def test_repeated_updates_converge_to_measurement(self):
         # scalar-Kalman convergence: gain stays positive, error contracts
-        track = TrackState(box(), 1, CFG)
+        track = TrackState(box(), 1)
         target = box(x=2.0, y=-1.0, z=0.3)
         for _ in range(20):
-            kalman_predict(track, 0.1, CFG)
-            kalman_update(track, target, CFG)
+            kalman_predict(track, 0.1)
+            kalman_update(track, target)
         np.testing.assert_allclose(track.mean[0:3], target.center, atol=1e-3)
 
     def test_covariance_positive_definite_through_random_steps(self, rng):
-        track = TrackState(box(), 1, CFG)
+        track = TrackState(box(), 1)
         for _ in range(500):
-            kalman_predict(track, 0.1, CFG)
+            kalman_predict(track, 0.1)
             if rng.random() < 0.7:
                 jitter = rng.normal(scale=0.5, size=3)
-                kalman_update(track, box(*(track.mean[0:3] + jitter)), CFG)
+                kalman_update(track, box(*(track.mean[0:3] + jitter)))
             eigenvalues = np.linalg.eigvalsh(track.covariance)
             assert eigenvalues.min() > 0.0
             asym = np.abs(track.covariance - track.covariance.T).max()
             assert asym < 1e-9
 
     def test_cross_class_update_rejected(self):
-        track = TrackState(box(), 1, CFG)
+        track = TrackState(box(), 1)
         with pytest.raises(ValueError):
-            kalman_update(track, box(label=ObjectClass.PEDESTRIAN), CFG)
+            kalman_update(track, box(label=ObjectClass.PEDESTRIAN))
 
 
 class TestAssociate:
@@ -96,13 +96,13 @@ class TestAssociate:
         assert matches == [] and unmatched_tracks == [] and unmatched_dets == [0]
 
     def test_identity_matching_with_disjoint_pairs(self):
-        tracks = [TrackState(box(x=0.0), 1, CFG), TrackState(box(x=20.0), 2, CFG)]
+        tracks = [TrackState(box(x=0.0), 1), TrackState(box(x=20.0), 2)]
         detections = [box(x=0.3), box(x=20.3)]
         matches, ut, ud = associate(tracks, detections, CFG)
         assert sorted(matches) == [(0, 0), (1, 1)] and not ut and not ud
 
     def test_cross_class_never_matches(self):
-        tracks = [TrackState(box(label=ObjectClass.CAR), 1, CFG)]
+        tracks = [TrackState(box(label=ObjectClass.CAR), 1)]
         detections = [box(label=ObjectClass.PEDESTRIAN, size=(0.6, 0.6, 1.7))]
         matches, ut, ud = associate(tracks, detections, CFG)
         assert matches == [] and ut == [0] and ud == [0]
@@ -111,8 +111,8 @@ class TestAssociate:
         # 4 m boxes in a row, so a pair dx apart has IoU (4 - dx) / (4 + dx):
         # greedy takes the best pair (t0, d0) first and ends with a lower
         # total than the optimal assignment
-        tracks = [TrackState(box(x=0.0), 1, CFG),
-                  TrackState(box(x=2.5), 2, CFG)]
+        tracks = [TrackState(box(x=0.0), 1),
+                  TrackState(box(x=2.5), 2)]
         detections = [box(x=0.5), box(x=-1.0)]
         matches, _, _ = associate(tracks, detections, CFG)
         total = sum(iou_3d(tracks[t].to_box(), detections[d])
@@ -127,7 +127,7 @@ class TestAssociate:
         for _ in range(30):
             n = int(rng.integers(1, 5))
             tracks = [TrackState(box(x=float(rng.uniform(-5, 5)),
-                                     y=float(rng.uniform(-5, 5))), i + 1, cfg)
+                                     y=float(rng.uniform(-5, 5))), i + 1)
                       for i in range(n)]
             detections = [box(x=float(rng.uniform(-5, 5)),
                               y=float(rng.uniform(-5, 5))) for _ in range(n)]
