@@ -138,10 +138,15 @@ def transform_distance(a: RigidTransform, b: RigidTransform):
 # kernels skip numpy's (N, 3) temporaries and its short reductions along
 # rows.
 
+def xyz_sq_norms(v):
+    """``np.sum(rows ** 2, axis=-1)``: ``(x*x + y*y) + z*z``."""
+    x, y, z = v
+    return (x * x + y * y) + z * z
+
+
 def xyz_norms(v):
     """``np.linalg.norm(rows, axis=1)``: ``sqrt((x*x + y*y) + z*z)``."""
-    x, y, z = v
-    return np.sqrt((x * x + y * y) + z * z)
+    return np.sqrt(xyz_sq_norms(v))
 
 
 def xyz_dots(a, b):

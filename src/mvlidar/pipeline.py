@@ -25,10 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy
 
-from .detector import BACKGROUND_DISTANCE, DetectorConfig, detect_frame, \
-    subtract_background
-from .errors import CalibrationFailedError, ConfigError, FormatError, \
-    check_number
+from .detector import DetectorConfig, PreparedBackground, detect_frame, \
+    in_square, prepare_background, subtract_background
+from .errors import CalibrationFailedError, ConfigError, check_number
 from .formats import (
     atomic_write,
     flatten_frames,
@@ -69,20 +68,10 @@ from .tracking import TrackerConfig, track_sequence
 
 FAILED_CALIBRATION_FITNESS = 0.2
 
-# padding (m) on the cropped background square, so that rounding in the
-# crop never drops a background point the exact distance test would find
-_BACKGROUND_MARGIN = 1e-6
-
 
 def detection_half_extent(spec: SceneSpec) -> float:
     """Half side of the central square that detection is run and scored on."""
     return 0.6 * spec.extent
-
-
-def in_square(points: np.ndarray, half_extent: float) -> np.ndarray:
-    """Mask of the points with |x| <= half_extent and |y| <= half_extent."""
-    return ((np.abs(points[:, 0]) <= half_extent)
-            & (np.abs(points[:, 1]) <= half_extent))
 
 
 def thread_budget() -> int:
@@ -134,35 +123,32 @@ def calibrate_node(frames: Sequence[PointCloud], reference: PointCloud,
 # ---------------------------------------------------------------------------
 
 def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
-                     background: Optional[PointCloud] = None,
+                     background: Optional[PointCloud
+                                          | PreparedBackground] = None,
                      crop_half_extent: Optional[float] = None) -> list:
     """Run the detector over frames, in parallel, preserving frame order.
 
     ``crop_half_extent`` restricts detection to the annotated central area
-    (|x| and |y| up to the bound). With a background cloud, static
-    structure within BACKGROUND_DISTANCE is subtracted per frame and the
-    detector's own ground removal is skipped (the ground goes with the
-    background). Each frame is cropped first and the background subtracted
-    from what the crop keeps: a point's mask depends only on that point,
-    so the order changes no output. With both, the background is cropped
-    once per call to the detection square widened by BACKGROUND_DISTANCE:
-    no background point outside it lies within that distance of a point
-    the crop keeps. Raises FormatError when the background, so cropped,
-    holds no points: it would subtract nothing while ground removal stays
-    off. ``MVLK_THREADS=1`` runs the frames serially.
+    (|x| and |y| up to the bound). With a background, static structure
+    within BACKGROUND_DISTANCE is subtracted per frame and the detector's
+    own ground removal is skipped (the ground goes with the background).
+    Each frame is cropped first and the background subtracted from what
+    the crop keeps: a point's mask depends only on that point, so the
+    order changes no output. The background is a ``PreparedBackground``
+    made with the same ``crop_half_extent``, or a plain cloud, which is
+    prepared here once per call (``prepare_background`` crops it and
+    raises FormatError when nothing is left). ``MVLK_THREADS=1`` runs the
+    frames serially.
     """
     # clouds are world-frame here and the scene ground is z=0
     ground_z = None if background is None else 0.0
-    if background is not None:
-        where = ""
-        if crop_half_extent is not None:
-            reach = crop_half_extent + BACKGROUND_DISTANCE + _BACKGROUND_MARGIN
-            background = background.select(in_square(background.points,
-                                                     reach))
-            where = (f" within {BACKGROUND_DISTANCE} m of the detection "
-                     f"square |x|, |y| <= {crop_half_extent!r}")
-        if len(background) == 0:
-            raise FormatError(f"background scan holds no points{where}")
+    if isinstance(background, PointCloud):
+        background = prepare_background(background, crop_half_extent)
+    elif (background is not None
+          and background.crop_half_extent != crop_half_extent):
+        raise ValueError(
+            f"background prepared for the crop {background.crop_half_extent}"
+            f", not {crop_half_extent}")
 
     def run(cloud):
         if crop_half_extent is not None:
@@ -193,16 +179,26 @@ def fused_cloud(node_frames: dict, extrinsics: dict, nodes, frame: int,
                                    sync_window_s=sync_window_s))
 
 
+def scene_background(scene: SyntheticScene) -> PreparedBackground:
+    """The scene's reference scan prepared for its detection square."""
+    return prepare_background(scene.reference_cloud,
+                              detection_half_extent(scene.spec))
+
+
 def detect_views(scene: SyntheticScene, extrinsics: dict, nodes,
-                 detector_cfg: DetectorConfig, integrate: int = 1) -> list:
+                 detector_cfg: DetectorConfig, integrate: int = 1,
+                 background: Optional[PreparedBackground] = None) -> list:
     """Per-frame boxes of one detection pass over the views of ``nodes``:
     each frame's ``fused_cloud``, less the reference scan as background,
-    within the scene's detection square."""
+    within the scene's detection square. A caller that runs several passes
+    prepares the background once with ``scene_background`` and passes it;
+    without it, this pass prepares its own."""
+    if background is None:
+        background = scene_background(scene)
     clouds = [fused_cloud(scene.node_frames, extrinsics, nodes, frame,
                           integrate)
               for frame in range(scene.spec.n_frames)]
-    return detect_per_frame(clouds, detector_cfg,
-                            background=scene.reference_cloud,
+    return detect_per_frame(clouds, detector_cfg, background=background,
                             crop_half_extent=detection_half_extent(scene.spec))
 
 
@@ -225,11 +221,13 @@ def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
     means, keyed by a "viewsA+B" group name.
     """
     annotations = scene.annotations()
+    background = scene_background(scene)
     results = {}
     for group in VIEW_GROUPS:
         integrate = max(map(len, VIEW_GROUPS)) // len(group)
         detections = flatten_frames(detect_views(scene, extrinsics, group,
-                                                 detector_cfg, integrate))
+                                                 detector_cfg, integrate,
+                                                 background))
         per_class_recall, per_class_ap = {}, {}
         for label in ObjectClass:
             per_class_recall[label], per_class_ap[label] = recall_and_ap(
@@ -251,7 +249,9 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
     """Early fusion vs NMS/average late fusion vs single views, by AP."""
     nodes = sorted(scene.node_frames)
     annotations = scene.annotations()
-    per_view = {node: detect_views(scene, extrinsics, (node,), detector_cfg)
+    background = scene_background(scene)
+    per_view = {node: detect_views(scene, extrinsics, (node,), detector_cfg,
+                                   background=background)
                 for node in nodes}
     methods = {f"view {node}": flatten_frames(boxes)
                for node, boxes in per_view.items()}
@@ -261,7 +261,8 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
                       method=method)
             for frame in range(scene.spec.n_frames))
     methods["early fusion"] = flatten_frames(
-        detect_views(scene, extrinsics, nodes, detector_cfg))
+        detect_views(scene, extrinsics, nodes, detector_cfg,
+                     background=background))
 
     results = {}
     for name, detections in methods.items():

@@ -22,12 +22,14 @@ over annotated corner pairs.
 
 Exact kernels: a faster kernel replaces a slower one only when it gives the
 same bits, so the calibration output never depends on which one ran. The
-row norms, dot and cross products of normals, FPFH and RANSAC run on
-contiguous (x, y, z) columns through ``geometry.xyz_norms``, ``xyz_dots``
-and ``xyz_cross``, which repeat numpy's operation order on (N, 3) rows, as
-measured on numpy 2.4:
+row norms, squared norms, dot and cross products of normals, FPFH, RANSAC,
+arbitration and ICP run on (x, y, z) columns through
+``geometry.xyz_norms``, ``xyz_sq_norms``, ``xyz_dots`` and ``xyz_cross``,
+which repeat numpy's operation order on (N, 3) rows, as measured on numpy
+2.4:
 
-- ``np.linalg.norm(v, axis=1)`` is ``sqrt((x*x + y*y) + z*z)``;
+- ``np.linalg.norm(v, axis=1)`` is ``sqrt((x*x + y*y) + z*z)``, and
+  ``np.sum(v ** 2, axis=-1)`` is ``(x*x + y*y) + z*z``;
 - ``np.einsum("ij,ij->i", a, b)`` is ``((a0*b0 + a2*b2) + a1*b1) + 0.0``
   when each row's entries are adjacent in memory, and adds in the order
   (0, 1, 2) when they are strided. The ``+ 0.0`` matters: it makes a -0.0
@@ -63,6 +65,7 @@ from .geometry import (
     xyz_cross,
     xyz_dots,
     xyz_norms,
+    xyz_sq_norms,
 )
 
 FPFH_BINS_PER_FEATURE = 11
@@ -438,7 +441,7 @@ def _arbitrate(candidates, rotations, translations, corr_src, corr_tgt,
         refit = None
         for _ in range(3):
             moved = corr_src @ rotation.T + translation
-            inliers = np.sum((moved - corr_tgt) ** 2, axis=1) <= threshold_sq
+            inliers = xyz_sq_norms((moved - corr_tgt).T) <= threshold_sq
             if inliers.sum() < 3:
                 break
             try:
@@ -552,7 +555,8 @@ def coarse_align_ransac(source: PointCloud, target: PointCloud,
         stop = min(start + _SCORE_CHUNK, len(rotations))
         moved = np.einsum("tij,mj->tmi", rotations[start:stop], corr_src)
         moved += translations[start:stop][:, None, :]
-        err_sq = np.sum((moved - corr_tgt[None]) ** 2, axis=2)
+        moved -= corr_tgt[None]
+        err_sq = xyz_sq_norms(np.moveaxis(moved, 2, 0))
         counts[start:stop] = (err_sq <= threshold_sq).sum(axis=1)
     if counts.max() < 3:
         raise NoConsensusError(f"best hypothesis has {counts.max()} inliers")
@@ -658,8 +662,7 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidTransform,
         except DegenerateConfigurationError:
             break
         moved = pairs_src @ candidate.rotation.T + candidate.translation
-        rmse = float(np.sqrt(np.mean(np.sum((moved - pairs_tgt) ** 2,
-                                            axis=1))))
+        rmse = float(np.sqrt(np.mean(xyz_sq_norms((moved - pairs_tgt).T))))
         if rmse_history and rmse > rmse_history[-1]:
             break  # worsening step rejected; keep the previous pose
         pose = candidate

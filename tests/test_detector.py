@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,11 +15,12 @@ from mvlidar.detector import (
     cluster_euclidean,
     detect_frame,
     fit_oriented_box,
+    prepare_background,
     remove_ground,
     subtract_background,
 )
 from mvlidar.errors import ConfigError, DegenerateClusterError, \
-    NoGroundPlaneError, TooManyPairsError
+    FormatError, NoGroundPlaneError, TooManyPairsError
 from mvlidar.geometry import Box3D, ObjectClass, PointCloud
 
 
@@ -34,6 +36,18 @@ def balanced_tree_subtract(cloud, background, distance):
     nearest, _ = cKDTree(background.points).query(
         cloud.points, distance_upper_bound=distance)
     return cloud.select(~np.isfinite(nearest))
+
+
+def subtract(cloud, background, distance):
+    """``subtract_background`` against a freshly prepared background. A
+    background without points is refused when it is prepared, which
+    subtracts nothing, as the oracle does."""
+    if len(background) == 0:
+        with pytest.raises(FormatError):
+            prepare_background(background, distance=distance)
+        return cloud
+    return subtract_background(
+        cloud, prepare_background(background, distance=distance))
 
 
 def assert_same_cloud(actual, expected):
@@ -60,15 +74,19 @@ class TestSubtractBackground:
                             [5.0, 0.3, np.nextafter(0.4, 0.0)],
                             [2.5, 0.0, 0.0]],
                            intensity=[1.0, 2.0, 3.0, 4.0, 5.0])
-        kept = subtract_background(cloud, background, 0.5)
+        kept = subtract(cloud, background, 0.5)
         assert_same_cloud(kept, balanced_tree_subtract(cloud, background, 0.5))
         assert kept.intensity.tolist() == [1.0, 3.0, 5.0]
 
     def test_empty_inputs_pass_through(self):
+        """An empty cloud comes back as it is; an empty background is
+        refused before any frame is subtracted."""
         cloud = PointCloud([[1.0, 2.0, 3.0]])
-        assert subtract_background(cloud, PointCloud.empty()) is cloud
+        with pytest.raises(FormatError,
+                           match="^background scan holds no points$"):
+            prepare_background(PointCloud.empty())
         empty = PointCloud.empty()
-        assert subtract_background(empty, cloud) is empty
+        assert subtract_background(empty, prepare_background(cloud)) is empty
 
     @settings(max_examples=200, deadline=None)
     @given(cloud=_POINTS, background=_POINTS,
@@ -78,7 +96,7 @@ class TestSubtractBackground:
         cloud = PointCloud(np.array(cloud).reshape(-1, 3),
                            intensity=np.arange(len(cloud), dtype=float))
         background = PointCloud(np.array(background).reshape(-1, 3))
-        assert_same_cloud(subtract_background(cloud, background, distance),
+        assert_same_cloud(subtract(cloud, background, distance),
                           balanced_tree_subtract(cloud, background, distance))
 
 
@@ -109,7 +127,7 @@ class TestBackgroundBoxCull:
                 points.append(point)
         cloud = PointCloud(np.array(points),
                            intensity=np.arange(len(points), dtype=float))
-        kept = subtract_background(cloud, background, 0.5)
+        kept = subtract(cloud, background, 0.5)
         assert_same_cloud(kept, balanced_tree_subtract(cloud, background, 0.5))
         assert 0 < len(kept) < len(cloud)
 
@@ -122,14 +140,133 @@ class TestBackgroundBoxCull:
         cloud = PointCloud(base + np.array(cloud).reshape(-1, 3),
                            intensity=np.arange(len(cloud), dtype=float))
         background = PointCloud(base + np.array(background).reshape(-1, 3))
-        assert_same_cloud(subtract_background(cloud, background, distance),
+        assert_same_cloud(subtract(cloud, background, distance),
                           balanced_tree_subtract(cloud, background, distance))
 
     def test_cloud_wholly_outside_is_kept(self, rng):
         background = PointCloud(rng.uniform(-5.0, 5.0, size=(200, 3)))
         cloud = PointCloud(rng.uniform(6.0, 9.0, size=(50, 3)))
-        kept = subtract_background(cloud, background, 0.5)
+        kept = subtract(cloud, background, 0.5)
         np.testing.assert_array_equal(kept.points, cloud.points)
+
+
+@pytest.fixture
+def trees(monkeypatch):
+    """[points in the tree, points queried] of each tree the detector
+    builds, in order."""
+    built = []
+
+    class RecordingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            self.record = [len(data), 0]
+            built.append(self.record)
+
+        def query(self, x, *args, **kwargs):
+            self.record[1] += len(x)
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(detector, "cKDTree", RecordingTree)
+    return built
+
+
+def nudged(value, ulps):
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+class TestBackgroundGrid:
+    """The covered fine cells and the candidate tree give the balanced-tree
+    oracle's mask at the cell and distance boundaries, far from the origin
+    and on backgrounds the table cannot hold; each call builds one tree."""
+
+    @pytest.mark.parametrize("base", [0.0, 1e9, -1e9])
+    @pytest.mark.parametrize("distance", [0.5, 0.3])
+    def test_lattice_at_half_and_whole_distance(self, base, distance,
+                                                trees):
+        # background points three distances apart on a lattice of half
+        # distances: the fine cells' own corners
+        half = distance / 2
+        lattice = np.array([[i, j, k] for i in range(0, 13, 6)
+                            for j in range(0, 7, 6) for k in (0, 6)])
+        background = PointCloud(base + half * lattice)
+        offsets = [(s * a, 0, 0) for s in (1, -1) for a in (half, distance)]
+        offsets += [(0, half, 0), (0, 0, -distance), (half, half, 0),
+                    (half, half, half), (0.6 * distance, 0.8 * distance, 0),
+                    (0, -0.8 * distance, 0.6 * distance)]
+        points = []
+        for b in background.points[:6]:
+            for offset in offsets:
+                exact = b + np.array(offset)
+                for ulps in (-1, 0, 1):
+                    points.append([nudged(c, ulps) for c in exact])
+        cloud = PointCloud(np.array(points),
+                           intensity=np.arange(len(points), dtype=float))
+        kept = subtract(cloud, background, distance)
+        assert_same_cloud(kept, balanced_tree_subtract(cloud, background,
+                                                       distance))
+        assert 0 < len(kept) < len(cloud)
+        [(_, queried)] = trees
+        # the covered cells settle some points unqueried
+        assert 0 < queried < len(cloud)
+
+    @pytest.mark.parametrize("offset", [(0.1, 0.5, 0.5), (0.9, 0.5, 0.1),
+                                        (0.13, 0.87, 0.5), (0.0, 0.0, 0.0),
+                                        (0.62, 0.62, 0.62)])
+    def test_far_corners_of_the_cells_around_a_point(self, offset):
+        """Frame points just inside each corner of the 27 fine cells around
+        a background point at ``offset`` within its own cell: a cell is
+        covered only when its far corner is within the distance."""
+        distance, half = 0.5, 0.25
+        # the first point sets the grid's origin 10 fine cells away
+        background = PointCloud([[0.0, 0.0, 0.0],
+                                 half * (10.0 + np.array(offset))])
+        points = [[half * (10 + step + corner) - 1e-9 * corner
+                   for step, corner in zip(steps, corners)]
+                  for steps in itertools.product((-1, 0, 1), repeat=3)
+                  for corners in itertools.product((0, 1), repeat=3)]
+        cloud = PointCloud(np.array(points))
+        kept = subtract(cloud, background, distance)
+        assert_same_cloud(kept, balanced_tree_subtract(cloud, background,
+                                                       distance))
+        assert 0 < len(kept) < len(cloud)
+
+    @pytest.mark.parametrize("stray", [(1e6, 0.0, 0.0), (0.0, 0.0, 1e12)])
+    def test_background_the_table_cannot_hold(self, stray, trees, rng):
+        """A scan with one stray point 10^6 m away spans too many cells,
+        and one 10^12 m away passes 2**40 distances: the grid decides
+        nothing, and every point is queried against the whole scan."""
+        background = PointCloud(np.vstack([
+            ground_grid(extent=3.0, spacing=0.3), [stray]]))
+        cloud = PointCloud(rng.uniform((-4.0, -4.0, -0.5), (4.0, 4.0, 0.8),
+                                       size=(300, 3)))
+        kept = subtract(cloud, background, 0.5)
+        assert_same_cloud(kept, balanced_tree_subtract(cloud, background,
+                                                       0.5))
+        assert 0 < len(kept) < len(cloud)
+        assert trees == [[len(background), len(cloud)]]
+
+    def test_empty_cloud_builds_a_tree_over_no_point(self, trees):
+        background = prepare_background(PointCloud(ground_grid(extent=2.0)))
+        empty = PointCloud.empty()
+        assert subtract_background(empty, background) is empty
+        assert trees == [[0, 0]]
+
+    def test_frame_the_grid_settles_entirely(self, trees, rng):
+        points = ground_grid(extent=3.0, spacing=0.3, noise=0.05, rng=rng)
+        background = prepare_background(PointCloud(points))
+        cloud = PointCloud(points + rng.uniform(-0.05, 0.05, points.shape))
+        assert len(subtract_background(cloud, background)) == 0
+        assert trees == [[0, 0]]
+
+    def test_frame_with_no_background_near(self, trees, rng):
+        background = PointCloud(ground_grid(extent=3.0, spacing=0.3))
+        cloud = PointCloud(rng.uniform((-40.0, 10.0, 5.0),
+                                       (-20.0, 20.0, 9.0), size=(50, 3)))
+        kept = subtract_background(cloud, prepare_background(background))
+        assert kept is cloud
+        assert trees == [[0, len(cloud)]]
 
 
 def test_non_finite_cluster_distance_rejected():

@@ -686,6 +686,19 @@ class TestRowKernels:
 
     @settings(max_examples=200, deadline=None)
     @given(rows=row_pairs())
+    def test_squared_norms(self, rows):
+        """Contiguous columns, and the strided (3, T, M) view of a
+        (T, M, 3) stack as RANSAC scoring passes it."""
+        a, b = rows
+        with np.errstate(all="ignore"):
+            assert same_bits(geometry.xyz_sq_norms(a.T.copy()),
+                             np.sum(a ** 2, axis=1))
+            stack = np.stack([a, b, a[::-1]])
+            assert same_bits(geometry.xyz_sq_norms(np.moveaxis(stack, 2, 0)),
+                             np.sum(stack ** 2, axis=2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=row_pairs())
     def test_dots_of_adjacent_entries(self, rows):
         a, b = rows
         with np.errstate(all="ignore"):

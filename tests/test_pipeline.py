@@ -12,9 +12,9 @@ import scipy
 from scipy.spatial import cKDTree
 
 from conftest import box_surface, ground_grid
-from mvlidar import pipeline
+from mvlidar import detector, pipeline
 from mvlidar.detector import BACKGROUND_DISTANCE, DetectorConfig, \
-    detect_frame, subtract_background
+    detect_frame, prepare_background, subtract_background
 from mvlidar.errors import CalibrationFailedError, ConfigError, FormatError
 from mvlidar.geometry import ObjectClass, PointCloud, apply_transform, \
     transform_distance
@@ -35,6 +35,7 @@ from mvlidar.pipeline import (
     run_fusion_comparison,
     run_pipeline,
     run_view_group_experiment,
+    scene_background,
     thread_budget,
 )
 from mvlidar.registration import HierarchyConfig, HierarchyLevel, \
@@ -158,10 +159,11 @@ def full_background_pass(clouds, background, distance, crop):
     """Reference detection pass: each frame against the whole background on
     a balanced tree, then the crop. Returns the kept clouds and the boxes."""
     kept = []
+    tree = cKDTree(background.points) if len(background) else None
     for cloud in clouds:
-        if len(cloud) and len(background):
-            nearest, _ = cKDTree(background.points).query(
-                cloud.points, distance_upper_bound=distance)
+        if len(cloud) and tree is not None:
+            nearest, _ = tree.query(cloud.points,
+                                    distance_upper_bound=distance)
             cloud = cloud.select(~np.isfinite(nearest))
         if crop is not None and len(cloud):
             cloud = cloud.select(
@@ -328,6 +330,12 @@ class TestBackgroundCrop:
         # uncropped, the far point is a background like any other
         assert detect_per_frame(frames, cfg, background=far)
 
+    def test_background_prepared_for_another_crop_rejected(self, rng):
+        prepared = prepare_background(self.background(), self.HALF)
+        with pytest.raises(ValueError, match="prepared for the crop 10.0"):
+            detect_per_frame([self.frame(rng)], DetectorConfig(),
+                             background=prepared, crop_half_extent=9.0)
+
     def test_no_crop_uses_the_whole_background(self, monkeypatch, rng):
         seen, _ = assert_same_pass(monkeypatch, [self.frame(rng)],
                                    self.background(), None)
@@ -343,6 +351,92 @@ class TestBackgroundCrop:
                                     busy_scene.reference_cloud,
                                     0.6 * busy_scene.spec.extent)
         assert any(boxes)
+
+
+@pytest.fixture(scope="module", params=[0, 101])
+def crossroad(request):
+    """The default crossroad layout recorded with seeds 0 and 101, as the
+    benchmark renders it, cut to 3 frames."""
+    spec = standard_crossroad_spec(n_frames=3, seed=0)
+    return generate_synthetic_scene(spec, seed=request.param)
+
+
+def crossroad_passes(scene):
+    """(nodes, integrate) of the detect stage and of every pass of the two
+    experiments."""
+    nodes = tuple(sorted(scene.node_frames))
+    return ([(nodes, 1)]
+            + [(group, len(nodes) // len(group)) for group in VIEW_GROUPS]
+            + [((node,), 1) for node in nodes] + [(nodes, 1)])
+
+
+class TestPreparedBackgroundPasses:
+    """Every detection pass of the detect stage and of both experiments
+    gives the full-tree oracle's boxes, and the background grid leaves the
+    trees and queries a fraction of the work."""
+
+    def test_every_pass_matches_the_full_tree(self, monkeypatch, crossroad):
+        scene, cfg = crossroad, DetectorConfig()
+        passes = []
+
+        def recording(clouds, cfg, background=None, crop_half_extent=None):
+            boxes = detect_per_frame(clouds, cfg, background,
+                                     crop_half_extent)
+            passes.append((clouds, crop_half_extent, boxes))
+            return boxes
+
+        monkeypatch.setattr(pipeline, "detect_per_frame", recording)
+        detect_views(scene, scene.extrinsics, sorted(scene.node_frames), cfg)
+        eval_cfg = DetectionEvalConfig()
+        run_view_group_experiment(scene, scene.extrinsics, cfg, eval_cfg)
+        run_fusion_comparison(scene, scene.extrinsics, cfg, eval_cfg)
+        assert len(passes) == len(crossroad_passes(scene)) == 9
+        for clouds, crop, boxes in passes:
+            _, expected = full_background_pass(
+                clouds, scene.reference_cloud, BACKGROUND_DISTANCE, crop)
+            assert [[box_key(b) for b in frame] for frame in boxes] == \
+                [[box_key(b) for b in frame] for frame in expected]
+        assert sum(len(frame) for _, _, boxes in passes for frame in boxes)
+
+    def test_work_guard(self, monkeypatch, crossroad):
+        """Summed over the frames, the trees hold less than half the
+        cropped background, and no queried point shares a fine cell with
+        a background point: a fallback to the full tree fails both."""
+        scene = crossroad
+        trees = []
+
+        class RecordingTree(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                super().__init__(data, *args, **kwargs)
+                trees.append((len(data), []))
+
+            def query(self, x, *args, **kwargs):
+                trees[-1][1].append(np.array(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(detector, "cKDTree", RecordingTree)
+        background = scene_background(scene)
+        half = detection_half_extent(scene.spec)
+        frames = 0
+        for nodes, integrate in crossroad_passes(scene):
+            for frame in range(scene.spec.n_frames):
+                cloud = fused_cloud(scene.node_frames, scene.extrinsics,
+                                    nodes, frame, integrate)
+                subtract_background(
+                    cloud.select(in_square(cloud.points, half)), background)
+                frames += 1
+        assert len(trees) == frames
+        assert sum(size for size, _ in trees) < 0.5 * frames * len(
+            background.points)
+        # the fine cells, side distance / 2 from the background's minimum
+        side = BACKGROUND_DISTANCE / 2
+        origin = background.points.min(axis=0)
+        occupied = {tuple(cell) for cell in np.floor(
+            (background.points - origin) / side).astype(int).tolist()}
+        queried = np.vstack([x for _, xs in trees for x in xs])
+        assert 0 < len(queried)
+        assert not any(tuple(cell) in occupied for cell in np.floor(
+            (queried - origin) / side).astype(int).tolist())
 
 
 class TestPipelineConfig:

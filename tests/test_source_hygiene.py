@@ -5,8 +5,8 @@ ones that keep dead code from piling up: every name a module imports is used
 in that module, every private module-level name is referenced somewhere in
 the package, every public one is used by the package, the demos or the
 benchmark harness, and so is every public method and property of a class,
-and every field of a config dataclass is read by the package. Norms, dot and
-cross products of point rows have one definition each.
+and every field of a config dataclass is read by the package. Norms, squared
+norms, dot and cross products of point rows have one definition each.
 """
 
 import ast
@@ -212,10 +212,18 @@ def dotted(node) -> str:
     return ".".join([node.id, *reversed(parts)])
 
 
+def squared(node) -> bool:
+    """Whether the expression is ``something ** 2``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and constant(node.right) == 2)
+
+
 def numpy_row_kernels(tree):
     """(line, call) of every numpy call that ``geometry.xyz_norms``,
-    ``xyz_dots`` or ``xyz_cross`` replaces: a norm along axis 1, a row-wise
-    ``einsum`` dot and any ``cross``."""
+    ``xyz_sq_norms``, ``xyz_dots`` or ``xyz_cross`` replaces: a norm along
+    axis 1, a sum of squares along an axis (``np.sum(d ** 2, axis=1)`` or
+    ``(d ** 2).sum(axis=1)``), a row-wise ``einsum`` dot and any
+    ``cross``."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -223,11 +231,15 @@ def numpy_row_kernels(tree):
         axes = [constant(keyword.value) for keyword in node.keywords
                 if keyword.arg == "axis"]
         subscripts = constant(node.args[0]) if node.args else None
+        summed = (node.args[0] if name == "np.sum" and node.args
+                  else node.func.value if isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "sum" else None)
         if (name == "np.linalg.norm" and (1 in axes or -1 in axes)
                 or name == "np.einsum" and isinstance(subscripts, str)
                 and subscripts.replace(" ", "") == "ij,ij->i"
-                or name == "np.cross"):
-            yield node.lineno, name
+                or name == "np.cross"
+                or summed is not None and squared(summed) and axes):
+            yield node.lineno, name or ".sum"
 
 
 def constant(node):
@@ -239,8 +251,8 @@ def constant(node):
 
 
 def test_row_kernels_have_one_definition():
-    """Norms, dot and cross products of 3-vector rows go through the
-    exact column kernels in ``geometry``, never numpy's own."""
+    """Norms, squared norms, dot and cross products of 3-vector rows go
+    through the exact column kernels in ``geometry``, never numpy's own."""
     found = [f"{module}:{line} {name}" for module, tree in TREES.items()
              for line, name in numpy_row_kernels(tree)]
     assert not found, f"numpy row kernels outside geometry.xyz_*: {found}"
@@ -253,8 +265,15 @@ def test_the_check_sees_each_numpy_row_kernel():
                      "d = np.cross(u, v)\n"
                      "e = np.linalg.norm(v)\n"
                      "f = np.linalg.norm(v, axis=0)\n"
-                     "g = np.einsum('tij,tj->ti', r, v)\n")
-    assert [line for line, _ in numpy_row_kernels(tree)] == [1, 2, 3, 4]
+                     "g = np.einsum('tij,tj->ti', r, v)\n"
+                     "h = np.sum((a - b) ** 2, axis=1)\n"
+                     "i = np.sum(d ** 2, axis=2) <= t\n"
+                     "j = ((a - b) ** 2).sum(axis=-1)\n"
+                     "k = np.sum(d ** 2)\n"
+                     "m = np.sum(d ** 3, axis=1)\n"
+                     "n = (d * d).sum(axis=1)\n")
+    assert sorted(line for line, _ in numpy_row_kernels(tree)) == [
+        1, 2, 3, 4, 8, 9, 10]
 
 
 def test_the_checks_see_an_unused_import_and_an_unused_private_name():
