@@ -29,7 +29,7 @@ from .errors import AlgorithmError, ConfigError, FormatError, \
 from .formats import flatten_frames, read_calibration, read_detections, \
     read_frame, read_trajectories, read_xyz, write_calibration, \
     write_detections, write_frame, write_json, write_trajectories, write_xyz
-from .fusion import DEFAULT_SYNC_WINDOW_S
+from .fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet
 from .geometry import ObjectClass
 from .metrics import DetectionEvalConfig, compute_ap, compute_clear_mot, \
     format_ap_table, format_mot_table
@@ -39,7 +39,7 @@ from .pipeline import PipelineConfig, calibrate_node, detect_per_frame, \
 from .scene import DEFAULT_FRAME_RATE_HZ, generate_synthetic_scene, \
     standard_crossroad_spec
 from .syncsim import NetworkModel, compute_time_error_report, simulate_session
-from .tracking import track_detections
+from .tracking import check_frame_dt, track_detections
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -159,6 +159,8 @@ def cmd_sync_sim(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    # the window's range check, before any input is read
+    ViewFrameSet({}, {}, sync_window_s=args.sync_window)
     extrinsics = read_calibration(args.calib)
     per_node = {node: _frames_in(directory)
                 for node, directory in _node_dirs(args.frames).items()}
@@ -194,6 +196,7 @@ def cmd_detect(args) -> int:
 def cmd_track(args) -> int:
     cfg = dc_replace(_PIPELINE.tracker, threshold=args.threshold,
                      min_hits=args.min_hits, max_age=args.max_age)
+    check_frame_dt(args.frame_dt)
     trajectories = track_detections(read_detections(args.detections), cfg,
                                     frame_dt=args.frame_dt)
     write_trajectories(args.out, trajectories)

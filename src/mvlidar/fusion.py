@@ -46,15 +46,18 @@ class ViewFrameSet:
         if missing:
             raise ValueError(f"nodes without extrinsics: {missing}")
 
-    def check_synchronized(self):
-        stamps = [frame.timestamp_ns for frame in self.frames.values()]
-        if not stamps:
-            return
-        skew_s = (max(stamps) - min(stamps)) / 1e9
-        if skew_s > self.sync_window_s:
-            raise TimestampSkewError(
-                f"frame timestamps spread over {skew_s * 1e3:.3f} ms, "
-                f"window is {self.sync_window_s * 1e3:.3f} ms")
+
+def check_synchronized(stamps, sync_window_s: float) -> None:
+    """Raise TimestampSkewError when frame timestamps (ns) spread over more
+    than the window (s)."""
+    stamps = list(stamps)
+    if not stamps:
+        return
+    skew_s = (max(stamps) - min(stamps)) / 1e9
+    if skew_s > sync_window_s:
+        raise TimestampSkewError(
+            f"frame timestamps spread over {skew_s * 1e3:.3f} ms, "
+            f"window is {sync_window_s * 1e3:.3f} ms")
 
 
 def early_fuse(view_set: ViewFrameSet) -> PointCloud:
@@ -64,7 +67,9 @@ def early_fuse(view_set: ViewFrameSet) -> PointCloud:
     not depend on dict insertion order. Every point is tagged with its
     source node; other attributes follow ``PointCloud.concatenate``.
     """
-    view_set.check_synchronized()
+    check_synchronized((frame.timestamp_ns
+                        for frame in view_set.frames.values()),
+                       view_set.sync_window_s)
     nodes = sorted(view_set.frames)
     return PointCloud.concatenate(
         [apply_transform(view_set.extrinsics[node], view_set.frames[node])

@@ -12,7 +12,6 @@ point budget), and early versus late fusion of detection boxes.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -37,9 +36,9 @@ from .formats import (
     write_json,
     write_trajectories,
 )
-from .fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet, early_fuse, \
-    late_fuse, temporal_integrate
-from .geometry import ObjectClass, PointCloud
+from .fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet, \
+    check_synchronized, early_fuse, late_fuse, temporal_integrate
+from .geometry import ObjectClass, PointCloud, apply_transform
 from .metrics import (
     DetectionEvalConfig,
     MotEvalConfig,
@@ -75,25 +74,15 @@ def detection_half_extent(spec: SceneSpec) -> float:
 
 
 def thread_budget() -> int:
-    """Worker cap for per-frame stages; MVLK_THREADS, a positive integer,
-    overrides downward."""
-    budget = os.cpu_count() or 1
-    override = os.environ.get("MVLK_THREADS")
-    if override:
-        try:
-            threads = int(override)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise ConfigError(
-                f"MVLK_THREADS={override!r} is not a positive integer")
-        budget = min(budget, threads)
-    return budget
+    """The threads detection runs on: 1, as every pass runs its frames in
+    order on the calling thread. Kept for the benchmark harness, which
+    records it in its settings."""
+    return 1
 
 
 def run_environment() -> dict:
-    """The thread budget and library versions a run's timings depend on."""
-    return {"threads": thread_budget(), "python": platform.python_version(),
+    """The library versions a run's timings and outputs depend on."""
+    return {"python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__}
 
 
@@ -126,19 +115,19 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
                      background: Optional[PointCloud
                                           | PreparedBackground] = None,
                      crop_half_extent: Optional[float] = None) -> list:
-    """Run the detector over frames, in parallel, preserving frame order.
+    """Run the detector over frames in order, on the calling thread.
 
     ``crop_half_extent`` restricts detection to the annotated central area
-    (|x| and |y| up to the bound). With a background, static structure
-    within BACKGROUND_DISTANCE is subtracted per frame and the detector's
-    own ground removal is skipped (the ground goes with the background).
-    Each frame is cropped first and the background subtracted from what
-    the crop keeps: a point's mask depends only on that point, so the
-    order changes no output. The background is a ``PreparedBackground``
-    made with the same ``crop_half_extent``, or a plain cloud, which is
-    prepared here once per call (``prepare_background`` crops it and
-    raises FormatError when nothing is left). ``MVLK_THREADS=1`` runs the
-    frames serially.
+    (|x| and |y| up to the bound); a frame already inside it passes as it
+    is. With a background, static structure within BACKGROUND_DISTANCE is
+    subtracted per frame and the detector's own ground removal is skipped
+    (the ground goes with the background). Each frame is cropped first and
+    the background subtracted from what the crop keeps: a point's mask
+    depends only on that point, so the order changes no output. The
+    background is a ``PreparedBackground`` made with the same
+    ``crop_half_extent``, or a plain cloud, which is prepared here once per
+    call (``prepare_background`` crops it and raises FormatError when
+    nothing is left).
     """
     # clouds are world-frame here and the scene ground is z=0
     ground_z = None if background is None else 0.0
@@ -149,19 +138,16 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
         raise ValueError(
             f"background prepared for the crop {background.crop_half_extent}"
             f", not {crop_half_extent}")
-
-    def run(cloud):
+    boxes = []
+    for cloud in clouds:
         if crop_half_extent is not None:
-            cloud = cloud.select(in_square(cloud.points, crop_half_extent))
+            keep = in_square(cloud.points, crop_half_extent)
+            if not keep.all():
+                cloud = cloud.select(keep)
         if background is not None:
             cloud = subtract_background(cloud, background)
-        return detect_frame(cloud, cfg, ground_z)
-
-    workers = thread_budget()
-    if workers <= 1 or len(clouds) <= 1:
-        return [run(cloud) for cloud in clouds]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, clouds))
+        boxes.append(detect_frame(cloud, cfg, ground_z))
+    return boxes
 
 
 def fused_cloud(node_frames: dict, extrinsics: dict, nodes, frame: int,
@@ -179,27 +165,69 @@ def fused_cloud(node_frames: dict, extrinsics: dict, nodes, frame: int,
                                    sync_window_s=sync_window_s))
 
 
-def scene_background(scene: SyntheticScene) -> PreparedBackground:
-    """The scene's reference scan prepared for its detection square."""
-    return prepare_background(scene.reference_cloud,
-                              detection_half_extent(scene.spec))
+@dataclass(frozen=True)
+class DetectionViews:
+    """What every detection pass over one scene shares, each made once: the
+    reference scan prepared for the detection square, and every node frame
+    moved to the world frame and cropped to that square.
+
+    ``frames[node][k]`` is node frame ``k`` in the world frame, less its
+    points outside the square, with its timestamp. A pass frame
+    concatenates these (``fused``) instead of fusing, integrating and
+    cropping the node frames again.
+    """
+
+    background: PreparedBackground
+    frames: dict
+    crop_half_extent: float
+
+    @staticmethod
+    def build(scene: SyntheticScene, extrinsics: dict,
+              nodes=None) -> "DetectionViews":
+        """The views of ``nodes`` (default: every node of the scene).
+        Raises ValueError when a node's frames are out of time order, as
+        ``temporal_integrate`` does."""
+        half = detection_half_extent(scene.spec)
+        frames = {}
+        for node in sorted(scene.node_frames if nodes is None else nodes):
+            stamps = [frame.timestamp_ns for frame in scene.node_frames[node]]
+            if any(b < a for a, b in zip(stamps, stamps[1:])):
+                raise ValueError("frames must be in time order")
+            world = [apply_transform(extrinsics[node], frame)
+                     for frame in scene.node_frames[node]]
+            frames[node] = [cloud.select(in_square(cloud.points, half))
+                            for cloud in world]
+        return DetectionViews(
+            background=prepare_background(scene.reference_cloud, half),
+            frames=frames, crop_half_extent=half)
+
+    def fused(self, nodes, frame: int, integrate: int = 1) -> PointCloud:
+        """The points ``fused_cloud`` gives for ``nodes`` at ``frame`` that
+        the square keeps, in its order: by node, then oldest frame first."""
+        check_synchronized((self.frames[node][frame].timestamp_ns
+                            for node in nodes), DEFAULT_SYNC_WINDOW_S)
+        start = max(0, frame - integrate + 1)
+        return PointCloud(np.concatenate(
+            [self.frames[node][k].points for node in sorted(nodes)
+             for k in range(start, frame + 1)] or [np.zeros((0, 3))]))
 
 
 def detect_views(scene: SyntheticScene, extrinsics: dict, nodes,
                  detector_cfg: DetectorConfig, integrate: int = 1,
-                 background: Optional[PreparedBackground] = None) -> list:
+                 views: Optional[DetectionViews] = None) -> list:
     """Per-frame boxes of one detection pass over the views of ``nodes``:
     each frame's ``fused_cloud``, less the reference scan as background,
     within the scene's detection square. A caller that runs several passes
-    prepares the background once with ``scene_background`` and passes it;
-    without it, this pass prepares its own."""
-    if background is None:
-        background = scene_background(scene)
-    clouds = [fused_cloud(scene.node_frames, extrinsics, nodes, frame,
-                          integrate)
+    builds the views once with ``DetectionViews.build`` from the same scene
+    and extrinsics and passes them; without them, this pass builds the
+    views of ``nodes``."""
+    if views is None:
+        views = DetectionViews.build(scene, extrinsics, nodes)
+    clouds = [views.fused(nodes, frame, integrate)
               for frame in range(scene.spec.n_frames)]
-    return detect_per_frame(clouds, detector_cfg, background=background,
-                            crop_half_extent=detection_half_extent(scene.spec))
+    return detect_per_frame(clouds, detector_cfg,
+                            background=views.background,
+                            crop_half_extent=views.crop_half_extent)
 
 
 def _ap_by_class(detections, annotations, eval_cfg) -> dict:
@@ -212,22 +240,25 @@ VIEW_GROUPS = ((0,), (0, 2), (0, 1, 2, 3))  # one, opposite pair, all four
 
 def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
                               detector_cfg: DetectorConfig,
-                              eval_cfg: DetectionEvalConfig) -> dict:
+                              eval_cfg: DetectionEvalConfig,
+                              views: Optional[DetectionViews] = None) -> dict:
     """Detection quality per view group (the more-views-help experiment).
 
     Single- and double-view groups integrate enough consecutive frames to
     match the four-view per-frame point budget, tagging points with their
     frame index. Returns per-group per-class recall and AP plus the overall
-    means, keyed by a "viewsA+B" group name.
+    means, keyed by a "viewsA+B" group name. ``views``, built from the
+    same scene and extrinsics, saves building them here.
     """
     annotations = scene.annotations()
-    background = scene_background(scene)
+    if views is None:
+        views = DetectionViews.build(scene, extrinsics)
     results = {}
     for group in VIEW_GROUPS:
         integrate = max(map(len, VIEW_GROUPS)) // len(group)
         detections = flatten_frames(detect_views(scene, extrinsics, group,
                                                  detector_cfg, integrate,
-                                                 background))
+                                                 views))
         per_class_recall, per_class_ap = {}, {}
         for label in ObjectClass:
             per_class_recall[label], per_class_ap[label] = recall_and_ap(
@@ -245,13 +276,17 @@ def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
 
 def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
                           detector_cfg: DetectorConfig,
-                          eval_cfg: DetectionEvalConfig) -> dict:
-    """Early fusion vs NMS/average late fusion vs single views, by AP."""
+                          eval_cfg: DetectionEvalConfig,
+                          views: Optional[DetectionViews] = None) -> dict:
+    """Early fusion vs NMS/average late fusion vs single views, by AP.
+    ``views``, built from the same scene and extrinsics, saves building
+    them here."""
     nodes = sorted(scene.node_frames)
     annotations = scene.annotations()
-    background = scene_background(scene)
+    if views is None:
+        views = DetectionViews.build(scene, extrinsics)
     per_view = {node: detect_views(scene, extrinsics, (node,), detector_cfg,
-                                   background=background)
+                                   views=views)
                 for node in nodes}
     methods = {f"view {node}": flatten_frames(boxes)
                for node, boxes in per_view.items()}
@@ -261,8 +296,7 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
                       method=method)
             for frame in range(scene.spec.n_frames))
     methods["early fusion"] = flatten_frames(
-        detect_views(scene, extrinsics, nodes, detector_cfg,
-                     background=background))
+        detect_views(scene, extrinsics, nodes, detector_cfg, views=views))
 
     results = {}
     for name, detections in methods.items():
@@ -535,9 +569,12 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
     stage("sync-sim")
 
     # early fusion + detection on every frame, with recovered extrinsics and
-    # the reference scan as the static background
+    # the reference scan as the static background; the experiments below
+    # detect on the same views
+    views = DetectionViews.build(scene, calibration)
     boxes_per_frame = detect_views(scene, calibration,
-                                   sorted(scene.node_frames), cfg.detector)
+                                   sorted(scene.node_frames), cfg.detector,
+                                   views=views)
     detections = flatten_frames(boxes_per_frame)
     write_detections(os.path.join(out, "detections.jsonl"), detections)
     stage("detect")
@@ -552,10 +589,10 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
     mot = compute_clear_mot(trajectories, scene.trajectories, cfg.eval_mot)
     stage("mot")
     view_groups = run_view_group_experiment(scene, calibration, cfg.detector,
-                                            cfg.eval_det)
+                                            cfg.eval_det, views)
     stage("view-groups")
     fusion_methods = run_fusion_comparison(scene, calibration, cfg.detector,
-                                           cfg.eval_det)
+                                           cfg.eval_det, views)
     write_json(os.path.join(out, "metrics.json"), {
         "detection_ap": ap,
         "tracking": asdict(mot),

@@ -190,6 +190,12 @@ class TrajectorySet:
         return len(self.tracks)
 
 
+def check_frame_dt(frame_dt) -> None:
+    """Raise ConfigError unless the step between frames, in seconds, lies
+    in (0, MAX_FRAME_DT_S]."""
+    check_number("frame_dt", frame_dt, 0, MAX_FRAME_DT_S, low_open=True)
+
+
 def track_sequence(detections_per_frame: list, cfg: TrackerConfig = TrackerConfig(),
                    frame_dt: float = 0.1) -> TrajectorySet:
     """Run the tracker over a detection sequence.
@@ -200,7 +206,7 @@ def track_sequence(detections_per_frame: list, cfg: TrackerConfig = TrackerConfi
     has min_hits updates; its earlier tentative frames are then included
     retroactively. Track ids increase monotonically and are never reused.
     """
-    check_number("frame_dt", frame_dt, 0, MAX_FRAME_DT_S, low_open=True)
+    check_frame_dt(frame_dt)
     live: list[TrackState] = []
     history: dict[int, list] = {}
     confirmed: set[int] = set()

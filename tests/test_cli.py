@@ -722,15 +722,33 @@ class TestErrorsAndConversion:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "threshold" in err
 
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_bad_thread_budget_exit_4(self, tmp_path, capsys, monkeypatch,
-                                      threads):
-        monkeypatch.setenv("MVLK_THREADS", threads)
-        code = main(["pipeline", "--out-dir", str(tmp_path / "out")])
+    @pytest.mark.parametrize("argv, message", [
+        (["fuse", "--calib", "missing.jsonl", "--frames", "missing",
+          "--out", "fused", "--sync-window", "-1"],
+         "sync_window_s must be a finite number >= 0, got -1.0"),
+        (["fuse", "--calib", "missing.jsonl", "--frames", "missing",
+          "--out", "fused", "--sync-window", "nan"],
+         "sync_window_s must be a finite number >= 0, got nan"),
+        (["track", "--detections", "missing.jsonl", "--out", "fused",
+          "--frame-dt", "nan"],
+         "frame_dt must be a finite number in (0, 3600.0], got nan"),
+        (["track", "--detections", "missing.jsonl", "--out", "fused",
+          "--frame-dt", "0"],
+         "frame_dt must be a finite number in (0, 3600.0], got 0.0"),
+        (["track", "--detections", "missing.jsonl", "--out", "fused",
+          "--min-hits", "-1"],
+         "min_hits must be an integer >= 1, got -1")])
+    def test_bad_value_exit_4_before_reading(self, tmp_path, capsys, argv,
+                                             message):
+        """``fuse`` and ``track`` check their values before they read
+        their inputs: a bad value exits 4 in one line even when the inputs
+        are missing, and nothing is written."""
+        code = main([str(tmp_path / arg) if arg in ("missing.jsonl",
+                                                    "missing", "fused")
+                     else arg for arg in argv])
         assert code == 4
-        assert capsys.readouterr().err == \
-            f"error: MVLK_THREADS='{threads}' is not a positive integer\n"
-        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "fused").exists()
 
     def test_bad_calibrate_config_exit_4(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "hierarchy.json"
@@ -953,7 +971,8 @@ class TestErrorsAndConversion:
     def test_bad_sync_window_exit_4(self, scene_dir, tmp_path, capsys,
                                     window):
         """NaN would switch the skew check off, and a negative window
-        is a setting, not a skew."""
+        is a setting, not a skew. The window is checked before the inputs
+        are read, so no output directory is made."""
         code = main(["fuse",
                      "--calib", str(scene_dir / "gt_calibration.jsonl"),
                      "--frames", str(scene_dir), "--out",
@@ -962,7 +981,7 @@ class TestErrorsAndConversion:
         assert capsys.readouterr().err == (
             f"error: sync_window_s must be a finite number >= 0, "
             f"got {float(window)}\n")
-        assert not list(tmp_path.rglob("*.mvlc"))
+        assert not (tmp_path / "fused").exists()
 
     def test_convert_round_trip(self, tmp_path, rng):
         cloud = PointCloud(rng.uniform(-5, 5, size=(50, 3)).astype(np.float32))

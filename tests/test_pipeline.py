@@ -20,6 +20,7 @@ from mvlidar.geometry import ObjectClass, PointCloud, apply_transform, \
     transform_distance
 from mvlidar.metrics import DetectionEvalConfig
 from mvlidar.pipeline import (
+    DetectionViews,
     PipelineConfig,
     VIEW_GROUPS,
     calibrate_node,
@@ -35,8 +36,6 @@ from mvlidar.pipeline import (
     run_fusion_comparison,
     run_pipeline,
     run_view_group_experiment,
-    scene_background,
-    thread_budget,
 )
 from mvlidar.registration import HierarchyConfig, HierarchyLevel, \
     hierarchical_register
@@ -194,7 +193,6 @@ def assert_same_pass(monkeypatch, clouds, background, crop=None):
 
     monkeypatch.setattr(pipeline, "detect_frame", recording_detect_frame)
     monkeypatch.setattr(pipeline, "subtract_background", recording_subtract)
-    monkeypatch.setenv("MVLK_THREADS", "1")
     boxes = detect_per_frame(clouds, DetectorConfig(), background=background,
                              crop_half_extent=crop)
     expected_clouds, expected_boxes = full_background_pass(
@@ -370,33 +368,132 @@ def crossroad_passes(scene):
             + [((node,), 1) for node in nodes] + [(nodes, 1)])
 
 
+def fused_pass(scene, nodes, integrate):
+    """The oracle of a detection pass: each frame fused, integrated and
+    cropped from the node frames by ``fused_cloud`` and ``detect_per_frame``
+    alone. Returns the cropped clouds and the boxes."""
+    half = detection_half_extent(scene.spec)
+    clouds = [fused_cloud(scene.node_frames, scene.extrinsics, nodes, frame,
+                          integrate)
+              for frame in range(scene.spec.n_frames)]
+    boxes = detect_per_frame(clouds, DetectorConfig(),
+                             background=scene.reference_cloud,
+                             crop_half_extent=half)
+    return [cloud.select(in_square(cloud.points, half))
+            for cloud in clouds], boxes
+
+
+def recorded_passes(monkeypatch, scene):
+    """The clouds and boxes of every detection pass of the detect stage
+    (as ``run_pipeline`` makes it) and of both experiments."""
+    passes = []
+
+    def recording(clouds, cfg, background=None, crop_half_extent=None):
+        boxes = detect_per_frame(clouds, cfg, background, crop_half_extent)
+        passes.append((clouds, crop_half_extent, boxes))
+        return boxes
+
+    monkeypatch.setattr(pipeline, "detect_per_frame", recording)
+    cfg, eval_cfg = DetectorConfig(), DetectionEvalConfig()
+    views = DetectionViews.build(scene, scene.extrinsics)
+    detect_views(scene, scene.extrinsics, sorted(scene.node_frames), cfg,
+                 views=views)
+    run_view_group_experiment(scene, scene.extrinsics, cfg, eval_cfg)
+    run_fusion_comparison(scene, scene.extrinsics, cfg, eval_cfg)
+    assert len(passes) == len(crossroad_passes(scene)) == 9
+    return passes
+
+
+def with_empty_frame(scene, node, frame):
+    """``scene`` with one node frame emptied, its timestamp kept."""
+    frames = list(scene.node_frames[node])
+    frames[frame] = PointCloud(np.zeros((0, 3)),
+                               timestamp_ns=frames[frame].timestamp_ns)
+    return replace(scene, node_frames={**scene.node_frames, node: frames})
+
+
 class TestPreparedBackgroundPasses:
-    """Every detection pass of the detect stage and of both experiments
-    gives the full-tree oracle's boxes, and the background grid leaves the
-    trees and queries a fraction of the work."""
+    """Every detection pass of the detect stage and of both experiments,
+    built from one table of world-frame node views, gives the boxes of the
+    pass that fuses each frame anew, and of the full-tree oracle; the
+    background grid leaves the trees and queries a fraction of the work,
+    and each experiment transforms each node frame once."""
 
-    def test_every_pass_matches_the_full_tree(self, monkeypatch, crossroad):
-        scene, cfg = crossroad, DetectorConfig()
-        passes = []
-
-        def recording(clouds, cfg, background=None, crop_half_extent=None):
-            boxes = detect_per_frame(clouds, cfg, background,
-                                     crop_half_extent)
-            passes.append((clouds, crop_half_extent, boxes))
-            return boxes
-
-        monkeypatch.setattr(pipeline, "detect_per_frame", recording)
-        detect_views(scene, scene.extrinsics, sorted(scene.node_frames), cfg)
-        eval_cfg = DetectionEvalConfig()
-        run_view_group_experiment(scene, scene.extrinsics, cfg, eval_cfg)
-        run_fusion_comparison(scene, scene.extrinsics, cfg, eval_cfg)
-        assert len(passes) == len(crossroad_passes(scene)) == 9
-        for clouds, crop, boxes in passes:
-            _, expected = full_background_pass(
-                clouds, scene.reference_cloud, BACKGROUND_DISTANCE, crop)
+    def assert_passes_match(self, monkeypatch, scene):
+        passes = recorded_passes(monkeypatch, scene)
+        for (clouds, crop, boxes), (nodes, integrate) in zip(
+                passes, crossroad_passes(scene)):
+            expected_clouds, expected = fused_pass(scene, nodes, integrate)
+            for cloud, oracle in zip(clouds, expected_clouds):
+                assert np.array_equal(cloud.points, oracle.points)
             assert [[box_key(b) for b in frame] for frame in boxes] == \
                 [[box_key(b) for b in frame] for frame in expected]
+            _, full_tree = full_background_pass(
+                clouds, scene.reference_cloud, BACKGROUND_DISTANCE, crop)
+            assert [[box_key(b) for b in frame] for frame in boxes] == \
+                [[box_key(b) for b in frame] for frame in full_tree]
+        return passes
+
+    def test_every_pass_matches_the_full_tree(self, monkeypatch, crossroad):
+        scene = crossroad
+        passes = self.assert_passes_match(monkeypatch, scene)
         assert sum(len(frame) for _, _, boxes in passes for frame in boxes)
+        # node 1 stands on a wall: no point of its frames is in the square
+        views = DetectionViews.build(scene, scene.extrinsics)
+        assert len(scene.node_frames[1][0]) > 0
+        assert not any(len(frame) for frame in views.frames[1])
+        view_1 = passes[5]  # after the detect stage, 3 groups and view 0
+        assert not any(len(cloud) for cloud in view_1[0])
+        # the group of one view integrates 4 frames, so 1, 2 and 3 of them
+        # at frames 0, 1 and 2
+        single = views.frames[0]
+        assert [len(cloud) for cloud in passes[1][0]] == [
+            sum(len(single[k]) for k in range(frame + 1))
+            for frame in range(3)]
+
+    def test_empty_node_frame(self, monkeypatch, crossroad):
+        """An empty frame of a node that sees the square, inside and at the
+        end of the integration windows."""
+        scene = with_empty_frame(with_empty_frame(crossroad, 2, 1), 0, 2)
+        passes = self.assert_passes_match(monkeypatch, scene)
+        assert any(passes[0][2])
+
+    def test_each_experiment_transforms_each_node_frame_once(
+            self, monkeypatch, crossroad):
+        scene, cfg, eval_cfg = crossroad, DetectorConfig(), \
+            DetectionEvalConfig()
+        transforms, prepared = [], []
+
+        def counting(transform, cloud):
+            transforms.append(cloud)
+            return apply_transform(transform, cloud)
+
+        def counting_prepare(*args, **kwargs):
+            prepared.append(args[0])
+            return prepare_background(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a pass fused its frames again")
+
+        monkeypatch.setattr(pipeline, "apply_transform", counting)
+        monkeypatch.setattr(pipeline, "prepare_background", counting_prepare)
+        for name in ("early_fuse", "temporal_integrate", "fused_cloud"):
+            monkeypatch.setattr(pipeline, name, refused)
+        node_frames = [frame for frames in scene.node_frames.values()
+                       for frame in frames]
+        views = DetectionViews.build(scene, scene.extrinsics)
+        for experiment in (run_view_group_experiment, run_fusion_comparison):
+            transforms.clear()
+            prepared.clear()
+            experiment(scene, scene.extrinsics, cfg, eval_cfg)
+            assert len(transforms) == len(node_frames) == 4 * 3
+            assert all(any(cloud is frame for frame in node_frames)
+                       for cloud in transforms)
+            assert prepared == [scene.reference_cloud]
+            transforms.clear()
+            prepared.clear()
+            experiment(scene, scene.extrinsics, cfg, eval_cfg, views)
+            assert transforms == prepared == []
 
     def test_work_guard(self, monkeypatch, crossroad):
         """Summed over the frames, the trees hold less than half the
@@ -415,15 +512,13 @@ class TestPreparedBackgroundPasses:
                 return super().query(x, *args, **kwargs)
 
         monkeypatch.setattr(detector, "cKDTree", RecordingTree)
-        background = scene_background(scene)
-        half = detection_half_extent(scene.spec)
+        views = DetectionViews.build(scene, scene.extrinsics)
+        background = views.background
         frames = 0
         for nodes, integrate in crossroad_passes(scene):
             for frame in range(scene.spec.n_frames):
-                cloud = fused_cloud(scene.node_frames, scene.extrinsics,
-                                    nodes, frame, integrate)
-                subtract_background(
-                    cloud.select(in_square(cloud.points, half)), background)
+                subtract_background(views.fused(nodes, frame, integrate),
+                                    background)
                 frames += 1
         assert len(trees) == frames
         assert sum(size for size, _ in trees) < 0.5 * frames * len(
@@ -542,23 +637,6 @@ class TestPipelineConfig:
             read_config_json(tmp_path / "cfg.json")
 
 
-class TestThreadBudget:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MVLK_THREADS", "1")
-        assert thread_budget() == 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("MVLK_THREADS", "lots")
-        with pytest.raises(ConfigError):
-            thread_budget()
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_non_positive_env_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("MVLK_THREADS", value)
-        with pytest.raises(ConfigError, match="positive integer"):
-            thread_budget()
-
-
 def fast_pipeline_config(seed=3):
     return PipelineConfig.from_dict({
         "seed": seed,
@@ -599,38 +677,43 @@ PINNED_DIGESTS = {
 
 
 class TestRunPipeline:
-    def test_run_environment(self, monkeypatch):
-        monkeypatch.setenv("MVLK_THREADS", "1")
+    def test_run_environment(self):
         assert run_environment() == {
-            "threads": 1, "python": platform.python_version(),
+            "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__}
 
     def test_outputs_and_determinism(self, tmp_path, monkeypatch):
-        """Two runs, with 2 detection workers and with 1, write the same
-        six outputs, and those are the pinned bytes."""
+        """Two runs write the same six outputs, and those are the pinned
+        bytes. Each run moves every node frame to the world frame once,
+        for the detect stage and both experiments together."""
         cfg = fast_pipeline_config()
-        manifests, environments = [], []
-        for threads in ("2", "1"):
-            monkeypatch.setenv("MVLK_THREADS", threads)
-            environments.append(run_environment())
-            manifests.append(run_pipeline(
-                cfg, output_dir=str(tmp_path / threads)))
+        transforms = []
+
+        def counting(transform, cloud):
+            transforms.append(cloud)
+            return apply_transform(transform, cloud)
+
+        monkeypatch.setattr(pipeline, "apply_transform", counting)
+        manifests = []
+        for run in ("a", "b"):
+            transforms.clear()
+            manifests.append(run_pipeline(cfg,
+                                          output_dir=str(tmp_path / run)))
+            assert len(transforms) == 4 * cfg.scene_frames
         manifest_a, manifest_b = manifests
-        here = {key: environments[0][key] for key in PINNED_ENVIRONMENT}
+        here = {key: run_environment()[key] for key in PINNED_ENVIRONMENT}
         for name in MACHINE_OUTPUTS:
-            assert (tmp_path / "2" / name).exists(), name
-            data = (tmp_path / "2" / name).read_bytes()
-            assert data == (tmp_path / "1" / name).read_bytes(), name
+            assert (tmp_path / "a" / name).exists(), name
+            data = (tmp_path / "a" / name).read_bytes()
+            assert data == (tmp_path / "b" / name).read_bytes(), name
             digest = hashlib.sha256(data).hexdigest()
             assert digest == PINNED_DIGESTS[name], (
                 f"{name}: sha256 {digest} under {here}, pinned "
                 f"{PINNED_DIGESTS[name]} under {PINNED_ENVIRONMENT}")
         assert manifest_a["seed"] == manifest_b["seed"] == 3
-        assert [m["environment"] for m in manifests] == environments
-        assert environments[1]["threads"] == 1
-        written = json.loads((tmp_path / "2" / "manifest.json").read_text())
-        assert set(written["environment"]) == {"threads", "python", "numpy",
-                                               "scipy"}
+        assert manifest_a["environment"] == run_environment()
+        written = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert written["environment"] == run_environment()
         assert [s["name"] for s in manifest_a["stages"]] == \
             ["scene", "calibrate", "sync-sim", "detect", "track", "ap", "mot",
              "view-groups", "fusion-comparison"]
