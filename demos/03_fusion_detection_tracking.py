@@ -15,6 +15,7 @@ from mvlidar.metrics import (
     format_mot_table,
 )
 from mvlidar.pipeline import (
+    DetectionViews,
     detect_views,
     run_fusion_comparison,
     run_view_group_experiment,
@@ -29,11 +30,14 @@ print(f"scene: {len(spec.objects)} moving objects observed by "
 
 detector = DetectorConfig(cluster_distance=0.7)
 eval_cfg = DetectionEvalConfig.with_threshold(0.25)
+# every node frame moved to the world frame and cropped once, for all passes
+views = DetectionViews.build(scene, scene.extrinsics)
 
 # ---------------------------------------------------------------------------
 # more views help: single view vs double vs all four
 # ---------------------------------------------------------------------------
-groups = run_view_group_experiment(scene, scene.extrinsics, detector, eval_cfg)
+groups = run_view_group_experiment(scene, scene.extrinsics, detector, eval_cfg,
+                                   views)
 print("\ndetection by view group (single/double groups integrate frames to "
       "match the four-view point budget):")
 print(format_ap_table({name: data["ap"] for name, data in groups.items()}))
@@ -41,15 +45,15 @@ print(format_ap_table({name: data["ap"] for name, data in groups.items()}))
 # ---------------------------------------------------------------------------
 # early fusion vs late fusion
 # ---------------------------------------------------------------------------
-fusion = run_fusion_comparison(scene, scene.extrinsics, detector, eval_cfg)
+fusion = run_fusion_comparison(scene, scene.extrinsics, detector, eval_cfg,
+                               views)
 print("\ndetection by fusion method:")
 print(format_ap_table({name: data["ap"] for name, data in fusion.items()}))
 
 # ---------------------------------------------------------------------------
 # track the early-fusion detections and score them against ground truth
 # ---------------------------------------------------------------------------
-boxes_per_frame = detect_views(scene, scene.extrinsics,
-                               sorted(scene.node_frames), detector)
+boxes_per_frame = detect_views(views, sorted(scene.node_frames), detector)
 trajectories = track_sequence(boxes_per_frame, TrackerConfig(), frame_dt=0.1)
 report = compute_clear_mot(trajectories, scene.trajectories, MotEvalConfig())
 print(f"\ntracking over {spec.n_frames} frames "

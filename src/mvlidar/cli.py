@@ -29,12 +29,13 @@ from .errors import AlgorithmError, ConfigError, FormatError, \
 from .formats import flatten_frames, read_calibration, read_detections, \
     read_frame, read_trajectories, read_xyz, write_calibration, \
     write_detections, write_frame, write_json, write_trajectories, write_xyz
-from .fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet
-from .geometry import ObjectClass
+from .fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet, \
+    check_synchronized, fuse_window
+from .geometry import ObjectClass, apply_transform
 from .metrics import DetectionEvalConfig, compute_ap, compute_clear_mot, \
     format_ap_table, format_mot_table
 from .pipeline import PipelineConfig, calibrate_node, detect_per_frame, \
-    detection_half_extent, export_scene, fused_cloud, hierarchy_from_dict, \
+    detection_half_extent, export_scene, hierarchy_from_dict, \
     read_config_json, run_pipeline
 from .scene import DEFAULT_FRAME_RATE_HZ, generate_synthetic_scene, \
     standard_crossroad_spec
@@ -170,12 +171,21 @@ def cmd_fuse(args) -> int:
     counts = {len(frames) for frames in per_node.values()}
     if len(counts) != 1:
         raise FormatError(f"unequal frame counts per node: {sorted(counts)}")
+    # every frame's synchronization, before the output directory is made
+    for frames in zip(*per_node.values()):
+        check_synchronized((cloud.timestamp_ns for cloud in frames),
+                           args.sync_window)
+    # each node's frames moved to the world frame once, in place of the
+    # frames read, so that only one node's frames are held twice
+    for node, frames in per_node.items():
+        per_node[node] = [apply_transform(extrinsics[node], cloud)
+                          for cloud in frames]
     os.makedirs(args.out, exist_ok=True)
     nodes = sorted(per_node)
     n_frames = counts.pop()
     for frame in range(n_frames):
         write_frame(os.path.join(args.out, f"frame_{frame:05d}.mvlc"),
-                    fused_cloud(per_node, extrinsics, nodes, frame,
+                    fuse_window(per_node, nodes, frame,
                                 sync_window_s=args.sync_window))
     print(f"fused {n_frames} frames into {args.out}")
     return EXIT_OK

@@ -1,12 +1,14 @@
 """Multi-view fusion of point clouds and detection boxes.
 
-Early fusion merges synchronized per-node frames into one world-frame cloud
-before detection. Late fusion runs detection per view and merges boxes
-afterwards: same-class boxes overlapping at least the cluster threshold are
-grouped (transitively), then each group is reduced either by keeping its
-highest-score member (NMS fusion) or by averaging its geometry (average
-fusion). Temporal integration concatenates consecutive frames of one view,
-tagging every point with the index of the frame it came from.
+Early fusion merges synchronized world-frame node frames into one cloud
+before detection: ``fuse_window`` builds every fused frame, each node
+integrated over its last few frames when asked. Late fusion runs detection
+per view and merges boxes afterwards: same-class boxes overlapping at least
+the cluster threshold are grouped (transitively), then each group is reduced
+either by keeping its highest-score member (NMS fusion) or by averaging its
+geometry (average fusion). ``early_fuse``, ``ViewFrameSet`` and
+``temporal_integrate`` remain for the benchmark harness, which calls and
+traces them by name.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .geometry import (
     Box3D,
     PointCloud,
     apply_transform,
+    check_time_order,
     iou_3d,
     linked_groups,
     wrap_half_angle,
@@ -60,38 +63,48 @@ def check_synchronized(stamps, sync_window_s: float) -> None:
             f"window is {sync_window_s * 1e3:.3f} ms")
 
 
-def early_fuse(view_set: ViewFrameSet) -> PointCloud:
-    """World-frame concatenation of all views of one synchronized frame.
+def fuse_window(world_frames: dict, nodes, frame: int, integrate: int = 1,
+                sync_window_s: float = DEFAULT_SYNC_WINDOW_S) -> PointCloud:
+    """The fused frame of ``nodes`` at ``frame``: the one merge of node
+    frames into an early-fused frame.
 
-    Points are ordered by (node id, index within node) so the result does
-    not depend on dict insertion order. Every point is tagged with its
-    source node; other attributes follow ``PointCloud.concatenate``.
+    ``world_frames`` maps node id -> frame list, already in the world frame.
+    Each node gives its frame ``frame`` and up to ``integrate - 1`` frames
+    before it. Points are ordered by node id, then oldest frame first, and
+    tagged with their source node; other attributes follow
+    ``PointCloud.concatenate``. The timestamp is the latest node timestamp
+    at ``frame``; TimestampSkewError when those spread over more than the
+    window (s).
     """
-    check_synchronized((frame.timestamp_ns
-                        for frame in view_set.frames.values()),
-                       view_set.sync_window_s)
-    nodes = sorted(view_set.frames)
+    nodes = sorted(nodes)
+    stamps = [world_frames[node][frame].timestamp_ns for node in nodes]
+    check_synchronized(stamps, sync_window_s)
+    window = range(max(0, frame - integrate + 1), frame + 1)
     return PointCloud.concatenate(
-        [apply_transform(view_set.extrinsics[node], view_set.frames[node])
-         for node in nodes],
-        timestamp_ns=max((frame.timestamp_ns
-                          for frame in view_set.frames.values()), default=0),
-        source_ids=nodes)
+        [world_frames[node][k] for node in nodes for k in window],
+        timestamp_ns=max(stamps, default=0),
+        source_ids=[node for node in nodes for _ in window])
+
+
+def early_fuse(view_set: ViewFrameSet) -> PointCloud:
+    """``fuse_window`` of one synchronized frame per node, each moved to the
+    world frame by its extrinsics."""
+    world = {node: [apply_transform(view_set.extrinsics[node], cloud)]
+             for node, cloud in view_set.frames.items()}
+    return fuse_window(world, list(world), 0,
+                       sync_window_s=view_set.sync_window_s)
 
 
 def temporal_integrate(frames: list) -> PointCloud:
     """Concatenate time-ordered frames, tagging points with the frame index.
 
     Index 0 is the oldest frame; other attributes follow
-    ``PointCloud.concatenate``. Used to give a single view the same point
-    budget per frame as a multi-view merge.
+    ``PointCloud.concatenate``.
     """
     if not frames:
         return PointCloud.empty()
-    stamps = [f.timestamp_ns for f in frames]
-    if any(b < a for a, b in zip(stamps, stamps[1:])):
-        raise ValueError("frames must be in time order")
-    return PointCloud.concatenate(frames, timestamp_ns=stamps[-1],
+    check_time_order(frames)
+    return PointCloud.concatenate(frames, timestamp_ns=frames[-1].timestamp_ns,
                                   source_node=frames[-1].source_node,
                                   time_index=range(len(frames)))
 

@@ -262,6 +262,13 @@ class PointCloud:
                           source_node=self.source_node)
 
 
+def check_time_order(clouds) -> None:
+    """Raise ValueError unless the clouds' timestamps never decrease."""
+    stamps = [cloud.timestamp_ns for cloud in clouds]
+    if any(b < a for a, b in zip(stamps, stamps[1:])):
+        raise ValueError("frames must be in time order")
+
+
 def apply_transform(transform: RigidTransform, cloud: PointCloud) -> PointCloud:
     """Map every point through the transform; non-geometric fields unchanged."""
     return replace(cloud, points=transform.apply(cloud.points))

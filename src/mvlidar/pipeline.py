@@ -36,9 +36,9 @@ from .formats import (
     write_json,
     write_trajectories,
 )
-from .fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet, \
-    check_synchronized, early_fuse, late_fuse, temporal_integrate
-from .geometry import ObjectClass, PointCloud, apply_transform
+from .fusion import fuse_window, late_fuse
+from .geometry import ObjectClass, PointCloud, apply_transform, \
+    check_time_order
 from .metrics import (
     DetectionEvalConfig,
     MotEvalConfig,
@@ -150,21 +150,6 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
     return boxes
 
 
-def fused_cloud(node_frames: dict, extrinsics: dict, nodes, frame: int,
-                integrate: int = 1,
-                sync_window_s: float = DEFAULT_SYNC_WINDOW_S) -> PointCloud:
-    """Early fusion of ``nodes`` at ``frame`` from node id -> frame lists,
-    each view integrated over its last ``integrate`` frames."""
-    start = max(0, frame - integrate + 1)
-    frames = {}
-    for node in nodes:
-        stack = node_frames[node][start:frame + 1]
-        frames[node] = temporal_integrate(stack) if len(stack) > 1 else stack[0]
-    return early_fuse(ViewFrameSet(frames=frames,
-                                   extrinsics={n: extrinsics[n] for n in nodes},
-                                   sync_window_s=sync_window_s))
-
-
 @dataclass(frozen=True)
 class DetectionViews:
     """What every detection pass over one scene shares, each made once: the
@@ -172,9 +157,8 @@ class DetectionViews:
     moved to the world frame and cropped to that square.
 
     ``frames[node][k]`` is node frame ``k`` in the world frame, less its
-    points outside the square, with its timestamp. A pass frame
-    concatenates these (``fused``) instead of fusing, integrating and
-    cropping the node frames again.
+    points outside the square, with its timestamp. A pass fuses these with
+    ``fuse_window`` instead of moving and cropping the node frames again.
     """
 
     background: PreparedBackground
@@ -182,17 +166,13 @@ class DetectionViews:
     crop_half_extent: float
 
     @staticmethod
-    def build(scene: SyntheticScene, extrinsics: dict,
-              nodes=None) -> "DetectionViews":
-        """The views of ``nodes`` (default: every node of the scene).
-        Raises ValueError when a node's frames are out of time order, as
-        ``temporal_integrate`` does."""
+    def build(scene: SyntheticScene, extrinsics: dict) -> "DetectionViews":
+        """The views of every node of the scene. Raises ValueError when a
+        node's frames are out of time order."""
         half = detection_half_extent(scene.spec)
         frames = {}
-        for node in sorted(scene.node_frames if nodes is None else nodes):
-            stamps = [frame.timestamp_ns for frame in scene.node_frames[node]]
-            if any(b < a for a, b in zip(stamps, stamps[1:])):
-                raise ValueError("frames must be in time order")
+        for node in sorted(scene.node_frames):
+            check_time_order(scene.node_frames[node])
             world = [apply_transform(extrinsics[node], frame)
                      for frame in scene.node_frames[node]]
             frames[node] = [cloud.select(in_square(cloud.points, half))
@@ -201,30 +181,14 @@ class DetectionViews:
             background=prepare_background(scene.reference_cloud, half),
             frames=frames, crop_half_extent=half)
 
-    def fused(self, nodes, frame: int, integrate: int = 1) -> PointCloud:
-        """The points ``fused_cloud`` gives for ``nodes`` at ``frame`` that
-        the square keeps, in its order: by node, then oldest frame first."""
-        check_synchronized((self.frames[node][frame].timestamp_ns
-                            for node in nodes), DEFAULT_SYNC_WINDOW_S)
-        start = max(0, frame - integrate + 1)
-        return PointCloud(np.concatenate(
-            [self.frames[node][k].points for node in sorted(nodes)
-             for k in range(start, frame + 1)] or [np.zeros((0, 3))]))
 
-
-def detect_views(scene: SyntheticScene, extrinsics: dict, nodes,
-                 detector_cfg: DetectorConfig, integrate: int = 1,
-                 views: Optional[DetectionViews] = None) -> list:
+def detect_views(views: DetectionViews, nodes, detector_cfg: DetectorConfig,
+                 integrate: int = 1) -> list:
     """Per-frame boxes of one detection pass over the views of ``nodes``:
-    each frame's ``fused_cloud``, less the reference scan as background,
-    within the scene's detection square. A caller that runs several passes
-    builds the views once with ``DetectionViews.build`` from the same scene
-    and extrinsics and passes them; without them, this pass builds the
-    views of ``nodes``."""
-    if views is None:
-        views = DetectionViews.build(scene, extrinsics, nodes)
-    clouds = [views.fused(nodes, frame, integrate)
-              for frame in range(scene.spec.n_frames)]
+    each frame's ``fuse_window`` over the last ``integrate`` frames, less
+    the reference scan as background, within the detection square."""
+    clouds = [fuse_window(views.frames, nodes, frame, integrate)
+              for frame in range(len(views.frames[nodes[0]]))]
     return detect_per_frame(clouds, detector_cfg,
                             background=views.background,
                             crop_half_extent=views.crop_half_extent)
@@ -245,10 +209,10 @@ def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
     """Detection quality per view group (the more-views-help experiment).
 
     Single- and double-view groups integrate enough consecutive frames to
-    match the four-view per-frame point budget, tagging points with their
-    frame index. Returns per-group per-class recall and AP plus the overall
-    means, keyed by a "viewsA+B" group name. ``views``, built from the
-    same scene and extrinsics, saves building them here.
+    match the four-view per-frame point budget. Returns per-group per-class
+    recall and AP plus the overall means, keyed by a "viewsA+B" group name.
+    ``views``, built from the same scene and extrinsics, saves building
+    them here.
     """
     annotations = scene.annotations()
     if views is None:
@@ -256,9 +220,8 @@ def run_view_group_experiment(scene: SyntheticScene, extrinsics: dict,
     results = {}
     for group in VIEW_GROUPS:
         integrate = max(map(len, VIEW_GROUPS)) // len(group)
-        detections = flatten_frames(detect_views(scene, extrinsics, group,
-                                                 detector_cfg, integrate,
-                                                 views))
+        detections = flatten_frames(detect_views(views, group, detector_cfg,
+                                                 integrate))
         per_class_recall, per_class_ap = {}, {}
         for label in ObjectClass:
             per_class_recall[label], per_class_ap[label] = recall_and_ap(
@@ -285,8 +248,7 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
     annotations = scene.annotations()
     if views is None:
         views = DetectionViews.build(scene, extrinsics)
-    per_view = {node: detect_views(scene, extrinsics, (node,), detector_cfg,
-                                   views=views)
+    per_view = {node: detect_views(views, (node,), detector_cfg)
                 for node in nodes}
     methods = {f"view {node}": flatten_frames(boxes)
                for node, boxes in per_view.items()}
@@ -296,7 +258,7 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
                       method=method)
             for frame in range(scene.spec.n_frames))
     methods["early fusion"] = flatten_frames(
-        detect_views(scene, extrinsics, nodes, detector_cfg, views=views))
+        detect_views(views, nodes, detector_cfg))
 
     results = {}
     for name, detections in methods.items():
@@ -572,9 +534,8 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
     # the reference scan as the static background; the experiments below
     # detect on the same views
     views = DetectionViews.build(scene, calibration)
-    boxes_per_frame = detect_views(scene, calibration,
-                                   sorted(scene.node_frames), cfg.detector,
-                                   views=views)
+    boxes_per_frame = detect_views(views, sorted(scene.node_frames),
+                                   cfg.detector)
     detections = flatten_frames(boxes_per_frame)
     write_detections(os.path.join(out, "detections.jsonl"), detections)
     stage("detect")

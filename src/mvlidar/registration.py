@@ -60,6 +60,7 @@ from .errors import (
 from .geometry import (
     PointCloud,
     RigidTransform,
+    check_time_order,
     rotation_angle_deg,
     voxel_downsample,
     xyz_cross,
@@ -726,13 +727,11 @@ def accumulate_frames(frames: Sequence[PointCloud],
         raise EmptyInputError("no frames to accumulate")
     if not duration_s >= 0.0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
-    stamps = [f.timestamp_ns for f in frames]
-    if any(b < a for a, b in zip(stamps, stamps[1:])):
-        raise ValueError("frames must be in time order")
+    check_time_order(frames)
+    first = frames[0].timestamp_ns
     # integer offsets against the float window compare exactly
-    kept = [f for f in frames
-            if f.timestamp_ns - stamps[0] <= duration_s * 1e9]
-    return PointCloud.concatenate(kept, timestamp_ns=stamps[0],
+    kept = [f for f in frames if f.timestamp_ns - first <= duration_s * 1e9]
+    return PointCloud.concatenate(kept, timestamp_ns=first,
                                   source_node=kept[0].source_node)
 
 

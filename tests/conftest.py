@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mvlidar.fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet, \
+    early_fuse, temporal_integrate
 from mvlidar.geometry import Box3D, ObjectClass, RigidTransform
 
 
@@ -154,3 +156,18 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, rng, grid: int = 200) -> float:
     inter = inter_area * z_overlap
     union = a.volume + b.volume - inter
     return inter / union
+
+
+def fused_cloud(node_frames, extrinsics, nodes, frame, integrate=1,
+                sync_window_s=DEFAULT_SYNC_WINDOW_S):
+    """The oracle of an early-fused frame: ``nodes`` at ``frame`` from node
+    id -> frame lists, each view integrated over its last ``integrate``
+    frames by ``temporal_integrate`` and then fused by ``early_fuse``."""
+    start = max(0, frame - integrate + 1)
+    frames = {}
+    for node in nodes:
+        stack = node_frames[node][start:frame + 1]
+        frames[node] = temporal_integrate(stack) if len(stack) > 1 else stack[0]
+    return early_fuse(ViewFrameSet(frames=frames,
+                                   extrinsics={n: extrinsics[n] for n in nodes},
+                                   sync_window_s=sync_window_s))

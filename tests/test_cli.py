@@ -7,13 +7,14 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import fused_cloud
 from mvlidar import cli, detector, pipeline
 from mvlidar.cli import build_parser, main
 from mvlidar.detector import DetectorConfig
@@ -36,7 +37,6 @@ from mvlidar.pipeline import (
     calibrate_node,
     detect_per_frame,
     detection_half_extent,
-    fused_cloud,
 )
 from mvlidar.registration import MAX_RANSAC_ITERATIONS
 from mvlidar.scene import (
@@ -556,6 +556,28 @@ class TestErrorsAndConversion:
         assert capsys.readouterr().err == (
             f"error: line 1: node_id must be a non-negative integer, "
             f"got {json.loads(node_id)!r}\n")
+        assert not (tmp_path / "fused").exists()
+
+    @pytest.mark.parametrize("skewed", [0, 2])
+    def test_timestamp_skew_exit_3_before_writing(self, scene_dir, tmp_path,
+                                                  capsys, skewed):
+        """A frame whose nodes are out of sync, the first or the last of 3,
+        fails in one line before the output directory is made."""
+        root = tmp_path / "scene"
+        for node in range(4):
+            (root / f"node_{node}").mkdir(parents=True)
+            for frame, path in enumerate(
+                    sorted((scene_dir / f"node_{node}").glob("*.mvlc"))):
+                cloud = read_frame(path)
+                if (node, frame) == (1, skewed):
+                    cloud = replace(cloud,
+                                    timestamp_ns=cloud.timestamp_ns + 50_000_000)
+                write_frame(root / f"node_{node}" / path.name, cloud)
+        assert main(["fuse", "--calib", str(scene_dir / "gt_calibration.jsonl"),
+                     "--frames", str(root), "--out", str(tmp_path / "fused")]) == 3
+        assert capsys.readouterr().err == (
+            "error: frame timestamps spread over 50.000 ms, "
+            "window is 5.000 ms\n")
         assert not (tmp_path / "fused").exists()
 
     def test_bad_track_id_exit_2(self, tmp_path, capsys):

@@ -11,8 +11,8 @@ import pytest
 import scipy
 from scipy.spatial import cKDTree
 
-from conftest import box_surface, ground_grid
-from mvlidar import detector, pipeline
+from conftest import box_surface, fused_cloud, ground_grid
+from mvlidar import detector, fusion, pipeline
 from mvlidar.detector import BACKGROUND_DISTANCE, DetectorConfig, \
     detect_frame, prepare_background, subtract_background
 from mvlidar.errors import CalibrationFailedError, ConfigError, FormatError
@@ -28,7 +28,6 @@ from mvlidar.pipeline import (
     detect_per_frame,
     detect_views,
     detection_half_extent,
-    fused_cloud,
     hierarchy_from_dict,
     in_square,
     read_config_json,
@@ -140,6 +139,7 @@ class TestDetectViews:
         """One node through ``detect_views`` gives, box for box, the pass
         over its frames mapped to the world frame."""
         scene, cfg = busy_scene, DetectorConfig()
+        views = DetectionViews.build(scene, scene.extrinsics)
         found = 0
         for node in sorted(scene.node_frames):
             clouds = [apply_transform(scene.extrinsics[node], frame)
@@ -147,7 +147,7 @@ class TestDetectViews:
             expected = detect_per_frame(
                 clouds, cfg, background=scene.reference_cloud,
                 crop_half_extent=detection_half_extent(scene.spec))
-            actual = detect_views(scene, scene.extrinsics, (node,), cfg)
+            actual = detect_views(views, (node,), cfg)
             assert [[box_key(b) for b in frame] for frame in actual] == \
                 [[box_key(b) for b in frame] for frame in expected]
             found += sum(map(len, actual))
@@ -395,9 +395,8 @@ def recorded_passes(monkeypatch, scene):
 
     monkeypatch.setattr(pipeline, "detect_per_frame", recording)
     cfg, eval_cfg = DetectorConfig(), DetectionEvalConfig()
-    views = DetectionViews.build(scene, scene.extrinsics)
-    detect_views(scene, scene.extrinsics, sorted(scene.node_frames), cfg,
-                 views=views)
+    detect_views(DetectionViews.build(scene, scene.extrinsics),
+                 sorted(scene.node_frames), cfg)
     run_view_group_experiment(scene, scene.extrinsics, cfg, eval_cfg)
     run_fusion_comparison(scene, scene.extrinsics, cfg, eval_cfg)
     assert len(passes) == len(crossroad_passes(scene)) == 9
@@ -477,8 +476,8 @@ class TestPreparedBackgroundPasses:
 
         monkeypatch.setattr(pipeline, "apply_transform", counting)
         monkeypatch.setattr(pipeline, "prepare_background", counting_prepare)
-        for name in ("early_fuse", "temporal_integrate", "fused_cloud"):
-            monkeypatch.setattr(pipeline, name, refused)
+        for name in ("early_fuse", "temporal_integrate"):
+            monkeypatch.setattr(fusion, name, refused)
         node_frames = [frame for frames in scene.node_frames.values()
                        for frame in frames]
         views = DetectionViews.build(scene, scene.extrinsics)
@@ -517,8 +516,8 @@ class TestPreparedBackgroundPasses:
         frames = 0
         for nodes, integrate in crossroad_passes(scene):
             for frame in range(scene.spec.n_frames):
-                subtract_background(views.fused(nodes, frame, integrate),
-                                    background)
+                subtract_background(fusion.fuse_window(
+                    views.frames, nodes, frame, integrate), background)
                 frames += 1
         assert len(trees) == frames
         assert sum(size for size, _ in trees) < 0.5 * frames * len(

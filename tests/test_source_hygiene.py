@@ -6,7 +6,8 @@ in that module, every private module-level name is referenced somewhere in
 the package, every public one is used by the package, the demos or the
 benchmark harness, and so is every public method and property of a class,
 and every field of a config dataclass is read by the package. Norms, squared
-norms, dot and cross products of point rows have one definition each.
+norms, dot and cross products of point rows have one definition each, and so
+has the merge of point clouds.
 """
 
 import ast
@@ -274,6 +275,40 @@ def test_the_check_sees_each_numpy_row_kernel():
                      "n = (d * d).sum(axis=1)\n")
     assert sorted(line for line, _ in numpy_row_kernels(tree)) == [
         1, 2, 3, 4, 8, 9, 10]
+
+
+def direct_cloud_merges(tree):
+    """(line, call) of every ``PointCloud(...)`` call that takes an
+    ``np.concatenate`` or ``np.vstack`` call directly as an argument: a
+    merge that ``PointCloud.concatenate`` replaces."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and dotted(node.func) == "PointCloud":
+            for arg in [*node.args, *(keyword.value
+                                      for keyword in node.keywords)]:
+                if isinstance(arg, ast.Call) and dotted(arg.func) in (
+                        "np.concatenate", "np.vstack"):
+                    yield node.lineno, dotted(arg.func)
+
+
+def test_clouds_have_one_merge():
+    """Outside ``geometry``, clouds merge through ``PointCloud.concatenate``,
+    which keeps their per-point attributes, never numpy's own."""
+    found = [f"{module}:{line} {name}" for module, tree in TREES.items()
+             if module != "geometry.py"
+             for line, name in direct_cloud_merges(tree)]
+    assert not found, f"cloud merges outside PointCloud.concatenate: {found}"
+
+
+def test_the_check_sees_each_direct_cloud_merge():
+    tree = ast.parse("a = PointCloud(np.concatenate(parts))\n"
+                     "b = PointCloud(np.vstack([p, q]), timestamp_ns=t)\n"
+                     "c = PointCloud(p, intensity=np.concatenate(i))\n"
+                     "d = PointCloud(p)\n"
+                     "e = PointCloud.concatenate(clouds)\n"
+                     "f = np.concatenate(parts)\n"
+                     "g = PointCloud(np.asarray(np.concatenate(parts)))\n"
+                     "h = PointCloud(np.hstack([p, q]))\n")
+    assert sorted(line for line, _ in direct_cloud_merges(tree)) == [1, 2, 3]
 
 
 def test_the_checks_see_an_unused_import_and_an_unused_private_name():
