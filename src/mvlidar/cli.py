@@ -9,7 +9,8 @@ the clouds it reads back, not the pipeline's bytes. ``pipeline`` runs the
 whole chain, ``make-scene`` exports a synthetic scene and prints the inputs
 the pipeline gives it, and ``convert`` turns .mvlc into .xyz and back.
 
-Exit codes: 0 success, 2 bad input data or file format, 3 algorithmic
+Exit codes: 0 success, 2 bad input data or file format or an unusable
+path (a missing file, a directory where a file belongs), 3 algorithmic
 failure (for example calibration fitness below threshold), 4 bad
 configuration.
 """
@@ -29,9 +30,8 @@ from .errors import AlgorithmError, ConfigError, FormatError, \
 from .formats import flatten_frames, read_calibration, read_detections, \
     read_frame, read_trajectories, read_xyz, write_calibration, \
     write_detections, write_frame, write_json, write_trajectories, write_xyz
-from .fusion import DEFAULT_SYNC_WINDOW_S, ViewFrameSet, \
-    check_synchronized, fuse_window
-from .geometry import ObjectClass, apply_transform
+from .fusion import DEFAULT_SYNC_WINDOW_S, check_synchronized, fuse_window
+from .geometry import ObjectClass, apply_transform, check_time_order
 from .metrics import DetectionEvalConfig, compute_ap, compute_clear_mot, \
     format_ap_table, format_mot_table
 from .pipeline import PipelineConfig, calibrate_node, detect_per_frame, \
@@ -54,23 +54,35 @@ _CALIBRATE = {name: p.default for name, p in
 
 
 def _frames_in(directory):
+    """The .mvlc frames of a directory in name order, which must be time
+    order."""
     paths = sorted(glob.glob(os.path.join(directory, "*.mvlc")))
     if not paths:
         raise FormatError(f"no .mvlc frames in {directory}")
-    return [read_frame(path) for path in paths]
+    frames = [read_frame(path) for path in paths]
+    try:
+        check_time_order(frames)
+    except ValueError:
+        raise FormatError(f"frames in {directory} are not in time order")
+    return frames
 
 
 def _node_dirs(root):
+    """Node id -> path of each ``node_<id>`` entry of ``root``, named as
+    ``export_scene`` names it: the id in ASCII digits, with no sign and no
+    leading zero."""
     dirs = sorted(glob.glob(os.path.join(root, "node_*")))
     if not dirs:
         raise FormatError(f"no node_* directories in {root}")
     nodes = {}
     for path in dirs:
-        try:
-            node = int(os.path.basename(path).split("_", 1)[1])
-        except ValueError:
-            raise FormatError(f"cannot parse node id from {path}")
-        nodes[node] = path
+        suffix = os.path.basename(path)[len("node_"):]
+        if not (suffix.isascii() and suffix.isdigit()
+                and suffix == str(int(suffix))):
+            raise FormatError(f"cannot parse node id from {path}: expected "
+                              f"node_<id>, a non-negative integer without "
+                              f"sign or leading zero")
+        nodes[int(suffix)] = path
     return nodes
 
 
@@ -160,8 +172,6 @@ def cmd_sync_sim(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    # the window's range check, before any input is read
-    ViewFrameSet({}, {}, sync_window_s=args.sync_window)
     extrinsics = read_calibration(args.calib)
     per_node = {node: _frames_in(directory)
                 for node, directory in _node_dirs(args.frames).items()}
@@ -333,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True,
                    help="directory containing node_<id>/ frame directories")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--sync-window", type=float, default=DEFAULT_SYNC_WINDOW_S)
+    p.add_argument("--sync-window", type=_checked(float, "--sync-window", 0),
+                   default=DEFAULT_SYNC_WINDOW_S,
+                   help="seconds the node timestamps of a frame may spread "
+                        "over (finite, >= 0)")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("detect", help="run the geometric detector per frame")
@@ -404,8 +417,7 @@ def main(argv=None) -> int:
         # inside the try: an option's own range check raises ConfigError
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (FormatError, FileNotFoundError, ConfigError,
-            AlgorithmError) as exc:
+    except (FormatError, OSError, ConfigError, AlgorithmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_CONFIG if isinstance(exc, ConfigError) else
                 EXIT_ALGORITHM if isinstance(exc, AlgorithmError) else

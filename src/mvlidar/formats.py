@@ -4,15 +4,18 @@ Frame container (little-endian, 24-byte header):
 
     magic          4 bytes  b"MVLC"
     version        u16      1
-    flags          u16      bit0 intensity, bit1 time index, bit2 source id
+    flags          u16      one bit per optional point column
     point_count    u32
     timestamp_ns   u64
     node_id        u16      0xFFFF when the cloud has no acquiring node
     reserved       u16      0
 
-followed by point_count records of x, y, z (float32) plus, per flags,
-intensity (float32), time index (u16) and source id (u16). The declared
-count must match the payload size exactly; the magic and version are
+followed by point_count records of x, y, z (float32) plus the optional
+columns whose flag bit is set, in this order: intensity (float32, 0x1) and
+source id (u16, 0x4). 0x2 once flagged a per-point time index and stays
+reserved, so a new column takes a new bit. The declared count must match
+the payload size exactly; the magic, the version and the flags (a file with
+a reserved or unknown bit is refused, not read without that column) are
 verified on read, and every coordinate and intensity must be finite.
 
 JSON-lines records (one object per line, unknown keys ignored):
@@ -41,6 +44,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    FormatError,
     RecordError,
     TruncatedPayloadError,
     UnsupportedVersionError,
@@ -53,9 +57,10 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHIQHH")
 _NO_NODE = 0xFFFF
 
-FLAG_INTENSITY = 0x1
-FLAG_TIME_INDEX = 0x2
-FLAG_SOURCE_ID = 0x4
+# the optional point columns in record order: (flag bit, PointCloud
+# attribute, stored type); bit 0x2 is reserved (see the module docstring)
+_COLUMNS = ((0x1, "intensity", "<f4"), (0x4, "source_ids", "<u2"))
+_FLAGS = sum(bit for bit, _, _ in _COLUMNS)
 
 
 def atomic_write(path, data: bytes):
@@ -83,19 +88,18 @@ def write_json(path, payload) -> None:
 
 def write_frame(path, cloud: PointCloud) -> None:
     """Serialize a cloud. Coordinates are stored as float32."""
-    flags = 0
-    if cloud.intensity is not None:
-        flags |= FLAG_INTENSITY
-    if cloud.time_index is not None:
-        flags |= FLAG_TIME_INDEX
-        if cloud.time_index.min(initial=0) < 0 or \
-                cloud.time_index.max(initial=0) > 0xFFFF:
-            raise ValueError("time_index values must fit in u16")
-    if cloud.source_ids is not None:
-        flags |= FLAG_SOURCE_ID
-        if cloud.source_ids.min(initial=0) < 0 or \
-                cloud.source_ids.max(initial=0) > 0xFFFF:
-            raise ValueError("source_ids values must fit in u16")
+    flags, columns = 0, []
+    for bit, name, stored in _COLUMNS:
+        values = getattr(cloud, name)
+        if values is None:
+            continue
+        if np.dtype(stored).kind == "u":
+            limit = np.iinfo(stored)
+            if values.min(initial=0) < 0 or \
+                    values.max(initial=0) > limit.max:
+                raise ValueError(f"{name} values must fit in u{limit.bits}")
+        flags |= bit
+        columns.append((name, values.astype(stored)))
 
     node_id = _NO_NODE if cloud.source_node is None else int(cloud.source_node)
     if not 0 <= node_id <= 0xFFFF:
@@ -104,28 +108,20 @@ def write_frame(path, cloud: PointCloud) -> None:
                           cloud.timestamp_ns, node_id, 0)
     record = np.zeros(len(cloud), dtype=_record_dtype(flags))
     record["x"], record["y"], record["z"] = (cloud.points.astype("<f4").T)
-    if flags & FLAG_INTENSITY:
-        record["intensity"] = cloud.intensity.astype("<f4")
-    if flags & FLAG_TIME_INDEX:
-        record["time_index"] = cloud.time_index.astype("<u2")
-    if flags & FLAG_SOURCE_ID:
-        record["source"] = cloud.source_ids.astype("<u2")
+    for name, values in columns:
+        record[name] = values
     atomic_write(path, header + record.tobytes())
 
 
 def _record_dtype(flags: int) -> np.dtype:
-    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
-    if flags & FLAG_INTENSITY:
-        fields.append(("intensity", "<f4"))
-    if flags & FLAG_TIME_INDEX:
-        fields.append(("time_index", "<u2"))
-    if flags & FLAG_SOURCE_ID:
-        fields.append(("source", "<u2"))
-    return np.dtype(fields)
+    return np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
+                    + [(name, stored) for bit, name, stored in _COLUMNS
+                       if flags & bit])
 
 
 def read_frame(path) -> PointCloud:
-    """Read a frame file, verifying magic, version, and payload size."""
+    """Read a frame file, verifying magic, version, flags and payload
+    size."""
     with open(path, "rb") as handle:
         data = handle.read()
     if len(data) < _HEADER.size:
@@ -136,6 +132,8 @@ def read_frame(path) -> PointCloud:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
+    if flags & ~_FLAGS:
+        raise FormatError(f"unsupported flag bits {flags & ~_FLAGS:#x}")
     dtype = _record_dtype(flags)
     payload = data[_HEADER.size:]
     if len(payload) != count * dtype.itemsize:
@@ -145,22 +143,17 @@ def read_frame(path) -> PointCloud:
     record = np.frombuffer(payload, dtype=dtype)
     # checked before widening, which warns on a signalling NaN
     points = np.column_stack([record["x"], record["y"], record["z"]])
-    intensity = record["intensity"] if flags & FLAG_INTENSITY else None
+    columns = {name: record[name] for bit, name, _ in _COLUMNS if flags & bit}
     finite = np.isfinite(points).all(axis=1)
-    if intensity is not None:
-        finite &= np.isfinite(intensity)
+    for values in columns.values():
+        if values.dtype.kind == "f":
+            finite &= np.isfinite(values)
     if not finite.all():
         raise RecordError(f"point {int(np.argmin(finite))}: values must be "
                           f"finite")
-    return PointCloud(
-        points.astype(float),
-        intensity=None if intensity is None else intensity.astype(float),
-        timestamp_ns=int(timestamp_ns),
-        time_index=record["time_index"].astype(np.int64)
-        if flags & FLAG_TIME_INDEX else None,
-        source_ids=record["source"].astype(np.int64)
-        if flags & FLAG_SOURCE_ID else None,
-        source_node=None if node_id == _NO_NODE else int(node_id))
+    return PointCloud(points, timestamp_ns=int(timestamp_ns),
+                      source_node=None if node_id == _NO_NODE else int(node_id),
+                      **columns)
 
 
 def write_xyz(path, cloud: PointCloud) -> None:

@@ -96,17 +96,14 @@ def early_fuse(view_set: ViewFrameSet) -> PointCloud:
 
 
 def temporal_integrate(frames: list) -> PointCloud:
-    """Concatenate time-ordered frames, tagging points with the frame index.
-
-    Index 0 is the oldest frame; other attributes follow
-    ``PointCloud.concatenate``.
-    """
+    """Concatenate time-ordered frames, oldest first, stamped with the last
+    frame's timestamp and source node; attributes follow
+    ``PointCloud.concatenate``."""
     if not frames:
         return PointCloud.empty()
     check_time_order(frames)
     return PointCloud.concatenate(frames, timestamp_ns=frames[-1].timestamp_ns,
-                                  source_node=frames[-1].source_node,
-                                  time_index=range(len(frames)))
+                                  source_node=frames[-1].source_node)
 
 
 @dataclass(frozen=True)

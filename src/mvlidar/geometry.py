@@ -174,17 +174,15 @@ class PointCloud:
     """One frame of 3D points plus optional per-point attributes.
 
     ``points`` is (N, 3) float64. Optional per-point arrays must match its
-    length: ``intensity`` (float), ``time_index`` (int, which source frame a
-    point came from after temporal integration) and ``source_ids`` (int,
-    which node a point came from after multi-view fusion). ``timestamp_ns``
-    is the frame acquisition time; ``source_node`` the acquiring node for
-    single-view clouds.
+    length: ``intensity`` (float) and ``source_ids`` (int, which node a
+    point came from after multi-view fusion). ``timestamp_ns`` is the frame
+    acquisition time; ``source_node`` the acquiring node for single-view
+    clouds.
     """
 
     points: np.ndarray
     intensity: Optional[np.ndarray] = None
     timestamp_ns: int = 0
-    time_index: Optional[np.ndarray] = None
     source_ids: Optional[np.ndarray] = None
     source_node: Optional[int] = None
 
@@ -199,8 +197,7 @@ class PointCloud:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         n = len(pts)
-        for name, dtype in (("intensity", float), ("time_index", np.int64),
-                            ("source_ids", np.int64)):
+        for name, dtype in (("intensity", float), ("source_ids", np.int64)):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -245,7 +242,7 @@ class PointCloud:
 
         # an unknown tag name fails as an unknown PointCloud argument
         attributes = {name: merged(name) for name in
-                      {"intensity", "time_index", "source_ids", *tags}}
+                      {"intensity", "source_ids", *tags}}
         return PointCloud(np.concatenate([part.points for part in parts]
                                          or [np.zeros((0, 3))]),
                           timestamp_ns=timestamp_ns, source_node=source_node,
@@ -257,7 +254,6 @@ class PointCloud:
         return PointCloud(self.points[mask_or_index],
                           intensity=pick(self.intensity),
                           timestamp_ns=self.timestamp_ns,
-                          time_index=pick(self.time_index),
                           source_ids=pick(self.source_ids),
                           source_node=self.source_node)
 
@@ -504,9 +500,9 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     per point, the voxels are found by counting each possible key; wider
     spans fall back to sorting the keys with ``np.unique``. Both give the
     same order, membership and counts (see ``_voxel_grid``). Member sums
-    accumulate in input order. Intensity is averaged per voxel; the integer
-    time-index and source-id attributes keep the per-voxel minimum. Raises
-    ValueError when a voxel index reaches 2**62 in magnitude.
+    accumulate in input order. Intensity is averaged per voxel; the source
+    ids keep the per-voxel minimum. Raises ValueError when a voxel index
+    reaches 2**62 in magnitude.
     """
     if voxel_size <= 0.0:
         raise ValueError("voxel_size must be positive")
@@ -531,19 +527,14 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
 
     centroids = np.stack([voxel_sums(column) for column in cloud.points.T],
                          axis=1) / counts[:, None]
-    intensity = None
+    intensity = source_ids = None
     if cloud.intensity is not None:
         intensity = voxel_sums(cloud.intensity) / counts
-
-    def int_min(values):
-        if values is None:
-            return None
+    if cloud.source_ids is not None:
         # gather the members voxel by voxel, then reduce each run
-        return np.minimum.reduceat(values[np.argsort(inverse)],
-                                   np.cumsum(counts) - counts)
+        source_ids = np.minimum.reduceat(
+            cloud.source_ids[np.argsort(inverse)], np.cumsum(counts) - counts)
 
     return PointCloud(centroids, intensity=intensity,
-                      timestamp_ns=cloud.timestamp_ns,
-                      time_index=int_min(cloud.time_index),
-                      source_ids=int_min(cloud.source_ids),
+                      timestamp_ns=cloud.timestamp_ns, source_ids=source_ids,
                       source_node=cloud.source_node)

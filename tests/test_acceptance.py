@@ -452,8 +452,8 @@ def test_criterion_8_determinism_and_formats(tmp_path, rng):
     # lossless round trips
     cloud = PointCloud(rng.uniform(-40, 40, (500, 3)).astype(np.float32),
                        intensity=rng.random(500).astype(np.float32),
-                       timestamp_ns=123, time_index=rng.integers(0, 4, 500),
-                       source_ids=rng.integers(0, 4, 500), source_node=2)
+                       timestamp_ns=123, source_ids=rng.integers(0, 4, 500),
+                       source_node=2)
     write_frame(tmp_path / "x.mvlc", cloud)
     loaded = read_frame(tmp_path / "x.mvlc")
     np.testing.assert_array_equal(loaded.points, cloud.points)

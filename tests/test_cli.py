@@ -20,6 +20,7 @@ from mvlidar.cli import build_parser, main
 from mvlidar.detector import DetectorConfig
 from mvlidar.errors import ConfigError
 from mvlidar.formats import (
+    _HEADER,
     flatten_frames,
     read_calibration,
     read_detections,
@@ -747,10 +748,10 @@ class TestErrorsAndConversion:
     @pytest.mark.parametrize("argv, message", [
         (["fuse", "--calib", "missing.jsonl", "--frames", "missing",
           "--out", "fused", "--sync-window", "-1"],
-         "sync_window_s must be a finite number >= 0, got -1.0"),
+         "--sync-window must be a finite number >= 0, got -1.0"),
         (["fuse", "--calib", "missing.jsonl", "--frames", "missing",
           "--out", "fused", "--sync-window", "nan"],
-         "sync_window_s must be a finite number >= 0, got nan"),
+         "--sync-window must be a finite number >= 0, got nan"),
         (["track", "--detections", "missing.jsonl", "--out", "fused",
           "--frame-dt", "nan"],
          "frame_dt must be a finite number in (0, 3600.0], got nan"),
@@ -1001,7 +1002,7 @@ class TestErrorsAndConversion:
                      str(tmp_path / "fused"), f"--sync-window={window}"])
         assert code == 4
         assert capsys.readouterr().err == (
-            f"error: sync_window_s must be a finite number >= 0, "
+            f"error: --sync-window must be a finite number >= 0, "
             f"got {float(window)}\n")
         assert not (tmp_path / "fused").exists()
 
@@ -1014,6 +1015,122 @@ class TestErrorsAndConversion:
                      str(tmp_path / "b.mvlc")]) == 0
         again = read_frame(tmp_path / "b.mvlc")
         np.testing.assert_allclose(again.points, cloud.points, atol=1e-6)
+
+
+def link_nodes(root, source, names):
+    """``root`` with an entry per name, each a link to a node directory of
+    ``source``: ``{name: node}``."""
+    root.mkdir()
+    for name, node in names.items():
+        (root / name).symlink_to(source / f"node_{node}",
+                                 target_is_directory=True)
+    return root
+
+
+def node_command(command, scene_dir, root) -> list:
+    """``calibrate`` or ``fuse`` of the node directories under ``root``,
+    without ``--out``."""
+    if command == "calibrate":
+        return ["calibrate", "--node-root", str(root), "--reference",
+                str(scene_dir / "reference.mvlc")]
+    return ["fuse", "--calib", str(scene_dir / "gt_calibration.jsonl"),
+            "--frames", str(root)]
+
+
+def one_line_error(capsys) -> str:
+    """The one line ``main`` printed on stderr, with nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
+class TestInputLayout:
+    """Malformed input directories and paths exit 2 in one line before
+    anything is written."""
+
+    @pytest.mark.parametrize("name", ["node_01", "node_1_0", "node_-2",
+                                      "node_+1", "node_ 1", "node_\u0661"])
+    @pytest.mark.parametrize("command", ["calibrate", "fuse"])
+    def test_loose_node_directory_name_exit_2(self, scene_dir, tmp_path,
+                                              capsys, command, name):
+        """Only ``node_<id>``, as ``export_scene`` names it, is a node.
+        ``int`` reads each of these as a node id: ``node_1_0`` as 10,
+        ``node_-2`` as -2 and the rest as 1, beside ``node_1``."""
+        source = scene_dir / "calib" if command == "calibrate" else scene_dir
+        root = link_nodes(tmp_path / "nodes", source,
+                          {**{f"node_{n}": n for n in range(4)}, name: 1})
+        out = tmp_path / "out"
+        assert main(node_command(command, scene_dir, root)
+                    + ["--out", str(out)]) == 2
+        assert one_line_error(capsys) == (
+            f"error: cannot parse node id from {root / name}: expected "
+            f"node_<id>, a non-negative integer without sign or leading "
+            f"zero\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "fuse"])
+    def test_frames_out_of_time_order_exit_2(self, scene_dir, tmp_path,
+                                             capsys, command):
+        """Every node's frames renamed into reverse order: ``calibrate``
+        once ended in a traceback, and ``fuse`` fused them silently."""
+        source = scene_dir / "calib" if command == "calibrate" else scene_dir
+        root = tmp_path / "nodes"
+        for node in range(4):
+            paths = sorted((source / f"node_{node}").glob("*.mvlc"))
+            (root / f"node_{node}").mkdir(parents=True)
+            for path, renamed in zip(paths, reversed(paths)):
+                (root / f"node_{node}" / renamed.name).write_bytes(
+                    path.read_bytes())
+        out = tmp_path / "out"
+        assert main(node_command(command, scene_dir, root)
+                    + ["--out", str(out)]) == 2
+        assert one_line_error(capsys) == (
+            f"error: frames in {root / 'node_0'} are not in time order\n")
+        assert not out.exists()
+
+    def test_directory_as_convert_output_exit_2(self, tmp_path, capsys):
+        cloud = tmp_path / "cloud.xyz"
+        cloud.write_text("1 2 3\n")
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["convert", str(cloud), str(taken)]) == 2
+        assert str(taken) in one_line_error(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.xyz",
+                                                             "taken"]
+        assert not any(taken.iterdir())
+
+    @pytest.mark.parametrize("option", ["--background", "--frames"])
+    def test_directory_as_detect_input_exit_2(self, scene_dir, tmp_path,
+                                              capsys, option):
+        """A directory where a frame file belongs, and a frames directory
+        holding a directory named like a frame."""
+        frames = tmp_path / "frames"
+        (frames / "frame_00000.mvlc").mkdir(parents=True)
+        inputs = {"--frames": scene_dir / "node_0",
+                  "--background": scene_dir / "reference.mvlc"}
+        inputs[option] = frames
+        out = tmp_path / "out.jsonl"
+        assert main(["detect", *(str(v) for item in inputs.items()
+                                 for v in item), "--out", str(out)]) == 2
+        one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [0x2, 0x8, 0x8000], ids=hex)
+    def test_reserved_or_unknown_flag_bit_exit_2(self, tmp_path, capsys,
+                                                 flags):
+        """A frame with flag 0x2 and room for the time index that bit once
+        flagged, or with a bit no column claims, is refused."""
+        frame = tmp_path / "frame.mvlc"
+        record = 14 if flags == 0x2 else 12
+        frame.write_bytes(_HEADER.pack(b"MVLC", 1, flags, 2, 0, 0xFFFF, 0)
+                          + bytes(2 * record))
+        out = tmp_path / "frame.xyz"
+        assert main(["convert", str(frame), str(out)]) == 2
+        assert one_line_error(capsys) == \
+            f"error: unsupported flag bits {flags:#x}\n"
+        assert not out.exists()
 
 
 class TestSyncSimCli:
@@ -1058,7 +1175,8 @@ class TestJsonOutFiles:
 
     @pytest.mark.parametrize("command", ["sync-sim", "eval-det", "eval-mot"])
     def test_failed_write_keeps_the_old_file(self, argv_for, tmp_path,
-                                             monkeypatch, command):
+                                             monkeypatch, capsys, command):
+        """A failed write exits 2 in one line, like any unusable path."""
         out = tmp_path / "out" / "result.json"
         out.parent.mkdir()
         out.write_text("previous")
@@ -1067,7 +1185,7 @@ class TestJsonOutFiles:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError):
-            main(argv_for(command, out))
+        assert main(argv_for(command, out)) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
         assert out.read_text() == "previous"
         assert os.listdir(out.parent) == ["result.json"]

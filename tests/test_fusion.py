@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
@@ -115,12 +116,10 @@ def recordings(draw):
     return frames, extrinsics, nodes
 
 
-def attributes(cloud, time_index: bool) -> dict:
-    """Every attribute of a cloud as bytes, the time index only when
-    asked."""
-    names = ["points", "intensity", "source_ids", "timestamp_ns",
-             "source_node"] + (["time_index"] if time_index else [])
-    values = {name: getattr(cloud, name) for name in names}
+def attributes(cloud) -> dict:
+    """Every attribute of a cloud, arrays as bytes."""
+    values = {field.name: getattr(cloud, field.name)
+              for field in dataclass_fields(cloud)}
     return {name: value.tobytes() if isinstance(value, np.ndarray) else value
             for name, value in values.items()}
 
@@ -137,7 +136,7 @@ class TestFuseWindow:
             fused.points[:, 0], [1.0] * 2 + [2.0] * 3 + [41.0] * 6 + [42.0] * 7)
         np.testing.assert_array_equal(fused.source_ids, [0] * 5 + [4] * 13)
         assert fused.timestamp_ns == 2 * FRAME_NS + 4
-        assert fused.time_index is None and fused.source_node is None
+        assert fused.source_node is None
         first = fuse_window(frames, (4, 0), 0, integrate=3)
         np.testing.assert_array_equal(first.points[:, 0], [0.0] + [40.0] * 5)
 
@@ -155,9 +154,8 @@ class TestFuseWindow:
     def test_equals_the_oracle(self, recording):
         """``fuse_window`` of the world-frame node frames equals, bit for
         bit, each view integrated by ``temporal_integrate`` and fused by
-        ``early_fuse``, at every frame and window length; only the time
-        index, which the oracle adds to a window of several frames, may
-        differ. A skewed frame fails alike in both."""
+        ``early_fuse``, at every frame and window length, in every
+        attribute. A skewed frame fails alike in both."""
         frames, extrinsics, nodes = recording
         world = {node: [apply_transform(extrinsics[node], frame)
                         for frame in node_frames]
@@ -172,23 +170,22 @@ class TestFuseWindow:
                                        match=f"^{re.escape(str(exc))}$"):
                         fuse_window(world, nodes, frame, integrate)
                     continue
-                single = min(integrate, frame + 1) == 1
-                assert attributes(fuse_window(world, nodes, frame, integrate),
-                                  single) == attributes(expected, single)
+                assert attributes(fuse_window(world, nodes, frame,
+                                              integrate)) == \
+                    attributes(expected)
 
 
 class TestTemporalIntegrate:
-    def test_single_frame_gets_index_zero(self, rng):
-        out = temporal_integrate([cloud(rng.normal(size=(10, 3)))])
-        assert np.all(out.time_index == 0)
-
     def test_four_frames_partition_by_index(self, rng):
-        frames = [cloud(rng.normal(size=(25, 3)), t_ns=k * 100_000_000)
+        """Frame k fills rows 25k to 25k + 24; the last frame stamps the
+        result."""
+        frames = [PointCloud(rng.normal(size=(25, 3)),
+                             timestamp_ns=k * 100_000_000, source_node=k)
                   for k in range(4)]
         out = temporal_integrate(frames)
-        assert len(out) == 100
-        counts = np.bincount(out.time_index)
-        np.testing.assert_array_equal(counts, [25, 25, 25, 25])
+        np.testing.assert_array_equal(
+            out.points, np.concatenate([f.points for f in frames]))
+        assert (out.timestamp_ns, out.source_node) == (300_000_000, 3)
 
     def test_integration_matches_multi_view_budget(self, rng):
         # counting oracle: k single-view frames vs one k-view frame
@@ -214,7 +211,6 @@ class TestTemporalIntegrate:
         out = temporal_integrate(fused)
         np.testing.assert_array_equal(out.source_ids,
                                       [0] * 5 + [1] * 6 + [0] * 5 + [1] * 6)
-        np.testing.assert_array_equal(out.time_index, [0] * 11 + [1] * 11)
 
     def test_unordered_frames_rejected(self):
         frames = [cloud(np.zeros((1, 3)), t_ns=100), cloud(np.zeros((1, 3)), t_ns=0)]

@@ -113,14 +113,14 @@ class TestConcatenate:
             name: rng.integers(0, 5, n) for name in attributes})
 
     def test_attribute_kept_only_when_every_non_empty_part_has_it(self, rng):
-        a = self.part(rng, 4, intensity=1, time_index=1)
+        a = self.part(rng, 4, intensity=1, source_ids=1)
         b = self.part(rng, 3, intensity=1)
         merged = PointCloud.concatenate([a, PointCloud.empty(), b])
         np.testing.assert_array_equal(merged.points,
                                       np.concatenate([a.points, b.points]))
         np.testing.assert_array_equal(
             merged.intensity, np.concatenate([a.intensity, b.intensity]))
-        assert merged.time_index is None and merged.source_ids is None
+        assert merged.source_ids is None
 
     def test_tag_overrides_the_parts_attribute(self, rng):
         a = self.part(rng, 2, source_ids=1)
@@ -135,9 +135,9 @@ class TestConcatenate:
     def test_empty_parts_give_an_empty_cloud(self, parts):
         merged = PointCloud.concatenate([PointCloud.empty()] * parts,
                                         timestamp_ns=4,
-                                        time_index=range(parts))
+                                        source_ids=range(parts))
         assert merged.points.shape == (0, 3) and merged.timestamp_ns == 4
-        assert merged.intensity is merged.time_index is None
+        assert merged.intensity is merged.source_ids is None
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(TypeError):
@@ -452,7 +452,6 @@ def voxel_downsample_oracle(cloud, voxel_size):
 
     return PointCloud(sums / counts[:, None], intensity=intensity,
                       timestamp_ns=cloud.timestamp_ns,
-                      time_index=int_min(cloud.time_index),
                       source_ids=int_min(cloud.source_ids),
                       source_node=cloud.source_node)
 
@@ -460,7 +459,7 @@ def voxel_downsample_oracle(cloud, voxel_size):
 def assert_clouds_identical(a, b):
     assert a.points.dtype == b.points.dtype
     assert np.array_equal(a.points, b.points)
-    for name in ("intensity", "time_index", "source_ids"):
+    for name in ("intensity", "source_ids"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
         if x is not None:
@@ -489,7 +488,6 @@ def attributed_clouds(draw):
     return PointCloud(points,
                       intensity=maybe(st.floats(0.0, 255.0)),
                       timestamp_ns=draw(st.integers(0, 10**12)),
-                      time_index=maybe(st.integers(0, 9)),
                       source_ids=maybe(st.integers(0, 3)),
                       source_node=draw(st.one_of(st.none(), st.integers(0, 3))))
 
@@ -526,7 +524,6 @@ def clouds_by_key_span(draw):
     cloud = PointCloud((cells + origin + offsets) * voxel_size,
                        intensity=maybe(st.floats(0.0, 255.0)),
                        timestamp_ns=draw(st.integers(0, 10**12)),
-                       time_index=maybe(st.integers(0, 9)),
                        source_ids=maybe(st.integers(0, 3)),
                        source_node=draw(st.one_of(st.none(),
                                                   st.integers(0, 3))))
@@ -555,8 +552,8 @@ class TestVoxelDownsampleOracle:
         n = 2000
         cloud = PointCloud(rng.uniform(-6.0, 6.0, size=(n, 3)),
                            intensity=rng.uniform(0.0, 100.0, n),
-                           timestamp_ns=7, time_index=rng.integers(0, 5, n),
-                           source_ids=rng.integers(0, 4, n), source_node=2)
+                           timestamp_ns=7, source_ids=rng.integers(0, 4, n),
+                           source_node=2)
         assert_clouds_identical(voxel_downsample(cloud, 0.7),
                                 voxel_downsample_oracle(cloud, 0.7))
 

@@ -1198,12 +1198,12 @@ class TestAccumulateFrames:
 
     def test_attributes_of_every_frame_kept(self, rng):
         frames = [PointCloud(rng.normal(size=(4, 3)), timestamp_ns=t,
-                             time_index=[t] * 4, source_ids=[2] * 4,
+                             intensity=[t] * 4, source_ids=[2] * 4,
                              source_node=2) for t in (0, 1)]
         out = accumulate_frames(frames, 10.0)
-        np.testing.assert_array_equal(out.time_index, [0] * 4 + [1] * 4)
+        np.testing.assert_array_equal(out.intensity, [0] * 4 + [1] * 4)
         np.testing.assert_array_equal(out.source_ids, [2] * 8)
-        assert out.intensity is None and out.source_node == 2
+        assert out.source_node == 2
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):

@@ -7,7 +7,8 @@ the package, every public one is used by the package, the demos or the
 benchmark harness, and so is every public method and property of a class,
 and every field of a config dataclass is read by the package. Norms, squared
 norms, dot and cross products of point rows have one definition each, and so
-has the merge of point clouds.
+has the merge of point clouds. Each optional per-point array of a cloud has
+one column in the frame container.
 """
 
 import ast
@@ -350,3 +351,52 @@ def test_the_check_sees_a_config_field_only_its_check_reads():
                      "def run(cfg):\n    return cfg.used\n")
     assert [name for _, name in config_fields(tree)
             if name not in attributes_read(tree)] == ["unread"]
+
+
+def optional_point_arrays(tree):
+    """Every ``Optional[np.ndarray]`` field of the class ``PointCloud``: its
+    optional per-point arrays."""
+    return [item.target.id for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "PointCloud"
+            for item in node.body if isinstance(item, ast.AnnAssign)
+            and ast.unparse(item.annotation) == "Optional[np.ndarray]"]
+
+
+def mvlc_columns(tree):
+    """The cloud attribute of each row of the module's ``_COLUMNS`` table of
+    (flag bit, attribute, stored type)."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "_COLUMNS"
+                    for target in node.targets)
+            for _, name, _ in ast.literal_eval(node.value)]
+
+
+def unmatched_columns(cloud_tree, formats_tree):
+    """Each optional per-point array with no column or with several, and
+    each column that stores no such array."""
+    arrays = optional_point_arrays(cloud_tree)
+    columns = mvlc_columns(formats_tree)
+    return [name for name in sorted(set(arrays) | set(columns))
+            if name not in arrays or columns.count(name) != 1]
+
+
+def test_every_point_array_has_one_mvlc_column():
+    """``write_frame`` stores each optional per-point array of a cloud in
+    one ``.mvlc`` column, so none is dropped or stored twice."""
+    assert mvlc_columns(TREES["formats.py"])
+    assert not unmatched_columns(TREES["geometry.py"], TREES["formats.py"])
+
+
+def test_the_check_sees_a_missing_doubled_or_stray_column():
+    cloud = ast.parse("class PointCloud:\n"
+                      "    points: np.ndarray\n"
+                      "    intensity: Optional[np.ndarray] = None\n"
+                      "    ring: Optional[np.ndarray] = None\n"
+                      "    source_ids: Optional[np.ndarray] = None\n"
+                      "    source_node: Optional[int] = None\n")
+    formats = ast.parse("_COLUMNS = ((0x1, 'intensity', '<f4'),\n"
+                        "            (0x4, 'source_ids', '<u2'),\n"
+                        "            (0x8, 'source_ids', '<u2'),\n"
+                        "            (0x10, 'time_index', '<u2'))\n")
+    assert unmatched_columns(cloud, formats) == ["ring", "source_ids",
+                                                 "time_index"]
