@@ -7,7 +7,8 @@ read from ``PipelineConfig()``, ``calibrate_node`` and the fusion module.
 Frames on disk are float32, so the chain reproduces the pipeline's calls on
 the clouds it reads back, not the pipeline's bytes. ``pipeline`` runs the
 whole chain, ``make-scene`` exports a synthetic scene and prints the inputs
-the pipeline gives it, and ``convert`` turns .mvlc into .xyz and back.
+the pipeline gives it, and ``convert`` turns .mvlc into .xyz and back,
+with a warning on stderr that names what .xyz cannot hold.
 
 Exit codes: 0 success, 2 bad input data or file format or an unusable
 path (a missing file, a directory where a file belongs), 3 algorithmic
@@ -27,9 +28,10 @@ from dataclasses import replace as dc_replace
 
 from .errors import AlgorithmError, ConfigError, FormatError, \
     NoGroundTruthError, check_number
-from .formats import flatten_frames, read_calibration, read_detections, \
-    read_frame, read_trajectories, read_xyz, write_calibration, \
-    write_detections, write_frame, write_json, write_trajectories, write_xyz
+from .formats import MAX_NODE_ID, flatten_frames, read_calibration, \
+    read_detections, read_frame, read_trajectories, read_xyz, \
+    write_calibration, write_detections, write_frame, write_json, \
+    write_trajectories, write_xyz
 from .fusion import DEFAULT_SYNC_WINDOW_S, check_synchronized, fuse_window
 from .geometry import ObjectClass, apply_transform, check_time_order
 from .metrics import DetectionEvalConfig, compute_ap, compute_clear_mot, \
@@ -70,7 +72,7 @@ def _frames_in(directory):
 def _node_dirs(root):
     """Node id -> path of each ``node_<id>`` entry of ``root``, named as
     ``export_scene`` names it: the id in ASCII digits, with no sign and no
-    leading zero."""
+    leading zero, and at most ``MAX_NODE_ID``, the largest a frame holds."""
     dirs = sorted(glob.glob(os.path.join(root, "node_*")))
     if not dirs:
         raise FormatError(f"no node_* directories in {root}")
@@ -78,10 +80,10 @@ def _node_dirs(root):
     for path in dirs:
         suffix = os.path.basename(path)[len("node_"):]
         if not (suffix.isascii() and suffix.isdigit()
-                and suffix == str(int(suffix))):
+                and suffix == str(int(suffix)) and int(suffix) <= MAX_NODE_ID):
             raise FormatError(f"cannot parse node id from {path}: expected "
-                              f"node_<id>, a non-negative integer without "
-                              f"sign or leading zero")
+                              f"node_<id>, an integer in [0, {MAX_NODE_ID}] "
+                              f"without sign or leading zero")
         nodes[int(suffix)] = path
     return nodes
 
@@ -267,9 +269,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_make_scene(args) -> int:
-    spec = standard_crossroad_spec(n_frames=args.frames, seed=args.seed,
-                                   extent=_PIPELINE.scene_extent,
-                                   with_occluders=not args.no_occluders)
+    spec = standard_crossroad_spec(n_frames=args.frames, seed=args.seed)
     scene = generate_synthetic_scene(spec, seed=args.seed)
     export_scene(scene, args.out, args.seed)
     total = sum(len(f) for frames in scene.node_frames.values() for f in frames)
@@ -283,7 +283,16 @@ def cmd_make_scene(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.input.endswith(".mvlc"):
-        write_xyz(args.output, read_frame(args.input))
+        cloud = read_frame(args.input)
+        write_xyz(args.output, cloud)
+        dropped = [name for name, lost in (
+            ("source ids", cloud.source_ids is not None),
+            ("timestamp", cloud.timestamp_ns != 0),
+            ("node", cloud.source_node is not None)) if lost]
+        if dropped:
+            print(f"warning: .xyz holds only x y z and intensity; dropped "
+                  f"the {', '.join(dropped)} of {args.input}",
+                  file=sys.stderr)
     elif args.input.endswith(".xyz"):
         write_frame(args.output, read_xyz(args.input))
     else:
@@ -401,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=_PIPELINE.scene_frames)
     p.add_argument("--seed", type=_SEED, default=_PIPELINE.seed)
-    p.add_argument("--no-occluders", action="store_true")
     p.set_defaults(func=cmd_make_scene)
 
     p = sub.add_parser("convert", help="convert .mvlc <-> .xyz")

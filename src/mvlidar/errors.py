@@ -41,14 +41,19 @@ def check_number(setting: str, value, low=None, high=None, *,
                  integer: bool = False) -> None:
     """Raise ConfigError unless ``value`` is a finite number (an integer
     with ``integer``) within ``low`` and ``high`` (given with ``low``), each
-    bound inclusive unless open. The one range check of every setting: the
-    message reads ``<setting> must be <rule>, got <value>``."""
-    fits = (not isinstance(value, bool)
-            and isinstance(value, Integral if integer else Real)
-            and (isinstance(value, Integral) or math.isfinite(value))
-            and (low is None or (value > low if low_open else value >= low))
-            and (high is None
-                 or (value < high if high_open else value <= high)))
+    bound inclusive unless open; a non-integer must convert to a finite
+    float. The one range check of every setting: the message reads
+    ``<setting> must be <rule>, got <value>``."""
+    try:
+        fits = (not isinstance(value, bool)
+                and isinstance(value, Integral if integer else Real)
+                and (integer or math.isfinite(value))
+                and (low is None
+                     or (value > low if low_open else value >= low))
+                and (high is None
+                     or (value < high if high_open else value <= high)))
+    except OverflowError:  # an integer beyond float range
+        fits = False
     if fits:
         return
     rule = "an integer" if integer else "a finite number"

@@ -56,6 +56,8 @@ MAGIC = b"MVLC"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHIQHH")
 _NO_NODE = 0xFFFF
+# the largest node id a header holds: 0xFFFF is the "no node" sentinel
+MAX_NODE_ID = _NO_NODE - 1
 
 # the optional point columns in record order: (flag bit, PointCloud
 # attribute, stored type); bit 0x2 is reserved (see the module docstring)
@@ -102,8 +104,8 @@ def write_frame(path, cloud: PointCloud) -> None:
         columns.append((name, values.astype(stored)))
 
     node_id = _NO_NODE if cloud.source_node is None else int(cloud.source_node)
-    if not 0 <= node_id <= 0xFFFF:
-        raise ValueError("source_node must fit in u16")
+    if cloud.source_node is not None and not 0 <= node_id <= MAX_NODE_ID:
+        raise ValueError(f"source_node must be in [0, {MAX_NODE_ID}]")
     header = _HEADER.pack(MAGIC, VERSION, flags, len(cloud),
                           cloud.timestamp_ns, node_id, 0)
     record = np.zeros(len(cloud), dtype=_record_dtype(flags))

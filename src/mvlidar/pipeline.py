@@ -50,7 +50,6 @@ from .metrics import (
 )
 from .registration import (
     HierarchyConfig,
-    HierarchyLevel,
     RegistrationResult,
     accumulate_frames,
     hierarchical_register,
@@ -324,16 +323,14 @@ def hierarchy_from_dict(raw) -> HierarchyConfig:
 
     The one parser of hierarchy configs: the ``hierarchy`` section of a
     pipeline config and the ``mvlidar calibrate --config`` file. Levels are
-    ``[voxel_size, max_correspondence_distance, max_iterations]`` triples.
-    Raises ConfigError for unknown keys and malformed values.
+    ``[voxel_size, max_correspondence_distance, max_iterations]`` triples,
+    which ``HierarchyConfig`` turns into ``HierarchyLevel``s. Raises
+    ConfigError for unknown keys and malformed values.
     """
     base = HierarchyConfig()
     section = _take(raw, "hierarchy",
                     {f.name for f in fields(HierarchyConfig)}, base)
     try:
-        if "levels" in section:
-            section["levels"] = tuple(HierarchyLevel(*level)
-                                      for level in section["levels"])
         return dc_replace(base, **section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"hierarchy: {exc}") from None
@@ -342,14 +339,13 @@ def hierarchy_from_dict(raw) -> HierarchyConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     """The run's settings, one section per stage. ``seed`` seeds the scene,
-    the calibration and the sync simulator: ``sync.seed`` always equals it."""
+    the calibration and the sync simulator: ``sync.seed`` always equals it.
+    The scene is always ``standard_crossroad_spec``: only its frame count
+    is a setting."""
 
     seed: int = 0
     output_dir: str = "pipeline-out"
     scene_frames: int = 30
-    scene_extent: float = 22.0
-    scene_occluders: bool = True
-    export_frames: bool = False
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
@@ -362,7 +358,6 @@ class PipelineConfig:
         check_number("seed", self.seed, 0, integer=True)
         check_number("scene_frames", self.scene_frames, 1, MAX_SCENE_FRAMES,
                      integer=True)
-        check_number("scene_extent", self.scene_extent, 0, low_open=True)
         if self.sync.seed != self.seed:
             object.__setattr__(self, "sync", dc_replace(self.sync,
                                                         seed=self.seed))
@@ -389,16 +384,9 @@ class PipelineConfig:
         kwargs["seed"] = _field(raw, "seed", base.seed, "")
         kwargs["output_dir"] = _field(raw, "output_dir", base.output_dir, "")
 
-        scene = _take(raw.get("scene", {}), "scene",
-                      {"frames", "extent", "occluders", "export_frames"})
+        scene = _take(raw.get("scene", {}), "scene", {"frames"})
         kwargs["scene_frames"] = _field(scene, "frames", base.scene_frames,
                                         "scene")
-        kwargs["scene_extent"] = float(_field(scene, "extent",
-                                              base.scene_extent, "scene"))
-        kwargs["scene_occluders"] = _field(scene, "occluders",
-                                           base.scene_occluders, "scene")
-        kwargs["export_frames"] = _field(scene, "export_frames",
-                                         base.export_frames, "scene")
 
         kwargs["hierarchy"] = hierarchy_from_dict(raw.get("hierarchy", {}))
 
@@ -423,23 +411,15 @@ class PipelineConfig:
                    for name, value in thresholds.items()}}
         kwargs["eval_det"] = DetectionEvalConfig(**eval_det)
 
-        sync = _take(raw.get("sync", {}), "sync",
-                     {"node_count", "duration_s", "frame_rate_hz",
-                      "delay_min_s", "delay_max_s", "drop_probability"})
-        session, network = base.sync, base.sync.network
-
-        def number(key, default):
-            return float(_field(sync, key, default, "sync"))
-
-        kwargs["sync"] = SessionConfig(
-            node_count=_field(sync, "node_count", session.node_count, "sync"),
-            duration_s=number("duration_s", session.duration_s),
-            frame_rate_hz=number("frame_rate_hz", session.frame_rate_hz),
-            network=NetworkModel(
-                delay_min_s=number("delay_min_s", network.delay_min_s),
-                delay_max_s=number("delay_max_s", network.delay_max_s),
-                drop_probability=number("drop_probability",
-                                        network.drop_probability)))
+        network_keys = {"delay_min_s", "delay_max_s", "drop_probability"}
+        sync = _take(raw.get("sync", {}), "sync", network_keys
+                     | {"node_count", "duration_s", "frame_rate_hz"})
+        network = {key: sync.pop(key) for key in list(sync)
+                   if key in network_keys}
+        kwargs["sync"] = dc_replace(
+            base.sync, **_take(sync, "sync", set(sync), base.sync),
+            network=NetworkModel(**_take(network, "sync", set(network),
+                                         base.sync.network)))
         return PipelineConfig(**kwargs)
 
 
@@ -502,12 +482,8 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
                                    "seconds": round(now - last_mark, 3)})
         last_mark = now
 
-    spec = standard_crossroad_spec(n_frames=cfg.scene_frames, seed=cfg.seed,
-                                   extent=cfg.scene_extent,
-                                   with_occluders=cfg.scene_occluders)
+    spec = standard_crossroad_spec(n_frames=cfg.scene_frames, seed=cfg.seed)
     scene = generate_synthetic_scene(spec, seed=cfg.seed)
-    if cfg.export_frames:
-        export_scene(scene, os.path.join(out, "scene"), cfg.seed)
     stage("scene")
 
     # spatial calibration against the reference scan, on each node's

@@ -42,6 +42,8 @@ _CALIBRATION_NOISE_SIGMA = 0.02
 _CALIBRATION_MAX_RANGE = 200.0
 # street-clutter boxes around the rim (and half as many trees, at least 4)
 _CLUTTER_COUNT = 24
+# the standard crossroad's half side (m)
+_CROSSROAD_EXTENT = 22.0
 
 DEFAULT_OBJECT_SIZES = {
     ObjectClass.CAR: (4.2, 1.9, 1.5),
@@ -563,8 +565,7 @@ def calibration_capture(scene: SyntheticScene, node: int, seed: int = 0,
     return frames
 
 
-def corner_building_layout(rng, extent: float,
-                           keep_clear: tuple = ()) -> tuple:
+def corner_building_layout(rng, extent: float, keep_clear: tuple) -> tuple:
     """Corner buildings, poles, trees, and varied street clutter.
 
     The clutter (parked cars, bins, kiosks at assorted sizes and headings)
@@ -633,15 +634,16 @@ def corner_building_layout(rng, extent: float,
     return tuple(statics)
 
 
-def standard_crossroad_spec(n_frames: int = 30, seed: int = 0,
-                            extent: float = 22.0,
-                            with_occluders: bool = True) -> SceneSpec:
+def standard_crossroad_spec(n_frames: int, seed: int = 0) -> SceneSpec:
     """The canonical four-node crossroad used by the pipeline experiments.
 
-    Four sensors at the corners look at the center; occluder walls near the
-    middle shadow parts of the scene from individual views; a mix of cars,
-    cyclists and pedestrians crosses the junction.
+    Four sensors at the corners look at the center; two fixed occluder walls
+    near the middle shadow parts of the scene from individual views; a mix
+    of cars, cyclists and pedestrians crosses the junction.
     """
+    # checked before the objects' speeds are scaled to the capture's length
+    check_number("n_frames", n_frames, 1, MAX_SCENE_FRAMES, integer=True)
+    extent = _CROSSROAD_EXTENT
     rng = np.random.default_rng([seed, 0xC805])
     node_xy = tuple((sx * extent * 0.85, sy * extent * 0.85)
                     for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)))
@@ -656,14 +658,13 @@ def standard_crossroad_spec(n_frames: int = 30, seed: int = 0,
     stations += tuple((0.75 * extent * dx, 0.75 * extent * dy, 2.2)
                       for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)))
     keep_clear = tuple((x, y, 3.0) for x, y in node_xy) + ((0.0, 0.0, 2.5),)
-    statics = list(corner_building_layout(rng, extent, keep_clear=keep_clear))
-    if with_occluders:
-        # chest-high walls near the crossing: each shadows low objects from
-        # one side while the opposite nodes see over or around it
-        statics += [
-            SceneBox(center=(4.5, 2.0, 0.85), size=(0.4, 6.5, 1.7), yaw=0.35),
-            SceneBox(center=(-4.0, -3.0, 0.85), size=(5.5, 0.4, 1.7), yaw=-0.25),
-        ]
+    statics = list(corner_building_layout(rng, extent, keep_clear))
+    # chest-high walls near the crossing: each shadows low objects from one
+    # side while the opposite nodes see over or around it
+    statics += [
+        SceneBox(center=(4.5, 2.0, 0.85), size=(0.4, 6.5, 1.7), yaw=0.35),
+        SceneBox(center=(-4.0, -3.0, 0.85), size=(5.5, 0.4, 1.7), yaw=-0.25),
+    ]
 
     # objects roam the annotated central area; speed is capped so nothing
     # leaves it during the capture

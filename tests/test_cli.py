@@ -33,6 +33,7 @@ from mvlidar.formats import (
 )
 from mvlidar.fusion import DEFAULT_SYNC_WINDOW_S
 from mvlidar.geometry import Box3D, ObjectClass, PointCloud, transform_distance
+from mvlidar.metrics import MAX_RECALL_POINTS
 from mvlidar.pipeline import (
     PipelineConfig,
     calibrate_node,
@@ -713,11 +714,15 @@ class TestErrorsAndConversion:
         ("tracker", "measurement_noise", 0.01),
         ("hierarchy", "convergence_epsilon", 1e-6),
         ("hierarchy", "min_normal_neighbors", 5),
-        ("hierarchy", "edge_length_ratio", 0.9)])
+        ("hierarchy", "edge_length_ratio", 0.9),
+        ("scene", "extent", 22.0),
+        ("scene", "occluders", True),
+        ("scene", "export_frames", False)])
     def test_removed_tuning_key_exit_4(self, tmp_path, capsys, section, key,
                                        value):
-        """These values are module constants that no caller set, so a
-        key that sets one, even to its value, is refused."""
+        """These values are module constants or fixed parts of the
+        crossroad that no caller set (``make-scene`` is what exports a
+        scene), so a key that sets one, even to its value, is refused."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({section: {key: value}}))
         code = main(["pipeline", "--config", str(cfg),
@@ -726,6 +731,58 @@ class TestErrorsAndConversion:
         assert capsys.readouterr().err == \
             f"error: unknown keys in {section}: ['{key}']\n"
         assert not (tmp_path / "out").exists()
+
+    def test_no_occluders_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "scene"
+        with pytest.raises(SystemExit) as exited:
+            main(["make-scene", "--out", str(out), "--frames", "1",
+                  "--no-occluders"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --no-occluders" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"detector": {"cluster_distance": 10**400}},
+         "cluster_distance must be a finite number > 0"),
+        ({"sync": {"duration_s": 10**400}},
+         "duration_s must be a finite number in (0, "),
+        ({"eval_det": {"recall_points": 10**12}},
+         f"recall_points must be an integer in [1, {MAX_RECALL_POINTS}], "
+         f"got {10**12}")], ids=["cluster_distance", "duration_s",
+                                 "recall_points"])
+    def test_value_the_run_cannot_use_exit_4(self, tmp_path, capsys,
+                                             monkeypatch, raw, message):
+        """An integer beyond float range for a float setting, which a
+        clustering tree cannot take, and more recall levels than memory
+        holds, are refused as the config is read."""
+        def run(*args, **kwargs):
+            raise AssertionError("the config was accepted")
+
+        monkeypatch.setattr(cli, "run_pipeline", run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code = main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        assert one_line_error(capsys).startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_radius_beyond_float_range_exit_4(self, scene_dir, tmp_path,
+                                              capsys):
+        """Once accepted, and then an OverflowError traceback from the
+        feature search."""
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"fpfh_radius": 1' + "0" * 400 + "}")
+        out = tmp_path / "calibration.jsonl"
+        code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == 4
+        assert one_line_error(capsys).startswith(
+            "error: hierarchy.fpfh_radius must be a finite number > 0, "
+            "got 1000")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["eval-det", "--detections", "missing.jsonl", "--ground-truth",
@@ -1016,6 +1073,31 @@ class TestErrorsAndConversion:
         again = read_frame(tmp_path / "b.mvlc")
         np.testing.assert_allclose(again.points, cloud.points, atol=1e-6)
 
+    @pytest.mark.parametrize("attributes, dropped", [
+        ({}, None),
+        ({"source_ids": [4]}, "source ids"),
+        ({"timestamp_ns": 100_000_000}, "timestamp"),
+        ({"source_node": 3}, "node"),
+        ({"source_ids": [4], "timestamp_ns": 1, "source_node": 0},
+         "source ids, timestamp, node")],
+        ids=["none", "source_ids", "timestamp", "node", "all"])
+    def test_convert_to_xyz_names_what_it_drops(self, tmp_path, capsys,
+                                                attributes, dropped):
+        """.xyz holds x y z and intensity: a frame with no other attribute
+        converts silently."""
+        frame = tmp_path / "a.mvlc"
+        write_frame(frame, PointCloud([[1.0, 2.0, 3.0]], intensity=[0.5],
+                                      **attributes))
+        out = tmp_path / "a.xyz"
+        assert main(["convert", str(frame), str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("" if dropped is None else
+                                f"warning: .xyz holds only x y z and "
+                                f"intensity; dropped the {dropped} of "
+                                f"{frame}\n")
+        assert captured.out == f"wrote {out}\n"
+        assert out.read_text() == "1.0 2.0 3.0 0.5\n"
+
 
 def link_nodes(root, source, names):
     """``root`` with an entry per name, each a link to a node directory of
@@ -1066,7 +1148,32 @@ class TestInputLayout:
                     + ["--out", str(out)]) == 2
         assert one_line_error(capsys) == (
             f"error: cannot parse node id from {root / name}: expected "
-            f"node_<id>, a non-negative integer without sign or leading "
+            f"node_<id>, an integer in [0, 65534] without sign or leading "
+            f"zero\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("node", [0xFFFF, 70_000])
+    @pytest.mark.parametrize("command", ["calibrate", "fuse"])
+    def test_node_id_a_frame_cannot_hold_exit_2(self, scene_dir, tmp_path,
+                                                capsys, command, node):
+        """Node 3 renamed, with its calibration record: ``fuse`` once
+        ended in a traceback from ``write_frame`` and left ``--out``
+        behind, and ``calibrate`` ran."""
+        source = scene_dir / "calib" if command == "calibrate" else scene_dir
+        name = f"node_{node}"
+        root = link_nodes(tmp_path / "nodes", source,
+                          {"node_0": 0, "node_1": 1, "node_2": 2, name: 3})
+        calib = read_calibration(scene_dir / "gt_calibration.jsonl")
+        calib[node] = calib.pop(3)
+        write_calibration(tmp_path / "calib.jsonl", calib)
+        argv = node_command(command, scene_dir, root)
+        if command == "fuse":
+            argv[2] = str(tmp_path / "calib.jsonl")
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert one_line_error(capsys) == (
+            f"error: cannot parse node id from {root / name}: expected "
+            f"node_<id>, an integer in [0, 65534] without sign or leading "
             f"zero\n")
         assert not out.exists()
 

@@ -137,6 +137,16 @@ class TestFrameFile:
                            match=f"^unsupported flag bits {unknown:#x}$"):
             read_frame(path)
 
+    @pytest.mark.parametrize("node", [-1, 0xFFFF, 0x10000])
+    def test_node_the_header_cannot_hold_refused(self, tmp_path, node):
+        """0xFFFF is the "no node" sentinel: a frame of node 65535 would
+        read back with no node."""
+        path = tmp_path / "frame.mvlc"
+        with pytest.raises(ValueError,
+                           match=r"^source_node must be in \[0, 65534\]$"):
+            write_frame(path, PointCloud([[1.0, 2.0, 3.0]], source_node=node))
+        assert not path.exists()
+
     def test_empty_cloud_header_only(self, tmp_path):
         path = tmp_path / "empty.mvlc"
         write_frame(path, PointCloud.empty())

@@ -85,8 +85,7 @@ def sections(keys):
 
 
 config_keys = {"seed": json_values, "output_dir": json_values,
-               "scene": sections({"frames", "extent", "occluders",
-                                  "export_frames"}),
+               "scene": sections({"frames"}),
                "hierarchy": sections({"levels", "fpfh_radius",
                                       "ransac_iterations", "normal_radius"}),
                "detector": sections({"cluster_distance", "seed"}),

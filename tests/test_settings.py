@@ -29,14 +29,16 @@ from mvlidar.detector import DetectorConfig
 from mvlidar.errors import ConfigError
 from mvlidar.fusion import ViewFrameSet
 from mvlidar.geometry import ObjectClass, PointCloud, RigidTransform
-from mvlidar.metrics import DetectionEvalConfig, MotEvalConfig
+from mvlidar.metrics import MAX_RECALL_POINTS, DetectionEvalConfig, \
+    MotEvalConfig
 from mvlidar.pipeline import PipelineConfig, crossroad_hierarchy
 from mvlidar.registration import MAX_RANSAC_ITERATIONS, HierarchyLevel
 from mvlidar.scene import MAX_SCENE_FRAMES, NodePose, SceneSpec
 from mvlidar.syncsim import MAX_SESSION_S, NetworkModel, NodeClockModel
 from mvlidar.tracking import TrackerConfig
 
-SPECIAL = [math.nan, math.inf, -math.inf, 0, -1, 1e308]
+# 10**400 is an exact integer beyond float range
+SPECIAL = [math.nan, math.inf, -math.inf, 0, -1, 1e308, 10**400]
 
 
 class Reached(Exception):
@@ -75,6 +77,14 @@ def fuse_out(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fused"))
 
 
+def converts_to_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Field:
     """A numeric field of the config class ``owner``: the constructor call
@@ -101,10 +111,12 @@ class Field:
 
     def accepts(self, value) -> bool:
         """The verdict the interval gives: a number of the field's type,
-        finite and within the bounds."""
+        finite and within the bounds. A non-integer field's value must
+        convert to a finite float."""
         low, high = self.bounds
         return (not isinstance(value, bool)
                 and isinstance(value, Integral if self.integer else Real)
+                and (self.integer or converts_to_float(value))
                 and (value > low if self.interval[0] == "(" else value >= low)
                 and (value < high if self.interval[-1] == ")"
                      else value <= high))
@@ -176,7 +188,8 @@ def fields():
         option=("eval-det", "--iou-threshold")))
     out.append(Field(DetectionEvalConfig, "recall_points",
                      lambda v: DetectionEvalConfig(recall_points=v),
-                     "[1, inf)", True, section("eval_det", "recall_points")))
+                     f"[1, {MAX_RECALL_POINTS}]", True,
+                     section("eval_det", "recall_points")))
     out.append(Field(MotEvalConfig, "threshold",
                      lambda v: MotEvalConfig(threshold=v), "(0, 1]",
                      json=section("eval_mot", "threshold"),
@@ -225,10 +238,6 @@ def fields():
                      f"[1, {MAX_SCENE_FRAMES}]",
                      True, section("scene", "frames"),
                      json_key="scene.frames"))
-    out.append(Field(PipelineConfig, "scene_extent",
-                     lambda v: PipelineConfig(scene_extent=v), "(0, inf)",
-                     False, section("scene", "extent"),
-                     json_key="scene.extent"))
     return out
 
 
