@@ -205,10 +205,9 @@ def cmd_fuse(args) -> int:
 
 def cmd_detect(args) -> int:
     clouds = _frames_in(args.frames)
-    background = read_frame(args.background) if args.background else None
     detections = flatten_frames(detect_per_frame(
-        clouds, dc_replace(_PIPELINE.detector, seed=args.seed),
-        background=background, crop_half_extent=args.crop))
+        clouds, _PIPELINE.detector, background=read_frame(args.background),
+        crop_half_extent=args.crop))
     write_detections(args.out, detections)
     print(f"wrote {len(detections)} detections over {len(clouds)} frames "
           f"to {args.out}")
@@ -361,10 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run the geometric detector per frame")
     p.add_argument("--frames", required=True, help="directory of .mvlc frames")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, default=_PIPELINE.detector.seed)
-    p.add_argument("--background",
-                   help="reference .mvlc scan subtracted as static background "
-                        "(replaces the detector's ground removal)")
+    p.add_argument("--background", required=True,
+                   help="reference .mvlc scan of the empty scene, subtracted "
+                        "as static background (the ground included)")
     p.add_argument("--crop", type=_checked(float, "--crop", 0, low_open=True),
                    help="detect only where |x| and |y| are at most this "
                         "(make-scene prints its scene's)")

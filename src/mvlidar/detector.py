@@ -1,6 +1,7 @@
 """Non-learned baseline 3D detector.
 
-Pipeline: RANSAC ground-plane removal (near-horizontal planes only), then
+Pipeline: background subtraction against the reference scan of the empty
+scene, which strips the static structure, the ground included, then
 Euclidean distance clustering, then a minimum-area oriented rectangle per
 cluster (rotating calipers over the BEV convex hull). The class label comes
 from per-class size priors and the score from the normalized point count,
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,9 +20,9 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegenerateClusterError, FormatError, \
-    NoGroundPlaneError, TooManyPairsError, check_number
+    TooManyPairsError, check_number
 from .geometry import Box3D, ObjectClass, PointCloud, linked_groups, \
-    wrap_angle, xyz_cross
+    wrap_angle
 
 # (length range, width range, height range) per class; footprint areas are
 # disjoint so at most one prior can match
@@ -32,9 +32,9 @@ DEFAULT_SIZE_PRIORS = {
     ObjectClass.PEDESTRIAN: ((0.2, 0.9), (0.2, 0.9), (0.9, 2.1)),
 }
 
-_MAX_GROUND_TILT_DEG = 15.0
-_GROUND_ITERATIONS = 200    # RANSAC plane samples
-_GROUND_DISTANCE = 0.15     # plane inlier distance (m)
+# the height (m) of the world frame's ground, which the background holds:
+# subtraction strips it, and boxes reach down to it
+GROUND_Z = 0.0
 # thinner fits are sheet fragments (wall slivers at occlusion borders)
 _MIN_BOX_WIDTH = 0.15
 # a point within this distance (m) of the background scan is static
@@ -79,19 +79,13 @@ MIN_CLUSTER_POINTS = 15
 SCORE_POINTS_SCALE = 200.0
 
 
-class NoGroundPlaneWarning(UserWarning):
-    """detect_frame found no ground plane and returned no detections."""
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     cluster_distance: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         check_number("cluster_distance", self.cluster_distance, 0,
                      low_open=True)
-        check_number("seed", self.seed, 0, integer=True)
 
 
 def in_square(points: np.ndarray, half_extent: float) -> np.ndarray:
@@ -235,8 +229,7 @@ def prepare_background(background: PointCloud,
     the detection square |x|, |y| <= crop_half_extent is kept (plus a 1e-6 m
     margin): no other background point lies within ``distance`` of a frame
     point the square keeps. Raises FormatError when no background point
-    remains: subtracting it would remove nothing while ground removal stays
-    off.
+    remains: subtracting it would remove nothing, not even the ground.
 
     Fine cells have side ``distance / 2`` and are counted from the
     background's minimum corner. A background whose grid does not fit the
@@ -342,60 +335,6 @@ def subtract_background(cloud: PointCloud,
     return cloud if keep.all() else cloud.select(keep)
 
 
-def remove_ground(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
-                  ) -> tuple[PointCloud, PointCloud]:
-    """Split a cloud into (ground, non_ground) by a RANSAC plane fit.
-
-    Only planes whose normal is within 15 degrees of vertical are accepted.
-    The partition is exact: every input point lands in exactly one side.
-    Raises NoGroundPlaneError when no near-horizontal plane reaches a
-    3-point consensus.
-    """
-    if len(cloud) == 0:
-        raise ValueError("cloud must be nonempty")
-    points = cloud.points
-    n = len(points)
-    rng = np.random.default_rng(cfg.seed)
-    cos_tilt = math.cos(math.radians(_MAX_GROUND_TILT_DEG))
-
-    best_count = 0
-    best_mask = None
-    if n >= 3:
-        samples = rng.integers(0, n, size=(_GROUND_ITERATIONS, 3))
-        for i, j, k in samples:
-            if i == j or j == k or i == k:
-                continue
-            normal = np.array(xyz_cross(points[j] - points[i],
-                                        points[k] - points[i]))
-            norm = np.linalg.norm(normal)
-            if norm < 1e-12:
-                continue
-            normal = normal / norm
-            if abs(normal[2]) < cos_tilt:
-                continue
-            distances = np.abs((points - points[i]) @ normal)
-            mask = distances <= _GROUND_DISTANCE
-            count = int(mask.sum())
-            if count > best_count:
-                best_count, best_mask = count, mask
-
-    if best_mask is None or best_count < 3:
-        raise NoGroundPlaneError("no near-horizontal plane consensus")
-
-    # refine on the consensus set; keep the refit only if still near-vertical
-    inliers = points[best_mask]
-    centroid = inliers.mean(axis=0)
-    _, _, vt = np.linalg.svd(inliers - centroid, full_matrices=False)
-    normal = vt[2]
-    if abs(normal[2]) >= cos_tilt:
-        distances = np.abs((points - centroid) @ normal)
-        refined = distances <= _GROUND_DISTANCE
-        if refined.sum() >= best_count:
-            best_mask = refined
-
-    return cloud.select(best_mask), cloud.select(~best_mask)
-
-
 def cluster_euclidean(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
                       ) -> list:
     """Connected components under inter-point distance <= cluster_distance.
@@ -498,30 +437,17 @@ def fit_oriented_box(cluster: PointCloud,
                  score=score)
 
 
-def detect_frame(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig(),
-                 ground_z: Optional[float] = None) -> list:
-    """Ground removal, clustering, and box fitting for one frame.
+def detect_frame(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
+                 ) -> list:
+    """Clustering and box fitting for one background-subtracted frame.
 
-    A ``ground_z`` says the ground at that height is already gone
-    (background subtraction strips it): RANSAC ground removal is skipped
-    and boxes reach down to it. Without it, a frame with no ground plane
-    yields no detections and a NoGroundPlaneWarning, not an error.
-    Deterministic given cfg.seed.
+    Boxes reach down to GROUND_Z, the ground that the background took
+    away. Clusters no box fits are skipped.
     """
-    if len(cloud) == 0:
-        return []
-    if ground_z is None:
-        try:
-            _, non_ground = remove_ground(cloud, cfg)
-        except NoGroundPlaneError as exc:
-            warnings.warn(str(exc), NoGroundPlaneWarning, stacklevel=2)
-            return []
-    else:
-        non_ground = cloud
     boxes = []
-    for cluster in cluster_euclidean(non_ground, cfg):
+    for cluster in cluster_euclidean(cloud, cfg):
         try:
-            boxes.append(fit_oriented_box(cluster, ground_z))
+            boxes.append(fit_oriented_box(cluster, GROUND_Z))
         except DegenerateClusterError:
             continue
     return boxes

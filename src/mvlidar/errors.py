@@ -93,10 +93,6 @@ class DegenerateYawError(AlgorithmError):
     """Heading vectors cancel out; averaged yaw is undefined."""
 
 
-class NoGroundPlaneError(AlgorithmError):
-    """No near-horizontal plane with sufficient consensus."""
-
-
 class DegenerateClusterError(AlgorithmError):
     """Cluster is collinear in bird's-eye view; no oriented box fits it."""
 

@@ -336,9 +336,14 @@ def write_calibration(path, extrinsics: dict) -> None:
 
 
 def read_calibration(path) -> dict:
-    extrinsics = {}
+    """Node id -> RigidTransform; a node id given twice is a RecordError."""
+    extrinsics, lines = {}, {}
     for line_no, record in _load_lines(path):
         node_id = _index(record, "node_id", line_no)
+        if node_id in lines:
+            raise RecordError(f"line {line_no}: node_id {node_id} repeats "
+                              f"line {lines[node_id]}")
+        lines[node_id] = line_no
         rotation = _numbers(record, "rotation", 9, line_no)
         try:
             extrinsics[node_id] = RigidTransform(

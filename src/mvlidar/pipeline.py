@@ -80,9 +80,16 @@ def thread_budget() -> int:
 
 
 def run_environment() -> dict:
-    """The library versions a run's timings and outputs depend on."""
+    """The library versions a run's timings and outputs depend on, the BLAS
+    numpy was built with included ("unknown" when numpy does not say)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
     return {"python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": blas}
 
 
 def calibrate_node(frames: Sequence[PointCloud], reference: PointCloud,
@@ -111,29 +118,25 @@ def calibrate_node(frames: Sequence[PointCloud], reference: PointCloud,
 # ---------------------------------------------------------------------------
 
 def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
-                     background: Optional[PointCloud
-                                          | PreparedBackground] = None,
+                     background: PointCloud | PreparedBackground,
                      crop_half_extent: Optional[float] = None) -> list:
     """Run the detector over frames in order, on the calling thread.
 
     ``crop_half_extent`` restricts detection to the annotated central area
     (|x| and |y| up to the bound); a frame already inside it passes as it
-    is. With a background, static structure within BACKGROUND_DISTANCE is
-    subtracted per frame and the detector's own ground removal is skipped
-    (the ground goes with the background). Each frame is cropped first and
-    the background subtracted from what the crop keeps: a point's mask
+    is. The background, the reference scan of the empty scene, is
+    subtracted per frame within BACKGROUND_DISTANCE, which strips the
+    static structure and the ground with it. Each frame is cropped first
+    and the background subtracted from what the crop keeps: a point's mask
     depends only on that point, so the order changes no output. The
     background is a ``PreparedBackground`` made with the same
     ``crop_half_extent``, or a plain cloud, which is prepared here once per
     call (``prepare_background`` crops it and raises FormatError when
     nothing is left).
     """
-    # clouds are world-frame here and the scene ground is z=0
-    ground_z = None if background is None else 0.0
     if isinstance(background, PointCloud):
         background = prepare_background(background, crop_half_extent)
-    elif (background is not None
-          and background.crop_half_extent != crop_half_extent):
+    elif background.crop_half_extent != crop_half_extent:
         raise ValueError(
             f"background prepared for the crop {background.crop_half_extent}"
             f", not {crop_half_extent}")
@@ -143,9 +146,8 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
             keep = in_square(cloud.points, crop_half_extent)
             if not keep.all():
                 cloud = cloud.select(keep)
-        if background is not None:
-            cloud = subtract_background(cloud, background)
-        boxes.append(detect_frame(cloud, cfg, ground_z))
+        boxes.append(detect_frame(subtract_background(cloud, background),
+                                  cfg))
     return boxes
 
 
@@ -391,7 +393,6 @@ class PipelineConfig:
         kwargs["hierarchy"] = hierarchy_from_dict(raw.get("hierarchy", {}))
 
         for name, keys in (
-                # no ground-removal keys: background subtraction turns it off
                 ("detector", {"cluster_distance"}),
                 ("tracker", {"threshold", "min_hits", "max_age"}),
                 ("eval_mot", {"threshold"})):

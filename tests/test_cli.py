@@ -269,9 +269,9 @@ class TestStageDefaults:
         assert args["sync_window"] == DEFAULT_SYNC_WINDOW_S
 
     def test_detect(self):
-        args = self.parse("detect", "--frames", "f", "--out", "o")
-        assert args["seed"] == PipelineConfig().detector.seed
-        assert args["background"] is None and args["crop"] is None
+        args = self.parse("detect", "--frames", "f", "--out", "o",
+                          "--background", "b")
+        assert args["crop"] is None
 
     def test_track(self):
         args = self.parse("track", "--detections", "d", "--out", "o")
@@ -298,26 +298,19 @@ def changed(value):
 
 
 def test_every_detector_and_tracker_setting_is_reachable():
-    """Each field is a key of its pipeline-config section, or a mvlidar
-    option sets it; a setting that nothing sets is a constant instead."""
-    options = {("detector", "seed"): ("detect", "--frames", "f", "--out",
-                                      "o", "--seed")}
+    """Each field is a key of its pipeline-config section; a setting that
+    nothing sets is a constant instead."""
     unreachable = []
     for section, config in (("detector", DetectorConfig),
                             ("tracker", TrackerConfig)):
         for name in (f.name for f in fields(config)):
             value = changed(getattr(getattr(PipelineConfig(), section), name))
-            if (section, name) in options:
-                argv = [*options[section, name], str(value)]
-                reached = vars(build_parser().parse_args(argv))[name]
-            else:
-                try:
-                    parsed = PipelineConfig.from_dict({section: {name: value}})
-                except ConfigError:
-                    unreachable.append(f"{section}.{name}")
-                    continue
-                reached = getattr(getattr(parsed, section), name)
-            if reached != value:
+            try:
+                parsed = PipelineConfig.from_dict({section: {name: value}})
+            except ConfigError:
+                unreachable.append(f"{section}.{name}")
+                continue
+            if getattr(getattr(parsed, section), name) != value:
                 unreachable.append(f"{section}.{name}")
     assert not unreachable
 
@@ -337,13 +330,16 @@ class TestFuseDetectTrack:
         assert len(merged) == per_node
         assert merged.source_ids is not None
 
-    def test_detect_and_track_round_trip(self, scene_dir, tmp_path):
+    def test_detect_and_track_round_trip(self, exported, tmp_path):
+        scene_dir, printed = exported
         fused = tmp_path / "fused"
         main(["fuse", "--calib", str(scene_dir / "gt_calibration.jsonl"),
               "--frames", str(scene_dir), "--out", str(fused)])
         detections = tmp_path / "det.jsonl"
         code = main(["detect", "--frames", str(fused),
-                     "--out", str(detections)])
+                     "--out", str(detections),
+                     "--background", str(scene_dir / "reference.mvlc"),
+                     printed_option(printed, "crop")])
         assert code == 0
         assert detections.exists()
         trajectories = tmp_path / "traj.jsonl"
@@ -560,6 +556,17 @@ class TestErrorsAndConversion:
             f"got {json.loads(node_id)!r}\n")
         assert not (tmp_path / "fused").exists()
 
+    def test_repeated_node_id_exit_2(self, scene_dir, tmp_path, capsys):
+        calib = tmp_path / "calib.jsonl"
+        lines = (scene_dir / "gt_calibration.jsonl").read_text().splitlines()
+        calib.write_text("\n".join(lines + [lines[1]]) + "\n")
+        out = tmp_path / "fused"
+        assert main(["fuse", "--calib", str(calib), "--frames", str(scene_dir),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {len(lines) + 1}: node_id 1 repeats line 2\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("skewed", [0, 2])
     def test_timestamp_skew_exit_3_before_writing(self, scene_dir, tmp_path,
                                                   capsys, skewed):
@@ -596,9 +603,10 @@ class TestErrorsAndConversion:
             "error: line 1: track_id must be a non-negative integer, "
             "got -4\n")
 
-    def test_missing_file_exit_2(self, tmp_path):
+    def test_missing_file_exit_2(self, scene_dir, tmp_path):
         code = main(["detect", "--frames", str(tmp_path / "nowhere"),
-                     "--out", str(tmp_path / "out.jsonl")])
+                     "--out", str(tmp_path / "out.jsonl"),
+                     "--background", str(scene_dir / "reference.mvlc")])
         assert code == 2
 
     @pytest.fixture
@@ -637,7 +645,7 @@ class TestErrorsAndConversion:
 
     def test_too_many_cluster_pairs_exit_3(self, one_frame, tmp_path, capsys,
                                            monkeypatch):
-        # a background far off subtracts nothing and turns ground removal off
+        # a background far off subtracts nothing
         far = tmp_path / "far.mvlc"
         write_frame(far, PointCloud([[1e4, 1e4, 0.0]]))
         monkeypatch.setattr(detector, "MAX_CLUSTER_PAIRS", 1000)
@@ -732,6 +740,21 @@ class TestErrorsAndConversion:
             f"error: unknown keys in {section}: ['{key}']\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: --background"),
+        (["--background", "b.mvlc", "--seed", "3"],
+         "unrecognized arguments: --seed 3")], ids=["no-background", "seed"])
+    def test_detect_usage_error_exit_2(self, scene_dir, tmp_path, capsys,
+                                       argv, message):
+        """Detection always subtracts a background, and has no seed."""
+        out = tmp_path / "det.jsonl"
+        with pytest.raises(SystemExit) as exited:
+            main(["detect", "--frames", str(scene_dir / "node_0"),
+                  "--out", str(out), *argv])
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_occluders_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "scene"
         with pytest.raises(SystemExit) as exited:
@@ -749,13 +772,15 @@ class TestErrorsAndConversion:
          "duration_s must be a finite number in (0, "),
         ({"eval_det": {"recall_points": 10**12}},
          f"recall_points must be an integer in [1, {MAX_RECALL_POINTS}], "
-         f"got {10**12}")], ids=["cluster_distance", "duration_s",
-                                 "recall_points"])
+         f"got {10**12}"),
+        ({"sync": {"node_count": 65}},
+         "node_count must be an integer in [1, 64], got 65")],
+        ids=["cluster_distance", "duration_s", "recall_points", "node_count"])
     def test_value_the_run_cannot_use_exit_4(self, tmp_path, capsys,
                                              monkeypatch, raw, message):
         """An integer beyond float range for a float setting, which a
-        clustering tree cannot take, and more recall levels than memory
-        holds, are refused as the config is read."""
+        clustering tree cannot take, and more recall levels or session
+        nodes than memory holds, are refused as the config is read."""
         def run(*args, **kwargs):
             raise AssertionError("the config was accepted")
 
@@ -950,16 +975,14 @@ class TestErrorsAndConversion:
         assert f"expected X,Y,Z, got {viewpoint!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["calibrate", "detect", "sync-sim",
-                                         "pipeline", "make-scene"])
+    @pytest.mark.parametrize("command", ["calibrate", "sync-sim", "pipeline",
+                                         "make-scene"])
     def test_negative_seed_exit_4(self, scene_dir, tmp_path, capsys,
                                   command):
         out = tmp_path / "out"
         argv = {"calibrate": ["--node-root", str(scene_dir / "calib"),
                               "--reference", str(scene_dir / "reference.mvlc"),
                               "--out", str(out)],
-                "detect": ["--frames", str(scene_dir / "node_0"),
-                           "--out", str(out)],
                 "sync-sim": ["--out", str(out)],
                 "pipeline": ["--out-dir", str(out)],
                 "make-scene": ["--frames", "1", "--out", str(out)]}[command]
@@ -1006,7 +1029,8 @@ class TestErrorsAndConversion:
     def test_bad_crop_exit_4(self, scene_dir, tmp_path, capsys, crop):
         out = tmp_path / "det.jsonl"
         assert main(["detect", "--frames", str(scene_dir / "node_0"),
-                     "--out", str(out), f"--crop={crop}"]) == 4
+                     "--out", str(out), f"--crop={crop}",
+                     "--background", str(scene_dir / "reference.mvlc")]) == 4
         assert capsys.readouterr().err == (
             f"error: --crop must be a finite number > 0, got {float(crop)}\n")
         assert not out.exists()
@@ -1033,6 +1057,8 @@ class TestErrorsAndConversion:
          "frame_dt must be a finite number in (0, 3600.0], got 1e+308"),
         (["track", "--threshold", "nan"],
          "threshold must be a finite number in (0, 1], got nan"),
+        (["sync-sim", "--nodes", "65"],
+         "node_count must be an integer in [1, 64], got 65"),
     ])
     def test_bad_setting_exit_4(self, tmp_path, capsys, argv, message):
         """A non-finite or huge value is refused by the class that owns

@@ -10,17 +10,16 @@ from scipy.spatial import cKDTree
 from conftest import box_surface, ground_grid
 from mvlidar import detector
 from mvlidar.detector import (
+    GROUND_Z,
     DetectorConfig,
-    NoGroundPlaneWarning,
     cluster_euclidean,
     detect_frame,
     fit_oriented_box,
     prepare_background,
-    remove_ground,
     subtract_background,
 )
 from mvlidar.errors import ConfigError, DegenerateClusterError, \
-    FormatError, NoGroundPlaneError, TooManyPairsError
+    FormatError, TooManyPairsError
 from mvlidar.geometry import Box3D, ObjectClass, PointCloud
 
 
@@ -275,46 +274,6 @@ def test_non_finite_cluster_distance_rejected():
         DetectorConfig(cluster_distance=math.nan)
 
 
-class TestRemoveGround:
-    def test_pure_plane_all_ground(self, rng):
-        cloud = PointCloud(ground_grid(noise=0.01, rng=rng))
-        ground, non_ground = remove_ground(cloud)
-        assert len(non_ground) == 0
-        assert len(ground) == len(cloud)
-
-    def test_box_above_plane_separated(self, rng):
-        plane = ground_grid(noise=0.01, rng=rng)
-        block = box_surface((3.0, 2.0, 1.75), (2.0, 2.0, 1.5), 0.2, 400, rng)
-        cloud = PointCloud(np.vstack([plane, block]))
-        ground, non_ground = remove_ground(cloud)
-        # generator labels are the oracle: everything above 1 m is block
-        assert len(ground) + len(non_ground) == len(cloud)
-        assert np.all(non_ground.points[:, 2] > 0.5)
-        assert len(non_ground) == 400
-
-    def test_vertical_wall_only_raises(self, rng):
-        wall = np.column_stack([np.zeros(500),
-                                rng.uniform(-5, 5, 500),
-                                rng.uniform(0, 3, 500)])
-        with pytest.raises(NoGroundPlaneError):
-            remove_ground(PointCloud(wall))
-
-    def test_empty_cloud_rejected(self):
-        with pytest.raises(ValueError):
-            remove_ground(PointCloud.empty())
-
-    def test_partition_is_exact(self, rng):
-        plane = ground_grid(noise=0.02, rng=rng)
-        stuff = rng.uniform([-10, -10, 0.5], [10, 10, 3.0], size=(300, 3))
-        cloud = PointCloud(np.vstack([plane, stuff]),
-                           intensity=rng.random(len(plane) + 300))
-        ground, non_ground = remove_ground(cloud)
-        assert len(ground) + len(non_ground) == len(cloud)
-        merged = np.vstack([ground.points, non_ground.points])
-        assert len(np.unique(np.round(merged, 9), axis=0)) == len(np.unique(
-            np.round(cloud.points, 9), axis=0))
-
-
 class TestClusterEuclidean:
     def test_two_blobs(self, rng):
         a = rng.normal((0, 0, 1), 0.1, size=(50, 3))
@@ -450,42 +409,40 @@ class TestFitOrientedBox:
 
 
 class TestDetectFrame:
-    def synthetic_scene(self, rng, cars):
+    def subtracted_scene(self, rng, cars):
+        """A frame of cars on the ground, less a scan of the empty ground as
+        the background: the cloud detect_frame is given."""
         clouds = [ground_grid(noise=0.01, rng=rng)]
         for center, yaw in cars:
             clouds.append(box_surface((center[0], center[1], 0.75),
                                       (4.2, 1.9, 1.5), yaw, 500, rng))
-        return PointCloud(np.vstack(clouds))
+        background = prepare_background(
+            PointCloud(ground_grid(noise=0.01, rng=rng)))
+        return subtract_background(PointCloud(np.vstack(clouds)), background)
 
     def test_empty_scene_no_detections(self, rng):
-        cloud = PointCloud(ground_grid(noise=0.01, rng=rng))
+        cloud = self.subtracted_scene(rng, [])
+        assert len(cloud) == 0
         assert detect_frame(cloud) == []
 
     def test_three_cars_found(self, rng):
         cars = [((5.0, 5.0), 0.3), ((-6.0, 2.0), -1.0), ((0.0, -8.0), 1.2)]
-        cloud = self.synthetic_scene(rng, cars)
+        cloud = self.subtracted_scene(rng, cars)
+        # the subtraction took each car's lowest 0.5 m with the ground
+        assert cloud.points[:, 2].min() > 0.4
         boxes = detect_frame(cloud)
         assert len(boxes) == 3
         assert all(b.label is ObjectClass.CAR for b in boxes)
+        for box in boxes:
+            assert box.center[2] - 0.5 * box.size[2] == \
+                pytest.approx(GROUND_Z, abs=1e-9)
         for (cx, cy), _ in cars:
             nearest = min(np.linalg.norm(b.center[:2] - (cx, cy)) for b in boxes)
             assert nearest < 0.3
 
-    def test_no_ground_emits_warning(self, rng):
-        wall = np.column_stack([np.zeros(400), rng.uniform(-5, 5, 400),
-                                rng.uniform(0, 3, 400)])
-        with pytest.warns(NoGroundPlaneWarning):
-            boxes = detect_frame(PointCloud(wall))
-        assert boxes == []
-
     def test_empty_cloud_ok(self):
         assert detect_frame(PointCloud.empty()) == []
 
-    def test_deterministic_given_seed(self, rng):
-        cloud = self.synthetic_scene(rng, [((4.0, 0.0), 0.5)])
-        cfg = DetectorConfig(seed=3)
-        a = detect_frame(cloud, cfg)
-        b = detect_frame(cloud, cfg)
-        assert len(a) == len(b) == 1
-        np.testing.assert_array_equal(a[0].center, b[0].center)
-        assert a[0].yaw == b[0].yaw
+    def test_seed_is_no_setting(self):
+        with pytest.raises(TypeError):
+            DetectorConfig(seed=0)

@@ -367,6 +367,17 @@ class TestCalibrationRecords:
         with pytest.raises(RecordError):
             read_calibration(path)
 
+    def test_repeated_node_id_rejected(self, tmp_path):
+        """Once read silently, the last pose of the node winning."""
+        record = ('{{"node_id":{},"rotation":[1,0,0,0,1,0,0,0,1],'
+                  '"translation":[{},0,0]}}\n')
+        path = tmp_path / "calib.jsonl"
+        path.write_text(record.format(0, 1) + record.format(2, 0) + "\n"
+                        + record.format(0, 2))
+        with pytest.raises(RecordError, match=r"^line 4: node_id 0 repeats "
+                                              r"line 1$"):
+            read_calibration(path)
+
 
 BAD_NUMBERS = ['"1.5"', '"abc"', "true", "null", "[1]", "1e999"]
 

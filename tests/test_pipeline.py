@@ -168,8 +168,7 @@ def full_background_pass(clouds, background, distance, crop):
             cloud = cloud.select(
                 np.max(np.abs(cloud.points[:, :2]), axis=1) <= crop)
         kept.append(cloud)
-    return kept, [detect_frame(cloud, DetectorConfig(), 0.0)
-                  for cloud in kept]
+    return kept, [detect_frame(cloud, DetectorConfig()) for cloud in kept]
 
 
 def box_key(box):
@@ -180,9 +179,9 @@ def box_key(box):
 def assert_same_pass(monkeypatch, clouds, background, crop=None):
     seen, subtracted = [], []
 
-    def recording_detect_frame(cloud, cfg, ground_z=None):
+    def recording_detect_frame(cloud, cfg):
         seen.append(cloud)
-        return detect_frame(cloud, cfg, ground_z)
+        return detect_frame(cloud, cfg)
 
     def recording_subtract(cloud, background):
         subtracted.append(len(cloud))
@@ -388,7 +387,7 @@ def recorded_passes(monkeypatch, scene):
     (as ``run_pipeline`` makes it) and of both experiments."""
     passes = []
 
-    def recording(clouds, cfg, background=None, crop_half_extent=None):
+    def recording(clouds, cfg, background, crop_half_extent=None):
         boxes = detect_per_frame(clouds, cfg, background, crop_half_extent)
         passes.append((clouds, crop_half_extent, boxes))
         return boxes
@@ -658,7 +657,8 @@ MACHINE_OUTPUTS = ["calibration.jsonl", "detections.jsonl",
 # fast_pipeline_config(), and the versions they were recorded with. A
 # change to these bytes, a library upgrade's rounding included, is a
 # contract event: only a fix of a bug in the outputs updates them.
-PINNED_ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+PINNED_ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
+                      "blas": "scipy-openblas 0.3.31.188.0"}
 PINNED_DIGESTS = {
     "calibration.jsonl":
         "0015da7583ecde1499fa3c7d25ea7593b7a41cce20c53473ce4eef42369f95a9",
@@ -676,10 +676,14 @@ PINNED_DIGESTS = {
 
 
 class TestRunPipeline:
-    def test_run_environment(self):
+    def test_run_environment(self, monkeypatch):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert run_environment() == {
             "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
+        monkeypatch.setattr(np, "show_config", lambda mode: {})
+        assert run_environment()["blas"] == "unknown"
 
     def test_outputs_and_determinism(self, tmp_path, monkeypatch):
         """Two runs write the same six outputs, and those are the pinned

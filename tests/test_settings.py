@@ -34,7 +34,8 @@ from mvlidar.metrics import MAX_RECALL_POINTS, DetectionEvalConfig, \
 from mvlidar.pipeline import PipelineConfig, crossroad_hierarchy
 from mvlidar.registration import MAX_RANSAC_ITERATIONS, HierarchyLevel
 from mvlidar.scene import MAX_SCENE_FRAMES, NodePose, SceneSpec
-from mvlidar.syncsim import MAX_SESSION_S, NetworkModel, NodeClockModel
+from mvlidar.syncsim import MAX_SESSION_NODES, MAX_SESSION_S, \
+    NetworkModel, NodeClockModel
 from mvlidar.tracking import TrackerConfig
 
 # 10**400 is an exact integer beyond float range
@@ -57,7 +58,6 @@ STOPS = {
     "eval-mot": {"read_trajectories": reached},
     "pipeline": {"run_pipeline": reached},
     "make-scene": {"generate_synthetic_scene": reached},
-    "detect": {"_frames_in": lambda path: [], "write_detections": reached},
     "fuse": {"read_calibration": lambda path: {0: RigidTransform.identity()},
              "_node_dirs": lambda path: {0: path},
              "_frames_in": lambda path: [PointCloud([[1.0, 2.0, 3.0]])],
@@ -67,7 +67,6 @@ REQUIRED = {"sync-sim": [], "track": ["--detections", "d", "--out", "o"],
             "eval-det": ["--detections", "d", "--ground-truth", "g"],
             "eval-mot": ["--hypotheses", "h", "--ground-truth", "g"],
             "pipeline": [], "make-scene": ["--out", "o"],
-            "detect": ["--frames", "f", "--out", "o"],
             "fuse": ["--calib", "c", "--frames", "f"]}  # and --out
 
 
@@ -148,8 +147,6 @@ def fields():
     out.append(Field(DetectorConfig, "cluster_distance",
                      lambda v: DetectorConfig(cluster_distance=v),
                      "(0, inf)", json=section("detector", "cluster_distance")))
-    out.append(Field(DetectorConfig, "seed", lambda v: DetectorConfig(seed=v),
-                     "[0, inf)", True, option=("detect", "--seed")))
     for key, interval, integer, option in (
             ("threshold", "(0, 1]", False, "--threshold"),
             ("min_hits", "[1, inf)", True, "--min-hits"),
@@ -159,7 +156,7 @@ def fields():
                          interval, integer, section("tracker", key),
                          ("track", option)))
     for key, interval, integer, option in (
-            ("node_count", "[1, inf)", True, "--nodes"),
+            ("node_count", f"[1, {MAX_SESSION_NODES}]", True, "--nodes"),
             ("duration_s", FRAME_COUNT, False, "--duration"),
             ("frame_rate_hz", FRAME_COUNT, False, "--frame-rate")):
         out.append(Field(type(SYNC), key,

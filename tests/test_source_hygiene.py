@@ -5,7 +5,9 @@ ones that keep dead code from piling up: every name a module imports is used
 in that module, every private module-level name is referenced somewhere in
 the package, every public one is used by the package, the demos or the
 benchmark harness, and so is every public method and property of a class,
-and every field of a config dataclass is read by the package. Norms, squared
+every field of a config dataclass is read by the package, and every
+defaulted parameter of a package function is passed by some call in the
+package, the demos or the benchmark harness. Norms, squared
 norms, dot and cross products of point rows have one definition each, and so
 has the merge of point clouds. Each optional per-point array of a cloud has
 one column in the frame container.
@@ -44,6 +46,23 @@ UNREAD_PUBLIC_MEMBERS = {
 # config fields that no code outside the class's own checks reads, each kept
 # for the reason given
 UNREAD_CONFIG_FIELDS = {}
+
+# defaulted parameters that no call in the package, the demos or the
+# benchmark harness passes, each kept for the reason given
+UNSET_PARAMETERS = {
+    "cli.main(argv)": "the tests drive the CLI through it",
+    "detector.prepare_background(distance)": "hypothesis properties draw it",
+    "geometry.RigidTransform.from_yaw(translation)":
+        "the tests build poses with it",
+    "metrics.detection_recall(cfg)":
+        "the tests compare recall_and_ap with it at drawn thresholds, and "
+        "the benchmark harness traces it",
+    "registration.estimate_normals(min_neighbors)":
+        "hypothesis properties draw it",
+    "scene.NodePose.looking_at(roll)": "criterion 1 rolls its nodes",
+    "scene.calibration_capture(max_points)":
+        "criterion 1 captures 30,000 points",
+}
 
 
 def imported_names(tree):
@@ -201,6 +220,89 @@ def test_every_config_field_is_read():
               for cls, name in config_fields(tree) if name not in read]
     assert sorted(unread) == sorted(UNREAD_CONFIG_FIELDS), \
         f"config fields only their checks read: {unread}"
+
+
+def defaulted_parameters(tree):
+    """(qualified name, name, parameter, position) of every parameter with a
+    default of every function, method and nested function of the module.
+    The position counts the arguments a call passes, ``self`` or ``cls``
+    left out, and is None for a keyword-only parameter."""
+    def visit(node, prefix, in_class):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                yield from visit(item, f"{prefix}{item.name}.", True)
+            elif isinstance(item, ast.FunctionDef):
+                args = item.args
+                positional = args.posonlyargs + args.args
+                if in_class and "staticmethod" not in map(
+                        dotted, item.decorator_list):
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                for index, arg in enumerate(positional[first:], first):
+                    yield prefix + item.name, item.name, arg.arg, index
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield prefix + item.name, item.name, arg.arg, None
+                yield from visit(item, f"{prefix}{item.name}.", False)
+    yield from visit(tree, "", False)
+
+
+def passed_arguments(trees):
+    """Callee name -> what some call of that name passes: each keyword, each
+    position, and ``*`` or ``**`` for an unpacked sequence or mapping."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, (ast.Name, ast.Attribute)):
+                name = (node.func.id if isinstance(node.func, ast.Name)
+                        else node.func.attr)
+                given = passed.setdefault(name, set())
+                given.update(range(len(node.args)))
+                given.update("*" for arg in node.args
+                             if isinstance(arg, ast.Starred))
+                given.update(keyword.arg or "**"
+                             for keyword in node.keywords)
+    return passed
+
+
+def unset_parameters(trees, callers):
+    """``module.function(parameter)`` of each defaulted parameter of the
+    modules that no call of the function's name passes, by keyword or by
+    position, in ``trees`` or ``callers``."""
+    passed = passed_arguments(list(trees.values()) + list(callers))
+    unset = []
+    for module, tree in trees.items():
+        for qualified, name, parameter, index in defaulted_parameters(tree):
+            given = passed.get(name, set())
+            if not ({parameter, "**"} & given
+                    or index is not None and {index, "*"} & given):
+                unset.append(f"{module[:-3]}.{qualified}({parameter})")
+    return unset
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that no caller overrides is a constant in disguise: pass
+    the parameter somewhere outside the tests, make it a constant, or allow
+    it above with a reason."""
+    unset = unset_parameters(TREES, CALLERS.values())
+    assert sorted(unset) == sorted(UNSET_PARAMETERS), \
+        f"defaulted parameters no caller passes: {unset}"
+
+
+def test_the_check_sees_an_unset_parameter():
+    module = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                       "class K:\n"
+                       "    def m(self, x=0, y=0):\n        pass\n"
+                       "    @staticmethod\n"
+                       "    def s(x=0, y=0):\n        pass\n"
+                       "def g(u=0, v=0):\n"
+                       "    def inner(w=0):\n        pass\n"
+                       "    return inner\n")
+    caller = ast.parse("f(0, 1, e=5)\nk.m(1)\nK.s(1, 2)\n"
+                       "g(*args)\ng(**kwargs)\n")
+    assert unset_parameters({"mod.py": module}, [caller]) == [
+        "mod.f(c)", "mod.f(d)", "mod.K.m(y)", "mod.g.inner(w)"]
 
 
 def dotted(node) -> str:
