@@ -2,13 +2,15 @@
 
 The stage subcommands (calibrate, sync-sim, fuse, detect, track, eval-det,
 eval-mot) read their files, make the call ``run_pipeline`` makes with the
-arguments it passes, and write through the same writers; their defaults are
-read from ``PipelineConfig()``, ``calibrate_node`` and the fusion module.
-Frames on disk are float32, so the chain reproduces the pipeline's calls on
-the clouds it reads back, not the pipeline's bytes. ``pipeline`` runs the
-whole chain, ``make-scene`` exports a synthetic scene and prints the inputs
-the pipeline gives it, and ``convert`` turns .mvlc into .xyz and back,
-with a warning on stderr that names what .xyz cannot hold.
+arguments it passes, and write through the same writers. Their settings
+are ``PipelineConfig()`` with the keys of ``--config``, the file
+``pipeline`` takes, laid over it (or ``--seed`` instead of a file): no
+option restates a config key. Frames on disk are float32, so the chain
+reproduces the pipeline's calls on the clouds it reads back, not the
+pipeline's bytes. ``pipeline`` runs the whole chain, ``make-scene`` exports
+a synthetic scene and prints the inputs the pipeline gives it, and
+``convert`` turns .mvlc into .xyz and back, with a warning on stderr that
+names what .xyz cannot hold.
 
 Exit codes: 0 success, 2 bad input data or file format or an unusable
 path (a missing file, a directory where a file belongs), 3 algorithmic
@@ -24,7 +26,6 @@ import inspect
 import os
 import sys
 from dataclasses import asdict
-from dataclasses import replace as dc_replace
 
 from .errors import AlgorithmError, ConfigError, FormatError, \
     NoGroundTruthError, check_number
@@ -34,14 +35,13 @@ from .formats import MAX_NODE_ID, flatten_frames, read_calibration, \
     write_trajectories, write_xyz
 from .fusion import DEFAULT_SYNC_WINDOW_S, check_synchronized, fuse_window
 from .geometry import ObjectClass, apply_transform, check_time_order
-from .metrics import DetectionEvalConfig, compute_ap, compute_clear_mot, \
-    format_ap_table, format_mot_table
+from .metrics import compute_ap, compute_clear_mot, format_ap_table, \
+    format_mot_table
 from .pipeline import PipelineConfig, calibrate_node, detect_per_frame, \
-    detection_half_extent, export_scene, hierarchy_from_dict, \
-    read_config_json, run_pipeline
+    detection_half_extent, export_scene, read_config_json, run_pipeline
 from .scene import DEFAULT_FRAME_RATE_HZ, generate_synthetic_scene, \
     standard_crossroad_spec
-from .syncsim import NetworkModel, compute_time_error_report, simulate_session
+from .syncsim import compute_time_error_report, simulate_session
 from .tracking import check_frame_dt, track_detections
 
 EXIT_OK = 0
@@ -49,8 +49,7 @@ EXIT_FORMAT = 2
 EXIT_ALGORITHM = 3
 EXIT_CONFIG = 4
 
-# the definitions every default below is read from
-_PIPELINE = PipelineConfig()
+# the definitions the calibrate options' defaults are read from
 _CALIBRATE = {name: p.default for name, p in
               inspect.signature(calibrate_node).parameters.items()}
 
@@ -113,22 +112,24 @@ def _checked(convert, option: str, *bounds, **rule):
     return parse
 
 
-_SEED = _checked(int, "--seed", 0, integer=True)
+def _config(args) -> PipelineConfig:
+    """The command's settings: its ``--config`` file parsed as ``pipeline``
+    parses it, else ``PipelineConfig()`` with its ``--seed``, if it has one."""
+    if args.config:
+        return PipelineConfig.from_dict(read_config_json(args.config)[0])
+    return PipelineConfig(**({"seed": args.seed} if "seed" in args else {}))
 
 
 def cmd_calibrate(args) -> int:
+    cfg = _config(args)
     reference = read_frame(args.reference)
-    # scaled to the toolkit's crossroad-sized scenes; a --config file
-    # overrides the keys it names
-    hierarchy = hierarchy_from_dict(
-        read_config_json(args.config)[0] if args.config else {})
     extrinsics = {}
     failures = []
     for node, directory in sorted(_node_dirs(args.node_root).items()):
         frames = _frames_in(directory)
         try:
             result = calibrate_node(
-                frames, reference, hierarchy, seed=args.seed + node,
+                frames, reference, cfg.hierarchy, seed=cfg.seed + node,
                 merge_duration_s=args.merge_duration,
                 reference_viewpoint=args.reference_viewpoint)
         except AlgorithmError as exc:
@@ -148,15 +149,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sync_sim(args) -> int:
-    session = dc_replace(
-        PipelineConfig(seed=args.seed).sync, node_count=args.nodes,
-        duration_s=args.duration, frame_rate_hz=args.frame_rate,
-        network=NetworkModel(delay_min_s=args.delay_min,
-                             delay_max_s=args.delay_max,
-                             drop_probability=args.drop))
-    report = compute_time_error_report(simulate_session(session))
+    report = compute_time_error_report(simulate_session(_config(args).sync))
     print(f"{'frame':>6}" + "".join(f"{f'node {n}':>12}" for n in report.nodes))
-    step = max(1, len(report.errors_s) // args.max_rows)
+    step = -(-len(report.errors_s) // args.max_rows)  # at most max_rows rows
     for frame in range(0, len(report.errors_s), step):
         row = report.errors_s[frame]
         print(f"{frame:>6}" + "".join(f"{v * 1e3:>12.4f}" for v in row))
@@ -204,9 +199,10 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    cfg = _config(args).detector
     clouds = _frames_in(args.frames)
     detections = flatten_frames(detect_per_frame(
-        clouds, _PIPELINE.detector, background=read_frame(args.background),
+        clouds, cfg, background=read_frame(args.background),
         crop_half_extent=args.crop))
     write_detections(args.out, detections)
     print(f"wrote {len(detections)} detections over {len(clouds)} frames "
@@ -215,8 +211,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = dc_replace(_PIPELINE.tracker, threshold=args.threshold,
-                     min_hits=args.min_hits, max_age=args.max_age)
+    cfg = _config(args).tracker
     check_frame_dt(args.frame_dt)
     trajectories = track_detections(read_detections(args.detections), cfg,
                                     frame_dt=args.frame_dt)
@@ -226,8 +221,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval_det(args) -> int:
-    cfg = _PIPELINE.eval_det if args.iou_threshold is None \
-        else DetectionEvalConfig.with_threshold(args.iou_threshold)
+    cfg = _config(args).eval_det
     detections = read_detections(args.detections)
     ground_truth = read_detections(args.ground_truth)
     if not ground_truth:
@@ -242,7 +236,7 @@ def cmd_eval_det(args) -> int:
 
 
 def cmd_eval_mot(args) -> int:
-    cfg = dc_replace(_PIPELINE.eval_mot, threshold=args.threshold)
+    cfg = _config(args).eval_mot
     hypotheses = read_trajectories(args.hypotheses)
     ground_truth = read_trajectories(args.ground_truth)
     report = compute_clear_mot(hypotheses, ground_truth, cfg)
@@ -253,12 +247,9 @@ def cmd_eval_mot(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.config:
-        raw, digest = read_config_json(args.config)
-        cfg = PipelineConfig.from_dict(raw)
-    else:
-        cfg = PipelineConfig(seed=args.seed)
-        digest = None
+    raw, digest = read_config_json(args.config) if args.config \
+        else ({"seed": args.seed}, None)
+    cfg = PipelineConfig.from_dict(raw)
     manifest = run_pipeline(cfg, output_dir=args.out_dir, config_sha256=digest)
     out = args.out_dir or cfg.output_dir
     with open(os.path.join(out, "report.txt")) as handle:
@@ -268,15 +259,18 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_make_scene(args) -> int:
-    spec = standard_crossroad_spec(n_frames=args.frames, seed=args.seed)
-    scene = generate_synthetic_scene(spec, seed=args.seed)
-    export_scene(scene, args.out, args.seed)
+    cfg = _config(args)
+    spec = standard_crossroad_spec(n_frames=cfg.scene_frames, seed=cfg.seed)
+    scene = generate_synthetic_scene(spec, seed=cfg.seed)
+    export_scene(scene, args.out, cfg.seed)
     total = sum(len(f) for frames in scene.node_frames.values() for f in frames)
-    print(f"wrote {len(scene.node_frames)} nodes x {args.frames} frames "
+    print(f"wrote {len(scene.node_frames)} nodes x {cfg.scene_frames} frames "
           f"({total} points) to {args.out}")
     viewpoint = ",".join(repr(float(v)) for v in scene.reference_viewpoint)
-    print(f"pipeline inputs: calibrate --reference-viewpoint={viewpoint} "
-          f"--seed {args.seed}; detect --crop={detection_half_extent(spec)!r}")
+    settings = f"--config {args.config}" if args.config else f"--seed {cfg.seed}"
+    print(f"pipeline inputs: {settings} to every stage that takes it; "
+          f"calibrate --reference-viewpoint={viewpoint}; "
+          f"detect --crop={detection_half_extent(spec)!r}")
     return EXIT_OK
 
 
@@ -300,25 +294,33 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _add_settings(parser, seed: bool) -> None:
+    """``--config`` and, for a seeded command, ``--seed``: not both."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--config", help="pipeline config JSON; its keys "
+                       "override the PipelineConfig() defaults")
+    if seed:
+        group.add_argument("--seed", type=_checked(int, "--seed", 0,
+                                                   integer=True),
+                           default=PipelineConfig().seed,
+                           help="seed when no config file is given")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvlidar",
         description="multi-view LiDAR calibration, fusion, tracking, and "
                     "evaluation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    sync, network = _PIPELINE.sync, _PIPELINE.sync.network
 
     p = sub.add_parser("calibrate",
-                       help="register every node against a reference scan")
+                       help="register every node against a reference scan "
+                            "(node i with seed + i)")
     p.add_argument("--node-root", required=True,
                    help="directory containing node_<id>/ frame directories")
     p.add_argument("--reference", required=True, help="reference .mvlc scan")
     p.add_argument("--out", required=True, help="output calibration .jsonl")
-    p.add_argument("--config",
-                   help="hierarchy config JSON; its keys override the "
-                        "crossroad schedule")
-    p.add_argument("--seed", type=_SEED, default=_PIPELINE.seed,
-                   help="node i registers with seed + i")
+    _add_settings(p, seed=True)
     p.add_argument("--merge-duration",
                    type=_checked(float, "--merge-duration", 0),
                    default=_CALIBRATE["merge_duration_s"],
@@ -333,13 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sync-sim",
                        help="simulate a trigger/PPS synchronization session")
-    p.add_argument("--nodes", type=int, default=sync.node_count)
-    p.add_argument("--duration", type=float, default=sync.duration_s)
-    p.add_argument("--frame-rate", type=float, default=sync.frame_rate_hz)
-    p.add_argument("--delay-min", type=float, default=network.delay_min_s)
-    p.add_argument("--delay-max", type=float, default=network.delay_max_s)
-    p.add_argument("--drop", type=float, default=network.drop_probability)
-    p.add_argument("--seed", type=_SEED, default=_PIPELINE.seed)
+    _add_settings(p, seed=True)
     p.add_argument("--max-rows", type=_checked(int, "--max-rows", 1,
                                                integer=True), default=20,
                    help="cap on printed per-frame rows (>= 1)")
@@ -366,48 +362,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crop", type=_checked(float, "--crop", 0, low_open=True),
                    help="detect only where |x| and |y| are at most this "
                         "(make-scene prints its scene's)")
+    _add_settings(p, seed=False)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("track", help="track detections across frames")
     p.add_argument("--detections", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float,
-                   default=_PIPELINE.tracker.threshold)
-    p.add_argument("--min-hits", type=int, default=_PIPELINE.tracker.min_hits)
-    p.add_argument("--max-age", type=int, default=_PIPELINE.tracker.max_age)
     p.add_argument("--frame-dt", type=float,
                    default=1.0 / DEFAULT_FRAME_RATE_HZ)
+    _add_settings(p, seed=False)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval-det", help="average precision per class")
     p.add_argument("--detections", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--iou-threshold", type=float,
-                   help="same threshold for all classes (default: 0.7 cars, "
-                        "0.5 cyclists/pedestrians)")
     p.add_argument("--out", help="write AP values as JSON")
+    _add_settings(p, seed=False)
     p.set_defaults(func=cmd_eval_det)
 
     p = sub.add_parser("eval-mot", help="CLEAR tracking metrics")
     p.add_argument("--hypotheses", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--threshold", type=float,
-                   default=_PIPELINE.eval_mot.threshold)
     p.add_argument("--out", help="write the report as JSON")
+    _add_settings(p, seed=False)
     p.set_defaults(func=cmd_eval_mot)
 
     p = sub.add_parser("pipeline", help="full chain with a run manifest")
-    p.add_argument("--config", help="pipeline config JSON")
+    _add_settings(p, seed=True)
     p.add_argument("--out-dir", help="override the config output directory")
-    p.add_argument("--seed", type=_SEED, default=_PIPELINE.seed,
-                   help="seed when no config file is given")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("make-scene",
                        help="export a synthetic crossroad scene to disk")
     p.add_argument("--out", required=True)
-    p.add_argument("--frames", type=int, default=_PIPELINE.scene_frames)
-    p.add_argument("--seed", type=_SEED, default=_PIPELINE.seed)
+    _add_settings(p, seed=True)
     p.set_defaults(func=cmd_make_scene)
 
     p = sub.add_parser("convert", help="convert .mvlc <-> .xyz")

@@ -408,13 +408,12 @@ def _classify_by_size(length, width, height) -> ObjectClass:
     return ObjectClass.PEDESTRIAN if length * width < 1.0 else ObjectClass.CAR
 
 
-def fit_oriented_box(cluster: PointCloud,
-                     ground_z: Optional[float] = None) -> Box3D:
+def fit_oriented_box(cluster: PointCloud) -> Box3D:
     """Fit a yaw-oriented box around a cluster.
 
     Yaw and footprint come from the minimum-area rectangle of the BEV
     convex hull, the vertical extent from the z range, extended down to
-    ``ground_z`` when the lowest point is within 1 m above it (subtraction
+    GROUND_Z when the lowest point is within 1 m above it (subtraction
     and grazing rays erode the lower parts of objects). Raises
     DegenerateClusterError for clusters collinear in BEV or sheet-thin.
     """
@@ -426,8 +425,8 @@ def fit_oriented_box(cluster: PointCloud,
             f"cluster is a {width:.2f} m sheet, not an object")
     z_min = float(cluster.points[:, 2].min())
     z_max = float(cluster.points[:, 2].max())
-    if ground_z is not None and 0.0 < z_min - ground_z < 1.0:
-        z_min = ground_z
+    if 0.0 < z_min - GROUND_Z < 1.0:
+        z_min = GROUND_Z
     height = max(z_max - z_min, 1e-3)
     width = max(width, 1e-3)
     label = _classify_by_size(length, width, height)
@@ -447,7 +446,7 @@ def detect_frame(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()
     boxes = []
     for cluster in cluster_euclidean(cloud, cfg):
         try:
-            boxes.append(fit_oriented_box(cluster, GROUND_Z))
+            boxes.append(fit_oriented_box(cluster))
         except DegenerateClusterError:
             continue
     return boxes

@@ -241,6 +241,16 @@ def _dump_lines(records: Iterable[dict]) -> bytes:
     return ("\n".join(lines) + ("\n" if lines else "")).encode()
 
 
+def unique_keys(pairs) -> dict:
+    """``json.loads`` hook: a ValueError for a key given twice in one
+    object, which json would read as its last value."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {max(keys, key=keys.count)!r} repeats")
+    return record
+
+
 def _load_lines(path):
     with open(path) as handle:
         for line_no, line in enumerate(handle, 1):
@@ -248,9 +258,11 @@ def _load_lines(path):
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"line {line_no}: invalid JSON ({exc.msg})")
+            except ValueError as exc:
+                raise RecordError(f"line {line_no}: {exc}")
             if not isinstance(record, dict):
                 raise RecordError(f"line {line_no}: record must be an object")
             yield line_no, record

@@ -30,6 +30,7 @@ from .errors import CalibrationFailedError, ConfigError, check_number
 from .formats import (
     atomic_write,
     flatten_frames,
+    unique_keys,
     write_calibration,
     write_detections,
     write_frame,
@@ -320,24 +321,6 @@ def crossroad_hierarchy() -> HierarchyConfig:
     return HierarchyConfig()
 
 
-def hierarchy_from_dict(raw) -> HierarchyConfig:
-    """``HierarchyConfig()`` with the keys of a JSON section overlaid.
-
-    The one parser of hierarchy configs: the ``hierarchy`` section of a
-    pipeline config and the ``mvlidar calibrate --config`` file. Levels are
-    ``[voxel_size, max_correspondence_distance, max_iterations]`` triples,
-    which ``HierarchyConfig`` turns into ``HierarchyLevel``s. Raises
-    ConfigError for unknown keys and malformed values.
-    """
-    base = HierarchyConfig()
-    section = _take(raw, "hierarchy",
-                    {f.name for f in fields(HierarchyConfig)}, base)
-    try:
-        return dc_replace(base, **section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"hierarchy: {exc}") from None
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """The run's settings, one section per stage. ``seed`` seeds the scene,
@@ -390,15 +373,18 @@ class PipelineConfig:
         kwargs["scene_frames"] = _field(scene, "frames", base.scene_frames,
                                         "scene")
 
-        kwargs["hierarchy"] = hierarchy_from_dict(raw.get("hierarchy", {}))
-
+        # HierarchyConfig turns the JSON's level triples into levels
         for name, keys in (
+                ("hierarchy", {f.name for f in fields(HierarchyConfig)}),
                 ("detector", {"cluster_distance"}),
                 ("tracker", {"threshold", "min_hits", "max_age"}),
                 ("eval_mot", {"threshold"})):
             default = getattr(base, name)
-            kwargs[name] = type(default)(**_take(raw.get(name, {}), name,
-                                                 keys, default))
+            section = _take(raw.get(name, {}), name, keys, default)
+            try:
+                kwargs[name] = type(default)(**section)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from None
 
         eval_det = _take(raw.get("eval_det", {}), "eval_det",
                          {"iou_thresholds", "recall_points"}, base.eval_det)
@@ -426,11 +412,13 @@ class PipelineConfig:
 
 def read_config_json(path) -> tuple:
     """The JSON value in a config file and the sha256 of the bytes it was
-    parsed from, read once; ConfigError if it cannot be read."""
+    parsed from, read once; ConfigError if it cannot be read or repeats a
+    key in one object."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        return json.loads(data), hashlib.sha256(data).hexdigest()
+        return json.loads(data, object_pairs_hook=unique_keys), \
+            hashlib.sha256(data).hexdigest()
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}")
 

@@ -1,13 +1,15 @@
+import argparse
 import contextlib
 import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -29,11 +31,13 @@ from mvlidar.formats import (
     write_calibration,
     write_detections,
     write_frame,
+    write_json,
     write_trajectories,
 )
 from mvlidar.fusion import DEFAULT_SYNC_WINDOW_S
 from mvlidar.geometry import Box3D, ObjectClass, PointCloud, transform_distance
 from mvlidar.metrics import MAX_RECALL_POINTS
+from mvlidar.metrics import compute_ap, compute_clear_mot
 from mvlidar.pipeline import (
     PipelineConfig,
     calibrate_node,
@@ -52,6 +56,18 @@ from mvlidar.tracking import TrackerConfig, TrajectorySet, track_sequence
 
 SCENE_SEED = 13
 SRC = Path(__file__).resolve().parent.parent / "src"
+# a pipeline config that sets a non-default value in every section a stage
+# command reads but the hierarchy, on the scene of SCENE_SEED
+CONFIG = {"seed": SCENE_SEED, "scene": {"frames": 3},
+          "detector": {"cluster_distance": 0.6}, "tracker": {"min_hits": 2},
+          "eval_det": {"recall_points": 11}, "eval_mot": {"threshold": 0.3},
+          "sync": {"duration_s": 3.0}}
+
+
+def config_file(path, raw) -> str:
+    """``path``, written with the JSON ``raw``, as a command argument."""
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 def write_detections_text(path, frame: str):
@@ -63,13 +79,20 @@ def write_detections_text(path, frame: str):
 
 
 @pytest.fixture(scope="module")
-def exported(tmp_path_factory):
+def config_path(tmp_path_factory) -> str:
+    """CONFIG in a file."""
+    return config_file(tmp_path_factory.mktemp("config") / "config.json",
+                       CONFIG)
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory, config_path):
     """(directory, printed output) of ``make-scene`` at a non-zero seed."""
     root = tmp_path_factory.mktemp("scene")
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        code = main(["make-scene", "--out", str(root), "--frames", "3",
-                     "--seed", str(SCENE_SEED)])
+        code = main(["make-scene", "--out", str(root),
+                     "--config", config_path])
     assert code == 0
     return root, printed.getvalue()
 
@@ -142,8 +165,10 @@ class TestChainReproducesPipelineCalls:
     """Each stage subcommand writes what the call ``run_pipeline`` makes
     writes, run on the clouds the subcommand reads back from disk."""
 
-    def test_make_scene_prints_the_pipeline_inputs(self, exported, scene):
+    def test_make_scene_prints_the_pipeline_inputs(self, exported, scene,
+                                                   config_path):
         printed = exported[1]
+        assert f"--config {config_path} to every stage" in printed
         viewpoint = printed_option(printed, "reference-viewpoint")
         assert tuple(float(v) for v in viewpoint.split("=")[1].split(",")) \
             == tuple(float(v) for v in scene.reference_viewpoint)
@@ -210,6 +235,76 @@ class TestChainReproducesPipelineCalls:
         assert (tmp_path / "traj.jsonl").read_bytes() == \
             (tmp_path / "expected_traj.jsonl").read_bytes()
 
+    def test_one_config_file_sets_every_stage(self, exported, scene,
+                                              config_path, tmp_path):
+        """With CONFIG, each stage writes what the pipeline's call writes
+        with ``PipelineConfig.from_dict(CONFIG)``."""
+        root, printed = exported
+        cfg = PipelineConfig.from_dict(CONFIG)
+        for name in ("detector", "tracker", "eval_det", "eval_mot", "sync"):
+            assert getattr(cfg, name) != \
+                getattr(PipelineConfig(seed=cfg.seed), name), name
+        given = ["--config", config_path]
+        calib, fused = tmp_path / "calibration.jsonl", tmp_path / "fused"
+        det, traj = tmp_path / "det.jsonl", tmp_path / "traj.jsonl"
+        assert main(["calibrate", "--node-root", str(root / "calib"),
+                     "--reference", str(root / "reference.mvlc"),
+                     "--out", str(calib), *given,
+                     printed_option(printed, "reference-viewpoint")]) == 0
+        assert main(["fuse", "--calib", str(calib), "--frames", str(root),
+                     "--out", str(fused)]) == 0
+        assert main(["detect", "--frames", str(fused), "--out", str(det),
+                     "--background", str(root / "reference.mvlc"),
+                     printed_option(printed, "crop"), *given]) == 0
+        assert main(["track", "--detections", str(det), "--out", str(traj),
+                     *given]) == 0
+        for command, inputs in (
+                ("eval-det", ["--detections", det, "--ground-truth",
+                              root / "annotations.jsonl"]),
+                ("eval-mot", ["--hypotheses", traj, "--ground-truth",
+                              root / "gt_trajectories.jsonl"]),
+                ("sync-sim", [])):
+            assert main([command, *map(str, inputs), *given,
+                         "--out", str(tmp_path / f"{command}.json")]) == 0
+
+        reference = read_frame(root / "reference.mvlc")
+        expected = {node: calibrate_node(
+            frames_of(root / "calib" / f"node_{node}"), reference,
+            cfg.hierarchy, seed=cfg.seed + node,
+            reference_viewpoint=scene.reference_viewpoint).transform
+            for node in sorted(scene.node_frames)}
+        boxes_per_frame = detect_per_frame(
+            frames_of(fused), cfg.detector, background=reference,
+            crop_half_extent=detection_half_extent(scene.spec))
+        detections = flatten_frames(boxes_per_frame)
+        assert detections
+        annotations = read_detections(root / "annotations.jsonl")
+        expected_json = {
+            "eval-det": {label: compute_ap(detections, annotations, label,
+                                           cfg.eval_det)
+                         for label in ObjectClass
+                         if any(box.label is label for _, box in annotations)},
+            "eval-mot": asdict(compute_clear_mot(
+                read_trajectories(traj),
+                read_trajectories(root / "gt_trajectories.jsonl"),
+                cfg.eval_mot)),
+        }
+        report = compute_time_error_report(simulate_session(cfg.sync))
+        expected_json["sync-sim"] = {**report.summary(),
+                                     "errors_s": report.errors_s.tolist()}
+        write_calibration(tmp_path / "expected.jsonl", expected)
+        assert calib.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        write_detections(tmp_path / "expected.jsonl", detections)
+        assert det.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        write_trajectories(tmp_path / "expected.jsonl", track_sequence(
+            boxes_per_frame, cfg.tracker,
+            frame_dt=1.0 / scene.spec.frame_rate_hz))
+        assert traj.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        for command, payload in expected_json.items():
+            write_json(tmp_path / "expected.json", payload)
+            assert (tmp_path / f"{command}.json").read_bytes() == \
+                (tmp_path / "expected.json").read_bytes(), command
+
     def test_sync_sim(self, tmp_path):
         out = tmp_path / "sync.json"
         assert main(["sync-sim", "--seed", "5", "--out", str(out)]) == 0
@@ -239,55 +334,84 @@ class TestChainReproducesPipelineCalls:
 
 
 class TestStageDefaults:
-    """Every stage option defaults to the definition the pipeline uses."""
+    """Without a config file every stage reads ``PipelineConfig()``, and
+    each option that sets no config field defaults to the definition the
+    pipeline uses."""
 
     def parse(self, *argv):
-        return vars(build_parser().parse_args(list(argv)))
+        return build_parser().parse_args(list(argv))
 
     def test_calibrate(self):
         args = self.parse("calibrate", "--node-root", "n", "--reference", "r",
                           "--out", "o")
         signature = inspect.signature(calibrate_node).parameters
-        assert args["seed"] == PipelineConfig().seed
-        assert args["merge_duration"] == signature["merge_duration_s"].default
-        assert args["reference_viewpoint"] == \
+        assert cli._config(args) == PipelineConfig()
+        assert args.merge_duration == signature["merge_duration_s"].default
+        assert args.reference_viewpoint == \
             signature["reference_viewpoint"].default
-        assert args["config"] is None
 
     def test_sync_sim(self):
         args = self.parse("sync-sim")
-        sync = PipelineConfig().sync
-        assert (args["nodes"], args["duration"], args["frame_rate"],
-                args["delay_min"], args["delay_max"], args["drop"],
-                args["seed"]) == (sync.node_count, sync.duration_s,
-                                  sync.frame_rate_hz, sync.network.delay_min_s,
-                                  sync.network.delay_max_s,
-                                  sync.network.drop_probability, sync.seed)
+        assert cli._config(args).sync == PipelineConfig().sync
+        assert cli._config(self.parse("sync-sim", "--seed", "5")).sync == \
+            PipelineConfig(seed=5).sync
 
     def test_fuse(self):
         args = self.parse("fuse", "--calib", "c", "--frames", "f", "--out", "o")
-        assert args["sync_window"] == DEFAULT_SYNC_WINDOW_S
+        assert args.sync_window == DEFAULT_SYNC_WINDOW_S
 
     def test_detect(self):
         args = self.parse("detect", "--frames", "f", "--out", "o",
                           "--background", "b")
-        assert args["crop"] is None
+        assert args.crop is None
+        assert cli._config(args).detector == PipelineConfig().detector
 
     def test_track(self):
         args = self.parse("track", "--detections", "d", "--out", "o")
-        tracker = PipelineConfig().tracker
-        assert (args["threshold"], args["min_hits"], args["max_age"]) == \
-            (tracker.threshold, tracker.min_hits, tracker.max_age)
+        assert cli._config(args).tracker == PipelineConfig().tracker
         spec = standard_crossroad_spec(n_frames=1)
-        assert args["frame_dt"] == 1.0 / spec.frame_rate_hz
+        assert args.frame_dt == 1.0 / spec.frame_rate_hz
 
     def test_eval(self):
         args = self.parse("eval-det", "--detections", "d",
                           "--ground-truth", "g")
-        assert args["iou_threshold"] is None
+        assert cli._config(args).eval_det == PipelineConfig().eval_det
         args = self.parse("eval-mot", "--hypotheses", "h",
                           "--ground-truth", "g")
-        assert args["threshold"] == PipelineConfig().eval_mot.threshold
+        assert cli._config(args).eval_mot == PipelineConfig().eval_mot
+
+
+def subcommands() -> dict:
+    """Command name -> its parser."""
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def config_names(config=PipelineConfig()) -> set:
+    """The field names of a config and of every config nested in it, with
+    the JSON key ``frames`` of the ``scene`` section."""
+    names = {"frames"} if isinstance(config, PipelineConfig) else set()
+    for field in fields(config):
+        names.add(field.name)
+        value = getattr(config, field.name)
+        if is_dataclass(value):
+            names |= config_names(value)
+    return names
+
+
+def test_each_setting_has_one_way_in():
+    """No option that converts its text to a value (a path keeps its text)
+    restates a config field or JSON key, ``--seed`` aside, and every
+    command that reads the config takes ``--config``."""
+    names = config_names()
+    assert {"min_hits", "node_count", "recall_points", "fpfh_radius",
+            "frames", "scene_frames", "delay_max_s"} <= names
+    for command, parser in subcommands().items():
+        for action in parser._actions:
+            assert action.type is None or action.dest == "seed" \
+                or action.dest not in names, (command, action.dest)
+        if "_config" in parser.get_default("func").__code__.co_names:
+            assert "--config" in parser._option_string_actions, command
 
 
 def changed(value):
@@ -344,7 +468,8 @@ class TestFuseDetectTrack:
         assert detections.exists()
         trajectories = tmp_path / "traj.jsonl"
         code = main(["track", "--detections", str(detections),
-                     "--out", str(trajectories), "--min-hits", "1"])
+                     "--out", str(trajectories), "--config", config_file(
+                         tmp_path / "cfg.json", {"tracker": {"min_hits": 1}})])
         assert code == 0
         assert trajectories.exists()
 
@@ -403,7 +528,8 @@ class TestTrackFrameGaps:
         proc = subprocess.run(
             [sys.executable, "-m", "mvlidar.cli", "track", "--detections",
              str(tmp_path / "det.jsonl"), "--out", str(out),
-             "--min-hits", "1"],
+             "--config", config_file(tmp_path / "cfg.json",
+                                     {"tracker": {"min_hits": 1}})],
             env={**os.environ, "PYTHONPATH": str(SRC),
                  "OPENBLAS_NUM_THREADS": "1"},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
@@ -426,7 +552,8 @@ class TestTrackFrameGaps:
         limit = 1 << 30
         proc = subprocess.run(
             [sys.executable, "-m", "mvlidar.cli", "track", "--detections",
-             str(detections), "--out", str(out), "--max-age", str(10**12)],
+             str(detections), "--out", str(out), "--config", config_file(
+                 tmp_path / "cfg.json", {"tracker": {"max_age": 10**12}})],
             env={**os.environ, "PYTHONPATH": str(SRC),
                  "OPENBLAS_NUM_THREADS": "1"},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
@@ -758,8 +885,7 @@ class TestErrorsAndConversion:
     def test_no_occluders_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "scene"
         with pytest.raises(SystemExit) as exited:
-            main(["make-scene", "--out", str(out), "--frames", "1",
-                  "--no-occluders"])
+            main(["make-scene", "--out", str(out), "--no-occluders"])
         assert exited.value.code == 2
         assert "unrecognized arguments: --no-occluders" in \
             capsys.readouterr().err
@@ -798,7 +924,7 @@ class TestErrorsAndConversion:
         """Once accepted, and then an OverflowError traceback from the
         feature search."""
         cfg = tmp_path / "big.json"
-        cfg.write_text('{"fpfh_radius": 1' + "0" * 400 + "}")
+        cfg.write_text('{"hierarchy": {"fpfh_radius": 1' + "0" * 400 + "}}")
         out = tmp_path / "calibration.jsonl"
         code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
                      "--reference", str(scene_dir / "reference.mvlc"),
@@ -811,17 +937,18 @@ class TestErrorsAndConversion:
 
     @pytest.mark.parametrize("argv", [
         ["eval-det", "--detections", "missing.jsonl", "--ground-truth",
-         "missing.jsonl", "--iou-threshold", "2"],
+         "missing.jsonl", {"eval_det": {"iou_thresholds": {"Car": 2}}}],
         ["eval-mot", "--hypotheses", "missing.jsonl", "--ground-truth",
-         "missing.jsonl", "--threshold", "2"],
+         "missing.jsonl", {"eval_mot": {"threshold": 2}}],
         ["track", "--detections", "missing.jsonl", "--out", "out.jsonl",
-         "--threshold", "2"]])
+         {"tracker": {"threshold": 2}}]])
     def test_bad_threshold_exit_4_before_reading(self, tmp_path, capsys,
                                                  argv):
         """Each command builds its config before it reads its inputs, so a
         bad setting exits 4 even when an input file is missing."""
-        code = main([str(tmp_path / arg) if arg.endswith(".jsonl") else arg
-                     for arg in argv])
+        code = main(with_config(tmp_path, [
+            str(tmp_path / arg) if str(arg).endswith(".jsonl") else arg
+            for arg in argv]))
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -841,23 +968,24 @@ class TestErrorsAndConversion:
           "--frame-dt", "0"],
          "frame_dt must be a finite number in (0, 3600.0], got 0.0"),
         (["track", "--detections", "missing.jsonl", "--out", "fused",
-          "--min-hits", "-1"],
+          {"tracker": {"min_hits": -1}}],
          "min_hits must be an integer >= 1, got -1")])
     def test_bad_value_exit_4_before_reading(self, tmp_path, capsys, argv,
                                              message):
         """``fuse`` and ``track`` check their values before they read
         their inputs: a bad value exits 4 in one line even when the inputs
         are missing, and nothing is written."""
-        code = main([str(tmp_path / arg) if arg in ("missing.jsonl",
-                                                    "missing", "fused")
-                     else arg for arg in argv])
+        code = main(with_config(tmp_path, [
+            str(tmp_path / arg) if arg in ("missing.jsonl", "missing",
+                                           "fused") else arg
+            for arg in argv]))
         assert code == 4
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "fused").exists()
 
     def test_bad_calibrate_config_exit_4(self, scene_dir, tmp_path, capsys):
-        cfg = tmp_path / "hierarchy.json"
-        cfg.write_text('{"levels": [[1.0, 2.0]]}')
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"hierarchy": {"levels": [[1.0, 2.0]]}}')
         code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
                      "--reference", str(scene_dir / "reference.mvlc"),
                      "--out", str(tmp_path / "none.jsonl"),
@@ -870,8 +998,8 @@ class TestErrorsAndConversion:
         ("edge_length_ratio", 0.9)])
     def test_removed_hierarchy_key_exit_4(self, scene_dir, tmp_path, capsys,
                                           key, value):
-        cfg = tmp_path / "hierarchy.json"
-        cfg.write_text(json.dumps({key: value}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hierarchy": {key: value}}))
         code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
                      "--reference", str(scene_dir / "reference.mvlc"),
                      "--out", str(tmp_path / "none.jsonl"),
@@ -896,8 +1024,8 @@ class TestErrorsAndConversion:
                                              capsys, raw):
         """Registration cannot run with these, or would run as if they
         were another value; both entry points refuse them in one line."""
-        cfg = tmp_path / "hierarchy.json"
-        cfg.write_text(json.dumps(raw))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hierarchy": raw}))
         code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
                      "--reference", str(scene_dir / "reference.mvlc"),
                      "--out", str(tmp_path / "none.jsonl"),
@@ -907,7 +1035,6 @@ class TestErrorsAndConversion:
         assert err.startswith("error: hierarchy.") and err.count("\n") == 1
         assert not (tmp_path / "none.jsonl").exists()
 
-        cfg.write_text(json.dumps({"hierarchy": raw}))
         code = main(["pipeline", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 4
@@ -933,8 +1060,9 @@ class TestErrorsAndConversion:
         iterations = MAX_RANSAC_ITERATIONS * 1000
         message = (f"error: hierarchy.ransac_iterations must be an integer "
                    f"in [1, {MAX_RANSAC_ITERATIONS}], got {iterations}\n")
-        cfg = tmp_path / "hierarchy.json"
-        cfg.write_text(json.dumps({"ransac_iterations": iterations}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"hierarchy": {"ransac_iterations": iterations}}))
         assert main(["calibrate", "--node-root", str(scene_dir / "calib"),
                      "--reference", str(scene_dir / "reference.mvlc"),
                      "--out", str(tmp_path / "none.jsonl"),
@@ -942,8 +1070,6 @@ class TestErrorsAndConversion:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "none.jsonl").exists()
 
-        cfg.write_text(json.dumps(
-            {"hierarchy": {"ransac_iterations": iterations}}))
         assert main(["pipeline", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == message
@@ -985,7 +1111,7 @@ class TestErrorsAndConversion:
                               "--out", str(out)],
                 "sync-sim": ["--out", str(out)],
                 "pipeline": ["--out-dir", str(out)],
-                "make-scene": ["--frames", "1", "--out", str(out)]}[command]
+                "make-scene": ["--out", str(out)]}[command]
         assert main([command, *argv, "--seed", "-1"]) == 4
         assert capsys.readouterr().err == \
             "error: --seed must be an integer >= 0, got -1\n"
@@ -1003,22 +1129,17 @@ class TestErrorsAndConversion:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scene": {"frames": frames}}))
         out = tmp_path / "out"
-        argv, setting = {
-            "make-scene": (["--frames", str(frames), "--out", str(out)],
-                           "n_frames"),
-            "pipeline": (["--config", str(cfg), "--out-dir", str(out)],
-                         "scene_frames")}[command]
-        assert main([command, *argv]) == 4
+        option = {"make-scene": "--out", "pipeline": "--out-dir"}[command]
+        assert main([command, "--config", str(cfg), option, str(out)]) == 4
         assert capsys.readouterr().err == (
-            f"error: {setting} must be an integer in "
+            f"error: scene_frames must be an integer in "
             f"[1, {MAX_SCENE_FRAMES}], got {frames}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("rows", ["0", "-3"])
     def test_bad_max_rows_exit_4(self, tmp_path, capsys, rows):
         out = tmp_path / "sync.json"
-        assert main(["sync-sim", "--duration", "1.0", "--out", str(out),
-                     "--max-rows", rows]) == 4
+        assert main(["sync-sim", "--out", str(out), "--max-rows", rows]) == 4
         captured = capsys.readouterr()
         assert captured.err == \
             f"error: --max-rows must be an integer >= 1, got {rows}\n"
@@ -1036,17 +1157,17 @@ class TestErrorsAndConversion:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["sync-sim", "--frame-rate", "nan"],
+        (["sync-sim", {"sync": {"frame_rate_hz": math.nan}}],
          "frame_rate_hz must be a finite number > 0, got nan"),
-        (["sync-sim", "--frame-rate", "1e-300"],
+        (["sync-sim", {"sync": {"frame_rate_hz": 1e-300}}],
          "duration_s * frame_rate_hz must be a finite number in "
          "[1, 1000000], got 1e-299"),
-        (["sync-sim", "--duration", "inf"],
+        (["sync-sim", {"sync": {"duration_s": math.inf}}],
          "duration_s must be a finite number in (0, 1000000.0], got inf"),
-        (["sync-sim", "--duration", "1e308"],
+        (["sync-sim", {"sync": {"duration_s": 1e308}}],
          "duration_s must be a finite number in (0, 1000000.0], "
          "got 1e+308"),
-        (["sync-sim", "--delay-max", "1e308"],
+        (["sync-sim", {"sync": {"delay_max_s": 1e308}}],
          "delay_max_s must be a finite number in [0, 1000000.0], "
          "got 1e+308"),
         (["track", "--frame-dt", "nan"],
@@ -1055,9 +1176,9 @@ class TestErrorsAndConversion:
          "frame_dt must be a finite number in (0, 3600.0], got 0.0"),
         (["track", "--frame-dt", "1e308"],
          "frame_dt must be a finite number in (0, 3600.0], got 1e+308"),
-        (["track", "--threshold", "nan"],
+        (["track", {"tracker": {"threshold": math.nan}}],
          "threshold must be a finite number in (0, 1], got nan"),
-        (["sync-sim", "--nodes", "65"],
+        (["sync-sim", {"sync": {"node_count": 65}}],
          "node_count must be an integer in [1, 64], got 65"),
     ])
     def test_bad_setting_exit_4(self, tmp_path, capsys, argv, message):
@@ -1067,7 +1188,7 @@ class TestErrorsAndConversion:
         if argv[0] == "track":
             argv = argv + ["--detections", str(write_detections_text(
                 tmp_path / "det.jsonl", "1"))]
-        assert main(argv + ["--out", str(out)]) == 4
+        assert main(with_config(tmp_path, argv) + ["--out", str(out)]) == 4
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
@@ -1088,6 +1209,116 @@ class TestErrorsAndConversion:
             f"error: --sync-window must be a finite number >= 0, "
             f"got {float(window)}\n")
         assert not (tmp_path / "fused").exists()
+
+    @pytest.mark.parametrize("command, option", [
+        ("make-scene", "--frames"), ("sync-sim", "--nodes"),
+        ("sync-sim", "--duration"), ("sync-sim", "--frame-rate"),
+        ("sync-sim", "--delay-min"), ("sync-sim", "--delay-max"),
+        ("sync-sim", "--drop"), ("track", "--threshold"),
+        ("track", "--min-hits"), ("track", "--max-age"),
+        ("eval-det", "--iou-threshold"), ("eval-mot", "--threshold")])
+    def test_option_that_restated_a_config_key_exit_2(self, tmp_path, capsys,
+                                                      command, option):
+        """Each of these set a config field; the config file sets it
+        now, and the option is unknown."""
+        out = tmp_path / "out"
+        inputs = {"make-scene": [], "sync-sim": [],
+                  "track": ["--detections", "d.jsonl"],
+                  "eval-det": ["--detections", "d.jsonl",
+                               "--ground-truth", "g.jsonl"],
+                  "eval-mot": ["--hypotheses", "h.jsonl",
+                               "--ground-truth", "g.jsonl"]}[command]
+        with pytest.raises(SystemExit) as exited:
+            main([command, *inputs, "--out", str(out), option, "1"])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["make-scene", "calibrate",
+                                         "sync-sim", "pipeline"])
+    def test_seed_with_config_is_a_usage_error(self, tmp_path, capsys,
+                                               command):
+        """The file sets the seed too: neither silently wins."""
+        out = tmp_path / "out"
+        argv = {"calibrate": ["--node-root", "n", "--reference", "r",
+                              "--out", str(out)],
+                "sync-sim": ["--out", str(out)],
+                "pipeline": ["--out-dir", str(out)],
+                "make-scene": ["--out", str(out)]}[command]
+        with pytest.raises(SystemExit) as exited:
+            main([command, *argv, "--seed", "9", "--config",
+                  config_file(tmp_path / "cfg.json", {"seed": 5})])
+        assert exited.value.code == 2
+        assert "argument --config: not allowed with argument --seed" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hierarchy_only_file_exit_4(self, scene_dir, tmp_path, capsys):
+        """``calibrate --config`` takes the pipeline config, whose
+        registration settings are its ``hierarchy`` section."""
+        out = tmp_path / "none.jsonl"
+        assert main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(out), "--config", config_file(
+                         tmp_path / "cfg.json", {"fpfh_radius": 3.0})]) == 4
+        assert one_line_error(capsys) == \
+            "error: unknown keys in config: ['fpfh_radius']\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("sync-sim", '{"seed": 1, "seed": 2}', "seed"),
+        ("track", '{"tracker": {"min_hits": 1, "min_hits": 2}}', "min_hits")])
+    def test_repeated_config_key_exit_4(self, tmp_path, capsys, command,
+                                        text, key):
+        """json would read the last value; neither is taken silently."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out.json"
+        inputs = {"sync-sim": [], "track": ["--detections", str(
+            write_detections_text(tmp_path / "det.jsonl", "1"))]}[command]
+        assert main([command, *inputs, "--config", str(cfg),
+                     "--out", str(out)]) == 4
+        assert one_line_error(capsys) == \
+            f"error: cannot load config {cfg}: key '{key}' repeats\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["detection", "trajectory",
+                                      "calibration"])
+    def test_repeated_record_key_exit_2(self, scene_dir, tmp_path, capsys,
+                                        kind):
+        records = tmp_path / "records.jsonl"
+        out = tmp_path / "out"
+        box = ('"class":"Car","center":[0,0,0.8],"size":[4,2,1.5],'
+               '"yaw":0.0')
+        text, key, argv = {
+            "detection": (
+                '{"frame":0,"frame":7,' + box + ',"score":0.9}',
+                "frame", ["track", "--detections", str(records)]),
+            "trajectory": (
+                '{"frame":0,"track_id":1,"track_id":2,' + box + '}',
+                "track_id", ["eval-mot", "--hypotheses", str(records),
+                             "--ground-truth", str(records)]),
+            "calibration": (
+                '{"node_id":0,"rotation":[1,0,0,0,1,0,0,0,1],'
+                '"translation":[0,0,0],"node_id":1}',
+                "node_id", ["fuse", "--calib", str(records),
+                            "--frames", str(scene_dir)])}[kind]
+        records.write_text(text + "\n")
+        assert main(argv + ["--out", str(out)]) == 2
+        assert one_line_error(capsys) == f"error: line 1: key '{key}' repeats\n"
+        assert not out.exists()
+
+    def test_integer_too_long_to_read_exit_2(self, tmp_path, capsys):
+        """json refuses to convert an integer of more than 4300 digits;
+        that once ended in a traceback."""
+        records = write_detections_text(tmp_path / "det.jsonl", "1" * 5000)
+        out = tmp_path / "traj.jsonl"
+        assert main(["track", "--detections", str(records),
+                     "--out", str(out)]) == 2
+        assert one_line_error(capsys).startswith(
+            "error: line 2: Exceeds the limit (4300 digits)")
+        assert not out.exists()
 
     def test_convert_round_trip(self, tmp_path, rng):
         cloud = PointCloud(rng.uniform(-5, 5, size=(50, 3)).astype(np.float32))
@@ -1143,6 +1374,14 @@ def node_command(command, scene_dir, root) -> list:
                 str(scene_dir / "reference.mvlc")]
     return ["fuse", "--calib", str(scene_dir / "gt_calibration.jsonl"),
             "--frames", str(root)]
+
+
+def with_config(tmp_path, argv) -> list:
+    """``argv`` with a dict in it given as ``--config`` and a file that
+    holds it."""
+    return [arg for item in argv for arg in (
+        ["--config", config_file(tmp_path / "cfg.json", item)]
+        if isinstance(item, dict) else [item])]
 
 
 def one_line_error(capsys) -> str:
@@ -1267,10 +1506,31 @@ class TestInputLayout:
 
 
 class TestSyncSimCli:
+    @pytest.mark.parametrize("frames", [1, 19, 20, 21, 30, 39, 100])
+    def test_max_rows_is_a_cap(self, tmp_path, capsys, frames):
+        """At most ``--max-rows`` evenly spaced rows, frame 0 first; the
+        default 100-frame session prints every fifth frame."""
+        out = tmp_path / "sync.json"
+        assert main(["sync-sim", "--max-rows", "20", "--out", str(out),
+                     "--config", config_file(tmp_path / "cfg.json", {
+                         "sync": {"duration_s": 1.0,
+                                  "frame_rate_hz": frames}})]) == 0
+        assert len(json.loads(out.read_text())["errors_s"]) == frames
+        table = capsys.readouterr().out.split("\n\n")[0].splitlines()[1:]
+        rows = [int(line.split()[0]) for line in table]
+        assert rows[0] == 0 and len(rows) <= 20
+        assert rows == list(range(0, frames, rows[1] if frames > 1 else 1))
+        if frames <= 20:
+            assert rows == list(range(frames))
+        if frames == 100:
+            assert rows == list(range(0, 100, 5))
+
     def test_prints_table_and_writes_json(self, tmp_path, capsys):
         out = tmp_path / "sync.json"
-        code = main(["sync-sim", "--nodes", "4", "--duration", "2.0",
-                     "--seed", "5", "--out", str(out)])
+        code = main(["sync-sim", "--config", config_file(
+            tmp_path / "cfg.json", {"seed": 5, "sync": {"node_count": 4,
+                                                       "duration_s": 2.0}}),
+                     "--out", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
         assert "node 0" in printed and "per-node summary" in printed
@@ -1290,7 +1550,9 @@ class TestJsonOutFiles:
         write_detections(tmp_path / "det.jsonl", boxes)
         write_trajectories(tmp_path / "traj.jsonl", TrajectorySet({1: boxes}))
         commands = {
-            "sync-sim": ["sync-sim", "--nodes", "2", "--duration", "1.0"],
+            "sync-sim": ["sync-sim", "--config", config_file(
+                tmp_path / "cfg.json", {"sync": {"node_count": 2,
+                                                 "duration_s": 1.0}})],
             "eval-det": ["eval-det", "--detections", str(tmp_path / "det.jsonl"),
                          "--ground-truth", str(tmp_path / "det.jsonl")],
             "eval-mot": ["eval-mot", "--hypotheses", str(tmp_path / "traj.jsonl"),

@@ -401,6 +401,20 @@ class TestFitOrientedBox:
         box = fit_oriented_box(PointCloud(points))
         assert box.label is ObjectClass.PEDESTRIAN
 
+    @pytest.mark.parametrize("lift, reaches", [(0.5, True), (1.5, False),
+                                               (-0.5, False)])
+    def test_reaches_down_to_the_ground(self, rng, lift, reaches):
+        """A box whose lowest point lies less than 1 m above GROUND_Z
+        reaches down to it; one higher up, or below it, keeps its z range."""
+        points = box_surface((0.0, 0.0, GROUND_Z + lift + 0.75),
+                             (4.0, 2.0, 1.5), 0.0, 400, rng)
+        box = fit_oriented_box(PointCloud(points))
+        bottom = GROUND_Z if reaches else points[:, 2].min()
+        assert box.center[2] - 0.5 * box.size[2] == \
+            pytest.approx(bottom, abs=1e-9)
+        assert box.center[2] + 0.5 * box.size[2] == \
+            pytest.approx(points[:, 2].max(), abs=1e-9)
+
     def test_score_monotone_in_point_count(self, rng):
         points = box_surface((0, 0, 0.75), (4.0, 2.0, 1.5), 0.0, 400, rng)
         dense = fit_oriented_box(PointCloud(points))

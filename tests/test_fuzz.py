@@ -26,7 +26,7 @@ from mvlidar.formats import (
     write_trajectories,
 )
 from mvlidar.geometry import Box3D, ObjectClass, RigidTransform
-from mvlidar.pipeline import PipelineConfig, hierarchy_from_dict
+from mvlidar.pipeline import PipelineConfig
 from mvlidar.tracking import TrajectorySet
 
 FUZZ = settings(max_examples=200, deadline=None)
@@ -129,7 +129,7 @@ hierarchy_levels = st.fixed_dictionaries({"levels": st.lists(
 def test_hierarchy_raises_only_config_errors(raw):
     """Every accepted config lies in the ranges registration can run with."""
     try:
-        cfg = hierarchy_from_dict(raw)
+        cfg = PipelineConfig.from_dict({"hierarchy": raw}).hierarchy
     except ConfigError:
         return
     for level in cfg.levels:

@@ -28,7 +28,6 @@ from mvlidar.pipeline import (
     detect_per_frame,
     detect_views,
     detection_half_extent,
-    hierarchy_from_dict,
     in_square,
     read_config_json,
     run_environment,
@@ -552,8 +551,8 @@ class TestPipelineConfig:
                                         arbitration_hypotheses=16)
 
     def test_hierarchy_levels_parsed(self):
-        hierarchy = hierarchy_from_dict({"levels": [[2.0, 4.0, 10],
-                                                    [0.5, 1.0, 20]]})
+        hierarchy = PipelineConfig.from_dict({"hierarchy": {
+            "levels": [[2.0, 4.0, 10], [0.5, 1.0, 20]]}}).hierarchy
         assert hierarchy.levels == (HierarchyLevel(2.0, 4.0, 10),
                                     HierarchyLevel(0.5, 1.0, 20))
         assert hierarchy.fpfh_radius == crossroad_hierarchy().fpfh_radius
@@ -565,7 +564,8 @@ class TestPipelineConfig:
         for function in (calibrate_node, hierarchical_register):
             default = inspect.signature(function).parameters["cfg"].default
             assert default == schedule, function.__name__
-        assert hierarchy_from_dict({}) == schedule == crossroad_hierarchy()
+        assert PipelineConfig.from_dict({"hierarchy": {}}).hierarchy \
+            == schedule == crossroad_hierarchy()
 
     @pytest.mark.parametrize("raw", [{"levels": [[1.0, 2.0]]},
                                      {"levels": [[1.0, 2.0, 40.5]]},
@@ -573,7 +573,7 @@ class TestPipelineConfig:
                                      {"levels": 3}, {"ransac": 1}, []])
     def test_bad_hierarchy_rejected(self, raw):
         with pytest.raises(ConfigError):
-            hierarchy_from_dict(raw)
+            PipelineConfig.from_dict({"hierarchy": raw})
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):

@@ -4,15 +4,17 @@ it, and every entry point gives the same verdict.
 For each field a value drawn from the non-finite and extreme numbers and
 from around the field's own bounds is given to the class's constructor, to
 ``PipelineConfig.from_dict`` where a JSON key sets the field, and to
-``mvlidar`` where an option sets it. All of them accept it or all refuse
-it, and a refusal is a ConfigError (exit 4, one line) naming the field (the
-option, for an option that sets no config field).
+``mvlidar``: as that JSON in the ``--config`` file of the command that
+reads the field, or as the option that sets it. All of them accept it or
+all refuse it, and a refusal is a ConfigError (exit 4, one line) naming the
+field (the option, for an option that sets no config field).
 Nothing here runs a session, a scene or a tracker: each command is stopped
 at its first call after its configs are made.
 """
 
 import contextlib
 import io
+import json
 import math
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
@@ -52,6 +54,8 @@ def reached(*args, **kwargs):
 
 # per command: the calls after the configs are made, stopped or stubbed
 STOPS = {
+    "calibrate": {"read_frame": reached},
+    "detect": {"_frames_in": reached},
     "sync-sim": {"simulate_session": reached},
     "track": {"read_detections": reached},
     "eval-det": {"read_detections": reached},
@@ -63,7 +67,10 @@ STOPS = {
              "_frames_in": lambda path: [PointCloud([[1.0, 2.0, 3.0]])],
              "write_frame": reached},
 }
-REQUIRED = {"sync-sim": [], "track": ["--detections", "d", "--out", "o"],
+REQUIRED = {"calibrate": ["--node-root", "n", "--reference", "r",
+                          "--out", "o"],
+            "detect": ["--frames", "f", "--out", "o", "--background", "b"],
+            "sync-sim": [], "track": ["--detections", "d", "--out", "o"],
             "eval-det": ["--detections", "d", "--ground-truth", "g"],
             "eval-mot": ["--hypotheses", "h", "--ground-truth", "g"],
             "pipeline": [], "make-scene": ["--out", "o"],
@@ -74,6 +81,12 @@ REQUIRED = {"sync-sim": [], "track": ["--detections", "d", "--out", "o"],
 def fuse_out(tmp_path_factory):
     """The directory ``fuse`` makes before its first fused frame."""
     return str(tmp_path_factory.mktemp("fused"))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    """Where a command's ``--config`` file is written."""
+    return tmp_path_factory.mktemp("config") / "config.json"
 
 
 def converts_to_float(value) -> bool:
@@ -88,9 +101,10 @@ def converts_to_float(value) -> bool:
 class Field:
     """A numeric field of the config class ``owner``: the constructor call
     that sets it, the interval it must lie in (with the other fields at
-    their defaults), and the JSON and the option that set it where there
-    are such. Every refusal names the field; one from the JSON names the
-    field or its JSON key."""
+    their defaults), and the JSON and the command option that set it where
+    there are such; an option ``--config`` takes the JSON in a file. Every
+    refusal names the field; one from the JSON names the field or its JSON
+    key."""
 
     owner: type
     name: str
@@ -146,33 +160,34 @@ def fields():
     out = []
     out.append(Field(DetectorConfig, "cluster_distance",
                      lambda v: DetectorConfig(cluster_distance=v),
-                     "(0, inf)", json=section("detector", "cluster_distance")))
-    for key, interval, integer, option in (
-            ("threshold", "(0, 1]", False, "--threshold"),
-            ("min_hits", "[1, inf)", True, "--min-hits"),
-            ("max_age", "[0, inf)", True, "--max-age")):
+                     "(0, inf)", json=section("detector", "cluster_distance"),
+                     option=("detect", "--config")))
+    for key, interval, integer in (
+            ("threshold", "(0, 1]", False),
+            ("min_hits", "[1, inf)", True),
+            ("max_age", "[0, inf)", True)):
         out.append(Field(TrackerConfig, key,
                          lambda v, k=key: TrackerConfig(**{k: v}),
                          interval, integer, section("tracker", key),
-                         ("track", option)))
-    for key, interval, integer, option in (
-            ("node_count", f"[1, {MAX_SESSION_NODES}]", True, "--nodes"),
-            ("duration_s", FRAME_COUNT, False, "--duration"),
-            ("frame_rate_hz", FRAME_COUNT, False, "--frame-rate")):
+                         ("track", "--config")))
+    for key, interval, integer in (
+            ("node_count", f"[1, {MAX_SESSION_NODES}]", True),
+            ("duration_s", FRAME_COUNT, False),
+            ("frame_rate_hz", FRAME_COUNT, False)):
         out.append(Field(type(SYNC), key,
                          lambda v, k=key: dc_replace(SYNC, **{k: v}),
                          interval, integer, section("sync", key),
-                         ("sync-sim", option)))
+                         ("sync-sim", "--config")))
     out.append(Field(type(SYNC), "seed", lambda v: dc_replace(SYNC, seed=v),
                      "[0, inf)", True))
-    for key, interval, option in (
-            ("delay_min_s", "[0, 0.2]", "--delay-min"),
-            ("delay_max_s", f"[0.001, {MAX_SESSION_S}]", "--delay-max"),
-            ("drop_probability", "[0, 1]", "--drop")):
+    for key, interval in (
+            ("delay_min_s", "[0, 0.2]"),
+            ("delay_max_s", f"[0.001, {MAX_SESSION_S}]"),
+            ("drop_probability", "[0, 1]")):
         out.append(Field(NetworkModel, key,
                          lambda v, k=key: NetworkModel(**{k: v}), interval,
                          json=section("sync", key),
-                         option=("sync-sim", option)))
+                         option=("sync-sim", "--config")))
     for key, interval in (("drift_ppm", "(-inf, inf)"),
                           ("pps_jitter_s", "[0, inf)"),
                           ("frame_jitter_s", "[0, inf)")):
@@ -182,15 +197,16 @@ def fields():
         DetectionEvalConfig, "iou_thresholds",
         lambda v: DetectionEvalConfig(iou_thresholds={ObjectClass.CAR: v}),
         "(0, 1]", json=lambda v: {"eval_det": {"iou_thresholds": {"Car": v}}},
-        option=("eval-det", "--iou-threshold")))
+        option=("eval-det", "--config")))
     out.append(Field(DetectionEvalConfig, "recall_points",
                      lambda v: DetectionEvalConfig(recall_points=v),
                      f"[1, {MAX_RECALL_POINTS}]", True,
-                     section("eval_det", "recall_points")))
+                     section("eval_det", "recall_points"),
+                     ("eval-det", "--config")))
     out.append(Field(MotEvalConfig, "threshold",
                      lambda v: MotEvalConfig(threshold=v), "(0, 1]",
                      json=section("eval_mot", "threshold"),
-                     option=("eval-mot", "--threshold")))
+                     option=("eval-mot", "--config")))
     for index, position, name, interval, integer in (
             (1, 0, "voxel_size", "(0, 1)", False),   # below level 0's
             (0, 1, "max_correspondence_distance", "(0, inf)", False),
@@ -200,7 +216,8 @@ def fields():
             HierarchyLevel, name,
             lambda v, f=levels: dc_replace(HIERARCHY, levels=f(v)),
             interval, integer, lambda v, f=levels: {"hierarchy": {"levels":
-                                                                  f(v)}}))
+                                                                  f(v)}},
+            ("calibrate", "--config")))
     for key, interval, integer in (
             ("fpfh_radius", "(0, inf)", False),
             ("normal_radius", "(0, inf)", False),
@@ -209,7 +226,8 @@ def fields():
             ("arbitration_hypotheses", "[1, inf)", True)):
         out.append(Field(type(HIERARCHY), key,
                          lambda v, k=key: dc_replace(HIERARCHY, **{k: v}),
-                         interval, integer, section("hierarchy", key)))
+                         interval, integer, section("hierarchy", key),
+                         ("calibrate", "--config")))
     for key, interval, integer in (
             ("extent", "(0, inf)", False),
             ("n_frames", f"[1, {MAX_SCENE_FRAMES}]", True),
@@ -221,9 +239,7 @@ def fields():
             ("reference_elevation_steps", "[2, inf)", True)):
         out.append(Field(SceneSpec, key,
                          lambda v, k=key: SceneSpec(nodes=(POSE,), **{k: v}),
-                         interval, integer,
-                         option=("make-scene", "--frames")
-                         if key == "n_frames" else None))
+                         interval, integer))
     out.append(Field(ViewFrameSet, "sync_window_s",
                      lambda v: ViewFrameSet({}, {}, sync_window_s=v),
                      "[0, inf)", option=("fuse", "--sync-window")))
@@ -234,7 +250,7 @@ def fields():
                      lambda v: PipelineConfig(scene_frames=v),
                      f"[1, {MAX_SCENE_FRAMES}]",
                      True, section("scene", "frames"),
-                     json_key="scene.frames"))
+                     ("make-scene", "--config"), json_key="scene.frames"))
     return out
 
 
@@ -264,9 +280,17 @@ def verdict(make, names) -> bool:
     return True
 
 
-def cli_verdict(field: Field, value, fuse_out) -> bool:
+def cli_verdict(field: Field, value, fuse_out, config_path) -> bool:
     command, option = field.option
-    argv = [command, *REQUIRED[command], f"{option}={value!r}"]
+    if option == "--config":
+        config_path.write_text(json.dumps(field.json(value)))
+        argv = [command, *REQUIRED[command], "--config", str(config_path)]
+        names = [field.name, field.json_key or field.name]
+    else:
+        argv = [command, *REQUIRED[command], f"{option}={value!r}"]
+        # ``fuse --sync-window`` sets no config field, so its refusal
+        # names the option
+        names = [option if option == "--sync-window" else field.name]
     if command == "fuse":
         argv += ["--out", fuse_out]
     stderr = io.StringIO()
@@ -281,22 +305,20 @@ def cli_verdict(field: Field, value, fuse_out) -> bool:
             return True
         except SystemExit as exc:
             # argparse refuses a non-integer for an integer option
-            assert field.integer and exc.code == 2
+            assert field.integer and option != "--config" and exc.code == 2
             return False
     assert code == 4, stderr.getvalue()
     message = stderr.getvalue()
     assert message.startswith("error: ") and message.count("\n") == 1
-    # ``fuse --sync-window`` sets no config field, so its refusal names
-    # the option
-    assert (option if option == "--sync-window" else field.name) \
-        in message, message
+    assert any(name in message for name in names), message
     return False
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_every_entry_point_gives_the_same_verdict(field, data, fuse_out):
+def test_every_entry_point_gives_the_same_verdict(field, data, fuse_out,
+                                                  config_path):
     value = data.draw(drawn(field), label=field.name)
     accepted = verdict(lambda: field.build(value), [field.name])
     assert accepted == field.accepts(value)
@@ -305,7 +327,7 @@ def test_every_entry_point_gives_the_same_verdict(field, data, fuse_out):
                        [field.name, field.json_key or field.name]) \
             == accepted
     if field.option is not None:
-        assert cli_verdict(field, value, fuse_out) == accepted
+        assert cli_verdict(field, value, fuse_out, config_path) == accepted
 
 
 def test_every_numeric_field_is_drawn():
