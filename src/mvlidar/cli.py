@@ -102,8 +102,9 @@ def _point(text: str) -> tuple:
 
 
 def _checked(convert, option: str, *bounds, **rule):
-    """Argparse type of an option that sets no config field: ``convert``,
-    then ``check_number``, whose ConfigError argparse lets through."""
+    """Argparse type of an option that sets no config field (the class that
+    owns a field checks it): ``convert``, then ``check_number``, whose
+    ConfigError argparse lets through."""
     def parse(text):
         value = convert(text)
         check_number(option, value, *bounds, **rule)
@@ -275,7 +276,14 @@ def cmd_make_scene(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    if args.input.endswith(".mvlc"):
+    # checked before the input is read, so that a refusal writes nothing
+    if not args.input.endswith((".mvlc", ".xyz")):
+        raise ConfigError("input must end in .mvlc or .xyz")
+    target = ".xyz" if args.input.endswith(".mvlc") else ".mvlc"
+    if not args.output.endswith(target):
+        raise ConfigError(f"output must end in {target} to convert "
+                          f"{args.input}, got {args.output}")
+    if target == ".xyz":
         cloud = read_frame(args.input)
         write_xyz(args.output, cloud)
         dropped = [name for name, lost in (
@@ -286,10 +294,8 @@ def cmd_convert(args) -> int:
             print(f"warning: .xyz holds only x y z and intensity; dropped "
                   f"the {', '.join(dropped)} of {args.input}",
                   file=sys.stderr)
-    elif args.input.endswith(".xyz"):
-        write_frame(args.output, read_xyz(args.input))
     else:
-        raise ConfigError("input must end in .mvlc or .xyz")
+        write_frame(args.output, read_xyz(args.input))
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -300,9 +306,7 @@ def _add_settings(parser, seed: bool) -> None:
     group.add_argument("--config", help="pipeline config JSON; its keys "
                        "override the PipelineConfig() defaults")
     if seed:
-        group.add_argument("--seed", type=_checked(int, "--seed", 0,
-                                                   integer=True),
-                           default=PipelineConfig().seed,
+        group.add_argument("--seed", type=int, default=PipelineConfig().seed,
                            help="seed when no config file is given")
 
 

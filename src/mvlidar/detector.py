@@ -84,8 +84,8 @@ class DetectorConfig:
     cluster_distance: float = 0.5
 
     def __post_init__(self):
-        check_number("cluster_distance", self.cluster_distance, 0,
-                     low_open=True)
+        check_number("detector.cluster_distance", self.cluster_distance,
+                     0, low_open=True)
 
 
 def in_square(points: np.ndarray, half_extent: float) -> np.ndarray:

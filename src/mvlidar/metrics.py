@@ -42,9 +42,9 @@ class DetectionEvalConfig:
 
     def __post_init__(self):
         for label, threshold in self.iou_thresholds.items():
-            check_number(f"iou_thresholds.{label.value}", threshold, 0, 1,
-                         low_open=True)
-        check_number("recall_points", self.recall_points, 1,
+            check_number(f"eval_det.iou_thresholds.{label.value}", threshold,
+                         0, 1, low_open=True)
+        check_number("eval_det.recall_points", self.recall_points, 1,
                      MAX_RECALL_POINTS, integer=True)
 
     @staticmethod
@@ -150,7 +150,7 @@ class MotEvalConfig:
     threshold: float = 0.25     # a hypothesis and a truth match at this 3D IoU
 
     def __post_init__(self):
-        check_number("threshold", self.threshold, 0, 1, low_open=True)
+        check_number("eval_mot.threshold", self.threshold, 0, 1, low_open=True)
 
 
 @dataclass(frozen=True)

@@ -273,45 +273,14 @@ def run_fusion_comparison(scene: SyntheticScene, extrinsics: dict,
 # pipeline config and runner
 # ---------------------------------------------------------------------------
 
-_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string"}
-
-
-def _field(section: dict, key: str, default, context: str):
-    """``section[key]``, or ``default`` if absent, when it has its JSON type.
-
-    A flag takes true or false, an int field an integer, a float field a
-    number and a string field a string; other fields, and every range, are
-    left to their constructors. Nothing is rounded or cast, so ``1.9`` for
-    an integer is refused, not truncated.
-    """
-    value = section.get(key, default)
-    kind = type(default)
-    if kind not in _JSON_KINDS:
-        return value
-    if kind in (bool, str):
-        fits = isinstance(value, kind)
-    else:
-        fits = (not isinstance(value, bool)
-                and isinstance(value, int if kind is int else (int, float)))
-    if not fits:
-        name = f"{context}.{key}" if context else key
-        raise ConfigError(f"{name} must be {_JSON_KINDS[kind]}, "
-                          f"got {value!r}")
-    return value
-
-
-def _take(section, context: str, allowed: set, defaults=None) -> dict:
-    """A copy of a JSON object with only ``allowed`` keys; with
-    ``defaults``, each value must fit the type of the same-named field."""
+def _take(section, context: str, allowed: set) -> dict:
+    """A copy of a JSON object with only ``allowed`` keys. Its values are
+    left to the constructors, which check each one's type and range."""
     if not isinstance(section, dict):
         raise ConfigError(f"{context} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-    if defaults is not None:
-        for key in section:
-            _field(section, key, getattr(defaults, key), context)
     return dict(section)
 
 
@@ -341,7 +310,10 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_number("seed", self.seed, 0, integer=True)
-        check_number("scene_frames", self.scene_frames, 1, MAX_SCENE_FRAMES,
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, "
+                              f"got {self.output_dir!r}")
+        check_number("scene.frames", self.scene_frames, 1, MAX_SCENE_FRAMES,
                      integer=True)
         if self.sync.seed != self.seed:
             object.__setattr__(self, "sync", dc_replace(self.sync,
@@ -352,7 +324,8 @@ class PipelineConfig:
         """Parse a JSON config; omitted keys keep their default values.
 
         Raises ConfigError for unknown keys and for values of the wrong
-        type or out of range.
+        type or out of range, each value checked once by the class that
+        owns it and named by its config path (``sync.duration_s``).
         """
         try:
             return PipelineConfig._parse(raw)
@@ -365,13 +338,10 @@ class PipelineConfig:
         _take(raw, "config", {"seed", "output_dir", "scene", "hierarchy",
                               "detector", "tracker", "eval_det", "eval_mot",
                               "sync"})
-        kwargs: dict = {}
-        kwargs["seed"] = _field(raw, "seed", base.seed, "")
-        kwargs["output_dir"] = _field(raw, "output_dir", base.output_dir, "")
-
+        kwargs: dict = {"seed": raw.get("seed", base.seed),
+                        "output_dir": raw.get("output_dir", base.output_dir)}
         scene = _take(raw.get("scene", {}), "scene", {"frames"})
-        kwargs["scene_frames"] = _field(scene, "frames", base.scene_frames,
-                                        "scene")
+        kwargs["scene_frames"] = scene.get("frames", base.scene_frames)
 
         # HierarchyConfig turns the JSON's level triples into levels
         for name, keys in (
@@ -379,15 +349,14 @@ class PipelineConfig:
                 ("detector", {"cluster_distance"}),
                 ("tracker", {"threshold", "min_hits", "max_age"}),
                 ("eval_mot", {"threshold"})):
-            default = getattr(base, name)
-            section = _take(raw.get(name, {}), name, keys, default)
+            section = _take(raw.get(name, {}), name, keys)
             try:
-                kwargs[name] = type(default)(**section)
+                kwargs[name] = type(getattr(base, name))(**section)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from None
 
         eval_det = _take(raw.get("eval_det", {}), "eval_det",
-                         {"iou_thresholds", "recall_points"}, base.eval_det)
+                         {"iou_thresholds", "recall_points"})
         if "iou_thresholds" in eval_det:
             thresholds = _take(eval_det["iou_thresholds"],
                                "eval_det.iou_thresholds",
@@ -403,10 +372,8 @@ class PipelineConfig:
                      | {"node_count", "duration_s", "frame_rate_hz"})
         network = {key: sync.pop(key) for key in list(sync)
                    if key in network_keys}
-        kwargs["sync"] = dc_replace(
-            base.sync, **_take(sync, "sync", set(sync), base.sync),
-            network=NetworkModel(**_take(network, "sync", set(network),
-                                         base.sync.network)))
+        kwargs["sync"] = dc_replace(base.sync, **sync,
+                                    network=NetworkModel(**network))
         return PipelineConfig(**kwargs)
 
 

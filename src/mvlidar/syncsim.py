@@ -80,11 +80,11 @@ class NetworkModel:
     drop_probability: float = 0.0
 
     def __post_init__(self):
-        check_number("delay_min_s", self.delay_min_s, 0, MAX_SESSION_S)
-        check_number("delay_max_s", self.delay_max_s, 0, MAX_SESSION_S)
-        check_number("delay_max_s - delay_min_s",
+        check_number("sync.delay_min_s", self.delay_min_s, 0, MAX_SESSION_S)
+        check_number("sync.delay_max_s", self.delay_max_s, 0, MAX_SESSION_S)
+        check_number("sync.delay_max_s - sync.delay_min_s",
                      self.delay_max_s - self.delay_min_s, 0)
-        check_number("drop_probability", self.drop_probability, 0, 1)
+        check_number("sync.drop_probability", self.drop_probability, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,16 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_number("node_count", self.node_count, 1, MAX_SESSION_NODES,
-                     integer=True)
-        check_number("duration_s", self.duration_s, 0, MAX_SESSION_S,
+        check_number("sync.node_count", self.node_count, 1,
+                     MAX_SESSION_NODES, integer=True)
+        check_number("sync.duration_s", self.duration_s, 0, MAX_SESSION_S,
                      low_open=True)
-        check_number("frame_rate_hz", self.frame_rate_hz, 0, low_open=True)
-        check_number("duration_s * frame_rate_hz",
+        check_number("sync.frame_rate_hz", self.frame_rate_hz, 0,
+                     low_open=True)
+        check_number("sync.duration_s * sync.frame_rate_hz",
                      self.duration_s * self.frame_rate_hz, 1,
                      MAX_SESSION_FRAMES)
-        check_number("seed", self.seed, 0, integer=True)
+        check_number("sync.seed", self.seed, 0, integer=True)
         if self.clocks is not None and len(self.clocks) != self.node_count:
             raise ConfigError("clocks must have one model per node")
 

@@ -46,9 +46,9 @@ class TrackerConfig:
     max_age: int = 2
 
     def __post_init__(self):
-        check_number("threshold", self.threshold, 0, 1, low_open=True)
-        check_number("min_hits", self.min_hits, 1, integer=True)
-        check_number("max_age", self.max_age, 0, integer=True)
+        check_number("tracker.threshold", self.threshold, 0, 1, low_open=True)
+        check_number("tracker.min_hits", self.min_hits, 1, integer=True)
+        check_number("tracker.max_age", self.max_age, 0, integer=True)
 
 
 class TrackState:
@@ -196,8 +196,8 @@ def check_frame_dt(frame_dt) -> None:
     check_number("frame_dt", frame_dt, 0, MAX_FRAME_DT_S, low_open=True)
 
 
-def track_sequence(detections_per_frame: list, cfg: TrackerConfig = TrackerConfig(),
-                   frame_dt: float = 0.1) -> TrajectorySet:
+def track_sequence(detections_per_frame: list, cfg: TrackerConfig,
+                   frame_dt: float) -> TrajectorySet:
     """Run the tracker over a detection sequence.
 
     Per frame: predict all live tracks, associate, update matched tracks,
@@ -250,8 +250,8 @@ def track_sequence(detections_per_frame: list, cfg: TrackerConfig = TrackerConfi
     return TrajectorySet(tracks=output)
 
 
-def track_detections(detections, cfg: TrackerConfig = TrackerConfig(),
-                     frame_dt: float = 0.1) -> TrajectorySet:
+def track_detections(detections, cfg: TrackerConfig,
+                     frame_dt: float) -> TrajectorySet:
     """``track_sequence`` over (frame, Box3D) pairs with any frame numbers.
 
     Frames before the first box are dropped and longer gaps between frames

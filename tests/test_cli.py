@@ -893,14 +893,14 @@ class TestErrorsAndConversion:
 
     @pytest.mark.parametrize("raw, message", [
         ({"detector": {"cluster_distance": 10**400}},
-         "cluster_distance must be a finite number > 0"),
+         "detector.cluster_distance must be a finite number > 0"),
         ({"sync": {"duration_s": 10**400}},
-         "duration_s must be a finite number in (0, "),
+         "sync.duration_s must be a finite number in (0, "),
         ({"eval_det": {"recall_points": 10**12}},
-         f"recall_points must be an integer in [1, {MAX_RECALL_POINTS}], "
-         f"got {10**12}"),
+         f"eval_det.recall_points must be an integer in "
+         f"[1, {MAX_RECALL_POINTS}], got {10**12}"),
         ({"sync": {"node_count": 65}},
-         "node_count must be an integer in [1, 64], got 65")],
+         "sync.node_count must be an integer in [1, 64], got 65")],
         ids=["cluster_distance", "duration_s", "recall_points", "node_count"])
     def test_value_the_run_cannot_use_exit_4(self, tmp_path, capsys,
                                              monkeypatch, raw, message):
@@ -969,7 +969,7 @@ class TestErrorsAndConversion:
          "frame_dt must be a finite number in (0, 3600.0], got 0.0"),
         (["track", "--detections", "missing.jsonl", "--out", "fused",
           {"tracker": {"min_hits": -1}}],
-         "min_hits must be an integer >= 1, got -1")])
+         "tracker.min_hits must be an integer >= 1, got -1")])
     def test_bad_value_exit_4_before_reading(self, tmp_path, capsys, argv,
                                              message):
         """``fuse`` and ``track`` check their values before they read
@@ -1114,7 +1114,7 @@ class TestErrorsAndConversion:
                 "make-scene": ["--out", str(out)]}[command]
         assert main([command, *argv, "--seed", "-1"]) == 4
         assert capsys.readouterr().err == \
-            "error: --seed must be an integer >= 0, got -1\n"
+            "error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["make-scene", "pipeline"])
@@ -1132,7 +1132,7 @@ class TestErrorsAndConversion:
         option = {"make-scene": "--out", "pipeline": "--out-dir"}[command]
         assert main([command, "--config", str(cfg), option, str(out)]) == 4
         assert capsys.readouterr().err == (
-            f"error: scene_frames must be an integer in "
+            f"error: scene.frames must be an integer in "
             f"[1, {MAX_SCENE_FRAMES}], got {frames}\n")
         assert not out.exists()
 
@@ -1158,17 +1158,18 @@ class TestErrorsAndConversion:
 
     @pytest.mark.parametrize("argv, message", [
         (["sync-sim", {"sync": {"frame_rate_hz": math.nan}}],
-         "frame_rate_hz must be a finite number > 0, got nan"),
+         "sync.frame_rate_hz must be a finite number > 0, got nan"),
         (["sync-sim", {"sync": {"frame_rate_hz": 1e-300}}],
-         "duration_s * frame_rate_hz must be a finite number in "
+         "sync.duration_s * sync.frame_rate_hz must be a finite number in "
          "[1, 1000000], got 1e-299"),
         (["sync-sim", {"sync": {"duration_s": math.inf}}],
-         "duration_s must be a finite number in (0, 1000000.0], got inf"),
+         "sync.duration_s must be a finite number in (0, 1000000.0], "
+         "got inf"),
         (["sync-sim", {"sync": {"duration_s": 1e308}}],
-         "duration_s must be a finite number in (0, 1000000.0], "
+         "sync.duration_s must be a finite number in (0, 1000000.0], "
          "got 1e+308"),
         (["sync-sim", {"sync": {"delay_max_s": 1e308}}],
-         "delay_max_s must be a finite number in [0, 1000000.0], "
+         "sync.delay_max_s must be a finite number in [0, 1000000.0], "
          "got 1e+308"),
         (["track", "--frame-dt", "nan"],
          "frame_dt must be a finite number in (0, 3600.0], got nan"),
@@ -1177,9 +1178,9 @@ class TestErrorsAndConversion:
         (["track", "--frame-dt", "1e308"],
          "frame_dt must be a finite number in (0, 3600.0], got 1e+308"),
         (["track", {"tracker": {"threshold": math.nan}}],
-         "threshold must be a finite number in (0, 1], got nan"),
+         "tracker.threshold must be a finite number in (0, 1], got nan"),
         (["sync-sim", {"sync": {"node_count": 65}}],
-         "node_count must be an integer in [1, 64], got 65"),
+         "sync.node_count must be an integer in [1, 64], got 65"),
     ])
     def test_bad_setting_exit_4(self, tmp_path, capsys, argv, message):
         """A non-finite or huge value is refused by the class that owns
@@ -1330,6 +1331,27 @@ class TestErrorsAndConversion:
         again = read_frame(tmp_path / "b.mvlc")
         np.testing.assert_allclose(again.points, cloud.points, atol=1e-6)
 
+    @pytest.mark.parametrize("source, target", [
+        ("a.xyz", "d.xyz"), ("b.mvlc", "c.mvlc"), ("a.xyz", "d")])
+    def test_convert_to_the_same_format_exit_4(self, tmp_path, capsys,
+                                               source, target):
+        """The output ends in the suffix of the other format, checked
+        before the input is read: a missing input exits 4 as well, and
+        nothing is written either way."""
+        out = tmp_path / target
+        target_suffix = ".mvlc" if source.endswith(".xyz") else ".xyz"
+        message = (f"error: output must end in {target_suffix} to convert "
+                   f"{tmp_path / source}, got {out}\n")
+        assert main(["convert", str(tmp_path / source), str(out)]) == 4
+        assert capsys.readouterr().err == message
+        if source.endswith(".xyz"):
+            (tmp_path / source).write_text("1 2 3\n")
+        else:
+            write_frame(tmp_path / source, PointCloud([[1.0, 2.0, 3.0]]))
+        assert main(["convert", str(tmp_path / source), str(out)]) == 4
+        assert capsys.readouterr().err == message
+        assert sorted(p.name for p in tmp_path.iterdir()) == [source]
+
     @pytest.mark.parametrize("attributes, dropped", [
         ({}, None),
         ({"source_ids": [4]}, "source ids"),
@@ -1465,12 +1487,12 @@ class TestInputLayout:
     def test_directory_as_convert_output_exit_2(self, tmp_path, capsys):
         cloud = tmp_path / "cloud.xyz"
         cloud.write_text("1 2 3\n")
-        taken = tmp_path / "taken"
+        taken = tmp_path / "taken.mvlc"
         taken.mkdir()
         assert main(["convert", str(cloud), str(taken)]) == 2
         assert str(taken) in one_line_error(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.xyz",
-                                                             "taken"]
+                                                             "taken.mvlc"]
         assert not any(taken.iterdir())
 
     @pytest.mark.parametrize("option", ["--background", "--frames"])

@@ -269,8 +269,9 @@ class TestBackgroundGrid:
 
 
 def test_non_finite_cluster_distance_rejected():
-    with pytest.raises(ConfigError, match=r"^cluster_distance must be a "
-                                          r"finite number > 0, got nan$"):
+    with pytest.raises(ConfigError,
+                       match=r"^detector\.cluster_distance must be a "
+                             r"finite number > 0, got nan$"):
         DetectorConfig(cluster_distance=math.nan)
 
 

@@ -1,5 +1,5 @@
-"""Every numeric config field is range-checked once, by the class that owns
-it, and every entry point gives the same verdict.
+"""Every numeric config field is type- and range-checked once, by the class
+that owns it, and every entry point gives the same verdict.
 
 For each field a value drawn from the non-finite and extreme numbers and
 from around the field's own bounds is given to the class's constructor, to
@@ -7,7 +7,10 @@ from around the field's own bounds is given to the class's constructor, to
 ``mvlidar``: as that JSON in the ``--config`` file of the command that
 reads the field, or as the option that sets it. All of them accept it or
 all refuse it, and a refusal is a ConfigError (exit 4, one line) naming the
-field (the option, for an option that sets no config field).
+field by its path: ``<section>.<key>`` for a JSON key, the option for an
+option that sets no config field. A value of the wrong JSON type, and one
+below the field's range, are refused by all three with one message, which
+starts with the field's config path and `` must be ``.
 Nothing here runs a session, a scene or a tracker: each command is stopped
 at its first call after its configs are made.
 """
@@ -99,21 +102,21 @@ def converts_to_float(value) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """A numeric field of the config class ``owner``: the constructor call
-    that sets it, the interval it must lie in (with the other fields at
-    their defaults), and the JSON and the command option that set it where
-    there are such; an option ``--config`` takes the JSON in a file. Every
-    refusal names the field; one from the JSON names the field or its JSON
-    key."""
+    """A numeric field of the config class ``owner``: the name every
+    refusal of it holds (its config path where a JSON key sets it), the
+    constructor call that sets it, the interval it must lie in (with the
+    other fields at their defaults), and the JSON and the command option
+    that set it where there are such; an option ``--config`` takes the JSON
+    in a file."""
 
     owner: type
     name: str
+    path: str
     build: Callable
     interval: str                       # "(0, 1]", "[1, inf)", ...
     integer: bool = False
     json: Optional[Callable] = None
     option: Optional[tuple] = None      # (command, option)
-    json_key: Optional[str] = None      # where it differs from the name
 
     def __str__(self):
         return f"{self.owner.__name__}.{self.name}"
@@ -159,6 +162,7 @@ def levels_with(index, position):
 def fields():
     out = []
     out.append(Field(DetectorConfig, "cluster_distance",
+                     "detector.cluster_distance",
                      lambda v: DetectorConfig(cluster_distance=v),
                      "(0, inf)", json=section("detector", "cluster_distance"),
                      option=("detect", "--config")))
@@ -166,7 +170,7 @@ def fields():
             ("threshold", "(0, 1]", False),
             ("min_hits", "[1, inf)", True),
             ("max_age", "[0, inf)", True)):
-        out.append(Field(TrackerConfig, key,
+        out.append(Field(TrackerConfig, key, f"tracker.{key}",
                          lambda v, k=key: TrackerConfig(**{k: v}),
                          interval, integer, section("tracker", key),
                          ("track", "--config")))
@@ -174,36 +178,37 @@ def fields():
             ("node_count", f"[1, {MAX_SESSION_NODES}]", True),
             ("duration_s", FRAME_COUNT, False),
             ("frame_rate_hz", FRAME_COUNT, False)):
-        out.append(Field(type(SYNC), key,
+        out.append(Field(type(SYNC), key, f"sync.{key}",
                          lambda v, k=key: dc_replace(SYNC, **{k: v}),
                          interval, integer, section("sync", key),
                          ("sync-sim", "--config")))
-    out.append(Field(type(SYNC), "seed", lambda v: dc_replace(SYNC, seed=v),
-                     "[0, inf)", True))
+    out.append(Field(type(SYNC), "seed", "sync.seed",
+                     lambda v: dc_replace(SYNC, seed=v), "[0, inf)", True))
     for key, interval in (
             ("delay_min_s", "[0, 0.2]"),
             ("delay_max_s", f"[0.001, {MAX_SESSION_S}]"),
             ("drop_probability", "[0, 1]")):
-        out.append(Field(NetworkModel, key,
+        out.append(Field(NetworkModel, key, f"sync.{key}",
                          lambda v, k=key: NetworkModel(**{k: v}), interval,
                          json=section("sync", key),
                          option=("sync-sim", "--config")))
     for key, interval in (("drift_ppm", "(-inf, inf)"),
                           ("pps_jitter_s", "[0, inf)"),
                           ("frame_jitter_s", "[0, inf)")):
-        out.append(Field(NodeClockModel, key,
+        out.append(Field(NodeClockModel, key, key,
                          lambda v, k=key: NodeClockModel(**{k: v}), interval))
     out.append(Field(
-        DetectionEvalConfig, "iou_thresholds",
+        DetectionEvalConfig, "iou_thresholds", "eval_det.iou_thresholds.Car",
         lambda v: DetectionEvalConfig(iou_thresholds={ObjectClass.CAR: v}),
         "(0, 1]", json=lambda v: {"eval_det": {"iou_thresholds": {"Car": v}}},
         option=("eval-det", "--config")))
     out.append(Field(DetectionEvalConfig, "recall_points",
+                     "eval_det.recall_points",
                      lambda v: DetectionEvalConfig(recall_points=v),
                      f"[1, {MAX_RECALL_POINTS}]", True,
                      section("eval_det", "recall_points"),
                      ("eval-det", "--config")))
-    out.append(Field(MotEvalConfig, "threshold",
+    out.append(Field(MotEvalConfig, "threshold", "eval_mot.threshold",
                      lambda v: MotEvalConfig(threshold=v), "(0, 1]",
                      json=section("eval_mot", "threshold"),
                      option=("eval-mot", "--config")))
@@ -213,7 +218,7 @@ def fields():
             (0, 2, "max_iterations", "[1, inf)", True)):
         levels = levels_with(index, position)
         out.append(Field(
-            HierarchyLevel, name,
+            HierarchyLevel, name, f"hierarchy.levels[{index}].{name}",
             lambda v, f=levels: dc_replace(HIERARCHY, levels=f(v)),
             interval, integer, lambda v, f=levels: {"hierarchy": {"levels":
                                                                   f(v)}},
@@ -224,7 +229,7 @@ def fields():
             ("ransac_inlier_threshold", "(0, inf)", False),
             ("ransac_iterations", f"[1, {MAX_RANSAC_ITERATIONS}]", True),
             ("arbitration_hypotheses", "[1, inf)", True)):
-        out.append(Field(type(HIERARCHY), key,
+        out.append(Field(type(HIERARCHY), key, f"hierarchy.{key}",
                          lambda v, k=key: dc_replace(HIERARCHY, **{k: v}),
                          interval, integer, section("hierarchy", key),
                          ("calibrate", "--config")))
@@ -237,20 +242,21 @@ def fields():
             ("elevation_steps", "[2, inf)", True),
             ("reference_azimuth_steps", "[2, inf)", True),
             ("reference_elevation_steps", "[2, inf)", True)):
-        out.append(Field(SceneSpec, key,
+        out.append(Field(SceneSpec, key, key,
                          lambda v, k=key: SceneSpec(nodes=(POSE,), **{k: v}),
                          interval, integer))
-    out.append(Field(ViewFrameSet, "sync_window_s",
+    out.append(Field(ViewFrameSet, "sync_window_s", "sync_window_s",
                      lambda v: ViewFrameSet({}, {}, sync_window_s=v),
                      "[0, inf)", option=("fuse", "--sync-window")))
-    out.append(Field(PipelineConfig, "seed", lambda v: PipelineConfig(seed=v),
+    out.append(Field(PipelineConfig, "seed", "seed",
+                     lambda v: PipelineConfig(seed=v),
                      "[0, inf)", True, lambda v: {"seed": v},
                      ("pipeline", "--seed")))
-    out.append(Field(PipelineConfig, "scene_frames",
+    out.append(Field(PipelineConfig, "scene_frames", "scene.frames",
                      lambda v: PipelineConfig(scene_frames=v),
                      f"[1, {MAX_SCENE_FRAMES}]",
                      True, section("scene", "frames"),
-                     ("make-scene", "--config"), json_key="scene.frames"))
+                     ("make-scene", "--config")))
     return out
 
 
@@ -269,30 +275,24 @@ def drawn(field: Field):
             | st.floats(low - 2.0, high + 2.0))
 
 
-def verdict(make, names) -> bool:
+def verdict(make, path) -> bool:
     """True if ``make()`` accepts; a refusal must be a ConfigError whose
-    message holds one of ``names``."""
+    message holds ``path``."""
     try:
         make()
     except ConfigError as exc:
-        assert any(name in str(exc) for name in names), str(exc)
+        assert path in str(exc), str(exc)
         return False
     return True
 
 
-def cli_verdict(field: Field, value, fuse_out, config_path) -> bool:
-    command, option = field.option
-    if option == "--config":
-        config_path.write_text(json.dumps(field.json(value)))
-        argv = [command, *REQUIRED[command], "--config", str(config_path)]
-        names = [field.name, field.json_key or field.name]
-    else:
-        argv = [command, *REQUIRED[command], f"{option}={value!r}"]
-        # ``fuse --sync-window`` sets no config field, so its refusal
-        # names the option
-        names = [option if option == "--sync-window" else field.name]
+def run_cli(argv, fuse_out) -> tuple:
+    """``mvlidar`` on ``argv`` with its command stopped after its configs
+    are made: the exit code, None once stopped, and what it wrote to
+    stderr. Argparse's SystemExit passes through."""
+    command = argv[0]
     if command == "fuse":
-        argv += ["--out", fuse_out]
+        argv = argv + ["--out", fuse_out]
     stderr = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -302,15 +302,38 @@ def cli_verdict(field: Field, value, fuse_out, config_path) -> bool:
         try:
             code = cli.main(argv)
         except Reached:
-            return True
-        except SystemExit as exc:
-            # argparse refuses a non-integer for an integer option
-            assert field.integer and option != "--config" and exc.code == 2
-            return False
-    assert code == 4, stderr.getvalue()
-    message = stderr.getvalue()
+            code = None
+    return code, stderr.getvalue()
+
+
+def config_argv(field: Field, value, config_path) -> list:
+    """The command that reads the field, with the field's JSON for
+    ``value`` in its ``--config`` file."""
+    command = field.option[0]
+    config_path.write_text(json.dumps(field.json(value)))
+    return [command, *REQUIRED[command], "--config", str(config_path)]
+
+
+def cli_verdict(field: Field, value, fuse_out, config_path) -> bool:
+    command, option = field.option
+    if option == "--config":
+        argv = config_argv(field, value, config_path)
+    else:
+        argv = [command, *REQUIRED[command], f"{option}={value!r}"]
+    try:
+        code, message = run_cli(argv, fuse_out)
+    except SystemExit as exc:
+        # argparse refuses a non-integer for an integer option
+        assert field.integer and option != "--config" and exc.code == 2
+        return False
+    if code is None:
+        return True
+    assert code == 4, message
     assert message.startswith("error: ") and message.count("\n") == 1
-    assert any(name in message for name in names), message
+    # ``fuse --sync-window`` sets no config field, so its refusal names
+    # the option
+    assert (option if option == "--sync-window" else field.path) in message, \
+        message
     return False
 
 
@@ -320,12 +343,11 @@ def cli_verdict(field: Field, value, fuse_out, config_path) -> bool:
 def test_every_entry_point_gives_the_same_verdict(field, data, fuse_out,
                                                   config_path):
     value = data.draw(drawn(field), label=field.name)
-    accepted = verdict(lambda: field.build(value), [field.name])
+    accepted = verdict(lambda: field.build(value), field.path)
     assert accepted == field.accepts(value)
     if field.json is not None:
         assert verdict(lambda: PipelineConfig.from_dict(field.json(value)),
-                       [field.name, field.json_key or field.name]) \
-            == accepted
+                       field.path) == accepted
     if field.option is not None:
         assert cli_verdict(field, value, fuse_out, config_path) == accepted
 
@@ -339,3 +361,26 @@ def test_every_numeric_field_is_drawn():
     # a dict of one number per class
     assert numeric == drawn_fields - {("DetectionEvalConfig",
                                        "iou_thresholds")}
+
+
+def refusal(make) -> str:
+    with pytest.raises(ConfigError) as refused:
+        make()
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("field", [f for f in FIELDS if f.json is not None],
+                         ids=str)
+def test_one_check_gives_one_message(field, fuse_out, config_path):
+    """A value of the wrong JSON type and one below the field's range are
+    refused with one message by the constructor, ``from_dict`` and the
+    ``--config`` of the command that reads the field: that of the one
+    check, which names the field by its config path."""
+    below = math.floor(field.bounds[0]) - 1
+    for value in ["1", True, None, below]:
+        message = refusal(lambda: field.build(value))
+        assert message.startswith(f"{field.path} must be "), message
+        assert refusal(lambda: PipelineConfig.from_dict(field.json(value))) \
+            == message
+        assert run_cli(config_argv(field, value, config_path), fuse_out) \
+            == (4, f"error: {message}\n")

@@ -125,13 +125,14 @@ class TestSimulateSession:
         frames is accepted; one step beyond either is refused."""
         SessionConfig(node_count=2, duration_s=MAX_SESSION_S,
                       frame_rate_hz=MAX_SESSION_FRAMES / MAX_SESSION_S)
-        with pytest.raises(ConfigError, match="^duration_s must be"):
+        with pytest.raises(ConfigError, match=r"^sync\.duration_s must be"):
             SessionConfig(node_count=2, duration_s=2 * MAX_SESSION_S)
         with pytest.raises(ConfigError,
-                           match=r"^duration_s \* frame_rate_hz must be"):
+                           match=r"^sync\.duration_s \* "
+                                 r"sync\.frame_rate_hz must be"):
             SessionConfig(node_count=2, duration_s=1.0,
                           frame_rate_hz=2 * MAX_SESSION_FRAMES)
-        with pytest.raises(ConfigError, match="^delay_max_s must be"):
+        with pytest.raises(ConfigError, match=r"^sync\.delay_max_s must be"):
             NetworkModel(delay_max_s=2 * MAX_SESSION_S)
 
 

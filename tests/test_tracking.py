@@ -214,13 +214,15 @@ class TestTrackDetectionsTimeline:
         cfg = TrackerConfig(min_hits=1, max_age=7)
         # frames 0 and 1000: the gap is cut to max_age + 2 = 9 frames, so
         # the timeline holds frames 0..9
-        tracks = track_detections([(0, box()), (1000, box())], cfg)
+        tracks = track_detections([(0, box()), (1000, box())], cfg,
+                                  frame_dt=0.1)
         assert sorted(tracks.frames()) == [0, 1000]
         with pytest.raises(ConfigError, match="11 frames, more than 10"):
             track_detections([(0, box()), (1000, box())],
-                             TrackerConfig(min_hits=1, max_age=8))
+                             TrackerConfig(min_hits=1, max_age=8),
+                             frame_dt=0.1)
 
     def test_huge_max_age_refused(self):
         with pytest.raises(ConfigError, match="max_age"):
             track_detections([(0, box()), (10**12, box())],
-                             TrackerConfig(max_age=10**12))
+                             TrackerConfig(max_age=10**12), frame_dt=0.1)
