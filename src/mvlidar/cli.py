@@ -42,7 +42,7 @@ from .pipeline import PipelineConfig, calibrate_node, detect_per_frame, \
 from .scene import DEFAULT_FRAME_RATE_HZ, generate_synthetic_scene, \
     standard_crossroad_spec
 from .syncsim import compute_time_error_report, simulate_session
-from .tracking import check_frame_dt, track_detections
+from .tracking import MAX_FRAME_DT_S, track_detections
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -213,7 +213,6 @@ def cmd_detect(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _config(args).tracker
-    check_frame_dt(args.frame_dt)
     trajectories = track_detections(read_detections(args.detections), cfg,
                                     frame_dt=args.frame_dt)
     write_trajectories(args.out, trajectories)
@@ -372,8 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="track detections across frames")
     p.add_argument("--detections", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-dt", type=float,
-                   default=1.0 / DEFAULT_FRAME_RATE_HZ)
+    p.add_argument("--frame-dt", type=_checked(float, "--frame-dt", 0,
+                                               MAX_FRAME_DT_S, low_open=True),
+                   default=1.0 / DEFAULT_FRAME_RATE_HZ,
+                   help="seconds between frames (in (0, 3600])")
     _add_settings(p, seed=False)
     p.set_defaults(func=cmd_track)
 

@@ -370,30 +370,36 @@ def _min_area_rectangle(bev: np.ndarray):
     """(yaw, length, width, center_xy) of the minimum-area oriented rectangle.
 
     Rotating calipers over the convex hull: the optimal rectangle is flush
-    with one hull edge. Length is the longer side and yaw points along it.
+    with one hull edge. The hull is rotated by minus every edge angle in
+    one stacked product, each rotation built from ``math.cos`` and
+    ``math.sin`` of its angle as a per-edge product would build it, and
+    the edges are visited in hull order: an edge wins only when its area
+    is below the best so far by more than 1e-12. Length is the longer side
+    and yaw points along it.
     """
     try:
         hull = ConvexHull(bev)
     except QhullError as exc:
         raise DegenerateClusterError("cluster is collinear in BEV") from exc
     hull_pts = bev[hull.vertices]
-    edges = np.roll(hull_pts, -1, axis=0) - hull_pts
+    edges = np.concatenate((hull_pts[1:], hull_pts[:1])) - hull_pts
     angles = np.arctan2(edges[:, 1], edges[:, 0])
 
-    best = None
-    for angle in angles:
-        c, s = math.cos(angle), math.sin(angle)
-        rot = np.array([[c, s], [-s, c]])  # rotate by -angle
-        local = hull_pts @ rot.T
-        lo, hi = local.min(axis=0), local.max(axis=0)
-        extent = hi - lo
-        area = float(extent[0] * extent[1])
-        if best is None or area < best[0] - 1e-12:
-            center_local = 0.5 * (lo + hi)
-            center = rot.T @ center_local
-            best = (area, angle, float(extent[0]), float(extent[1]), center)
+    rots = np.empty((len(angles), 2, 2))  # each rotates by -angle
+    rots[:, 0, 0] = rots[:, 1, 1] = [math.cos(a) for a in angles.tolist()]
+    rots[:, 0, 1] = [math.sin(a) for a in angles.tolist()]
+    rots[:, 1, 0] = -rots[:, 0, 1]
+    local = hull_pts @ rots.transpose(0, 2, 1)
+    lo, hi = local.min(axis=1), local.max(axis=1)
+    extent = hi - lo
+    areas = (extent[:, 0] * extent[:, 1]).tolist()
+    best = 0
+    for k, area in enumerate(areas):
+        if area < areas[best] - 1e-12:
+            best = k
 
-    _, angle, ex, ey, center = best
+    center = rots[best].T @ (0.5 * (lo[best] + hi[best]))
+    angle, (ex, ey) = angles[best], extent[best].tolist()
     if ex >= ey:
         return wrap_angle(angle), ex, ey, center
     return wrap_angle(angle + 0.5 * math.pi), ey, ex, center

@@ -26,6 +26,7 @@ from .geometry import (
     check_time_order,
     iou_3d,
     linked_groups,
+    may_overlap,
     wrap_half_angle,
 )
 
@@ -126,12 +127,16 @@ def cluster_boxes(views: list) -> list:
     ``views`` is a list of (view id, list of Box3D). Same-class boxes are
     connected when their IoU reaches _OVERLAP_THRESHOLD; clusters are the
     connected components, so the grouping does not depend on input order.
-    Every input box lands in exactly one cluster.
+    Every input box lands in exactly one cluster. ``iou_3d`` runs only on
+    the pairs i < j that ``may_overlap`` keeps: every other pair is of two
+    classes or has an IoU of 0.0.
     """
     entries = [(box, view_id) for view_id, boxes in views for box in boxes]
-    pairs = [(i, j) for i, (a, _) in enumerate(entries)
-             for j, (b, _) in enumerate(entries[i + 1:], i + 1)
-             if a.label is b.label and iou_3d(a, b) >= _OVERLAP_THRESHOLD]
+    boxes = [box for box, _ in entries]
+    candidates = np.transpose(np.triu_indices(len(boxes), 1))
+    near = may_overlap(boxes, boxes, candidates)
+    pairs = [(i, j) for (i, j), may in zip(candidates.tolist(), near.tolist())
+             if may and iou_3d(boxes[i], boxes[j]) >= _OVERLAP_THRESHOLD]
     return [BoxCluster(members=tuple(entries[i] for i in group))
             for group in linked_groups(len(entries), pairs)]
 

@@ -20,8 +20,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 _CLIP_EPS = 1e-12
 # footprints whose circumscribed circles are more than _CULL_MARGIN (m),
@@ -31,6 +29,12 @@ _CULL_MARGIN = 1e-6
 _CULL_RELATIVE = 2.0 ** -40
 _CULL_MAX_SCALE = 1e100
 _INT64_MAX = np.iinfo(np.int64).max
+# OpenBLAS may split a long (N, 3) @ (3, 3) product over its thread pool,
+# and waking the pool stalls some calls: on a 473,993-point scan single
+# products took up to 210 ms against a 9-14 ms median (2-core x86-64 host,
+# OpenBLAS 0.3.31). Multiplied in blocks of at most this many rows, as
+# node frames of 11-14k rows always ran, no call of 9 took over 9.2 ms.
+_TRANSFORM_BLOCK_ROWS = 8192
 # voxel indices stay below 2**62 in magnitude, so per-axis spans fit in int64
 _MAX_VOXEL_INDEX = 2.0 ** 62
 # the voxel grid counts keys directly up to this many possible keys per point
@@ -41,6 +45,9 @@ class ObjectClass(str, Enum):
     CAR = "Car"
     CYCLIST = "Cyclist"
     PEDESTRIAN = "Pedestrian"
+
+
+_CLASS_CODES = {label: code for code, label in enumerate(ObjectClass)}
 
 
 def wrap_angle(angle: float) -> float:
@@ -95,9 +102,24 @@ class RigidTransform:
         return RigidTransform(rot, np.asarray(translation, dtype=float))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Apply to a single (3,) point or an (N, 3) array."""
+        """Apply to a single (3,) point or an (N, 3) array.
+
+        An array is multiplied in blocks of at most ``_TRANSFORM_BLOCK_ROWS``
+        rows into one output; each row's product is the full product's, bit
+        for bit.
+        """
         pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
+        if pts.ndim == 1:
+            return pts @ self.rotation.T + self.translation
+        out = np.empty(pts.shape)
+        # near-equal blocks: numpy multiplies a lone row on its
+        # matrix-vector path, which rounds differently
+        blocks = max(1, -(-len(pts) // _TRANSFORM_BLOCK_ROWS))
+        bounds = [len(pts) * k // blocks for k in range(blocks + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
+            np.matmul(pts[start:stop], self.rotation.T, out=out[start:stop])
+        out += self.translation
+        return out
 
     def inverse(self) -> "RigidTransform":
         rot_inv = self.rotation.T
@@ -333,7 +355,9 @@ def polygon_area(vertices: np.ndarray) -> float:
     if len(vertices) < 3:
         return 0.0
     x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
 
 
 def clip_convex_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
@@ -424,17 +448,101 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return min(1.0, max(0.0, inter / union))
 
 
+def may_overlap(first, second, pairs=None) -> np.ndarray:
+    """Mask of box pairs, False only where the two boxes are of different
+    classes or ``iou_3d(first[i], second[j])`` is certainly 0.0: over every
+    pair, (len(first), len(second)), or over the (i, j) rows of ``pairs``.
+
+    A pair is masked out when the classes differ, when the vertical
+    extents do not overlap (computed as ``iou_3d`` computes them, so the
+    test is exact), or when ``_footprints_apart(first[i], second[j])`` is
+    sure to hold. That last test repeats ``_footprints_apart`` elementwise:
+    every step rounds as the scalar one does except ``np.hypot``, which
+    may differ from ``math.hypot`` by an ulp, as both are within one ulp of
+    the exact value. So the half diagonals and the centre distance may
+    each differ by 2 ulps, and the gap, whose terms are at most 4 times
+    ``scale``, by less than ``2**-48 * scale``; ``scale`` and ``rounding``
+    by a relative ``2**-50``. The mask allows 3 ``rounding`` where the
+    scalar test allows 2, in the margin and in the shortest edge (so its
+    ``_CLIP_EPS / shortest`` term is no smaller), and asks for
+    ``scale + rounding < _CULL_MAX_SCALE``. Its threshold is thus larger
+    by nearly ``rounding = 2**-40 * scale``, far more than the gaps can
+    differ plus the rounding of the sums (a culled gap exceeds 1e-6 m and
+    is at most 4 times ``scale``, so every term is a normal number), and
+    whenever the mask culls a pair, ``_footprints_apart`` culls it too.
+    """
+    a, b = _footprint_columns(first), _footprint_columns(second)
+    if pairs is None:
+        a, b = a[:, :, None], b[:, None, :]
+    else:
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        a, b = a[:, pairs[:, 0]], b[:, pairs[:, 1]]
+    a_code, ax, ay, a_low, a_high, ra, a_far, _ = a
+    b_code, bx, by, b_low, b_high, rb, b_far, b_shortest = b
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = np.maximum(a_far, b_far) + ra + rb
+        rounding = _CULL_RELATIVE * scale
+        shortest = b_shortest - 3.0 * rounding
+        gap = np.hypot(ax - bx, ay - by) - ra - rb
+        apart = ((scale + rounding < _CULL_MAX_SCALE) & (shortest > 0.0)
+                 & (gap > _CULL_MARGIN + 3.0 * rounding
+                    + _CLIP_EPS / shortest))
+    z_overlap = np.minimum(a_high, b_high) - np.maximum(a_low, b_low)
+    return (a_code == b_code) & (z_overlap > 0.0) & ~apart
+
+
+def _footprint_columns(boxes) -> np.ndarray:
+    """(8, n) rows of ``boxes``: class code, centre x and y, z_min, z_max,
+    footprint half diagonal, the larger of |x| and |y|, and the shorter
+    footprint side, each rounded as ``Box3D`` and ``_footprints_apart``
+    round it."""
+    centers = np.array([box.center for box in boxes], dtype=float)
+    sizes = np.array([box.size for box in boxes], dtype=float)
+    x, y, z = centers.reshape(-1, 3).T
+    length, width, height = sizes.reshape(-1, 3).T
+    with np.errstate(over="ignore"):
+        half_diagonal = 0.5 * np.hypot(length, width)
+    return np.array([[_CLASS_CODES[box.label] for box in boxes], x, y,
+                     z - 0.5 * height, z + 0.5 * height, half_diagonal,
+                     np.maximum(np.abs(x), np.abs(y)),
+                     np.minimum(length, width)])
+
+
 def linked_groups(n: int, pairs) -> list:
     """The groups of items 0..n-1 that (i, j) ``pairs`` link, transitively:
     ascending index arrays in the order of their smallest index, whatever
-    the order of the pairs. No items give no groups."""
+    the order of the pairs. No items give no groups. Raises ValueError for
+    an index outside 0..n-1.
+
+    Union-find over all pairs at once (hooking and pointer jumping, after
+    Shiloach and Vishkin): every item's label is a root, an item whose
+    label is itself. Each round hooks, for every pair whose labels differ,
+    the larger root under the smallest root it is paired with, then
+    replaces each label by its label's label until no label changes. A
+    label never exceeds its item, so each root is the smallest item of
+    its tree, and rounds end when every pair shares a root: each label is
+    then the smallest member of the item's group, and a stable sort of
+    the labels lists the groups in order.
+    """
     if n == 0:
         return []
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    graph = coo_matrix((np.ones(len(pairs), dtype=bool),
-                        (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    # components are labelled in the order of their smallest member
-    _, labels = connected_components(graph, directed=False)
+    if len(pairs) and not (0 <= pairs.min() and pairs.max() < n):
+        raise ValueError(f"linked item indices must lie in [0, {n})")
+    labels = np.arange(n)
+    while True:
+        first, second = labels[pairs[:, 0]], labels[pairs[:, 1]]
+        differ = first != second
+        if not differ.any():
+            break
+        first, second = first[differ], second[differ]
+        np.minimum.at(labels, np.maximum(first, second),
+                      np.minimum(first, second))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NoGroundTruthError, check_number
-from .geometry import Box3D, ObjectClass, iou_3d
+from .geometry import Box3D, ObjectClass, iou_3d, may_overlap
 from .tracking import TrajectorySet
 
 DEFAULT_IOU_THRESHOLDS = {
@@ -66,7 +66,10 @@ def match_detections(detections, ground_truth, label: ObjectClass,
     ``detections`` and ``ground_truth`` are lists of (frame, Box3D). Returns
     (tp_flags ordered by descending score, number of ground-truth boxes).
     Each detection takes the highest-IoU not-yet-matched ground-truth box of
-    its frame if that IoU reaches the threshold.
+    its frame if that IoU reaches the threshold. One ``may_overlap`` mask
+    covers every detection's pairs with the ground truth of its frame, and
+    ``iou_3d`` runs only on the pairs it keeps; every other pair's IoU is
+    0.0.
     """
     gt_by_frame: dict = {}
     for frame, gt_box in ground_truth:
@@ -75,16 +78,28 @@ def match_detections(detections, ground_truth, label: ObjectClass,
     n_gt = sum(len(v) for v in gt_by_frame.values())
 
     candidates = [(frame, det) for frame, det in detections if det.label is label]
+    # one mask over each candidate's pairs with the ground truth of its frame
+    gt_boxes, first_gt = [], {}
+    for frame, slots in gt_by_frame.items():
+        first_gt[frame] = len(gt_boxes)
+        gt_boxes += [box for box, _ in slots]
+    counts = [len(gt_by_frame.get(frame, ())) for frame, _ in candidates]
+    pairs = [(i, first_gt[frame] + k)
+             for i, (frame, _) in enumerate(candidates)
+             for k in range(counts[i])]
+    # candidate i's pairs follow those of the candidates before it
+    near = np.split(may_overlap([det for _, det in candidates], gt_boxes,
+                                pairs), np.cumsum(counts)[:-1])
     order = sorted(range(len(candidates)),
                    key=lambda i: (-candidates[i][1].score, candidates[i][0], i))
     tp_flags = np.zeros(len(order), dtype=bool)
     for rank, idx in enumerate(order):
         frame, det = candidates[idx]
         best_iou, best_slot = threshold, None
-        for slot in gt_by_frame.get(frame, ()):
+        for slot, may in zip(gt_by_frame.get(frame, ()), near[idx]):
             if slot[1]:
                 continue
-            overlap = iou_3d(det, slot[0])
+            overlap = iou_3d(det, slot[0]) if may else 0.0
             if overlap >= best_iou:
                 best_iou, best_slot = overlap, slot
         if best_slot is not None:
@@ -207,11 +222,13 @@ def compute_clear_mot(hypotheses: TrajectorySet, ground_truth: TrajectorySet,
         if free_gt and free_hyp:
             valid = np.zeros((len(free_gt), len(free_hyp)), dtype=bool)
             similarity = np.zeros(valid.shape)
-            for i, g in enumerate(free_gt):
-                for j, h in enumerate(free_hyp):
-                    ok, sim = _pair_score(gt_here[g], hyp_here[h], cfg)
-                    valid[i, j] = ok
-                    similarity[i, j] = sim
+            # every pair the mask drops is of two classes or has IoU 0.0,
+            # below the threshold: unmatched with similarity 0.0
+            near = may_overlap([gt_here[g] for g in free_gt],
+                               [hyp_here[h] for h in free_hyp])
+            for i, j in np.argwhere(near).tolist():
+                valid[i, j], similarity[i, j] = _pair_score(
+                    gt_here[free_gt[i]], hyp_here[free_hyp[j]], cfg)
             cost = np.where(valid, -similarity, 1e9)
             rows, cols = linear_sum_assignment(cost)
             for r, c in zip(rows, cols):

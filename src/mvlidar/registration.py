@@ -113,6 +113,17 @@ class HierarchyLevel:
     max_iterations: int
 
 
+def _hierarchy_level(level, index: int) -> HierarchyLevel:
+    """``level`` as a HierarchyLevel, or from its JSON triple."""
+    if isinstance(level, HierarchyLevel):
+        return level
+    if not (isinstance(level, (list, tuple)) and len(level) == 3):
+        raise ConfigError(
+            f"hierarchy.levels[{index}] must be [voxel_size, "
+            f"max_correspondence_distance, max_iterations], got {level!r}")
+    return HierarchyLevel(*level)
+
+
 @dataclass(frozen=True)
 class HierarchyConfig:
     """Scale schedule and search parameters of the registration pipeline.
@@ -132,8 +143,11 @@ class HierarchyConfig:
     arbitration_hypotheses: int = 48
 
     def __post_init__(self):
-        levels = tuple(level if isinstance(level, HierarchyLevel)
-                       else HierarchyLevel(*level) for level in self.levels)
+        if not isinstance(self.levels, (list, tuple)):
+            raise ConfigError(f"hierarchy.levels must be a list of levels, "
+                              f"got {self.levels!r}")
+        levels = tuple(_hierarchy_level(level, index)
+                       for index, level in enumerate(self.levels))
         if not levels:
             raise ConfigError("need at least one hierarchy level")
         # registration cannot run with any value refused here, or runs as

@@ -339,6 +339,8 @@ class _RayIndex:
         keys = (np.clip(rows.astype(np.int64), 0, self.n_el - 1) * self.n_az
                 + columns.astype(np.int64) % self.n_az)
         self.order = np.argsort(keys, kind="stable")
+        # every ray but those with d_z >= 0, which miss a box below the origin
+        self.downward = np.flatnonzero(~(dirs[:, 2] >= 0.0))
         self.starts = np.concatenate([[0], np.cumsum(
             np.bincount(keys, minlength=self.n_el * self.n_az))])
 
@@ -391,10 +393,15 @@ def _cast_frame(origin, rays: _RayIndex, surfaces, best_t=None):
     their ties and rays they block are culled. A surface is tested
     exactly only on the rays that reach its bounding sphere in front of the
     origin and before the closest hit so far; from inside the sphere every
-    ray is tested. The sphere test itself runs only on the rays that
-    ``rays.toward_sphere`` gathers from the bins the sphere's padded angular
-    cap overlaps. They are a superset of the rays that pass it and the test
-    is unchanged, so exactly the rays pass that would pass it on every ray.
+    ray is tested, except that a box whose top lies below the origin, as
+    the ground's does, skips the rays with d_z >= 0. Yaw keeps the local z
+    of the origin and of every direction exact, so on such a ray both
+    z-slab parameters are negative, or both infinite when d_z is zero, and
+    no entry in front of the origin is finite: the ray misses. The sphere
+    test itself runs only on the rays that ``rays.toward_sphere`` gathers
+    from the bins the sphere's padded angular cap overlaps. They are a
+    superset of the rays that pass it and the test is unchanged, so exactly
+    the rays pass that would pass it on every ray.
     Surfaces are visited in order, so the first of two surfaces at the same
     distance keeps the ray. The exact tests and the sphere test treat each
     ray on its own, with no product of a lone row (``_row_dots``), so a ray's
@@ -418,6 +425,9 @@ def _cast_frame(origin, rays: _RayIndex, surfaces, best_t=None):
             cand = cand[-b - np.sqrt(disc) < best_t[cand]]
             if not len(cand):
                 continue
+        elif (not isinstance(surface, SceneSphere)
+              and offset[2] > surface[1][2] / 2.0):
+            cand = rays.downward
         else:
             cand = np.arange(len(dirs))
         t = _surface_entry(origin, dirs[cand], surface)

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, check_number
-from .geometry import Box3D, iou_3d, wrap_angle, wrap_half_angle
+from .geometry import Box3D, iou_3d, may_overlap, wrap_angle, \
+    wrap_half_angle
 
 STATE_DIM = 10
 MEAS_DIM = 7
@@ -127,24 +128,23 @@ def kalman_update(track: TrackState, detection: Box3D) -> TrackState:
     return track
 
 
-def _affinity(track_box: Box3D, detection: Box3D) -> float:
-    if track_box.label is not detection.label:
-        return -_CROSS_CLASS_COST
-    return iou_3d(track_box, detection)
-
-
 def associate(tracks: list, detections: list, cfg: TrackerConfig):
     """Optimal one-to-one matching between tracks and detections by 3D IoU.
 
     Returns (matches, unmatched_track_indices, unmatched_detection_indices)
     where matches is a list of (track_index, detection_index). Pairs below
-    the IoU threshold (or across classes) are unmatched.
+    the IoU threshold (or across classes) are unmatched. A pair's affinity
+    is its IoU, -1e9 across classes; ``iou_3d`` runs only on the pairs
+    ``may_overlap`` keeps, and every other same-class pair's IoU is 0.0.
     """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
     boxes = [t.to_box() for t in tracks]
-    affinity = np.array([[_affinity(tb, det) for det in detections]
-                         for tb in boxes])
+    affinity = np.array([[0.0 if box.label is det.label
+                          else -_CROSS_CLASS_COST for det in detections]
+                         for box in boxes])
+    for r, c in np.argwhere(may_overlap(boxes, detections)).tolist():
+        affinity[r, c] = iou_3d(boxes[r], detections[c])
     rows, cols = linear_sum_assignment(-affinity)
     matches = []
     matched_tracks, matched_dets = set(), set()

@@ -963,10 +963,10 @@ class TestErrorsAndConversion:
          "--sync-window must be a finite number >= 0, got nan"),
         (["track", "--detections", "missing.jsonl", "--out", "fused",
           "--frame-dt", "nan"],
-         "frame_dt must be a finite number in (0, 3600.0], got nan"),
+         "--frame-dt must be a finite number in (0, 3600.0], got nan"),
         (["track", "--detections", "missing.jsonl", "--out", "fused",
           "--frame-dt", "0"],
-         "frame_dt must be a finite number in (0, 3600.0], got 0.0"),
+         "--frame-dt must be a finite number in (0, 3600.0], got 0.0"),
         (["track", "--detections", "missing.jsonl", "--out", "fused",
           {"tracker": {"min_hits": -1}}],
          "tracker.min_hits must be an integer >= 1, got -1")])
@@ -984,14 +984,34 @@ class TestErrorsAndConversion:
         assert not (tmp_path / "fused").exists()
 
     def test_bad_calibrate_config_exit_4(self, scene_dir, tmp_path, capsys):
+        self.check_malformed_levels(
+            scene_dir, tmp_path, capsys, [[1.0, 2.0]],
+            "hierarchy.levels[0] must be [voxel_size, "
+            "max_correspondence_distance, max_iterations], got [1.0, 2.0]")
+
+    @pytest.mark.parametrize("levels, message", [
+        ([[1.0, 2.0, 40], [0.4, 0.8, 60, 1]], "hierarchy.levels[1] must be "
+         "[voxel_size, max_correspondence_distance, max_iterations], got "
+         "[0.4, 0.8, 60, 1]"),
+        (5, "hierarchy.levels must be a list of levels, got 5")])
+    def test_malformed_levels_exit_4(self, scene_dir, tmp_path, capsys,
+                                     levels, message):
+        self.check_malformed_levels(scene_dir, tmp_path, capsys, levels,
+                                    message)
+
+    @staticmethod
+    def check_malformed_levels(scene_dir, tmp_path, capsys, levels, message):
+        """``calibrate --config`` refuses a malformed ``hierarchy.levels``
+        in one line that names its config path, and writes nothing."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"hierarchy": {"levels": [[1.0, 2.0]]}}')
+        cfg.write_text(json.dumps({"hierarchy": {"levels": levels}}))
         code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
                      "--reference", str(scene_dir / "reference.mvlc"),
                      "--out", str(tmp_path / "none.jsonl"),
                      "--config", str(cfg)])
         assert code == 4
-        assert capsys.readouterr().err.startswith("error: hierarchy: ")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "none.jsonl").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("convergence_epsilon", 1e-6), ("min_normal_neighbors", 5),
@@ -1172,11 +1192,11 @@ class TestErrorsAndConversion:
          "sync.delay_max_s must be a finite number in [0, 1000000.0], "
          "got 1e+308"),
         (["track", "--frame-dt", "nan"],
-         "frame_dt must be a finite number in (0, 3600.0], got nan"),
+         "--frame-dt must be a finite number in (0, 3600.0], got nan"),
         (["track", "--frame-dt", "0"],
-         "frame_dt must be a finite number in (0, 3600.0], got 0.0"),
+         "--frame-dt must be a finite number in (0, 3600.0], got 0.0"),
         (["track", "--frame-dt", "1e308"],
-         "frame_dt must be a finite number in (0, 3600.0], got 1e+308"),
+         "--frame-dt must be a finite number in (0, 3600.0], got 1e+308"),
         (["track", {"tracker": {"threshold": math.nan}}],
          "tracker.threshold must be a finite number in (0, 1], got nan"),
         (["sync-sim", {"sync": {"node_count": 65}}],

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import monte_carlo_iou_3d, random_box, random_transform
 from mvlidar import geometry
@@ -18,6 +21,7 @@ from mvlidar.geometry import (
     compose,
     iou_3d,
     linked_groups,
+    may_overlap,
     polygon_area,
     voxel_downsample,
     wrap_angle,
@@ -144,6 +148,45 @@ class TestConcatenate:
             PointCloud.concatenate([PointCloud.empty()], node=[0])
 
 
+_BLOCK = geometry._TRANSFORM_BLOCK_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.sampled_from([0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                             _BLOCK + 2, 2 * _BLOCK - 1, 2 * _BLOCK,
+                             2 * _BLOCK + 1, 3 * _BLOCK + 1])
+       | st.integers(0, 3 * _BLOCK),
+       layout=st.sampled_from(["contiguous", "strided", "fortran"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_apply_equals_the_full_product(rows, layout, seed):
+    """``apply`` multiplies row blocks; every bit is the one-product
+    ``pts @ rotation.T + translation``, on row counts around the block
+    edges and on strided input."""
+    rng = np.random.default_rng(seed)
+    transform = random_transform(rng, max_translation=100.0)
+    table = rng.normal(scale=50.0, size=(2 * rows, 5))
+    points = {"contiguous": table[:rows, :3],
+              "strided": table[::2, 1:4],
+              "fortran": np.asfortranarray(table[:rows, :3])}[layout]
+    full = points @ transform.rotation.T + transform.translation
+    blocked = transform.apply(points)
+    assert blocked.shape == full.shape
+    assert blocked.tobytes() == full.tobytes()
+
+
+def linked_groups_csgraph(n, pairs):
+    """Oracle: connected components by ``scipy.sparse.csgraph``, labelled
+    in the order of their smallest member."""
+    if n == 0:
+        return []
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs), dtype=bool),
+                        (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
 def linked_groups_oracle(n, pairs):
     """Union-find whose root is always the smallest member."""
     parent = list(range(n))
@@ -184,6 +227,54 @@ def test_linked_groups_match_union_find(items):
     groups = linked_groups(n, pairs)
     assert [group.tolist() for group in groups] == \
         linked_groups_oracle(n, pairs)
+
+
+@st.composite
+def linked_chains(draw):
+    """Chains over a drawn order of up to 400 items, each link given
+    forwards or backwards, in a drawn order, some links repeated."""
+    n = draw(st.integers(1, 400))
+    items = draw(st.permutations(range(n)))
+    links = [(a, b) if draw(st.booleans()) else (b, a)
+             for a, b in zip(items, items[1:])
+             if draw(st.integers(0, 9))]        # a few cuts
+    order = draw(st.sampled_from(["forward", "reversed", "shuffled"]))
+    if order == "reversed":
+        links.reverse()
+    elif order == "shuffled":
+        links = draw(st.permutations(links))
+    return n, links + links[:draw(st.integers(0, 3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(linked_items(), linked_chains()))
+@example((0, []))
+@example((1, [(0, 0)]))
+@example((6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
+@example((6, [(0, 5), (5, 0), (0, 5), (2, 2), (3, 1)]))
+def test_linked_groups_match_csgraph(items):
+    n, pairs = items
+    groups = linked_groups(n, pairs)
+    want = linked_groups_csgraph(n, pairs)
+    assert len(groups) == len(want)
+    for group, expected in zip(groups, want):
+        assert group.dtype == expected.dtype
+        assert np.array_equal(group, expected)
+
+
+@pytest.mark.parametrize("n", [2_000, 100_000])
+def test_linked_groups_long_chains(n):
+    # reversed: every hook lands on the item before, the deepest tree
+    chain = np.column_stack([np.arange(n - 1, 0, -1),
+                             np.arange(n - 2, -1, -1)])
+    groups = linked_groups(n + 1, chain)
+    assert [group.tolist() for group in groups] == [list(range(n)), [n]]
+
+
+@pytest.mark.parametrize("pairs", [[(0, 3)], [(-1, 0)], [(2, 1), (1, 7)]])
+def test_linked_groups_refuse_unknown_items(pairs):
+    with pytest.raises(ValueError):
+        linked_groups(3, pairs)
 
 
 class TestIou3d:
@@ -390,6 +481,82 @@ class TestFootprintCull:
                   ObjectClass.CAR)
         assert not geometry._footprints_apart(a, b)
         assert same_float(bev_intersection_area(a, b), clipped_area(a, b))
+
+
+@st.composite
+def overlap_pairs(draw):
+    """``box_pairs``, some of another class, with a thin clip footprint or
+    beyond ``_CULL_MAX_SCALE``."""
+    a, b = draw(box_pairs())
+    if draw(st.booleans()):
+        thin = draw(st.sampled_from([1e-300, 1e-12, 1e-7, 1e-5]))
+        b = replace(b, size=(b.size[0], thin, b.size[2]))
+    shift = draw(st.sampled_from([0.0, 0.0, 0.0, 1e100, -3e100, 1e110]))
+    if shift:
+        a, b = (replace(box, center=box.center + (shift, -shift, 0.0))
+                for box in (a, b))
+    if draw(st.integers(0, 4)) == 0:
+        b = replace(b, label=ObjectClass.PEDESTRIAN)
+    return a, b
+
+
+class TestMayOverlap:
+    """``may_overlap`` masks out a pair only where the classes differ or
+    ``iou_3d`` is sure to be 0.0: the vertical extents miss, or
+    ``_footprints_apart`` holds."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(pair=overlap_pairs())
+    def test_masked_pairs_are_culled_by_the_scalar_test(self, pair):
+        for a, b in (pair, pair[::-1]):
+            kept = bool(may_overlap([a], [b])[0, 0])
+            event("kept" if kept else "masked")
+            if kept:
+                continue
+            vertical = min(a.z_max, b.z_max) - max(a.z_min, b.z_min)
+            assert (a.label is not b.label or vertical <= 0.0
+                    or geometry._footprints_apart(a, b))
+            if a.label is b.label:
+                assert same_float(iou_3d(a, b), 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(boxes=st.lists(overlap_pairs(), max_size=4), data=st.data())
+    def test_pairs_pick_from_the_full_mask(self, boxes, data):
+        first = [a for a, _ in boxes]
+        second = [b for _, b in boxes] + first[:1]
+        full = may_overlap(first, second)
+        assert full.shape == (len(first), len(second))
+        cells = st.tuples(st.integers(0, max(len(first) - 1, 0)),
+                          st.integers(0, max(len(second) - 1, 0)))
+        pairs = data.draw(st.lists(cells, max_size=8)) if first else []
+        picked = may_overlap(first, second, pairs)
+        assert picked.shape == (len(pairs),)
+        assert picked.tolist() == [bool(full[i, j]) for i, j in pairs]
+
+    def test_hypot_rounding_bound(self):
+        # np.hypot rounds this centre distance one ulp above math.hypot; a
+        # mask with the scalar test's 2 roundings would call the pair apart
+        a = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, ObjectClass.CAR)
+        b = Box3D((-1.2018345450314227, 0.7453834951308794, 0.0),
+                  (1.0, 1.0, 1.0), 0.0, ObjectClass.CAR)
+        x, y = b.center[:2].tolist()
+        assert float(np.hypot(x, y)) > math.hypot(x, y)
+        assert not geometry._footprints_apart(a, b)
+        assert may_overlap([a], [b])[0, 0]
+
+    def test_what_the_mask_drops(self):
+        car = unit_cube()
+        assert may_overlap([car], [unit_cube(x=0.5), unit_cube(x=10.0),
+                                   unit_cube(z=1.0), unit_cube(z=0.999),
+                                   unit_cube(label=ObjectClass.CYCLIST)]
+                           ).tolist() == [[True, False, False, True, False]]
+        assert may_overlap([], [car]).shape == (0, 1)
+        assert may_overlap([car], [], []).shape == (0,)
+
+    def test_beyond_the_cull_scale_every_pair_is_kept(self):
+        far = 2.0 * geometry._CULL_MAX_SCALE
+        a = unit_cube(x=far)
+        assert may_overlap([a], [unit_cube(x=far + 1e90)])[0, 0]
 
 
 class TestVoxelDownsample:

@@ -575,6 +575,22 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"hierarchy": raw})
 
+    @pytest.mark.parametrize("levels, message", [
+        ([[1.0, 2.0]], "hierarchy.levels[0] must be [voxel_size, "
+         "max_correspondence_distance, max_iterations], got [1.0, 2.0]"),
+        ([[2.0, 4.0, 10], "abc"], "hierarchy.levels[1] must be [voxel_size, "
+         "max_correspondence_distance, max_iterations], got 'abc'"),
+        (5, "hierarchy.levels must be a list of levels, got 5"),
+        ("abc", "hierarchy.levels must be a list of levels, got 'abc'")])
+    def test_malformed_levels_named_by_config_path(self, levels, message):
+        for parse in (
+                lambda: PipelineConfig.from_dict({"hierarchy":
+                                                  {"levels": levels}}),
+                lambda: HierarchyConfig(levels=levels)):
+            with pytest.raises(ConfigError) as refused:
+                parse()
+            assert str(refused.value) == message
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"scnee": {}})

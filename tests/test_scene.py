@@ -341,6 +341,37 @@ class TestCullingCasterOracle:
                                               [(-1, ground)])
             assert np.isfinite(t).any() and not np.isfinite(t).all()
 
+    @pytest.mark.parametrize("d_z", [0.0, -0.0, -1e-300])
+    def test_level_rays_over_a_box_below(self, rng, d_z):
+        # from above the top face, a ray with d_z >= 0 is not slab-tested
+        level = np.array([[1.0, 0.0, d_z], [0.6, -0.8, d_z], [0.0, -1.0, d_z],
+                          [-0.8, 0.6, d_z], [-1.0, 0.0, d_z]])
+        dirs = np.vstack([random_dirs(rng, 2000), level])
+        ground = box_surface_spec((0.0, 0.0, -0.5), (88.0, 88.0, 1.0), 0.3)
+        for origin in ((1.0, 2.0, 1.5), (-30.0, 4.0, 1e-12), (3.0, 3.0, 0.0),
+                       (50.0, 1.0, 0.0), (0.0, -2.0, -0.2)):
+            # above, barely above, level with the top face over it and
+            # beside it (a level ray there hits the side), inside the box
+            assert_cast_matches_oracle(origin, dirs, [(0, ground)])
+
+    def test_box_below_is_tested_on_downward_rays_only(self, rng,
+                                                       monkeypatch):
+        dirs = random_dirs(rng, 3000)
+        dirs[:4, 2] = [0.0, -0.0, -1e-300, 1e-300]
+        ground = box_surface_spec((0.0, 0.0, -0.5), (88.0, 88.0, 1.0))
+        tested = []
+
+        def recording_entry(origin, ray_dirs, surface):
+            tested.append(len(ray_dirs))
+            return _surface_entry(origin, ray_dirs, surface)
+
+        monkeypatch.setattr(scene_module, "_surface_entry", recording_entry)
+        for z in (1.5, 0.0, -0.5):
+            assert_cast_matches_oracle((1.0, 2.0, z), dirs, [(0, ground)])
+        # above the top face, level with it, inside the box
+        downward = int((dirs[:, 2] < 0.0).sum())
+        assert tested == [downward, len(dirs), len(dirs)]
+
     def test_exact_test_skips_culled_rays(self, rng, monkeypatch):
         # a wall hides a small box; a second box sits behind the origin
         wall = box_surface_spec((5.0, 0.0, 0.0), (0.2, 20.0, 20.0))

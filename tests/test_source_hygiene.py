@@ -10,7 +10,7 @@ defaulted parameter of a package function is passed by some call in the
 package, the demos or the benchmark harness. Norms, squared
 norms, dot and cross products of point rows have one definition each, and so
 has the merge of point clouds. Each optional per-point array of a cloud has
-one column in the frame container.
+one column in the frame container. No module imports ``scipy.sparse``.
 """
 
 import ast
@@ -173,6 +173,41 @@ def test_every_import_is_used(module):
     unused = [f"{module}:{line} {name}"
               for name, line in imported_names(tree) if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def imported_modules(tree):
+    """(module, line) for every module an import statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module, node.lineno
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}", node.lineno
+
+
+def scipy_sparse_imports(tree):
+    return [(module, line) for module, line in imported_modules(tree)
+            if module == "scipy.sparse" or module.startswith("scipy.sparse.")]
+
+
+def test_no_module_imports_scipy_sparse():
+    """Linked items are grouped by ``geometry.linked_groups``'s own
+    union-find; nothing in the package needs ``scipy.sparse``."""
+    found = [f"{module}:{line} {name}" for module, tree in TREES.items()
+             for name, line in scipy_sparse_imports(tree)]
+    assert not found, f"scipy.sparse imports: {found}"
+
+
+def test_the_check_sees_each_scipy_sparse_import():
+    tree = ast.parse("import scipy.sparse\n"
+                     "from scipy.sparse.csgraph import connected_components\n"
+                     "from scipy import sparse\n"
+                     "from scipy.spatial import cKDTree\n"
+                     "import scipy\n")
+    assert sorted({line for _, line in scipy_sparse_imports(tree)}) == \
+        [1, 2, 3]
 
 
 def test_every_private_name_is_referenced():
