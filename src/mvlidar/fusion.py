@@ -163,14 +163,14 @@ def average_fuse(clusters: list) -> list:
     fused = []
     for cluster in clusters:
         boxes = [box for box, _ in cluster.members]
-        weights = np.ones(len(boxes)) / len(boxes)
+        w = 1.0 / len(boxes)
 
-        center = np.sum([w * box.center for w, box in zip(weights, boxes)], axis=0)
-        size = np.sum([w * box.size for w, box in zip(weights, boxes)], axis=0)
+        center = np.sum([w * box.center for box in boxes], axis=0)
+        size = np.sum([w * box.size for box in boxes], axis=0)
 
         anchor = boxes[0].yaw
         heading = np.zeros(2)
-        for w, box in zip(weights, boxes):
+        for box in boxes:
             yaw = anchor + wrap_half_angle(box.yaw - anchor)
             heading += w * np.array([math.cos(yaw), math.sin(yaw)])
         if np.linalg.norm(heading) < 1e-9:

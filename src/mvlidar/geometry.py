@@ -22,9 +22,10 @@ from typing import Optional
 import numpy as np
 
 _CLIP_EPS = 1e-12
-# footprints whose circumscribed circles are more than _CULL_MARGIN (m),
-# plus _CULL_RELATIVE times the coordinates' magnitude, apart are not
-# clipped; past _CULL_MAX_SCALE (m) the clip may overflow, so it always runs
+# may_overlap masks out footprints whose circumscribed circles are more
+# than _CULL_MARGIN (m), plus _CULL_RELATIVE times the coordinates'
+# magnitude and the clip's tolerance, apart; past _CULL_MAX_SCALE (m) the
+# clip may overflow, so such pairs are always kept
 _CULL_MARGIN = 1e-6
 _CULL_RELATIVE = 2.0 ** -40
 _CULL_MAX_SCALE = 1e100
@@ -244,31 +245,31 @@ class PointCloud:
 
     @staticmethod
     def concatenate(clouds, timestamp_ns: int = 0, source_node=None,
-                    **tags) -> "PointCloud":
+                    source_ids=None) -> "PointCloud":
         """The points of ``clouds`` in order: the one merge of clouds.
 
         A per-point attribute survives when every non-empty part carries
-        it. A tag, such as ``source_ids=[2, 0]``, instead gives every point
-        of part k the integer ``tags[name][k]``.
+        it. ``source_ids``, such as ``[2, 0]``, instead gives every point of
+        part k the source id ``source_ids[k]``.
         """
         parts = list(clouds)
 
         def merged(name):
-            if name in tags:
-                return np.repeat(np.asarray(tags[name], dtype=np.int64),
-                                 [len(part) for part in parts])
             arrays = [getattr(part, name) for part in parts if len(part)]
             if arrays and all(array is not None for array in arrays):
                 return np.concatenate(arrays)
             return None
 
-        # an unknown tag name fails as an unknown PointCloud argument
-        attributes = {name: merged(name) for name in
-                      {"intensity", "source_ids", *tags}}
+        if source_ids is None:
+            source_ids = merged("source_ids")
+        else:
+            source_ids = np.repeat(np.asarray(source_ids, dtype=np.int64),
+                                   [len(part) for part in parts])
         return PointCloud(np.concatenate([part.points for part in parts]
                                          or [np.zeros((0, 3))]),
+                          intensity=merged("intensity"),
                           timestamp_ns=timestamp_ns, source_node=source_node,
-                          **attributes)
+                          source_ids=source_ids)
 
     def select(self, mask_or_index) -> "PointCloud":
         """Sub-cloud keeping per-point attributes aligned."""
@@ -394,54 +395,13 @@ def clip_convex_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.asarray(output, dtype=float).reshape(-1, 2)
 
 
-def _footprints_apart(a: Box3D, b: Box3D) -> bool:
-    """True when the circumscribed circles of the two footprints are more
-    than ``_CULL_MARGIN`` plus a rounding and a tolerance bound apart, so
-    that clipping ``a`` by ``b`` is certain to leave nothing."""
-    ax, ay, _ = a.center.tolist()
-    bx, by, _ = b.center.tolist()
-    al, aw, _ = a.size.tolist()
-    bl, bw, _ = b.size.tolist()
-    ra, rb = 0.5 * math.hypot(al, aw), 0.5 * math.hypot(bl, bw)
-    scale = max(abs(ax), abs(ay), abs(bx), abs(by)) + ra + rb
-    # bounds how far rounding moves a corner or a crossing point
-    rounding = _CULL_RELATIVE * scale
-    # b's computed edges are at least this long
-    shortest = min(bl, bw) - 2.0 * rounding
-    if not (scale < _CULL_MAX_SCALE and shortest > 0.0):
-        return False
-    gap = math.hypot(ax - bx, ay - by) - ra - rb
-    return gap > _CULL_MARGIN + 2.0 * rounding + _CLIP_EPS / shortest
-
-
-def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    """Area of the BEV footprint of ``a`` clipped by that of ``b``.
-
-    Pairs whose footprints cannot touch return 0.0 without clipping: each
-    footprint lies within its circumscribed circle (centre, half-diagonal),
-    so when the circles are farther apart than the margin no point of ``a``
-    is within reach of ``b``. The cull is exact. Every clipped point lies
-    on a's footprint (crossings stay on their segment) and inside each edge
-    of ``b``, each up to rounding and the clip's tolerance: the clip keeps
-    a point up to ``_CLIP_EPS`` / (edge length) outside an edge of ``b``,
-    and rounding in ``bev_corners`` and the clip moves a corner or crossing
-    by far less than ``_CULL_RELATIVE`` times the coordinates' magnitude.
-    The margin covers both with 1e-6 m to spare. A footprint of ``b`` too
-    small for its corners to stay apart, or coordinates near overflow, are
-    always clipped.
-    """
-    if _footprints_apart(a, b):
-        return 0.0
-    clipped = clip_convex_polygon(a.bev_corners(), b.bev_corners())
-    return polygon_area(clipped)
-
-
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """3D intersection over union: BEV polygon overlap x vertical extent overlap."""
     z_overlap = min(a.z_max, b.z_max) - max(a.z_min, b.z_min)
     if z_overlap <= 0.0:
         return 0.0
-    inter = bev_intersection_area(a, b) * z_overlap
+    inter = polygon_area(clip_convex_polygon(a.bev_corners(),
+                                             b.bev_corners())) * z_overlap
     union = a.volume + b.volume - inter
     if union <= 0.0:
         return 0.0
@@ -452,24 +412,49 @@ def may_overlap(first, second, pairs=None) -> np.ndarray:
     """Mask of box pairs, False only where the two boxes are of different
     classes or ``iou_3d(first[i], second[j])`` is certainly 0.0: over every
     pair, (len(first), len(second)), or over the (i, j) rows of ``pairs``.
+    It is the one test that two footprints cannot touch; ``iou_3d`` itself
+    always clips.
 
     A pair is masked out when the classes differ, when the vertical
     extents do not overlap (computed as ``iou_3d`` computes them, so the
-    test is exact), or when ``_footprints_apart(first[i], second[j])`` is
-    sure to hold. That last test repeats ``_footprints_apart`` elementwise:
-    every step rounds as the scalar one does except ``np.hypot``, which
-    may differ from ``math.hypot`` by an ulp, as both are within one ulp of
-    the exact value. So the half diagonals and the centre distance may
-    each differ by 2 ulps, and the gap, whose terms are at most 4 times
-    ``scale``, by less than ``2**-48 * scale``; ``scale`` and ``rounding``
-    by a relative ``2**-50``. The mask allows 3 ``rounding`` where the
-    scalar test allows 2, in the margin and in the shortest edge (so its
-    ``_CLIP_EPS / shortest`` term is no smaller), and asks for
-    ``scale + rounding < _CULL_MAX_SCALE``. Its threshold is thus larger
-    by nearly ``rounding = 2**-40 * scale``, far more than the gaps can
-    differ plus the rounding of the sums (a culled gap exceeds 1e-6 m and
-    is at most 4 times ``scale``, so every term is a normal number), and
-    whenever the mask culls a pair, ``_footprints_apart`` culls it too.
+    test is exact), or when the footprints' circumscribed circles (centre,
+    half diagonal) are farther apart than ``_CULL_MARGIN`` plus bounds on
+    rounding and on the clip's tolerance. Then, for a = ``first[i]`` and
+    b = ``second[j]``, the clip of a's footprint by b's keeps no point, and
+    ``polygon_area`` and ``iou_3d`` return 0.0.
+    Write rho for ``rounding = _CULL_RELATIVE * scale``, eps for
+    ``_CLIP_EPS``, D for the exact distance of the stored centres, and Ra,
+    Rb for the exact half diagonals of the stored sizes:
+
+    - ``np.hypot`` is within one ulp of the exact value, and each term of
+      the gap is at most 4 times ``scale``, so the computed gap is within
+      ``2**-48 * scale`` of D - Ra - Rb, and ``scale`` and rho are within a
+      relative ``2**-50`` of their exact values. A masked pair therefore
+      has D - Ra - Rb > ``_CULL_MARGIN`` + 2 rho + 2 eps / ``shortest``.
+    - Rounding in ``bev_corners``, in the clip's keep test and in its
+      crossings moves a point or an edge by a few ulps of ``scale`` per
+      step, far less than rho over b's four edges. So b's computed edges
+      are longer than ``shortest``, a side of b less 3 rho.
+    - Every point the clip keeps or makes lies on a's footprint up to
+      rounding: the footprint is convex, and each crossing is clamped to
+      the segment between two kept points. It is within Ra + rho of a's
+      centre.
+    - Every such point passed the keep test of each edge of b, which
+      accepts a point up to eps / (edge length) < eps / ``shortest``
+      outside the edge's line. A point at most d outside each side of a
+      rectangle is within its half diagonal plus sqrt(2) d of its centre,
+      so the point is within Rb + sqrt(2) eps / ``shortest`` + rho of b's.
+    - Both would give D <= Ra + Rb + 2 rho + sqrt(2) eps / ``shortest``,
+      against the first step with ``_CULL_MARGIN`` to spare. So the clip
+      keeps no point.
+
+    The tolerance term is 2 eps / ``shortest`` because sqrt(2) eps /
+    ``shortest`` exceeds eps / ``shortest`` plus the margin on footprints
+    under about 4e-7 m a side: two 1e-8 m squares whose circles are 1.3e-4
+    m apart clip to a whole square. A masked gap exceeds 1e-6 m, so every
+    term is a normal number. A footprint of b too small for its corners to
+    stay apart (``shortest <= 0``), or ``scale + rounding`` at or past
+    ``_CULL_MAX_SCALE``, where the clip may overflow, keeps the pair.
     """
     a, b = _footprint_columns(first), _footprint_columns(second)
     if pairs is None:
@@ -486,7 +471,7 @@ def may_overlap(first, second, pairs=None) -> np.ndarray:
         gap = np.hypot(ax - bx, ay - by) - ra - rb
         apart = ((scale + rounding < _CULL_MAX_SCALE) & (shortest > 0.0)
                  & (gap > _CULL_MARGIN + 3.0 * rounding
-                    + _CLIP_EPS / shortest))
+                    + 2.0 * _CLIP_EPS / shortest))
     z_overlap = np.minimum(a_high, b_high) - np.maximum(a_low, b_low)
     return (a_code == b_code) & (z_overlap > 0.0) & ~apart
 
@@ -494,8 +479,7 @@ def may_overlap(first, second, pairs=None) -> np.ndarray:
 def _footprint_columns(boxes) -> np.ndarray:
     """(8, n) rows of ``boxes``: class code, centre x and y, z_min, z_max,
     footprint half diagonal, the larger of |x| and |y|, and the shorter
-    footprint side, each rounded as ``Box3D`` and ``_footprints_apart``
-    round it."""
+    footprint side, each rounded as ``Box3D`` rounds it."""
     centers = np.array([box.center for box in boxes], dtype=float)
     sizes = np.array([box.size for box in boxes], dtype=float)
     x, y, z = centers.reshape(-1, 3).T

@@ -165,7 +165,6 @@ class DetectionViews:
 
     background: PreparedBackground
     frames: dict
-    crop_half_extent: float
 
     @staticmethod
     def build(scene: SyntheticScene, extrinsics: dict) -> "DetectionViews":
@@ -181,7 +180,7 @@ class DetectionViews:
                             for cloud in world]
         return DetectionViews(
             background=prepare_background(scene.reference_cloud, half),
-            frames=frames, crop_half_extent=half)
+            frames=frames)
 
 
 def detect_views(views: DetectionViews, nodes, detector_cfg: DetectorConfig,
@@ -193,7 +192,7 @@ def detect_views(views: DetectionViews, nodes, detector_cfg: DetectorConfig,
               for frame in range(len(views.frames[nodes[0]]))]
     return detect_per_frame(clouds, detector_cfg,
                             background=views.background,
-                            crop_half_extent=views.crop_half_extent)
+                            crop_half_extent=views.background.crop_half_extent)
 
 
 def _ap_by_class(detections, annotations, eval_cfg) -> dict:

@@ -50,6 +50,10 @@ MAX_SESSION_FRAMES = 1_000_000
 # grew by 118 MB at 4 nodes and 179 MB at 8), so 64 nodes stay near 1 GB.
 # The crossroad rig has 4 nodes.
 MAX_SESSION_NODES = 64
+# Frames are scheduled every round(NS / frame_rate_hz) whole nanoseconds:
+# above 1e9 Hz that period rounds to 1 ns or to 0, so frames would pile up
+# on one instant and the reported rate would not be the configured one.
+MAX_FRAME_RATE_HZ = 1e9
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ class SessionConfig:
         check_number("sync.duration_s", self.duration_s, 0, MAX_SESSION_S,
                      low_open=True)
         check_number("sync.frame_rate_hz", self.frame_rate_hz, 0,
-                     low_open=True)
+                     MAX_FRAME_RATE_HZ, low_open=True)
         check_number("sync.duration_s * sync.frame_rate_hz",
                      self.duration_s * self.frame_rate_hz, 1,
                      MAX_SESSION_FRAMES)

@@ -1178,7 +1178,8 @@ class TestErrorsAndConversion:
 
     @pytest.mark.parametrize("argv, message", [
         (["sync-sim", {"sync": {"frame_rate_hz": math.nan}}],
-         "sync.frame_rate_hz must be a finite number > 0, got nan"),
+         "sync.frame_rate_hz must be a finite number in (0, 1000000000.0], "
+         "got nan"),
         (["sync-sim", {"sync": {"frame_rate_hz": 1e-300}}],
          "sync.duration_s * sync.frame_rate_hz must be a finite number in "
          "[1, 1000000], got 1e-299"),
@@ -1201,6 +1202,9 @@ class TestErrorsAndConversion:
          "tracker.threshold must be a finite number in (0, 1], got nan"),
         (["sync-sim", {"sync": {"node_count": 65}}],
          "sync.node_count must be an integer in [1, 64], got 65"),
+        (["sync-sim", {"sync": {"frame_rate_hz": 3e9, "duration_s": 1e-6}}],
+         "sync.frame_rate_hz must be a finite number in (0, 1000000000.0], "
+         "got 3000000000.0"),
     ])
     def test_bad_setting_exit_4(self, tmp_path, capsys, argv, message):
         """A non-finite or huge value is refused by the class that owns

@@ -16,7 +16,6 @@ from mvlidar.geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
-    bev_intersection_area,
     clip_convex_polygon,
     compose,
     iou_3d,
@@ -143,7 +142,7 @@ class TestConcatenate:
         assert merged.points.shape == (0, 3) and merged.timestamp_ns == 4
         assert merged.intensity is merged.source_ids is None
 
-    def test_unknown_tag_rejected(self):
+    def test_unknown_keyword_is_a_type_error(self):
         with pytest.raises(TypeError):
             PointCloud.concatenate([PointCloud.empty()], node=[0])
 
@@ -322,15 +321,20 @@ class TestIou3d:
         assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+def clipped_area(a, b):
+    """The footprint of ``a`` clipped by that of ``b``."""
+    return polygon_area(clip_convex_polygon(a.bev_corners(), b.bev_corners()))
+
+
 def footprint_iou(a, b):
-    """BEV IoU of two footprints from ``bev_intersection_area``."""
-    inter = bev_intersection_area(a, b)
+    """BEV IoU of two footprints from ``clipped_area``."""
+    inter = clipped_area(a, b)
     union = a.length * a.width + b.length * b.width - inter
     return 0.0 if union <= 0.0 else min(1.0, max(0.0, inter / union))
 
 
 class TestIouBev:
-    """``bev_intersection_area`` against hand-computed footprint IoUs."""
+    """``clipped_area`` against hand-computed footprint IoUs."""
 
     def test_identical(self):
         assert footprint_iou(unit_cube(), unit_cube(z=100.0)) == \
@@ -351,20 +355,6 @@ class TestIouBev:
         inter = 2.0 * (math.sqrt(2.0) - 1.0)
         assert footprint_iou(a, b) == pytest.approx(inter / (2.0 - inter),
                                                     abs=1e-9)
-
-
-def clipped_area(a, b):
-    """Oracle: the footprint of ``a`` clipped by that of ``b``, always."""
-    return polygon_area(clip_convex_polygon(a.bev_corners(), b.bev_corners()))
-
-
-def clipped_iou_3d(a, b):
-    z_overlap = min(a.z_max, b.z_max) - max(a.z_min, b.z_min)
-    if z_overlap <= 0.0:
-        return 0.0
-    inter = clipped_area(a, b) * z_overlap
-    union = a.volume + b.volume - inter
-    return 0.0 if union <= 0.0 else min(1.0, max(0.0, inter / union))
 
 
 _CENTRE = st.one_of(st.floats(-100.0, 100.0), st.floats(-1e12, 1e12))
@@ -436,30 +426,8 @@ def same_float(actual, expected):
 
 
 class TestFootprintCull:
-    """Pairs whose footprints cannot touch skip the clip; every result is
-    bit-equal to clipping them anyway."""
-
-    @settings(max_examples=600, deadline=None)
-    @given(pair=box_pairs())
-    def test_matches_the_clip(self, pair):
-        for a, b in (pair, pair[::-1]):
-            event("culled" if geometry._footprints_apart(a, b) else "clipped")
-            assert same_float(bev_intersection_area(a, b), clipped_area(a, b))
-            assert same_float(iou_3d(a, b), clipped_iou_3d(a, b))
-
-    def test_far_pair_is_not_clipped(self, monkeypatch):
-        calls = []
-
-        def counted(subject, clip):
-            calls.append(1)
-            return clip_convex_polygon(subject, clip)
-
-        monkeypatch.setattr(geometry, "clip_convex_polygon", counted)
-        assert iou_3d(unit_cube(), unit_cube(x=10.0, yaw=0.3)) == 0.0
-        assert bev_intersection_area(unit_cube(), unit_cube(y=5.0)) == 0.0
-        assert calls == []
-        assert bev_intersection_area(unit_cube(), unit_cube(x=0.5)) > 0.0
-        assert len(calls) == 1
+    """The clip that ``may_overlap`` stands in front of, on pairs at the
+    edge of the cull."""
 
     def test_crossings_stay_on_their_segment(self):
         # a's long edges lie on the lines of b's, 1 km beyond b; rounding
@@ -479,8 +447,7 @@ class TestFootprintCull:
         b = Box3D((1e12, 0.0, 0.0), (size, size, 1.0), 0.0, ObjectClass.CAR)
         a = Box3D((1e12 - 50.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.3,
                   ObjectClass.CAR)
-        assert not geometry._footprints_apart(a, b)
-        assert same_float(bev_intersection_area(a, b), clipped_area(a, b))
+        assert may_overlap([a], [b])[0, 0]
 
 
 @st.composite
@@ -502,22 +469,22 @@ def overlap_pairs(draw):
 
 class TestMayOverlap:
     """``may_overlap`` masks out a pair only where the classes differ or
-    ``iou_3d`` is sure to be 0.0: the vertical extents miss, or
-    ``_footprints_apart`` holds."""
+    ``iou_3d`` is sure to be 0.0: the vertical extents miss, or the clip
+    of the footprints keeps nothing."""
 
     @settings(max_examples=600, deadline=None)
     @given(pair=overlap_pairs())
-    def test_masked_pairs_are_culled_by_the_scalar_test(self, pair):
+    def test_masked_pairs_clip_to_zero(self, pair):
         for a, b in (pair, pair[::-1]):
             kept = bool(may_overlap([a], [b])[0, 0])
-            event("kept" if kept else "masked")
-            if kept:
-                continue
             vertical = min(a.z_max, b.z_max) - max(a.z_min, b.z_min)
-            assert (a.label is not b.label or vertical <= 0.0
-                    or geometry._footprints_apart(a, b))
-            if a.label is b.label:
-                assert same_float(iou_3d(a, b), 0.0)
+            event("kept" if kept else "masked, heights miss"
+                  if vertical <= 0.0 else "masked, footprints apart")
+            if kept or a.label is not b.label:
+                continue
+            assert same_float(iou_3d(a, b), 0.0)
+            if vertical > 0.0:
+                assert same_float(clipped_area(a, b), 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(boxes=st.lists(overlap_pairs(), max_size=4), data=st.data())
@@ -534,22 +501,37 @@ class TestMayOverlap:
         assert picked.tolist() == [bool(full[i, j]) for i, j in pairs]
 
     def test_hypot_rounding_bound(self):
-        # np.hypot rounds this centre distance one ulp above math.hypot; a
-        # mask with the scalar test's 2 roundings would call the pair apart
-        a = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, ObjectClass.CAR)
-        b = Box3D((-1.2018345450314227, 0.7453834951308794, 0.0),
-                  (1.0, 1.0, 1.0), 0.0, ObjectClass.CAR)
-        x, y = b.center[:2].tolist()
-        assert float(np.hypot(x, y)) > math.hypot(x, y)
-        assert not geometry._footprints_apart(a, b)
+        # unit squares whose circles are the 1e-6 m margin, the clip's
+        # 2e-12 m tolerance and ``beyond`` apart, where one rounding is
+        # 2**-40 * 2 * sqrt(2), about 2.6e-12 m: the mask allows 3
+        reach = math.hypot(1.0, 1.0) + 1e-6 + 2e-12
+        a = unit_cube()
+        for beyond, kept in ((6.5e-12, True), (9e-12, False)):
+            b = unit_cube(x=reach + beyond)
+            assert may_overlap([a], [b])[0, 0] == kept
+
+    @pytest.mark.parametrize("offset", [7.2e-5, 9e-5])
+    def test_clip_tolerance_reaches_past_the_circle(self, offset):
+        # the clip keeps points up to 1e-12 / 1e-8 m outside each edge of
+        # b, so near b's corners up to sqrt(2) times that outside its
+        # circle: one such tolerance in the mask would drop these pairs
+        a = Box3D((offset, offset, 0.0), (1e-8, 1e-8, 1.0), 0.0,
+                  ObjectClass.CAR)
+        b = Box3D((0.0, 0.0, 0.0), (1e-8, 1e-8, 1.0), 0.0, ObjectClass.CAR)
+        assert clipped_area(a, b) > 0.0
         assert may_overlap([a], [b])[0, 0]
 
     def test_what_the_mask_drops(self):
         car = unit_cube()
+        # circles 5e-7 m apart, within the 1e-6 m margin, and 2e-6 m apart
+        touching = math.hypot(1.0, 1.0)
         assert may_overlap([car], [unit_cube(x=0.5), unit_cube(x=10.0),
                                    unit_cube(z=1.0), unit_cube(z=0.999),
-                                   unit_cube(label=ObjectClass.CYCLIST)]
-                           ).tolist() == [[True, False, False, True, False]]
+                                   unit_cube(label=ObjectClass.CYCLIST),
+                                   unit_cube(y=touching + 5e-7),
+                                   unit_cube(y=touching + 2e-6)]
+                           ).tolist() == [[True, False, False, True, False,
+                                           True, False]]
         assert may_overlap([], [car]).shape == (0, 1)
         assert may_overlap([car], [], []).shape == (0,)
 

@@ -624,7 +624,8 @@ class TestPipelineConfig:
         {"hierarchy": {"levels": [[1.0, math.nan, 30]]}}, {"output_dir": 5},
         {"tracker": {"max_age": -1}},
         {"tracker": {"min_hits": 0}},
-        {"tracker": {"threshold": -5.0}}, {"sync": {"delay_max_s": 1e308}}])
+        {"tracker": {"threshold": -5.0}}, {"sync": {"delay_max_s": 1e308}},
+        {"sync": {"frame_rate_hz": 3e9, "duration_s": 1e-6}}])
     def test_bad_values_rejected(self, raw):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(raw)

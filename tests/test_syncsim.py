@@ -5,6 +5,7 @@ import pytest
 
 from mvlidar.errors import ConfigError, InsufficientNodesError
 from mvlidar.syncsim import (
+    MAX_FRAME_RATE_HZ,
     MAX_RETRIES,
     MAX_SESSION_FRAMES,
     MAX_SESSION_S,
@@ -134,6 +135,23 @@ class TestSimulateSession:
                           frame_rate_hz=2 * MAX_SESSION_FRAMES)
         with pytest.raises(ConfigError, match=r"^sync\.delay_max_s must be"):
             NetworkModel(delay_max_s=2 * MAX_SESSION_S)
+
+    def test_frame_period_under_one_nanosecond_rejected(self):
+        """Frames are scheduled in whole nanoseconds: at MAX_FRAME_RATE_HZ
+        they are 1 ns apart, and any faster rate is refused."""
+        trace = simulate_session(SessionConfig(
+            node_count=1, duration_s=1e-6, frame_rate_hz=MAX_FRAME_RATE_HZ,
+            clocks=[quiet_clock()]))
+        captures = trace.nodes[0].true_capture_ns
+        assert len(captures) == 1000 and np.all(np.diff(captures) == 1)
+        for rate in (float(np.nextafter(MAX_FRAME_RATE_HZ, math.inf)), 3e9,
+                     1e12):
+            with pytest.raises(ConfigError) as refused:
+                SessionConfig(node_count=1, duration_s=1e-6,
+                              frame_rate_hz=rate)
+            assert str(refused.value) == (
+                "sync.frame_rate_hz must be a finite number in "
+                f"(0, 1000000000.0], got {rate!r}")
 
 
 class TestTimeErrorReport:
