@@ -11,11 +11,11 @@ import numpy as np
 
 from mvlidar.syncsim import (
     NS,
-    NetworkModel,
     NodeClockModel,
     SessionConfig,
     compute_time_error_report,
     estimate_bandwidth,
+    frame_times_ns,
     simulate_session,
 )
 
@@ -23,7 +23,7 @@ from mvlidar.syncsim import (
 # a four-node LiDAR session with default jitter
 # ---------------------------------------------------------------------------
 cfg = SessionConfig(node_count=4, duration_s=10.0, seed=7,
-                    network=NetworkModel(delay_min_s=0.001, delay_max_s=0.2))
+                    delay_min_s=0.001, delay_max_s=0.2)
 trace = simulate_session(cfg)
 
 print("trigger left the master at "
@@ -40,6 +40,19 @@ print(f"start-time spread: {(max(starts) - min(starts)) / 1e3:.2f} us "
       "(the same PPS edge on every node)")
 
 # ---------------------------------------------------------------------------
+# one frame clock: frame k is scheduled round(k * NS / rate) ns after the
+# start, each frame rounded once, so a period of no whole number of
+# nanoseconds (29.97 Hz: 33,366,700.03 ns) does not drift
+# ---------------------------------------------------------------------------
+print()
+for rate in (cfg.frame_rate_hz, 29.97):
+    offsets = frame_times_ns(int(rate * 60), rate)
+    last = len(offsets) - 1
+    print(f"{rate} Hz: frames at {offsets[:3].tolist()} ... ns; frame {last} "
+          f"at {offsets[-1]} ns, where a period rounded to whole ns puts it "
+          f"at {last * round(NS / rate)} ns")
+
+# ---------------------------------------------------------------------------
 # per-frame timestamp error against the frame mean
 # ---------------------------------------------------------------------------
 report = compute_time_error_report(trace)
@@ -51,8 +64,7 @@ for stats in report.stats:
 # cameras use a software trigger; their capture latency is 10x noisier
 camera_cfg = SessionConfig(node_count=4, duration_s=10.0, seed=7,
                            clocks=[NodeClockModel.camera()] * 4,
-                           network=NetworkModel(delay_min_s=0.001,
-                                                delay_max_s=0.2))
+                           delay_min_s=0.001, delay_max_s=0.2)
 camera_report = compute_time_error_report(simulate_session(camera_cfg))
 lidar_max = max(s.max_abs_s for s in report.stats)
 camera_max = max(s.max_abs_s for s in camera_report.stats)

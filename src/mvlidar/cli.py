@@ -39,9 +39,9 @@ from .metrics import compute_ap, compute_clear_mot, format_ap_table, \
     format_mot_table
 from .pipeline import PipelineConfig, calibrate_node, detect_per_frame, \
     detection_half_extent, export_scene, read_config_json, run_pipeline
-from .scene import DEFAULT_FRAME_RATE_HZ, generate_synthetic_scene, \
-    standard_crossroad_spec
-from .syncsim import compute_time_error_report, simulate_session
+from .scene import generate_synthetic_scene, standard_crossroad_spec
+from .syncsim import DEFAULT_FRAME_RATE_HZ, compute_time_error_report, \
+    simulate_session
 from .tracking import MAX_FRAME_DT_S, track_detections
 
 EXIT_OK = 0

@@ -232,9 +232,12 @@ class PointCloud:
                 raise ValueError(f"{name} must have one entry per point")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if int(self.timestamp_ns) < 0:
+        stamp = self.timestamp_ns
+        if isinstance(stamp, bool) or not isinstance(stamp, (int, np.integer)):
+            raise ValueError(f"timestamp_ns must be an integer, got {stamp!r}")
+        if stamp < 0:
             raise ValueError("timestamp_ns must be >= 0")
-        object.__setattr__(self, "timestamp_ns", int(self.timestamp_ns))
+        object.__setattr__(self, "timestamp_ns", int(stamp))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -57,12 +57,8 @@ from .registration import (
 )
 from .scene import MAX_SCENE_FRAMES, SceneSpec, SyntheticScene, \
     calibration_capture, generate_synthetic_scene, standard_crossroad_spec
-from .syncsim import (
-    NetworkModel,
-    SessionConfig,
-    compute_time_error_report,
-    simulate_session,
-)
+from .syncsim import SessionConfig, compute_time_error_report, \
+    simulate_session
 from .tracking import TrackerConfig, track_sequence
 
 FAILED_CALIBRATION_FITNESS = 0.2
@@ -366,13 +362,10 @@ class PipelineConfig:
                    for name, value in thresholds.items()}}
         kwargs["eval_det"] = DetectionEvalConfig(**eval_det)
 
-        network_keys = {"delay_min_s", "delay_max_s", "drop_probability"}
-        sync = _take(raw.get("sync", {}), "sync", network_keys
-                     | {"node_count", "duration_s", "frame_rate_hz"})
-        network = {key: sync.pop(key) for key in list(sync)
-                   if key in network_keys}
-        kwargs["sync"] = dc_replace(base.sync, **sync,
-                                    network=NetworkModel(**network))
+        sync = _take(raw.get("sync", {}), "sync",
+                     {"node_count", "duration_s", "frame_rate_hz",
+                      "delay_min_s", "delay_max_s", "drop_probability"})
+        kwargs["sync"] = dc_replace(base.sync, **sync)
         return PipelineConfig(**kwargs)
 
 

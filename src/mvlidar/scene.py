@@ -22,12 +22,13 @@ import numpy as np
 from .errors import ConfigError, check_number
 from .geometry import Box3D, ObjectClass, PointCloud, RigidTransform, \
     xyz_cross, xyz_norms
+from .syncsim import DEFAULT_FRAME_RATE_HZ, MAX_FRAME_RATE_HZ, NS, \
+    frame_times_ns
 from .tracking import TrajectorySet
 
-# field of view of the scanning unit: 100 x 40 degrees, 10 frames/s
+# field of view of the scanning unit: 100 x 40 degrees
 DEFAULT_AZIMUTH_FOV_DEG = 100.0
 DEFAULT_ELEVATION_FOV_DEG = 40.0
-DEFAULT_FRAME_RATE_HZ = 10.0
 # a scene holds every node frame in memory, up to one 24-byte point per ray:
 # 0.35 MB at the crossroad's 240 x 60 grid, so 1,000 frames (100 s at
 # 10 Hz) of its 4 nodes stay under 1.4 GB
@@ -106,8 +107,9 @@ class SceneObject:
                      track_id=self.track_id)
 
 
-def look_at_orientation(position, target, roll: float = 0.0) -> np.ndarray:
-    """Sensor orientation whose +x boresight points from position to target.
+def look_at(position, target, roll: float = 0.0) -> RigidTransform:
+    """Node-to-world pose of a sensor at ``position`` whose +x boresight
+    points at ``target``.
 
     +z stays as close to world-up as the boresight allows; ``roll`` then
     rotates about the boresight, so arbitrary full rotations are reachable.
@@ -128,29 +130,12 @@ def look_at_orientation(position, target, roll: float = 0.0) -> np.ndarray:
         c, s = math.cos(roll), math.sin(roll)
         roll_mat = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
         orientation = orientation @ roll_mat
-    return orientation
-
-
-@dataclass(frozen=True)
-class NodePose:
-    """Sensor pose: the node frame's origin and orientation in the world."""
-
-    position: tuple
-    orientation: np.ndarray  # 3x3, node -> world
-
-    @property
-    def extrinsic(self) -> RigidTransform:
-        return RigidTransform(self.orientation, np.asarray(self.position))
-
-    @staticmethod
-    def looking_at(position, target, roll: float = 0.0) -> "NodePose":
-        return NodePose(position=tuple(float(v) for v in position),
-                        orientation=look_at_orientation(position, target, roll))
+    return RigidTransform(orientation, np.asarray(position, dtype=float))
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    nodes: tuple
+    nodes: tuple                      # node-to-world RigidTransform per node
     objects: tuple = ()
     statics: tuple = ()
     extent: float = 25.0
@@ -170,10 +155,13 @@ class SceneSpec:
     def __post_init__(self):
         if not self.nodes:
             raise ConfigError("scene needs at least one node")
+        if not all(isinstance(node, RigidTransform) for node in self.nodes):
+            raise ConfigError("scene nodes must be RigidTransform poses")
         check_number("extent", self.extent, 0, low_open=True)
         check_number("n_frames", self.n_frames, 1, MAX_SCENE_FRAMES,
                      integer=True)
-        check_number("frame_rate_hz", self.frame_rate_hz, 0, low_open=True)
+        check_number("frame_rate_hz", self.frame_rate_hz, 0,
+                     MAX_FRAME_RATE_HZ, low_open=True)
         check_number("noise_sigma", self.noise_sigma, 0)
         # ray grids of at least 2 x 2
         for name in ("azimuth_steps", "elevation_steps",
@@ -287,10 +275,12 @@ def _ray_sphere_entry(origin: np.ndarray, dirs: np.ndarray, center,
 
 
 def _surface_entry(origin, dirs, surface):
+    """Entry parameters into a ``SceneSphere``, or into a ``SceneBox`` or a
+    ``Box3D`` (anything with ``center``, ``size`` and ``yaw``)."""
     if isinstance(surface, SceneSphere):
         return _ray_sphere_entry(origin, dirs, surface.center, surface.radius)
-    center, size, yaw = surface
-    return _ray_box_entry(origin, dirs, center, size, yaw)
+    return _ray_box_entry(origin, dirs, surface.center, surface.size,
+                          surface.yaw)
 
 
 # Bounding spheres are padded by this much (metres), so rounding in the
@@ -301,12 +291,9 @@ _BOUND_MARGIN = 1e-6
 def _bounded(label, surface):
     """(label, surface, centre, radius) with the surface's padded bounding
     sphere: a box's centre and half diagonal, or the sphere itself."""
-    if isinstance(surface, SceneSphere):
-        center, radius = surface.center, surface.radius
-    else:
-        center, size, _ = surface
-        radius = 0.5 * math.hypot(*size)
-    return (label, surface, np.asarray(center, dtype=float),
+    radius = (surface.radius if isinstance(surface, SceneSphere)
+              else 0.5 * math.hypot(*surface.size))
+    return (label, surface, np.asarray(surface.center, dtype=float),
             float(radius) + _BOUND_MARGIN)
 
 
@@ -426,7 +413,7 @@ def _cast_frame(origin, rays: _RayIndex, surfaces, best_t=None):
             if not len(cand):
                 continue
         elif (not isinstance(surface, SceneSphere)
-              and offset[2] > surface[1][2] / 2.0):
+              and offset[2] > surface.size[2] / 2.0):
             cand = rays.downward
         else:
             cand = np.arange(len(dirs))
@@ -461,29 +448,24 @@ def _reference_cloud(spec: SceneSpec, static_surfaces, rng) -> PointCloud:
 def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
     """Render all node frames plus exact ground truth for one scene.
 
-    Neither the nodes nor the statics move, so each node casts the statics
-    once; each frame then casts only its objects from the statics' first
-    hits, so an object keeps a ray only when strictly closer. That equals
+    Frame k is stamped by ``frame_times_ns`` and shows the objects where
+    they are at that instant. Neither the nodes nor the statics move, so
+    each node casts the statics once; each frame then casts only its objects
+    from the statics' first hits, so an object keeps a ray only when
+    strictly closer. That equals
     one cast over the statics followed by the objects, bit for bit, because
     ``_cast_frame`` treats each ray on its own.
     """
     rng = np.random.default_rng([seed, 0x5CE17E])
     dirs_local = _ray_grid(spec)
-    period_ns = int(round(1e9 / spec.frame_rate_hz))
+    stamps_ns = frame_times_ns(spec.n_frames, spec.frame_rate_hz)
 
     ground = SceneBox(center=(0.0, 0.0, -0.5),
                       size=(4.0 * spec.extent, 4.0 * spec.extent, 1.0))
-    static_surfaces = [_bounded(-1, (
-        np.asarray(ground.center, dtype=float), ground.size, ground.yaw))]
-    for static in spec.statics:
-        if isinstance(static, SceneSphere):
-            static_surfaces.append(_bounded(-1, static))
-        else:
-            static_surfaces.append(_bounded(-1, (
-                np.asarray(static.center, dtype=float), static.size,
-                static.yaw)))
+    static_surfaces = [_bounded(-1, static)
+                       for static in (ground, *spec.statics)]
 
-    extrinsics = {i: node.extrinsic for i, node in enumerate(spec.nodes)}
+    extrinsics = dict(enumerate(spec.nodes))
     inverses = {i: extrinsic.inverse() for i, extrinsic in extrinsics.items()}
     node_rays = {i: _RayIndex(dirs_local @ extrinsic.rotation.T)
                  for i, extrinsic in extrinsics.items()}
@@ -497,11 +479,10 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
     gt_boxes: list = []
     visible = np.zeros((spec.n_frames, n_nodes, n_objects), dtype=np.int64)
 
-    for frame in range(spec.n_frames):
-        time_s = frame / spec.frame_rate_hz
-        boxes = [obj.box_at(time_s) for obj in spec.objects]
+    for frame, stamp_ns in enumerate(stamps_ns.tolist()):
+        boxes = [obj.box_at(stamp_ns / NS) for obj in spec.objects]
         gt_boxes.append(boxes)
-        objects = [_bounded(obj_index, (box.center, tuple(box.size), box.yaw))
+        objects = [_bounded(obj_index, box)
                    for obj_index, box in enumerate(boxes)]
 
         for node_index in range(n_nodes):
@@ -517,7 +498,7 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
                                                    size=world_pts.shape)
             local_pts = inverses[node_index].apply(world_pts)
             node_frames[node_index].append(PointCloud(
-                local_pts, timestamp_ns=frame * period_ns,
+                local_pts, timestamp_ns=stamp_ns,
                 source_node=node_index))
             visible[frame, node_index] = np.bincount(
                 labels[hit] + 1, minlength=n_objects + 1)[1:]
@@ -549,7 +530,6 @@ def calibration_capture(scene: SyntheticScene, node: int, seed: int = 0,
     resampling of ideal boxes is strictly harder than any real scan pair
     because perfect planes are featureless.
     """
-    spec = scene.spec
     extrinsic = scene.extrinsics[node]
     local = extrinsic.inverse().apply(scene.reference_cloud.points)
     planar = np.hypot(local[:, 0], local[:, 1])
@@ -567,12 +547,11 @@ def calibration_capture(scene: SyntheticScene, node: int, seed: int = 0,
         points = points + rng.normal(scale=_CALIBRATION_NOISE_SIGMA,
                                      size=points.shape)
     order = rng.permutation(len(points))
-    period_ns = int(round(1e9 / spec.frame_rate_hz))
-    frames = []
-    for index, chunk in enumerate(np.array_split(order, _CALIBRATION_FRAMES)):
-        frames.append(PointCloud(points[chunk], timestamp_ns=index * period_ns,
-                                 source_node=node))
-    return frames
+    stamps_ns = frame_times_ns(_CALIBRATION_FRAMES, scene.spec.frame_rate_hz)
+    return [PointCloud(points[chunk], timestamp_ns=stamp_ns, source_node=node)
+            for chunk, stamp_ns in zip(np.array_split(order,
+                                                      _CALIBRATION_FRAMES),
+                                       stamps_ns.tolist())]
 
 
 def corner_building_layout(rng, extent: float, keep_clear: tuple) -> tuple:
@@ -658,8 +637,7 @@ def standard_crossroad_spec(n_frames: int, seed: int = 0) -> SceneSpec:
     node_xy = tuple((sx * extent * 0.85, sy * extent * 0.85)
                     for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)))
     # mounted above car-roof height so footprints are observable from above
-    nodes = tuple(NodePose.looking_at((x, y, 3.2), (0.0, 0.0, 0.5))
-                  for x, y in node_xy)
+    nodes = tuple(look_at((x, y, 3.2), (0.0, 0.0, 0.5)) for x, y in node_xy)
     # scan stations: central, near each node, and at the edge midpoints, so
     # the merged reference covers everything each node sees and background
     # subtraction leaves no static shadows

@@ -16,7 +16,7 @@ accumulate float error. A session is fully determined by its config
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, InsufficientNodesError, check_number
 
 NS = 1_000_000_000
+# the scanning unit's frame rate
+DEFAULT_FRAME_RATE_HZ = 10.0
 
 # PPS detection error is bounded (GPS module pairs agree to < 1 us), so the
 # jitter draw is a Gaussian truncated at +-1.95 sigma, keeping the pairwise
@@ -50,10 +52,19 @@ MAX_SESSION_FRAMES = 1_000_000
 # grew by 118 MB at 4 nodes and 179 MB at 8), so 64 nodes stay near 1 GB.
 # The crossroad rig has 4 nodes.
 MAX_SESSION_NODES = 64
-# Frames are scheduled every round(NS / frame_rate_hz) whole nanoseconds:
-# above 1e9 Hz that period rounds to 1 ns or to 0, so frames would pile up
-# on one instant and the reported rate would not be the configured one.
+# Frame k is scheduled at round(k * NS / frame_rate_hz) whole nanoseconds:
+# up to 1e9 Hz frames lie at least 1 ns apart, so every frame gets its own
+# instant; above it consecutive frames round onto the same nanosecond.
 MAX_FRAME_RATE_HZ = 1e9
+
+
+def frame_times_ns(count: int, frame_rate_hz: float) -> np.ndarray:
+    """The start of frames 0 .. count - 1 at ``frame_rate_hz``, in whole
+    nanoseconds: frame k at round(k * NS / frame_rate_hz), each rounded once,
+    so a period that is no whole number of nanoseconds does not drift.
+    k * NS is exact in float64 below 2**53 ns, past MAX_SESSION_FRAMES."""
+    return np.round(np.arange(count, dtype=np.int64) * NS
+                    / frame_rate_hz).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -76,28 +87,17 @@ class NodeClockModel:
 
 
 @dataclass(frozen=True)
-class NetworkModel:
-    """Trigger broadcast delay range and drop probability."""
+class SessionConfig:
+    """One capture session: the nodes, how long and how fast they capture,
+    and the trigger broadcast's delay range and drop probability."""
 
+    node_count: int
+    duration_s: float
+    frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
+    clocks: Optional[Sequence[NodeClockModel]] = None
     delay_min_s: float = 0.001
     delay_max_s: float = 0.2
     drop_probability: float = 0.0
-
-    def __post_init__(self):
-        check_number("sync.delay_min_s", self.delay_min_s, 0, MAX_SESSION_S)
-        check_number("sync.delay_max_s", self.delay_max_s, 0, MAX_SESSION_S)
-        check_number("sync.delay_max_s - sync.delay_min_s",
-                     self.delay_max_s - self.delay_min_s, 0)
-        check_number("sync.drop_probability", self.drop_probability, 0, 1)
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    node_count: int
-    duration_s: float
-    frame_rate_hz: float = 10.0
-    clocks: Optional[Sequence[NodeClockModel]] = None
-    network: NetworkModel = field(default_factory=NetworkModel)
     seed: int = 0
 
     def __post_init__(self):
@@ -110,6 +110,11 @@ class SessionConfig:
         check_number("sync.duration_s * sync.frame_rate_hz",
                      self.duration_s * self.frame_rate_hz, 1,
                      MAX_SESSION_FRAMES)
+        check_number("sync.delay_min_s", self.delay_min_s, 0, MAX_SESSION_S)
+        check_number("sync.delay_max_s", self.delay_max_s, 0, MAX_SESSION_S)
+        check_number("sync.delay_max_s - sync.delay_min_s",
+                     self.delay_max_s - self.delay_min_s, 0)
+        check_number("sync.drop_probability", self.drop_probability, 0, 1)
         check_number("sync.seed", self.seed, 0, integer=True)
         if self.clocks is not None and len(self.clocks) != self.node_count:
             raise ConfigError("clocks must have one model per node")
@@ -161,8 +166,11 @@ def simulate_session(cfg: SessionConfig) -> SessionTrace:
     """
     emit_ns = NS + int(round(TRIGGER_PHASE_S * NS))
 
-    period_ns = int(round(NS / cfg.frame_rate_hz))
     n_frames = cfg.frame_count
+    # scheduled capture instants in disciplined time, relative to start
+    offsets_ns = frame_times_ns(n_frames, cfg.frame_rate_hz)
+    pulse_index = offsets_ns // NS    # which PPS pulse disciplines each frame
+    within_second_ns = offsets_ns - pulse_index * NS
     nodes = []
     for node in range(cfg.node_count):
         rng = np.random.default_rng([cfg.seed, node])
@@ -171,8 +179,8 @@ def simulate_session(cfg: SessionConfig) -> SessionTrace:
         arrival_ns = None
         resends = 0
         for attempt in range(MAX_RETRIES + 1):
-            delay = rng.uniform(cfg.network.delay_min_s, cfg.network.delay_max_s)
-            dropped = rng.random() < cfg.network.drop_probability
+            delay = rng.uniform(cfg.delay_min_s, cfg.delay_max_s)
+            dropped = rng.random() < cfg.drop_probability
             if not dropped:
                 send_ns = emit_ns + int(round(attempt * RETRY_TIMEOUT_S * NS))
                 arrival_ns = send_ns + int(round(delay * NS))
@@ -201,11 +209,6 @@ def simulate_session(cfg: SessionConfig) -> SessionTrace:
                               n_frames) * NS).astype(np.int64)
 
         start_true_ns = start_second * NS + int(pps_jitter_ns[0])
-
-        # scheduled capture instants in disciplined time, relative to start
-        offsets_ns = (np.arange(n_frames, dtype=np.int64) * period_ns)
-        pulse_index = offsets_ns // NS    # which PPS pulse disciplines each frame
-        within_second_ns = offsets_ns - pulse_index * NS
 
         # true capture time: pulse edge as perceived by this node, plus the
         # sub-second schedule (the node counts disciplined clock ticks, so a

@@ -47,14 +47,13 @@ from mvlidar.registration import (
     solve_rigid_arun,
 )
 from mvlidar.scene import (
-    NodePose,
     calibration_capture,
     generate_synthetic_scene,
+    look_at,
     standard_crossroad_spec,
 )
 from mvlidar.syncsim import (
     NS,
-    NetworkModel,
     NodeClockModel,
     SessionConfig,
     compute_time_error_report,
@@ -94,8 +93,7 @@ def _calibration_scene_spec(seed: int):
     position = (radius * np.cos(angle), radius * np.sin(angle),
                 rng.uniform(2.0, 4.0))
     target = (rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(0.0, 1.5))
-    node = NodePose.looking_at(position, target,
-                               roll=float(rng.uniform(-np.pi, np.pi)))
+    node = look_at(position, target, roll=float(rng.uniform(-np.pi, np.pi)))
     return replace(base, nodes=(node,), objects=(), n_frames=1,
                    azimuth_steps=24, elevation_steps=8,
                    reference_azimuth_steps=600, reference_elevation_steps=90,
@@ -183,8 +181,7 @@ def test_criterion_2_sync_protocol():
     worst_start_spread = 0.0
     for seed in range(lidar_sessions):
         cfg = SessionConfig(node_count=4, duration_s=2.0, seed=seed,
-                            network=NetworkModel(delay_min_s=0.001,
-                                                 delay_max_s=0.2))
+                            delay_min_s=0.001, delay_max_s=0.2)
         trace = simulate_session(cfg)
         armed = trace.armed_nodes()
         if len({n.start_pps_index for n in armed}) != 1:
@@ -200,8 +197,7 @@ def test_criterion_2_sync_protocol():
     for seed in range(200):
         cfg = SessionConfig(node_count=4, duration_s=2.0, seed=seed,
                             clocks=[NodeClockModel.camera()] * 4,
-                            network=NetworkModel(delay_min_s=0.001,
-                                                 delay_max_s=0.2))
+                            delay_min_s=0.001, delay_max_s=0.2)
         rep = compute_time_error_report(simulate_session(cfg))
         camera_means.append(np.mean([s.mean_abs_s for s in rep.stats]))
     camera_mean = float(np.mean(camera_means))

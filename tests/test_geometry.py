@@ -105,6 +105,17 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((1, 3)), timestamp_ns=-1)
 
+    @pytest.mark.parametrize("stamp", [1.9, 1.0, True, False, np.float64(3.0),
+                                       np.bool_(True), "5", None])
+    def test_non_integer_timestamp_rejected(self, stamp):
+        with pytest.raises(ValueError, match="timestamp_ns must be an integer"):
+            PointCloud(np.zeros((1, 3)), timestamp_ns=stamp)
+
+    @pytest.mark.parametrize("stamp", [np.int64(7), np.uint64(7), np.int32(7)])
+    def test_numpy_integer_timestamp_kept_as_int(self, stamp):
+        cloud = PointCloud(np.zeros((1, 3)), timestamp_ns=stamp)
+        assert cloud.timestamp_ns == 7 and type(cloud.timestamp_ns) is int
+
     def test_nonfinite_point_rejected(self):
         with pytest.raises(ValueError):
             PointCloud([[0.0, np.nan, 0.0]])
@@ -886,7 +897,7 @@ class TestRowKernels:
     @given(rows=row_pairs())
     def test_single_vectors(self, rows):
         """On lone (3,) vectors the kernels give numpy scalars of the same
-        bits, as ``look_at_orientation`` and the ground fit use them."""
+        bits, as ``scene.look_at`` and the ground fit use them."""
         a, b = rows
         with np.errstate(all="ignore"):
             for u, v in zip(a, b):

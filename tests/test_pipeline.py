@@ -4,7 +4,10 @@ import itertools
 import json
 import math
 import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +43,6 @@ from mvlidar.registration import HierarchyConfig, HierarchyLevel, \
 from mvlidar.scene import (
     SceneObject,
     SceneSpec,
-    NodePose,
     calibration_capture,
     generate_synthetic_scene,
     standard_crossroad_spec,
@@ -690,6 +692,35 @@ PINNED_DIGESTS = {
     "sync_report.json":
         "e4e2e1f6d0a0344e9e09e5f5bf73130a13690b64f71257a27a64a0bedbd744f5",
 }
+# The digests ``perfbench/run.py --seed 0`` prints for each workload's
+# outputs, recorded under PINNED_ENVIRONMENT: the benchmark compares runs
+# only while these hold, so they are pinned like the six outputs above.
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+PINNED_BENCHMARK_DIGESTS = {
+    "calibrate": {"calibration": "93e0bc593db6f42165ed022443d41e58"
+                                 "028dd18821a20fc8e7920d794968d01d"},
+    "detect-track": {"detections": "2a267f6a9e8b51d8c847412b60372c92"
+                                   "a7ee887e3aae60a2c9d4cf4a13a41346",
+                     "trajectories": "764f2ef18dcb83418cd876f39b1a9f44"
+                                     "8dd3e9c295cfe8b465f5428c661dc733"},
+    "experiments": {"experiments": "b9a438ee4649eeabde2b0804233ba8eb"
+                                   "34d597a5d74d24c7ef386b0e2221d1a6"},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_BENCHMARK_DIGESTS))
+def test_benchmark_digests(workload):
+    """One untimed pass of each benchmark workload at seed 0 prints the
+    pinned digests."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARK), "--workload", workload, "--seed",
+         "0", "--seconds", "0", "--trace", "0"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    digests = next(json.loads(line.split(" ", 1)[1])
+                   for line in proc.stdout.splitlines()
+                   if line.startswith("digests "))
+    assert digests == PINNED_BENCHMARK_DIGESTS[workload]
 
 
 class TestRunPipeline:

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from mvlidar import scene as scene_module
 from mvlidar.errors import ConfigError
-from mvlidar.geometry import ObjectClass, apply_transform
+from mvlidar.geometry import Box3D, ObjectClass, apply_transform
 from mvlidar.scene import (
-    NodePose,
     SceneBox,
     SceneObject,
     SceneSpec,
@@ -23,15 +22,16 @@ from mvlidar.scene import (
     _reference_cloud,
     _reference_ray_grid,
     _surface_entry,
+    calibration_capture,
     generate_synthetic_scene,
-    look_at_orientation,
+    look_at,
     standard_crossroad_spec,
 )
+from mvlidar.syncsim import NS, frame_times_ns
 
 
 def four_corner_nodes(radius=18.0, height=2.0):
-    return tuple(NodePose.looking_at((sx * radius, sy * radius, height),
-                                     (0.0, 0.0, 0.8))
+    return tuple(look_at((sx * radius, sy * radius, height), (0.0, 0.0, 0.8))
                  for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)))
 
 
@@ -47,14 +47,20 @@ class TestLookAt:
         for _ in range(10):
             position = rng.uniform(-20, 20, 3)
             roll = float(rng.uniform(-math.pi, math.pi))
-            rot = look_at_orientation(position, (0, 0, 0.5), roll)
+            pose = look_at(position, (0, 0, 0.5), roll)
+            rot = pose.rotation
             np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-12)
             assert np.linalg.det(rot) == pytest.approx(1.0)
+            assert np.array_equal(pose.translation, position)
 
     def test_boresight_points_at_target(self):
-        rot = look_at_orientation((10.0, 0.0, 2.0), (0.0, 0.0, 2.0))
-        np.testing.assert_allclose(rot @ [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
-                                   atol=1e-12)
+        pose = look_at((10.0, 0.0, 2.0), (0.0, 0.0, 2.0))
+        np.testing.assert_allclose(pose.apply([1.0, 0.0, 0.0]),
+                                   [9.0, 0.0, 2.0], atol=1e-12)
+
+    def test_coincident_target_rejected(self):
+        with pytest.raises(ConfigError, match="coincides"):
+            look_at((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
 
 
 class TestGenerateScene:
@@ -169,6 +175,27 @@ class TestGenerateScene:
                 SceneObject(label=ObjectClass.CAR, start_xy=(0, 0), track_id=1),
                 SceneObject(label=ObjectClass.CAR, start_xy=(5, 5), track_id=1)))
 
+    def test_node_that_is_no_pose_rejected(self):
+        with pytest.raises(ConfigError, match="RigidTransform"):
+            simple_spec(nodes=((10.0, 0.0, 2.0),))
+
+    def test_frames_are_stamped_by_the_frame_clock(self):
+        """Node frames and calibration frames start at frame_times_ns, and
+        a frame's boxes sit where the objects are at its stamp; at 3 Hz
+        the period is no whole number of nanoseconds."""
+        spec = simple_spec(n_frames=4, frame_rate_hz=3.0, objects=(
+            SceneObject(label=ObjectClass.CAR, start_xy=(0.0, 0.0),
+                        velocity_xy=(3.0, 0.0), track_id=1),))
+        scene = generate_synthetic_scene(spec)
+        stamps = frame_times_ns(4, 3.0).tolist()
+        assert stamps == [0, 333_333_333, 666_666_667, 1_000_000_000]
+        for frames in scene.node_frames.values():
+            assert [frame.timestamp_ns for frame in frames] == stamps
+        assert [boxes[0].center[0] for boxes in scene.gt_boxes] == \
+            [3.0 * (stamp / NS) for stamp in stamps]
+        assert [frame.timestamp_ns for frame in calibration_capture(
+            scene, 0)] == frame_times_ns(10, 3.0).tolist()
+
 
 class TestStandardCrossroad:
     def test_spec_is_deterministic(self):
@@ -177,8 +204,7 @@ class TestStandardCrossroad:
         assert a.objects == b.objects
         assert a.statics == b.statics
         for na, nb in zip(a.nodes, b.nodes):
-            assert na.position == nb.position
-            np.testing.assert_array_equal(na.orientation, nb.orientation)
+            np.testing.assert_array_equal(na.matrix(), nb.matrix())
 
     def test_scene_has_all_classes(self):
         spec = standard_crossroad_spec(n_frames=2, seed=1)
@@ -214,10 +240,6 @@ def assert_cast_matches_oracle(origin, dirs, surfaces):
     assert np.array_equal(t, want_t)
     assert np.array_equal(label, want_label)
     return t, label
-
-
-def box_surface_spec(center, size, yaw=0.0):
-    return (np.asarray(center, dtype=float), tuple(size), yaw)
 
 
 def box_corners(center, size, yaw):
@@ -266,15 +288,14 @@ class TestCullingCasterOracle:
         # the half diagonal is 2.45; in the box frame the origin sits at
         # (2.12, -0.90, 0), outside the 2 m half length
         origin = np.array([2.3, 0.0, 0.0])
-        surfaces = [(0, box_surface_spec((0.0, 0.0, 0.0), (4.0, 2.0, 2.0),
-                                         0.4))]
+        surfaces = [(0, SceneBox((0.0, 0.0, 0.0), (4.0, 2.0, 2.0), 0.4))]
         t, _ = assert_cast_matches_oracle(origin, random_dirs(rng, 4000),
                                           surfaces)
         assert 0 < np.isfinite(t).sum() < len(t)
 
     def test_origin_inside_scene_sphere(self, rng):
         surfaces = [(0, SceneSphere(center=(0.0, 0.0, 0.0), radius=3.0)),
-                    (1, box_surface_spec((8.0, 0.0, 0.0), (1.0, 1.0, 1.0)))]
+                    (1, SceneBox((8.0, 0.0, 0.0), (1.0, 1.0, 1.0)))]
         _, label = assert_cast_matches_oracle((1.0, 0.5, 0.0),
                                               random_dirs(rng, 4000), surfaces)
         assert set(np.unique(label)) == {-1, 1}
@@ -282,9 +303,9 @@ class TestCullingCasterOracle:
     def test_surfaces_behind_origin(self, rng):
         dirs = random_dirs(rng, 3000)
         dirs[:, 0] = np.abs(dirs[:, 0])       # every ray points to +x
-        surfaces = [(0, box_surface_spec((-6.0, 0.0, 0.0), (2.0, 3.0, 1.0))),
+        surfaces = [(0, SceneBox((-6.0, 0.0, 0.0), (2.0, 3.0, 1.0))),
                     (1, SceneSphere(center=(-5.0, 4.0, 1.0), radius=1.5)),
-                    (2, box_surface_spec((6.0, 0.0, 0.0), (2.0, 3.0, 1.0)))]
+                    (2, SceneBox((6.0, 0.0, 0.0), (2.0, 3.0, 1.0)))]
         _, label = assert_cast_matches_oracle((0.0, 0.0, 0.0), dirs, surfaces)
         assert set(np.unique(label)) == {-1, 2}
 
@@ -297,7 +318,7 @@ class TestCullingCasterOracle:
             center = rng.uniform(-10.0, 10.0, 3)
             size = tuple(rng.uniform(0.2, 6.0, 3))
             yaw = float(rng.uniform(-math.pi, math.pi))
-            surfaces = [(0, box_surface_spec(center, size, yaw))]
+            surfaces = [(0, SceneBox(center, size, yaw))]
             for corner in box_corners(center, size, yaw):
                 radial = corner - center
                 for _ in range(3):
@@ -318,14 +339,14 @@ class TestCullingCasterOracle:
         # the origin lies on the planes of the top face and a side face, so
         # axis-parallel rays give 0/0 in the slab test
         axes = np.vstack([np.eye(3), -np.eye(3)])
-        surfaces = [(0, box_surface_spec((0.0, 0.0, 0.5), (2.0, 2.0, 1.0))),
-                    (1, box_surface_spec((5.0, 1.0, 0.5), (2.0, 2.0, 1.0)))]
+        surfaces = [(0, SceneBox((0.0, 0.0, 0.5), (2.0, 2.0, 1.0))),
+                    (1, SceneBox((5.0, 1.0, 0.5), (2.0, 2.0, 1.0)))]
         for origin in ((-5.0, 0.0, 1.0), (-5.0, 1.0, 0.5), (5.0, 2.0, 1.0),
                        (0.0, -4.0, 0.0)):
             assert_cast_matches_oracle(origin, axes, surfaces)
 
     def test_coincident_surfaces_keep_the_first(self, rng):
-        box = box_surface_spec((6.0, 1.0, 0.0), (2.0, 2.0, 2.0), 0.7)
+        box = SceneBox((6.0, 1.0, 0.0), (2.0, 2.0, 2.0), 0.7)
         sphere = SceneSphere(center=(-6.0, 0.0, 0.0), radius=1.5)
         surfaces = [(3, box), (4, box), (5, sphere), (6, sphere)]
         _, label = assert_cast_matches_oracle((0.0, 0.0, 0.0),
@@ -334,10 +355,10 @@ class TestCullingCasterOracle:
 
     def test_ground(self):
         spec = simple_spec()
-        ground = box_surface_spec((0.0, 0.0, -0.5), (88.0, 88.0, 1.0))
+        ground = SceneBox((0.0, 0.0, -0.5), (88.0, 88.0, 1.0))
         for node in spec.nodes:
-            dirs = _ray_grid(spec) @ node.orientation.T
-            t, _ = assert_cast_matches_oracle(node.position, dirs,
+            dirs = _ray_grid(spec) @ node.rotation.T
+            t, _ = assert_cast_matches_oracle(node.translation, dirs,
                                               [(-1, ground)])
             assert np.isfinite(t).any() and not np.isfinite(t).all()
 
@@ -347,7 +368,7 @@ class TestCullingCasterOracle:
         level = np.array([[1.0, 0.0, d_z], [0.6, -0.8, d_z], [0.0, -1.0, d_z],
                           [-0.8, 0.6, d_z], [-1.0, 0.0, d_z]])
         dirs = np.vstack([random_dirs(rng, 2000), level])
-        ground = box_surface_spec((0.0, 0.0, -0.5), (88.0, 88.0, 1.0), 0.3)
+        ground = SceneBox((0.0, 0.0, -0.5), (88.0, 88.0, 1.0), 0.3)
         for origin in ((1.0, 2.0, 1.5), (-30.0, 4.0, 1e-12), (3.0, 3.0, 0.0),
                        (50.0, 1.0, 0.0), (0.0, -2.0, -0.2)):
             # above, barely above, level with the top face over it and
@@ -358,7 +379,7 @@ class TestCullingCasterOracle:
                                                        monkeypatch):
         dirs = random_dirs(rng, 3000)
         dirs[:4, 2] = [0.0, -0.0, -1e-300, 1e-300]
-        ground = box_surface_spec((0.0, 0.0, -0.5), (88.0, 88.0, 1.0))
+        ground = SceneBox((0.0, 0.0, -0.5), (88.0, 88.0, 1.0))
         tested = []
 
         def recording_entry(origin, ray_dirs, surface):
@@ -374,9 +395,9 @@ class TestCullingCasterOracle:
 
     def test_exact_test_skips_culled_rays(self, rng, monkeypatch):
         # a wall hides a small box; a second box sits behind the origin
-        wall = box_surface_spec((5.0, 0.0, 0.0), (0.2, 20.0, 20.0))
-        hidden = box_surface_spec((10.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        behind = box_surface_spec((-10.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        wall = SceneBox((5.0, 0.0, 0.0), (0.2, 20.0, 20.0))
+        hidden = SceneBox((10.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        behind = SceneBox((-10.0, 0.0, 0.0), (1.0, 1.0, 1.0))
         surfaces = [(0, wall), (1, hidden), (2, behind)]
         dirs = random_dirs(rng, 3000)
         dirs[:, 0] = np.abs(dirs[:, 0])
@@ -409,7 +430,7 @@ class TestCullingCasterOracle:
             center = rng.uniform(-15.0, 15.0, 3)
             size = tuple(rng.uniform(0.1, 10.0, 3))
             yaw = float(rng.uniform(-math.pi, math.pi))
-            surfaces.append((label, box_surface_spec(center, size, yaw)))
+            surfaces.append((label, SceneBox(center, size, yaw)))
             bounds.append((center, 0.5 * np.linalg.norm(size)))
             dirs.append(unit_rows(box_corners(center, size, yaw) - origin))
         for label in range(n_boxes, n_boxes + n_spheres):
@@ -579,12 +600,9 @@ class TestRayIndex:
     def test_reference_grid_matches_all_rays_caster(self):
         spec = standard_crossroad_spec(n_frames=1)
         extent = spec.extent
-        surfaces = [(0, box_surface_spec((0.0, 0.0, -0.5),
-                                         (4.0 * extent, 4.0 * extent, 1.0)))]
-        for label, static in enumerate(spec.statics, start=1):
-            surfaces.append((label, static if isinstance(static, SceneSphere)
-                             else box_surface_spec(static.center, static.size,
-                                                   static.yaw)))
+        surfaces = [(0, SceneBox((0.0, 0.0, -0.5),
+                                 (4.0 * extent, 4.0 * extent, 1.0)))]
+        surfaces += enumerate(spec.statics, start=1)
         dirs = _reference_ray_grid(spec)
         for station in spec.reference_scanner_positions:
             t, label = assert_cast_matches_oracle(station, dirs, surfaces)
@@ -617,21 +635,16 @@ def render_one_cast_per_frame(spec, seed):
     frame's objects, the way scenes were rendered before the statics were
     cast once per node. Returns node frames, reference and visible counts."""
     rng = np.random.default_rng([seed, 0x5CE17E])
-    ground = box_surface_spec((0.0, 0.0, -0.5),
-                              (4.0 * spec.extent, 4.0 * spec.extent, 1.0))
-    statics = [_bounded(-1, ground)] + [
-        _bounded(-1, static if isinstance(static, SceneSphere)
-                 else box_surface_spec(static.center, static.size, static.yaw))
-        for static in spec.statics]
+    ground = SceneBox((0.0, 0.0, -0.5),
+                      (4.0 * spec.extent, 4.0 * spec.extent, 1.0))
+    statics = [_bounded(-1, static) for static in (ground, *spec.statics)]
     frames = {node: [] for node in range(len(spec.nodes))}
     visible = np.zeros((spec.n_frames, len(spec.nodes), len(spec.objects)),
                        dtype=np.int64)
     for frame in range(spec.n_frames):
         boxes = [obj.box_at(frame / spec.frame_rate_hz) for obj in spec.objects]
-        surfaces = statics + [_bounded(k, (box.center, tuple(box.size), box.yaw))
-                              for k, box in enumerate(boxes)]
-        for node, pose in enumerate(spec.nodes):
-            extrinsic = pose.extrinsic
+        surfaces = statics + [_bounded(k, box) for k, box in enumerate(boxes)]
+        for node, extrinsic in enumerate(spec.nodes):
             rays = _RayIndex(_ray_grid(spec) @ extrinsic.rotation.T)
             t, labels = _cast_frame(extrinsic.translation, rays, surfaces)
             hit = np.isfinite(t)
@@ -689,7 +702,7 @@ class TestStaticsCastOncePerNode:
             position = (round(10.0 * math.cos(angle) * 4) / 4,
                         round(10.0 * math.sin(angle) * 4) / 4,
                         float(quarter(1, 4)))
-            nodes.append(NodePose.looking_at(position, (0.0, 0.0, 0.5)))
+            nodes.append(look_at(position, (0.0, 0.0, 0.5)))
         boxes = []
         for _ in range(n_boxes):
             size = quarter(0.5, 4.0, 3)
@@ -732,19 +745,16 @@ class TestStaticsCastOncePerNode:
         wall = SceneBox(center=(5.0, 0.0, 1.0), size=(2.0, 4.0, 2.0))
         car = SceneObject(label=ObjectClass.CAR, start_xy=(4.5, 0.0),
                           size=(1.0, 2.0, 1.5), track_id=1)
-        node = NodePose.looking_at((-5.0, 0.0, 1.0), (5.0, 0.0, 0.75))
+        node = look_at((-5.0, 0.0, 1.0), (5.0, 0.0, 0.75))
         spec = tiny_spec(nodes=(node,), statics=(wall,), objects=(car,),
                          azimuth_steps=120, elevation_steps=60)
         synthetic = assert_scene_matches_one_cast_per_frame(spec)
         assert synthetic.visible_counts[0, 0, 0] == 0
         # alone, the car would take rays, at the same distance as the wall
-        origin = np.asarray(node.position)
-        dirs = _ray_grid(spec) @ node.orientation.T
-        box = car.box_at(0.0)
-        car_t, _ = cast_all_rays(origin, dirs, [(0, box_surface_spec(
-            box.center, box.size, box.yaw))])
-        wall_t, _ = cast_all_rays(origin, dirs, [(0, box_surface_spec(
-            wall.center, wall.size, wall.yaw))])
+        origin = node.translation
+        dirs = _ray_grid(spec) @ node.rotation.T
+        car_t, _ = cast_all_rays(origin, dirs, [(0, car.box_at(0.0))])
+        wall_t, _ = cast_all_rays(origin, dirs, [(0, wall)])
         hits = np.isfinite(car_t)
         assert hits.sum() > 50
         assert np.array_equal(car_t[hits], wall_t[hits])
@@ -755,20 +765,18 @@ class TestStaticsCastOncePerNode:
         wall = SceneBox(center=(5.0, 0.0, 1.0), size=(2.0, 4.0, 2.0))
         car = SceneObject(label=ObjectClass.CAR, start_xy=(8.0, 0.0),
                           size=(1.0, 2.0, 1.5), track_id=1)
-        node = NodePose.looking_at((-5.0, 0.0, 1.0), (5.0, 0.0, 0.75))
+        node = look_at((-5.0, 0.0, 1.0), (5.0, 0.0, 0.75))
         spec = tiny_spec(nodes=(node,), statics=(wall,), objects=(car,),
                          azimuth_steps=120, elevation_steps=60)
-        box = car.box_at(0.0)
-        car_surface = box_surface_spec(box.center, box.size, box.yaw)
-        alone, _ = cast_all_rays(np.asarray(node.position),
-                                 _ray_grid(spec) @ node.orientation.T,
-                                 [(0, car_surface)])
+        alone, _ = cast_all_rays(node.translation,
+                                 _ray_grid(spec) @ node.rotation.T,
+                                 [(0, car.box_at(0.0))])
         assert np.isfinite(alone).sum() > 50
         tested = []
         entry = scene_module._surface_entry
 
         def recording_entry(origin, dirs, surface):
-            if isinstance(surface, tuple) and surface[1] == car_surface[1]:
+            if isinstance(surface, Box3D):
                 tested.append(len(dirs))
             return entry(origin, dirs, surface)
         monkeypatch.setattr(scene_module, "_surface_entry", recording_entry)

@@ -38,9 +38,9 @@ from mvlidar.metrics import MAX_RECALL_POINTS, DetectionEvalConfig, \
     MotEvalConfig
 from mvlidar.pipeline import PipelineConfig, crossroad_hierarchy
 from mvlidar.registration import MAX_RANSAC_ITERATIONS, HierarchyLevel
-from mvlidar.scene import MAX_SCENE_FRAMES, NodePose, SceneSpec
+from mvlidar.scene import MAX_SCENE_FRAMES, SceneSpec, look_at
 from mvlidar.syncsim import MAX_SESSION_NODES, MAX_SESSION_S, \
-    NetworkModel, NodeClockModel
+    NodeClockModel
 from mvlidar.tracking import TrackerConfig
 
 # 10**400 is an exact integer beyond float range
@@ -140,7 +140,7 @@ class Field:
 
 SYNC = PipelineConfig().sync
 HIERARCHY = crossroad_hierarchy()
-POSE = NodePose.looking_at((10.0, 0.0, 3.0), (0.0, 0.0, 0.0))
+POSE = look_at((10.0, 0.0, 3.0), (0.0, 0.0, 0.0))
 # the frame count, duration_s * frame_rate_hz, lies in [1, 1e6]: at the
 # default 10 s and 10 Hz each of the two lies in this interval
 FRAME_COUNT = "[0.1, 100000]"
@@ -177,21 +177,16 @@ def fields():
     for key, interval, integer in (
             ("node_count", f"[1, {MAX_SESSION_NODES}]", True),
             ("duration_s", FRAME_COUNT, False),
-            ("frame_rate_hz", FRAME_COUNT, False)):
+            ("frame_rate_hz", FRAME_COUNT, False),
+            ("delay_min_s", "[0, 0.2]", False),
+            ("delay_max_s", f"[0.001, {MAX_SESSION_S}]", False),
+            ("drop_probability", "[0, 1]", False)):
         out.append(Field(type(SYNC), key, f"sync.{key}",
                          lambda v, k=key: dc_replace(SYNC, **{k: v}),
                          interval, integer, section("sync", key),
                          ("sync-sim", "--config")))
     out.append(Field(type(SYNC), "seed", "sync.seed",
                      lambda v: dc_replace(SYNC, seed=v), "[0, inf)", True))
-    for key, interval in (
-            ("delay_min_s", "[0, 0.2]"),
-            ("delay_max_s", f"[0.001, {MAX_SESSION_S}]"),
-            ("drop_probability", "[0, 1]")):
-        out.append(Field(NetworkModel, key, f"sync.{key}",
-                         lambda v, k=key: NetworkModel(**{k: v}), interval,
-                         json=section("sync", key),
-                         option=("sync-sim", "--config")))
     for key, interval in (("drift_ppm", "(-inf, inf)"),
                           ("pps_jitter_s", "[0, inf)"),
                           ("frame_jitter_s", "[0, inf)")):
@@ -236,7 +231,7 @@ def fields():
     for key, interval, integer in (
             ("extent", "(0, inf)", False),
             ("n_frames", f"[1, {MAX_SCENE_FRAMES}]", True),
-            ("frame_rate_hz", "(0, inf)", False),
+            ("frame_rate_hz", "(0, 1e9]", False),
             ("noise_sigma", "[0, inf)", False),
             ("azimuth_steps", "[2, inf)", True),
             ("elevation_steps", "[2, inf)", True),

@@ -9,7 +9,7 @@ every field of a config dataclass is read by the package, and every
 defaulted parameter of a package function is passed by some call in the
 package, the demos or the benchmark harness. Norms, squared
 norms, dot and cross products of point rows have one definition each, and so
-has the merge of point clouds. Each optional per-point array of a cloud has
+have the merge of point clouds and the frame clock. Each optional per-point array of a cloud has
 one column in the frame container. No module imports ``scipy.sparse``.
 """
 
@@ -59,7 +59,7 @@ UNSET_PARAMETERS = {
         "the benchmark harness traces it",
     "registration.estimate_normals(min_neighbors)":
         "hypothesis properties draw it",
-    "scene.NodePose.looking_at(roll)": "criterion 1 rolls its nodes",
+    "scene.look_at(roll)": "criterion 1 rolls its nodes",
     "scene.calibration_capture(max_points)":
         "criterion 1 captures 30,000 points",
 }
@@ -537,3 +537,54 @@ def test_the_check_sees_a_missing_doubled_or_stray_column():
                         "            (0x10, 'time_index', '<u2'))\n")
     assert unmatched_columns(cloud, formats) == ["ring", "source_ids",
                                                  "time_index"]
+
+
+def names_in(node):
+    """Every name and attribute name read under ``node``."""
+    return {child.id if isinstance(child, ast.Name) else child.attr
+            for child in ast.walk(node)
+            if isinstance(child, (ast.Name, ast.Attribute))}
+
+
+def rate_periods(tree):
+    """(line, expression) of every division of ``NS`` or 1e9 by a frame
+    rate (a name with ``rate`` in it) outside ``frame_times_ns``: a frame
+    period that the one frame clock replaces."""
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) \
+                    and child.name == "frame_times_ns":
+                continue
+            if (isinstance(child, ast.BinOp)
+                    and isinstance(child.op, (ast.Div, ast.FloorDiv))
+                    and ("NS" in names_in(child.left)
+                         or any(constant(part) == 1e9
+                                for part in ast.walk(child.left)))
+                    and any("rate" in name.lower()
+                            for name in names_in(child.right))):
+                yield child.lineno, ast.unparse(child)
+            yield from visit(child)
+    yield from visit(tree)
+
+
+def test_frames_have_one_clock():
+    """Node frames, calibration passes and simulated sessions are all timed
+    by ``syncsim.frame_times_ns``, which rounds each frame's start once;
+    no module turns a frame rate into a nanosecond period of its own."""
+    found = [f"{module}:{line} {expression}"
+             for module, tree in TREES.items()
+             for line, expression in rate_periods(tree)]
+    assert not found, f"frame periods outside frame_times_ns: {found}"
+
+
+def test_the_check_sees_each_frame_period():
+    tree = ast.parse("a = int(round(1e9 / spec.frame_rate_hz))\n"
+                     "b = NS // cfg.frame_rate_hz\n"
+                     "c = np.arange(n) * NS / rate\n"
+                     "d = round(1_000_000_000 / (2 * frame_rate_hz))\n"
+                     "e = n_frames / cfg.frame_rate_hz\n"
+                     "f = stamp_ns / NS\n"
+                     "g = NS / period_s\n"
+                     "def frame_times_ns(count, frame_rate_hz):\n"
+                     "    return np.arange(count) * NS / frame_rate_hz\n")
+    assert sorted(line for line, _ in rate_periods(tree)) == [1, 2, 3, 4]

@@ -10,12 +10,12 @@ from mvlidar.syncsim import (
     MAX_SESSION_FRAMES,
     MAX_SESSION_S,
     NS,
-    NetworkModel,
     NodeClockModel,
     SessionConfig,
     SessionTrace,
     compute_time_error_report,
     estimate_bandwidth,
+    frame_times_ns,
     simulate_session,
 )
 
@@ -26,7 +26,7 @@ def quiet_clock():
 
 def make_config(**kwargs):
     defaults = dict(node_count=4, duration_s=2.0, seed=7,
-                    network=NetworkModel(delay_min_s=0.001, delay_max_s=0.2))
+                    delay_min_s=0.001, delay_max_s=0.2)
     defaults.update(kwargs)
     return SessionConfig(**defaults)
 
@@ -34,7 +34,7 @@ def make_config(**kwargs):
 class TestSimulateSession:
     def test_noise_free_single_node_timestamps_exact(self):
         cfg = make_config(node_count=1, clocks=[quiet_clock()],
-                          network=NetworkModel(delay_min_s=0.0, delay_max_s=0.0))
+                          delay_min_s=0.0, delay_max_s=0.0)
         trace = simulate_session(cfg)
         node = trace.nodes[0]
         assert node.armed
@@ -57,7 +57,7 @@ class TestSimulateSession:
 
     def test_full_drop_leaves_node_unarmed(self):
         cfg = make_config(node_count=1,
-                          network=NetworkModel(drop_probability=1.0))
+                          drop_probability=1.0)
         trace = simulate_session(cfg)
         node = trace.nodes[0]
         assert not node.armed
@@ -66,7 +66,7 @@ class TestSimulateSession:
 
     def test_drops_cause_retransmissions(self):
         cfg = make_config(node_count=8, seed=11,
-                          network=NetworkModel(drop_probability=0.6))
+                          drop_probability=0.6)
         trace = simulate_session(cfg)
         resends = [n.retransmissions for n in trace.nodes if n.armed]
         assert any(r > 0 for r in resends)
@@ -100,7 +100,7 @@ class TestSimulateSession:
         clocks = [NodeClockModel(drift_ppm=10.0, pps_jitter_s=0.0,
                                  frame_jitter_s=0.0)] * 2
         cfg = make_config(node_count=2, clocks=clocks,
-                          network=NetworkModel(delay_min_s=0.0, delay_max_s=0.0))
+                          delay_min_s=0.0, delay_max_s=0.0)
         trace = simulate_session(cfg)
         for node in trace.armed_nodes():
             start = node.start_pps_index * NS
@@ -114,7 +114,8 @@ class TestSimulateSession:
         with pytest.raises(ConfigError):
             SessionConfig(node_count=2, duration_s=1.0, clocks=[quiet_clock()])
         with pytest.raises(ConfigError):
-            NetworkModel(delay_min_s=0.5, delay_max_s=0.1)
+            SessionConfig(node_count=2, duration_s=1.0, delay_min_s=0.5,
+                          delay_max_s=0.1)
 
     def test_non_finite_jitter_rejected(self):
         with pytest.raises(ConfigError, match=r"^pps_jitter_s must be a "
@@ -134,7 +135,8 @@ class TestSimulateSession:
             SessionConfig(node_count=2, duration_s=1.0,
                           frame_rate_hz=2 * MAX_SESSION_FRAMES)
         with pytest.raises(ConfigError, match=r"^sync\.delay_max_s must be"):
-            NetworkModel(delay_max_s=2 * MAX_SESSION_S)
+            SessionConfig(node_count=2, duration_s=1.0,
+                          delay_max_s=2 * MAX_SESSION_S)
 
     def test_frame_period_under_one_nanosecond_rejected(self):
         """Frames are scheduled in whole nanoseconds: at MAX_FRAME_RATE_HZ
@@ -154,16 +156,41 @@ class TestSimulateSession:
                 f"(0, 1000000000.0], got {rate!r}")
 
 
+class TestFrameClock:
+    def test_whole_nanosecond_period_is_exact(self):
+        np.testing.assert_array_equal(frame_times_ns(1000, 10.0),
+                                      np.arange(1000) * 100_000_000)
+
+    @pytest.mark.parametrize("rate", [3.0, 7.0, 6.6e8, 29.97, 1e9])
+    def test_each_frame_rounded_once(self, rate):
+        """Frame k starts at round(k * NS / rate): a period of no whole
+        number of nanoseconds does not drift over the frames."""
+        stamps = frame_times_ns(500, rate)
+        assert stamps.dtype == np.int64
+        assert stamps.tolist() == [round(k * NS / rate) for k in range(500)]
+        assert np.all(np.diff(stamps) >= 1)
+
+    def test_session_at_a_fractional_period_does_not_drift(self):
+        """660 frames at 6.6e8 Hz span 659 / 6.6e8 s = 998.48 ns; a period
+        rounded to 2 ns would span 1,318 ns."""
+        cfg = make_config(node_count=1, clocks=[quiet_clock()],
+                          duration_s=1e-6, frame_rate_hz=6.6e8,
+                          delay_min_s=0.0, delay_max_s=0.0)
+        captures = simulate_session(cfg).nodes[0].true_capture_ns
+        assert len(captures) == 660
+        assert captures[-1] - captures[0] == 998
+
+
 class TestTimeErrorReport:
     def test_identical_timestamps_zero_error(self):
         cfg = make_config(node_count=3, clocks=[quiet_clock()] * 3,
-                          network=NetworkModel(delay_min_s=0.0, delay_max_s=0.0))
+                          delay_min_s=0.0, delay_max_s=0.0)
         report = compute_time_error_report(simulate_session(cfg))
         assert report.max_abs_s == 0.0
 
     def test_constant_offset_splits_evenly(self):
         cfg = make_config(node_count=2, clocks=[quiet_clock()] * 2,
-                          network=NetworkModel(delay_min_s=0.0, delay_max_s=0.0))
+                          delay_min_s=0.0, delay_max_s=0.0)
         trace = simulate_session(cfg)
         shifted = trace.nodes[1]
         shifted = type(shifted)(node=shifted.node, armed=True,
@@ -198,7 +225,7 @@ class TestTimeErrorReport:
 
     def test_whole_second_misalignment_flagged(self):
         cfg = make_config(node_count=2, clocks=[quiet_clock()] * 2,
-                          network=NetworkModel(delay_min_s=0.0, delay_max_s=0.0))
+                          delay_min_s=0.0, delay_max_s=0.0)
         trace = simulate_session(cfg)
         late = trace.nodes[1]
         late = type(late)(node=late.node, armed=True, retransmissions=0,
