@@ -22,7 +22,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 from .errors import DegenerateClusterError, FormatError, \
     TooManyPairsError, check_number
 from .geometry import Box3D, ObjectClass, PointCloud, linked_groups, \
-    wrap_angle
+    stable_order, wrap_angle
 
 # (length range, width range, height range) per class; footprint areas are
 # disjoint so at most one prior can match
@@ -155,17 +155,18 @@ class PreparedBackground:
         return _fine_cells(points, self.origin, self.scale, self.fine_shape)
 
     def _undecided(self, points: np.ndarray) -> np.ndarray:
-        """Mask of the points whose fine cell is not covered."""
+        """Ascending indices of the points whose fine cell is not
+        covered."""
         fine, _ = _tables(self.fine_shape)
         key = _flat((cell + 4 for cell in self._cells(points)), fine,
                     len(points))
-        return ~self.covered[key]
+        return np.flatnonzero(~self.covered.take(key))
 
     def _candidates(self, points: np.ndarray) -> np.ndarray:
         """The background points of every coarse cell that some point of
         ``points`` reaches within ``reach`` along each axis."""
         _, coarse = _tables(self.fine_shape)
-        marks = np.zeros(coarse, dtype=bool)
+        marks = np.zeros(math.prod(coarse), dtype=bool)
         lows = [(cell >> 1) + 2 for cell in self._cells(points - self.reach)]
         highs = [(cell >> 1) + 2 for cell in self._cells(points + self.reach)]
         # per axis, two cells whose neighbours cover [low, high]: the
@@ -173,22 +174,26 @@ class PreparedBackground:
         # subtract_background), so high - low <= 3
         inner = [(np.minimum(low + 1, high), np.maximum(high - 1, low))
                  for low, high in zip(lows, highs)]
-        for x in inner[0]:
-            for y in inner[1]:
-                for z in inner[2]:
-                    marks[x, y, z] = True
-        for axis in range(3):
-            view = np.moveaxis(marks, axis, 0)
-            grown = view.copy()
-            view[1:] |= grown[:-1]
-            view[:-1] |= grown[1:]
+        strides = (coarse[1] * coarse[2], coarse[2], 1)
+        x, y, z = (np.stack(pair, axis=1) * stride
+                   for pair, stride in zip(inner, strides))
+        marks[(x[:, :, None, None] + y[:, None, :, None])
+              + z[:, None, None, :]] = True
+        # grown one cell along each axis of the flat table: a step past
+        # one end of an axis wraps to the other end of it, among the first
+        # and last two coarse cells of each axis, which hold no background
+        # point, so the candidates are those of the 3-D table's growth
+        for stride in strides:
+            grown = marks.copy()
+            marks[stride:] |= grown[:-stride]
+            marks[:-stride] |= grown[stride:]
         cells = np.flatnonzero(marks)
         first = self.starts[cells]
         lengths = self.starts[cells + 1] - first
         ends = np.cumsum(lengths)
         index = np.arange(ends[-1] if len(ends) else 0)
         index += np.repeat(first - (ends - lengths), lengths)
-        return self.points[index]
+        return self.points.take(index, axis=0)
 
 
 def _cover(points: np.ndarray, origin, scale: float,
@@ -208,14 +213,22 @@ def _cover(points: np.ndarray, origin, scale: float,
         far.append(((1 + offset) ** 2, np.maximum(offset, 1 - offset) ** 2,
                     (2 - offset) ** 2))
     key = _flat(cells, shape, len(points))
+    del cells
     covered = np.zeros(math.prod(shape), dtype=bool)
     covered[key] = True
     strides = (shape[1] * shape[2], shape[2], 1)
-    for step in itertools.product((-1, 0, 1), repeat=3):
-        if any(step):
-            near = ((far[0][step[0] + 1] + far[1][step[1] + 1])
-                    + far[2][step[2] + 1]) <= _COVER_LIMIT
-            covered[key[near] + np.dot(step, strides)] = True
+    # a key lies 4 cells in from each side of the table, so it stays >= 0
+    # less the largest step: each step marks the table from its own
+    # offset on, at the keys so lowered, with no offset added per point
+    largest = sum(strides)
+    key -= largest
+    for x, y in itertools.product((-1, 0, 1), repeat=2):
+        plane = far[0][x + 1] + far[1][y + 1]
+        for z in (-1, 0, 1):
+            if x or y or z:
+                near = plane + far[2][z + 1] <= _COVER_LIMIT
+                start = largest + x * strides[0] + y * strides[1] + z
+                covered[start:][key.take(np.flatnonzero(near))] = True
     return covered
 
 
@@ -242,7 +255,8 @@ def prepare_background(background: PointCloud,
     points = background.points
     if crop_half_extent is not None:
         reach = crop_half_extent + distance + _BACKGROUND_MARGIN
-        points = points[in_square(points, reach)]
+        points = points.take(np.flatnonzero(in_square(points, reach)),
+                             axis=0)
         where = (f" within {distance} m of the detection square "
                  f"|x|, |y| <= {crop_half_extent!r}")
     if len(points) == 0:
@@ -259,14 +273,21 @@ def prepare_background(background: PointCloud,
     if not fits:
         origin, scale, fine_shape = np.zeros(3), 0.0, (1, 1, 1)
     fine, coarse = _tables(fine_shape)
+    # covered first, while the fewest other arrays are held
+    covered = (_cover(points, origin, scale, fine_shape) if fits
+               else np.zeros(math.prod(fine), dtype=bool))
     key = _flat(((cell >> 1) + 2 for cell in _fine_cells(
         points, origin, scale, fine_shape)), coarse, len(points))
+    counts = np.bincount(key, minlength=math.prod(coarse))
+    # each point's rank among the occupied coarse cells sorts as its key
+    # does, in far fewer values
+    rank = np.cumsum(counts > 0)
+    rank -= 1
     return PreparedBackground(
-        points=points[np.argsort(key, kind="stable")],
-        starts=np.concatenate(([0], np.cumsum(np.bincount(
-            key, minlength=math.prod(coarse))))),
-        covered=(_cover(points, origin, scale, fine_shape) if fits
-                 else np.zeros(math.prod(fine), dtype=bool)),
+        points=points.take(stable_order(rank[key], int(rank[-1]) + 1),
+                           axis=0),
+        starts=np.concatenate(([0], np.cumsum(counts))),
+        covered=covered,
         origin=origin, scale=scale, fine_shape=fine_shape, distance=distance,
         reach=distance * (1.0 + _REACH_RELATIVE) if fits else 0.0,
         crop_half_extent=crop_half_extent)
@@ -324,15 +345,14 @@ def subtract_background(cloud: PointCloud,
     """
     points = cloud.points
     undecided = background._undecided(points)
-    queried = points[undecided]
+    queried = points.take(undecided, axis=0)
     tree = cKDTree(background._candidates(queried),
                    leafsize=BACKGROUND_LEAF_SIZE, balanced_tree=False,
                    compact_nodes=False)
     nearest, _ = tree.query(queried,
                             distance_upper_bound=background.distance)
-    keep = np.zeros(len(points), dtype=bool)
-    keep[undecided] = ~np.isfinite(nearest)
-    return cloud if keep.all() else cloud.select(keep)
+    kept = undecided[~np.isfinite(nearest)]
+    return cloud if len(kept) == len(points) else cloud.select(kept)
 
 
 def cluster_euclidean(cloud: PointCloud, cfg: DetectorConfig = DetectorConfig()

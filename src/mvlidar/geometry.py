@@ -275,9 +275,28 @@ class PointCloud:
                           source_ids=source_ids)
 
     def select(self, mask_or_index) -> "PointCloud":
-        """Sub-cloud keeping per-point attributes aligned."""
-        pick = lambda a: None if a is None else a[mask_or_index]
-        return PointCloud(self.points[mask_or_index],
+        """Sub-cloud keeping per-point attributes aligned.
+
+        Takes a boolean mask with one entry per point, or indices, which
+        may be negative or repeated as in numpy indexing; an empty list
+        selects nothing. A mask of another length, an index out of range
+        or an index that is not an integer raises IndexError. Masks are
+        turned into indices, and every array is gathered with ``take``,
+        which moves less data than numpy's boolean indexing.
+        """
+        index = np.asarray(mask_or_index)
+        if index.dtype == bool:
+            if index.shape != (len(self),):
+                raise IndexError(f"boolean mask of shape {index.shape} does "
+                                 f"not match the {len(self)} points")
+            index = np.flatnonzero(index)
+        elif index.dtype.kind not in "iu":
+            if index.size:
+                raise IndexError(f"cannot select points by {index.dtype} "
+                                 f"values")
+            index = index.astype(np.intp)
+        pick = lambda a: None if a is None else a.take(index, axis=0)
+        return PointCloud(self.points.take(index, axis=0),
                           intensity=pick(self.intensity),
                           timestamp_ns=self.timestamp_ns,
                           source_ids=pick(self.source_ids),
@@ -495,6 +514,15 @@ def _footprint_columns(boxes) -> np.ndarray:
                      np.minimum(length, width)])
 
 
+def stable_order(keys: np.ndarray, span: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer ``keys`` in
+    [0, span): the same permutation, sorted on the keys cast to the
+    narrowest unsigned dtype that holds ``span - 1``. numpy sorts keys of
+    at most 16 bits by radix, about 10 times faster than int64 keys."""
+    narrow = keys.astype(np.min_scalar_type(max(span - 1, 0)), copy=False)
+    return np.argsort(narrow, kind="stable")
+
+
 def linked_groups(n: int, pairs) -> list:
     """The groups of items 0..n-1 that (i, j) ``pairs`` link, transitively:
     ascending index arrays in the order of their smallest index, whatever
@@ -530,7 +558,7 @@ def linked_groups(n: int, pairs) -> list:
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
-    order = np.argsort(labels, kind="stable")
+    order = stable_order(labels, n)
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, check_number
 from .geometry import Box3D, ObjectClass, PointCloud, RigidTransform, \
-    xyz_cross, xyz_norms
+    stable_order, xyz_cross, xyz_norms
 from .syncsim import DEFAULT_FRAME_RATE_HZ, MAX_FRAME_RATE_HZ, NS, \
     frame_times_ns
 from .tracking import TrajectorySet
@@ -311,6 +311,8 @@ class _RayIndex:
 
     ``order`` lists the rays bin by bin, and bin k (row-major, elevation
     rows of azimuth columns) holds ``order[starts[k]:starts[k + 1]]``.
+    A direction with a NaN component has no angles and lands in no bin:
+    it passes no sphere test, and the exact tests count it a miss.
     Built once per ray set and shared by every origin that casts it.
     """
 
@@ -319,17 +321,22 @@ class _RayIndex:
         self.n_el = max(1, round(math.pi / _BIN_WIDTH))
         self.n_az = 2 * self.n_el
         self.width = math.pi / self.n_el
+        bins = self.n_el * self.n_az
         elevation = np.arctan2(dirs[:, 2], np.hypot(dirs[:, 0], dirs[:, 1]))
         azimuth = np.arctan2(dirs[:, 1], dirs[:, 0])
+        # a ray with a NaN angle is keyed at angle 0, then past the last bin
+        unbinned = np.isnan(elevation) | np.isnan(azimuth)
+        elevation[unbinned] = azimuth[unbinned] = 0.0
         rows = np.floor((elevation + 0.5 * math.pi) / self.width)
         columns = np.floor((azimuth + math.pi) / self.width)
         keys = (np.clip(rows.astype(np.int64), 0, self.n_el - 1) * self.n_az
                 + columns.astype(np.int64) % self.n_az)
-        self.order = np.argsort(keys, kind="stable")
+        keys[unbinned] = bins
+        self.order = stable_order(keys, bins + 1)
         # every ray but those with d_z >= 0, which miss a box below the origin
         self.downward = np.flatnonzero(~(dirs[:, 2] >= 0.0))
         self.starts = np.concatenate([[0], np.cumsum(
-            np.bincount(keys, minlength=self.n_el * self.n_az))])
+            np.bincount(keys, minlength=bins + 1)[:bins])])
 
     def toward_sphere(self, to_center: np.ndarray,
                       radius: float) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -266,6 +266,149 @@ class TestBackgroundGrid:
         kept = subtract_background(cloud, prepare_background(background))
         assert kept is cloud
         assert trees == [[0, len(cloud)]]
+
+
+def cover_oracle(points, origin, scale, fine_shape):
+    """Oracle: ``detector._cover`` as first written, each neighbour's
+    covering points compacted by a boolean mask and moved by the step."""
+    shape, _ = detector._tables(fine_shape)
+    cells, far = [], []
+    for axis in range(3):
+        position = detector._positions(points, origin, scale, axis)
+        cell = np.floor(position)
+        offset = (position - cell).astype(np.float32)
+        cells.append(cell.astype(np.int64) + 4)
+        far.append(((1 + offset) ** 2, np.maximum(offset, 1 - offset) ** 2,
+                    (2 - offset) ** 2))
+    key = detector._flat(cells, shape, len(points))
+    covered = np.zeros(math.prod(shape), dtype=bool)
+    covered[key] = True
+    strides = (shape[1] * shape[2], shape[2], 1)
+    for step in itertools.product((-1, 0, 1), repeat=3):
+        if any(step):
+            near = ((far[0][step[0] + 1] + far[1][step[1] + 1])
+                    + far[2][step[2] + 1]) <= detector._COVER_LIMIT
+            covered[key[near] + np.dot(step, strides)] = True
+    return covered
+
+
+def prepared_oracle(background, prepared):
+    """Oracle: ``prepared``'s points, starts and cover flags as the crop
+    by a boolean mask, numpy's stable argsort of the int64 coarse keys and
+    ``cover_oracle`` give them on ``prepared``'s grid."""
+    points = background.points
+    if prepared.crop_half_extent is not None:
+        points = points[detector.in_square(
+            points, prepared.crop_half_extent + prepared.distance
+            + detector._BACKGROUND_MARGIN)]
+    fine, coarse = detector._tables(prepared.fine_shape)
+    key = detector._flat(((cell >> 1) + 2 for cell in prepared._cells(points)),
+                         coarse, len(points))
+    covered = (cover_oracle(points, prepared.origin, prepared.scale,
+                            prepared.fine_shape) if prepared.scale
+               else np.zeros(math.prod(fine), dtype=bool))
+    starts = np.concatenate(([0], np.cumsum(np.bincount(
+        key, minlength=math.prod(coarse)))))
+    return points[np.argsort(key, kind="stable")], starts, covered
+
+
+def assert_prepared_as_oracle(background, prepared):
+    got = (prepared.points, prepared.starts, prepared.covered)
+    for actual, expected in zip(got, prepared_oracle(background, prepared)):
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
+
+
+def candidates_oracle(prepared, points):
+    """Oracle: ``PreparedBackground._candidates`` as first written, its
+    coarse cells marked in the 3-D table through three index arrays, then
+    grown one axis at a time; the marked cells' points in cell order."""
+    _, coarse = detector._tables(prepared.fine_shape)
+    marks = np.zeros(coarse, dtype=bool)
+    lows = [(cell >> 1) + 2 for cell in prepared._cells(points
+                                                         - prepared.reach)]
+    highs = [(cell >> 1) + 2 for cell in prepared._cells(points
+                                                          + prepared.reach)]
+    inner = [(np.minimum(low + 1, high), np.maximum(high - 1, low))
+             for low, high in zip(lows, highs)]
+    for x in inner[0]:
+        for y in inner[1]:
+            for z in inner[2]:
+                marks[x, y, z] = True
+    for axis in range(3):
+        view = np.moveaxis(marks, axis, 0)
+        grown = view.copy()
+        view[1:] |= grown[:-1]
+        view[:-1] |= grown[1:]
+    starts = prepared.starts
+    return np.concatenate([np.zeros((0, 3))] + [
+        prepared.points[starts[cell]:starts[cell + 1]]
+        for cell in np.flatnonzero(marks)])
+
+
+# one point per coarse cell of a lattice this many cells wide along each
+# axis: 41**3 = 68,921 occupied cells, past the 65,536 ranks of uint16
+_LATTICE_CELLS = 41
+
+
+@st.composite
+def grid_backgrounds(draw):
+    """(background, crop, distance, kind) with ``kind``:
+
+    - ``scattered``: up to 3,000 points in a box, cropped or not;
+    - ``lattice``: a corner point, then one point in each coarse cell of a
+      lattice ``_LATTICE_CELLS`` cells wide, within a fifth of a cell of
+      the cell's centre, so that its ranks need uint32;
+    - ``stray``: a ground grid and one point 10**6 m away, whose grid
+      decides nothing: one coarse cell holds every point.
+    """
+    kind = draw(st.sampled_from(["scattered", "lattice", "stray"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distance = draw(st.sampled_from([0.5, 0.3]))
+    crop = None
+    if kind == "scattered":
+        size = draw(st.integers(1, 3000))
+        half = draw(st.sampled_from([1.0, 5.0, 20.0]))
+        points = rng.uniform(-half, half, size=(size, 3))
+        crop = draw(st.sampled_from([None, 2.0]))
+    elif kind == "lattice":
+        cells = np.stack(np.meshgrid(*[np.arange(_LATTICE_CELLS)] * 3),
+                         axis=-1).reshape(-1, 3)
+        jitter = rng.uniform(-0.2, 0.2, size=cells.shape)
+        points = np.vstack([[0.0, 0.0, 0.0],
+                            distance * (cells + 0.5 + jitter)])
+    else:
+        points = np.vstack([ground_grid(extent=3.0, spacing=0.3),
+                            [1e6, 0.0, 0.0]])
+    return PointCloud(points), crop, distance, kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_backgrounds(), st.integers(0, 2**32 - 1))
+def test_prepared_background_matches_the_oracles(drawn, seed):
+    """The crop, the sort by ranked coarse cell, the cover flags and the
+    candidates equal the oracles' on every table: ranks of one byte, of
+    two bytes and of four, and the one-cell grid that decides nothing."""
+    background, crop, distance, kind = drawn
+    event(kind)
+    try:
+        prepared = prepare_background(background, crop, distance)
+    except FormatError:
+        assert not detector.in_square(background.points,
+                                      crop + distance + 1e-6).any()
+        return
+    assert_prepared_as_oracle(background, prepared)
+    occupied = np.count_nonzero(np.diff(prepared.starts))
+    if kind == "lattice":
+        assert occupied == _LATTICE_CELLS ** 3
+    elif kind == "stray":
+        assert prepared.scale == 0.0 and occupied == 1
+        assert not prepared.covered.any()
+    rng = np.random.default_rng(seed)
+    near = background.points[rng.integers(0, len(background), 100)]
+    queried = near + rng.normal(scale=distance, size=near.shape)
+    assert np.array_equal(prepared._candidates(queried),
+                          candidates_oracle(prepared, queried))
 
 
 def test_non_finite_cluster_distance_rejected():

@@ -22,6 +22,7 @@ from mvlidar.geometry import (
     linked_groups,
     may_overlap,
     polygon_area,
+    stable_order,
     voxel_downsample,
     wrap_angle,
     wrap_half_angle,
@@ -119,6 +120,33 @@ class TestPointCloud:
     def test_nonfinite_point_rejected(self):
         with pytest.raises(ValueError):
             PointCloud([[0.0, np.nan, 0.0]])
+
+    @pytest.mark.parametrize("selector", [
+        [True, False, True, True], np.zeros(4, dtype=bool), [],
+        np.array([], dtype=np.int64), [2, 0], [-1, -4, 3], [1, 1, -3, 1],
+        np.array([3, 0], dtype=np.uint8)])
+    def test_select_picks_as_numpy_indexing_does(self, selector):
+        cloud = PointCloud(np.arange(12.0).reshape(4, 3),
+                           intensity=[0.5, 1.5, 2.5, 3.5], timestamp_ns=7,
+                           source_ids=[3, 1, 4, 1], source_node=2)
+        picked = cloud.select(selector)
+        assert np.array_equal(picked.points, cloud.points[selector])
+        for name in ("intensity", "source_ids"):
+            want = getattr(cloud, name)[selector]
+            got = getattr(picked, name)
+            assert got is None if len(want) == 0 else np.array_equal(got,
+                                                                     want)
+        assert (picked.timestamp_ns, picked.source_node) == (7, 2)
+
+    @pytest.mark.parametrize("selector", [
+        [True, False, True], np.ones(5, dtype=bool), np.ones((4, 1), bool),
+        [4], [-5], [1.0], np.array([0.5])])
+    def test_select_refuses_what_numpy_indexing_refuses(self, selector):
+        cloud = PointCloud(np.zeros((4, 3)), intensity=np.zeros(4))
+        with pytest.raises(IndexError):
+            cloud.points[selector]
+        with pytest.raises(IndexError):
+            cloud.select(selector)
 
 
 class TestConcatenate:
@@ -262,6 +290,8 @@ def linked_chains(draw):
 @example((1, [(0, 0)]))
 @example((6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
 @example((6, [(0, 5), (5, 0), (0, 5), (2, 2), (3, 1)]))
+@example((300, [(299, 0), (256, 255), (17, 299)]))
+@example((70_000, [(69_999, 3), (65_536, 0), (3, 65_535)]))
 def test_linked_groups_match_csgraph(items):
     n, pairs = items
     groups = linked_groups(n, pairs)
@@ -270,6 +300,21 @@ def test_linked_groups_match_csgraph(items):
     for group, expected in zip(groups, want):
         assert group.dtype == expected.dtype
         assert np.array_equal(group, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(span=st.sampled_from([1, 2, 2**8, 2**8 + 1, 2**16, 2**16 + 1, 2**32,
+                             2**32 + 1, 2**63 - 1]) | st.integers(1, 2**63 - 1),
+       distinct=st.integers(1, 40), size=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_stable_order_is_the_stable_argsort(span, distinct, size, seed):
+    """Ties keep their order, and the cast to the narrowest dtype wraps no
+    key: the extremes 0 and span - 1 are among the keys."""
+    rng = np.random.default_rng(seed)
+    values = np.append(rng.integers(0, span, distinct), [0, span - 1])
+    keys = values[rng.integers(0, len(values), size)]
+    assert np.array_equal(stable_order(keys, span),
+                          np.argsort(keys, kind="stable"))
 
 
 @pytest.mark.parametrize("n", [2_000, 100_000])

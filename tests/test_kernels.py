@@ -4,6 +4,9 @@ Each oracle here is the loop the package ran before its kernel: grouping
 linked items with ``scipy.sparse.csgraph`` (in ``test_geometry``), the
 caliper loop with one product per hull edge, and the pairwise ``iou_3d``
 loops of late fusion, the tracker's association, AP matching and CLEAR.
+The background grid's boolean-mask compactions, 3-D cell marking and
+stable argsorts of int64 keys are oracles too (in ``test_detector``), as
+is numpy's stable argsort for every ``stable_order`` call.
 Every kernel must give its oracle's result exactly: on every call that the
 two experiments and a detect-and-track pass make on the crossroad scene at
 seeds 0 and 101, and on drawn inputs with empty sets, coincident, touching
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import ConvexHull, QhullError
 
-from mvlidar import detector, fusion, metrics, tracking
+from mvlidar import detector, fusion, geometry, metrics, pipeline, tracking
 from mvlidar.errors import DegenerateClusterError
 from mvlidar.fusion import BoxCluster, cluster_boxes
 from mvlidar.geometry import Box3D, ObjectClass, iou_3d, wrap_angle
@@ -31,6 +34,8 @@ from mvlidar.pipeline import DetectionViews, PipelineConfig, detect_views, \
 from mvlidar.scene import generate_synthetic_scene, standard_crossroad_spec
 from mvlidar.tracking import TrackerConfig, TrackState, TrajectorySet, \
     associate, track_sequence
+from test_detector import assert_prepared_as_oracle, candidates_oracle, \
+    cover_oracle
 from test_geometry import linked_groups_csgraph
 
 SEEDS = (0, 101)
@@ -235,6 +240,13 @@ def crossroad_calls(request):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(detector, "linked_groups",
                       spy(detector, "linked_groups"))
+        patch.setattr(pipeline, "prepare_background",
+                      spy(pipeline, "prepare_background"))
+        patch.setattr(detector, "_cover", spy(detector, "_cover"))
+        patch.setattr(detector.PreparedBackground, "_candidates",
+                      spy(detector.PreparedBackground, "_candidates"))
+        for module in (geometry, detector):
+            patch.setattr(module, "stable_order", spy(module, "stable_order"))
         patch.setattr(detector, "_min_area_rectangle",
                       spy(detector, "_min_area_rectangle"))
         patch.setattr(fusion, "cluster_boxes", spy(fusion, "cluster_boxes"))
@@ -265,6 +277,27 @@ def test_crossroad_linked_groups(crossroad_calls):
         want = linked_groups_csgraph(n, pairs)
         assert len(groups) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(groups, want))
+
+
+def test_crossroad_background(crossroad_calls):
+    [((background, _), prepared)] = crossroad_calls["prepare_background"]
+    assert_prepared_as_oracle(background, prepared)
+    [(args, covered)] = crossroad_calls["_cover"]
+    assert np.array_equal(covered, cover_oracle(*args))
+
+
+def test_crossroad_candidates(crossroad_calls):
+    calls = crossroad_calls["_candidates"]
+    assert len(calls) >= 8 * CROSSROAD_FRAMES
+    for (prepared, points), candidates in calls:
+        assert np.array_equal(candidates, candidates_oracle(prepared, points))
+
+
+def test_crossroad_stable_orders(crossroad_calls):
+    calls = crossroad_calls["stable_order"]
+    assert max(span for (_, span), _ in calls) > 2 ** 8
+    for (keys, span), order in calls:
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
 
 
 def test_crossroad_rectangles(crossroad_calls):

@@ -708,19 +708,43 @@ PINNED_BENCHMARK_DIGESTS = {
 }
 
 
+# The digests at seed 101, the seed held out from tuning the detection
+# path: a change measured on seed 0 must keep these too.
+HELD_OUT_SEED = 101
+HELD_OUT_BENCHMARK_DIGESTS = {
+    "detect-track": {"detections": "5dd74f61f214faa9b891398ed3e4e7fd"
+                                   "2344969e978017e60c2d5eb23bd55112",
+                     "trajectories": "d3ea0ab002b3cda1eb5419f7efb0b437"
+                                     "88b1963c5a694a3b59b50da7ce44895a"},
+    "experiments": {"experiments": "e69521d2d7378b9bccbffed0be495b21"
+                                   "c1fd7eea8bc47f7745efe44d10c76225"},
+}
+
+
+def benchmark_digests(workload: str, seed: int) -> dict:
+    """The digests one untimed pass of a benchmark workload prints."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARK), "--workload", workload, "--seed",
+         str(seed), "--seconds", "0", "--trace", "0"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return next(json.loads(line.split(" ", 1)[1])
+                for line in proc.stdout.splitlines()
+                if line.startswith("digests "))
+
+
 @pytest.mark.parametrize("workload", sorted(PINNED_BENCHMARK_DIGESTS))
 def test_benchmark_digests(workload):
     """One untimed pass of each benchmark workload at seed 0 prints the
     pinned digests."""
-    proc = subprocess.run(
-        [sys.executable, str(BENCHMARK), "--workload", workload, "--seed",
-         "0", "--seconds", "0", "--trace", "0"],
-        capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    digests = next(json.loads(line.split(" ", 1)[1])
-                   for line in proc.stdout.splitlines()
-                   if line.startswith("digests "))
-    assert digests == PINNED_BENCHMARK_DIGESTS[workload]
+    assert (benchmark_digests(workload, 0)
+            == PINNED_BENCHMARK_DIGESTS[workload])
+
+
+@pytest.mark.parametrize("workload", sorted(HELD_OUT_BENCHMARK_DIGESTS))
+def test_held_out_benchmark_digests(workload):
+    assert (benchmark_digests(workload, HELD_OUT_SEED)
+            == HELD_OUT_BENCHMARK_DIGESTS[workload])
 
 
 class TestRunPipeline:

@@ -597,6 +597,32 @@ class TestRayIndex:
         check_index_holds_sphere_rays(origin, dirs, origin + distance * axis,
                                       radius)
 
+    @pytest.mark.parametrize("row", [(np.nan, 0.0, 1.0), (0.0, 0.0, np.nan),
+                                     (np.nan, np.nan, np.nan),
+                                     (0.0, 0.0, 0.0)])
+    def test_nan_or_zero_direction_misses(self, rng, row):
+        """A direction with a NaN component, such as a normalised zero
+        vector, is indexed without a warning and in no bin; a zero vector
+        has angles 0 and its bin. Either misses every surface: the ground
+        below the origin, a box whose bounding sphere holds the origin and
+        a sphere away from it. The other rays cast as they do without it."""
+        dirs = random_dirs(rng, 500)
+        rays = _RayIndex(np.insert(dirs, 7, row, axis=0))
+        binned = not np.isnan(row).any()
+        assert (7 in rays.order[:rays.starts[-1]]) == binned
+        assert rays.starts[-1] == len(dirs) + binned
+        surfaces = [(0, SceneBox((0.0, 0.0, -0.5), (40.0, 40.0, 1.0))),
+                    (1, SceneBox((3.0, 0.0, 2.0), (2.0, 8.0, 4.0), 0.3)),
+                    (2, SceneSphere((-8.0, 1.0, 2.0), 3.0))]
+        origin = np.array([0.5, -0.5, 2.0])
+        t, label = assert_cast_matches_oracle(origin, rays.dirs, surfaces)
+        assert t[7] == np.inf and label[7] == -1
+        want_t, want_label = assert_cast_matches_oracle(origin, dirs,
+                                                        surfaces)
+        assert np.array_equal(np.delete(t, 7), want_t)
+        assert np.array_equal(np.delete(label, 7), want_label)
+        assert len(np.unique(want_label)) == 4
+
     def test_reference_grid_matches_all_rays_caster(self):
         spec = standard_crossroad_spec(n_frames=1)
         extent = spec.extent

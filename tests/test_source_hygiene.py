@@ -415,6 +415,52 @@ def test_the_check_sees_each_numpy_row_kernel():
         1, 2, 3, 4, 8, 9, 10]
 
 
+def stable_argsorts(tree):
+    """(line, call) of every stable argsort, such as ``np.argsort(k,
+    kind="stable")`` or ``k.argsort(kind="mergesort")``, outside the body
+    of a function named ``stable_order``. The check cannot see a key's
+    dtype, so it sees every stable argsort; the package sorts no float
+    keys stably."""
+    helper = {id(node) for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef)
+              and function.name == "stable_order"
+              for node in ast.walk(function)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in helper:
+            continue
+        func = node.func
+        called = (func.attr if isinstance(func, ast.Attribute)
+                  else getattr(func, "id", ""))
+        if called == "argsort" and any(
+                keyword.arg == "kind"
+                and constant(keyword.value) in ("stable", "mergesort")
+                for keyword in node.keywords):
+            yield node.lineno, dotted(func) or ".argsort"
+
+
+def test_stable_argsorts_have_one_definition():
+    """Integer keys sort stably through ``geometry.stable_order``, which
+    sorts them in the narrowest unsigned dtype, never numpy's own."""
+    found = [f"{module}:{line} {name}" for module, tree in TREES.items()
+             for line, name in stable_argsorts(tree)]
+    assert not found, f"stable argsorts outside stable_order: {found}"
+
+
+def test_the_check_sees_each_stable_argsort():
+    tree = ast.parse("a = np.argsort(k, kind='stable')\n"
+                     "b = k.argsort(kind='stable')\n"
+                     "c = numpy.argsort(k, kind='mergesort')\n"
+                     "d = np.argsort(k)\n"
+                     "e = np.argsort(k, kind='quicksort')\n"
+                     "f = np.sort(k, kind='stable')\n"
+                     "def stable_order(keys, span):\n"
+                     "    return np.argsort(keys, kind='stable')\n"
+                     "g = argsort(k, kind='stable')\n"
+                     "h = (k + 1).argsort(kind='stable')\n")
+    assert sorted(line for line, _ in stable_argsorts(tree)) == [
+        1, 2, 3, 9, 10]
+
+
 def direct_cloud_merges(tree):
     """(line, call) of every ``PointCloud(...)`` call that takes an
     ``np.concatenate`` or ``np.vstack`` call directly as an argument: a
