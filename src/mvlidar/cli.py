@@ -27,8 +27,8 @@ import os
 import sys
 from dataclasses import asdict
 
-from .errors import AlgorithmError, ConfigError, FormatError, \
-    NoGroundTruthError, check_number
+from .errors import AlgorithmError, ConfigError, EmptyInputError, \
+    FormatError, NoGroundTruthError, check_number
 from .formats import MAX_NODE_ID, flatten_frames, read_calibration, \
     read_detections, read_frame, read_trajectories, read_xyz, \
     write_calibration, write_detections, write_frame, write_json, \
@@ -39,6 +39,7 @@ from .metrics import compute_ap, compute_clear_mot, format_ap_table, \
     format_mot_table
 from .pipeline import PipelineConfig, calibrate_node, detect_per_frame, \
     detection_half_extent, export_scene, read_config_json, run_pipeline
+from .registration import prepare_cloud
 from .scene import generate_synthetic_scene, standard_crossroad_spec
 from .syncsim import DEFAULT_FRAME_RATE_HZ, compute_time_error_report, \
     simulate_session
@@ -124,6 +125,14 @@ def _config(args) -> PipelineConfig:
 def cmd_calibrate(args) -> int:
     cfg = _config(args)
     reference = read_frame(args.reference)
+    # prepared once for every node; a scan registration cannot use is bad
+    # input, named by its file
+    try:
+        reference = prepare_cloud(reference, cfg.hierarchy,
+                                  args.reference_viewpoint)
+    except (EmptyInputError, FormatError) as exc:
+        raise FormatError(f"reference scan {args.reference}: {exc}") \
+            from None
     extrinsics = {}
     failures = []
     for node, directory in sorted(_node_dirs(args.node_root).items()):
@@ -137,6 +146,8 @@ def cmd_calibrate(args) -> int:
             print(f"node {node}: FAILED ({exc})")
             failures.append(node)
             continue
+        except FormatError as exc:
+            raise FormatError(f"frames in {directory}: {exc}") from None
         extrinsics[node] = result.transform
         print(f"node {node}: fitness {result.fitness:.3f}, "
               f"inlier RMSE {result.inlier_rmse * 100:.1f} cm")

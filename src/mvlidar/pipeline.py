@@ -51,9 +51,11 @@ from .metrics import (
 )
 from .registration import (
     HierarchyConfig,
+    PreparedCloud,
     RegistrationResult,
     accumulate_frames,
     hierarchical_register,
+    prepare_cloud,
 )
 from .scene import MAX_SCENE_FRAMES, SceneSpec, SyntheticScene, \
     calibration_capture, generate_synthetic_scene, standard_crossroad_spec
@@ -89,16 +91,19 @@ def run_environment() -> dict:
             "blas": blas}
 
 
-def calibrate_node(frames: Sequence[PointCloud], reference: PointCloud,
+def calibrate_node(frames: Sequence[PointCloud],
+                   reference: PointCloud | PreparedCloud,
                    cfg: HierarchyConfig = HierarchyConfig(), seed: int = 0,
                    merge_duration_s: float = 10.0,
                    reference_viewpoint=(0.0, 0.0, 2.0)) -> RegistrationResult:
     """Register one node against the reference scan.
 
     Merges the node's frames over merge_duration_s into a dense cloud, then
-    runs the full hierarchical registration. Raises CalibrationFailedError
-    when the final fitness is below the failure threshold, rather than
-    handing back a garbage transform.
+    runs the full hierarchical registration. The reference is passed to
+    ``hierarchical_register`` as it is: a scan prepared once with ``cfg``
+    and ``reference_viewpoint`` serves every node. Raises
+    CalibrationFailedError when the final fitness is below the failure
+    threshold, rather than handing back a garbage transform.
     """
     merged = accumulate_frames(frames, merge_duration_s)
     result = hierarchical_register(merged, reference, cfg, seed=seed,
@@ -339,14 +344,12 @@ class PipelineConfig:
         kwargs["scene_frames"] = scene.get("frames", base.scene_frames)
 
         # HierarchyConfig turns the JSON's level triples into levels
-        for name, keys in (
-                ("hierarchy", {f.name for f in fields(HierarchyConfig)}),
-                ("detector", {"cluster_distance"}),
-                ("tracker", {"threshold", "min_hits", "max_age"}),
-                ("eval_mot", {"threshold"})):
-            section = _take(raw.get(name, {}), name, keys)
+        for name in ("hierarchy", "detector", "tracker", "eval_mot"):
+            config_class = type(getattr(base, name))
+            section = _take(raw.get(name, {}), name,
+                            {f.name for f in fields(config_class)})
             try:
-                kwargs[name] = type(getattr(base, name))(**section)
+                kwargs[name] = config_class(**section)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from None
 
@@ -434,13 +437,15 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
     scene = generate_synthetic_scene(spec, seed=cfg.seed)
     stage("scene")
 
-    # spatial calibration against the reference scan, on each node's
-    # pre-capture calibration pass over the static scene
+    # spatial calibration against the reference scan, prepared once, on
+    # each node's pre-capture calibration pass over the static scene
+    reference = prepare_cloud(scene.reference_cloud, cfg.hierarchy,
+                              scene.reference_viewpoint)
     calibration: dict = {}
     fitness_report = {}
     for node in sorted(scene.node_frames):
         frames = calibration_capture(scene, node, seed=cfg.seed)
-        result = calibrate_node(frames, scene.reference_cloud,
+        result = calibrate_node(frames, reference,
                                 cfg.hierarchy, seed=cfg.seed + node,
                                 reference_viewpoint=scene.reference_viewpoint)
         calibration[node] = result.transform

@@ -2,12 +2,15 @@
 
 The pipeline a fresh outdoor deployment needs, with no pose prior:
 
-1. voxel-downsample both clouds at the coarsest scale,
-2. estimate normals and 33-bin fast point feature histograms (FPFH),
-3. coarse global alignment by RANSAC over mutual-nearest feature
+1. prepare each cloud once (``prepare_cloud``): voxel-downsample it at
+   the coarsest scale, estimate that grid's normals and 33-bin fast point
+   feature histograms (FPFH), then downsample it at every ICP scale. A
+   run registers each node against one prepared reference scan, so the
+   reference side is built once per run, not once per node,
+2. coarse global alignment by RANSAC over mutual-nearest feature
    correspondences, each hypothesis solved in closed form from three pairs
    (SVD least-squares rigid fit),
-4. iterative closest point refinement through progressively finer scales,
+3. iterative closest point refinement through progressively finer scales,
    warm-started from the previous level. Between iterations a source point
    keeps its nearest target until it has moved half the gap to its second
    nearest (less a rounding slack); within that radius the old neighbor is
@@ -53,6 +56,7 @@ from .errors import (
     ConfigError,
     DegenerateConfigurationError,
     EmptyInputError,
+    FormatError,
     NoConsensusError,
     NoCorrespondencesError,
     check_number,
@@ -694,38 +698,91 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidTransform,
                               rmse_history=tuple(rmse_history))
 
 
-def hierarchical_register(source: PointCloud, target: PointCloud,
+def _viewpoint(point) -> tuple:
+    """A viewpoint as the tuple of floats a ``PreparedCloud`` keeps."""
+    return tuple(float(v) for v in point)
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedCloud:
+    """What registration derives from one cloud, made by ``prepare_cloud``:
+    the coarsest grid and its FPFH, one grid per ICP level, and the
+    schedule and normal viewpoint they were made with."""
+
+    coarse: PointCloud
+    fpfh: np.ndarray
+    levels: tuple
+    cfg: HierarchyConfig
+    viewpoint: tuple
+
+
+def prepare_cloud(cloud: PointCloud, cfg: HierarchyConfig,
+                  viewpoint) -> PreparedCloud:
+    """Everything ``hierarchical_register`` derives from one cloud.
+
+    In order: the grid of the coarsest level, its normals oriented toward
+    ``viewpoint``, their FPFH, then one grid per level of ``cfg`` (the
+    coarsest built again). The FPFH, the largest step, runs beside the
+    coarse grid and its normals alone: the normals are dropped after it
+    and the level grids made after it. Raises EmptyInputError for a cloud
+    without points, and FormatError for a coordinate too large for a
+    level's grid to index.
+    """
+    if len(cloud) == 0:
+        raise EmptyInputError("cloud holds no points")
+    viewpoint = _viewpoint(viewpoint)
+
+    def grid(voxel_size):
+        try:
+            return voxel_downsample(cloud, voxel_size)
+        except ValueError:
+            raise FormatError(f"cloud holds a coordinate that the "
+                              f"{voxel_size} m grid cannot index") from None
+
+    coarse = grid(cfg.levels[0].voxel_size)
+    normals = estimate_normals(coarse, cfg.normal_radius,
+                               viewpoint=viewpoint)
+    fpfh = compute_fpfh(coarse, normals, cfg.fpfh_radius)
+    del normals
+    levels = tuple(grid(level.voxel_size) for level in cfg.levels)
+    return PreparedCloud(coarse, fpfh, levels, cfg, viewpoint)
+
+
+def hierarchical_register(source: PointCloud,
+                          target: PointCloud | PreparedCloud,
                           cfg: HierarchyConfig = HierarchyConfig(),
                           seed: int = 0, *, target_viewpoint
                           ) -> RegistrationResult:
     """Full coarse-to-fine registration of source onto target.
 
-    Feature RANSAC initializes the pose at the coarsest scale (plain ICP is
-    local, and a fresh deployment has no prior); ICP then refines through
-    every level, each warm-started from the last. The finest level's result
-    is returned. Normals are oriented consistently: the source's toward its
-    sensor origin, the target's toward ``target_viewpoint``.
+    Both clouds go through ``prepare_cloud``. Feature RANSAC initializes
+    the pose at the coarsest scale (plain ICP is local, and a fresh
+    deployment has no prior); ICP then refines through every level, each
+    warm-started from the last. The finest level's result is returned.
+    Normals are oriented consistently: the source's toward its sensor
+    origin, the target's toward ``target_viewpoint``.
+
+    The target is a ``PreparedCloud`` made with ``cfg`` and
+    ``target_viewpoint``, which several sources can share, or a plain
+    cloud, which is prepared here once per call; a ``PreparedCloud`` made
+    with another schedule or viewpoint raises ValueError.
     """
-    coarsest = cfg.levels[0]
-    src_coarse = voxel_downsample(source, coarsest.voxel_size)
-    tgt_coarse = voxel_downsample(target, coarsest.voxel_size)
-
-    src_normals = estimate_normals(src_coarse, cfg.normal_radius)
-    tgt_normals = estimate_normals(tgt_coarse, cfg.normal_radius,
-                                   viewpoint=target_viewpoint)
-    src_fpfh = compute_fpfh(src_coarse, src_normals, cfg.fpfh_radius)
-    tgt_fpfh = compute_fpfh(tgt_coarse, tgt_normals, cfg.fpfh_radius)
-
-    result = coarse_align_ransac(src_coarse, tgt_coarse, src_fpfh, tgt_fpfh,
-                                 cfg, seed=seed)
-    pose = result.transform
-    for level in cfg.levels:
-        src_level = voxel_downsample(source, level.voxel_size)
-        tgt_level = voxel_downsample(target, level.voxel_size)
-        result = icp_refine(src_level, tgt_level, pose,
+    if isinstance(target, PointCloud):
+        target = prepare_cloud(target, cfg, target_viewpoint)
+    elif target.cfg != cfg:
+        raise ValueError("target prepared with another HierarchyConfig")
+    elif target.viewpoint != _viewpoint(target_viewpoint):
+        raise ValueError(f"target prepared for the viewpoint "
+                         f"{target.viewpoint}, not "
+                         f"{_viewpoint(target_viewpoint)}")
+    source = prepare_cloud(source, cfg, (0.0, 0.0, 0.0))
+    result = coarse_align_ransac(source.coarse, target.coarse, source.fpfh,
+                                 target.fpfh, cfg, seed=seed)
+    for level, source_grid, target_grid in zip(cfg.levels, source.levels,
+                                               target.levels):
+        result = icp_refine(source_grid, target_grid, result.transform,
                             level.max_correspondence_distance,
                             level.max_iterations)
-        pose = result.transform
     return result
 
 

@@ -85,7 +85,14 @@ def crossroad_suite():
 # 1. calibration recovery
 # ---------------------------------------------------------------------------
 
-def _calibration_scene_spec(seed: int):
+# criterion 1's registration schedule
+CALIBRATION_HIERARCHY = replace(crossroad_hierarchy(),
+                                levels=(HierarchyLevel(1.0, 2.0, 30),
+                                        HierarchyLevel(0.4, 0.8, 40)),
+                                ransac_iterations=25_000)
+
+
+def calibration_scene_spec(seed: int):
     rng = np.random.default_rng([seed, 0xACC1])
     base = standard_crossroad_spec(n_frames=1, seed=seed)
     radius = rng.uniform(14.0, 27.0)
@@ -102,16 +109,13 @@ def _calibration_scene_spec(seed: int):
 
 def test_criterion_1_calibration_recovery(tmp_path):
     runs = 100
-    hierarchy = replace(crossroad_hierarchy(),
-                        levels=(HierarchyLevel(1.0, 2.0, 30),
-                                HierarchyLevel(0.4, 0.8, 40)),
-                        ransac_iterations=25_000)
+    hierarchy = CALIBRATION_HIERARCHY
     recovered = 0
     corner_means = []
     worst_seconds = 0.0
     corner_rng = np.random.default_rng(77)
     for seed in range(runs):
-        spec = _calibration_scene_spec(seed)
+        spec = calibration_scene_spec(seed)
         scene = generate_synthetic_scene(spec, seed=seed)
         truth = scene.extrinsics[0]
         assert np.linalg.norm(truth.translation) <= 30.0
@@ -141,7 +145,7 @@ def test_criterion_1_calibration_recovery(tmp_path):
     # a few runs through the real CLI with on-disk frames
     cli_ok = 0
     for seed in (0, 1, 2):
-        spec = _calibration_scene_spec(seed)
+        spec = calibration_scene_spec(seed)
         scene = generate_synthetic_scene(spec, seed=seed)
         root = tmp_path / f"cli{seed}"
         node_dir = root / "calib" / "node_0"

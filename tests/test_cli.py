@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import fused_cloud
-from mvlidar import cli, detector, pipeline
+from mvlidar import cli, detector, pipeline, registration
 from mvlidar.cli import build_parser, main
 from mvlidar.detector import DetectorConfig
 from mvlidar.errors import ConfigError
@@ -35,7 +35,8 @@ from mvlidar.formats import (
     write_trajectories,
 )
 from mvlidar.fusion import DEFAULT_SYNC_WINDOW_S
-from mvlidar.geometry import Box3D, ObjectClass, PointCloud, transform_distance
+from mvlidar.geometry import Box3D, ObjectClass, PointCloud, \
+    transform_distance, voxel_downsample
 from mvlidar.metrics import MAX_RECALL_POINTS
 from mvlidar.metrics import compute_ap, compute_clear_mot
 from mvlidar.pipeline import (
@@ -143,6 +144,26 @@ class TestMakeSceneAndCalibrate:
             rot_err, tra_err = transform_distance(recovered[node], truth[node])
             assert rot_err < 1.0
             assert tra_err < 0.05
+
+    def test_reference_prepared_once(self, scene_dir, tmp_path,
+                                     monkeypatch):
+        """Two nodes: one FPFH of the reference grid, then one per node."""
+        features, compute_fpfh = [], registration.compute_fpfh
+
+        def counting_fpfh(cloud, normals, radius):
+            features.append(cloud)
+            return compute_fpfh(cloud, normals, radius)
+
+        monkeypatch.setattr(registration, "compute_fpfh", counting_fpfh)
+        root = link_nodes(tmp_path / "nodes", scene_dir / "calib",
+                          {"node_0": 0, "node_2": 2})
+        assert main(["calibrate", "--node-root", str(root),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(tmp_path / "calibration.jsonl")]) == 0
+        assert len(features) == 1 + 2
+        voxel = PipelineConfig().hierarchy.levels[0].voxel_size
+        assert np.array_equal(features[0].points, voxel_downsample(
+            read_frame(scene_dir / "reference.mvlc"), voxel).points)
 
     def test_zero_merge_duration_is_valid(self, scene_dir, tmp_path):
         code = main(["calibrate", "--node-root", str(scene_dir / "calib"),
@@ -768,6 +789,51 @@ class TestErrorsAndConversion:
         assert capsys.readouterr().err == (
             "error: background scan holds no points within 0.5 m of the "
             "detection square |x|, |y| <= 13.2\n")
+        assert not out.exists()
+
+    def test_empty_reference_exit_2(self, scene_dir, tmp_path, capsys):
+        # each node once printed FAILED (only 0 feature correspondences)
+        empty = tmp_path / "empty.mvlc"
+        write_frame(empty, PointCloud.empty())
+        out = tmp_path / "calibration.jsonl"
+        assert main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(empty), "--out", str(out)]) == 2
+        assert one_line_error(capsys) == (
+            f"error: reference scan {empty}: cloud holds no points\n")
+        assert not out.exists()
+
+    def test_reference_a_grid_cannot_index_exit_2(self, scene_dir, tmp_path,
+                                                  capsys):
+        # a finite coordinate once ended in a traceback from the voxel grid
+        far = tmp_path / "far.mvlc"
+        write_frame(far, PointCloud([[0.0, 0.0, 0.0], [1e30, 0.0, 0.0]]))
+        out = tmp_path / "calibration.jsonl"
+        assert main(["calibrate", "--node-root", str(scene_dir / "calib"),
+                     "--reference", str(far), "--out", str(out)]) == 2
+        assert one_line_error(capsys) == (
+            f"error: reference scan {far}: cloud holds a coordinate that "
+            f"the 1.0 m grid cannot index\n")
+        assert not out.exists()
+
+    def test_node_frame_a_grid_cannot_index_exit_2(self, scene_dir, tmp_path,
+                                                   capsys):
+        node_dir = tmp_path / "nodes" / "node_0"
+        node_dir.mkdir(parents=True)
+        for index, frame in enumerate(frames_of(scene_dir / "calib"
+                                                / "node_0")):
+            if index == 1:
+                frame = PointCloud(np.vstack([frame.points,
+                                              [[0.0, 0.0, -1e30]]]),
+                                   timestamp_ns=frame.timestamp_ns,
+                                   source_node=frame.source_node)
+            write_frame(node_dir / f"frame_{index:05d}.mvlc", frame)
+        out = tmp_path / "calibration.jsonl"
+        assert main(["calibrate", "--node-root", str(tmp_path / "nodes"),
+                     "--reference", str(scene_dir / "reference.mvlc"),
+                     "--out", str(out)]) == 2
+        assert one_line_error(capsys) == (
+            f"error: frames in {node_dir}: cloud holds a coordinate that "
+            f"the 1.0 m grid cannot index\n")
         assert not out.exists()
 
     def test_too_many_cluster_pairs_exit_3(self, one_frame, tmp_path, capsys,

@@ -15,7 +15,7 @@ import scipy
 from scipy.spatial import cKDTree
 
 from conftest import box_surface, fused_cloud, ground_grid
-from mvlidar import detector, fusion, pipeline
+from mvlidar import detector, fusion, pipeline, registration
 from mvlidar.detector import BACKGROUND_DISTANCE, DetectorConfig, \
     detect_frame, prepare_background, subtract_background
 from mvlidar.errors import CalibrationFailedError, ConfigError, FormatError
@@ -39,7 +39,7 @@ from mvlidar.pipeline import (
     run_view_group_experiment,
 )
 from mvlidar.registration import HierarchyConfig, HierarchyLevel, \
-    hierarchical_register
+    compute_fpfh, hierarchical_register
 from mvlidar.scene import (
     SceneObject,
     SceneSpec,
@@ -709,9 +709,11 @@ PINNED_BENCHMARK_DIGESTS = {
 
 
 # The digests at seed 101, the seed held out from tuning the detection
-# path: a change measured on seed 0 must keep these too.
+# and registration paths: a change measured on seed 0 must keep these too.
 HELD_OUT_SEED = 101
 HELD_OUT_BENCHMARK_DIGESTS = {
+    "calibrate": {"calibration": "e80195dcc63462e49f6f840b1de58aa2"
+                                 "c955bebd157e82eed71bec1018e8fa3b"},
     "detect-track": {"detections": "5dd74f61f214faa9b891398ed3e4e7fd"
                                    "2344969e978017e60c2d5eb23bd55112",
                      "trajectories": "d3ea0ab002b3cda1eb5419f7efb0b437"
@@ -760,21 +762,30 @@ class TestRunPipeline:
     def test_outputs_and_determinism(self, tmp_path, monkeypatch):
         """Two runs write the same six outputs, and those are the pinned
         bytes. Each run moves every node frame to the world frame once,
-        for the detect stage and both experiments together."""
+        for the detect stage and both experiments together, and prepares
+        the reference scan once for the 4 nodes: its grid's FPFH and one
+        per node's grid, where a per-node rebuild would make 8."""
         cfg = fast_pipeline_config()
-        transforms = []
+        transforms, features = [], []
 
         def counting(transform, cloud):
             transforms.append(cloud)
             return apply_transform(transform, cloud)
 
+        def counting_fpfh(cloud, normals, radius):
+            features.append(cloud)
+            return compute_fpfh(cloud, normals, radius)
+
         monkeypatch.setattr(pipeline, "apply_transform", counting)
+        monkeypatch.setattr(registration, "compute_fpfh", counting_fpfh)
         manifests = []
         for run in ("a", "b"):
             transforms.clear()
+            features.clear()
             manifests.append(run_pipeline(cfg,
                                           output_dir=str(tmp_path / run)))
             assert len(transforms) == 4 * cfg.scene_frames
+            assert len(features) == 1 + 4
         manifest_a, manifest_b = manifests
         here = {key: run_environment()[key] for key in PINNED_ENVIRONMENT}
         for name in MACHINE_OUTPUTS:
