@@ -53,6 +53,7 @@ print(format_ap_table({name: data["ap"] for name, data in fusion.items()}))
 # ---------------------------------------------------------------------------
 # track the early-fusion detections and score them against ground truth
 # ---------------------------------------------------------------------------
+# the early-fusion pass of the comparison above: no detection runs again
 boxes_per_frame = detect_views(views, sorted(scene.node_frames), detector)
 trajectories = track_sequence(boxes_per_frame, TrackerConfig(), frame_dt=0.1)
 report = compute_clear_mot(trajectories, scene.trajectories, MotEvalConfig())

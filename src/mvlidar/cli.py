@@ -57,11 +57,16 @@ _CALIBRATE = {name: p.default for name, p in
 
 def _frames_in(directory):
     """The .mvlc frames of a directory in name order, which must be time
-    order."""
+    order. A frame that cannot be read is named by its path."""
     paths = sorted(glob.glob(os.path.join(directory, "*.mvlc")))
     if not paths:
         raise FormatError(f"no .mvlc frames in {directory}")
-    frames = [read_frame(path) for path in paths]
+    frames = []
+    for path in paths:
+        try:
+            frames.append(read_frame(path))
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
     try:
         check_time_order(frames)
     except ValueError:
@@ -125,6 +130,9 @@ def _config(args) -> PipelineConfig:
 def cmd_calibrate(args) -> int:
     cfg = _config(args)
     reference = read_frame(args.reference)
+    # every node's frames read and checked before any registration work
+    nodes = {node: (directory, _frames_in(directory)) for node, directory
+             in sorted(_node_dirs(args.node_root).items())}
     # prepared once for every node; a scan registration cannot use is bad
     # input, named by its file
     try:
@@ -135,8 +143,7 @@ def cmd_calibrate(args) -> int:
             from None
     extrinsics = {}
     failures = []
-    for node, directory in sorted(_node_dirs(args.node_root).items()):
-        frames = _frames_in(directory)
+    for node, (directory, frames) in nodes.items():
         try:
             result = calibrate_node(
                 frames, reference, cfg.hierarchy, seed=cfg.seed + node,

@@ -156,8 +156,9 @@ def detect_per_frame(clouds: Sequence[PointCloud], cfg: DetectorConfig,
 @dataclass(frozen=True)
 class DetectionViews:
     """What every detection pass over one scene shares, each made once: the
-    reference scan prepared for the detection square, and every node frame
-    moved to the world frame and cropped to that square.
+    reference scan prepared for the detection square, every node frame
+    moved to the world frame and cropped to that square, and the boxes of
+    each distinct pass, which ``detect_views`` computes once per table.
 
     ``frames[node][k]`` is node frame ``k`` in the world frame, less its
     points outside the square, with its timestamp. A pass fuses these with
@@ -166,6 +167,8 @@ class DetectionViews:
 
     background: PreparedBackground
     frames: dict
+    _passes: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @staticmethod
     def build(scene: SyntheticScene, extrinsics: dict) -> "DetectionViews":
@@ -188,12 +191,20 @@ def detect_views(views: DetectionViews, nodes, detector_cfg: DetectorConfig,
                  integrate: int = 1) -> list:
     """Per-frame boxes of one detection pass over the views of ``nodes``:
     each frame's ``fuse_window`` over the last ``integrate`` frames, less
-    the reference scan as background, within the detection square."""
-    clouds = [fuse_window(views.frames, nodes, frame, integrate)
-              for frame in range(len(views.frames[nodes[0]]))]
-    return detect_per_frame(clouds, detector_cfg,
-                            background=views.background,
-                            crop_half_extent=views.background.crop_half_extent)
+    the reference scan as background, within the detection square.
+
+    The table computes each distinct pass once: a later call with the same
+    nodes, in any order, ``integrate`` and detector config returns the
+    boxes of the first, in new per-frame lists."""
+    nodes = tuple(sorted(nodes))
+    key = (nodes, integrate, detector_cfg)
+    if key not in views._passes:
+        clouds = [fuse_window(views.frames, nodes, frame, integrate)
+                  for frame in range(len(views.frames[nodes[0]]))]
+        views._passes[key] = tuple(map(tuple, detect_per_frame(
+            clouds, detector_cfg, background=views.background,
+            crop_half_extent=views.background.crop_half_extent)))
+    return [list(boxes) for boxes in views._passes[key]]
 
 
 def _ap_by_class(detections, annotations, eval_cfg) -> dict:
@@ -461,7 +472,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir: Optional[str] = None,
 
     # early fusion + detection on every frame, with recovered extrinsics and
     # the reference scan as the static background; the experiments below
-    # detect on the same views
+    # detect on the same views, and reuse this pass where they repeat it
     views = DetectionViews.build(scene, calibration)
     boxes_per_frame = detect_views(views, sorted(scene.node_frames),
                                    cfg.detector)

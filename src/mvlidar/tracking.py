@@ -209,8 +209,7 @@ def track_sequence(detections_per_frame: list, cfg: TrackerConfig,
     check_frame_dt(frame_dt)
     live: list[TrackState] = []
     history: dict[int, list] = {}
-    confirmed: set[int] = set()
-    output: dict[int, list] = {}
+    output: dict[int, list] = {}  # the confirmed tracks
     next_id = 1
 
     for frame, detections in enumerate(detections_per_frame):
@@ -224,8 +223,7 @@ def track_sequence(detections_per_frame: list, cfg: TrackerConfig,
             entry = (frame, track.to_box())
             history[track.track_id].append(entry)
             if track.hits >= cfg.min_hits:
-                if track.track_id not in confirmed:
-                    confirmed.add(track.track_id)
+                if track.track_id not in output:
                     output[track.track_id] = list(history[track.track_id])
                 else:
                     output[track.track_id].append(entry)
@@ -236,7 +234,6 @@ def track_sequence(detections_per_frame: list, cfg: TrackerConfig,
             live.append(track)
             history[track.track_id] = [(frame, track.to_box())]
             if cfg.min_hits <= 1:
-                confirmed.add(track.track_id)
                 output[track.track_id] = list(history[track.track_id])
 
         survivors = []

@@ -1574,6 +1574,38 @@ class TestInputLayout:
             f"error: frames in {root / 'node_0'} are not in time order\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["calibrate", "fuse"])
+    def test_unreadable_frame_exit_2_before_any_work(
+            self, scene_dir, tmp_path, capsys, monkeypatch, command):
+        """Node 3's middle frame cut to 30 bytes: ``calibrate`` once
+        registered nodes 0-2 and printed their fitness before it failed,
+        and neither command named the file."""
+        source = scene_dir / "calib" if command == "calibrate" else scene_dir
+        root = link_nodes(tmp_path / "nodes", source,
+                          {f"node_{node}": node for node in range(3)})
+        paths = sorted((source / "node_3").glob("*.mvlc"))
+        (root / "node_3").mkdir()
+        for path in paths:
+            (root / "node_3" / path.name).write_bytes(path.read_bytes())
+        cut = root / "node_3" / paths[len(paths) // 2].name
+        declared = len(read_frame(cut))
+        cut.write_bytes(cut.read_bytes()[:30])
+        registered = []
+
+        def recording(*args, **kwargs):
+            registered.append(args)
+            return calibrate_node(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "calibrate_node", recording)
+        out = tmp_path / "out"
+        assert main(node_command(command, scene_dir, root)
+                    + ["--out", str(out)]) == 2
+        err = one_line_error(capsys)
+        assert err.startswith(f"error: {cut}: declared {declared} points (")
+        assert err.endswith(f"payload has {30 - _HEADER.size} bytes\n")
+        assert registered == []
+        assert not out.exists()
+
     def test_directory_as_convert_output_exit_2(self, tmp_path, capsys):
         cloud = tmp_path / "cloud.xyz"
         cloud.write_text("1 2 3\n")

@@ -533,6 +533,85 @@ class TestPreparedBackgroundPasses:
             (queried - origin) / side).astype(int).tolist())
 
 
+def counted_passes(monkeypatch) -> list:
+    """The cloud lists of every ``detect_per_frame`` call from now on."""
+    calls = []
+
+    def counting(clouds, *args, **kwargs):
+        calls.append(clouds)
+        return detect_per_frame(clouds, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "detect_per_frame", counting)
+    return calls
+
+
+def frame_keys(boxes_per_frame) -> list:
+    return [[box_key(b) for b in frame] for frame in boxes_per_frame]
+
+
+class TestPassStore:
+    """A ``DetectionViews`` table detects each distinct pass once, keyed by
+    its sorted nodes, ``integrate`` and detector config, and hands each
+    caller lists of its own."""
+
+    # (nodes, detector config, integrate)
+    PASSES = [((0, 1, 2, 3), DetectorConfig(), 1),
+              ((0,), DetectorConfig(), 4),
+              ((0, 2), DetectorConfig(), 2),
+              ((0,), DetectorConfig(), 1),
+              ((2,), DetectorConfig(), 1),
+              ((0, 1, 2, 3), DetectorConfig(cluster_distance=0.7), 1)]
+
+    def test_any_order_gives_the_boxes_of_separate_tables(self, crossroad):
+        scene = crossroad
+        separate = [frame_keys(detect_views(
+            DetectionViews.build(scene, scene.extrinsics), *args))
+            for args in self.PASSES]
+        assert any(map(any, separate))
+        order = list(range(len(self.PASSES)))
+        for asked in (order, order[::-1], [3, 0, 3, 5, 1, 0, 4, 2, 5]):
+            views = DetectionViews.build(scene, scene.extrinsics)
+            for index in asked:
+                assert frame_keys(detect_views(views, *self.PASSES[index])) \
+                    == separate[index]
+
+    def test_node_order_is_one_pass(self, monkeypatch, crossroad):
+        views = DetectionViews.build(crossroad, crossroad.extrinsics)
+        calls = counted_passes(monkeypatch)
+        first = detect_views(views, (2, 0), DetectorConfig(), 2)
+        again = detect_views(views, (0, 2), DetectorConfig(), 2)
+        assert len(calls) == 1
+        assert frame_keys(again) == frame_keys(first)
+
+    def test_integrate_and_detector_config_are_separate_passes(
+            self, monkeypatch, crossroad):
+        views = DetectionViews.build(crossroad, crossroad.extrinsics)
+        calls = counted_passes(monkeypatch)
+        nodes = (0, 1, 2, 3)
+        for integrate, cfg in [(1, DetectorConfig()), (2, DetectorConfig()),
+                               (1, DetectorConfig(cluster_distance=0.7))]:
+            detect_views(views, nodes, cfg, integrate)
+        assert len(calls) == 3
+        # an equal config is the same pass
+        detect_views(views, nodes, DetectorConfig(cluster_distance=0.5), 1)
+        detect_views(views, list(nodes), DetectorConfig(), 2)
+        assert len(calls) == 3
+
+    def test_a_changed_result_leaves_the_pass_as_it_was(self, monkeypatch,
+                                                        crossroad):
+        views = DetectionViews.build(crossroad, crossroad.extrinsics)
+        calls = counted_passes(monkeypatch)
+        first = detect_views(views, (0, 1, 2, 3), DetectorConfig())
+        expected = frame_keys(first)
+        assert any(expected)
+        for frame in first:
+            frame.clear()
+        first.append(first[0])
+        again = detect_views(views, (0, 1, 2, 3), DetectorConfig())
+        assert frame_keys(again) == expected
+        assert len(calls) == 1
+
+
 class TestPipelineConfig:
     def test_defaults_round_trip(self):
         assert PipelineConfig.from_dict({}) == PipelineConfig()
@@ -764,9 +843,13 @@ class TestRunPipeline:
         bytes. Each run moves every node frame to the world frame once,
         for the detect stage and both experiments together, and prepares
         the reference scan once for the 4 nodes: its grid's FPFH and one
-        per node's grid, where a per-node rebuild would make 8."""
+        per node's grid, where a per-node rebuild would make 8. It makes 7
+        detection passes, where ``recorded_passes`` makes 9 on separate
+        tables: the four-view group and early fusion reuse the detect
+        stage's pass."""
         cfg = fast_pipeline_config()
         transforms, features = [], []
+        passes = counted_passes(monkeypatch)
 
         def counting(transform, cloud):
             transforms.append(cloud)
@@ -782,10 +865,12 @@ class TestRunPipeline:
         for run in ("a", "b"):
             transforms.clear()
             features.clear()
+            passes.clear()
             manifests.append(run_pipeline(cfg,
                                           output_dir=str(tmp_path / run)))
             assert len(transforms) == 4 * cfg.scene_frames
             assert len(features) == 1 + 4
+            assert len(passes) == 7
         manifest_a, manifest_b = manifests
         here = {key: run_environment()[key] for key in PINNED_ENVIRONMENT}
         for name in MACHINE_OUTPUTS:

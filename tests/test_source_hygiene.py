@@ -10,7 +10,8 @@ defaulted parameter of a package function is passed by some call in the
 package, the demos or the benchmark harness. Norms, squared
 norms, dot and cross products of point rows have one definition each, and so
 have the merge of point clouds and the frame clock. Each optional per-point array of a cloud has
-one column in the frame container. No module imports ``scipy.sparse``.
+one column in the frame container. In the pipeline only ``detect_views``
+runs a detection pass. No module imports ``scipy.sparse``.
 """
 
 import ast
@@ -493,6 +494,42 @@ def test_the_check_sees_each_direct_cloud_merge():
                      "g = PointCloud(np.asarray(np.concatenate(parts)))\n"
                      "h = PointCloud(np.hstack([p, q]))\n")
     assert sorted(line for line, _ in direct_cloud_merges(tree)) == [1, 2, 3]
+
+
+def detection_passes(tree):
+    """Line of every read of ``detect_per_frame``, by name or as an
+    attribute, outside the body of a function named ``detect_views``: a
+    pass that the views table's store of passes does not see."""
+    store = {id(node) for function in ast.walk(tree)
+             if isinstance(function, ast.FunctionDef)
+             and function.name == "detect_views"
+             for node in ast.walk(function)}
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name == "detect_per_frame" and id(node) not in store:
+            yield node.lineno
+
+
+def test_only_detect_views_detects_a_pass():
+    """Every detection pass of the pipeline goes through ``detect_views``,
+    which detects each distinct pass once per ``DetectionViews`` table."""
+    found = list(detection_passes(TREES["pipeline.py"]))
+    assert not found, f"detect_per_frame read outside detect_views at " \
+        f"pipeline.py lines {found}"
+
+
+def test_the_check_sees_each_pass_outside_detect_views():
+    tree = ast.parse("a = detect_per_frame(clouds, cfg, background)\n"
+                     "def detect_views(views, nodes, cfg):\n"
+                     "    return detect_per_frame(clouds, cfg, background)\n"
+                     "def run(views):\n"
+                     "    return pipeline.detect_per_frame(clouds, cfg, bg)\n"
+                     "detect = detect_per_frame\n"
+                     "def detect_per_frame(clouds, cfg, background):\n"
+                     "    return []\n"
+                     "b = detect_views(views, nodes, cfg)\n")
+    assert sorted(detection_passes(tree)) == [1, 5, 6]
 
 
 def test_the_checks_see_an_unused_import_and_an_unused_private_name():
